@@ -8,84 +8,36 @@ because a standard error from the survivors would be misleading.
 
 Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling
-order.
+order. :func:`parallel_map`, which spreads replicates over processes, is
+shared with the Monte Carlo study.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .data import ObservationalDataset
-from .errors import BootstrapError, WateError
-from .estimators import EstimatorKind, PointEstimate, estimate
-from .models import (
-    FitOptions,
-    fit_outcome,
-    fit_propensity,
-    predict_propensity,
-    truncate_propensity,
-)
-from .design import DesignSpec
-from .targets import TargetFunction
+from .errors import BootstrapError, FitFailure, WateError
+from .estimators import EstimationPipeline, PointEstimate, cell_values, fill_cells
 
-
-@dataclass(frozen=True)
-class EstimationPipeline:
-    """Everything needed to go from raw data to one point estimate.
-
-    ``pi_design`` / ``m_design`` of ``None`` mean the corresponding model is
-    not fitted (the dispatcher then rejects estimators that need it).
-    ``truncate`` is a percentile pair applied to the fitted propensities
-    before any weight is formed; the target function is evaluated on the
-    truncated values too.
-    """
-
-    estimand: TargetFunction
-    kind: EstimatorKind
-    pi_design: DesignSpec | None = None
-    m_design: DesignSpec | None = None
-    m_interaction: DesignSpec | None = None
-    truncate: tuple[float, float] | None = None
-    options: FitOptions = field(default_factory=FitOptions)
-    force_plain_aipw: bool = False
+T = TypeVar("T")
 
 
 def run_pipeline(ds: ObservationalDataset, pipeline: EstimationPipeline) -> PointEstimate:
-    """Fit the models the pipeline declares, then estimate."""
-    pm = None
-    pi_hat = None
-    if pipeline.pi_design is not None:
-        pm = fit_propensity(ds, pipeline.pi_design, pipeline.options)
-        pi_hat = predict_propensity(pm, ds.X)
-        if pipeline.truncate is not None:
-            pi_hat = truncate_propensity(pi_hat, *pipeline.truncate)
-    om = None
-    if pipeline.m_design is not None:
-        om = fit_outcome(ds, pipeline.m_design, pipeline.m_interaction, pipeline.options)
-    return estimate(
-        ds,
-        pipeline.kind,
-        pipeline.estimand,
-        pm=pm,
-        om=om,
-        pi_hat=pi_hat,
-        force_plain_aipw=pipeline.force_plain_aipw,
-    )
-
-
-@dataclass(frozen=True)
-class _PipelineStatistic:
-    """Picklable adapter turning a pipeline into a length-1 vector statistic."""
-
-    pipeline: EstimationPipeline
-
-    def __call__(self, ds: ObservationalDataset) -> NDArray[np.float64]:
-        return np.array([run_pipeline(ds, self.pipeline).value])
+    """Fit the models the pipeline declares, then estimate; a failed fit
+    raises what the fitter raised."""
+    result = fill_cells(ds, [pipeline])[0]
+    if isinstance(result, FitFailure):
+        raise result.error
+    if isinstance(result, WateError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,32 +59,50 @@ def _replicate_indices(seed: int, i: int, n: int) -> NDArray[np.intp]:
     return rng.integers(0, n, size=n)
 
 
-def _run_replicates(
+def _map_range(fn: Callable[[int], T], indices: range) -> list[T]:
+    return [fn(i) for i in indices]
+
+
+def parallel_map(fn: Callable[[int], T], count: int, workers: int) -> list[T]:
+    """``[fn(i) for i in range(count)]``, over ``workers`` processes when
+    that is more than one.
+
+    Indices go out in contiguous chunks, four per worker to even out uneven
+    work, and results come back in index order, so the output never depends
+    on ``workers``. ``fn`` must be picklable when ``workers > 1`` (a
+    module-level function, a ``functools.partial`` of one, or a frozen
+    dataclass with ``__call__``).
+    """
+    if workers <= 1:
+        return _map_range(fn, range(count))
+    pieces = max(1, min(workers * 4, count))
+    bounds = np.linspace(0, count, pieces + 1).astype(int)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_map_range, fn, range(lo, hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if lo < hi
+        ]
+        return [value for future in futures for value in future.result()]
+
+
+def _replicate(
     ds: ObservationalDataset,
     statistic: Callable[[ObservationalDataset], NDArray[np.float64]],
     n_out: int,
     seed: int,
-    indices: Sequence[int],
-) -> list[tuple[int, NDArray[np.float64]]]:
-    out = []
-    for i in indices:
-        idx = _replicate_indices(seed, int(i), ds.n)
-        try:
-            row = np.asarray(statistic(ds.replace_rows(idx)), dtype=np.float64).ravel()
-            if row.shape[0] != n_out:
-                raise BootstrapError(
-                    f"statistic returned length {row.shape[0]}, expected {n_out}"
-                )
-        except WateError:
-            row = np.full(n_out, np.nan)
-        out.append((int(i), row))
-    return out
-
-
-def _chunks(count: int, pieces: int) -> list[range]:
-    pieces = max(1, min(pieces, count))
-    bounds = np.linspace(0, count, pieces + 1).astype(int)
-    return [range(bounds[k], bounds[k + 1]) for k in range(pieces) if bounds[k] < bounds[k + 1]]
+    i: int,
+) -> NDArray[np.float64]:
+    idx = _replicate_indices(seed, i, ds.n)
+    try:
+        row = np.asarray(statistic(ds.replace_rows(idx)), dtype=np.float64).ravel()
+        if row.shape[0] != n_out:
+            raise BootstrapError(
+                f"statistic returned length {row.shape[0]}, expected {n_out}"
+            )
+    except WateError:
+        row = np.full(n_out, np.nan)
+    return row
 
 
 def bootstrap_vector(
@@ -152,20 +122,8 @@ def bootstrap_vector(
     """
     if b < 2:
         raise ValueError(f"need at least 2 replicates, got {b}")
-    values = np.empty((b, n_out))
-    if workers <= 1:
-        results = _run_replicates(ds, statistic, n_out, seed, range(b))
-    else:
-        results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_replicates, ds, statistic, n_out, seed, list(chunk))
-                for chunk in _chunks(b, workers * 4)
-            ]
-            for fut in futures:
-                results.extend(fut.result())
-    for i, row in results:
-        values[i] = row
+    rows = parallel_map(partial(_replicate, ds, statistic, n_out, seed), b, workers)
+    values = np.array(rows)
     n_failed = int(np.sum(np.all(np.isnan(values), axis=1))) if n_out else 0
     if n_failed > max_failed_fraction * b:
         raise BootstrapError(
@@ -214,7 +172,7 @@ def bootstrap_se(
     point = run_pipeline(ds, pipeline)
     samples = bootstrap_vector(
         ds,
-        _PipelineStatistic(pipeline),
+        partial(cell_values, pipelines=(pipeline,)),
         n_out=1,
         b=b,
         seed=seed,

@@ -27,16 +27,9 @@ from . import __version__
 from .bootstrap import bootstrap_vector
 from .data import ObservationalDataset, load_csv
 from .design import DesignSpec, main_effects, parse_design
-from .errors import WateError
-from .estimators import EstimatorKind, estimate
-from .models import (
-    FitOptions,
-    fit_outcome,
-    fit_propensity,
-    predict_propensity,
-    truncate_propensity,
-)
-from .simulation import SimulationDesign, run_study, true_estimands
+from .errors import DesignError, WateError
+from .estimators import EstimationPipeline, EstimatorKind, fill_cells
+from .simulation import SimulationDesign, run_study, study_cells, true_estimands
 from .targets import (
     TargetFunction,
     average_effect,
@@ -192,14 +185,37 @@ def _parse_truncate(text: str) -> tuple[float, float] | None:
     return (lo, hi)
 
 
-def _parse_int(resolved: dict[str, str], key: str, minimum: int) -> int:
+def _parse_int(
+    resolved: dict[str, str], key: str, minimum: int, maximum: int | None = None
+) -> int:
     try:
         value = int(resolved[key])
     except ValueError:
         raise CliError(f"--{key} must be an integer, got {resolved[key]!r}") from None
     if value < minimum:
         raise CliError(f"--{key} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise CliError(f"--{key} must be <= {maximum}, got {value}")
     return value
+
+
+def _parse_int_list(
+    resolved: dict[str, str], key: str, minimum: int, maximum: int | None = None
+) -> list[int]:
+    return [
+        _parse_int({key: t}, key, minimum, maximum) for t in _split_list(resolved[key])
+    ]
+
+
+def _parse_design_option(
+    resolved: dict[str, str], key: str, names: tuple[str, ...], default: DesignSpec | None
+) -> DesignSpec | None:
+    if not resolved[key].strip():
+        return default
+    try:
+        return parse_design(resolved[key], names)
+    except DesignError as exc:
+        raise CliError(f"--{key}: {exc}") from None
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -255,17 +271,17 @@ def _echo_lines(command: str, resolved: dict[str, str]) -> list[str]:
 
 @dataclass(frozen=True)
 class ReportTask:
-    """Everything a bootstrap replicate needs to recompute every cell."""
+    """Every cell of a report. Calling it recomputes the cell values on one
+    (resampled) dataset, NaN where a cell failed."""
 
     methods: tuple[str, ...]
     tokens: tuple[str, ...]
-    targets: tuple[TargetFunction, ...]
-    cells: tuple[tuple[int, int], ...]  # (method index, estimand index)
-    pi_design: DesignSpec | None
-    m_design: DesignSpec | None
-    m_interaction: DesignSpec | None
-    truncate: tuple[float, float] | None
-    options: FitOptions
+    cells: tuple[tuple[str, str], ...]  # (method, estimand token)
+    # Per cell; None for the unweighted difference, which fits nothing.
+    pipelines: tuple[EstimationPipeline | None, ...]
+
+    def __call__(self, ds: ObservationalDataset) -> NDArray[np.float64]:
+        return _report_cells(self, ds)[0]
 
 
 _METHOD_KINDS = {
@@ -294,88 +310,56 @@ def build_report_task(
     m_interaction: DesignSpec | None,
     truncate: tuple[float, float] | None,
 ) -> ReportTask:
-    targets = tuple(parse_estimand_token(t, covariate_names) for t in tokens)
+    targets = [parse_estimand_token(t, covariate_names) for t in tokens]
     cells = []
-    needs_om = False
-    needs_pm = False
-    for mi, method in enumerate(methods):
-        for ei, target in enumerate(targets):
+    pipelines = []
+    for method in methods:
+        for token, target in zip(tokens, targets):
             if not _cell_applicable(method, target):
                 continue
-            cells.append((mi, ei))
-            if method in ("regression", "aipw"):
-                needs_om = True
-            if method in ("ipw", "aipw"):
-                needs_pm = True
+            cells.append((method, token))
+            pipelines.append(
+                None
+                if method == "unweighted"
+                else EstimationPipeline(
+                    estimand=target,
+                    kind=_METHOD_KINDS[method],
+                    pi_design=pi_design if method in ("ipw", "aipw") else None,
+                    m_design=m_design if method in ("regression", "aipw") else None,
+                    m_interaction=m_interaction,
+                    truncate=truncate,
+                )
+            )
     return ReportTask(
         methods=tuple(methods),
         tokens=tuple(tokens),
-        targets=targets,
         cells=tuple(cells),
-        pi_design=pi_design if needs_pm else None,
-        m_design=m_design if needs_om else None,
-        m_interaction=m_interaction,
-        truncate=truncate,
-        options=FitOptions(),
+        pipelines=tuple(pipelines),
     )
 
 
-def _unweighted_difference(ds: ObservationalDataset) -> float:
+def _unweighted_difference(ds: ObservationalDataset) -> float | WateError:
     treated = ds.Y[ds.A == 1.0]
     control = ds.Y[ds.A == 0.0]
     if treated.size == 0 or control.size == 0:
-        raise WateError("an arm is empty")
+        return WateError("an arm is empty")
     return float(np.mean(treated) - np.mean(control))
 
 
 def _report_cells(
-    task: ReportTask, ds: ObservationalDataset, collect_notes: bool = False
+    task: ReportTask, ds: ObservationalDataset
 ) -> tuple[NDArray[np.float64], list[str]]:
+    """Cell values (NaN where a cell failed) and failure notes."""
+    estimated = iter(fill_cells(ds, [p for p in task.pipelines if p is not None]))
     values = np.full(len(task.cells), np.nan)
     notes = [""] * len(task.cells)
-    pi_hat = None
-    pi_note = ""
-    if task.pi_design is not None:
-        try:
-            pm = fit_propensity(ds, task.pi_design, task.options)
-            pi_hat = predict_propensity(pm, ds.X)
-            if task.truncate is not None:
-                pi_hat = truncate_propensity(pi_hat, *task.truncate)
-        except WateError as exc:
-            pi_note = f"propensity fit failed: {exc}"
-    om = None
-    om_note = ""
-    if task.m_design is not None:
-        try:
-            om = fit_outcome(ds, task.m_design, task.m_interaction, task.options)
-        except WateError as exc:
-            om_note = f"outcome fit failed: {exc}"
-    for j, (mi, ei) in enumerate(task.cells):
-        method = task.methods[mi]
-        target = task.targets[ei]
-        try:
-            if method == "unweighted":
-                values[j] = _unweighted_difference(ds)
-            else:
-                if method in ("ipw", "aipw") and pi_hat is None:
-                    raise WateError(pi_note or "no fitted propensities")
-                if method in ("regression", "aipw") and om is None:
-                    raise WateError(om_note or "no fitted outcome model")
-                values[j] = estimate(
-                    ds, _METHOD_KINDS[method], target, om=om, pi_hat=pi_hat
-                ).value
-        except WateError as exc:
-            if collect_notes:
-                notes[j] = str(exc)
+    for j, pipeline in enumerate(task.pipelines):
+        result = _unweighted_difference(ds) if pipeline is None else next(estimated)
+        if isinstance(result, WateError):
+            notes[j] = str(result)
+        else:
+            values[j] = result if pipeline is None else result.value
     return values, notes
-
-
-@dataclass(frozen=True)
-class _ReportStatistic:
-    task: ReportTask
-
-    def __call__(self, ds: ObservationalDataset) -> NDArray[np.float64]:
-        return _report_cells(self.task, ds)[0]
 
 
 def _fmt_value(v: float) -> str:
@@ -391,12 +375,12 @@ def _estimate_report_texts(
     workers: int,
 ) -> tuple[str, str, bool]:
     """Returns (csv text, markdown text, all cells ok)."""
-    points, notes = _report_cells(task, ds, collect_notes=True)
+    points, notes = _report_cells(task, ds)
     ses = np.full(len(task.cells), np.nan)
     b_ok = np.zeros(len(task.cells), dtype=int)
     if b > 0:
         samples = bootstrap_vector(
-            ds, _ReportStatistic(task), n_out=len(task.cells), b=b,
+            ds, task, n_out=len(task.cells), b=b,
             seed=seed, workers=workers,
         )
         for j in range(len(task.cells)):
@@ -413,9 +397,7 @@ def _estimate_report_texts(
     )
     csv_lines.append("method,estimand,estimate,se,bootstrap_ok,note")
     by_cell = {}
-    for j, (mi, ei) in enumerate(task.cells):
-        method = task.methods[mi]
-        token = task.tokens[ei]
+    for j, (method, token) in enumerate(task.cells):
         token_csv = f'"{token}"' if "," in token else token
         est_txt = _fmt_value(points[j]) if np.isfinite(points[j]) else ""
         se_txt = _fmt_value(ses[j]) if np.isfinite(ses[j]) else ""
@@ -456,8 +438,8 @@ def _estimate_report_texts(
                 row += f" {_fmt_value(point)} |"
         md_lines.append(row)
     failures = [
-        (task.methods[mi], task.tokens[ei], notes[j])
-        for j, (mi, ei) in enumerate(task.cells)
+        (method, token, notes[j])
+        for j, (method, token) in enumerate(task.cells)
         if notes[j]
     ]
     if failures:
@@ -511,28 +493,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     tokens = _split_estimands(resolved["estimand"])
     if not tokens:
         raise CliError("no estimands requested")
-    pi_design = (
-        parse_design(resolved["pi-design"], names)
-        if resolved["pi-design"].strip()
-        else main_effects(names)
-    )
-    m_design = (
-        parse_design(resolved["m-design"], names)
-        if resolved["m-design"].strip()
-        else main_effects(names)
-    )
-    m_interaction = (
-        parse_design(resolved["m-interaction"], names)
-        if resolved["m-interaction"].strip()
-        else None
-    )
     task = build_report_task(
         methods,
         tokens,
         names,
-        pi_design,
-        m_design,
-        m_interaction,
+        _parse_design_option(resolved, "pi-design", names, main_effects(names)),
+        _parse_design_option(resolved, "m-design", names, main_effects(names)),
+        _parse_design_option(resolved, "m-interaction", names, None),
         _parse_truncate(resolved["truncate"]),
     )
     b = _parse_int(resolved, "bootstrap", 0)
@@ -555,14 +522,18 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     resolved = _resolve_options(args, _SIMULATE_DEFAULTS)
     fmt = _check_format(resolved)
-    models = [int(t) for t in _split_list(resolved["outcome-model"])]
-    sizes = [int(t) for t in _split_list(resolved["n"])]
+    models = _parse_int_list(resolved, "outcome-model", 1, 2)
+    sizes = _parse_int_list(resolved, "n", 1)
     reps = _parse_int(resolved, "reps", 2)
     seed = _parse_int(resolved, "seed", 0)
     workers = _parse_int(resolved, "workers", 1)
     truth_draws = _parse_int(resolved, "truth-draws", 1000)
     estimators = tuple(_split_list(resolved["estimator"]))
     estimands = tuple(_split_list(resolved["estimand"]))
+    try:
+        study_cells(SimulationDesign(estimators=estimators, estimands=estimands))
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     truncate = _parse_truncate(resolved["truncate"])
     echo = _echo_lines("simulate", resolved)
 
@@ -600,7 +571,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_true_values(args: argparse.Namespace) -> int:
     resolved = _resolve_options(args, _TRUE_VALUES_DEFAULTS)
-    models = [int(t) for t in _split_list(resolved["outcome-model"])]
+    models = _parse_int_list(resolved, "outcome-model", 1, 2)
     draws = _parse_int(resolved, "draws", 1000)
     seed = _parse_int(resolved, "seed", 0)
     echo = _echo_lines("true-values", resolved)

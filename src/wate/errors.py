@@ -45,6 +45,15 @@ class RankDeficiencyError(ModelFitError):
     """The design matrix is numerically rank deficient."""
 
 
+class FitFailure(ModelFitError):
+    """A cell could not be estimated because a working model it reads failed
+    to fit; ``error`` is what the fitter raised."""
+
+    def __init__(self, stage: str, error: WateError):
+        super().__init__(f"{stage} fit failed: {error}")
+        self.error = error
+
+
 class ConvergenceError(ModelFitError):
     """Iterative fitting stopped without meeting the convergence criterion.
 

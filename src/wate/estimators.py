@@ -1,5 +1,10 @@
 """Point estimators for weighted average treatment effects.
 
+Every estimator is a short formula over the observed ``(A, Y)``, the target
+weights ``h`` and three fitted vectors: the propensity ``pi`` and the arm
+means ``m1`` and ``m0``. A :class:`Nuisance` bundle holds those vectors for
+one dataset, so they are computed once however many estimates read them.
+
 Three families:
 
 * outcome regression: plug fitted arm means into the weighted contrast;
@@ -8,32 +13,49 @@ Three families:
 * augmented IPW, which combines both models and stays consistent when
   either one is correct.
 
-For targets whose weight is linear in the propensity (treated, control, or
-a general a + b*pi) the augmented estimator admits a form whose augmentation
-uses only model residuals; those closed forms are implemented separately
-(:func:`estimate_att_dr`, :func:`estimate_atc_dr`,
-:func:`estimate_dr_linear_in_pi`) and the dispatcher routes to them by
-default. The treated/control targets also admit regression-only forms that
-need no propensity model at all.
+For targets whose weight is linear in the propensity, h = a + b*pi, the
+augmented estimator admits a form whose augmentation uses only model
+residuals (:func:`estimate_dr_linear_in_pi`); the effects on the treated and
+on the controls are its (a, b) = (0, 1) and (1, -1) cases, and the
+dispatcher routes all three to it. The treated/control targets also admit
+regression-only forms that need no propensity model at all.
+
+:func:`fill_cells` is the one fit-then-fill engine: it fits each distinct
+working model a list of :class:`EstimationPipeline` cells names once on a
+dataset and estimates every cell from the fitted vectors. The bootstrap,
+the command line report and the Monte Carlo study all go through it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Hashable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .data import ObservationalDataset
-from .errors import EstimationError, MissingModelError
-from .models import OutcomeModel, PropensityModel, predict_outcome, predict_propensity
+from .design import DesignSpec
+from .errors import EstimationError, FitFailure, MissingModelError, WateError
+from .models import (
+    FitOptions,
+    OutcomeModel,
+    PropensityModel,
+    fit_outcome,
+    fit_propensity,
+    predict_outcome,
+    predict_propensity,
+    truncate_propensity,
+)
 from .targets import (
     TargetFunction,
     TargetKind,
     WeightVector,
-    compute_weights,
-    evaluate_h,
+    _checked_pi,
+    _h_values,
+    effect_on_controls,
+    effect_on_treated,
 )
 
 
@@ -61,6 +83,53 @@ class PointEstimate:
     estimand: TargetFunction
     n_used: int
     diagnostics: Diagnostics
+
+
+@dataclass(frozen=True, eq=False)
+class Nuisance:
+    """Fitted vectors on the rows of ``ds``: the propensity ``pi`` (after any
+    truncation) and the arm means ``m1``/``m0`` of one outcome model. A vector
+    is ``None`` when its model was not fitted. The vectors are used as given;
+    :meth:`from_models` builds a bundle from fitted models and checks an
+    explicit ``pi_hat``."""
+
+    ds: ObservationalDataset
+    pi: NDArray[np.float64] | None = None
+    m1: NDArray[np.float64] | None = None
+    m0: NDArray[np.float64] | None = None
+
+    @classmethod
+    def from_models(
+        cls,
+        ds: ObservationalDataset,
+        pm: PropensityModel | None = None,
+        om: OutcomeModel | None = None,
+        pi_hat: NDArray[np.float64] | None = None,
+    ) -> "Nuisance":
+        """Explicit ``pi_hat`` (e.g. a truncated vector) wins over ``pm``.
+        Each arm of ``om`` is predicted once."""
+        pi = None
+        if pi_hat is not None:
+            pi = _checked_pi(pi_hat, ds.n, EstimationError)
+        elif pm is not None:
+            pi = predict_propensity(pm, ds.X)
+        if om is None:
+            return cls(ds, pi)
+        return cls(ds, pi, predict_outcome(om, ds.X, 1), predict_outcome(om, ds.X, 0))
+
+    def propensity(self, reader: str) -> NDArray[np.float64]:
+        """``pi``; raises :class:`MissingModelError` naming ``reader`` if no
+        propensity was fitted."""
+        if self.pi is None:
+            raise MissingModelError(f"{reader} needs a propensity model or pi_hat")
+        return self.pi
+
+    def arm_means(self, reader: str) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """``(m1, m0)``; raises :class:`MissingModelError` naming ``reader`` if
+        no outcome model was fitted."""
+        if self.m1 is None:
+            raise MissingModelError(f"{reader} needs an outcome model")
+        return self.m1, self.m0
 
 
 def _finite(value: float, what: str) -> float:
@@ -91,36 +160,118 @@ def _ess(weights: NDArray[np.float64]) -> float:
     return total * total / float(np.sum(weights * weights))
 
 
-def _arm_ess_from_h(
-    ds: ObservationalDataset, h: NDArray[np.float64]
-) -> tuple[float, float]:
-    return _ess(h[ds.A == 1.0]), _ess(h[ds.A == 0.0])
+def _point(
+    value: float,
+    kind: EstimatorKind,
+    estimand: TargetFunction | None,
+    n: int,
+    h_total: float,
+    ess_treated: float,
+    ess_control: float,
+) -> PointEstimate:
+    return PointEstimate(
+        value=value,
+        estimator=kind,
+        estimand=estimand if estimand is not None else TargetFunction(TargetKind.COVARIATE, label="custom-h"),
+        n_used=n,
+        diagnostics=Diagnostics(h_total=h_total, ess_treated=ess_treated, ess_control=ess_control),
+    )
 
 
-def _resolve_pi(
+# --- kernels over (A, Y, h, pi, m1, m0) ---------------------------------------
+
+
+def _regression(
+    nu: Nuisance, h_values: NDArray[np.float64], estimand: TargetFunction | None
+) -> PointEstimate:
+    A = nu.ds.A
+    m1, m0 = nu.arm_means("regression estimator")
+    h = _h_checked(h_values, nu.ds.n)
+    value = _finite(np.sum(h * (m1 - m0)) / np.sum(h), "regression estimate")
+    return _point(
+        value, EstimatorKind.REGRESSION, estimand, nu.ds.n,
+        float(np.sum(h)), _ess(h[A == 1.0]), _ess(h[A == 0.0]),
+    )
+
+
+def _regression_on_arm(nu: Nuisance, target: TargetFunction) -> PointEstimate:
+    A, Y = nu.ds.A, nu.ds.Y
+    m1, m0 = nu.arm_means("regression estimator")
+    treated = target.kind is TargetKind.ATT
+    if treated:
+        who, arm, contrast = "treated", A, Y - m0
+    else:
+        who, arm, contrast = "control", 1.0 - A, m1 - Y
+    size = float(np.sum(arm))
+    if size < 1.0:
+        raise EstimationError(f"no {who} observations")
+    value = _finite(np.sum(arm * contrast) / size, f"{who} regression estimate")
+    return _point(
+        value, EstimatorKind.REGRESSION, target, nu.ds.n,
+        size, size if treated else 0.0, 0.0 if treated else size,
+    )
+
+
+def _ipw(
     ds: ObservationalDataset,
-    pm: PropensityModel | None,
-    pi_hat: NDArray[np.float64] | None,
-) -> NDArray[np.float64] | None:
-    """Explicit ``pi_hat`` (e.g. a truncated vector) wins over the model."""
-    if pi_hat is not None:
-        pi = np.asarray(pi_hat, dtype=np.float64).ravel()
-        if pi.shape[0] != ds.n:
-            raise EstimationError(
-                f"pi_hat has length {pi.shape[0]}, expected {ds.n}"
-            )
-        if not np.all((pi > 0.0) & (pi < 1.0)):
-            raise EstimationError("pi_hat values must lie strictly inside (0, 1)")
-        return pi
-    if pm is not None:
-        return predict_propensity(pm, ds.X)
-    return None
+    w1: NDArray[np.float64],
+    w0: NDArray[np.float64],
+    h_values: NDArray[np.float64],
+    kind: EstimatorKind,
+    estimand: TargetFunction | None,
+) -> PointEstimate:
+    tw = ds.A * w1
+    cw = (1.0 - ds.A) * w0
+    if kind is EstimatorKind.IPW_NORMALIZED:
+        st = float(np.sum(tw))
+        sc = float(np.sum(cw))
+        if st <= 0.0 or sc <= 0.0:
+            raise EstimationError("zero weight mass in one arm")
+        value = _finite(np.sum(tw * ds.Y) / st - np.sum(cw * ds.Y) / sc, "ipw estimate")
+    else:
+        h_values = _h_checked(h_values, ds.n)
+        value = _finite(
+            np.sum(tw * ds.Y - cw * ds.Y) / np.sum(h_values), "unnormalized ipw estimate"
+        )
+    return _point(
+        value, kind, estimand, ds.n, float(np.sum(h_values)), _ess(tw), _ess(cw)
+    )
 
 
-def _arm_means(
-    om: OutcomeModel, X: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    return predict_outcome(om, X, 1), predict_outcome(om, X, 0)
+def _aipw(
+    nu: Nuisance, h_values: NDArray[np.float64], estimand: TargetFunction | None
+) -> PointEstimate:
+    A, Y, pi = nu.ds.A, nu.ds.Y, nu.propensity("augmented estimator")
+    m1, m0 = nu.arm_means("augmented estimator")
+    h = _h_checked(h_values, nu.ds.n)
+    arm1 = A * Y / pi - (A - pi) / pi * m1
+    arm0 = (1.0 - A) * Y / (1.0 - pi) + (A - pi) / (1.0 - pi) * m0
+    value = _finite(np.sum(h * (arm1 - arm0)) / np.sum(h), "augmented estimate")
+    et, ec = _ess(A * h / pi), _ess((1.0 - A) * h / (1.0 - pi))
+    return _point(value, EstimatorKind.AIPW, estimand, nu.ds.n, float(np.sum(h)), et, ec)
+
+
+def _dr_linear(nu: Nuisance, a: float, b: float, estimand: TargetFunction) -> PointEstimate:
+    if a == 0.0 and b == 0.0:
+        raise EstimationError("coefficients (a, b) must not both be zero")
+    A, Y, pi = nu.ds.A, nu.ds.Y, nu.propensity("doubly robust estimator")
+    m1, m0 = nu.arm_means("doubly robust estimator")
+    c_obs = a + b * A
+    denom = float(np.sum(c_obs))
+    if denom <= 0.0:
+        raise EstimationError("denominator sum(a + b*A) is not positive")
+    h = a + b * pi
+    if np.any(h < 0.0):
+        raise EstimationError("a + b*pi is negative for some observations")
+    resid = A / pi * (Y - m1) - (1.0 - A) / (1.0 - pi) * (Y - m0)
+    value = _finite(np.sum(c_obs * (m1 - m0) + h * resid) / denom, "doubly robust estimate")
+    et, ec = _ess(A * h / pi), _ess((1.0 - A) * h / (1.0 - pi))
+    return _point(
+        value, EstimatorKind.DR_LINEAR_IN_PI, estimand, nu.ds.n, float(np.sum(h)), et, ec
+    )
+
+
+# --- public estimators over fitted models -------------------------------------
 
 
 def estimate_regression(
@@ -131,17 +282,7 @@ def estimate_regression(
 ) -> PointEstimate:
     """h-weighted average of the fitted arm contrast:
     sum h*(m1 - m0) / sum h."""
-    h = _h_checked(h_values, ds.n)
-    m1, m0 = _arm_means(om, ds.X)
-    value = _finite(np.sum(h * (m1 - m0)) / np.sum(h), "regression estimate")
-    et, ec = _arm_ess_from_h(ds, h)
-    return PointEstimate(
-        value=value,
-        estimator=EstimatorKind.REGRESSION,
-        estimand=estimand if estimand is not None else TargetFunction(TargetKind.COVARIATE, label="custom-h"),
-        n_used=ds.n,
-        diagnostics=Diagnostics(h_total=float(np.sum(h)), ess_treated=et, ess_control=ec),
-    )
+    return _regression(Nuisance.from_models(ds, om=om), h_values, estimand)
 
 
 def estimate_att_regression(
@@ -149,18 +290,7 @@ def estimate_att_regression(
 ) -> PointEstimate:
     """Effect on the treated using only the outcome model:
     sum A*(Y - m0) / sum A. No propensity needed."""
-    n1 = float(np.sum(ds.A))
-    if n1 < 1.0:
-        raise EstimationError("no treated observations")
-    _, m0 = _arm_means(om, ds.X)
-    value = _finite(np.sum(ds.A * (ds.Y - m0)) / n1, "treated regression estimate")
-    return PointEstimate(
-        value=value,
-        estimator=EstimatorKind.REGRESSION,
-        estimand=TargetFunction(TargetKind.ATT, label="att"),
-        n_used=ds.n,
-        diagnostics=Diagnostics(h_total=n1, ess_treated=n1, ess_control=0.0),
-    )
+    return _regression_on_arm(Nuisance.from_models(ds, om=om), effect_on_treated())
 
 
 def estimate_atc_regression(
@@ -168,20 +298,7 @@ def estimate_atc_regression(
 ) -> PointEstimate:
     """Effect on the controls using only the outcome model:
     sum (1-A)*(m1 - Y) / sum (1-A)."""
-    n0 = float(np.sum(1.0 - ds.A))
-    if n0 < 1.0:
-        raise EstimationError("no control observations")
-    m1, _ = _arm_means(om, ds.X)
-    value = _finite(
-        np.sum((1.0 - ds.A) * (m1 - ds.Y)) / n0, "control regression estimate"
-    )
-    return PointEstimate(
-        value=value,
-        estimator=EstimatorKind.REGRESSION,
-        estimand=TargetFunction(TargetKind.ATC, label="atc"),
-        n_used=ds.n,
-        diagnostics=Diagnostics(h_total=n0, ess_treated=0.0, ess_control=n0),
-    )
+    return _regression_on_arm(Nuisance.from_models(ds, om=om), effect_on_controls())
 
 
 def estimate_ipw_normalized(
@@ -191,23 +308,8 @@ def estimate_ipw_normalized(
 ) -> PointEstimate:
     """Difference of weighted arm means, each arm's weights normalized to
     sum to one: sum A*Y*w1 / sum A*w1 - sum (1-A)*Y*w0 / sum (1-A)*w0."""
-    tw = ds.A * weights.w1
-    cw = (1.0 - ds.A) * weights.w0
-    st = float(np.sum(tw))
-    sc = float(np.sum(cw))
-    if st <= 0.0 or sc <= 0.0:
-        raise EstimationError("zero weight mass in one arm")
-    value = _finite(np.sum(tw * ds.Y) / st - np.sum(cw * ds.Y) / sc, "ipw estimate")
-    return PointEstimate(
-        value=value,
-        estimator=EstimatorKind.IPW_NORMALIZED,
-        estimand=estimand if estimand is not None else TargetFunction(TargetKind.COVARIATE, label="custom-h"),
-        n_used=ds.n,
-        diagnostics=Diagnostics(
-            h_total=float(np.sum(weights.h_values)),
-            ess_treated=_ess(tw),
-            ess_control=_ess(cw),
-        ),
+    return _ipw(
+        ds, weights.w1, weights.w0, weights.h_values, EstimatorKind.IPW_NORMALIZED, estimand
     )
 
 
@@ -222,20 +324,8 @@ def estimate_ipw_unnormalized(
     outcome model is identically zero; the normalized form above is what the
     simulations and the command line use.
     """
-    h = _h_checked(weights.h_values, ds.n)
-    tw = ds.A * weights.w1
-    cw = (1.0 - ds.A) * weights.w0
-    value = _finite(
-        np.sum(tw * ds.Y - cw * ds.Y) / np.sum(h), "unnormalized ipw estimate"
-    )
-    return PointEstimate(
-        value=value,
-        estimator=EstimatorKind.IPW_UNNORMALIZED,
-        estimand=estimand if estimand is not None else TargetFunction(TargetKind.COVARIATE, label="custom-h"),
-        n_used=ds.n,
-        diagnostics=Diagnostics(
-            h_total=float(np.sum(h)), ess_treated=_ess(tw), ess_control=_ess(cw)
-        ),
+    return _ipw(
+        ds, weights.w1, weights.w0, weights.h_values, EstimatorKind.IPW_UNNORMALIZED, estimand
     )
 
 
@@ -251,23 +341,7 @@ def estimate_aipw(
 
     sum h * [ (A*Y/pi - (A - pi)/pi * m1) - ((1-A)*Y/(1-pi) + (A - pi)/(1-pi) * m0) ] / sum h
     """
-    pi = _resolve_pi(ds, pm, pi_hat)
-    if pi is None:
-        raise MissingModelError("augmented estimator needs a propensity model or pi_hat")
-    h = _h_checked(h_values, ds.n)
-    m1, m0 = _arm_means(om, ds.X)
-    A, Y = ds.A, ds.Y
-    arm1 = A * Y / pi - (A - pi) / pi * m1
-    arm0 = (1.0 - A) * Y / (1.0 - pi) + (A - pi) / (1.0 - pi) * m0
-    value = _finite(np.sum(h * (arm1 - arm0)) / np.sum(h), "augmented estimate")
-    et, ec = _ess(A * h / pi), _ess((1.0 - A) * h / (1.0 - pi))
-    return PointEstimate(
-        value=value,
-        estimator=EstimatorKind.AIPW,
-        estimand=estimand if estimand is not None else TargetFunction(TargetKind.COVARIATE, label="custom-h"),
-        n_used=ds.n,
-        diagnostics=Diagnostics(h_total=float(np.sum(h)), ess_treated=et, ess_control=ec),
-    )
+    return _aipw(Nuisance.from_models(ds, pm, om, pi_hat), h_values, estimand)
 
 
 def estimate_dr_linear_in_pi(
@@ -285,179 +359,148 @@ def estimate_dr_linear_in_pi(
 
     The denominator replaces pi with the observed treatment indicator, which
     is what makes the estimator consistent when only one model is right.
+    (a, b) = (0, 1) is the effect on the treated, (1, -1) on the controls.
     """
     a = float(a)
     b = float(b)
-    if a == 0.0 and b == 0.0:
-        raise EstimationError("coefficients (a, b) must not both be zero")
-    pi = _resolve_pi(ds, pm, pi_hat)
-    if pi is None:
-        raise MissingModelError("doubly robust estimator needs a propensity model or pi_hat")
-    A, Y = ds.A, ds.Y
-    c_obs = a + b * A
-    denom = float(np.sum(c_obs))
-    if denom <= 0.0:
-        raise EstimationError("denominator sum(a + b*A) is not positive")
-    h = a + b * pi
-    if np.any(h < 0.0):
-        raise EstimationError("a + b*pi is negative for some observations")
-    m1, m0 = _arm_means(om, ds.X)
-    resid = A / pi * (Y - m1) - (1.0 - A) / (1.0 - pi) * (Y - m0)
-    value = _finite(np.sum(c_obs * (m1 - m0) + h * resid) / denom, "doubly robust estimate")
-    et, ec = _ess(A * h / pi), _ess((1.0 - A) * h / (1.0 - pi))
-    label = f"linear:{a:g},{b:g}"
-    return PointEstimate(
-        value=value,
-        estimator=EstimatorKind.DR_LINEAR_IN_PI,
-        estimand=TargetFunction(TargetKind.LINEAR, a=a, b=b, label=label),
-        n_used=ds.n,
-        diagnostics=Diagnostics(h_total=float(np.sum(h)), ess_treated=et, ess_control=ec),
-    )
+    target = TargetFunction(TargetKind.LINEAR, a=a, b=b, label=f"linear:{a:g},{b:g}")
+    return _dr_linear(Nuisance.from_models(ds, pm, om, pi_hat), a, b, target)
 
 
-def estimate_att_dr(
-    ds: ObservationalDataset,
-    pm: PropensityModel | None,
-    om: OutcomeModel,
-    pi_hat: NDArray[np.float64] | None = None,
-) -> PointEstimate:
-    """Doubly robust effect on the treated:
-
-    sum [ A*Y - ( pi*(1-A)*Y/(1-pi) + (A - pi)*m0/(1-pi) ) ] / sum A
-
-    Only the control-arm mean m0 enters; the treated arm is used as is.
-    """
-    pi = _resolve_pi(ds, pm, pi_hat)
-    if pi is None:
-        raise MissingModelError("doubly robust estimator needs a propensity model or pi_hat")
-    A, Y = ds.A, ds.Y
-    n1 = float(np.sum(A))
-    if n1 < 1.0:
-        raise EstimationError("no treated observations")
-    _, m0 = _arm_means(om, ds.X)
-    adjusted_control = pi * (1.0 - A) * Y / (1.0 - pi) + (A - pi) * m0 / (1.0 - pi)
-    value = _finite(np.sum(A * Y - adjusted_control) / n1, "treated doubly robust estimate")
-    et, ec = _ess(A), _ess((1.0 - A) * pi / (1.0 - pi))
-    return PointEstimate(
-        value=value,
-        estimator=EstimatorKind.DR_LINEAR_IN_PI,
-        estimand=TargetFunction(TargetKind.ATT, label="att"),
-        n_used=ds.n,
-        diagnostics=Diagnostics(h_total=float(np.sum(pi)), ess_treated=et, ess_control=ec),
-    )
-
-
-def estimate_atc_dr(
-    ds: ObservationalDataset,
-    pm: PropensityModel | None,
-    om: OutcomeModel,
-    pi_hat: NDArray[np.float64] | None = None,
-) -> PointEstimate:
-    """Doubly robust effect on the controls:
-
-    sum [ ( (1-pi)*A*Y/pi - (A - pi)*m1/pi ) - (1-A)*Y ] / sum (1-A)
-    """
-    pi = _resolve_pi(ds, pm, pi_hat)
-    if pi is None:
-        raise MissingModelError("doubly robust estimator needs a propensity model or pi_hat")
-    A, Y = ds.A, ds.Y
-    n0 = float(np.sum(1.0 - A))
-    if n0 < 1.0:
-        raise EstimationError("no control observations")
-    m1, _ = _arm_means(om, ds.X)
-    adjusted_treated = (1.0 - pi) * A * Y / pi - (A - pi) * m1 / pi
-    value = _finite(
-        np.sum(adjusted_treated - (1.0 - A) * Y) / n0, "control doubly robust estimate"
-    )
-    et, ec = _ess(A * (1.0 - pi) / pi), _ess(1.0 - A)
-    return PointEstimate(
-        value=value,
-        estimator=EstimatorKind.DR_LINEAR_IN_PI,
-        estimand=TargetFunction(TargetKind.ATC, label="atc"),
-        n_used=ds.n,
-        diagnostics=Diagnostics(h_total=float(np.sum(1.0 - pi)), ess_treated=et, ess_control=ec),
-    )
-
-
-# Routing table for estimate(): which estimator kinds accept which targets,
-# and which fitted models they require.
-#   R   regression        needs om; pi only for pi-dependent h (ato, linear)
-#   I   weighting         needs pi; h may additionally depend on it
-#   A   augmented         needs pi and om
-#   D   closed-form DR    needs pi and om; only att/atc/linear targets
+def _linear_coefficients(target: TargetFunction) -> tuple[float, float] | None:
+    """(a, b) with h = a + b*pi, for the targets that have that form."""
+    if target.kind is TargetKind.ATT:
+        return 0.0, 1.0
+    if target.kind is TargetKind.ATC:
+        return 1.0, -1.0
+    if target.kind is TargetKind.LINEAR:
+        return target.a, target.b
+    return None
 
 
 def estimate(
-    ds: ObservationalDataset,
+    ds: ObservationalDataset | Nuisance,
     kind: EstimatorKind,
     target: TargetFunction,
     pm: PropensityModel | None = None,
     om: OutcomeModel | None = None,
     pi_hat: NDArray[np.float64] | None = None,
-    force_plain_aipw: bool = False,
 ) -> PointEstimate:
-    """Dispatch to the right estimator for an (estimator, target) pair.
+    """Estimate one (estimator, target) pair.
 
+    ``ds`` is a dataset whose fitted models are passed alongside, or a
+    :class:`Nuisance` bundle of already fitted vectors (then pass no model).
     ``pi_hat`` overrides model predictions when given (used to inject
-    percentile-truncated propensities). For the treated/control/linear
-    targets the AIPW request is routed to the closed-form doubly robust
-    estimators unless ``force_plain_aipw`` is set; the plain form would need
-    h evaluated at the fitted propensity and loses the exact
-    denominator-in-A structure.
+    percentile-truncated propensities). The augmented estimator for the
+    treated, control and a + b*pi targets is the closed form of
+    :func:`estimate_dr_linear_in_pi`; the generic form stays available as
+    ``estimate_aipw(..., evaluate_h(target, X, pi))``.
     """
-    pi = _resolve_pi(ds, pm, pi_hat)
-
-    if kind is EstimatorKind.REGRESSION:
-        if om is None:
-            raise MissingModelError("regression estimator needs an outcome model")
-        if target.kind is TargetKind.ATT:
-            return estimate_att_regression(ds, om)
-        if target.kind is TargetKind.ATC:
-            return estimate_atc_regression(ds, om)
-        if target.depends_on_propensity and pi is None:
-            raise MissingModelError(
-                f"regression with target {target.label!r} needs fitted propensities"
-            )
-        h = evaluate_h(target, ds.X, pi)
-        return estimate_regression(ds, om, h, estimand=target)
-
-    if kind in (EstimatorKind.IPW_NORMALIZED, EstimatorKind.IPW_UNNORMALIZED):
-        if pi is None:
-            raise MissingModelError("weighting estimator needs a propensity model or pi_hat")
-        weights = compute_weights(target, ds.X, pi)
-        if kind is EstimatorKind.IPW_NORMALIZED:
-            return estimate_ipw_normalized(ds, weights, estimand=target)
-        return estimate_ipw_unnormalized(ds, weights, estimand=target)
-
-    if kind is EstimatorKind.AIPW:
-        if om is None:
-            raise MissingModelError("augmented estimator needs an outcome model")
-        if pi is None:
-            raise MissingModelError("augmented estimator needs a propensity model or pi_hat")
-        if not force_plain_aipw:
-            if target.kind is TargetKind.ATT:
-                return estimate_att_dr(ds, pm, om, pi_hat=pi)
-            if target.kind is TargetKind.ATC:
-                return estimate_atc_dr(ds, pm, om, pi_hat=pi)
-            if target.kind is TargetKind.LINEAR:
-                return estimate_dr_linear_in_pi(ds, pm, om, target.a, target.b, pi_hat=pi)
-        h = evaluate_h(target, ds.X, pi)
-        return estimate_aipw(ds, pm, om, h, estimand=target, pi_hat=pi)
-
+    if isinstance(ds, Nuisance):
+        if pm is not None or om is not None or pi_hat is not None:
+            raise EstimationError("pass fitted models or a Nuisance bundle, not both")
+        nu = ds
+    else:
+        nu = Nuisance.from_models(ds, pm, om, pi_hat)
+    if kind is EstimatorKind.REGRESSION and target.kind in (TargetKind.ATT, TargetKind.ATC):
+        return _regression_on_arm(nu, target)
+    ab = _linear_coefficients(target)
+    if kind in (EstimatorKind.AIPW, EstimatorKind.DR_LINEAR_IN_PI) and ab is not None:
+        return _dr_linear(nu, ab[0], ab[1], target)
     if kind is EstimatorKind.DR_LINEAR_IN_PI:
-        if om is None:
-            raise MissingModelError("doubly robust estimator needs an outcome model")
-        if pi is None:
-            raise MissingModelError("doubly robust estimator needs a propensity model or pi_hat")
-        if target.kind is TargetKind.ATT:
-            return estimate_att_dr(ds, pm, om, pi_hat=pi)
-        if target.kind is TargetKind.ATC:
-            return estimate_atc_dr(ds, pm, om, pi_hat=pi)
-        if target.kind is TargetKind.LINEAR:
-            return estimate_dr_linear_in_pi(ds, pm, om, target.a, target.b, pi_hat=pi)
         raise EstimationError(
             f"closed-form doubly robust estimator only supports targets linear in "
             f"the propensity, not {target.label!r}"
         )
-
+    pi = nu.propensity(f"target {target.label!r}") if target.depends_on_propensity else nu.pi
+    h = _h_values(target, nu.ds.X, pi)
+    if kind is EstimatorKind.REGRESSION:
+        return _regression(nu, h, target)
+    if kind is EstimatorKind.AIPW:
+        return _aipw(nu, h, target)
+    if kind in (EstimatorKind.IPW_NORMALIZED, EstimatorKind.IPW_UNNORMALIZED):
+        pi = nu.propensity("weighting estimator")
+        return _ipw(nu.ds, h / pi, h / (1.0 - pi), h, kind, target)
     raise EstimationError(f"unknown estimator kind {kind!r}")
+
+
+# --- the fit-then-fill engine -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EstimationPipeline:
+    """Everything needed to go from raw data to one point estimate.
+
+    ``pi_design`` / ``m_design`` of ``None`` mean the corresponding model is
+    not fitted (the dispatcher then rejects estimators that need it).
+    ``truncate`` is a percentile pair applied to the fitted propensities
+    before any weight is formed; the target function is evaluated on the
+    truncated values too.
+    """
+
+    estimand: TargetFunction
+    kind: EstimatorKind
+    pi_design: DesignSpec | None = None
+    m_design: DesignSpec | None = None
+    m_interaction: DesignSpec | None = None
+    truncate: tuple[float, float] | None = None
+    options: FitOptions = field(default_factory=FitOptions)
+
+
+def _fitted(
+    fits: dict[tuple[Hashable, ...], Nuisance | WateError],
+    ds: ObservationalDataset,
+    key: tuple[Hashable, ...],
+) -> Nuisance:
+    """The fit ``key`` names, made on first use and then reused."""
+    stage, design, extra, options = key
+    if key not in fits:
+        try:
+            if stage == "propensity":
+                pi = predict_propensity(fit_propensity(ds, design, options), ds.X)
+                pi_hat = pi if extra is None else truncate_propensity(pi, *extra)
+                fits[key] = Nuisance.from_models(ds, pi_hat=pi_hat)
+            else:
+                fits[key] = Nuisance.from_models(ds, om=fit_outcome(ds, design, extra, options))
+        except WateError as exc:
+            fits[key] = exc
+    fit = fits[key]
+    if isinstance(fit, WateError):
+        raise FitFailure(stage, fit)
+    return fit
+
+
+def fill_cells(
+    ds: ObservationalDataset, pipelines: Sequence[EstimationPipeline]
+) -> list[PointEstimate | WateError]:
+    """Estimate every pipeline on ``ds``, fitting each distinct working model
+    once.
+
+    A propensity fit is shared by the pipelines with equal design,
+    truncation and options, an outcome fit by those with equal main design,
+    interaction design and options. A pipeline whose model failed to fit gets
+    a :class:`FitFailure`, one whose estimate failed gets that error.
+    """
+    fits: dict[tuple[Hashable, ...], Nuisance | WateError] = {}
+    results: list[PointEstimate | WateError] = []
+    for p in pipelines:
+        try:
+            pi = arms = Nuisance(ds)
+            if p.pi_design is not None:
+                pi = _fitted(fits, ds, ("propensity", p.pi_design, p.truncate, p.options))
+            if p.m_design is not None:
+                arms = _fitted(fits, ds, ("outcome", p.m_design, p.m_interaction, p.options))
+            bundle = Nuisance(ds, pi.pi, arms.m1, arms.m0)
+            results.append(estimate(bundle, p.kind, p.estimand))
+        except WateError as exc:
+            results.append(exc)
+    return results
+
+
+def cell_values(
+    ds: ObservationalDataset, pipelines: Sequence[EstimationPipeline]
+) -> NDArray[np.float64]:
+    """Values of :func:`fill_cells`, NaN where a pipeline failed."""
+    return np.array(
+        [r.value if isinstance(r, PointEstimate) else np.nan for r in fill_cells(ds, pipelines)]
+    )

@@ -17,25 +17,16 @@ fixed stream.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
+from .bootstrap import parallel_map
 from .data import CounterfactualDataset
 from .design import DesignSpec, TransformTerm, main_effects, parse_design
-from .errors import WateError
-from .estimators import EstimatorKind, estimate
-from .models import (
-    FitOptions,
-    OutcomeModel,
-    _sigmoid,
-    fit_outcome,
-    fit_propensity,
-    predict_propensity,
-    truncate_propensity,
-)
+from .estimators import EstimationPipeline, EstimatorKind, cell_values
+from .models import _sigmoid
 from .targets import (
     TargetFunction,
     average_effect,
@@ -313,57 +304,28 @@ _KIND_BY_TOKEN = {
 }
 
 
+def _cell_pipeline(design: SimulationDesign, cell: Cell) -> EstimationPipeline:
+    est, pc, mc, estimand = cell
+    main, inter = (None, None) if mc is None else outcome_design(mc, design.outcome_model)
+    return EstimationPipeline(
+        estimand=_TARGETS[estimand],
+        kind=_KIND_BY_TOKEN[est],
+        pi_design=None if pc is None else propensity_design(pc),
+        m_design=main,
+        m_interaction=inter,
+        truncate=design.truncate,
+    )
+
+
 def _replicate_values(
-    design: SimulationDesign, rep: int, cells: list[Cell]
+    design: SimulationDesign, pipelines: tuple[EstimationPipeline, ...], rep: int
 ) -> NDArray[np.float64]:
-    """One replication: draw data, fit each needed working model once, then
-    fill every cell. Failed fits or estimates become NaN."""
+    """One replication: draw data, then fill every cell, fitting each working
+    model once. Failed fits or estimates become NaN."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,))
     )
-    ds = generate_dataset(design.outcome_model, design.n, rng)
-    options = FitOptions()
-
-    pi_hats: dict[bool, NDArray[np.float64] | None] = {}
-    for pc in {c[1] for c in cells if c[1] is not None}:
-        try:
-            pm = fit_propensity(ds, propensity_design(pc), options)
-            pi_hat = predict_propensity(pm, ds.X)
-            if design.truncate is not None:
-                pi_hat = truncate_propensity(pi_hat, *design.truncate)
-            pi_hats[pc] = pi_hat
-        except WateError:
-            pi_hats[pc] = None
-    oms: dict[bool, OutcomeModel | None] = {}
-    for mc in {c[2] for c in cells if c[2] is not None}:
-        try:
-            main, inter = outcome_design(mc, design.outcome_model)
-            oms[mc] = fit_outcome(ds, main, inter, options)
-        except WateError:
-            oms[mc] = None
-
-    values = np.full(len(cells), np.nan)
-    for j, (est, pc, mc, estimand) in enumerate(cells):
-        pi_hat = pi_hats.get(pc) if pc is not None else None
-        om = oms.get(mc) if mc is not None else None
-        if pc is not None and pi_hat is None:
-            continue
-        if mc is not None and om is None:
-            continue
-        try:
-            result = estimate(
-                ds, _KIND_BY_TOKEN[est], _TARGETS[estimand], om=om, pi_hat=pi_hat
-            )
-            values[j] = result.value
-        except WateError:
-            pass
-    return values
-
-
-def _replicate_chunk(
-    design: SimulationDesign, reps: list[int], cells: list[Cell]
-) -> list[tuple[int, NDArray[np.float64]]]:
-    return [(rep, _replicate_values(design, rep, cells)) for rep in reps]
+    return cell_values(generate_dataset(design.outcome_model, design.n, rng), pipelines)
 
 
 @dataclass(frozen=True)
@@ -487,28 +449,10 @@ def run_study(design: SimulationDesign) -> SimulationReport:
     reps = design.replications
     if reps < 2:
         raise ValueError("need at least 2 replications")
-    matrix = np.empty((reps, len(cells)))
-    if design.workers <= 1:
-        results = _replicate_chunk(design, list(range(reps)), cells)
-    else:
-        results = []
-        pieces = max(1, min(design.workers * 4, reps))
-        bounds = np.linspace(0, reps, pieces + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=design.workers) as pool:
-            futures = [
-                pool.submit(
-                    _replicate_chunk,
-                    design,
-                    list(range(bounds[k], bounds[k + 1])),
-                    cells,
-                )
-                for k in range(pieces)
-                if bounds[k] < bounds[k + 1]
-            ]
-            for fut in futures:
-                results.extend(fut.result())
-    for rep, row in results:
-        matrix[rep] = row
+    pipelines = tuple(_cell_pipeline(design, cell) for cell in cells)
+    matrix = np.array(
+        parallel_map(functools.partial(_replicate_values, design, pipelines), reps, design.workers)
+    )
     truth = reference_truth(design.outcome_model, design.truth_draws)
     stats = []
     for j, (est, pc, mc, estimand) in enumerate(cells):

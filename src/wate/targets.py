@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NegativeTargetError, PropensityRequiredError, TargetError
+from .errors import NegativeTargetError, PropensityRequiredError, TargetError, WateError
 
 
 class TargetKind(enum.Enum):
@@ -93,12 +93,16 @@ class WeightVector:
     h_values: NDArray[np.float64]
 
 
-def _checked_pi(pi_hat, n: int) -> NDArray[np.float64]:
+def _checked_pi(
+    pi_hat, n: int, error: type[WateError] = TargetError
+) -> NDArray[np.float64]:
+    """The one check of a supplied propensity vector; ``error`` is the
+    caller's error type."""
     pi = np.asarray(pi_hat, dtype=np.float64).ravel()
     if pi.shape[0] != n:
-        raise TargetError(f"propensity vector has length {pi.shape[0]}, expected {n}")
+        raise error(f"propensity vector has length {pi.shape[0]}, expected {n}")
     if not np.all((pi > 0.0) & (pi < 1.0)):
-        raise TargetError("propensity values must lie strictly inside (0, 1)")
+        raise error("propensity values must lie strictly inside (0, 1)")
     return pi
 
 
@@ -109,13 +113,24 @@ def evaluate_h(
 ) -> NDArray[np.float64]:
     """Evaluate h rowwise. Propensity-dependent targets require ``pi_hat``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[0]
+    pi = None
     if target.depends_on_propensity:
         if pi_hat is None:
             raise PropensityRequiredError(
                 f"target {target.label!r} needs fitted propensities"
             )
-        pi = _checked_pi(pi_hat, n)
+        pi = _checked_pi(pi_hat, X.shape[0])
+    return _h_values(target, X, pi)
+
+
+def _h_values(
+    target: TargetFunction,
+    X: NDArray[np.float64],
+    pi: NDArray[np.float64] | None,
+) -> NDArray[np.float64]:
+    """h on the rows of a 2-D ``X`` for a propensity vector that has already
+    been checked (and is present whenever the target depends on it)."""
+    n = X.shape[0]
     if target.kind is TargetKind.ATE:
         return np.ones(n)
     if target.kind is TargetKind.ATT:
@@ -161,5 +176,5 @@ def compute_weights(
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     pi = _checked_pi(pi_hat, X.shape[0])
-    h = evaluate_h(target, X, pi)
+    h = _h_values(target, X, pi)
     return WeightVector(w1=h / pi, w0=h / (1.0 - pi), h_values=h)

@@ -20,7 +20,12 @@ import time
 import numpy as np
 import pytest
 
-from test_estimators import random_instance, zero_outcome_model
+from test_estimators import (
+    atc_dr_oracle,
+    att_dr_oracle,
+    random_instance,
+    zero_outcome_model,
+)
 from test_models import GRID_A, GRID_X, _gaussian_elimination, _grid_search_mle
 
 import wate
@@ -31,8 +36,6 @@ from wate.estimators import (
     EstimatorKind,
     estimate,
     estimate_aipw,
-    estimate_atc_dr,
-    estimate_att_dr,
     estimate_dr_linear_in_pi,
     estimate_ipw_unnormalized,
     estimate_regression,
@@ -271,13 +274,13 @@ def test_acceptance_6_exact_identities():
         checks.append(
             (
                 estimate_dr_linear_in_pi(ds, None, om, 0, 1, pi_hat=pi).value,
-                estimate_att_dr(ds, None, om, pi_hat=pi).value,
+                att_dr_oracle(ds, om, pi),
             )
         )
         checks.append(
             (
                 estimate_dr_linear_in_pi(ds, None, om, 1, -1, pi_hat=pi).value,
-                estimate_atc_dr(ds, None, om, pi_hat=pi).value,
+                atc_dr_oracle(ds, om, pi),
             )
         )
 

@@ -144,6 +144,23 @@ def test_estimate_usage_errors(data_csv, tmp_path, capsys):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "abc"],
+        ["simulate", "--outcome-model", "3"],
+        ["simulate", "--estimator", "foo"],
+        ["true-values", "--outcome-model", "7"],
+        ["estimate", "DATA", "--pi-design", "x9"],
+    ],
+)
+def test_bad_option_values_are_usage_errors(argv, data_csv, capsys):
+    argv = [data_csv if a == "DATA" else a for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2, argv
+    assert err.startswith("error:"), argv
+
+
 def test_estimate_reports_failed_cells(tmp_path, capsys):
     # x1 separates the arms perfectly, so the propensity fit is refused and
     # the weighting rows fail while the others still come out.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wate.data import ObservationalDataset
 from wate.design import main_effects
@@ -10,9 +12,7 @@ from wate.estimators import (
     EstimatorKind,
     estimate,
     estimate_aipw,
-    estimate_atc_dr,
     estimate_atc_regression,
-    estimate_att_dr,
     estimate_att_regression,
     estimate_dr_linear_in_pi,
     estimate_ipw_normalized,
@@ -57,6 +57,43 @@ def zero_outcome_model(om):
 
 
 # --- hand-summed oracles -----------------------------------------------------
+
+
+def att_dr_oracle(ds, om, pi):
+    """Treated closed form, hand-summed:
+    sum [ A*Y - ( pi*(1-A)*Y/(1-pi) + (A - pi)*m0/(1-pi) ) ] / sum A."""
+    m0 = predict_outcome(om, ds.X, 0)
+    a, y = ds.A, ds.Y
+    terms = [
+        a[i] * y[i]
+        - (
+            pi[i] * (1 - a[i]) * y[i] / (1 - pi[i])
+            + (a[i] - pi[i]) * m0[i] / (1 - pi[i])
+        )
+        for i in range(ds.n)
+    ]
+    return math.fsum(terms) / math.fsum(a)
+
+
+def atc_dr_oracle(ds, om, pi):
+    """Control closed form, hand-summed:
+    sum [ ( (1-pi)*A*Y/pi - (A - pi)*m1/pi ) - (1-A)*Y ] / sum (1-A)."""
+    m1 = predict_outcome(om, ds.X, 1)
+    a, y = ds.A, ds.Y
+    terms = [
+        ((1 - pi[i]) * a[i] * y[i] / pi[i] - (a[i] - pi[i]) * m1[i] / pi[i])
+        - (1 - a[i]) * y[i]
+        for i in range(ds.n)
+    ]
+    return math.fsum(terms) / math.fsum(1 - a[i] for i in range(ds.n))
+
+
+def att_dr(ds, om, pi):
+    return estimate_dr_linear_in_pi(ds, None, om, 0, 1, pi_hat=pi).value
+
+
+def atc_dr(ds, om, pi):
+    return estimate_dr_linear_in_pi(ds, None, om, 1, -1, pi_hat=pi).value
 
 
 def test_regression_matches_fsum_oracle():
@@ -109,19 +146,8 @@ def test_aipw_matches_fsum_oracle():
 
 def test_att_dr_matches_fsum_oracle():
     ds, om, pi = random_instance(3)
-    m0 = predict_outcome(om, ds.X, 0)
-    a, y = ds.A, ds.Y
-    terms = [
-        a[i] * y[i]
-        - (
-            pi[i] * (1 - a[i]) * y[i] / (1 - pi[i])
-            + (a[i] - pi[i]) * m0[i] / (1 - pi[i])
-        )
-        for i in range(ds.n)
-    ]
-    oracle = math.fsum(terms) / math.fsum(a)
-    got = estimate_att_dr(ds, None, om, pi_hat=pi).value
-    assert got == pytest.approx(oracle, rel=1e-12)
+    assert att_dr(ds, om, pi) == pytest.approx(att_dr_oracle(ds, om, pi), rel=1e-12)
+    assert atc_dr(ds, om, pi) == pytest.approx(atc_dr_oracle(ds, om, pi), rel=1e-12)
 
 
 # --- closed-form sanity cases ------------------------------------------------
@@ -186,9 +212,8 @@ def test_att_dr_shift_between_arms():
     Y = np.where(A == 1, m0 + delta, m0)
     ds = ObservationalDataset(X=X, A=A, Y=Y)
     pi = rng.uniform(0.1, 0.9, n)
-    assert estimate_att_dr(ds, None, om, pi_hat=pi).value == pytest.approx(
-        delta, rel=1e-12
-    )
+    assert att_dr(ds, om, pi) == pytest.approx(delta, rel=1e-12)
+    assert att_dr(ds, om, pi) == pytest.approx(att_dr_oracle(ds, om, pi), rel=1e-12)
 
 
 def test_atc_dr_shift_between_arms():
@@ -208,9 +233,8 @@ def test_atc_dr_shift_between_arms():
     Y = np.where(A == 1, m1, m1 - delta)
     ds = ObservationalDataset(X=X, A=A, Y=Y)
     pi = rng.uniform(0.1, 0.9, n)
-    assert estimate_atc_dr(ds, None, om, pi_hat=pi).value == pytest.approx(
-        delta, rel=1e-12
-    )
+    assert atc_dr(ds, om, pi) == pytest.approx(delta, rel=1e-12)
+    assert atc_dr(ds, om, pi) == pytest.approx(atc_dr_oracle(ds, om, pi), rel=1e-12)
 
 
 def test_att_regression_indicator_form():
@@ -241,12 +265,8 @@ def close(a, b, tol=1e-12):
 @pytest.mark.parametrize("seed", range(8))
 def test_linear_form_nests_treated_and_control_estimators(seed):
     ds, om, pi = random_instance(seed, n=50)
-    att = estimate_att_dr(ds, None, om, pi_hat=pi).value
-    atc = estimate_atc_dr(ds, None, om, pi_hat=pi).value
-    lin_att = estimate_dr_linear_in_pi(ds, None, om, 0, 1, pi_hat=pi).value
-    lin_atc = estimate_dr_linear_in_pi(ds, None, om, 1, -1, pi_hat=pi).value
-    assert close(att, lin_att)
-    assert close(atc, lin_atc)
+    assert att_dr(ds, om, pi) == pytest.approx(att_dr_oracle(ds, om, pi), rel=1e-12)
+    assert atc_dr(ds, om, pi) == pytest.approx(atc_dr_oracle(ds, om, pi), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -312,9 +332,11 @@ def test_swapping_treatment_labels_negates_the_estimators(seed):
         interaction_design=om.interaction_design,
         residual_variance=om.residual_variance,
     )
-    lhs = estimate_att_dr(ds_swapped, None, om_swapped, pi_hat=1.0 - pi).value
-    rhs = estimate_atc_dr(ds, None, om, pi_hat=pi).value
+    lhs = att_dr(ds_swapped, om_swapped, 1.0 - pi)
+    rhs = atc_dr(ds, om, pi)
     assert close(lhs, -rhs)
+    assert lhs == pytest.approx(att_dr_oracle(ds_swapped, om_swapped, 1.0 - pi), rel=1e-12)
+    assert rhs == pytest.approx(atc_dr_oracle(ds, om, pi), rel=1e-12)
     lhs2 = estimate_ipw_normalized(
         ds_swapped, compute_weights(effect_on_treated(), ds.X, 1.0 - pi)
     ).value
@@ -330,13 +352,16 @@ def test_swapping_treatment_labels_negates_the_estimators(seed):
 def _all_pipeline_values(ds, om, pi):
     h_ato = evaluate_h(overlap_effect(), ds.X, pi)
     w_ato = compute_weights(overlap_effect(), ds.X, pi)
+    att, atc = att_dr(ds, om, pi), atc_dr(ds, om, pi)
+    assert att == pytest.approx(att_dr_oracle(ds, om, pi), rel=1e-12)
+    assert atc == pytest.approx(atc_dr_oracle(ds, om, pi), rel=1e-12)
     return np.array(
         [
             estimate_regression(ds, om, h_ato).value,
             estimate_ipw_normalized(ds, w_ato).value,
             estimate_aipw(ds, None, om, h_ato, pi_hat=pi).value,
-            estimate_att_dr(ds, None, om, pi_hat=pi).value,
-            estimate_atc_dr(ds, None, om, pi_hat=pi).value,
+            att,
+            atc,
             estimate_dr_linear_in_pi(ds, None, om, 1, 2, pi_hat=pi).value,
         ]
     )
@@ -375,25 +400,22 @@ def test_dispatch_routes_aipw_to_closed_forms():
     ds, om, pi = random_instance(13, n=50)
     routed = estimate(ds, EstimatorKind.AIPW, effect_on_treated(), om=om, pi_hat=pi)
     assert routed.estimator is EstimatorKind.DR_LINEAR_IN_PI
-    direct = estimate_att_dr(ds, None, om, pi_hat=pi)
-    assert routed.value == pytest.approx(direct.value, rel=1e-14)
+    assert routed.estimand.label == "att"
+    assert routed.value == pytest.approx(att_dr(ds, om, pi), rel=1e-14)
+    assert routed.value == pytest.approx(att_dr_oracle(ds, om, pi), rel=1e-12)
     lin = estimate(
         ds, EstimatorKind.AIPW, linear_in_propensity(1, 3), om=om, pi_hat=pi
     )
     assert lin.estimator is EstimatorKind.DR_LINEAR_IN_PI
 
 
-def test_force_plain_aipw_changes_the_formula():
+def test_plain_aipw_changes_the_formula():
+    # The generic augmented form with h evaluated at the fitted propensity is
+    # a different estimator from the closed form the dispatcher routes to.
     ds, om, pi = random_instance(14, n=50)
     routed = estimate(ds, EstimatorKind.AIPW, effect_on_treated(), om=om, pi_hat=pi)
-    plain = estimate(
-        ds,
-        EstimatorKind.AIPW,
-        effect_on_treated(),
-        om=om,
-        pi_hat=pi,
-        force_plain_aipw=True,
-    )
+    h = evaluate_h(effect_on_treated(), ds.X, pi)
+    plain = estimate_aipw(ds, None, om, h, estimand=effect_on_treated(), pi_hat=pi)
     assert plain.estimator is EstimatorKind.AIPW
     assert plain.value != routed.value
 
@@ -459,3 +481,32 @@ def test_diagnostics_are_sensible():
     assert d.h_total == pytest.approx(float(ds.n))
     assert 0 < d.ess_treated <= ds.n_treated + 1e-9
     assert 0 < d.ess_control <= ds.n_control + 1e-9
+
+
+# --- invariance --------------------------------------------------------------
+
+
+_PERMUTATION_TARGETS = (
+    average_effect(),
+    effect_on_treated(),
+    effect_on_controls(),
+    overlap_effect(),
+    linear_in_propensity(0.5, 1.5),
+)
+_PERMUTATION_KINDS = (
+    EstimatorKind.REGRESSION,
+    EstimatorKind.IPW_NORMALIZED,
+    EstimatorKind.AIPW,
+)
+
+
+@given(seed=st.integers(0, 2**16), order=st.permutations(range(40)))
+def test_row_permutation_leaves_every_estimate_unchanged(seed, order):
+    ds, om, pi = random_instance(seed, n=40)
+    order = np.array(order)
+    shuffled = ObservationalDataset(X=ds.X[order], A=ds.A[order], Y=ds.Y[order])
+    for kind in _PERMUTATION_KINDS:
+        for target in _PERMUTATION_TARGETS:
+            before = estimate(ds, kind, target, om=om, pi_hat=pi).value
+            after = estimate(shuffled, kind, target, om=om, pi_hat=pi[order]).value
+            assert close(before, after), (kind, target.label)

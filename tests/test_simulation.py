@@ -172,6 +172,38 @@ def test_study_cells_layout():
     assert len(cells) == 6 + 8 + 16
 
 
+def test_study_replicate_fits_and_predicts_each_working_model_once(monkeypatch):
+    # Two replicates of the default 30-cell grid: per replicate, 2 propensity
+    # and 2 outcome fits, and each outcome model predicted once per arm.
+    import wate.estimators
+
+    fits = {"propensity": 0, "outcome": 0}
+    predicted = []
+
+    def counting(stage, fit):
+        def wrapper(*args, **kwargs):
+            fits[stage] += 1
+            return fit(*args, **kwargs)
+
+        return wrapper
+
+    def counting_predict(model, X, a, _predict=wate.estimators.predict_outcome):
+        # Holding the model keeps its id unique for the whole run.
+        predicted.append((model, a))
+        return _predict(model, X, a)
+
+    monkeypatch.setattr(wate.estimators, "fit_propensity", counting("propensity", fit_propensity))
+    monkeypatch.setattr(wate.estimators, "fit_outcome", counting("outcome", fit_outcome))
+    monkeypatch.setattr(wate.estimators, "predict_outcome", counting_predict)
+    design = SimulationDesign(outcome_model=1, n=200, replications=2, truth_draws=1000)
+    assert len(study_cells(design)) == 30
+    run_study(design)
+    assert fits == {"propensity": 2 * 2, "outcome": 2 * 2}
+    assert len(predicted) == 2 * 4
+    assert len({(id(model), a) for model, a in predicted}) == 2 * 4
+    assert sorted(a for _, a in predicted) == [0] * 4 + [1] * 4
+
+
 @pytest.fixture(scope="module")
 def tiny_study():
     design = SimulationDesign(
