@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from wate.data import ObservationalDataset, save_csv
-from wate.simulation import generate_dataset, true_propensity, treatment_effect
+from wate.simulation import generate_dataset
 
 
 def run(argv=None):
@@ -30,23 +30,18 @@ def run(argv=None):
     parser.add_argument("--out", default="synthetic.csv")
     args = parser.parse_args(argv)
 
+    if args.treated is not None and not 2 <= args.treated <= args.n - 2:
+        parser.error("--treated must leave at least two rows in each arm")
     rng = np.random.default_rng(args.seed)
-    if args.treated is None:
-        ds = generate_dataset(args.outcome_model, args.n, rng).observed()
-    else:
-        if not 2 <= args.treated <= args.n - 2:
-            parser.error("--treated must leave at least two rows in each arm")
-        X = rng.standard_normal((args.n, 5))
-        pi = true_propensity(X)
+    cf = generate_dataset(args.outcome_model, args.n, rng)
+    ds = cf.observed()
+    if args.treated is not None:
+        pi = cf.pi_true
         A = np.zeros(args.n)
         A[rng.choice(args.n, size=args.treated, replace=False, p=pi / pi.sum())] = 1.0
-        Y = (
-            1.0 + X[:, 1] ** 2 + X[:, 2]
-            + A * treatment_effect(args.outcome_model, X)
-            + rng.standard_normal(args.n)
-        )
         ds = ObservationalDataset(
-            X=X, A=A, Y=Y, covariate_names=("x1", "x2", "x3", "x4", "x5")
+            X=cf.X, A=A, Y=np.where(A == 1.0, cf.y1, cf.y0),
+            covariate_names=cf.covariate_names,
         )
     save_csv(ds, args.out)
     print(f"{args.out}: n = {ds.n}, treated = {ds.n_treated}")

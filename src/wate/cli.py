@@ -27,7 +27,7 @@ from . import __version__
 from .bootstrap import bootstrap_vector
 from .data import ObservationalDataset, load_csv
 from .design import DesignSpec, main_effects, parse_design
-from .errors import DesignError, WateError
+from .errors import DesignError, MissingColumnError, WateError
 from .estimators import EstimationPipeline, EstimatorKind, fill_cells
 from .simulation import SimulationDesign, run_study, study_cells, true_estimands
 from .targets import (
@@ -485,6 +485,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         )
     except OSError as exc:
         raise CliError(f"cannot read {args.data}: {exc}") from None
+    except MissingColumnError as exc:
+        raise CliError(str(exc)) from None
     names = ds.covariate_names
     methods = ["unweighted"] + _split_list(resolved["estimator"])
     for m in methods[1:]:

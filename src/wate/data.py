@@ -22,6 +22,7 @@ from .errors import (
     CsvFormatError,
     DataError,
     DegenerateArmError,
+    MissingColumnError,
     MissingValueError,
     NonBinaryTreatmentError,
 )
@@ -215,7 +216,7 @@ def load_csv(
             raise CsvFormatError(f"{path}: duplicate column names in header")
         for required in (treatment, outcome):
             if required not in header:
-                raise CsvFormatError(
+                raise MissingColumnError(
                     f"{path}: column {required!r} not found (header: {header})"
                 )
         if covariates is None:
@@ -224,7 +225,7 @@ def load_csv(
             cov_names = list(covariates)
             for c in cov_names:
                 if c not in header:
-                    raise CsvFormatError(f"{path}: covariate column {c!r} not found")
+                    raise MissingColumnError(f"{path}: covariate column {c!r} not found")
         col_index = {h: i for i, h in enumerate(header)}
         rows_x: list[list[float]] = []
         rows_a: list[float] = []

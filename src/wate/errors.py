@@ -32,6 +32,10 @@ class CsvFormatError(DataError):
     """Structural problem with a CSV file (header, column count, duplicates)."""
 
 
+class MissingColumnError(CsvFormatError):
+    """A column named by the caller is not in the CSV header."""
+
+
 class DesignError(WateError):
     """A design specification cannot be evaluated (bad expression, unknown
     column, column index outside the covariate matrix)."""

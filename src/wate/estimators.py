@@ -5,20 +5,21 @@ weights ``h`` and three fitted vectors: the propensity ``pi`` and the arm
 means ``m1`` and ``m0``. A :class:`Nuisance` bundle holds those vectors for
 one dataset, so they are computed once however many estimates read them.
 
-Three families:
+:func:`estimate` is the one entry point; it picks the formula from the
+estimator kind and the target:
 
 * outcome regression: plug fitted arm means into the weighted contrast;
-* inverse probability weighting, in the arm-normalized form (default) and
-  the unnormalized form kept for algebraic comparisons;
+* inverse probability weighting, in the arm-normalized form;
 * augmented IPW, which combines both models and stays consistent when
   either one is correct.
 
 For targets whose weight is linear in the propensity, h = a + b*pi, the
-augmented estimator admits a form whose augmentation uses only model
-residuals (:func:`estimate_dr_linear_in_pi`); the effects on the treated and
-on the controls are its (a, b) = (0, 1) and (1, -1) cases, and the
-dispatcher routes all three to it. The treated/control targets also admit
-regression-only forms that need no propensity model at all.
+augmented estimator admits a doubly robust form whose augmentation uses only
+model residuals; the effects on the treated and on the controls are its
+(a, b) = (0, 1) and (1, -1) cases, and the augmented kind routes all three to
+it. The treated/control targets also admit regression-only forms that need no
+propensity model at all. Any other h, including the generic augmented form
+for the treated, is a :func:`~wate.targets.covariate_target`.
 
 :func:`fill_cells` is the one fit-then-fill engine: it fits each distinct
 working model a list of :class:`EstimationPipeline` cells names once on a
@@ -51,18 +52,14 @@ from .models import (
 from .targets import (
     TargetFunction,
     TargetKind,
-    WeightVector,
     _checked_pi,
     _h_values,
-    effect_on_controls,
-    effect_on_treated,
 )
 
 
 class EstimatorKind(enum.Enum):
     REGRESSION = "regression"
     IPW_NORMALIZED = "ipw"
-    IPW_UNNORMALIZED = "ipw-unnormalized"
     AIPW = "aipw"
     DR_LINEAR_IN_PI = "dr"
 
@@ -139,16 +136,10 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _h_checked(h: NDArray[np.float64], n: int) -> NDArray[np.float64]:
-    h = np.asarray(h, dtype=np.float64).ravel()
-    if h.shape[0] != n:
-        raise EstimationError(f"h vector has length {h.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(h)):
-        raise EstimationError("h vector contains non-finite values")
-    if np.any(h < 0.0):
-        raise EstimationError("h vector contains negative values")
-    total = float(np.sum(h))
-    if total <= 0.0:
+def _h_checked(h: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``h`` from :func:`~wate.targets._h_values` (length, finiteness and
+    sign already checked), refused when it puts no mass on the sample."""
+    if float(np.sum(h)) <= 0.0:
         raise EstimationError("target function puts zero mass on the sample")
     return h
 
@@ -163,7 +154,7 @@ def _ess(weights: NDArray[np.float64]) -> float:
 def _point(
     value: float,
     kind: EstimatorKind,
-    estimand: TargetFunction | None,
+    estimand: TargetFunction,
     n: int,
     h_total: float,
     ess_treated: float,
@@ -172,7 +163,7 @@ def _point(
     return PointEstimate(
         value=value,
         estimator=kind,
-        estimand=estimand if estimand is not None else TargetFunction(TargetKind.COVARIATE, label="custom-h"),
+        estimand=estimand,
         n_used=n,
         diagnostics=Diagnostics(h_total=h_total, ess_treated=ess_treated, ess_control=ess_control),
     )
@@ -182,11 +173,11 @@ def _point(
 
 
 def _regression(
-    nu: Nuisance, h_values: NDArray[np.float64], estimand: TargetFunction | None
+    nu: Nuisance, h: NDArray[np.float64], estimand: TargetFunction
 ) -> PointEstimate:
     A = nu.ds.A
     m1, m0 = nu.arm_means("regression estimator")
-    h = _h_checked(h_values, nu.ds.n)
+    h = _h_checked(h)
     value = _finite(np.sum(h * (m1 - m0)) / np.sum(h), "regression estimate")
     return _point(
         value, EstimatorKind.REGRESSION, estimand, nu.ds.n,
@@ -213,37 +204,28 @@ def _regression_on_arm(nu: Nuisance, target: TargetFunction) -> PointEstimate:
 
 
 def _ipw(
-    ds: ObservationalDataset,
-    w1: NDArray[np.float64],
-    w0: NDArray[np.float64],
-    h_values: NDArray[np.float64],
-    kind: EstimatorKind,
-    estimand: TargetFunction | None,
+    nu: Nuisance, h: NDArray[np.float64], estimand: TargetFunction
 ) -> PointEstimate:
-    tw = ds.A * w1
-    cw = (1.0 - ds.A) * w0
-    if kind is EstimatorKind.IPW_NORMALIZED:
-        st = float(np.sum(tw))
-        sc = float(np.sum(cw))
-        if st <= 0.0 or sc <= 0.0:
-            raise EstimationError("zero weight mass in one arm")
-        value = _finite(np.sum(tw * ds.Y) / st - np.sum(cw * ds.Y) / sc, "ipw estimate")
-    else:
-        h_values = _h_checked(h_values, ds.n)
-        value = _finite(
-            np.sum(tw * ds.Y - cw * ds.Y) / np.sum(h_values), "unnormalized ipw estimate"
-        )
+    A, Y, pi = nu.ds.A, nu.ds.Y, nu.propensity("weighting estimator")
+    tw = A * (h / pi)
+    cw = (1.0 - A) * (h / (1.0 - pi))
+    st = float(np.sum(tw))
+    sc = float(np.sum(cw))
+    if st <= 0.0 or sc <= 0.0:
+        raise EstimationError("zero weight mass in one arm")
+    value = _finite(np.sum(tw * Y) / st - np.sum(cw * Y) / sc, "ipw estimate")
     return _point(
-        value, kind, estimand, ds.n, float(np.sum(h_values)), _ess(tw), _ess(cw)
+        value, EstimatorKind.IPW_NORMALIZED, estimand, nu.ds.n,
+        float(np.sum(h)), _ess(tw), _ess(cw),
     )
 
 
 def _aipw(
-    nu: Nuisance, h_values: NDArray[np.float64], estimand: TargetFunction | None
+    nu: Nuisance, h: NDArray[np.float64], estimand: TargetFunction
 ) -> PointEstimate:
     A, Y, pi = nu.ds.A, nu.ds.Y, nu.propensity("augmented estimator")
     m1, m0 = nu.arm_means("augmented estimator")
-    h = _h_checked(h_values, nu.ds.n)
+    h = _h_checked(h)
     arm1 = A * Y / pi - (A - pi) / pi * m1
     arm0 = (1.0 - A) * Y / (1.0 - pi) + (A - pi) / (1.0 - pi) * m0
     value = _finite(np.sum(h * (arm1 - arm0)) / np.sum(h), "augmented estimate")
@@ -252,8 +234,10 @@ def _aipw(
 
 
 def _dr_linear(nu: Nuisance, a: float, b: float, estimand: TargetFunction) -> PointEstimate:
-    if a == 0.0 and b == 0.0:
-        raise EstimationError("coefficients (a, b) must not both be zero")
+    """sum [ (a + b*A)*(m1 - m0) + (a + b*pi) * (A/pi*(Y - m1) - (1-A)/(1-pi)*(Y - m0)) ]
+    / sum (a + b*A). The denominator replaces pi with the observed treatment
+    indicator, which is what makes the estimator consistent when only one
+    model is right."""
     A, Y, pi = nu.ds.A, nu.ds.Y, nu.propensity("doubly robust estimator")
     m1, m0 = nu.arm_means("doubly robust estimator")
     c_obs = a + b * A
@@ -269,102 +253,6 @@ def _dr_linear(nu: Nuisance, a: float, b: float, estimand: TargetFunction) -> Po
     return _point(
         value, EstimatorKind.DR_LINEAR_IN_PI, estimand, nu.ds.n, float(np.sum(h)), et, ec
     )
-
-
-# --- public estimators over fitted models -------------------------------------
-
-
-def estimate_regression(
-    ds: ObservationalDataset,
-    om: OutcomeModel,
-    h_values: NDArray[np.float64],
-    estimand: TargetFunction | None = None,
-) -> PointEstimate:
-    """h-weighted average of the fitted arm contrast:
-    sum h*(m1 - m0) / sum h."""
-    return _regression(Nuisance.from_models(ds, om=om), h_values, estimand)
-
-
-def estimate_att_regression(
-    ds: ObservationalDataset, om: OutcomeModel
-) -> PointEstimate:
-    """Effect on the treated using only the outcome model:
-    sum A*(Y - m0) / sum A. No propensity needed."""
-    return _regression_on_arm(Nuisance.from_models(ds, om=om), effect_on_treated())
-
-
-def estimate_atc_regression(
-    ds: ObservationalDataset, om: OutcomeModel
-) -> PointEstimate:
-    """Effect on the controls using only the outcome model:
-    sum (1-A)*(m1 - Y) / sum (1-A)."""
-    return _regression_on_arm(Nuisance.from_models(ds, om=om), effect_on_controls())
-
-
-def estimate_ipw_normalized(
-    ds: ObservationalDataset,
-    weights: WeightVector,
-    estimand: TargetFunction | None = None,
-) -> PointEstimate:
-    """Difference of weighted arm means, each arm's weights normalized to
-    sum to one: sum A*Y*w1 / sum A*w1 - sum (1-A)*Y*w0 / sum (1-A)*w0."""
-    return _ipw(
-        ds, weights.w1, weights.w0, weights.h_values, EstimatorKind.IPW_NORMALIZED, estimand
-    )
-
-
-def estimate_ipw_unnormalized(
-    ds: ObservationalDataset,
-    weights: WeightVector,
-    estimand: TargetFunction | None = None,
-) -> PointEstimate:
-    """Single-ratio weighting form: sum (A*Y*w1 - (1-A)*Y*w0) / sum h.
-
-    Kept mainly because the augmented estimator collapses to it when the
-    outcome model is identically zero; the normalized form above is what the
-    simulations and the command line use.
-    """
-    return _ipw(
-        ds, weights.w1, weights.w0, weights.h_values, EstimatorKind.IPW_UNNORMALIZED, estimand
-    )
-
-
-def estimate_aipw(
-    ds: ObservationalDataset,
-    pm: PropensityModel | None,
-    om: OutcomeModel,
-    h_values: NDArray[np.float64],
-    estimand: TargetFunction | None = None,
-    pi_hat: NDArray[np.float64] | None = None,
-) -> PointEstimate:
-    """Augmented weighting estimator:
-
-    sum h * [ (A*Y/pi - (A - pi)/pi * m1) - ((1-A)*Y/(1-pi) + (A - pi)/(1-pi) * m0) ] / sum h
-    """
-    return _aipw(Nuisance.from_models(ds, pm, om, pi_hat), h_values, estimand)
-
-
-def estimate_dr_linear_in_pi(
-    ds: ObservationalDataset,
-    pm: PropensityModel | None,
-    om: OutcomeModel,
-    a: float,
-    b: float,
-    pi_hat: NDArray[np.float64] | None = None,
-) -> PointEstimate:
-    """Doubly robust form for targets h = a + b*pi:
-
-    sum [ (a + b*A)*(m1 - m0) + (a + b*pi) * (A/pi*(Y - m1) - (1-A)/(1-pi)*(Y - m0)) ]
-    / sum (a + b*A)
-
-    The denominator replaces pi with the observed treatment indicator, which
-    is what makes the estimator consistent when only one model is right.
-    (a, b) = (0, 1) is the effect on the treated, (1, -1) on the controls.
-    """
-    a = float(a)
-    b = float(b)
-    target = TargetFunction(TargetKind.LINEAR, a=a, b=b, label=f"linear:{a:g},{b:g}")
-    return _dr_linear(Nuisance.from_models(ds, pm, om, pi_hat), a, b, target)
 
 
 def _linear_coefficients(target: TargetFunction) -> tuple[float, float] | None:
@@ -392,9 +280,10 @@ def estimate(
     :class:`Nuisance` bundle of already fitted vectors (then pass no model).
     ``pi_hat`` overrides model predictions when given (used to inject
     percentile-truncated propensities). The augmented estimator for the
-    treated, control and a + b*pi targets is the closed form of
-    :func:`estimate_dr_linear_in_pi`; the generic form stays available as
-    ``estimate_aipw(..., evaluate_h(target, X, pi))``.
+    treated, control and a + b*pi targets is the doubly robust closed form,
+    labelled :attr:`EstimatorKind.DR_LINEAR_IN_PI`; the generic augmented
+    form for such an h is a covariate target, e.g.
+    ``covariate_target(functools.partial(predict_propensity, pm), "pi")``.
     """
     if isinstance(ds, Nuisance):
         if pm is not None or om is not None or pi_hat is not None:
@@ -418,9 +307,8 @@ def estimate(
         return _regression(nu, h, target)
     if kind is EstimatorKind.AIPW:
         return _aipw(nu, h, target)
-    if kind in (EstimatorKind.IPW_NORMALIZED, EstimatorKind.IPW_UNNORMALIZED):
-        pi = nu.propensity("weighting estimator")
-        return _ipw(nu.ds, h / pi, h / (1.0 - pi), h, kind, target)
+    if kind is EstimatorKind.IPW_NORMALIZED:
+        return _ipw(nu, h, target)
     raise EstimationError(f"unknown estimator kind {kind!r}")
 
 

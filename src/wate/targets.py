@@ -1,11 +1,11 @@
-"""Target functions and balancing weights.
+"""Target functions.
 
 A target function h(x) >= 0 picks the population a contrast is averaged
 over: h = 1 targets everyone, h = pi the treated, h = 1 - pi the controls,
 h = pi(1 - pi) the overlap population, and h = a + b*pi any fixed linear
 function of the propensity. A known nonnegative function of the covariates
-is also allowed. The induced balancing weights are w1 = h/pi on the treated
-and w0 = h/(1 - pi) on the controls.
+is also allowed. The weighting estimator turns h into the balancing weights
+w1 = h/pi on the treated and w0 = h/(1 - pi) on the controls.
 """
 
 from __future__ import annotations
@@ -84,15 +84,6 @@ def covariate_target(
     return TargetFunction(kind=TargetKind.COVARIATE, fn=fn, label=label)
 
 
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Balancing weights w1, w0 plus the h values they came from."""
-
-    w1: NDArray[np.float64]
-    w0: NDArray[np.float64]
-    h_values: NDArray[np.float64]
-
-
 def _checked_pi(
     pi_hat, n: int, error: type[WateError] = TargetError
 ) -> NDArray[np.float64]:
@@ -163,18 +154,3 @@ def _h_values(
         return h
     raise TargetError(f"unhandled target kind {target.kind}")
 
-
-def compute_weights(
-    target: TargetFunction,
-    X: NDArray[np.float64],
-    pi_hat: NDArray[np.float64],
-) -> WeightVector:
-    """Balancing weights for the target: w1 = h/pi, w0 = h/(1 - pi).
-
-    For the overlap target these simplify to w1 = 1 - pi and w0 = pi, both
-    bounded by one; the generic ratio realises that automatically.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    pi = _checked_pi(pi_hat, X.shape[0])
-    h = _h_values(target, X, pi)
-    return WeightVector(w1=h / pi, w0=h / (1.0 - pi), h_values=h)

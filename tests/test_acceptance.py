@@ -21,9 +21,13 @@ import numpy as np
 import pytest
 
 from test_estimators import (
+    atc_dr,
     atc_dr_oracle,
+    att_dr,
     att_dr_oracle,
+    fixed_h,
     random_instance,
+    unnormalized_ipw_oracle,
     zero_outcome_model,
 )
 from test_models import GRID_A, GRID_X, _gaussian_elimination, _grid_search_mle
@@ -32,14 +36,7 @@ import wate
 from wate.cli import main
 from wate.data import ObservationalDataset, save_csv
 from wate.design import main_effects
-from wate.estimators import (
-    EstimatorKind,
-    estimate,
-    estimate_aipw,
-    estimate_dr_linear_in_pi,
-    estimate_ipw_unnormalized,
-    estimate_regression,
-)
+from wate.estimators import EstimatorKind, estimate
 from wate.models import (
     fit_outcome,
     fit_propensity,
@@ -56,7 +53,6 @@ from wate.simulation import (
 )
 from wate.targets import (
     average_effect,
-    compute_weights,
     effect_on_treated,
     evaluate_h,
     overlap_effect,
@@ -251,11 +247,10 @@ def test_acceptance_6_exact_identities():
         zero = zero_outcome_model(om)
         for target in (average_effect(), effect_on_treated(), overlap_effect()):
             h = evaluate_h(target, ds.X, pi)
-            w = compute_weights(target, ds.X, pi)
             checks.append(
                 (
-                    estimate_aipw(ds, None, zero, h, pi_hat=pi).value,
-                    estimate_ipw_unnormalized(ds, w).value,
+                    estimate(ds, EstimatorKind.AIPW, fixed_h(h), om=zero, pi_hat=pi).value,
+                    unnormalized_ipw_oracle(ds, h, pi),
                 )
             )
 
@@ -263,26 +258,17 @@ def test_acceptance_6_exact_identities():
             ds.A == 1.0, predict_outcome(om, ds.X, 1), predict_outcome(om, ds.X, 0)
         )
         ds_fit = ObservationalDataset(X=ds.X, A=ds.A, Y=fitted)
-        h = evaluate_h(overlap_effect(), ds.X, pi)
         checks.append(
             (
-                estimate_aipw(ds_fit, None, om, h, pi_hat=pi).value,
-                estimate_regression(ds_fit, om, h).value,
+                estimate(ds_fit, EstimatorKind.AIPW, overlap_effect(), om=om, pi_hat=pi).value,
+                estimate(
+                    ds_fit, EstimatorKind.REGRESSION, overlap_effect(), om=om, pi_hat=pi
+                ).value,
             )
         )
 
-        checks.append(
-            (
-                estimate_dr_linear_in_pi(ds, None, om, 0, 1, pi_hat=pi).value,
-                att_dr_oracle(ds, om, pi),
-            )
-        )
-        checks.append(
-            (
-                estimate_dr_linear_in_pi(ds, None, om, 1, -1, pi_hat=pi).value,
-                atc_dr_oracle(ds, om, pi),
-            )
-        )
+        checks.append((att_dr(ds, om, pi), att_dr_oracle(ds, om, pi)))
+        checks.append((atc_dr(ds, om, pi), atc_dr_oracle(ds, om, pi)))
 
         flat = np.full(ds.n, 0.2 + 0.006 * (seed % 100))
         checks.append(

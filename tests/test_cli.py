@@ -152,6 +152,9 @@ def test_estimate_usage_errors(data_csv, tmp_path, capsys):
         ["simulate", "--estimator", "foo"],
         ["true-values", "--outcome-model", "7"],
         ["estimate", "DATA", "--pi-design", "x9"],
+        ["estimate", "DATA", "--covariates", "x9"],
+        ["estimate", "DATA", "--treatment", "zz"],
+        ["estimate", "DATA", "--outcome", "zz"],
     ],
 )
 def test_bad_option_values_are_usage_errors(argv, data_csv, capsys):

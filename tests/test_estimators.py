@@ -7,22 +7,19 @@ from hypothesis import strategies as st
 
 from wate.data import ObservationalDataset
 from wate.design import main_effects
-from wate.errors import EstimationError, MissingModelError
-from wate.estimators import (
-    EstimatorKind,
-    estimate,
-    estimate_aipw,
-    estimate_atc_regression,
-    estimate_att_regression,
-    estimate_dr_linear_in_pi,
-    estimate_ipw_normalized,
-    estimate_ipw_unnormalized,
-    estimate_regression,
+from wate.errors import EstimationError, MissingModelError, NegativeTargetError
+from wate.estimators import EstimatorKind, estimate
+from wate.models import (
+    FitOptions,
+    OutcomeModel,
+    fit_outcome,
+    fit_propensity,
+    predict_outcome,
 )
-from wate.models import OutcomeModel, fit_outcome, predict_outcome
+from wate.simulation import generate_dataset, propensity_design
 from wate.targets import (
     average_effect,
-    compute_weights,
+    covariate_target,
     effect_on_controls,
     effect_on_treated,
     evaluate_h,
@@ -54,6 +51,12 @@ def zero_outcome_model(om):
         interaction_design=om.interaction_design,
         residual_variance=0.0,
     )
+
+
+def fixed_h(h, label="fixed-h"):
+    """Covariate target returning the vector ``h`` on the rows it was made
+    for: an arbitrary h, and the generic augmented form for any target."""
+    return covariate_target(lambda X: h, label)
 
 
 # --- hand-summed oracles -----------------------------------------------------
@@ -88,12 +91,28 @@ def atc_dr_oracle(ds, om, pi):
     return math.fsum(terms) / math.fsum(1 - a[i] for i in range(ds.n))
 
 
+def unnormalized_ipw_oracle(ds, h, pi):
+    """Single-ratio weighting form, hand-summed:
+    sum (A*Y*h/pi - (1-A)*Y*h/(1-pi)) / sum h."""
+    a, y = ds.A, ds.Y
+    terms = [
+        a[i] * y[i] * h[i] / pi[i] - (1 - a[i]) * y[i] * h[i] / (1 - pi[i])
+        for i in range(ds.n)
+    ]
+    return math.fsum(terms) / math.fsum(h)
+
+
+def _linear_dr(ds, om, pi, a, b):
+    target = linear_in_propensity(a, b)
+    return estimate(ds, EstimatorKind.DR_LINEAR_IN_PI, target, om=om, pi_hat=pi).value
+
+
 def att_dr(ds, om, pi):
-    return estimate_dr_linear_in_pi(ds, None, om, 0, 1, pi_hat=pi).value
+    return _linear_dr(ds, om, pi, 0, 1)
 
 
 def atc_dr(ds, om, pi):
-    return estimate_dr_linear_in_pi(ds, None, om, 1, -1, pi_hat=pi).value
+    return _linear_dr(ds, om, pi, 1, -1)
 
 
 def test_regression_matches_fsum_oracle():
@@ -104,22 +123,36 @@ def test_regression_matches_fsum_oracle():
     oracle = math.fsum(
         h[i] * (m1[i] - m0[i]) for i in range(ds.n)
     ) / math.fsum(h)
-    got = estimate_regression(ds, om, h).value
+    got = estimate(ds, EstimatorKind.REGRESSION, overlap_effect(), om=om, pi_hat=pi).value
     assert got == pytest.approx(oracle, rel=1e-12)
 
 
+# Each target's balancing weights (w1, w0) = (h/pi, h/(1 - pi)) in closed form.
+_CLOSED_FORM_WEIGHTS = (
+    (average_effect(), lambda p: (1 / p, 1 / (1 - p))),
+    (effect_on_treated(), lambda p: (1.0, p / (1 - p))),
+    (effect_on_controls(), lambda p: ((1 - p) / p, 1.0)),
+    (overlap_effect(), lambda p: (1 - p, p)),
+    (linear_in_propensity(0.5, 1.5), lambda p: ((0.5 + 1.5 * p) / p, (0.5 + 1.5 * p) / (1 - p))),
+)
+
+
 def test_ipw_normalized_matches_fsum_oracle():
-    ds, om, pi = random_instance(1)
-    w = compute_weights(effect_on_treated(), ds.X, pi)
+    ds, _, pi = random_instance(1)
     a, y = ds.A, ds.Y
-    top = math.fsum(a[i] * y[i] * w.w1[i] for i in range(ds.n)) / math.fsum(
-        a[i] * w.w1[i] for i in range(ds.n)
-    )
-    bot = math.fsum(
-        (1 - a[i]) * y[i] * w.w0[i] for i in range(ds.n)
-    ) / math.fsum((1 - a[i]) * w.w0[i] for i in range(ds.n))
-    got = estimate_ipw_normalized(ds, w).value
-    assert got == pytest.approx(top - bot, rel=1e-12)
+    for target, weights in _CLOSED_FORM_WEIGHTS:
+        w = [weights(p) for p in pi]
+        tw = [a[i] * w[i][0] for i in range(ds.n)]
+        cw = [(1 - a[i]) * w[i][1] for i in range(ds.n)]
+        top = math.fsum(tw[i] * y[i] for i in range(ds.n)) / math.fsum(tw)
+        bot = math.fsum(cw[i] * y[i] for i in range(ds.n)) / math.fsum(cw)
+        got = estimate(ds, EstimatorKind.IPW_NORMALIZED, target, pi_hat=pi)
+        assert close(got.value, top - bot), target.label
+        d = got.diagnostics
+        ess_t = math.fsum(tw) ** 2 / math.fsum(t * t for t in tw)
+        ess_c = math.fsum(cw) ** 2 / math.fsum(c * c for c in cw)
+        assert d.ess_treated == pytest.approx(ess_t, rel=1e-12), target.label
+        assert d.ess_control == pytest.approx(ess_c, rel=1e-12), target.label
 
 
 def test_aipw_matches_fsum_oracle():
@@ -140,7 +173,7 @@ def test_aipw_matches_fsum_oracle():
         for i in range(ds.n)
     ]
     oracle = math.fsum(terms) / math.fsum(h)
-    got = estimate_aipw(ds, None, om, h, pi_hat=pi).value
+    got = estimate(ds, EstimatorKind.AIPW, overlap_effect(), om=om, pi_hat=pi).value
     assert got == pytest.approx(oracle, rel=1e-12)
 
 
@@ -161,7 +194,8 @@ def test_regression_constant_effect():
     ds = ObservationalDataset(X=X, A=A, Y=Y)
     om = fit_outcome(ds, main_effects(("x1",)))
     h = np.abs(rng.normal(size=30)) + 0.1
-    assert estimate_regression(ds, om, h).value == pytest.approx(2.5, abs=1e-9)
+    got = estimate(ds, EstimatorKind.REGRESSION, fixed_h(h), om=om).value
+    assert got == pytest.approx(2.5, abs=1e-9)
 
 
 def test_point_mass_h_reads_single_contrast():
@@ -170,15 +204,14 @@ def test_point_mass_h_reads_single_contrast():
     h[7] = 1.0
     m1 = predict_outcome(om, ds.X, 1)
     m0 = predict_outcome(om, ds.X, 0)
-    got = estimate_regression(ds, om, h).value
+    got = estimate(ds, EstimatorKind.REGRESSION, fixed_h(h, "point"), om=om).value
     assert got == pytest.approx(m1[7] - m0[7], rel=1e-12)
 
 
 def test_ipw_equal_propensities_give_mean_difference():
     ds, _, _ = random_instance(6)
     pi = np.full(ds.n, 0.5)
-    w = compute_weights(average_effect(), ds.X, pi)
-    got = estimate_ipw_normalized(ds, w).value
+    got = estimate(ds, EstimatorKind.IPW_NORMALIZED, average_effect(), pi_hat=pi).value
     expected = ds.Y[ds.A == 1].mean() - ds.Y[ds.A == 0].mean()
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -189,8 +222,8 @@ def test_ipw_zero_when_outcome_constant():
     A = (np.arange(20) % 2).astype(float)
     ds = ObservationalDataset(X=X, A=A, Y=np.full(20, 3.7))
     pi = rng.uniform(0.2, 0.8, 20)
-    w = compute_weights(overlap_effect(), ds.X, pi)
-    assert estimate_ipw_normalized(ds, w).value == pytest.approx(0.0, abs=1e-12)
+    got = estimate(ds, EstimatorKind.IPW_NORMALIZED, overlap_effect(), pi_hat=pi).value
+    assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_att_dr_shift_between_arms():
@@ -237,12 +270,17 @@ def test_atc_dr_shift_between_arms():
     assert atc_dr(ds, om, pi) == pytest.approx(atc_dr_oracle(ds, om, pi), rel=1e-12)
 
 
-def test_att_regression_indicator_form():
-    ds, om, _ = random_instance(9)
+def att_regression_oracle(ds, om):
+    """sum A*(Y - m0) / sum A, hand-summed."""
     m0 = predict_outcome(om, ds.X, 0)
     a, y = ds.A, ds.Y
-    oracle = math.fsum(a[i] * (y[i] - m0[i]) for i in range(ds.n)) / math.fsum(a)
-    assert estimate_att_regression(ds, om).value == pytest.approx(oracle, rel=1e-12)
+    return math.fsum(a[i] * (y[i] - m0[i]) for i in range(ds.n)) / math.fsum(a)
+
+
+def test_att_regression_indicator_form():
+    ds, om, _ = random_instance(9)
+    got = estimate(ds, EstimatorKind.REGRESSION, effect_on_treated(), om=om).value
+    assert got == pytest.approx(att_regression_oracle(ds, om), rel=1e-12)
 
 
 def test_atc_regression_indicator_form():
@@ -252,7 +290,8 @@ def test_atc_regression_indicator_form():
     oracle = math.fsum(
         (1 - a[i]) * (m1[i] - y[i]) for i in range(ds.n)
     ) / math.fsum(1 - a[i] for i in range(ds.n))
-    assert estimate_atc_regression(ds, om).value == pytest.approx(oracle, rel=1e-12)
+    got = estimate(ds, EstimatorKind.REGRESSION, effect_on_controls(), om=om).value
+    assert got == pytest.approx(oracle, rel=1e-12)
 
 
 # --- exact algebraic identities ----------------------------------------------
@@ -275,10 +314,8 @@ def test_aipw_with_zero_outcome_model_is_unnormalized_ipw(seed):
     zero = zero_outcome_model(om)
     for target in (average_effect(), overlap_effect(), effect_on_treated()):
         h = evaluate_h(target, ds.X, pi)
-        w = compute_weights(target, ds.X, pi)
-        lhs = estimate_aipw(ds, None, zero, h, pi_hat=pi).value
-        rhs = estimate_ipw_unnormalized(ds, w).value
-        assert close(lhs, rhs)
+        lhs = estimate(ds, EstimatorKind.AIPW, fixed_h(h), om=zero, pi_hat=pi).value
+        assert close(lhs, unnormalized_ipw_oracle(ds, h, pi)), target.label
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -289,9 +326,8 @@ def test_aipw_with_zero_residuals_is_regression(seed):
     )
     ds_fit = ObservationalDataset(X=ds.X, A=ds.A, Y=fitted)
     om_fit = fit_outcome(ds_fit, om.main_design, om.interaction_design)
-    h = evaluate_h(overlap_effect(), ds.X, pi)
-    lhs = estimate_aipw(ds_fit, None, om_fit, h, pi_hat=pi).value
-    rhs = estimate_regression(ds_fit, om_fit, h).value
+    lhs = estimate(ds_fit, EstimatorKind.AIPW, overlap_effect(), om=om_fit, pi_hat=pi).value
+    rhs = estimate(ds_fit, EstimatorKind.REGRESSION, overlap_effect(), om=om_fit, pi_hat=pi).value
     assert close(lhs, rhs, tol=1e-10)
 
 
@@ -337,60 +373,29 @@ def test_swapping_treatment_labels_negates_the_estimators(seed):
     assert close(lhs, -rhs)
     assert lhs == pytest.approx(att_dr_oracle(ds_swapped, om_swapped, 1.0 - pi), rel=1e-12)
     assert rhs == pytest.approx(atc_dr_oracle(ds, om, pi), rel=1e-12)
-    lhs2 = estimate_ipw_normalized(
-        ds_swapped, compute_weights(effect_on_treated(), ds.X, 1.0 - pi)
+    lhs2 = estimate(
+        ds_swapped, EstimatorKind.IPW_NORMALIZED, effect_on_treated(), pi_hat=1.0 - pi
     ).value
-    rhs2 = estimate_ipw_normalized(
-        ds, compute_weights(effect_on_controls(), ds.X, pi)
-    ).value
+    rhs2 = estimate(ds, EstimatorKind.IPW_NORMALIZED, effect_on_controls(), pi_hat=pi).value
     assert close(lhs2, -rhs2)
 
 
-# --- equivariance ------------------------------------------------------------
-
-
-def _all_pipeline_values(ds, om, pi):
-    h_ato = evaluate_h(overlap_effect(), ds.X, pi)
-    w_ato = compute_weights(overlap_effect(), ds.X, pi)
-    att, atc = att_dr(ds, om, pi), atc_dr(ds, om, pi)
-    assert att == pytest.approx(att_dr_oracle(ds, om, pi), rel=1e-12)
-    assert atc == pytest.approx(atc_dr_oracle(ds, om, pi), rel=1e-12)
-    return np.array(
-        [
-            estimate_regression(ds, om, h_ato).value,
-            estimate_ipw_normalized(ds, w_ato).value,
-            estimate_aipw(ds, None, om, h_ato, pi_hat=pi).value,
-            att,
-            atc,
-            estimate_dr_linear_in_pi(ds, None, om, 1, 2, pi_hat=pi).value,
-        ]
-    )
-
-
-@pytest.mark.parametrize("shift", [-3.0, 2.5])
-def test_location_shift_with_refit_leaves_estimates_alone(shift):
-    # Holds for every estimator except the unnormalized weighting form,
-    # whose arm weights do not sum to a common mass.
-    ds, om, pi = random_instance(11, n=60)
-    base = _all_pipeline_values(ds, om, pi)
-    ds2 = ObservationalDataset(X=ds.X, A=ds.A, Y=ds.Y + shift)
-    om2 = fit_outcome(ds2, om.main_design, om.interaction_design)
-    shifted = _all_pipeline_values(ds2, om2, pi)
-    np.testing.assert_allclose(shifted, base, rtol=1e-9, atol=1e-9)
-
-
-@pytest.mark.parametrize("scale", [-2.0, 0.5])
-def test_scaling_outcome_scales_estimates(scale):
-    ds, om, pi = random_instance(12, n=60)
-    base = _all_pipeline_values(ds, om, pi)
-    w_ato = compute_weights(overlap_effect(), ds.X, pi)
-    base_unnorm = estimate_ipw_unnormalized(ds, w_ato).value
-    ds2 = ObservationalDataset(X=ds.X, A=ds.A, Y=ds.Y * scale)
-    om2 = fit_outcome(ds2, om.main_design, om.interaction_design)
-    scaled = _all_pipeline_values(ds2, om2, pi)
-    np.testing.assert_allclose(scaled, scale * base, rtol=1e-9, atol=1e-9)
-    scaled_unnorm = estimate_ipw_unnormalized(ds2, w_ato).value
-    assert scaled_unnorm == pytest.approx(scale * base_unnorm, rel=1e-9)
+@pytest.mark.parametrize("correct", [True, False])
+def test_overlap_weights_balance_the_propensity_design_exactly(correct):
+    # Li, Morgan & Zaslavsky (2018): with a logistic fit that has an
+    # intercept, the score equations make the overlap-weighted arm means of
+    # every design column equal, up to the fit's score tolerance (tightened
+    # here so the gap is rounding). Whole-population weights do not balance.
+    design = propensity_design(correct)
+    for seed in range(3):
+        ds = generate_dataset(1, 300, np.random.default_rng(seed)).observed()
+        pm = fit_propensity(ds, design, FitOptions(tol=1e-10))
+        for j, column in enumerate(design.matrix(ds.X).T):
+            as_outcome = ObservationalDataset(X=ds.X, A=ds.A, Y=column)
+            ato = estimate(as_outcome, EstimatorKind.IPW_NORMALIZED, overlap_effect(), pm=pm)
+            ate = estimate(as_outcome, EstimatorKind.IPW_NORMALIZED, average_effect(), pm=pm)
+            assert abs(ato.value) <= 1e-10, (seed, design.names[j], ato.value)
+            assert abs(ate.value) >= 1e-3, (seed, design.names[j], ate.value)
 
 
 # --- dispatch ----------------------------------------------------------------
@@ -414,8 +419,7 @@ def test_plain_aipw_changes_the_formula():
     # a different estimator from the closed form the dispatcher routes to.
     ds, om, pi = random_instance(14, n=50)
     routed = estimate(ds, EstimatorKind.AIPW, effect_on_treated(), om=om, pi_hat=pi)
-    h = evaluate_h(effect_on_treated(), ds.X, pi)
-    plain = estimate_aipw(ds, None, om, h, estimand=effect_on_treated(), pi_hat=pi)
+    plain = estimate(ds, EstimatorKind.AIPW, fixed_h(pi, "pi"), om=om, pi_hat=pi)
     assert plain.estimator is EstimatorKind.AIPW
     assert plain.value != routed.value
 
@@ -423,9 +427,9 @@ def test_plain_aipw_changes_the_formula():
 def test_dispatch_regression_att_needs_no_propensity():
     ds, om, _ = random_instance(15, n=50)
     got = estimate(ds, EstimatorKind.REGRESSION, effect_on_treated(), om=om)
-    assert got.value == pytest.approx(
-        estimate_att_regression(ds, om).value, rel=1e-14
-    )
+    assert got.estimator is EstimatorKind.REGRESSION
+    assert got.diagnostics.h_total == ds.n_treated
+    assert got.value == pytest.approx(att_regression_oracle(ds, om), rel=1e-12)
 
 
 def test_dispatch_missing_models():
@@ -449,15 +453,15 @@ def test_dispatch_rejects_closed_form_for_overlap():
 def test_zero_mass_h_rejected():
     ds, om, pi = random_instance(18, n=50)
     with pytest.raises(EstimationError):
-        estimate_regression(ds, om, np.zeros(ds.n))
+        estimate(ds, EstimatorKind.REGRESSION, fixed_h(np.zeros(ds.n)), om=om)
 
 
 def test_negative_h_rejected():
     ds, om, pi = random_instance(19, n=50)
     h = np.ones(ds.n)
     h[0] = -0.5
-    with pytest.raises(EstimationError):
-        estimate_regression(ds, om, h)
+    with pytest.raises(NegativeTargetError):
+        estimate(ds, EstimatorKind.REGRESSION, fixed_h(h), om=om)
 
 
 def test_bad_pi_hat_rejected():
@@ -474,8 +478,7 @@ def test_bad_pi_hat_rejected():
 
 def test_diagnostics_are_sensible():
     ds, om, pi = random_instance(21, n=50)
-    w = compute_weights(average_effect(), ds.X, pi)
-    got = estimate_ipw_normalized(ds, w)
+    got = estimate(ds, EstimatorKind.IPW_NORMALIZED, average_effect(), pi_hat=pi)
     d = got.diagnostics
     assert got.n_used == ds.n
     assert d.h_total == pytest.approx(float(ds.n))
@@ -483,17 +486,17 @@ def test_diagnostics_are_sensible():
     assert 0 < d.ess_control <= ds.n_control + 1e-9
 
 
-# --- invariance --------------------------------------------------------------
+# --- invariance and equivariance --------------------------------------------
 
 
-_PERMUTATION_TARGETS = (
+_TARGETS = (
     average_effect(),
     effect_on_treated(),
     effect_on_controls(),
     overlap_effect(),
     linear_in_propensity(0.5, 1.5),
 )
-_PERMUTATION_KINDS = (
+_KINDS = (
     EstimatorKind.REGRESSION,
     EstimatorKind.IPW_NORMALIZED,
     EstimatorKind.AIPW,
@@ -505,8 +508,28 @@ def test_row_permutation_leaves_every_estimate_unchanged(seed, order):
     ds, om, pi = random_instance(seed, n=40)
     order = np.array(order)
     shuffled = ObservationalDataset(X=ds.X[order], A=ds.A[order], Y=ds.Y[order])
-    for kind in _PERMUTATION_KINDS:
-        for target in _PERMUTATION_TARGETS:
+    for kind in _KINDS:
+        for target in _TARGETS:
             before = estimate(ds, kind, target, om=om, pi_hat=pi).value
             after = estimate(shuffled, kind, target, om=om, pi_hat=pi[order]).value
             assert close(before, after), (kind, target.label)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    c=st.floats(0.25, 3.0),
+    negate=st.booleans(),
+    d=st.floats(-5.0, 5.0),
+)
+def test_affine_outcome_map_scales_every_estimate(seed, c, negate, d):
+    # Y -> c*Y + d with the outcome model refitted: the shift cancels within
+    # every arm contrast and the scale factors out.
+    c = -c if negate else c
+    ds, om, pi = random_instance(seed, n=60)
+    ds2 = ObservationalDataset(X=ds.X, A=ds.A, Y=c * ds.Y + d)
+    om2 = fit_outcome(ds2, om.main_design, om.interaction_design)
+    for kind in _KINDS:
+        for target in _TARGETS:
+            before = estimate(ds, kind, target, om=om, pi_hat=pi).value
+            after = estimate(ds2, kind, target, om=om2, pi_hat=pi).value
+            assert close(after, c * before, tol=1e-9), (kind, target.label)

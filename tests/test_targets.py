@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from wate.errors import NegativeTargetError, PropensityRequiredError, TargetError
 from wate.targets import (
     average_effect,
-    compute_weights,
     covariate_target,
     effect_on_controls,
     effect_on_treated,
@@ -26,25 +23,6 @@ def test_h_values_by_kind():
     np.testing.assert_allclose(
         evaluate_h(overlap_effect(), X2, PI2), [0.16, 0.16]
     )
-
-
-def test_overlap_weights_flip_the_propensity():
-    w = compute_weights(overlap_effect(), X2, PI2)
-    np.testing.assert_allclose(w.w1, 1 - PI2)
-    np.testing.assert_allclose(w.w0, PI2)
-
-
-def test_whole_population_weights_are_inverse_probabilities():
-    w = compute_weights(average_effect(), X2, np.array([0.5, 0.5]))
-    np.testing.assert_allclose(w.w1, [2.0, 2.0])
-    np.testing.assert_allclose(w.w0, [2.0, 2.0])
-
-
-def test_treated_target_weights():
-    pi = np.array([0.25, 0.75])
-    w = compute_weights(effect_on_treated(), X2, pi)
-    np.testing.assert_allclose(w.w1, [1.0, 1.0])
-    np.testing.assert_allclose(w.w0, pi / (1 - pi))
 
 
 def test_linear_generalizes_the_named_targets():
@@ -105,43 +83,10 @@ def _first_column(X):
 def test_pi_out_of_range_rejected():
     for bad in ([0.0, 0.5], [0.5, 1.0], [-0.1, 0.5]):
         with pytest.raises(TargetError):
-            compute_weights(average_effect(), X2, np.array(bad))
+            evaluate_h(effect_on_treated(), X2, np.array(bad))
 
 
 def test_pi_length_mismatch():
     with pytest.raises(TargetError):
         evaluate_h(effect_on_treated(), X2, np.array([0.5]))
 
-
-targets_with_pi = st.sampled_from(
-    [
-        average_effect(),
-        effect_on_treated(),
-        effect_on_controls(),
-        overlap_effect(),
-        linear_in_propensity(1, 1),
-        linear_in_propensity(2, -1),
-    ]
-)
-
-
-@given(
-    pi=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=30),
-    target=targets_with_pi,
-)
-def test_weight_identities(pi, target):
-    # The defining relations: w1*pi and w0*(1-pi) both reproduce h.
-    pi = np.array(pi)
-    X = np.zeros((pi.shape[0], 1))
-    w = compute_weights(target, X, pi)
-    np.testing.assert_allclose(w.w1 * pi, w.h_values, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(w.w0 * (1 - pi), w.h_values, rtol=1e-12, atol=1e-15)
-    assert np.all(w.h_values >= 0)
-
-
-@given(pi=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=30))
-def test_overlap_weights_bounded_by_one(pi):
-    pi = np.array(pi)
-    w = compute_weights(overlap_effect(), np.zeros((pi.shape[0], 1)), pi)
-    assert np.all(w.w1 <= 1.0 + 1e-12)
-    assert np.all(w.w0 <= 1.0 + 1e-12)
