@@ -380,6 +380,58 @@ def test_swapping_treatment_labels_negates_the_estimators(seed):
     assert close(lhs2, -rhs2)
 
 
+# --- equivariance ------------------------------------------------------------
+
+
+def _all_pipeline_values(ds, om, pi):
+    att, atc = att_dr(ds, om, pi), atc_dr(ds, om, pi)
+    assert att == pytest.approx(att_dr_oracle(ds, om, pi), rel=1e-12)
+    assert atc == pytest.approx(atc_dr_oracle(ds, om, pi), rel=1e-12)
+    ato = overlap_effect()
+    return np.array(
+        [
+            estimate(ds, EstimatorKind.REGRESSION, ato, om=om, pi_hat=pi).value,
+            estimate(ds, EstimatorKind.IPW_NORMALIZED, ato, pi_hat=pi).value,
+            estimate(ds, EstimatorKind.AIPW, ato, om=om, pi_hat=pi).value,
+            att,
+            atc,
+            _linear_dr(ds, om, pi, 1, 2),
+        ]
+    )
+
+
+@pytest.mark.parametrize("shift", [-3.0, 2.5])
+def test_location_shift_with_refit_leaves_estimates_alone(shift):
+    # Holds for every estimator except the unnormalized weighting form,
+    # whose arm weights do not sum to a common mass.
+    ds, om, pi = random_instance(11, n=60)
+    base = _all_pipeline_values(ds, om, pi)
+    ds2 = ObservationalDataset(X=ds.X, A=ds.A, Y=ds.Y + shift)
+    om2 = fit_outcome(ds2, om.main_design, om.interaction_design)
+    shifted = _all_pipeline_values(ds2, om2, pi)
+    np.testing.assert_allclose(shifted, base, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [-2.0, 0.5])
+def test_scaling_outcome_scales_estimates(scale):
+    # The unnormalized weighting form is the generic augmented estimator
+    # with a zero outcome model.
+    ds, om, pi = random_instance(12, n=60)
+    base = _all_pipeline_values(ds, om, pi)
+    h_ato = fixed_h(evaluate_h(overlap_effect(), ds.X, pi))
+    zero = zero_outcome_model(om)
+    base_unnorm = estimate(ds, EstimatorKind.AIPW, h_ato, om=zero, pi_hat=pi).value
+    ds2 = ObservationalDataset(X=ds.X, A=ds.A, Y=ds.Y * scale)
+    om2 = fit_outcome(ds2, om.main_design, om.interaction_design)
+    scaled = _all_pipeline_values(ds2, om2, pi)
+    np.testing.assert_allclose(scaled, scale * base, rtol=1e-9, atol=1e-9)
+    scaled_unnorm = estimate(ds2, EstimatorKind.AIPW, h_ato, om=zero, pi_hat=pi).value
+    assert scaled_unnorm == pytest.approx(scale * base_unnorm, rel=1e-9)
+    assert base_unnorm == pytest.approx(
+        unnormalized_ipw_oracle(ds, evaluate_h(overlap_effect(), ds.X, pi), pi), rel=1e-12
+    )
+
+
 @pytest.mark.parametrize("correct", [True, False])
 def test_overlap_weights_balance_the_propensity_design_exactly(correct):
     # Li, Morgan & Zaslavsky (2018): with a logistic fit that has an
