@@ -78,7 +78,7 @@ class DesignSpec:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if not self.terms:
             return np.empty((X.shape[0], 0))
-        return np.column_stack([t(X) for t in self.terms])
+        return np.stack([t(X) for t in self.terms], axis=1)
 
     @property
     def names(self) -> tuple[str, ...]:

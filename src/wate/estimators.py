@@ -23,8 +23,9 @@ for the treated, is a :func:`~wate.targets.covariate_target`.
 
 :func:`fill_cells` is the one fit-then-fill engine: it fits each distinct
 working model a list of :class:`EstimationPipeline` cells names once on a
-dataset and estimates every cell from the fitted vectors. The bootstrap,
-the command line report and the Monte Carlo study all go through it.
+dataset and estimates every cell from the vectors the fits carry, with no
+prediction. The bootstrap, the command line report and the Monte Carlo
+study all go through it.
 """
 
 from __future__ import annotations
@@ -240,13 +241,13 @@ def _dr_linear(nu: Nuisance, a: float, b: float, estimand: TargetFunction) -> Po
     model is right."""
     A, Y, pi = nu.ds.A, nu.ds.Y, nu.propensity("doubly robust estimator")
     m1, m0 = nu.arm_means("doubly robust estimator")
+    # The sign of h is checked first, by the same code and with the same
+    # message as for every other estimator of this target.
+    h = _h_values(estimand, nu.ds.X, pi)
     c_obs = a + b * A
     denom = float(np.sum(c_obs))
     if denom <= 0.0:
         raise EstimationError("denominator sum(a + b*A) is not positive")
-    h = a + b * pi
-    if np.any(h < 0.0):
-        raise EstimationError("a + b*pi is negative for some observations")
     resid = A / pi * (Y - m1) - (1.0 - A) / (1.0 - pi) * (Y - m0)
     value = _finite(np.sum(c_obs * (m1 - m0) + h * resid) / denom, "doubly robust estimate")
     et, ec = _ess(A * h / pi), _ess((1.0 - A) * h / (1.0 - pi))
@@ -345,11 +346,12 @@ def _fitted(
     if key not in fits:
         try:
             if stage == "propensity":
-                pi = predict_propensity(fit_propensity(ds, design, options), ds.X)
+                pi = fit_propensity(ds, design, options).pi
                 pi_hat = pi if extra is None else truncate_propensity(pi, *extra)
                 fits[key] = Nuisance.from_models(ds, pi_hat=pi_hat)
             else:
-                fits[key] = Nuisance.from_models(ds, om=fit_outcome(ds, design, extra, options))
+                om = fit_outcome(ds, design, extra, options)
+                fits[key] = Nuisance(ds, m1=om.m1, m0=om.m0)
         except WateError as exc:
             fits[key] = exc
     fit = fits[key]

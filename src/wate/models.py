@@ -5,12 +5,20 @@ Both fitters prepend an intercept to the supplied design, check the design
 matrix for numerical rank deficiency via QR, and return frozen model objects
 that can be pickled into worker processes. The logistic fit is Newton's
 method with step halving; convergence is declared when the largest score
-component falls below ``tol``.
+component falls below ``tol``. The outcome fit solves through one reduced
+QR, whose R also serves the rank check.
+
+Each fitted model also carries its vectors on the fitting rows: the final
+IRLS probabilities (``PropensityModel.pi``) and both arms' means
+(``OutcomeModel.m1``/``m0``), built from the design columns the fit already
+evaluated. They are bit-for-bit what :func:`predict_propensity` and
+:func:`predict_outcome` return on those rows, so a caller estimating on the
+fitting data needs no prediction; predict for any other rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,12 +44,16 @@ class FitOptions:
 
 @dataclass(frozen=True, eq=False)
 class PropensityModel:
+    """``pi`` is the clamped probability vector on the fitting rows, ``None``
+    for a model built by hand."""
+
     alpha: NDArray[np.float64]
     design: DesignSpec
     converged: bool
     iterations: int
     log_likelihood: float
     prob_clamp: float = 1e-12
+    pi: NDArray[np.float64] | None = field(default=None, repr=False)
 
     @property
     def coef_names(self) -> tuple[str, ...]:
@@ -53,13 +65,16 @@ class OutcomeModel:
     """Linear model E[Y | X, A] = b0 + f(X)'b + A*c0 + A*g(X)'c.
 
     ``main_design`` supplies f, ``interaction_design`` supplies g. They may
-    differ; the coefficient vector is laid out in that order.
+    differ; the coefficient vector is laid out in that order. ``m1``/``m0``
+    are the arm means on the fitting rows, ``None`` for a model built by hand.
     """
 
     beta: NDArray[np.float64]
     main_design: DesignSpec
     interaction_design: DesignSpec
     residual_variance: float
+    m1: NDArray[np.float64] | None = field(default=None, repr=False)
+    m0: NDArray[np.float64] | None = field(default=None, repr=False)
 
     @property
     def coef_names(self) -> tuple[str, ...]:
@@ -68,27 +83,33 @@ class OutcomeModel:
 
 
 def _sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
-    # Piecewise form avoids overflow warnings for large |eta|.
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|eta|) never overflows; each branch is the textbook piecewise form
+    # (1/(1 + e^-eta) for eta >= 0, e^eta/(1 + e^eta) below), bit for bit.
+    ex = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _clamped_sigmoid(eta: NDArray[np.float64], clamp: float) -> NDArray[np.float64]:
     return np.clip(_sigmoid(eta), clamp, 1.0 - clamp)
 
 
-def _check_full_rank(M: NDArray[np.float64], rank_tol: float, what: str) -> None:
+def _check_full_rank(
+    M: NDArray[np.float64],
+    rank_tol: float,
+    what: str,
+    r: NDArray[np.float64] | None = None,
+) -> None:
+    """Raise unless ``M`` has full column rank. ``r`` is the R factor of
+    ``M`` when the caller has already factored it."""
     if M.shape[1] == 0:
         return
     if M.shape[0] < M.shape[1]:
         raise RankDeficiencyError(
             f"{what}: {M.shape[1]} columns but only {M.shape[0]} rows"
         )
-    r_diag = np.abs(np.diag(np.linalg.qr(M, mode="r")))
+    if r is None:
+        r = np.linalg.qr(M, mode="r")
+    r_diag = np.abs(np.diag(r))
     top = r_diag.max()
     if top == 0.0 or r_diag.min() <= rank_tol * top:
         raise RankDeficiencyError(
@@ -98,7 +119,32 @@ def _check_full_rank(M: NDArray[np.float64], rank_tol: float, what: str) -> None
 
 
 def _with_intercept(cols: NDArray[np.float64]) -> NDArray[np.float64]:
-    return np.column_stack([np.ones(cols.shape[0]), cols])
+    M = np.empty((cols.shape[0], cols.shape[1] + 1))
+    M[:, 0] = 1.0
+    M[:, 1:] = cols
+    return M
+
+
+def _outcome_matrix(
+    base: NDArray[np.float64], arm: NDArray[np.float64], inter: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """``[1, base, arm, arm * inter]``, the one layout of the outcome model's
+    columns for fitting and for predicting."""
+    kb = base.shape[1]
+    M = np.empty((base.shape[0], kb + 2 + inter.shape[1]))
+    M[:, 0] = 1.0
+    M[:, 1:kb + 1] = base
+    M[:, kb + 1] = arm
+    np.multiply(arm[:, None], inter, out=M[:, kb + 2:])
+    return M
+
+
+def _outcome_columns(
+    main: DesignSpec, inter: DesignSpec, X: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Main and interaction columns of ``X``; equal designs are evaluated once."""
+    base = main.matrix(X)
+    return base, (base if inter == main else inter.matrix(X))
 
 
 def _bernoulli_loglik(
@@ -141,7 +187,7 @@ def fit_propensity(
         except np.linalg.LinAlgError:
             model = PropensityModel(
                 alpha=alpha, design=design, converged=False, iterations=updates,
-                log_likelihood=ll, prob_clamp=options.prob_clamp,
+                log_likelihood=ll, prob_clamp=options.prob_clamp, pi=p,
             )
             raise ConvergenceError(
                 "singular information matrix during propensity fit "
@@ -169,6 +215,7 @@ def fit_propensity(
         iterations=updates,
         log_likelihood=ll,
         prob_clamp=options.prob_clamp,
+        pi=p,
     )
     if not converged:
         raise ConvergenceError(
@@ -232,19 +279,16 @@ def fit_outcome(
     denominator and requires at least one residual degree of freedom.
     """
     inter = design if interaction is None else interaction
-    base = design.matrix(ds.X)
-    inter_cols = inter.matrix(ds.X)
-    M = np.column_stack(
-        [np.ones(ds.n), base, ds.A, ds.A[:, None] * inter_cols]
-    )
-    _check_full_rank(M, options.rank_tol, "outcome design")
+    base, inter_cols = _outcome_columns(design, inter, ds.X)
+    M = _outcome_matrix(base, ds.A, inter_cols)
     k = M.shape[1]
+    q, r = np.linalg.qr(M)
+    _check_full_rank(M, options.rank_tol, "outcome design", r)
     if ds.n - k < 1:
         raise ModelFitError(
             f"outcome model has {k} coefficients for {ds.n} rows; "
             "no residual degrees of freedom"
         )
-    q, r = np.linalg.qr(M)
     beta = np.linalg.solve(r, q.T @ ds.Y)
     resid = ds.Y - M @ beta
     residual_variance = float(resid @ resid / (ds.n - k))
@@ -253,6 +297,8 @@ def fit_outcome(
         main_design=design,
         interaction_design=inter,
         residual_variance=residual_variance,
+        m1=_outcome_matrix(base, np.ones(ds.n), inter_cols) @ beta,
+        m0=_outcome_matrix(base, np.zeros(ds.n), inter_cols) @ beta,
     )
 
 
@@ -263,11 +309,8 @@ def predict_outcome(
     if a not in (0, 1):
         raise ValueError(f"arm must be 0 or 1, got {a!r}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    base = model.main_design.matrix(X)
-    inter = model.interaction_design.matrix(X)
-    n = X.shape[0]
-    arm = np.full(n, float(a))
-    M = np.column_stack([np.ones(n), base, arm, arm[:, None] * inter])
+    base, inter = _outcome_columns(model.main_design, model.interaction_design, X)
+    M = _outcome_matrix(base, np.full(X.shape[0], float(a)), inter)
     if M.shape[1] != model.beta.shape[0]:
         raise ModelFitError(
             f"design evaluates to {M.shape[1]} columns but the model has "

@@ -252,3 +252,18 @@ def test_version_and_missing_subcommand(capsys):
         main([])
     with pytest.raises(SystemExit):
         main(["estimate"])  # data path is positional and required
+
+
+def test_negative_linear_target_gives_one_note_for_every_estimator(data_csv, tmp_path, capsys):
+    # h = -1 + 0.5*pi is negative on every row, so the weighting and the
+    # augmented rows refuse the target, and they say so in the same words.
+    prefix = str(tmp_path / "neg")
+    code, _, _ = run_cli(
+        capsys, "estimate", data_csv, "--bootstrap", "0", "--estimator", "ipw,aipw",
+        "--estimand", "linear:-1,0.5", "--out", prefix, "--format", "csv",
+    )
+    assert code == 1
+    rows = [line for line in open(prefix + ".csv").read().splitlines() if "linear" in line]
+    notes = {row.split(",")[0]: row.rsplit(",", 1)[1] for row in rows if not row.startswith("#")}
+    expected = "linear:-1;0.5: a + b*pi is negative for some observations"
+    assert notes == {"ipw": expected, "aipw": expected}

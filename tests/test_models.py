@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,16 +7,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wate.data import ObservationalDataset
-from wate.design import DesignSpec, intercept_only, main_effects, parse_design
+from wate.design import DesignSpec, TransformTerm, intercept_only, main_effects, parse_design
 from wate.errors import ConvergenceError, ModelFitError, RankDeficiencyError
+from wate.estimators import EstimationPipeline, EstimatorKind, estimate, fill_cells
 from wate.models import (
     FitOptions,
+    _sigmoid,
     fit_outcome,
     fit_propensity,
     predict_outcome,
     predict_propensity,
     truncate_propensity,
 )
+from wate.simulation import generate_dataset, outcome_design, propensity_design
+from wate.targets import effect_on_treated
 
 
 def make_ds(X, A, Y=None):
@@ -153,8 +158,6 @@ def test_rank_deficient_propensity_design():
 
 
 def test_generator_design_matches_direct_formula():
-    from wate.simulation import generate_dataset, propensity_design
-
     ds = generate_dataset(1, 400, np.random.default_rng(5))
     model = fit_propensity(ds, propensity_design(True))
     pi = predict_propensity(model, ds.X)
@@ -166,6 +169,89 @@ def test_generator_design_matches_direct_formula():
         + model.alpha[3] * x[:, 2] * x[:, 4]
     )
     np.testing.assert_allclose(pi, 1 / (1 + np.exp(-eta)), rtol=1e-12)
+
+
+def _piecewise_sigmoid(eta):
+    """The logistic function as two masked branches, the form that never
+    overflows: 1/(1 + e^-eta) where eta >= 0, e^eta/(1 + e^eta) elsewhere."""
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_SIGMOID_EDGES = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 1e300, -1e300, np.inf, -np.inf]
+
+
+@given(st.lists(st.floats(allow_nan=False, width=64), max_size=40))
+def test_sigmoid_is_bitwise_the_piecewise_form_without_warnings(values):
+    eta = np.array(values + _SIGMOID_EDGES, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(eta)
+    expected = _piecewise_sigmoid(eta)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+# --- in-sample vectors -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def generated_dataset():
+    return generate_dataset(1, 400, np.random.default_rng(5)).observed()
+
+
+def _sin_x1(X):
+    return np.sin(X[:, 0])
+
+
+@pytest.mark.parametrize("truncate", [None, (1.0, 99.0)])
+@pytest.mark.parametrize("correct", [True, False])
+def test_propensity_fit_keeps_the_predicted_vector(generated_dataset, correct, truncate):
+    ds = generated_dataset
+    pm = fit_propensity(ds, propensity_design(correct))
+    predicted = predict_propensity(pm, ds.X)
+    assert np.array_equal(pm.pi, predicted)
+    # The engine reads the fit's vector; the estimate equals the one made
+    # from predictions, truncated the same way, to the last bit.
+    pi_hat = predicted if truncate is None else truncate_propensity(predicted, *truncate)
+    pipeline = EstimationPipeline(
+        estimand=effect_on_treated(), kind=EstimatorKind.IPW_NORMALIZED,
+        pi_design=propensity_design(correct), truncate=truncate,
+    )
+    (filled,) = fill_cells(ds, [pipeline])
+    direct = estimate(ds, EstimatorKind.IPW_NORMALIZED, effect_on_treated(), pi_hat=pi_hat)
+    assert filled.value == direct.value
+
+
+_NAMES = ("x1", "x2", "x3", "x4", "x5")
+_OUTCOME_SETUPS = {
+    "main-equals-interaction": (main_effects(_NAMES), None),
+    "correct-pair": outcome_design(True, 1),
+    "transform-interaction": (
+        parse_design("x2^2 + x3", _NAMES),
+        DesignSpec(terms=(TransformTerm(name="sin(x1)", fn=_sin_x1),)),
+    ),
+    "intercept-only": (intercept_only(), None),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(_OUTCOME_SETUPS))
+def test_outcome_fit_keeps_both_predicted_arms(generated_dataset, setup):
+    ds = generated_dataset
+    main, inter = _OUTCOME_SETUPS[setup]
+    om = fit_outcome(ds, main, inter)
+    assert np.array_equal(om.m1, predict_outcome(om, ds.X, 1))
+    assert np.array_equal(om.m0, predict_outcome(om, ds.X, 0))
+    pipeline = EstimationPipeline(
+        estimand=effect_on_treated(), kind=EstimatorKind.REGRESSION,
+        m_design=main, m_interaction=inter,
+    )
+    (filled,) = fill_cells(ds, [pipeline])
+    assert filled.value == estimate(ds, EstimatorKind.REGRESSION, effect_on_treated(), om=om).value
 
 
 # --- truncation --------------------------------------------------------------
@@ -333,8 +419,18 @@ def test_rank_deficient_outcome_design():
     X = rng.normal(size=(40, 2))
     ds = make_ds(X, rng.integers(0, 2, 40), rng.normal(size=40))
     spec = DesignSpec(terms=main_effects(("x1", "x2")).terms * 2)
-    with pytest.raises(RankDeficiencyError):
+    with pytest.raises(
+        RankDeficiencyError,
+        match=r"^outcome design matrix is numerically rank deficient \(min/max \|R_jj\| = ",
+    ):
         fit_outcome(ds, spec)
+
+
+def test_outcome_design_wider_than_its_rows():
+    rng = np.random.default_rng(12)
+    ds = make_ds(rng.normal(size=(6, 5)), [0, 1, 0, 1, 0, 1], rng.normal(size=6))
+    with pytest.raises(RankDeficiencyError, match=r"^outcome design: 12 columns but only 6 rows$"):
+        fit_outcome(ds, main_effects(("x1", "x2", "x3", "x4", "x5")))
 
 
 def test_no_residual_degrees_of_freedom():

@@ -172,36 +172,37 @@ def test_study_cells_layout():
     assert len(cells) == 6 + 8 + 16
 
 
-def test_study_replicate_fits_and_predicts_each_working_model_once(monkeypatch):
+def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypatch):
     # Two replicates of the default 30-cell grid: per replicate, 2 propensity
-    # and 2 outcome fits, and each outcome model predicted once per arm.
+    # and 2 outcome fits, no prediction (the cells read the fits' own
+    # in-sample vectors) and 5 design evaluations: one per propensity design,
+    # one for the outcome model whose interaction design equals its main
+    # design and two for the one whose designs differ.
+    import wate.design
     import wate.estimators
+    import wate.models
 
-    fits = {"propensity": 0, "outcome": 0}
-    predicted = []
+    calls = {"propensity": 0, "outcome": 0, "predict": 0, "matrix": 0}
 
-    def counting(stage, fit):
+    def counting(stage, fn):
         def wrapper(*args, **kwargs):
-            fits[stage] += 1
-            return fit(*args, **kwargs)
+            calls[stage] += 1
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    def counting_predict(model, X, a, _predict=wate.estimators.predict_outcome):
-        # Holding the model keeps its id unique for the whole run.
-        predicted.append((model, a))
-        return _predict(model, X, a)
-
-    monkeypatch.setattr(wate.estimators, "fit_propensity", counting("propensity", fit_propensity))
-    monkeypatch.setattr(wate.estimators, "fit_outcome", counting("outcome", fit_outcome))
-    monkeypatch.setattr(wate.estimators, "predict_outcome", counting_predict)
+    for stage, fit in (("propensity", fit_propensity), ("outcome", fit_outcome)):
+        monkeypatch.setattr(wate.estimators, f"fit_{stage}", counting(stage, fit))
+    for module in (wate.estimators, wate.models):
+        for name in ("predict_propensity", "predict_outcome"):
+            monkeypatch.setattr(module, name, counting("predict", getattr(module, name)))
+    monkeypatch.setattr(
+        wate.design.DesignSpec, "matrix", counting("matrix", wate.design.DesignSpec.matrix)
+    )
     design = SimulationDesign(outcome_model=1, n=200, replications=2, truth_draws=1000)
     assert len(study_cells(design)) == 30
     run_study(design)
-    assert fits == {"propensity": 2 * 2, "outcome": 2 * 2}
-    assert len(predicted) == 2 * 4
-    assert len({(id(model), a) for model, a in predicted}) == 2 * 4
-    assert sorted(a for _, a in predicted) == [0] * 4 + [1] * 4
+    assert calls == {"propensity": 2 * 2, "outcome": 2 * 2, "predict": 0, "matrix": 2 * 5}
 
 
 @pytest.fixture(scope="module")
