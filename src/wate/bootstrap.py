@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .data import ObservationalDataset
 from .errors import BootstrapError, FitFailure, WateError
-from .estimators import EstimationPipeline, PointEstimate, cell_values, fill_cells
+from .estimators import EstimationPipeline, PointEstimate, cell_values, fill_cells, plan_cells
 
 T = TypeVar("T")
 
@@ -172,7 +172,7 @@ def bootstrap_se(
     point = run_pipeline(ds, pipeline)
     samples = bootstrap_vector(
         ds,
-        partial(cell_values, pipelines=(pipeline,)),
+        partial(cell_values, plan=plan_cells([pipeline])),
         n_out=1,
         b=b,
         seed=seed,

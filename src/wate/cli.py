@@ -28,7 +28,7 @@ from .bootstrap import bootstrap_vector
 from .data import ObservationalDataset, load_csv
 from .design import DesignSpec, main_effects, parse_design
 from .errors import DesignError, MissingColumnError, WateError
-from .estimators import EstimationPipeline, EstimatorKind, fill_cells
+from .estimators import CellPlan, EstimationPipeline, EstimatorKind, fill_cells, plan_cells
 from .simulation import SimulationDesign, run_study, study_cells, true_estimands
 from .targets import (
     TargetFunction,
@@ -279,6 +279,8 @@ class ReportTask:
     cells: tuple[tuple[str, str], ...]  # (method, estimand token)
     # Per cell; None for the unweighted difference, which fits nothing.
     pipelines: tuple[EstimationPipeline | None, ...]
+    # The pipelines that are not None, planned once for every dataset.
+    plan: CellPlan
 
     def __call__(self, ds: ObservationalDataset) -> NDArray[np.float64]:
         return _report_cells(self, ds)[0]
@@ -335,6 +337,7 @@ def build_report_task(
         tokens=tuple(tokens),
         cells=tuple(cells),
         pipelines=tuple(pipelines),
+        plan=plan_cells([p for p in pipelines if p is not None]),
     )
 
 
@@ -350,7 +353,7 @@ def _report_cells(
     task: ReportTask, ds: ObservationalDataset
 ) -> tuple[NDArray[np.float64], list[str]]:
     """Cell values (NaN where a cell failed) and failure notes."""
-    estimated = iter(fill_cells(ds, [p for p in task.pipelines if p is not None]))
+    estimated = iter(fill_cells(ds, task.plan))
     values = np.full(len(task.cells), np.nan)
     notes = [""] * len(task.cells)
     for j, pipeline in enumerate(task.pipelines):
@@ -374,10 +377,15 @@ def _estimate_report_texts(
     seed: int,
     workers: int,
 ) -> tuple[str, str, bool]:
-    """Returns (csv text, markdown text, all cells ok)."""
+    """Returns (csv text, markdown text, all cells ok). The bootstrap is
+    skipped when no cell has a point estimate: no replicate could succeed,
+    and the report then shows why each cell failed."""
     points, notes = _report_cells(task, ds)
     ses = np.full(len(task.cells), np.nan)
     b_ok = np.zeros(len(task.cells), dtype=int)
+    bootstrap_line = f"bootstrap B = {b}" if b > 0 else "no bootstrap"
+    if b > 0 and not np.any(np.isfinite(points)):
+        b, bootstrap_line = 0, "bootstrap skipped: no cell has a point estimate"
     if b > 0:
         samples = bootstrap_vector(
             ds, task, n_out=len(task.cells), b=b,
@@ -411,8 +419,7 @@ def _estimate_report_texts(
     md_lines = list(echo)
     md_lines.append("")
     md_lines.append(
-        f"n = {ds.n} ({ds.n_treated} treated, {ds.n_control} control); "
-        + (f"bootstrap B = {b}" if b > 0 else "no bootstrap")
+        f"n = {ds.n} ({ds.n_treated} treated, {ds.n_control} control); {bootstrap_line}"
     )
     md_lines.append("")
     header = "| method |"

@@ -3,7 +3,7 @@
 Every estimator is a short formula over the observed ``(A, Y)``, the target
 weights ``h`` and three fitted vectors: the propensity ``pi`` and the arm
 means ``m1`` and ``m0``. A :class:`Nuisance` bundle holds those vectors for
-one dataset, so they are computed once however many estimates read them.
+one dataset.
 
 :func:`estimate` is the one entry point; it picks the formula from the
 estimator kind and the target:
@@ -21,18 +21,33 @@ it. The treated/control targets also admit regression-only forms that need no
 propensity model at all. Any other h, including the generic augmented form
 for the treated, is a :func:`~wate.targets.covariate_target`.
 
-:func:`fill_cells` is the one fit-then-fill engine: it fits each distinct
-working model a list of :class:`EstimationPipeline` cells names once on a
-dataset and estimates every cell from the vectors the fits carry, with no
-prediction. The bootstrap, the command line report and the Monte Carlo
-study all go through it.
+:func:`fill_cells` is the one fit-then-fill engine, in two steps.
+:func:`plan_cells` resolves a list of :class:`EstimationPipeline` cells once
+into a :class:`CellPlan`: it lists each distinct working model once and maps
+every pipeline to integer slots (its propensity fit, its outcome fit, its
+target). The pass over one dataset then fits each listed model on first use,
+estimates every cell from the vectors the fits carry, with no prediction and
+no comparison of designs, and computes each term that several cells read
+once, keyed by slots:
+
+* per (propensity fit, target): ``h``, its sum, the weights ``A*h/pi`` and
+  ``(1-A)*h/(1-pi)`` and their effective sample sizes;
+* per (propensity fit, outcome fit): the augmented contrast and the doubly
+  robust residual;
+* per outcome fit: ``m1 - m0``.
+
+An error raised while computing a term is kept and raised again for every
+cell that reads the term. The terms live for one pass over one dataset;
+:func:`estimate` given a dataset or a bundle runs the same formulas over
+terms of its own. The bootstrap, the command line report and the Monte Carlo
+study each build one plan and ship it to their workers.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,6 +71,8 @@ from .targets import (
     _checked_pi,
     _h_values,
 )
+
+T = TypeVar("T")
 
 
 class EstimatorKind(enum.Enum):
@@ -115,6 +132,44 @@ class Nuisance:
             return cls(ds, pi)
         return cls(ds, pi, predict_outcome(om, ds.X, 1), predict_outcome(om, ds.X, 0))
 
+
+def _memo(store: dict[Hashable, object], key: Hashable, compute: Callable[[], T]) -> T:
+    """``store[key]``, computed on first use. A :class:`WateError` raised by
+    ``compute`` is stored instead and raised on every use."""
+    if key not in store:
+        try:
+            store[key] = compute()
+        except WateError as exc:
+            store[key] = exc
+    value = store[key]
+    if isinstance(value, WateError):
+        raise value
+    return value  # type: ignore[return-value]
+
+
+def _ess(weights: NDArray[np.float64], total: float) -> float:
+    """``total**2 / sum(weights**2)`` for ``total = sum(weights)``; 0 when the
+    weights have no positive mass."""
+    if total <= 0.0:
+        return 0.0
+    return total * total / float((weights * weights).sum())
+
+
+class _Cell(NamedTuple):
+    """One cell's view of a pass over one dataset: the cell's fitted vectors,
+    the pass's term store and the cell's plan slots (``p`` propensity fit,
+    ``m`` outcome fit, ``t`` target). Each shared term is stored under the
+    slots it depends on, so cells with the same slots read one copy."""
+
+    ds: ObservationalDataset
+    pi: NDArray[np.float64] | None
+    m1: NDArray[np.float64] | None
+    m0: NDArray[np.float64] | None
+    terms: dict[Hashable, object]
+    p: int
+    m: int
+    t: int
+
     def propensity(self, reader: str) -> NDArray[np.float64]:
         """``pi``; raises :class:`MissingModelError` naming ``reader`` if no
         propensity was fitted."""
@@ -129,27 +184,87 @@ class Nuisance:
             raise MissingModelError(f"{reader} needs an outcome model")
         return self.m1, self.m0
 
+    # Per (propensity fit, target).
+
+    def h(self, target: TargetFunction) -> NDArray[np.float64]:
+        """``h`` from :func:`~wate.targets._h_values`, which checks its length,
+        finiteness and sign."""
+        return _memo(self.terms, ("h", self.p, self.t),
+                     lambda: _h_values(target, self.ds.X, self.pi))
+
+    def h_total(self, target: TargetFunction) -> float:
+        return _memo(self.terms, ("h_total", self.p, self.t),
+                     lambda: float(self.h(target).sum()))
+
+    def h_checked(self, target: TargetFunction) -> float:
+        """``sum(h)``, refused when ``h`` puts no mass on the sample."""
+        total = self.h_total(target)
+        if total <= 0.0:
+            raise EstimationError("target function puts zero mass on the sample")
+        return total
+
+    def weights(
+        self, target: TargetFunction
+    ) -> tuple[NDArray[np.float64], NDArray[np.float64], float, float]:
+        """``tw = A*h/pi``, ``cw = (1-A)*h/(1-pi)`` and their sums. ``A`` is
+        exactly 0 or 1, so ``A*(h/pi)`` equals ``(A*h)/pi`` to the last bit."""
+
+        def compute():
+            A, h, pi = self.ds.A, self.h(target), self.pi
+            tw = A * (h / pi)
+            cw = (1.0 - A) * (h / (1.0 - pi))
+            return tw, cw, float(tw.sum()), float(cw.sum())
+
+        return _memo(self.terms, ("weights", self.p, self.t), compute)
+
+    def weight_ess(self, target: TargetFunction) -> tuple[float, float]:
+        def compute():
+            tw, cw, st, sc = self.weights(target)
+            return _ess(tw, st), _ess(cw, sc)
+
+        return _memo(self.terms, ("weight_ess", self.p, self.t), compute)
+
+    def arm_ess(self, target: TargetFunction) -> tuple[float, float]:
+        """Effective sample sizes of ``h`` itself on each arm."""
+
+        def compute():
+            A, h = self.ds.A, self.h(target)
+            h1, h0 = h[A == 1.0], h[A == 0.0]
+            return _ess(h1, float(h1.sum())), _ess(h0, float(h0.sum()))
+
+        return _memo(self.terms, ("arm_ess", self.p, self.t), compute)
+
+    # Per (propensity fit, outcome fit) and per outcome fit.
+
+    def contrast(self) -> NDArray[np.float64]:
+        """The augmented contrast per row: ``arm1 - arm0``."""
+
+        def compute():
+            A, Y, pi, m1, m0 = self.ds.A, self.ds.Y, self.pi, self.m1, self.m0
+            arm1 = A * Y / pi - (A - pi) / pi * m1
+            arm0 = (1.0 - A) * Y / (1.0 - pi) + (A - pi) / (1.0 - pi) * m0
+            return arm1 - arm0
+
+        return _memo(self.terms, ("contrast", self.p, self.m), compute)
+
+    def residual(self) -> NDArray[np.float64]:
+        """``A/pi*(Y - m1) - (1-A)/(1-pi)*(Y - m0)``."""
+
+        def compute():
+            A, Y, pi, m1, m0 = self.ds.A, self.ds.Y, self.pi, self.m1, self.m0
+            return A / pi * (Y - m1) - (1.0 - A) / (1.0 - pi) * (Y - m0)
+
+        return _memo(self.terms, ("residual", self.p, self.m), compute)
+
+    def m_diff(self) -> NDArray[np.float64]:
+        return _memo(self.terms, ("m_diff", self.m), lambda: self.m1 - self.m0)
+
 
 def _finite(value: float, what: str) -> float:
     value = float(value)
     if not np.isfinite(value):
         raise EstimationError(f"{what} evaluated to a non-finite value")
     return value
-
-
-def _h_checked(h: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``h`` from :func:`~wate.targets._h_values` (length, finiteness and
-    sign already checked), refused when it puts no mass on the sample."""
-    if float(np.sum(h)) <= 0.0:
-        raise EstimationError("target function puts zero mass on the sample")
-    return h
-
-
-def _ess(weights: NDArray[np.float64]) -> float:
-    total = float(np.sum(weights))
-    if total <= 0.0:
-        return 0.0
-    return total * total / float(np.sum(weights * weights))
 
 
 def _point(
@@ -173,86 +288,74 @@ def _point(
 # --- kernels over (A, Y, h, pi, m1, m0) ---------------------------------------
 
 
-def _regression(
-    nu: Nuisance, h: NDArray[np.float64], estimand: TargetFunction
-) -> PointEstimate:
-    A = nu.ds.A
-    m1, m0 = nu.arm_means("regression estimator")
-    h = _h_checked(h)
-    value = _finite(np.sum(h * (m1 - m0)) / np.sum(h), "regression estimate")
+def _regression(c: _Cell, estimand: TargetFunction) -> PointEstimate:
+    c.arm_means("regression estimator")
+    total = c.h_checked(estimand)
+    value = _finite((c.h(estimand) * c.m_diff()).sum() / total, "regression estimate")
     return _point(
-        value, EstimatorKind.REGRESSION, estimand, nu.ds.n,
-        float(np.sum(h)), _ess(h[A == 1.0]), _ess(h[A == 0.0]),
+        value, EstimatorKind.REGRESSION, estimand, c.ds.n, total, *c.arm_ess(estimand)
     )
 
 
-def _regression_on_arm(nu: Nuisance, target: TargetFunction) -> PointEstimate:
-    A, Y = nu.ds.A, nu.ds.Y
-    m1, m0 = nu.arm_means("regression estimator")
+def _regression_on_arm(c: _Cell, target: TargetFunction) -> PointEstimate:
+    A, Y = c.ds.A, c.ds.Y
+    m1, m0 = c.arm_means("regression estimator")
     treated = target.kind is TargetKind.ATT
     if treated:
         who, arm, contrast = "treated", A, Y - m0
     else:
         who, arm, contrast = "control", 1.0 - A, m1 - Y
-    size = float(np.sum(arm))
+    size = float(arm.sum())
     if size < 1.0:
         raise EstimationError(f"no {who} observations")
-    value = _finite(np.sum(arm * contrast) / size, f"{who} regression estimate")
+    value = _finite((arm * contrast).sum() / size, f"{who} regression estimate")
     return _point(
-        value, EstimatorKind.REGRESSION, target, nu.ds.n,
+        value, EstimatorKind.REGRESSION, target, c.ds.n,
         size, size if treated else 0.0, 0.0 if treated else size,
     )
 
 
-def _ipw(
-    nu: Nuisance, h: NDArray[np.float64], estimand: TargetFunction
-) -> PointEstimate:
-    A, Y, pi = nu.ds.A, nu.ds.Y, nu.propensity("weighting estimator")
-    tw = A * (h / pi)
-    cw = (1.0 - A) * (h / (1.0 - pi))
-    st = float(np.sum(tw))
-    sc = float(np.sum(cw))
+def _ipw(c: _Cell, estimand: TargetFunction) -> PointEstimate:
+    c.propensity("weighting estimator")
+    tw, cw, st, sc = c.weights(estimand)
     if st <= 0.0 or sc <= 0.0:
         raise EstimationError("zero weight mass in one arm")
-    value = _finite(np.sum(tw * Y) / st - np.sum(cw * Y) / sc, "ipw estimate")
+    Y = c.ds.Y
+    value = _finite((tw * Y).sum() / st - (cw * Y).sum() / sc, "ipw estimate")
     return _point(
-        value, EstimatorKind.IPW_NORMALIZED, estimand, nu.ds.n,
-        float(np.sum(h)), _ess(tw), _ess(cw),
+        value, EstimatorKind.IPW_NORMALIZED, estimand, c.ds.n,
+        c.h_total(estimand), *c.weight_ess(estimand),
     )
 
 
-def _aipw(
-    nu: Nuisance, h: NDArray[np.float64], estimand: TargetFunction
-) -> PointEstimate:
-    A, Y, pi = nu.ds.A, nu.ds.Y, nu.propensity("augmented estimator")
-    m1, m0 = nu.arm_means("augmented estimator")
-    h = _h_checked(h)
-    arm1 = A * Y / pi - (A - pi) / pi * m1
-    arm0 = (1.0 - A) * Y / (1.0 - pi) + (A - pi) / (1.0 - pi) * m0
-    value = _finite(np.sum(h * (arm1 - arm0)) / np.sum(h), "augmented estimate")
-    et, ec = _ess(A * h / pi), _ess((1.0 - A) * h / (1.0 - pi))
-    return _point(value, EstimatorKind.AIPW, estimand, nu.ds.n, float(np.sum(h)), et, ec)
+def _aipw(c: _Cell, estimand: TargetFunction) -> PointEstimate:
+    c.propensity("augmented estimator")
+    c.arm_means("augmented estimator")
+    total = c.h_checked(estimand)
+    value = _finite((c.h(estimand) * c.contrast()).sum() / total, "augmented estimate")
+    return _point(value, EstimatorKind.AIPW, estimand, c.ds.n, total, *c.weight_ess(estimand))
 
 
-def _dr_linear(nu: Nuisance, a: float, b: float, estimand: TargetFunction) -> PointEstimate:
+def _dr_linear(c: _Cell, a: float, b: float, estimand: TargetFunction) -> PointEstimate:
     """sum [ (a + b*A)*(m1 - m0) + (a + b*pi) * (A/pi*(Y - m1) - (1-A)/(1-pi)*(Y - m0)) ]
     / sum (a + b*A). The denominator replaces pi with the observed treatment
     indicator, which is what makes the estimator consistent when only one
     model is right."""
-    A, Y, pi = nu.ds.A, nu.ds.Y, nu.propensity("doubly robust estimator")
-    m1, m0 = nu.arm_means("doubly robust estimator")
+    c.propensity("doubly robust estimator")
+    c.arm_means("doubly robust estimator")
     # The sign of h is checked first, by the same code and with the same
     # message as for every other estimator of this target.
-    h = _h_values(estimand, nu.ds.X, pi)
-    c_obs = a + b * A
-    denom = float(np.sum(c_obs))
+    h = c.h(estimand)
+    c_obs = a + b * c.ds.A
+    denom = float(c_obs.sum())
     if denom <= 0.0:
         raise EstimationError("denominator sum(a + b*A) is not positive")
-    resid = A / pi * (Y - m1) - (1.0 - A) / (1.0 - pi) * (Y - m0)
-    value = _finite(np.sum(c_obs * (m1 - m0) + h * resid) / denom, "doubly robust estimate")
-    et, ec = _ess(A * h / pi), _ess((1.0 - A) * h / (1.0 - pi))
+    value = _finite(
+        (c_obs * c.m_diff() + h * c.residual()).sum() / denom, "doubly robust estimate"
+    )
     return _point(
-        value, EstimatorKind.DR_LINEAR_IN_PI, estimand, nu.ds.n, float(np.sum(h)), et, ec
+        value, EstimatorKind.DR_LINEAR_IN_PI, estimand, c.ds.n,
+        c.h_total(estimand), *c.weight_ess(estimand),
     )
 
 
@@ -278,7 +381,8 @@ def estimate(
     """Estimate one (estimator, target) pair.
 
     ``ds`` is a dataset whose fitted models are passed alongside, or a
-    :class:`Nuisance` bundle of already fitted vectors (then pass no model).
+    :class:`Nuisance` bundle of already fitted vectors (then pass no model);
+    :func:`fill_cells` passes each cell's view of the terms it shares.
     ``pi_hat`` overrides model predictions when given (used to inject
     percentile-truncated propensities). The augmented estimator for the
     treated, control and a + b*pi targets is the doubly robust closed form,
@@ -286,30 +390,33 @@ def estimate(
     form for such an h is a covariate target, e.g.
     ``covariate_target(functools.partial(predict_propensity, pm), "pi")``.
     """
-    if isinstance(ds, Nuisance):
-        if pm is not None or om is not None or pi_hat is not None:
-            raise EstimationError("pass fitted models or a Nuisance bundle, not both")
-        nu = ds
+    if isinstance(ds, _Cell):
+        c = ds
     else:
-        nu = Nuisance.from_models(ds, pm, om, pi_hat)
+        if not isinstance(ds, Nuisance):
+            ds = Nuisance.from_models(ds, pm, om, pi_hat)
+        elif pm is not None or om is not None or pi_hat is not None:
+            raise EstimationError("pass fitted models or a Nuisance bundle, not both")
+        c = _Cell(ds.ds, ds.pi, ds.m1, ds.m0, {}, 0, 0, 0)
     if kind is EstimatorKind.REGRESSION and target.kind in (TargetKind.ATT, TargetKind.ATC):
-        return _regression_on_arm(nu, target)
+        return _regression_on_arm(c, target)
     ab = _linear_coefficients(target)
     if kind in (EstimatorKind.AIPW, EstimatorKind.DR_LINEAR_IN_PI) and ab is not None:
-        return _dr_linear(nu, ab[0], ab[1], target)
+        return _dr_linear(c, ab[0], ab[1], target)
     if kind is EstimatorKind.DR_LINEAR_IN_PI:
         raise EstimationError(
             f"closed-form doubly robust estimator only supports targets linear in "
             f"the propensity, not {target.label!r}"
         )
-    pi = nu.propensity(f"target {target.label!r}") if target.depends_on_propensity else nu.pi
-    h = _h_values(target, nu.ds.X, pi)
+    if target.depends_on_propensity:
+        c.propensity(f"target {target.label!r}")
+    c.h(target)
     if kind is EstimatorKind.REGRESSION:
-        return _regression(nu, h, target)
+        return _regression(c, target)
     if kind is EstimatorKind.AIPW:
-        return _aipw(nu, h, target)
+        return _aipw(c, target)
     if kind is EstimatorKind.IPW_NORMALIZED:
-        return _ipw(nu, h, target)
+        return _ipw(c, target)
     raise EstimationError(f"unknown estimator kind {kind!r}")
 
 
@@ -336,61 +443,96 @@ class EstimationPipeline:
     options: FitOptions = field(default_factory=FitOptions)
 
 
-def _fitted(
-    fits: dict[tuple[Hashable, ...], Nuisance | WateError],
-    ds: ObservationalDataset,
-    key: tuple[Hashable, ...],
-) -> Nuisance:
-    """The fit ``key`` names, made on first use and then reused."""
+@dataclass(frozen=True, eq=False)
+class CellPlan:
+    """Pipelines resolved once, to be filled on any number of datasets.
+
+    ``fits`` lists each distinct working model once: a propensity fit as
+    ``("propensity", design, truncation, options)``, an outcome fit as
+    ``("outcome", main design, interaction design, options)``. ``slots``
+    gives each pipeline its ``(propensity fit, outcome fit, target)``
+    indices, -1 for a model it does not fit; equal targets share an index.
+    A plan is picklable, so workers can receive it instead of building it.
+    """
+
+    pipelines: tuple[EstimationPipeline, ...]
+    fits: tuple[tuple[Hashable, ...], ...]
+    slots: tuple[tuple[int, int, int], ...]
+
+
+def plan_cells(pipelines: Sequence[EstimationPipeline]) -> CellPlan:
+    """The :class:`CellPlan` of ``pipelines``."""
+    fits: dict[tuple[Hashable, ...], int] = {}
+    targets: list[TargetFunction] = []
+    slots = []
+    for p in pipelines:
+        pi = m = -1
+        if p.pi_design is not None:
+            pi = fits.setdefault(("propensity", p.pi_design, p.truncate, p.options), len(fits))
+        if p.m_design is not None:
+            m = fits.setdefault(("outcome", p.m_design, p.m_interaction, p.options), len(fits))
+        if p.estimand not in targets:
+            targets.append(p.estimand)
+        slots.append((pi, m, targets.index(p.estimand)))
+    return CellPlan(tuple(pipelines), tuple(fits), tuple(slots))
+
+
+def _fit(
+    ds: ObservationalDataset, key: tuple[Hashable, ...]
+) -> NDArray[np.float64] | tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The vectors of the fit ``key`` names: ``pi`` (truncated and checked)
+    or ``(m1, m0)``."""
     stage, design, extra, options = key
-    if key not in fits:
-        try:
-            if stage == "propensity":
-                pi = fit_propensity(ds, design, options).pi
-                pi_hat = pi if extra is None else truncate_propensity(pi, *extra)
-                fits[key] = Nuisance.from_models(ds, pi_hat=pi_hat)
-            else:
-                om = fit_outcome(ds, design, extra, options)
-                fits[key] = Nuisance(ds, m1=om.m1, m0=om.m0)
-        except WateError as exc:
-            fits[key] = exc
-    fit = fits[key]
-    if isinstance(fit, WateError):
-        raise FitFailure(stage, fit)
-    return fit
+    if stage == "propensity":
+        pi = fit_propensity(ds, design, options).pi
+        pi_hat = pi if extra is None else truncate_propensity(pi, *extra)
+        return _checked_pi(pi_hat, ds.n, EstimationError)
+    om = fit_outcome(ds, design, extra, options)
+    return om.m1, om.m0
+
+
+def _fitted(terms: dict[Hashable, object], ds: ObservationalDataset, plan: CellPlan, slot: int):
+    """The vectors of fit ``slot``, fitted on first use; a failed fit raises
+    :class:`FitFailure` for every pipeline that needs it."""
+    key = plan.fits[slot]
+    try:
+        return _memo(terms, ("fit", slot), lambda: _fit(ds, key))
+    except WateError as exc:
+        raise FitFailure(key[0], exc) from None
 
 
 def fill_cells(
-    ds: ObservationalDataset, pipelines: Sequence[EstimationPipeline]
+    ds: ObservationalDataset, plan: CellPlan | Sequence[EstimationPipeline]
 ) -> list[PointEstimate | WateError]:
-    """Estimate every pipeline on ``ds``, fitting each distinct working model
-    once.
+    """Estimate every pipeline of ``plan`` (a :class:`CellPlan`, or
+    pipelines to plan here) on ``ds``, fitting each distinct working model
+    once and computing each shared term once.
 
-    A propensity fit is shared by the pipelines with equal design,
-    truncation and options, an outcome fit by those with equal main design,
-    interaction design and options. A pipeline whose model failed to fit gets
-    a :class:`FitFailure`, one whose estimate failed gets that error.
+    A pipeline whose model failed to fit gets a :class:`FitFailure`, one
+    whose estimate failed gets that error.
     """
-    fits: dict[tuple[Hashable, ...], Nuisance | WateError] = {}
+    if not isinstance(plan, CellPlan):
+        plan = plan_cells(plan)
+    terms: dict[Hashable, object] = {}
     results: list[PointEstimate | WateError] = []
-    for p in pipelines:
+    for p, (pi_slot, m_slot, t_slot) in zip(plan.pipelines, plan.slots):
         try:
-            pi = arms = Nuisance(ds)
-            if p.pi_design is not None:
-                pi = _fitted(fits, ds, ("propensity", p.pi_design, p.truncate, p.options))
-            if p.m_design is not None:
-                arms = _fitted(fits, ds, ("outcome", p.m_design, p.m_interaction, p.options))
-            bundle = Nuisance(ds, pi.pi, arms.m1, arms.m0)
-            results.append(estimate(bundle, p.kind, p.estimand))
+            pi = m1 = m0 = None
+            if pi_slot >= 0:
+                pi = _fitted(terms, ds, plan, pi_slot)
+            if m_slot >= 0:
+                m1, m0 = _fitted(terms, ds, plan, m_slot)
+            cell = _Cell(ds, pi, m1, m0, terms, pi_slot, m_slot, t_slot)
+            results.append(estimate(cell, p.kind, p.estimand))
         except WateError as exc:
             results.append(exc)
     return results
 
 
 def cell_values(
-    ds: ObservationalDataset, pipelines: Sequence[EstimationPipeline]
+    ds: ObservationalDataset, plan: CellPlan | Sequence[EstimationPipeline]
 ) -> NDArray[np.float64]:
     """Values of :func:`fill_cells`, NaN where a pipeline failed."""
     return np.array(
-        [r.value if isinstance(r, PointEstimate) else np.nan for r in fill_cells(ds, pipelines)]
+        [r.value if isinstance(r, PointEstimate) else np.nan for r in fill_cells(ds, plan)]
     )

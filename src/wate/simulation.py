@@ -25,7 +25,7 @@ from numpy.typing import NDArray
 from .bootstrap import parallel_map
 from .data import CounterfactualDataset
 from .design import DesignSpec, TransformTerm, main_effects, parse_design
-from .estimators import EstimationPipeline, EstimatorKind, cell_values
+from .estimators import CellPlan, EstimationPipeline, EstimatorKind, cell_values, plan_cells
 from .models import _sigmoid
 from .targets import (
     TargetFunction,
@@ -318,14 +318,14 @@ def _cell_pipeline(design: SimulationDesign, cell: Cell) -> EstimationPipeline:
 
 
 def _replicate_values(
-    design: SimulationDesign, pipelines: tuple[EstimationPipeline, ...], rep: int
+    design: SimulationDesign, plan: CellPlan, rep: int
 ) -> NDArray[np.float64]:
     """One replication: draw data, then fill every cell, fitting each working
     model once. Failed fits or estimates become NaN."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,))
     )
-    return cell_values(generate_dataset(design.outcome_model, design.n, rng), pipelines)
+    return cell_values(generate_dataset(design.outcome_model, design.n, rng), plan)
 
 
 @dataclass(frozen=True)
@@ -449,9 +449,9 @@ def run_study(design: SimulationDesign) -> SimulationReport:
     reps = design.replications
     if reps < 2:
         raise ValueError("need at least 2 replications")
-    pipelines = tuple(_cell_pipeline(design, cell) for cell in cells)
+    plan = plan_cells([_cell_pipeline(design, cell) for cell in cells])
     matrix = np.array(
-        parallel_map(functools.partial(_replicate_values, design, pipelines), reps, design.workers)
+        parallel_map(functools.partial(_replicate_values, design, plan), reps, design.workers)
     )
     truth = reference_truth(design.outcome_model, design.truth_draws)
     stats = []

@@ -1,0 +1,84 @@
+"""Every cell of a fixed set of fills pinned to the last bit.
+
+Reports print 10 and 6 significant digits, so they cannot catch a change in
+the last bits of an estimate. ``tests/golden/cells.json`` holds, for each
+cell, ``float.hex`` of the value, the weight mass and both effective sample
+sizes, or the type and message of the error the cell failed with. The cases:
+
+* the Monte Carlo study's 30 pipelines for outcome models 1 and 2, without
+  and with (1, 99) truncation, on one generated dataset each of n = 12 (where
+  propensity and outcome fits fail), 40, 200 and 1000;
+* the ``estimate`` report with seven estimands (including a negative linear
+  target and a covariate target) on ``cohort.csv`` and on two resamples of it.
+
+To re-record the file after a change that is meant to alter an estimate, run
+``PYTHONPATH=src python tests/test_cells_golden.py`` from the repository root.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from wate.cli import _split_estimands, build_report_task
+from wate.data import load_csv
+from wate.design import main_effects
+from wate.estimators import PointEstimate, fill_cells
+from wate.simulation import SimulationDesign, _cell_pipeline, generate_dataset, study_cells
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CELLS = GOLDEN / "cells.json"
+REPORT_ESTIMANDS = "ate,att,atc,ato,linear:1,-1,linear:-1,0.5,expr:x2^2"
+
+
+def _cases():
+    """(case name, dataset, pipelines) for every pinned fill."""
+    for model in (1, 2):
+        for truncate in (None, (1.0, 99.0)):
+            design = SimulationDesign(outcome_model=model, truncate=truncate)
+            pipelines = [_cell_pipeline(design, cell) for cell in study_cells(design)]
+            for n in (12, 40, 200, 1000):
+                ds = generate_dataset(model, n, np.random.default_rng(n))
+                tag = "none" if truncate is None else "1-99"
+                yield f"sim/model{model}/{tag}/n{n}", ds, pipelines
+    cohort = load_csv(GOLDEN / "cohort.csv", treatment="a", outcome="y")
+    names = cohort.covariate_names
+    task = build_report_task(
+        ["unweighted", "regression", "ipw", "aipw"], _split_estimands(REPORT_ESTIMANDS),
+        names, main_effects(names), main_effects(names), None, None,
+    )
+    pipelines = [p for p in task.pipelines if p is not None]
+    yield "report/cohort", cohort, pipelines
+    for i in (1, 2):
+        idx = np.random.default_rng(i).integers(0, cohort.n, size=cohort.n)
+        yield f"report/resample{i}", cohort.replace_rows(idx), pipelines
+
+
+def _record(result):
+    if isinstance(result, PointEstimate):
+        d = result.diagnostics
+        return {
+            "estimator": result.estimator.value,
+            "estimand": result.estimand.label,
+            "value": result.value.hex(),
+            "h_total": d.h_total.hex(),
+            "ess_treated": d.ess_treated.hex(),
+            "ess_control": d.ess_control.hex(),
+        }
+    return {"error": type(result).__name__, "message": str(result)}
+
+
+def current_cells():
+    return {name: [_record(r) for r in fill_cells(ds, p)] for name, ds, p in _cases()}
+
+
+def test_every_cell_matches_the_recorded_bits():
+    expected = json.loads(CELLS.read_text())
+    actual = current_cells()
+    assert sorted(actual) == sorted(expected)
+    for name in expected:
+        assert actual[name] == expected[name], name
+
+
+if __name__ == "__main__":
+    CELLS.write_text(json.dumps(current_cells(), indent=1, sort_keys=True) + "\n")

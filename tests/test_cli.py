@@ -267,3 +267,21 @@ def test_negative_linear_target_gives_one_note_for_every_estimator(data_csv, tmp
     notes = {row.split(",")[0]: row.rsplit(",", 1)[1] for row in rows if not row.startswith("#")}
     expected = "linear:-1;0.5: a + b*pi is negative for some observations"
     assert notes == {"ipw": expected, "aipw": expected}
+
+
+def test_report_with_no_point_estimate_skips_the_bootstrap(tmp_path, capsys):
+    # x1 is negative on some rows, so every cell refuses the target. No
+    # bootstrap replicate could succeed: the report is printed with the cause
+    # instead of 1000 doomed replicates ending in a bootstrap error.
+    path = tmp_path / "n60.csv"
+    save_csv(generate_dataset(1, 60, np.random.default_rng(5)).observed(), path)
+    code, out, err = run_cli(capsys, "estimate", str(path), "--estimand", "expr:x1")
+    assert code == 1
+    assert err == ""
+    assert "bootstrap skipped: no cell has a point estimate" in out
+    assert out.count("expr:x1: covariate target is negative for some observations") == 3
+    code, out, _ = run_cli(capsys, "estimate", str(path), "--estimand", "expr:x1", "--format", "csv")
+    assert code == 1
+    rows = [line for line in out.splitlines() if line.startswith(("regression", "ipw", "aipw"))]
+    assert len(rows) == 3
+    assert all(",,,," in row for row in rows)

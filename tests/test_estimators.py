@@ -7,14 +7,28 @@ from hypothesis import strategies as st
 
 from wate.data import ObservationalDataset
 from wate.design import main_effects
-from wate.errors import EstimationError, MissingModelError, NegativeTargetError
-from wate.estimators import EstimatorKind, estimate
+from wate.errors import (
+    EstimationError,
+    FitFailure,
+    MissingModelError,
+    NegativeTargetError,
+    WateError,
+)
+from wate.estimators import (
+    EstimationPipeline,
+    EstimatorKind,
+    Nuisance,
+    estimate,
+    fill_cells,
+    plan_cells,
+)
 from wate.models import (
     FitOptions,
     OutcomeModel,
     fit_outcome,
     fit_propensity,
     predict_outcome,
+    truncate_propensity,
 )
 from wate.simulation import generate_dataset, propensity_design
 from wate.targets import (
@@ -585,3 +599,133 @@ def test_affine_outcome_map_scales_every_estimate(seed, c, negate, d):
             before = estimate(ds, kind, target, om=om, pi_hat=pi).value
             after = estimate(ds2, kind, target, om=om2, pi_hat=pi).value
             assert close(after, c * before, tol=1e-9), (kind, target.label)
+
+
+# --- one fill equals many single estimates -----------------------------------
+
+
+def _x2_squared(X):
+    return X[:, 1] ** 2
+
+
+_NAMES = ("x1", "x2", "x3", "x4", "x5")
+# n = 12 makes some propensity and outcome fits fail.
+_FILL_DATASETS = tuple(
+    generate_dataset(model, n, np.random.default_rng(n)) for model, n in ((1, 12), (2, 40), (1, 200))
+)
+_FILL_TARGETS = _TARGETS + (
+    linear_in_propensity(-1.0, 0.5),
+    covariate_target(_x2_squared, "x2^2"),
+)
+_FILL_DESIGNS = (None, main_effects(_NAMES), propensity_design(True))
+
+_pipelines = st.builds(
+    EstimationPipeline,
+    estimand=st.sampled_from(_FILL_TARGETS),
+    kind=st.sampled_from(tuple(EstimatorKind)),
+    pi_design=st.sampled_from(_FILL_DESIGNS),
+    m_design=st.sampled_from(_FILL_DESIGNS),
+    truncate=st.sampled_from((None, (1.0, 99.0))),
+)
+
+
+def _alone(ds, p):
+    """``p`` estimated by :func:`estimate` on a bundle of its own fits."""
+    try:
+        pi = m1 = m0 = None
+        if p.pi_design is not None:
+            try:
+                pi = fit_propensity(ds, p.pi_design, p.options).pi
+                if p.truncate is not None:
+                    pi = truncate_propensity(pi, *p.truncate)
+                pi = Nuisance.from_models(ds, pi_hat=pi).pi
+            except WateError as exc:
+                raise FitFailure("propensity", exc) from None
+        if p.m_design is not None:
+            try:
+                om = fit_outcome(ds, p.m_design, p.m_interaction, p.options)
+            except WateError as exc:
+                raise FitFailure("outcome", exc) from None
+            m1, m0 = om.m1, om.m0
+        return estimate(Nuisance(ds, pi, m1, m0), p.kind, p.estimand)
+    except WateError as exc:
+        return exc
+
+
+def _bits(result):
+    if isinstance(result, WateError):
+        return type(result), str(result)
+    d = result.diagnostics
+    return (
+        result.estimator, result.estimand.label, result.value.hex(),
+        d.h_total.hex(), d.ess_treated.hex(), d.ess_control.hex(),
+    )
+
+
+@given(
+    which=st.integers(0, len(_FILL_DATASETS) - 1),
+    pipelines=st.lists(_pipelines, min_size=1, max_size=8),
+)
+def test_one_fill_equals_each_pipeline_estimated_alone(which, pipelines):
+    # Cells that share fits and terms in one pass give, to the last bit, what
+    # each pipeline gives on its own fits, and fail with the same error.
+    ds = _FILL_DATASETS[which]
+    expected = [_bits(_alone(ds, p)) for p in pipelines]
+    assert [_bits(r) for r in fill_cells(ds, pipelines)] == expected
+    assert [_bits(r) for r in fill_cells(ds, plan_cells(pipelines))] == expected
+
+
+# --- work done by one planned fill -------------------------------------------
+
+
+def _study_plan():
+    from wate.simulation import SimulationDesign, _cell_pipeline, study_cells
+
+    design = SimulationDesign(outcome_model=1)
+    return plan_cells([_cell_pipeline(design, cell) for cell in study_cells(design)])
+
+
+def _default_report_plan():
+    from wate.cli import build_report_task
+
+    task = build_report_task(
+        ["unweighted", "regression", "ipw", "aipw"], ["ate", "att", "atc", "ato"],
+        _NAMES, main_effects(_NAMES), main_effects(_NAMES), None, None,
+    )
+    return task.plan
+
+
+@pytest.mark.parametrize(
+    "make_plan, expected",
+    [
+        # 9 distinct (propensity fit, target) pairs read h: (none, ate) for
+        # the regression rows and 2 propensity fits x 4 targets.
+        (_study_plan, {"propensity": 2, "outcome": 2, "h": 9, "estimate": 30, "hash": 0}),
+        # (none, ate) and 1 propensity fit x 4 targets.
+        (_default_report_plan, {"propensity": 1, "outcome": 1, "h": 5, "estimate": 11, "hash": 0}),
+    ],
+)
+def test_planned_fill_computes_each_shared_term_once(monkeypatch, make_plan, expected):
+    import wate.estimators
+    from wate.design import DesignSpec
+
+    plan = make_plan()
+    ds = generate_dataset(1, 300, np.random.default_rng(5))
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(what, fn):
+        def wrapper(*args, **kwargs):
+            calls[what] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for what, name in (
+        ("propensity", "fit_propensity"), ("outcome", "fit_outcome"),
+        ("h", "_h_values"), ("estimate", "estimate"),
+    ):
+        monkeypatch.setattr(wate.estimators, name, counting(what, getattr(wate.estimators, name)))
+    monkeypatch.setattr(DesignSpec, "__hash__", counting("hash", DesignSpec.__hash__))
+    results = fill_cells(ds, plan)
+    assert all(not isinstance(r, WateError) for r in results)
+    assert calls == expected
