@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,7 +29,15 @@ from .bootstrap import bootstrap_vector
 from .data import ObservationalDataset, load_csv
 from .design import DesignSpec, main_effects, parse_design
 from .errors import DesignError, MissingColumnError, WateError
-from .estimators import CellPlan, EstimationPipeline, EstimatorKind, fill_cells, plan_cells
+from .estimators import (
+    CellPlan,
+    EstimationPipeline,
+    EstimatorKind,
+    cell_values,
+    fill_cells,
+    has_formula,
+    plan_cells,
+)
 from .simulation import SimulationDesign, run_study, study_cells, true_estimands
 from .targets import (
     TargetFunction,
@@ -271,36 +280,21 @@ def _echo_lines(command: str, resolved: dict[str, str]) -> list[str]:
 
 @dataclass(frozen=True)
 class ReportTask:
-    """Every cell of a report. Calling it recomputes the cell values on one
-    (resampled) dataset, NaN where a cell failed."""
+    """Every cell of a report, with one pipeline per cell in ``plan``."""
 
     methods: tuple[str, ...]
     tokens: tuple[str, ...]
     cells: tuple[tuple[str, str], ...]  # (method, estimand token)
-    # Per cell; None for the unweighted difference, which fits nothing.
-    pipelines: tuple[EstimationPipeline | None, ...]
-    # The pipelines that are not None, planned once for every dataset.
     plan: CellPlan
 
-    def __call__(self, ds: ObservationalDataset) -> NDArray[np.float64]:
-        return _report_cells(self, ds)[0]
 
-
+# Report rows; "unweighted" is always the first and is not an --estimator token.
 _METHOD_KINDS = {
+    "unweighted": EstimatorKind.UNWEIGHTED,
     "regression": EstimatorKind.REGRESSION,
     "ipw": EstimatorKind.IPW_NORMALIZED,
     "aipw": EstimatorKind.AIPW,
 }
-
-
-def _cell_applicable(method: str, target: TargetFunction) -> bool:
-    if method == "unweighted":
-        return target.label == "ate"
-    if method == "regression":
-        # No propensity model is fitted for this row, so only targets that
-        # either ignore the propensity or have indicator forms are available.
-        return target.label in ("att", "atc") or not target.depends_on_propensity
-    return True
 
 
 def build_report_task(
@@ -316,16 +310,15 @@ def build_report_task(
     cells = []
     pipelines = []
     for method in methods:
+        kind = _METHOD_KINDS[method]
         for token, target in zip(tokens, targets):
-            if not _cell_applicable(method, target):
+            if not has_formula(kind, target):
                 continue
             cells.append((method, token))
             pipelines.append(
-                None
-                if method == "unweighted"
-                else EstimationPipeline(
+                EstimationPipeline(
                     estimand=target,
-                    kind=_METHOD_KINDS[method],
+                    kind=kind,
                     pi_design=pi_design if method in ("ipw", "aipw") else None,
                     m_design=m_design if method in ("regression", "aipw") else None,
                     m_interaction=m_interaction,
@@ -336,32 +329,17 @@ def build_report_task(
         methods=tuple(methods),
         tokens=tuple(tokens),
         cells=tuple(cells),
-        pipelines=tuple(pipelines),
-        plan=plan_cells([p for p in pipelines if p is not None]),
+        plan=plan_cells(pipelines),
     )
-
-
-def _unweighted_difference(ds: ObservationalDataset) -> float | WateError:
-    treated = ds.Y[ds.A == 1.0]
-    control = ds.Y[ds.A == 0.0]
-    if treated.size == 0 or control.size == 0:
-        return WateError("an arm is empty")
-    return float(np.mean(treated) - np.mean(control))
 
 
 def _report_cells(
     task: ReportTask, ds: ObservationalDataset
 ) -> tuple[NDArray[np.float64], list[str]]:
     """Cell values (NaN where a cell failed) and failure notes."""
-    estimated = iter(fill_cells(ds, task.plan))
-    values = np.full(len(task.cells), np.nan)
-    notes = [""] * len(task.cells)
-    for j, pipeline in enumerate(task.pipelines):
-        result = _unweighted_difference(ds) if pipeline is None else next(estimated)
-        if isinstance(result, WateError):
-            notes[j] = str(result)
-        else:
-            values[j] = result if pipeline is None else result.value
+    results = fill_cells(ds, task.plan)
+    values = np.array([np.nan if isinstance(r, WateError) else r.value for r in results])
+    notes = [str(r) if isinstance(r, WateError) else "" for r in results]
     return values, notes
 
 
@@ -388,7 +366,7 @@ def _estimate_report_texts(
         b, bootstrap_line = 0, "bootstrap skipped: no cell has a point estimate"
     if b > 0:
         samples = bootstrap_vector(
-            ds, task, n_out=len(task.cells), b=b,
+            ds, partial(cell_values, plan=task.plan), n_out=len(task.cells), b=b,
             seed=seed, workers=workers,
         )
         for j in range(len(task.cells)):
@@ -497,7 +475,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     names = ds.covariate_names
     methods = ["unweighted"] + _split_list(resolved["estimator"])
     for m in methods[1:]:
-        if m not in _METHOD_KINDS:
+        if m == "unweighted" or m not in _METHOD_KINDS:
             raise CliError(f"unknown estimator token {m!r} (regression, ipw, aipw)")
     tokens = _split_estimands(resolved["estimand"])
     if not tokens:

@@ -43,7 +43,9 @@ def _freeze(arr: NDArray[np.float64]) -> NDArray[np.float64]:
 
 @dataclass(frozen=True, eq=False)
 class ObservationalDataset:
-    """Covariates, binary treatment and observed outcome for n subjects."""
+    """Covariates, binary treatment and observed outcome for n subjects. A
+    finite treatment value other than 0/1 is refused; :func:`validate`
+    reports the other problems."""
 
     X: NDArray[np.float64]
     A: NDArray[np.float64]
@@ -60,6 +62,12 @@ class ObservationalDataset:
             raise DataError(
                 f"inconsistent lengths: X has {X.shape[0]} rows, "
                 f"A has {A.shape[0]}, Y has {Y.shape[0]}"
+            )
+        extra = np.isfinite(A) & (A != 0.0) & (A != 1.0)
+        if extra.any():
+            raise NonBinaryTreatmentError(
+                f"treatment column {self.treatment_name!r} contains values other than 0/1: "
+                + ", ".join(_FLOAT_FMT % v for v in np.unique(A[extra])[:5])
             )
         names = tuple(self.covariate_names)
         if not names:
@@ -141,8 +149,8 @@ class CounterfactualDataset(ObservationalDataset):
 
 def validate(ds: ObservationalDataset) -> list[str]:
     """Return a list of human-readable violations (empty when the dataset is
-    usable). Checks finiteness, binary treatment, minimum arm sizes and the
-    n >= p + 2 sample size floor."""
+    usable). Checks finiteness, minimum arm sizes and the n >= p + 2 sample
+    size floor; a dataset's treatment is binary by construction."""
     problems: list[str] = []
     for name, arr in (("covariates", ds.X), (ds.treatment_name, ds.A), (ds.outcome_name, ds.Y)):
         bad = ~np.isfinite(arr)
@@ -150,18 +158,10 @@ def validate(ds: ObservationalDataset) -> list[str]:
             rows = np.unique(np.nonzero(bad)[0])[:5] + 1
             listed = ", ".join(str(int(r)) for r in rows)
             problems.append(f"non-finite values in {name} (rows {listed}, ...)")
-    a_vals = np.unique(ds.A[np.isfinite(ds.A)])
-    extra = [v for v in a_vals if v not in (0.0, 1.0)]
-    if extra:
-        problems.append(
-            f"treatment column {ds.treatment_name!r} contains values other than 0/1: "
-            + ", ".join(_FLOAT_FMT % v for v in extra[:5])
-        )
-    else:
-        if ds.n_treated < 2:
-            problems.append(f"treated arm has {ds.n_treated} observations (need >= 2)")
-        if ds.n_control < 2:
-            problems.append(f"control arm has {ds.n_control} observations (need >= 2)")
+    if ds.n_treated < 2:
+        problems.append(f"treated arm has {ds.n_treated} observations (need >= 2)")
+    if ds.n_control < 2:
+        problems.append(f"control arm has {ds.n_control} observations (need >= 2)")
     if ds.n < ds.p + 2:
         problems.append(f"n = {ds.n} is below the floor p + 2 = {ds.p + 2}")
     return problems
@@ -172,8 +172,6 @@ def _raise_for_violations(ds: ObservationalDataset) -> None:
     if not problems:
         return
     msg = "; ".join(problems)
-    if any("other than 0/1" in p for p in problems):
-        raise NonBinaryTreatmentError(msg)
     if any("arm has" in p for p in problems):
         raise DegenerateArmError(msg)
     raise DataError(msg)

@@ -3,11 +3,12 @@
 Every estimator is a short formula over the observed ``(A, Y)``, the target
 weights ``h`` and three fitted vectors: the propensity ``pi`` and the arm
 means ``m1`` and ``m0``. A :class:`Nuisance` bundle holds those vectors for
-one dataset.
+one dataset, with the store of the terms computed from them.
 
 :func:`estimate` is the one entry point; it picks the formula from the
 estimator kind and the target:
 
+* the unweighted difference in arm means, the average effect with no model;
 * outcome regression: plug fitted arm means into the weighted contrast;
 * inverse probability weighting, in the arm-normalized form;
 * augmented IPW, which combines both models and stays consistent when
@@ -20,6 +21,7 @@ model residuals; the effects on the treated and on the controls are its
 it. The treated/control targets also admit regression-only forms that need no
 propensity model at all. Any other h, including the generic augmented form
 for the treated, is a :func:`~wate.targets.covariate_target`.
+:func:`has_formula` says which cells a report or study row can fill.
 
 :func:`fill_cells` is the one fit-then-fill engine, in two steps.
 :func:`plan_cells` resolves a list of :class:`EstimationPipeline` cells once
@@ -37,17 +39,18 @@ once, keyed by slots:
 * per outcome fit: ``m1 - m0``.
 
 An error raised while computing a term is kept and raised again for every
-cell that reads the term. The terms live for one pass over one dataset;
-:func:`estimate` given a dataset or a bundle runs the same formulas over
-terms of its own. The bootstrap, the command line report and the Monte Carlo
-study each build one plan and ship it to their workers.
+cell that reads the term. Each cell is a :class:`Nuisance` bundle with its
+slots and the pass's store, so the terms live for one pass over one dataset;
+a bundle built by hand keeps a store of its own. The bootstrap, the command
+line report and the Monte Carlo study each build one plan and ship it to
+their workers.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, NamedTuple, Sequence, TypeVar
+from dataclasses import dataclass, field, replace
+from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -76,6 +79,7 @@ T = TypeVar("T")
 
 
 class EstimatorKind(enum.Enum):
+    UNWEIGHTED = "unweighted"
     REGRESSION = "regression"
     IPW_NORMALIZED = "ipw"
     AIPW = "aipw"
@@ -100,39 +104,6 @@ class PointEstimate:
     diagnostics: Diagnostics
 
 
-@dataclass(frozen=True, eq=False)
-class Nuisance:
-    """Fitted vectors on the rows of ``ds``: the propensity ``pi`` (after any
-    truncation) and the arm means ``m1``/``m0`` of one outcome model. A vector
-    is ``None`` when its model was not fitted. The vectors are used as given;
-    :meth:`from_models` builds a bundle from fitted models and checks an
-    explicit ``pi_hat``."""
-
-    ds: ObservationalDataset
-    pi: NDArray[np.float64] | None = None
-    m1: NDArray[np.float64] | None = None
-    m0: NDArray[np.float64] | None = None
-
-    @classmethod
-    def from_models(
-        cls,
-        ds: ObservationalDataset,
-        pm: PropensityModel | None = None,
-        om: OutcomeModel | None = None,
-        pi_hat: NDArray[np.float64] | None = None,
-    ) -> "Nuisance":
-        """Explicit ``pi_hat`` (e.g. a truncated vector) wins over ``pm``.
-        Each arm of ``om`` is predicted once."""
-        pi = None
-        if pi_hat is not None:
-            pi = _checked_pi(pi_hat, ds.n, EstimationError)
-        elif pm is not None:
-            pi = predict_propensity(pm, ds.X)
-        if om is None:
-            return cls(ds, pi)
-        return cls(ds, pi, predict_outcome(om, ds.X, 1), predict_outcome(om, ds.X, 0))
-
-
 def _memo(store: dict[Hashable, object], key: Hashable, compute: Callable[[], T]) -> T:
     """``store[key]``, computed on first use. A :class:`WateError` raised by
     ``compute`` is stored instead and raised on every use."""
@@ -155,20 +126,47 @@ def _ess(weights: NDArray[np.float64], total: float) -> float:
     return total * total / float((weights * weights).sum())
 
 
-class _Cell(NamedTuple):
-    """One cell's view of a pass over one dataset: the cell's fitted vectors,
-    the pass's term store and the cell's plan slots (``p`` propensity fit,
-    ``m`` outcome fit, ``t`` target). Each shared term is stored under the
-    slots it depends on, so cells with the same slots read one copy."""
+@dataclass(frozen=True, eq=False)
+class Nuisance:
+    """Fitted vectors on the rows of ``ds``: the propensity ``pi`` (after any
+    truncation) and the arm means ``m1``/``m0`` of one outcome model. A vector
+    is ``None`` when its model was not fitted. The vectors are used as given;
+    :meth:`from_models` builds a bundle from fitted models and checks an
+    explicit ``pi_hat``.
+
+    ``terms`` holds each term computed from the vectors under the slots it
+    depends on (``p`` propensity fit, ``m`` outcome fit, ``t`` target), so
+    the cells of one :func:`fill_cells` pass share one store. A bundle built
+    by hand has a store of its own and ``t = -1``: :func:`estimate` gives
+    each distinct target a slot."""
 
     ds: ObservationalDataset
-    pi: NDArray[np.float64] | None
-    m1: NDArray[np.float64] | None
-    m0: NDArray[np.float64] | None
-    terms: dict[Hashable, object]
-    p: int
-    m: int
-    t: int
+    pi: NDArray[np.float64] | None = None
+    m1: NDArray[np.float64] | None = None
+    m0: NDArray[np.float64] | None = None
+    terms: dict[Hashable, object] = field(default_factory=dict, repr=False)
+    p: int = 0
+    m: int = 0
+    t: int = -1
+
+    @classmethod
+    def from_models(
+        cls,
+        ds: ObservationalDataset,
+        pm: PropensityModel | None = None,
+        om: OutcomeModel | None = None,
+        pi_hat: NDArray[np.float64] | None = None,
+    ) -> "Nuisance":
+        """Explicit ``pi_hat`` (e.g. a truncated vector) wins over ``pm``.
+        Each arm of ``om`` is predicted once."""
+        pi = None
+        if pi_hat is not None:
+            pi = _checked_pi(pi_hat, ds.n, EstimationError)
+        elif pm is not None:
+            pi = predict_propensity(pm, ds.X)
+        if om is None:
+            return cls(ds, pi)
+        return cls(ds, pi, predict_outcome(om, ds.X, 1), predict_outcome(om, ds.X, 0))
 
     def propensity(self, reader: str) -> NDArray[np.float64]:
         """``pi``; raises :class:`MissingModelError` naming ``reader`` if no
@@ -288,7 +286,23 @@ def _point(
 # --- kernels over (A, Y, h, pi, m1, m0) ---------------------------------------
 
 
-def _regression(c: _Cell, estimand: TargetFunction) -> PointEstimate:
+def _unweighted(c: Nuisance, estimand: TargetFunction) -> PointEstimate:
+    """``mean(Y[A==1]) - mean(Y[A==0])``: the average effect when h = 1 and
+    no model is fitted."""
+    if estimand.kind is not TargetKind.ATE:
+        raise EstimationError(f"the unweighted difference has no {estimand.label!r} form")
+    A, Y = c.ds.A, c.ds.Y
+    treated, control = Y[A == 1.0], Y[A == 0.0]
+    if treated.size == 0 or control.size == 0:
+        raise EstimationError("an arm is empty")
+    value = _finite(np.mean(treated) - np.mean(control), "unweighted estimate")
+    return _point(
+        value, EstimatorKind.UNWEIGHTED, estimand, c.ds.n,
+        c.h_total(estimand), *c.arm_ess(estimand),
+    )
+
+
+def _regression(c: Nuisance, estimand: TargetFunction) -> PointEstimate:
     c.arm_means("regression estimator")
     total = c.h_checked(estimand)
     value = _finite((c.h(estimand) * c.m_diff()).sum() / total, "regression estimate")
@@ -297,7 +311,7 @@ def _regression(c: _Cell, estimand: TargetFunction) -> PointEstimate:
     )
 
 
-def _regression_on_arm(c: _Cell, target: TargetFunction) -> PointEstimate:
+def _regression_on_arm(c: Nuisance, target: TargetFunction) -> PointEstimate:
     A, Y = c.ds.A, c.ds.Y
     m1, m0 = c.arm_means("regression estimator")
     treated = target.kind is TargetKind.ATT
@@ -315,7 +329,7 @@ def _regression_on_arm(c: _Cell, target: TargetFunction) -> PointEstimate:
     )
 
 
-def _ipw(c: _Cell, estimand: TargetFunction) -> PointEstimate:
+def _ipw(c: Nuisance, estimand: TargetFunction) -> PointEstimate:
     c.propensity("weighting estimator")
     tw, cw, st, sc = c.weights(estimand)
     if st <= 0.0 or sc <= 0.0:
@@ -328,7 +342,7 @@ def _ipw(c: _Cell, estimand: TargetFunction) -> PointEstimate:
     )
 
 
-def _aipw(c: _Cell, estimand: TargetFunction) -> PointEstimate:
+def _aipw(c: Nuisance, estimand: TargetFunction) -> PointEstimate:
     c.propensity("augmented estimator")
     c.arm_means("augmented estimator")
     total = c.h_checked(estimand)
@@ -336,7 +350,7 @@ def _aipw(c: _Cell, estimand: TargetFunction) -> PointEstimate:
     return _point(value, EstimatorKind.AIPW, estimand, c.ds.n, total, *c.weight_ess(estimand))
 
 
-def _dr_linear(c: _Cell, a: float, b: float, estimand: TargetFunction) -> PointEstimate:
+def _dr_linear(c: Nuisance, a: float, b: float, estimand: TargetFunction) -> PointEstimate:
     """sum [ (a + b*A)*(m1 - m0) + (a + b*pi) * (A/pi*(Y - m1) - (1-A)/(1-pi)*(Y - m0)) ]
     / sum (a + b*A). The denominator replaces pi with the observed treatment
     indicator, which is what makes the estimator consistent when only one
@@ -370,6 +384,20 @@ def _linear_coefficients(target: TargetFunction) -> tuple[float, float] | None:
     return None
 
 
+def has_formula(kind: EstimatorKind, target: TargetFunction) -> bool:
+    """Whether ``(kind, target)`` has a formula without a model its row does
+    not fit: the unweighted row fits none, the regression row no propensity
+    (the treated and controls have indicator forms)."""
+    if kind is EstimatorKind.UNWEIGHTED:
+        return target.kind is TargetKind.ATE
+    if kind is EstimatorKind.REGRESSION:
+        return (
+            target.kind in (TargetKind.ATT, TargetKind.ATC)
+            or not target.depends_on_propensity
+        )
+    return True
+
+
 def estimate(
     ds: ObservationalDataset | Nuisance,
     kind: EstimatorKind,
@@ -381,8 +409,8 @@ def estimate(
     """Estimate one (estimator, target) pair.
 
     ``ds`` is a dataset whose fitted models are passed alongside, or a
-    :class:`Nuisance` bundle of already fitted vectors (then pass no model);
-    :func:`fill_cells` passes each cell's view of the terms it shares.
+    :class:`Nuisance` bundle of already fitted vectors (then pass no model),
+    which is used as is: its term store keeps the terms for later calls.
     ``pi_hat`` overrides model predictions when given (used to inject
     percentile-truncated propensities). The augmented estimator for the
     treated, control and a + b*pi targets is the doubly robust closed form,
@@ -390,14 +418,20 @@ def estimate(
     form for such an h is a covariate target, e.g.
     ``covariate_target(functools.partial(predict_propensity, pm), "pi")``.
     """
-    if isinstance(ds, _Cell):
-        c = ds
+    if not isinstance(ds, Nuisance):
+        c = Nuisance.from_models(ds, pm, om, pi_hat)
+    elif pm is not None or om is not None or pi_hat is not None:
+        raise EstimationError("pass fitted models or a Nuisance bundle, not both")
     else:
-        if not isinstance(ds, Nuisance):
-            ds = Nuisance.from_models(ds, pm, om, pi_hat)
-        elif pm is not None or om is not None or pi_hat is not None:
-            raise EstimationError("pass fitted models or a Nuisance bundle, not both")
-        c = _Cell(ds.ds, ds.pi, ds.m1, ds.m0, {}, 0, 0, 0)
+        c = ds
+    if c.t < 0:
+        # Not planned: equal targets share a slot, as in plan_cells.
+        targets = c.terms.setdefault("targets", [])
+        if target not in targets:
+            targets.append(target)
+        c = replace(c, t=targets.index(target))
+    if kind is EstimatorKind.UNWEIGHTED:
+        return _unweighted(c, target)
     if kind is EstimatorKind.REGRESSION and target.kind in (TargetKind.ATT, TargetKind.ATC):
         return _regression_on_arm(c, target)
     ab = _linear_coefficients(target)
@@ -522,7 +556,7 @@ def fill_cells(
                 pi = _fitted(terms, ds, plan, pi_slot)
             if m_slot >= 0:
                 m1, m0 = _fitted(terms, ds, plan, m_slot)
-            cell = _Cell(ds, pi, m1, m0, terms, pi_slot, m_slot, t_slot)
+            cell = Nuisance(ds, pi, m1, m0, terms, pi_slot, m_slot, t_slot)
             results.append(estimate(cell, p.kind, p.estimand))
         except WateError as exc:
             results.append(exc)

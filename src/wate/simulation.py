@@ -25,7 +25,14 @@ from numpy.typing import NDArray
 from .bootstrap import parallel_map
 from .data import CounterfactualDataset
 from .design import DesignSpec, TransformTerm, main_effects, parse_design
-from .estimators import CellPlan, EstimationPipeline, EstimatorKind, cell_values, plan_cells
+from .estimators import (
+    CellPlan,
+    EstimationPipeline,
+    EstimatorKind,
+    cell_values,
+    has_formula,
+    plan_cells,
+)
 from .models import _sigmoid
 from .targets import (
     TargetFunction,
@@ -230,26 +237,6 @@ def outcome_design(correct: bool, outcome_model: int) -> tuple[DesignSpec, Desig
 
 
 @dataclass(frozen=True)
-class WorkingModels:
-    """Design triple for one working-model scenario."""
-
-    pi_design: DesignSpec
-    m_design: DesignSpec
-    m_interaction: DesignSpec
-
-
-def working_model_specs(
-    pi_correct: bool, m_correct: bool, outcome_model: int
-) -> WorkingModels:
-    main, inter = outcome_design(m_correct, outcome_model)
-    return WorkingModels(
-        pi_design=propensity_design(pi_correct),
-        m_design=main,
-        m_interaction=inter,
-    )
-
-
-@dataclass(frozen=True)
 class SimulationDesign:
     """Study configuration; everything here is picklable and hashable."""
 
@@ -271,9 +258,9 @@ Cell = tuple[str, bool | None, bool | None, str]
 
 def study_cells(design: SimulationDesign) -> list[Cell]:
     """(estimator, pi_correct, m_correct, estimand) combinations the study
-    fills in. The regression rows fit no propensity model, so
-    propensity-dependent targets other than treated/controls (which have
-    indicator forms) are absent there."""
+    fills in: those :func:`~wate.estimators.has_formula` allows, so the
+    regression rows, which fit no propensity model, have no overlap
+    column."""
     rows: list[tuple[str, bool | None, bool | None]] = []
     for est in design.estimators:
         if est == "regression":
@@ -291,7 +278,7 @@ def study_cells(design: SimulationDesign) -> list[Cell]:
         for estimand in design.estimands:
             if estimand not in _TARGETS:
                 raise ValueError(f"unknown estimand token {estimand!r}")
-            if est == "regression" and estimand == "ato":
+            if not has_formula(_KIND_BY_TOKEN[est], _TARGETS[estimand]):
                 continue
             cells.append((est, pc, mc, estimand))
     return cells

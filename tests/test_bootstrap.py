@@ -10,17 +10,17 @@ from wate.bootstrap import (
 )
 from wate.errors import BootstrapError
 from wate.estimators import EstimatorKind
-from wate.simulation import generate_dataset, working_model_specs
+from wate.simulation import generate_dataset, outcome_design, propensity_design
 
 
 def aipw_pipeline(outcome_model=2, truncate=None):
-    wm = working_model_specs(True, True, outcome_model)
+    main, inter = outcome_design(True, outcome_model)
     return EstimationPipeline(
         estimand=wate.average_effect(),
         kind=EstimatorKind.AIPW,
-        pi_design=wm.pi_design,
-        m_design=wm.m_design,
-        m_interaction=wm.m_interaction,
+        pi_design=propensity_design(True),
+        m_design=main,
+        m_interaction=inter,
         truncate=truncate,
     )
 
@@ -144,13 +144,13 @@ def test_bootstrap_se_calibration():
     # beyond the resampling noise, which would turn this into a seed lottery.
     # One dataset's SE still scatters around the truth by ~10%, so compare
     # the average over several datasets tightly and each one loosely.
-    wm = working_model_specs(True, True, 2)
+    main, inter = outcome_design(True, 2)
     pipe = EstimationPipeline(
         estimand=wate.overlap_effect(),
         kind=EstimatorKind.AIPW,
-        pi_design=wm.pi_design,
-        m_design=wm.m_design,
-        m_interaction=wm.m_interaction,
+        pi_design=propensity_design(True),
+        m_design=main,
+        m_interaction=inter,
     )
     vals = []
     for rep in range(400):

@@ -23,7 +23,7 @@ import numpy as np
 from wate.cli import _split_estimands, build_report_task
 from wate.data import load_csv
 from wate.design import main_effects
-from wate.estimators import PointEstimate, fill_cells
+from wate.estimators import EstimatorKind, PointEstimate, fill_cells
 from wate.simulation import SimulationDesign, _cell_pipeline, generate_dataset, study_cells
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -47,7 +47,9 @@ def _cases():
         ["unweighted", "regression", "ipw", "aipw"], _split_estimands(REPORT_ESTIMANDS),
         names, main_effects(names), main_effects(names), None, None,
     )
-    pipelines = [p for p in task.pipelines if p is not None]
+    # The recorded report cells predate the unweighted kernel, whose value
+    # test_estimators and the report goldens pin.
+    pipelines = [p for p in task.plan.pipelines if p.kind is not EstimatorKind.UNWEIGHTED]
     yield "report/cohort", cohort, pipelines
     for i in (1, 2):
         idx = np.random.default_rng(i).integers(0, cohort.n, size=cohort.n)

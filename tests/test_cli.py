@@ -155,6 +155,8 @@ def test_estimate_usage_errors(data_csv, tmp_path, capsys):
         ["estimate", "DATA", "--covariates", "x9"],
         ["estimate", "DATA", "--treatment", "zz"],
         ["estimate", "DATA", "--outcome", "zz"],
+        # The unweighted row is always shown; it is not an estimator option.
+        ["estimate", "DATA", "--estimator", "unweighted"],
     ],
 )
 def test_bad_option_values_are_usage_errors(argv, data_csv, capsys):

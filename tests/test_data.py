@@ -66,8 +66,19 @@ def test_unparseable_cell(tmp_path):
 
 def test_non_binary_treatment(tmp_path):
     text = "x1,a,y\n1,0,1\n2,2,2\n3,0,3\n4,1,4\n"
-    with pytest.raises(NonBinaryTreatmentError):
+    with pytest.raises(NonBinaryTreatmentError) as info:
         load_csv(write(tmp_path, text))
+    assert str(info.value) == "treatment column 'a' contains values other than 0/1: 2"
+
+
+def test_construction_refuses_a_non_binary_treatment():
+    # Every dataset is checked, not only a loaded one: this one once gave an
+    # IPW estimate with no error.
+    rng = np.random.default_rng(3)
+    with pytest.raises(NonBinaryTreatmentError, match=r"other than 0/1: 0\.5, 2$"):
+        ObservationalDataset(
+            X=rng.normal(size=(20, 2)), A=np.tile([0, 0.5, 1, 2], 5), Y=rng.normal(size=20)
+        )
 
 
 def test_degenerate_arm(tmp_path):

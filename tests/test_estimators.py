@@ -15,11 +15,13 @@ from wate.errors import (
     WateError,
 )
 from wate.estimators import (
+    Diagnostics,
     EstimationPipeline,
     EstimatorKind,
     Nuisance,
     estimate,
     fill_cells,
+    has_formula,
     plan_cells,
 )
 from wate.models import (
@@ -701,8 +703,9 @@ def _default_report_plan():
         # 9 distinct (propensity fit, target) pairs read h: (none, ate) for
         # the regression rows and 2 propensity fits x 4 targets.
         (_study_plan, {"propensity": 2, "outcome": 2, "h": 9, "estimate": 30, "hash": 0}),
-        # (none, ate) and 1 propensity fit x 4 targets.
-        (_default_report_plan, {"propensity": 1, "outcome": 1, "h": 5, "estimate": 11, "hash": 0}),
+        # (none, ate), read by the unweighted and regression cells, and 1
+        # propensity fit x 4 targets.
+        (_default_report_plan, {"propensity": 1, "outcome": 1, "h": 5, "estimate": 12, "hash": 0}),
     ],
 )
 def test_planned_fill_computes_each_shared_term_once(monkeypatch, make_plan, expected):
@@ -729,3 +732,66 @@ def test_planned_fill_computes_each_shared_term_once(monkeypatch, make_plan, exp
     results = fill_cells(ds, plan)
     assert all(not isinstance(r, WateError) for r in results)
     assert calls == expected
+
+
+# --- the unweighted difference, cell applicability and the bundle -----------
+
+
+@pytest.mark.parametrize("which", range(len(_FILL_DATASETS)))
+def test_unweighted_is_the_raw_difference_in_arm_means(which):
+    ds = _FILL_DATASETS[which]
+    A, Y = ds.A, ds.Y
+    expected = float(np.mean(Y[A == 1]) - np.mean(Y[A == 0]))
+    pipeline = EstimationPipeline(estimand=average_effect(), kind=EstimatorKind.UNWEIGHTED)
+    for got in (
+        estimate(ds, EstimatorKind.UNWEIGHTED, average_effect()),
+        fill_cells(ds, [pipeline])[0],
+    ):
+        assert got.value.hex() == expected.hex()
+        assert got.diagnostics == Diagnostics(ds.n, ds.n_treated, ds.n_control)
+
+
+def test_unweighted_refuses_an_empty_arm_and_other_targets():
+    ds, _, _ = random_instance(21, n=20)
+    treated_only = ObservationalDataset(X=ds.X, A=np.ones(ds.n), Y=ds.Y)
+    with pytest.raises(EstimationError, match="^an arm is empty$"):
+        estimate(treated_only, EstimatorKind.UNWEIGHTED, average_effect())
+    with pytest.raises(EstimationError, match="'att'"):
+        estimate(ds, EstimatorKind.UNWEIGHTED, effect_on_treated())
+
+
+def test_has_formula_names_the_cells_a_row_fills():
+    targets = (
+        average_effect(), effect_on_treated(), effect_on_controls(), overlap_effect(),
+        linear_in_propensity(1.0, -1.0), fixed_h(np.ones(3)),
+    )
+    expected = {
+        EstimatorKind.UNWEIGHTED: [True, False, False, False, False, False],
+        EstimatorKind.REGRESSION: [True, True, True, False, False, True],
+        EstimatorKind.IPW_NORMALIZED: [True] * 6,
+        EstimatorKind.AIPW: [True] * 6,
+    }
+    for kind, row in expected.items():
+        assert [has_formula(kind, t) for t in targets] == row, kind
+
+
+def _ipw_oracle(ds, target, pi):
+    a, y, h = ds.A, ds.Y, evaluate_h(target, ds.X, pi)
+    tw = [a[i] * h[i] / pi[i] for i in range(ds.n)]
+    cw = [(1 - a[i]) * h[i] / (1 - pi[i]) for i in range(ds.n)]
+    return (
+        math.fsum(tw[i] * y[i] for i in range(ds.n)) / math.fsum(tw)
+        - math.fsum(cw[i] * y[i] for i in range(ds.n)) / math.fsum(cw)
+    )
+
+
+def test_each_bundle_keeps_its_own_terms():
+    # Two bundles on one dataset with different propensities, each asked for
+    # two targets: every estimate matches its own oracle, which fails if the
+    # bundles shared a term store or one bundle reused a target's weights.
+    ds, _, pi = random_instance(22)
+    bundles = [Nuisance(ds, pi), Nuisance(ds, 1.0 - pi)]
+    for target in (average_effect(), overlap_effect()):
+        for bundle in bundles:
+            got = estimate(bundle, EstimatorKind.IPW_NORMALIZED, target).value
+            assert close(got, _ipw_oracle(ds, target, bundle.pi)), target.label

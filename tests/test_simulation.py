@@ -14,7 +14,6 @@ from wate.simulation import (
     treatment_effect,
     true_estimands,
     true_propensity,
-    working_model_specs,
 )
 
 
@@ -148,16 +147,6 @@ def test_misspecified_outcome_r_squared_model2():
     om_c = fit_outcome(ds, main_c, inter_c)
     r2_c = 1.0 - om_c.residual_variance / np.var(ds.Y, ddof=1)
     assert r2_c > 0.7
-
-
-def test_working_model_specs_bundle():
-    wm = working_model_specs(True, False, 1)
-    assert wm.pi_design.names == ("x1", "x2^2", "x3*x5")
-    assert wm.m_design.names == ("x1", "x2", "x3", "x4", "x5")
-    wm2 = working_model_specs(False, True, 2)
-    assert wm2.pi_design.names == ("x1", "x2", "x3", "x4", "x5")
-    assert wm2.m_design.names == ("x2^2", "x3")
-    assert wm2.m_interaction.names == ("x1", "x3*x5")
 
 
 def test_study_cells_layout():
