@@ -44,8 +44,8 @@ def _freeze(arr: NDArray[np.float64]) -> NDArray[np.float64]:
 @dataclass(frozen=True, eq=False)
 class ObservationalDataset:
     """Covariates, binary treatment and observed outcome for n subjects. A
-    finite treatment value other than 0/1 is refused; :func:`validate`
-    reports the other problems."""
+    non-finite value anywhere and a treatment value other than 0/1 are
+    refused; :func:`validate` reports the other problems."""
 
     X: NDArray[np.float64]
     A: NDArray[np.float64]
@@ -63,7 +63,16 @@ class ObservationalDataset:
                 f"inconsistent lengths: X has {X.shape[0]} rows, "
                 f"A has {A.shape[0]}, Y has {Y.shape[0]}"
             )
-        extra = np.isfinite(A) & (A != 0.0) & (A != 1.0)
+        problems = []
+        for name, arr in (("covariates", X), (self.treatment_name, A), (self.outcome_name, Y)):
+            finite = np.isfinite(arr)
+            if not finite.all():
+                rows = np.unique(np.nonzero(~finite)[0])[:5] + 1
+                listed = ", ".join(str(int(r)) for r in rows)
+                problems.append(f"non-finite values in {name} (rows {listed}, ...)")
+        if problems:
+            raise MissingValueError("; ".join(problems))
+        extra = (A != 0.0) & (A != 1.0)
         if extra.any():
             raise NonBinaryTreatmentError(
                 f"treatment column {self.treatment_name!r} contains values other than 0/1: "
@@ -149,15 +158,9 @@ class CounterfactualDataset(ObservationalDataset):
 
 def validate(ds: ObservationalDataset) -> list[str]:
     """Return a list of human-readable violations (empty when the dataset is
-    usable). Checks finiteness, minimum arm sizes and the n >= p + 2 sample
-    size floor; a dataset's treatment is binary by construction."""
+    usable). Checks minimum arm sizes and the n >= p + 2 sample size floor;
+    a dataset's values are finite and its treatment binary by construction."""
     problems: list[str] = []
-    for name, arr in (("covariates", ds.X), (ds.treatment_name, ds.A), (ds.outcome_name, ds.Y)):
-        bad = ~np.isfinite(arr)
-        if np.any(bad):
-            rows = np.unique(np.nonzero(bad)[0])[:5] + 1
-            listed = ", ".join(str(int(r)) for r in rows)
-            problems.append(f"non-finite values in {name} (rows {listed}, ...)")
     if ds.n_treated < 2:
         problems.append(f"treated arm has {ds.n_treated} observations (need >= 2)")
     if ds.n_control < 2:

@@ -17,7 +17,8 @@ class DataError(WateError):
 
 
 class MissingValueError(DataError):
-    """A CSV cell was empty or not parseable as a finite number."""
+    """A CSV cell was empty or not parseable as a finite number, or a
+    dataset array holds a non-finite value."""
 
 
 class NonBinaryTreatmentError(DataError):

@@ -11,7 +11,10 @@ linear ``x1 + 0.5*x3*x5``.
 ``run_study`` crosses estimators with correct and misspecified working
 models over many replications, and reports bias and RMSE per cell against
 population values computed by plain Monte Carlo integration on a separate
-fixed stream.
+fixed stream. That integration streams its draws: its working set is about
+five chunk-length arrays (~21 MB), whatever the number of draws.
+``_TRUTH_CHUNK`` is its summation unit, so changing it changes the last bits
+of the values.
 """
 
 from __future__ import annotations
@@ -49,7 +52,11 @@ _COVARIATE_NAMES = ("x1", "x2", "x3", "x4", "x5")
 # which use the user's entropy directly.
 _TRUTH_ENTROPY = 196_883_741
 
+# Draws per summation chunk, and rows per block of covariates drawn within a
+# chunk. The chunk fixes how the sums are grouped, so it is part of the
+# values' last bits; the block only bounds memory.
 _TRUTH_CHUNK = 1 << 19
+_TRUTH_BLOCK = 1 << 14
 
 _TARGETS: dict[str, TargetFunction] = {
     "ate": average_effect(),
@@ -139,29 +146,44 @@ def true_estimands(
     (h*effect - tau*h)/E[h]. Note the model-1 effect is so heavy tailed that
     the whole-population value converges slowly; the overlap and
     treated/control contrasts are much better behaved.
+
+    The covariates are drawn in blocks of ``_TRUTH_BLOCK`` rows, which gives
+    the same numbers as one draw of the whole sample, and only each draw's
+    propensity and effect are kept. The working set is about five
+    chunk-length arrays (~21 MB), whatever ``draws`` is. ``_TRUTH_CHUNK`` is
+    the summation unit: every sum runs over one chunk, so changing it changes
+    the last bits of the values.
     """
     _check_outcome_model(outcome_model)
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    keys = ("ate", "att", "atc", "ato")
-    s_h = dict.fromkeys(keys, 0.0)
-    s_hd = dict.fromkeys(keys, 0.0)
-    s_h2 = dict.fromkeys(keys, 0.0)
-    s_hd2 = dict.fromkeys(keys, 0.0)
-    s_hhd = dict.fromkeys(keys, 0.0)
+    weights = {
+        "ate": np.ones_like,
+        "att": lambda pi: pi,
+        "atc": lambda pi: 1.0 - pi,
+        "ato": lambda pi: pi * (1.0 - pi),
+    }
+    s_h = dict.fromkeys(weights, 0.0)
+    s_hd = dict.fromkeys(weights, 0.0)
+    s_h2 = dict.fromkeys(weights, 0.0)
+    s_hd2 = dict.fromkeys(weights, 0.0)
+    s_hhd = dict.fromkeys(weights, 0.0)
+    pi_buf = np.empty(min(_TRUTH_CHUNK, draws))
+    delta_buf = np.empty_like(pi_buf)
     done = 0
     while done < draws:
         m = min(_TRUTH_CHUNK, draws - done)
-        X = rng.standard_normal((m, 5))
-        pi = true_propensity(X)
-        delta = treatment_effect(outcome_model, X)
-        hs = {
-            "ate": np.ones(m),
-            "att": pi,
-            "atc": 1.0 - pi,
-            "ato": pi * (1.0 - pi),
-        }
-        for key, h in hs.items():
+        pi, delta = pi_buf[:m], delta_buf[:m]
+        for lo in range(0, m, _TRUTH_BLOCK):
+            X = rng.standard_normal((min(_TRUTH_BLOCK, m - lo), 5))
+            pi[lo : lo + len(X)] = true_propensity(X)
+            delta[lo : lo + len(X)] = treatment_effect(outcome_model, X)
+        # One target's h and h*delta at a time; each sum runs over the whole
+        # chunk.
+        for key, weight in weights.items():
+            h = weight(pi)
             hd = h * delta
             s_h[key] += float(np.sum(h))
             s_hd[key] += float(np.sum(hd))
@@ -171,7 +193,7 @@ def true_estimands(
         done += m
     values = {}
     ses = {}
-    for key in keys:
+    for key in weights:
         mean_h = s_h[key] / draws
         tau = s_hd[key] / s_h[key]
         # E[(h*delta - tau*h)^2]; the first moment of that quantity is zero

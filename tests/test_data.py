@@ -128,11 +128,20 @@ def test_validate_isolated_sample_size_violation():
 
 
 def test_validate_non_finite():
+    # Construction refuses non-finite values, so validate() never sees them.
     X = np.ones((6, 1))
+    A = np.array([0.0, 1, 0, 1, 0, 1])
     Y = np.zeros(6)
     Y[3] = np.nan
-    ds = ObservationalDataset(X=X, A=np.array([0.0, 1, 0, 1, 0, 1]), Y=Y)
-    assert any("non-finite" in p for p in validate(ds))
+    with pytest.raises(MissingValueError, match=r"non-finite values in y \(rows 4, \.\.\.\)"):
+        ObservationalDataset(X=X, A=A, Y=Y)
+    X[[1, 4], 0] = np.inf
+    A[2] = np.nan
+    with pytest.raises(
+        MissingValueError,
+        match=r"covariates \(rows 2, 5, \.\.\.\); non-finite values in a \(rows 3, \.\.\.\)",
+    ):
+        ObservationalDataset(X=X, A=A, Y=Y)
 
 
 def test_arrays_are_read_only(small_dataset):
@@ -162,6 +171,22 @@ def test_counterfactual_consistency_enforced():
         CounterfactualDataset(
             X=X, A=A, Y=good, y1=y1, y0=y0, pi_true=np.full(4, 1.0)
         )
+
+
+def test_observed_strips_counterfactual_columns():
+    X = np.arange(8.0).reshape(4, 2)
+    A = np.array([0.0, 1, 0, 1])
+    y1, y0 = np.ones(4), np.zeros(4)
+    full = CounterfactualDataset(
+        X=X, A=A, Y=np.where(A == 1, y1, y0), y1=y1, y0=y0, pi_true=np.full(4, 0.5),
+        covariate_names=("u", "v"), treatment_name="t", outcome_name="out",
+    )
+    ds = full.observed()
+    assert type(ds) is ObservationalDataset
+    assert (ds.covariate_names, ds.treatment_name, ds.outcome_name) == (("u", "v"), "t", "out")
+    for name in ("X", "A", "Y"):
+        np.testing.assert_array_equal(getattr(ds, name), getattr(full, name))
+        assert not getattr(ds, name).flags.writeable
 
 
 def test_round_trip_exact(tmp_path, small_dataset):
@@ -203,3 +228,8 @@ def test_replace_rows_resamples(small_dataset):
     assert sub.n == 6
     np.testing.assert_array_equal(sub.Y, small_dataset.Y[idx])
     assert sub.covariate_names == small_dataset.covariate_names
+    assert type(sub) is ObservationalDataset
+    for arr in (sub.X, sub.A, sub.Y):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+    np.testing.assert_array_equal(sub.X, small_dataset.X[idx])
+    np.testing.assert_array_equal(sub.A, small_dataset.A[idx])

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wate.data import CounterfactualDataset
 from wate.models import fit_outcome, fit_propensity, predict_outcome, predict_propensity
 from wate.simulation import (
+    _TRUTH_CHUNK,
     SimulationDesign,
     generate_dataset,
     outcome_design,
@@ -105,6 +108,37 @@ def test_reference_truth_is_cached_and_deterministic():
     assert a is b
     c = true_estimands(2, draws=10**5, rng=np.random.default_rng(8))
     assert c.value("att") == pytest.approx(a.att, abs=0.02)
+
+
+@pytest.mark.parametrize("draws", [0, -5])
+def test_true_estimands_refuse_too_few_draws(draws):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="draws must be at least 1"):
+        true_estimands(1, draws, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="draws must be at least 1"):
+        reference_truth(1, draws)
+
+
+def test_true_estimands_peak_memory_stays_below_six_chunks():
+    # numpy reports its buffers to tracemalloc. The draws cross a chunk
+    # boundary, so the bound covers a full chunk and the partial last one.
+    # Tracing started outside the test is left on, and what it had already
+    # traced is not counted.
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        true_estimands(1, _TRUTH_CHUNK + 3, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    grown = peak - before
+    assert grown < 6 * _TRUTH_CHUNK * 8, grown / (_TRUTH_CHUNK * 8)
 
 
 def test_correct_propensity_design_recovers_coefficients():
