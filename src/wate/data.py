@@ -41,6 +41,28 @@ def _freeze(arr: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
+def _refuse_non_finite(named: Sequence[tuple[str, NDArray[np.float64]]]) -> None:
+    """Raise :class:`MissingValueError` naming every array with a NaN or
+    infinite value and its first few (1-based) rows."""
+    problems = []
+    for name, arr in named:
+        finite = np.isfinite(arr)
+        if not finite.all():
+            rows = np.unique(np.nonzero(~finite)[0])[:5] + 1
+            listed = ", ".join(str(int(r)) for r in rows)
+            problems.append(f"non-finite values in {name} (rows {listed}, ...)")
+    if problems:
+        raise MissingValueError("; ".join(problems))
+
+
+def _gather(arr: NDArray[np.float64], idx) -> NDArray[np.float64]:
+    """``arr[idx]`` made read-only, so :func:`_freeze` keeps a fresh gather
+    instead of copying it."""
+    out = np.asarray(arr[idx])
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ObservationalDataset:
     """Covariates, binary treatment and observed outcome for n subjects. A
@@ -63,15 +85,9 @@ class ObservationalDataset:
                 f"inconsistent lengths: X has {X.shape[0]} rows, "
                 f"A has {A.shape[0]}, Y has {Y.shape[0]}"
             )
-        problems = []
-        for name, arr in (("covariates", X), (self.treatment_name, A), (self.outcome_name, Y)):
-            finite = np.isfinite(arr)
-            if not finite.all():
-                rows = np.unique(np.nonzero(~finite)[0])[:5] + 1
-                listed = ", ".join(str(int(r)) for r in rows)
-                problems.append(f"non-finite values in {name} (rows {listed}, ...)")
-        if problems:
-            raise MissingValueError("; ".join(problems))
+        _refuse_non_finite(
+            (("covariates", X), (self.treatment_name, A), (self.outcome_name, Y))
+        )
         extra = (A != 0.0) & (A != 1.0)
         if extra.any():
             raise NonBinaryTreatmentError(
@@ -109,9 +125,9 @@ class ObservationalDataset:
     def replace_rows(self, idx: NDArray[np.intp]) -> "ObservationalDataset":
         """Dataset made of the given rows (with repeats), e.g. a bootstrap draw."""
         return ObservationalDataset(
-            X=self.X[idx],
-            A=self.A[idx],
-            Y=self.Y[idx],
+            X=_gather(self.X, idx),
+            A=_gather(self.A, idx),
+            Y=_gather(self.Y, idx),
             covariate_names=self.covariate_names,
             treatment_name=self.treatment_name,
             outcome_name=self.outcome_name,
@@ -121,7 +137,8 @@ class ObservationalDataset:
 @dataclass(frozen=True, eq=False)
 class CounterfactualDataset(ObservationalDataset):
     """Simulated dataset that also carries both potential outcomes and the
-    true propensity score, so population estimands can be checked exactly."""
+    true propensity score, so population estimands can be checked exactly.
+    Non-finite values in any of the three are refused like the observed ones."""
 
     y1: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
     y0: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
@@ -135,7 +152,9 @@ class CounterfactualDataset(ObservationalDataset):
         n = self.X.shape[0]
         if y1.shape[0] != n or y0.shape[0] != n or pi.shape[0] != n:
             raise DataError("potential outcome arrays must have length n")
-        if np.any(pi <= 0.0) or np.any(pi >= 1.0):
+        _refuse_non_finite((("y1", y1), ("y0", y0), ("pi_true", pi)))
+        # Written so that NaN fails it too.
+        if not np.all((pi > 0.0) & (pi < 1.0)):
             raise DataError("true propensity must lie strictly in (0, 1)")
         observed = np.where(self.A == 1.0, y1, y0)
         if not np.array_equal(observed, self.Y):

@@ -74,11 +74,19 @@ class DesignSpec:
 
     terms: tuple[Term, ...]
 
-    def matrix(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
+    def matrix(
+        self, X: NDArray[np.float64], out: NDArray[np.float64] | None = None
+    ) -> NDArray[np.float64]:
+        """The ``(n, len(self))`` design, column j from term j, evaluated
+        straight into ``out`` when given (e.g. the design block of a model
+        matrix, so the columns are never stacked and copied), else into a
+        new array. Returns the array written."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if not self.terms:
-            return np.empty((X.shape[0], 0))
-        return np.stack([t(X) for t in self.terms], axis=1)
+        if out is None:
+            out = np.empty((X.shape[0], len(self.terms)))
+        for j, term in enumerate(self.terms):
+            out[:, j] = term(X)
+        return out
 
     @property
     def names(self) -> tuple[str, ...]:

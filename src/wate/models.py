@@ -10,10 +10,18 @@ QR, whose R also serves the rank check.
 
 Each fitted model also carries its vectors on the fitting rows: the final
 IRLS probabilities (``PropensityModel.pi``) and both arms' means
-(``OutcomeModel.m1``/``m0``), built from the design columns the fit already
-evaluated. They are bit-for-bit what :func:`predict_propensity` and
-:func:`predict_outcome` return on those rows, so a caller estimating on the
-fitting data needs no prediction; predict for any other rows.
+(``OutcomeModel.m1``/``m0``). They are bit-for-bit what
+:func:`predict_propensity` and :func:`predict_outcome` return on those rows,
+so a caller estimating on the fitting data needs no prediction; predict for
+any other rows.
+
+Each fit builds one model matrix, with the design evaluated straight into
+it, and reuses it: the outcome fit gets ``m1`` and ``m0`` by overwriting the
+arm and interaction columns in place, and the Newton steps of the logistic
+fit write their weighted design and log likelihood terms into buffers
+allocated once per fit. At bootstrap sizes every n-by-k temporary is paid
+again, on every replicate, in page faults; none of this changes an operation
+or its order, so the results are the same bits.
 """
 
 from __future__ import annotations
@@ -118,39 +126,43 @@ def _check_full_rank(
         )
 
 
-def _with_intercept(cols: NDArray[np.float64]) -> NDArray[np.float64]:
-    M = np.empty((cols.shape[0], cols.shape[1] + 1))
+def _design_matrix(design: DesignSpec, X: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``[1, design(X)]``, the design evaluated straight into its block."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    M = np.empty((X.shape[0], len(design) + 1))
     M[:, 0] = 1.0
-    M[:, 1:] = cols
+    design.matrix(X, out=M[:, 1:])
     return M
 
 
 def _outcome_matrix(
-    base: NDArray[np.float64], arm: NDArray[np.float64], inter: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """``[1, base, arm, arm * inter]``, the one layout of the outcome model's
-    columns for fitting and for predicting."""
-    kb = base.shape[1]
-    M = np.empty((base.shape[0], kb + 2 + inter.shape[1]))
-    M[:, 0] = 1.0
-    M[:, 1:kb + 1] = base
-    M[:, kb + 1] = arm
-    np.multiply(arm[:, None], inter, out=M[:, kb + 2:])
-    return M
-
-
-def _outcome_columns(
-    main: DesignSpec, inter: DesignSpec, X: NDArray[np.float64]
+    main: DesignSpec,
+    inter: DesignSpec,
+    X: NDArray[np.float64],
+    arm: NDArray[np.float64] | float,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Main and interaction columns of ``X``; equal designs are evaluated once."""
-    base = main.matrix(X)
-    return base, (base if inter == main else inter.matrix(X))
+    """``[1, main(X), arm, arm * inter(X)]``, the one layout of the outcome
+    model's columns for fitting and for predicting, and the interaction
+    columns ``inter(X)``, which :func:`_set_arm` needs to switch the arm.
+    Equal designs are evaluated once."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    kb = len(main)
+    M = np.empty((X.shape[0], kb + 2 + len(inter)))
+    M[:, 0] = 1.0
+    main.matrix(X, out=M[:, 1:kb + 1])
+    g = M[:, 1:kb + 1] if inter == main else inter.matrix(X)
+    _set_arm(M, arm, g)
+    return M, g
 
 
-def _bernoulli_loglik(
-    A: NDArray[np.float64], p: NDArray[np.float64]
-) -> float:
-    return float(np.sum(A * np.log(p) + (1.0 - A) * np.log1p(-p)))
+def _set_arm(
+    M: NDArray[np.float64], arm: NDArray[np.float64] | float, g: NDArray[np.float64]
+) -> None:
+    """Overwrite the arm column of an outcome model matrix and the
+    interaction block after it with ``arm`` and ``arm * g``."""
+    j = M.shape[1] - g.shape[1] - 1
+    M[:, j] = arm
+    np.multiply(np.reshape(arm, (-1, 1)), g, out=M[:, j + 1:])
 
 
 def fit_propensity(
@@ -165,12 +177,24 @@ def fit_propensity(
     score has not dropped below ``options.tol`` after ``options.max_iter``
     Newton updates.
     """
-    M = _with_intercept(design.matrix(ds.X))
+    M = _design_matrix(design, ds.X)
     _check_full_rank(M, options.rank_tol, "propensity design")
     A = ds.A
+    not_A = 1.0 - A
+    # Every Newton step rewrites these instead of allocating its own.
+    weighted = np.empty_like(M)
+    log_p = np.empty(ds.n)
+    log_q = np.empty(ds.n)
+
+    def loglik(p: NDArray[np.float64]) -> float:
+        """Bernoulli log likelihood ``sum(A log p + (1 - A) log(1 - p))``."""
+        np.multiply(A, np.log(p, out=log_p), out=log_p)
+        np.multiply(not_A, np.log1p(np.negative(p, out=log_q), out=log_q), out=log_q)
+        return float(np.sum(np.add(log_p, log_q, out=log_p)))
+
     alpha = np.zeros(M.shape[1])
     p = _clamped_sigmoid(M @ alpha, options.prob_clamp)
-    ll = _bernoulli_loglik(A, p)
+    ll = loglik(p)
     converged = False
     updates = 0
     while True:
@@ -181,7 +205,7 @@ def fit_propensity(
         if updates >= options.max_iter:
             break
         w = p * (1.0 - p)
-        hessian = (M * w[:, None]).T @ M
+        hessian = np.multiply(M, w[:, None], out=weighted).T @ M
         try:
             delta = np.linalg.solve(hessian, score)
         except np.linalg.LinAlgError:
@@ -199,7 +223,7 @@ def fit_propensity(
         for _ in range(50):
             cand = alpha + step * delta
             p_cand = _clamped_sigmoid(M @ cand, options.prob_clamp)
-            ll_cand = _bernoulli_loglik(A, p_cand)
+            ll_cand = loglik(p_cand)
             if ll_cand >= ll - 1e-12:
                 break
             step *= 0.5
@@ -240,7 +264,7 @@ def predict_propensity(
     model: PropensityModel, X: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """Predicted treatment probabilities, clamped into (0, 1)."""
-    M = _with_intercept(model.design.matrix(X))
+    M = _design_matrix(model.design, X)
     if M.shape[1] != model.alpha.shape[0]:
         raise ModelFitError(
             f"design evaluates to {M.shape[1]} columns but the model has "
@@ -279,8 +303,7 @@ def fit_outcome(
     denominator and requires at least one residual degree of freedom.
     """
     inter = design if interaction is None else interaction
-    base, inter_cols = _outcome_columns(design, inter, ds.X)
-    M = _outcome_matrix(base, ds.A, inter_cols)
+    M, g = _outcome_matrix(design, inter, ds.X, ds.A)
     k = M.shape[1]
     q, r = np.linalg.qr(M)
     _check_full_rank(M, options.rank_tol, "outcome design", r)
@@ -292,13 +315,19 @@ def fit_outcome(
     beta = np.linalg.solve(r, q.T @ ds.Y)
     resid = ds.Y - M @ beta
     residual_variance = float(resid @ resid / (ds.n - k))
+    # Switching the arm in place writes 1*g and 0*g, the bits a matrix
+    # rebuilt for each arm would hold.
+    _set_arm(M, 1.0, g)
+    m1 = M @ beta
+    _set_arm(M, 0.0, g)
+    m0 = M @ beta
     return OutcomeModel(
         beta=beta,
         main_design=design,
         interaction_design=inter,
         residual_variance=residual_variance,
-        m1=_outcome_matrix(base, np.ones(ds.n), inter_cols) @ beta,
-        m0=_outcome_matrix(base, np.zeros(ds.n), inter_cols) @ beta,
+        m1=m1,
+        m0=m0,
     )
 
 
@@ -308,9 +337,7 @@ def predict_outcome(
     """Model mean outcome had everyone received arm ``a`` (0 or 1)."""
     if a not in (0, 1):
         raise ValueError(f"arm must be 0 or 1, got {a!r}")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    base, inter = _outcome_columns(model.main_design, model.interaction_design, X)
-    M = _outcome_matrix(base, np.full(X.shape[0], float(a)), inter)
+    M, _ = _outcome_matrix(model.main_design, model.interaction_design, X, float(a))
     if M.shape[1] != model.beta.shape[0]:
         raise ModelFitError(
             f"design evaluates to {M.shape[1]} columns but the model has "

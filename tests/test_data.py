@@ -173,6 +173,24 @@ def test_counterfactual_consistency_enforced():
         )
 
 
+def test_counterfactual_non_finite_values_refused():
+    # The potential outcome of the arm not taken is never compared with Y,
+    # and NaN passes both halves of a ``pi <= 0 or pi >= 1`` test.
+    with pytest.raises(MissingValueError) as info:
+        CounterfactualDataset(
+            X=np.zeros((4, 1)), A=[0.0, 1, 0, 1], Y=[0.0, 1, 0, 1],
+            y1=[1.0, 1, np.nan, 1], y0=np.zeros(4), pi_true=[0.5, np.nan, 0.5, 0.5],
+        )
+    assert str(info.value) == (
+        "non-finite values in y1 (rows 3, ...); non-finite values in pi_true (rows 2, ...)"
+    )
+    with pytest.raises(MissingValueError, match=r"in y0 \(rows 1, 4, \.\.\.\)"):
+        CounterfactualDataset(
+            X=np.zeros((4, 1)), A=[1.0, 1, 0, 1], Y=[1.0, 1, 0, 1],
+            y1=np.ones(4), y0=[np.inf, 0, 0, -np.inf], pi_true=np.full(4, 0.5),
+        )
+
+
 def test_observed_strips_counterfactual_columns():
     X = np.arange(8.0).reshape(4, 2)
     A = np.array([0.0, 1, 0, 1])
@@ -233,3 +251,28 @@ def test_replace_rows_resamples(small_dataset):
         assert arr.flags.c_contiguous and not arr.flags.writeable
     np.testing.assert_array_equal(sub.X, small_dataset.X[idx])
     np.testing.assert_array_equal(sub.A, small_dataset.A[idx])
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [
+        np.array([4, 0, 0, 9, 2]),
+        np.arange(12) % 3 == 0,
+        slice(2, 8),
+        slice(1, 11, 3),
+    ],
+    ids=["int-array", "bool-mask", "slice", "strided-slice"],
+)
+def test_replace_rows_index_kinds(idx):
+    X = np.arange(36.0).reshape(12, 3)
+    A = np.arange(12) % 2.0
+    Y = np.linspace(-1.0, 1.0, 12)
+    source = ObservationalDataset(X=X, A=A, Y=Y)
+    before = [arr.copy() for arr in (source.X, source.A, source.Y)]
+    sub = source.replace_rows(idx)
+    for got, full in zip((sub.X, sub.A, sub.Y), (X, A, Y)):
+        np.testing.assert_array_equal(got, full[idx])
+        assert got.flags.c_contiguous and not got.flags.writeable
+    for arr, old in zip((source.X, source.A, source.Y), before):
+        np.testing.assert_array_equal(arr, old)
+        assert not arr.flags.writeable

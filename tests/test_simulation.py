@@ -198,14 +198,15 @@ def test_study_cells_layout():
 def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypatch):
     # Two replicates of the default 30-cell grid: per replicate, 2 propensity
     # and 2 outcome fits, no prediction (the cells read the fits' own
-    # in-sample vectors) and 5 design evaluations: one per propensity design,
+    # in-sample vectors), 5 design evaluations (one per propensity design,
     # one for the outcome model whose interaction design equals its main
-    # design and two for the one whose designs differ.
+    # design and two for the one whose designs differ) and one outcome model
+    # matrix per outcome fit, which also serves both arms' fitted means.
     import wate.design
     import wate.estimators
     import wate.models
 
-    calls = {"propensity": 0, "outcome": 0, "predict": 0, "matrix": 0}
+    calls = {"propensity": 0, "outcome": 0, "predict": 0, "matrix": 0, "outcome_matrix": 0}
 
     def counting(stage, fn):
         def wrapper(*args, **kwargs):
@@ -222,10 +223,16 @@ def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypa
     monkeypatch.setattr(
         wate.design.DesignSpec, "matrix", counting("matrix", wate.design.DesignSpec.matrix)
     )
+    monkeypatch.setattr(
+        wate.models, "_outcome_matrix", counting("outcome_matrix", wate.models._outcome_matrix)
+    )
     design = SimulationDesign(outcome_model=1, n=200, replications=2, truth_draws=1000)
     assert len(study_cells(design)) == 30
     run_study(design)
-    assert calls == {"propensity": 2 * 2, "outcome": 2 * 2, "predict": 0, "matrix": 2 * 5}
+    assert calls == {
+        "propensity": 2 * 2, "outcome": 2 * 2, "predict": 0, "matrix": 2 * 5,
+        "outcome_matrix": 2 * 2,
+    }
 
 
 @pytest.fixture(scope="module")
