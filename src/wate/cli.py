@@ -38,7 +38,13 @@ from .estimators import (
     has_formula,
     plan_cells,
 )
-from .simulation import SimulationDesign, run_study, study_cells, true_estimands
+from .simulation import (
+    DEFAULT_TRUTH_DRAWS,
+    SimulationDesign,
+    run_study,
+    study_cells,
+    true_estimands,
+)
 from .targets import (
     TargetFunction,
     average_effect,
@@ -73,7 +79,7 @@ _SIMULATE_DEFAULTS = {
     "estimand": "ate,att,atc,ato",
     "estimator": "regression,ipw,dr",
     "truncate": "",
-    "truth-draws": "1000000",
+    "truth-draws": str(DEFAULT_TRUTH_DRAWS),
     "seed": "0",
     "workers": "1",
     "out": "",
@@ -82,7 +88,7 @@ _SIMULATE_DEFAULTS = {
 
 _TRUE_VALUES_DEFAULTS = {
     "outcome-model": "1,2",
-    "draws": "1000000",
+    "draws": str(DEFAULT_TRUTH_DRAWS),
     "seed": "0",
     "out": "",
 }

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wate import simulation
 from wate.data import CounterfactualDataset
 from wate.models import fit_outcome, fit_propensity, predict_outcome, predict_propensity
 from wate.simulation import (
     _TRUTH_CHUNK,
+    _truth_stream,
     SimulationDesign,
     generate_dataset,
     outcome_design,
@@ -108,6 +110,46 @@ def test_reference_truth_is_cached_and_deterministic():
     assert a is b
     c = true_estimands(2, draws=10**5, rng=np.random.default_rng(8))
     assert c.value("att") == pytest.approx(a.att, abs=0.02)
+
+
+@pytest.fixture
+def empty_truth_cache():
+    simulation._integrated_truth.cache_clear()
+    yield
+    simulation._integrated_truth.cache_clear()
+
+
+def test_default_population_values_are_pinned_not_integrated(empty_truth_cache, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default population values must not be integrated")
+
+    monkeypatch.setattr(simulation, "true_estimands", refuse)
+    for model in (1, 2):
+        assert reference_truth(model) is reference_truth(model, 10**6)
+        assert reference_truth(model, draws=10**6).draws == 10**6
+    monkeypatch.undo()
+    # Any other count integrates the same stream, to the last bit.
+    assert reference_truth(1, 1000) == true_estimands(1, 1000, _truth_stream(1))
+    with pytest.raises(ValueError) as bad_model:
+        reference_truth(3)
+    assert str(bad_model.value) == "outcome_model must be 1 or 2, got 3"
+    with pytest.raises(ValueError) as no_draws:
+        reference_truth(1, 0)
+    assert str(no_draws.value) == "draws must be at least 1, got 0"
+
+
+def test_integrated_truth_is_cached_however_draws_is_passed(empty_truth_cache, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return true_estimands(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "true_estimands", counting)
+    a = reference_truth(1, 5000)
+    b = reference_truth(1, draws=5000)
+    assert a is b
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("draws", [0, -5])
