@@ -69,20 +69,17 @@ def parallel_map(fn: Callable[[int], T], count: int, workers: int) -> list[T]:
 
     Indices go out in contiguous chunks, four per worker to even out uneven
     work, and results come back in index order, so the output never depends
-    on ``workers``. ``fn`` must be picklable when ``workers > 1`` (a
-    module-level function, a ``functools.partial`` of one, or a frozen
-    dataclass with ``__call__``).
+    on ``workers``. The pool starts no more processes than there are chunks.
+    ``fn`` must be picklable when ``workers > 1`` (a module-level function,
+    a ``functools.partial`` of one, or a frozen dataclass with
+    ``__call__``).
     """
-    if workers <= 1:
+    if workers <= 1 or count == 0:
         return _map_range(fn, range(count))
-    pieces = max(1, min(workers * 4, count))
-    bounds = np.linspace(0, count, pieces + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_map_range, fn, range(lo, hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if lo < hi
-        ]
+    bounds = np.linspace(0, count, min(workers * 4, count) + 1).astype(int)
+    chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        futures = [pool.submit(_map_range, fn, chunk) for chunk in chunks]
         return [value for future in futures for value in future.result()]
 
 

@@ -19,13 +19,21 @@ Each fit builds one model matrix, with the design evaluated straight into
 it, and reuses it: the outcome fit gets ``m1`` and ``m0`` by overwriting the
 arm and interaction columns in place, and the Newton steps of the logistic
 fit write their weighted design and log likelihood terms into buffers
-allocated once per fit. At bootstrap sizes every n-by-k temporary is paid
-again, on every replicate, in page faults; none of this changes an operation
-or its order, so the results are the same bits.
+allocated once per fit. None of this changes an operation or its order, so
+the results are the same bits.
+
+At bootstrap sizes the n-by-k blocks that remain, most of them
+``numpy.linalg.qr``'s own copies, are freed at the end of every fit. By
+default glibc hands that memory back to the OS and the next fit faults it in
+again, page by page. On glibc, importing this module therefore raises the
+mmap threshold to 32 MiB and the trim threshold to 64 MiB (see
+:func:`_keep_freed_heap`), so freed fit blocks stay in the heap for the next
+fit; a user who sets either threshold through the environment keeps it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +42,44 @@ from numpy.typing import NDArray
 from .data import ObservationalDataset
 from .design import DesignSpec
 from .errors import ConvergenceError, ModelFitError, RankDeficiencyError
+
+
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_heap() -> None:
+    """On glibc, serve blocks below 32 MiB from the heap and trim it only
+    when 64 MiB lie free at its top; do nothing if the user set a malloc
+    threshold or tunable.
+
+    glibc's adaptive rule moves both thresholds this way on its own, but one
+    fit behind: the blocks a fit frees leave more free space at the top of
+    the heap than its current trim threshold, so the heap is trimmed and the
+    next fit faults the pages in again. The settings move no arithmetic, and
+    forked workers inherit them.
+    """
+    if "MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ:
+        return
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+        return
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        import ctypes  # missing from a CPython built without libffi
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+    mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ flipped sign, or a broken working model.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ def population_values(tmp_path_factory):
     elapsed = time.monotonic() - t0
     assert code == 0
     values = {}
-    for line in open(prefix + ".csv"):
+    for line in Path(prefix + ".csv").read_text().splitlines():
         if line[:1].isdigit():
             model, estimand, value = line.split(",")[:3]
             values[(int(model), estimand)] = float(value)
@@ -344,7 +345,7 @@ def test_acceptance_8_worker_determinism(tmp_path):
     assert main(sim_args + ["--out", a, "--workers", "1"]) == 0
     assert main(sim_args + ["--out", b, "--workers", "3"]) == 0
     same_sim = all(
-        open(a + ext).read() == open(b + ext).read() for ext in (".csv", ".md")
+        Path(a + ext).read_text() == Path(b + ext).read_text() for ext in (".csv", ".md")
     )
 
     data = str(tmp_path / "data.csv")
@@ -354,7 +355,7 @@ def test_acceptance_8_worker_determinism(tmp_path):
     assert main(est_args + ["--out", c, "--workers", "1"]) == 0
     assert main(est_args + ["--out", d, "--workers", "2"]) == 0
     same_est = all(
-        open(c + ext).read() == open(d + ext).read() for ext in (".csv", ".md")
+        Path(c + ext).read_text() == Path(d + ext).read_text() for ext in (".csv", ".md")
     )
     _gate(
         "8 worker-determinism",
@@ -392,7 +393,7 @@ def test_acceptance_9_clinical_shape_run(tmp_path):
     )
     csv_rows = [
         line.split(",")
-        for line in open(prefix + ".csv").read().splitlines()
+        for line in Path(prefix + ".csv").read_text().splitlines()
         if line and not line.startswith("#") and not line.startswith("method,")
     ]
     bad = []
@@ -408,7 +409,7 @@ def test_acceptance_9_clinical_shape_run(tmp_path):
             bad.append(f"{method}/{estimand}: bad se {se_txt!r}")
         elif int(b_ok) < 150:
             bad.append(f"{method}/{estimand}: only {b_ok} bootstrap fits")
-    echo = open(prefix + ".csv").read()
+    echo = Path(prefix + ".csv").read_text()
     if f"# n = {n}, treated = {n_treated}, control = {n - n_treated}" not in echo:
         bad.append("sample breakdown line missing")
     _gate("9 clinical-shape-run", not bad, "; ".join(bad) or "12 cells complete")

@@ -1,11 +1,15 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 import wate
+import wate.bootstrap
 from wate.bootstrap import (
     EstimationPipeline,
     bootstrap_se,
     bootstrap_vector,
+    parallel_map,
     run_pipeline,
 )
 from wate.errors import BootstrapError
@@ -82,6 +86,38 @@ def test_worker_count_does_not_change_results(ds400):
     r2 = bootstrap_se(ds400, pipe, b=32, seed=9, workers=3)
     np.testing.assert_array_equal(r1.replicate_values, r2.replicate_values)
     assert r1.se == r2.se
+
+
+@pytest.mark.parametrize(
+    "count, workers, pool_sizes",
+    [(10, 500, [10]), (100, 3, [3]), (1, 2, [1]), (0, 4, [])],
+)
+def test_parallel_map_starts_no_more_workers_than_chunks(
+    monkeypatch, count, workers, pool_sizes
+):
+    sizes = []
+
+    class InlinePool:
+        """Stands in for ``ProcessPoolExecutor``: records its size and runs
+        each task at submit, so no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(wate.bootstrap, "ProcessPoolExecutor", InlinePool)
+    assert parallel_map(lambda i: i * i, count, workers) == [i * i for i in range(count)]
+    assert sizes == pool_sizes
 
 
 def test_se_recomputable_from_replicates(ds400):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ def test_estimate_csv_matches_library(data_csv, tmp_path, capsys):
     )
     assert code == 0
     assert out == ""
-    csv_text = open(prefix + ".csv").read()
+    csv_text = Path(prefix + ".csv").read_text()
     assert not (tmp_path / "report.md").exists()
     lines = [l for l in csv_text.splitlines() if not l.startswith("#")]
     assert lines[0] == "method,estimand,estimate,se,bootstrap_ok,note"
@@ -77,8 +79,8 @@ def test_estimate_bootstrap_deterministic_across_workers(data_csv, tmp_path, cap
     out2 = str(tmp_path / "w2")
     assert run_cli(capsys, *args, "--out", out1, "--workers", "1")[0] == 0
     assert run_cli(capsys, *args, "--out", out2, "--workers", "2")[0] == 0
-    text1 = open(out1 + ".csv").read()
-    assert text1 == open(out2 + ".csv").read()
+    text1 = Path(out1 + ".csv").read_text()
+    assert text1 == Path(out2 + ".csv").read_text()
     # Standard errors were actually produced.
     ipw_ate = [l for l in text1.splitlines() if l.startswith("ipw,ate,")][0]
     fields = ipw_ate.split(",")
@@ -123,7 +125,7 @@ def test_estimate_linear_and_expression_tokens(data_csv, tmp_path, capsys):
         "--out", prefix, "--format", "csv",
     )
     assert code == 0
-    csv_text = open(prefix + ".csv").read()
+    csv_text = Path(prefix + ".csv").read_text()
     assert '\naipw,"linear:1,-1",' in csv_text
     assert "\naipw,expr:x2^2," in csv_text
 
@@ -209,8 +211,8 @@ def test_simulate_csv_and_worker_invariance(tmp_path, capsys):
     out2 = str(tmp_path / "sim2")
     assert run_cli(capsys, *args, "--out", out1)[0] == 0
     assert run_cli(capsys, *args, "--out", out2, "--workers", "2")[0] == 0
-    text = open(out1 + ".csv").read()
-    assert text == open(out2 + ".csv").read()
+    text = Path(out1 + ".csv").read_text()
+    assert text == Path(out2 + ".csv").read_text()
     assert "# command = simulate" in text
     header = [l for l in text.splitlines() if l.startswith("outcome_model,")]
     assert len(header) == 1
@@ -233,9 +235,9 @@ def test_true_values_deterministic(tmp_path, capsys):
     prefix = str(tmp_path / "tv")
     args = ["true-values", "--draws", "200000", "--out", prefix]
     assert run_cli(capsys, *args)[0] == 0
-    text = open(prefix + ".csv").read()
+    text = Path(prefix + ".csv").read_text()
     assert run_cli(capsys, *args)[0] == 0
-    assert text == open(prefix + ".csv").read()
+    assert text == Path(prefix + ".csv").read_text()
     lines = text.splitlines()
     assert "outcome_model,estimand,value,mc_se,draws" in lines
     data = [l for l in lines if l[:1].isdigit()]
@@ -265,7 +267,7 @@ def test_negative_linear_target_gives_one_note_for_every_estimator(data_csv, tmp
         "--estimand", "linear:-1,0.5", "--out", prefix, "--format", "csv",
     )
     assert code == 1
-    rows = [line for line in open(prefix + ".csv").read().splitlines() if "linear" in line]
+    rows = [line for line in Path(prefix + ".csv").read_text().splitlines() if "linear" in line]
     notes = {row.split(",")[0]: row.rsplit(",", 1)[1] for row in rows if not row.startswith("#")}
     expected = "linear:-1;0.5: a + b*pi is negative for some observations"
     assert notes == {"ipw": expected, "aipw": expected}

@@ -1,17 +1,23 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wate.models
 from wate.data import ObservationalDataset
 from wate.design import DesignSpec, TransformTerm, intercept_only, main_effects, parse_design
 from wate.errors import ConvergenceError, ModelFitError, RankDeficiencyError
 from wate.estimators import EstimationPipeline, EstimatorKind, estimate, fill_cells
 from wate.models import (
     FitOptions,
+    _keep_freed_heap,
     _sigmoid,
     fit_outcome,
     fit_propensity,
@@ -439,3 +445,73 @@ def test_no_residual_degrees_of_freedom():
     ds = make_ds(X, [0, 1, 0, 1, 0, 1], rng.normal(size=6))
     with pytest.raises(ModelFitError, match="degrees of freedom"):
         fit_outcome(ds, main_effects(("x1", "x2")))
+
+
+# --- heap reuse --------------------------------------------------------------
+
+_GLIBC = "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}) and bool(
+    os.confstr("CS_GNU_LIBC_VERSION")
+)
+_USER_MALLOC = (
+    "MALLOC_MMAP_THRESHOLD_" in os.environ
+    or "MALLOC_TRIM_THRESHOLD_" in os.environ
+    or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")
+)
+needs_default_glibc_malloc = pytest.mark.skipif(
+    not _GLIBC or _USER_MALLOC, reason="needs glibc malloc without user thresholds"
+)
+
+# Minor page faults of ten warm n = 5000 outcome fits, in a fresh process.
+_FIT_FAULTS = """
+import resource
+import numpy as np
+from wate.design import main_effects
+from wate.models import fit_outcome
+from wate.simulation import generate_dataset
+
+ds = generate_dataset(1, 5000, np.random.default_rng(0))
+design = main_effects(ds.covariate_names)
+fit_outcome(ds, design)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    fit_outcome(ds, design)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def ten_fit_faults(**env: str) -> int:
+    src = str(Path(wate.models.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _FIT_FAULTS],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return int(out.stdout)
+
+
+@needs_default_glibc_malloc
+def test_warm_outcome_fits_fault_in_no_pages():
+    # With glibc's defaults each fit trims the heap and the next one faults
+    # about 440 pages back in.
+    assert ten_fit_faults() < 500
+
+
+@needs_default_glibc_malloc
+@pytest.mark.parametrize(
+    "env",
+    [
+        {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"},
+        {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072:glibc.malloc.trim_threshold=131072"},
+    ],
+)
+def test_user_malloc_thresholds_win(env):
+    assert ten_fit_faults(**env) > 10 * 100
+
+
+def test_import_survives_a_python_without_ctypes(monkeypatch):
+    monkeypatch.setitem(sys.modules, "ctypes", None)
+    _keep_freed_heap()
