@@ -38,13 +38,7 @@ from .estimators import (
     has_formula,
     plan_cells,
 )
-from .simulation import (
-    DEFAULT_TRUTH_DRAWS,
-    SimulationDesign,
-    run_study,
-    study_cells,
-    true_estimands,
-)
+from .simulation import SimulationDesign, reference_truth, run_study, study_cells
 from .targets import (
     TargetFunction,
     average_effect,
@@ -79,7 +73,6 @@ _SIMULATE_DEFAULTS = {
     "estimand": "ate,att,atc,ato",
     "estimator": "regression,ipw,dr",
     "truncate": "",
-    "truth-draws": str(DEFAULT_TRUTH_DRAWS),
     "seed": "0",
     "workers": "1",
     "out": "",
@@ -88,8 +81,6 @@ _SIMULATE_DEFAULTS = {
 
 _TRUE_VALUES_DEFAULTS = {
     "outcome-model": "1,2",
-    "draws": str(DEFAULT_TRUTH_DRAWS),
-    "seed": "0",
     "out": "",
 }
 
@@ -217,9 +208,10 @@ def _parse_int(
 def _parse_int_list(
     resolved: dict[str, str], key: str, minimum: int, maximum: int | None = None
 ) -> list[int]:
-    return [
-        _parse_int({key: t}, key, minimum, maximum) for t in _split_list(resolved[key])
-    ]
+    tokens = _split_list(resolved[key])
+    if not tokens:
+        raise CliError(f"--{key} needs at least one value, got {resolved[key]!r}")
+    return [_parse_int({key: t}, key, minimum, maximum) for t in tokens]
 
 
 def _parse_design_option(
@@ -236,7 +228,7 @@ def _parse_design_option(
 def _load_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -245,7 +237,7 @@ def _load_config(path: str) -> dict[str, str]:
                     raise CliError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 out[key.strip().replace("_", "-")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from None
     return out
 
@@ -446,12 +438,15 @@ def _write_outputs(out: str, fmt: str, csv_text: str, md_text: str) -> None:
     if not out:
         sys.stdout.write(md_text if fmt in ("both", "md") else csv_text)
         return
-    if fmt in ("both", "csv"):
-        with open(out + ".csv", "w") as fh:
-            fh.write(csv_text)
-    if fmt in ("both", "md"):
-        with open(out + ".md", "w") as fh:
-            fh.write(md_text)
+    for ext, text in (("csv", csv_text), ("md", md_text)):
+        if fmt not in ("both", ext):
+            continue
+        path = f"{out}.{ext}"
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc}") from None
 
 
 def _check_format(resolved: dict[str, str]) -> str:
@@ -520,7 +515,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     reps = _parse_int(resolved, "reps", 2)
     seed = _parse_int(resolved, "seed", 0)
     workers = _parse_int(resolved, "workers", 1)
-    truth_draws = _parse_int(resolved, "truth-draws", 1000)
     estimators = tuple(_split_list(resolved["estimator"]))
     estimands = tuple(_split_list(resolved["estimand"]))
     try:
@@ -543,7 +537,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 estimands=estimands,
                 truncate=truncate,
                 workers=workers,
-                truth_draws=truth_draws,
             )
             report = run_study(design)
             text = report.to_csv_text()
@@ -565,25 +558,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_true_values(args: argparse.Namespace) -> int:
     resolved = _resolve_options(args, _TRUE_VALUES_DEFAULTS)
     models = _parse_int_list(resolved, "outcome-model", 1, 2)
-    draws = _parse_int(resolved, "draws", 1000)
-    seed = _parse_int(resolved, "seed", 0)
     echo = _echo_lines("true-values", resolved)
     lines = list(echo)
     lines.append("outcome_model,estimand,value,mc_se,draws")
     for model in models:
-        rng = np.random.default_rng(seed)
-        truth = true_estimands(model, draws, rng)
+        truth = reference_truth(model)
         for estimand in ("ate", "att", "atc", "ato"):
             lines.append(
                 f"{model},{estimand},{truth.value(estimand):.6f},"
-                f"{truth.mc_se(estimand):.6f},{draws}"
+                f"{truth.mc_se(estimand):.6f},{truth.draws}"
             )
     text = "\n".join(lines) + "\n"
-    if resolved["out"]:
-        with open(resolved["out"] + ".csv", "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_outputs(resolved["out"], "csv", text, text)
     return 0
 
 

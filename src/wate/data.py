@@ -13,7 +13,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -214,6 +214,15 @@ def _parse_cell(token: str, row: int, column: str) -> float:
     return value
 
 
+def _decoded_lines(fh: Iterable[str], path: str | os.PathLike) -> Iterator[str]:
+    """The lines of a text file, with a decoding error raised as a
+    :class:`CsvFormatError` naming the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_csv(
     path: str | os.PathLike,
     treatment: str = "a",
@@ -224,9 +233,10 @@ def load_csv(
 
     ``covariates`` restricts (and orders) the covariate columns; by default
     every column other than the treatment and outcome is used, in file order.
+    The file is read as UTF-8, with a leading byte order mark dropped.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(_decoded_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

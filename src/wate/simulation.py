@@ -10,13 +10,13 @@ linear ``x1 + 0.5*x3*x5``.
 
 ``run_study`` crosses estimators with correct and misspecified working
 models over many replications, and reports bias and RMSE per cell against
-population values from plain Monte Carlo integration on a separate fixed
-stream. For the default ``DEFAULT_TRUTH_DRAWS`` those values are constants of
-the module, equal bit for bit to that integration; any other number of draws
-is integrated when first asked for. The integration streams its draws: its
-working set is about five chunk-length arrays (~21 MB), whatever the number
-of draws, and it takes about 0.2 s per 10^6 draws. ``_TRUTH_CHUNK`` is its
-summation unit, so changing it changes the last bits of the values.
+the population values of ``reference_truth``: constants of the module, equal
+bit for bit to ``true_estimands`` integrating ``DEFAULT_TRUTH_DRAWS`` draws
+on a separate fixed stream (``_truth_stream``). ``true_estimands`` stays
+public for other draws or streams. It streams its draws: its working set is
+about five chunk-length arrays (~21 MB), whatever the number of draws, and
+it takes about 0.2 s per 10^6 draws. ``_TRUTH_CHUNK`` is its summation unit,
+so changing it changes the last bits of the values.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ _COVARIATE_NAMES = ("x1", "x2", "x3", "x4", "x5")
 # apart.
 _TRUTH_ENTROPY = 196_883_741
 
-# Draws behind the study's population values unless asked otherwise.
+# Draws behind the study's population values.
 DEFAULT_TRUTH_DRAWS = 10**6
 
 # Draws per summation chunk, and rows per block of covariates drawn within a
@@ -234,8 +234,8 @@ def _truth_stream(outcome_model: int) -> np.random.Generator:
 
 # true_estimands(m, DEFAULT_TRUTH_DRAWS, _truth_stream(m)) for both outcome
 # models, to the last bit.
-_PINNED_TRUTH: dict[tuple[int, int], TrueEstimands] = {
-    (1, DEFAULT_TRUTH_DRAWS): TrueEstimands(
+_PINNED_TRUTH: dict[int, TrueEstimands] = {
+    1: TrueEstimands(
         outcome_model=1,
         draws=DEFAULT_TRUTH_DRAWS,
         ate=float.fromhex("0x1.e76da4e86b454p+0"),
@@ -247,7 +247,7 @@ _PINNED_TRUTH: dict[tuple[int, int], TrueEstimands] = {
         se_atc=float.fromhex("0x1.2aa32cfbdedd1p-10"),
         se_ato=float.fromhex("0x1.8d375d51edf61p-10"),
     ),
-    (2, DEFAULT_TRUTH_DRAWS): TrueEstimands(
+    2: TrueEstimands(
         outcome_model=2,
         draws=DEFAULT_TRUTH_DRAWS,
         ate=float.fromhex("0x1.939d88be2f7d3p-14"),
@@ -262,29 +262,23 @@ _PINNED_TRUTH: dict[tuple[int, int], TrueEstimands] = {
 }
 
 
-@functools.lru_cache(maxsize=8)
-def _integrated_truth(outcome_model: int, draws: int) -> TrueEstimands:
-    return true_estimands(outcome_model, draws, _truth_stream(outcome_model))
-
-
 def reference_truth(
     outcome_model: int, draws: int = DEFAULT_TRUTH_DRAWS
 ) -> TrueEstimands:
-    """Population values on the fixed truth stream, so every study against
-    the same outcome model compares to identical numbers.
+    """The population values every study compares against: pinned constants,
+    equal bit for bit to integrating ``DEFAULT_TRUTH_DRAWS`` draws of
+    ``outcome_model``'s fixed truth stream.
 
-    For ``DEFAULT_TRUTH_DRAWS`` they are pinned constants, equal bit for bit
-    to integrating that stream. Any other ``draws`` is integrated on first use
-    (about 0.2 s per 10^6 draws, in about 21 MB whatever the draws) and
-    cached.
+    ``draws`` must be ``DEFAULT_TRUTH_DRAWS``; other draws or streams go
+    through :func:`true_estimands`.
     """
-    # Only exact ints are looked up: 1e6 or True integrates, and fails or
-    # succeeds, as it would without the table.
-    if type(outcome_model) is int and type(draws) is int:
-        pinned = _PINNED_TRUTH.get((outcome_model, draws))
-        if pinned is not None:
-            return pinned
-    return _integrated_truth(outcome_model, draws)
+    _check_outcome_model(outcome_model)
+    if draws != DEFAULT_TRUTH_DRAWS:
+        raise ValueError(
+            f"reference_truth has only {DEFAULT_TRUTH_DRAWS} draws, got {draws!r}; "
+            "call true_estimands for other draws"
+        )
+    return _PINNED_TRUTH[outcome_model]
 
 
 def _model1_effect_feature(X: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -334,7 +328,6 @@ class SimulationDesign:
     m_specs: tuple[bool, ...] = (True, False)
     truncate: tuple[float, float] | None = None
     workers: int = 1
-    truth_draws: int = DEFAULT_TRUTH_DRAWS
 
 
 Cell = tuple[str, bool | None, bool | None, str]
@@ -344,7 +337,7 @@ def study_cells(design: SimulationDesign) -> list[Cell]:
     """(estimator, pi_correct, m_correct, estimand) combinations the study
     fills in: those :func:`~wate.estimators.has_formula` allows, so the
     regression rows, which fit no propensity model, have no overlap
-    column."""
+    column. Raises ``ValueError`` if no cell remains."""
     rows: list[tuple[str, bool | None, bool | None]] = []
     for est in design.estimators:
         if est == "regression":
@@ -365,6 +358,11 @@ def study_cells(design: SimulationDesign) -> list[Cell]:
             if not has_formula(_KIND_BY_TOKEN[est], _TARGETS[estimand]):
                 continue
             cells.append((est, pc, mc, estimand))
+    if not cells:
+        raise ValueError(
+            f"no study cells: estimators {list(design.estimators)} have no formula "
+            f"for estimands {list(design.estimands)}"
+        )
     return cells
 
 
@@ -515,7 +513,7 @@ class SimulationReport:
 
 def run_study(design: SimulationDesign) -> SimulationReport:
     """Run every replication, aggregate per-cell bias/SD/RMSE against the
-    cached population values. Output is independent of ``workers``."""
+    pinned population values. Output is independent of ``workers``."""
     cells = study_cells(design)
     reps = design.replications
     if reps < 2:
@@ -524,7 +522,7 @@ def run_study(design: SimulationDesign) -> SimulationReport:
     matrix = np.array(
         parallel_map(functools.partial(_replicate_values, design, plan), reps, design.workers)
     )
-    truth = reference_truth(design.outcome_model, design.truth_draws)
+    truth = reference_truth(design.outcome_model)
     stats = []
     for j, (est, pc, mc, estimand) in enumerate(cells):
         col = matrix[:, j]

@@ -79,7 +79,7 @@ def _close(a: float, b: float, tol: float = 1e-12) -> bool:
 def population_values(tmp_path_factory):
     prefix = str(tmp_path_factory.mktemp("acc") / "tv")
     t0 = time.monotonic()
-    code = main(["true-values", "--draws", "1000000", "--out", prefix])
+    code = main(["true-values", "--out", prefix])
     elapsed = time.monotonic() - t0
     assert code == 0
     values = {}
@@ -338,8 +338,7 @@ def test_acceptance_7_fitting_oracles():
 
 def test_acceptance_8_worker_determinism(tmp_path):
     sim_args = [
-        "simulate", "--outcome-model", "2", "--n", "80", "--reps", "8",
-        "--truth-draws", "100000", "--seed", "4",
+        "simulate", "--outcome-model", "2", "--n", "80", "--reps", "8", "--seed", "4",
     ]
     a, b = str(tmp_path / "sim_a"), str(tmp_path / "sim_b")
     assert main(sim_args + ["--out", a, "--workers", "1"]) == 0

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,11 @@ def test_estimate_usage_errors(data_csv, tmp_path, capsys):
         ["estimate", "DATA", "--outcome", "zz"],
         # The unweighted row is always shown; it is not an estimator option.
         ["estimate", "DATA", "--estimator", "unweighted"],
+        # An empty grid would print a report with no rows.
+        ["simulate", "--n", ","],
+        ["simulate", "--outcome-model", ","],
+        ["true-values", "--outcome-model", ","],
+        ["simulate", "--estimator", "regression", "--estimand", "ato"],
     ],
 )
 def test_bad_option_values_are_usage_errors(argv, data_csv, capsys):
@@ -205,7 +211,7 @@ def test_estimand_token_parser_details():
 def test_simulate_csv_and_worker_invariance(tmp_path, capsys):
     args = [
         "simulate", "--reps", "6", "--n", "60", "--outcome-model", "2",
-        "--truth-draws", "100000", "--seed", "1", "--format", "csv",
+        "--seed", "1", "--format", "csv",
     ]
     out1 = str(tmp_path / "sim1")
     out2 = str(tmp_path / "sim2")
@@ -223,8 +229,7 @@ def test_simulate_csv_and_worker_invariance(tmp_path, capsys):
 def test_simulate_markdown_two_sizes(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--reps", "4", "--n", "50,70",
-        "--outcome-model", "2", "--truth-draws", "100000",
-        "--estimator", "regression", "--estimand", "ate",
+        "--outcome-model", "2", "--estimator", "regression", "--estimand", "ate",
     )
     assert code == 0
     assert "Outcome model 2, n = 50, 4 replications." in out
@@ -233,7 +238,7 @@ def test_simulate_markdown_two_sizes(tmp_path, capsys):
 
 def test_true_values_deterministic(tmp_path, capsys):
     prefix = str(tmp_path / "tv")
-    args = ["true-values", "--draws", "200000", "--out", prefix]
+    args = ["true-values", "--out", prefix]
     assert run_cli(capsys, *args)[0] == 0
     text = Path(prefix + ".csv").read_text()
     assert run_cli(capsys, *args)[0] == 0
@@ -245,6 +250,97 @@ def test_true_values_deterministic(tmp_path, capsys):
     by_key = {tuple(l.split(",")[:2]): float(l.split(",")[2]) for l in data}
     assert by_key[("2", "att")] == pytest.approx(0.4648, abs=0.01)
     assert by_key[("1", "atc")] == pytest.approx(1.0390, abs=0.02)
+
+
+@pytest.mark.parametrize("model", ["1", "2"])
+def test_true_values_print_the_values_simulate_compares_against(model, capsys):
+    code, tv, _ = run_cli(capsys, "true-values", "--outcome-model", model)
+    assert code == 0
+    printed = {
+        r[1]: float(r[2]) for r in (l.split(",") for l in tv.splitlines() if l[:1].isdigit())
+    }
+    code, sim, _ = run_cli(
+        capsys, "simulate", "--outcome-model", model, "--n", "100", "--reps", "2",
+        "--estimator", "ipw", "--format", "csv",
+    )
+    assert code == 0
+    truth = {
+        r[6]: float(r[7]) for r in (l.split(",") for l in sim.splitlines() if l[:1].isdigit())
+    }
+    assert sorted(printed) == sorted(truth) == ["atc", "ate", "ato", "att"]
+    for estimand, value in printed.items():
+        assert value == pytest.approx(truth[estimand], abs=5e-7), estimand
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("simulate", "truth-draws"), ("true-values", "draws"), ("true-values", "seed")],
+)
+def test_population_values_have_no_draws_or_seed_option(command, option, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{option}", "100000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(f"{option} = 100000\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config file has unknown keys") and option in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "DATA", "--bootstrap", "0"],
+        ["simulate", "--n", "60", "--reps", "2", "--estimator", "regression", "--estimand", "ate"],
+        ["true-values"],
+    ],
+)
+def test_an_unwritable_out_is_a_usage_error(argv, data_csv, tmp_path, capsys):
+    argv = [data_csv if a == "DATA" else a for a in argv]
+    prefix = str(tmp_path / "no-such-dir" / "report")
+    code, out, err = run_cli(capsys, *argv, "--out", prefix)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {prefix}.csv:")
+    assert "Traceback" not in err
+
+
+_DATA_LINE = re.compile(r"^# data = .*$", re.MULTILINE)
+COHORT = Path(__file__).resolve().parent / "golden" / "cohort.csv"
+
+
+def test_a_byte_order_mark_is_ignored(tmp_path, capsys):
+    # Spreadsheet programs save UTF-8 with a BOM; it must not become part of
+    # the first column name, in the data or in a config file.
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + COHORT.read_bytes())
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfpi-design = x1\n")
+    reports = []
+    for data, config in ((COHORT, None), (bom, None), (COHORT, cfg), (bom, cfg)):
+        argv = ["estimate", str(data), "--bootstrap", "0", "--format", "csv"]
+        argv += ["--config", str(config)] if config else ["--pi-design", "x1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        reports.append(_DATA_LINE.sub("# data = <masked>", out))
+    assert reports[1:] == reports[:1] * 3
+
+
+def test_bytes_that_are_not_utf8_give_typed_errors(tmp_path, capsys):
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(b"x1,a,y\n1,0,\xff\n")
+    code, out, err = run_cli(capsys, "estimate", str(bad_csv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad_csv}: not UTF-8 text")
+    assert "Traceback" not in err
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_bytes(b"bootstrap = \xff\n")
+    code, out, err = run_cli(capsys, "estimate", str(COHORT), "--config", str(bad_cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config file {bad_cfg}:")
+    assert "Traceback" not in err
 
 
 def test_version_and_missing_subcommand(capsys):

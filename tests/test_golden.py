@@ -21,11 +21,11 @@ COHORT = str(GOLDEN / "cohort.csv")
 CASES = {
     "simulate_model1.csv": [
         "simulate", "--outcome-model", "1", "--n", "300", "--reps", "20", "--seed", "0",
-        "--truth-draws", "100000", "--format", "csv",
+        "--format", "csv",
     ],
     "simulate_model2.md": [
         "simulate", "--outcome-model", "2", "--n", "300", "--reps", "20", "--seed", "3",
-        "--truncate", "1,99", "--truth-draws", "100000", "--format", "md",
+        "--truncate", "1,99", "--format", "md",
     ],
     "estimate_default.csv": [
         "estimate", COHORT, "--bootstrap", "50", "--seed", "1", "--format", "csv",

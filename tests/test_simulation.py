@@ -8,7 +8,6 @@ from wate.data import CounterfactualDataset
 from wate.models import fit_outcome, fit_propensity, predict_outcome, predict_propensity
 from wate.simulation import (
     _TRUTH_CHUNK,
-    _truth_stream,
     SimulationDesign,
     generate_dataset,
     outcome_design,
@@ -112,14 +111,7 @@ def test_reference_truth_is_cached_and_deterministic():
     assert c.value("att") == pytest.approx(a.att, abs=0.02)
 
 
-@pytest.fixture
-def empty_truth_cache():
-    simulation._integrated_truth.cache_clear()
-    yield
-    simulation._integrated_truth.cache_clear()
-
-
-def test_default_population_values_are_pinned_not_integrated(empty_truth_cache, monkeypatch):
+def test_default_population_values_are_pinned_not_integrated(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the default population values must not be integrated")
 
@@ -127,29 +119,14 @@ def test_default_population_values_are_pinned_not_integrated(empty_truth_cache, 
     for model in (1, 2):
         assert reference_truth(model) is reference_truth(model, 10**6)
         assert reference_truth(model, draws=10**6).draws == 10**6
-    monkeypatch.undo()
-    # Any other count integrates the same stream, to the last bit.
-    assert reference_truth(1, 1000) == true_estimands(1, 1000, _truth_stream(1))
+        assert reference_truth(model).outcome_model == model
+    # Other draws are not integrated on demand: true_estimands serves them.
+    with pytest.raises(ValueError, match="true_estimands") as other_draws:
+        reference_truth(1, 1000)
+    assert "1000" in str(other_draws.value)
     with pytest.raises(ValueError) as bad_model:
         reference_truth(3)
     assert str(bad_model.value) == "outcome_model must be 1 or 2, got 3"
-    with pytest.raises(ValueError) as no_draws:
-        reference_truth(1, 0)
-    assert str(no_draws.value) == "draws must be at least 1, got 0"
-
-
-def test_integrated_truth_is_cached_however_draws_is_passed(empty_truth_cache, monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return true_estimands(*args, **kwargs)
-
-    monkeypatch.setattr(simulation, "true_estimands", counting)
-    a = reference_truth(1, 5000)
-    b = reference_truth(1, draws=5000)
-    assert a is b
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("draws", [0, -5])
@@ -159,8 +136,6 @@ def test_true_estimands_refuse_too_few_draws(draws):
     with pytest.raises(ValueError, match="draws must be at least 1"):
         true_estimands(1, draws, rng)
     assert rng.bit_generator.state == state
-    with pytest.raises(ValueError, match="draws must be at least 1"):
-        reference_truth(1, draws)
 
 
 def test_true_estimands_peak_memory_stays_below_six_chunks():
@@ -268,7 +243,7 @@ def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypa
     monkeypatch.setattr(
         wate.models, "_outcome_matrix", counting("outcome_matrix", wate.models._outcome_matrix)
     )
-    design = SimulationDesign(outcome_model=1, n=200, replications=2, truth_draws=1000)
+    design = SimulationDesign(outcome_model=1, n=200, replications=2)
     assert len(study_cells(design)) == 30
     run_study(design)
     assert calls == {
@@ -279,9 +254,7 @@ def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypa
 
 @pytest.fixture(scope="module")
 def tiny_study():
-    design = SimulationDesign(
-        outcome_model=2, n=150, replications=40, seed=77, truth_draws=10**5
-    )
+    design = SimulationDesign(outcome_model=2, n=150, replications=40, seed=77)
     return run_study(design)
 
 
@@ -297,7 +270,7 @@ def test_study_structure(tiny_study):
 
 def test_study_deterministic_and_worker_invariant(tiny_study):
     design = SimulationDesign(
-        outcome_model=2, n=150, replications=40, seed=77, truth_draws=10**5, workers=3
+        outcome_model=2, n=150, replications=40, seed=77, workers=3
     )
     again = run_study(design)
     assert again.cells == tiny_study.cells
@@ -305,9 +278,7 @@ def test_study_deterministic_and_worker_invariant(tiny_study):
 
 def test_study_seed_changes_results(tiny_study):
     other = run_study(
-        SimulationDesign(
-            outcome_model=2, n=150, replications=40, seed=78, truth_draws=10**5
-        )
+        SimulationDesign(outcome_model=2, n=150, replications=40, seed=78)
     )
     assert other.cells != tiny_study.cells
 
@@ -332,7 +303,6 @@ def test_small_samples_produce_counted_failures():
             replications=30,
             seed=5,
             estimators=("ipw",),
-            truth_draws=10**5,
         )
     )
     total_failed = sum(c.n_failed for c in report.cells)
@@ -364,3 +334,13 @@ def test_invalid_design_tokens():
         run_study(SimulationDesign(replications=1))
     with pytest.raises(ValueError):
         generate_dataset(7, 10, np.random.default_rng(0))
+    # A grid with no cells would report nothing.
+    for empty in (
+        SimulationDesign(estimators=("regression",), estimands=("ato",)),
+        SimulationDesign(estimators=()),
+        SimulationDesign(estimands=()),
+    ):
+        with pytest.raises(ValueError, match="no study cells"):
+            study_cells(empty)
+        with pytest.raises(ValueError, match="no study cells"):
+            run_study(empty)

@@ -1,7 +1,7 @@
 """The Monte Carlo population values pinned to the last bit.
 
-The report goldens use ``--truth-draws 100000``, a single summation chunk, so
-they cannot catch a change in how a multi-chunk truth is summed.
+The report goldens read the pinned values of ``reference_truth``, so they
+cannot catch a change in how ``true_estimands`` sums its draws.
 ``tests/golden/truth.json`` holds ``float.hex`` of the four values and their
 four Monte Carlo standard errors for:
 
@@ -63,8 +63,8 @@ def test_every_population_value_matches_the_recorded_bits():
 def test_pinned_population_values_match_the_recorded_bits():
     expected = json.loads(TRUTH.read_text())
     assert DEFAULT_TRUTH_DRAWS == 10**6
-    assert sorted(_PINNED_TRUTH) == [(1, 10**6), (2, 10**6)]
-    for (model, draws), truth in _PINNED_TRUTH.items():
+    assert sorted(_PINNED_TRUTH) == [1, 2]
+    for model, truth in _PINNED_TRUTH.items():
         assert truth.outcome_model == model
         assert _record(truth) == expected[f"reference/model{model}"], model
 
