@@ -17,6 +17,8 @@ which cannot change any number in the report.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -434,17 +436,36 @@ def _estimate_report_texts(
     return csv_text, md_text, all_ok
 
 
+def _output_paths(out: str, fmt: str) -> dict[str, str]:
+    """The report file ``--out`` names for each format ``--format`` asks for;
+    none when the report goes to stdout."""
+    return {ext: f"{out}.{ext}" for ext in ("csv", "md") if out and fmt in ("both", ext)}
+
+
+def _check_outputs(out: str, fmt: str) -> None:
+    """Refuse, before any work, every report file that is a directory or
+    whose directory does not exist, so no run is thrown away and no report
+    pair is half written. Any other failure is reported when writing."""
+    for path in _output_paths(out, fmt).values():
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        else:
+            continue
+        raise CliError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def _write_outputs(out: str, fmt: str, csv_text: str, md_text: str) -> None:
     if not out:
         sys.stdout.write(md_text if fmt in ("both", "md") else csv_text)
         return
-    for ext, text in (("csv", csv_text), ("md", md_text)):
-        if fmt not in ("both", ext):
-            continue
-        path = f"{out}.{ext}"
+    texts = {"csv": csv_text, "md": md_text}
+    for ext, path in _output_paths(out, fmt).items():
         try:
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.write(texts[ext])
         except OSError as exc:
             raise CliError(f"cannot write {path}: {exc}") from None
 
@@ -495,6 +516,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise CliError("--bootstrap must be 0 (off) or at least 2")
     seed = _parse_int(resolved, "seed", 0)
     workers = _parse_int(resolved, "workers", 1)
+    _check_outputs(resolved["out"], fmt)
     echo = _echo_lines("estimate", {**resolved, "data": args.data})
     csv_text, md_text, all_ok = _estimate_report_texts(
         ds, task, echo, b, seed, workers
@@ -522,6 +544,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     truncate = _parse_truncate(resolved["truncate"])
+    _check_outputs(resolved["out"], fmt)
     echo = _echo_lines("simulate", resolved)
 
     csv_parts: list[str] = []
@@ -558,6 +581,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_true_values(args: argparse.Namespace) -> int:
     resolved = _resolve_options(args, _TRUE_VALUES_DEFAULTS)
     models = _parse_int_list(resolved, "outcome-model", 1, 2)
+    _check_outputs(resolved["out"], "csv")
     echo = _echo_lines("true-values", resolved)
     lines = list(echo)
     lines.append("outcome_model,estimand,value,mc_se,draws")

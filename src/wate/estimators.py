@@ -23,6 +23,11 @@ propensity model at all. Any other h, including the generic augmented form
 for the treated, is a :func:`~wate.targets.covariate_target`.
 :func:`has_formula` says which cells a report or study row can fill.
 
+Each formula is a kernel that returns the checked value and nothing else.
+One routing step picks the kernel and the kind the cell reports. The weight
+mass and effective sample sizes of a :class:`Diagnostics` are read from the
+shared terms only when a :class:`PointEstimate` is built.
+
 :func:`fill_cells` is the one fit-then-fill engine, in two steps.
 :func:`plan_cells` resolves a list of :class:`EstimationPipeline` cells once
 into a :class:`CellPlan`: it lists each distinct working model once and maps
@@ -32,6 +37,8 @@ estimates every cell from the vectors the fits carry, with no prediction and
 no comparison of designs, and computes each term that several cells read
 once, keyed by slots:
 
+* per target: the arm indicator of a treated or control regression and its
+  size, and ``a + b*A`` of a linear target and its sum;
 * per (propensity fit, target): ``h``, its sum, the weights ``A*h/pi`` and
   ``(1-A)*h/(1-pi)`` and their effective sample sizes;
 * per (propensity fit, outcome fit): the augmented contrast and the doubly
@@ -43,12 +50,16 @@ cell that reads the term. Each cell is a :class:`Nuisance` bundle with its
 slots and the pass's store, so the terms live for one pass over one dataset;
 a bundle built by hand keeps a store of its own. The bootstrap, the command
 line report and the Monte Carlo study each build one plan and ship it to
-their workers.
+their workers. :func:`fill_cells` returns point estimates with their
+diagnostics; :func:`cell_values`, which every study and bootstrap replicate
+calls, makes the same pass and keeps only the values, so a replicate builds
+no diagnostics.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Sequence, TypeVar
 
@@ -104,15 +115,19 @@ class PointEstimate:
     diagnostics: Diagnostics
 
 
+_MISSING = object()
+
+
 def _memo(store: dict[Hashable, object], key: Hashable, compute: Callable[[], T]) -> T:
     """``store[key]``, computed on first use. A :class:`WateError` raised by
     ``compute`` is stored instead and raised on every use."""
-    if key not in store:
+    value = store.get(key, _MISSING)
+    if value is _MISSING:
         try:
-            store[key] = compute()
+            value = compute()
         except WateError as exc:
-            store[key] = exc
-    value = store[key]
+            value = exc
+        store[key] = value
     if isinstance(value, WateError):
         raise value
     return value  # type: ignore[return-value]
@@ -181,6 +196,28 @@ class Nuisance:
         if self.m1 is None:
             raise MissingModelError(f"{reader} needs an outcome model")
         return self.m1, self.m0
+
+    # Per target.
+
+    def arm(self, target: TargetFunction) -> tuple[NDArray[np.float64], float]:
+        """The indicator of the arm a treated or control target averages
+        over, ``A`` or ``1 - A``, and the arm's size."""
+
+        def compute():
+            arm = self.ds.A if target.kind is TargetKind.ATT else 1.0 - self.ds.A
+            return arm, float(arm.sum())
+
+        return _memo(self.terms, ("arm", self.t), compute)
+
+    def h_observed(self, a: float, b: float) -> tuple[NDArray[np.float64], float]:
+        """``a + b*A``, the linear target ``a + b*pi`` of the coefficients
+        with the observed treatment in place of ``pi``, and its sum."""
+
+        def compute():
+            h_obs = a + b * self.ds.A
+            return h_obs, float(h_obs.sum())
+
+        return _memo(self.terms, ("h_observed", self.t), compute)
 
     # Per (propensity fit, target).
 
@@ -260,33 +297,15 @@ class Nuisance:
 
 def _finite(value: float, what: str) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise EstimationError(f"{what} evaluated to a non-finite value")
     return value
-
-
-def _point(
-    value: float,
-    kind: EstimatorKind,
-    estimand: TargetFunction,
-    n: int,
-    h_total: float,
-    ess_treated: float,
-    ess_control: float,
-) -> PointEstimate:
-    return PointEstimate(
-        value=value,
-        estimator=kind,
-        estimand=estimand,
-        n_used=n,
-        diagnostics=Diagnostics(h_total=h_total, ess_treated=ess_treated, ess_control=ess_control),
-    )
 
 
 # --- kernels over (A, Y, h, pi, m1, m0) ---------------------------------------
 
 
-def _unweighted(c: Nuisance, estimand: TargetFunction) -> PointEstimate:
+def _unweighted(c: Nuisance, estimand: TargetFunction) -> float:
     """``mean(Y[A==1]) - mean(Y[A==0])``: the average effect when h = 1 and
     no model is fitted."""
     if estimand.kind is not TargetKind.ATE:
@@ -295,62 +314,43 @@ def _unweighted(c: Nuisance, estimand: TargetFunction) -> PointEstimate:
     treated, control = Y[A == 1.0], Y[A == 0.0]
     if treated.size == 0 or control.size == 0:
         raise EstimationError("an arm is empty")
-    value = _finite(np.mean(treated) - np.mean(control), "unweighted estimate")
-    return _point(
-        value, EstimatorKind.UNWEIGHTED, estimand, c.ds.n,
-        c.h_total(estimand), *c.arm_ess(estimand),
-    )
+    return _finite(np.mean(treated) - np.mean(control), "unweighted estimate")
 
 
-def _regression(c: Nuisance, estimand: TargetFunction) -> PointEstimate:
+def _regression(c: Nuisance, estimand: TargetFunction) -> float:
     c.arm_means("regression estimator")
     total = c.h_checked(estimand)
-    value = _finite((c.h(estimand) * c.m_diff()).sum() / total, "regression estimate")
-    return _point(
-        value, EstimatorKind.REGRESSION, estimand, c.ds.n, total, *c.arm_ess(estimand)
-    )
+    return _finite((c.h(estimand) * c.m_diff()).sum() / total, "regression estimate")
 
 
-def _regression_on_arm(c: Nuisance, target: TargetFunction) -> PointEstimate:
-    A, Y = c.ds.A, c.ds.Y
+def _regression_on_arm(c: Nuisance, target: TargetFunction) -> float:
     m1, m0 = c.arm_means("regression estimator")
+    arm, size = c.arm(target)
     treated = target.kind is TargetKind.ATT
-    if treated:
-        who, arm, contrast = "treated", A, Y - m0
-    else:
-        who, arm, contrast = "control", 1.0 - A, m1 - Y
-    size = float(arm.sum())
+    who = "treated" if treated else "control"
     if size < 1.0:
         raise EstimationError(f"no {who} observations")
-    value = _finite((arm * contrast).sum() / size, f"{who} regression estimate")
-    return _point(
-        value, EstimatorKind.REGRESSION, target, c.ds.n,
-        size, size if treated else 0.0, 0.0 if treated else size,
-    )
+    contrast = c.ds.Y - m0 if treated else m1 - c.ds.Y
+    return _finite((arm * contrast).sum() / size, f"{who} regression estimate")
 
 
-def _ipw(c: Nuisance, estimand: TargetFunction) -> PointEstimate:
+def _ipw(c: Nuisance, estimand: TargetFunction) -> float:
     c.propensity("weighting estimator")
     tw, cw, st, sc = c.weights(estimand)
     if st <= 0.0 or sc <= 0.0:
         raise EstimationError("zero weight mass in one arm")
     Y = c.ds.Y
-    value = _finite((tw * Y).sum() / st - (cw * Y).sum() / sc, "ipw estimate")
-    return _point(
-        value, EstimatorKind.IPW_NORMALIZED, estimand, c.ds.n,
-        c.h_total(estimand), *c.weight_ess(estimand),
-    )
+    return _finite((tw * Y).sum() / st - (cw * Y).sum() / sc, "ipw estimate")
 
 
-def _aipw(c: Nuisance, estimand: TargetFunction) -> PointEstimate:
+def _aipw(c: Nuisance, estimand: TargetFunction) -> float:
     c.propensity("augmented estimator")
     c.arm_means("augmented estimator")
     total = c.h_checked(estimand)
-    value = _finite((c.h(estimand) * c.contrast()).sum() / total, "augmented estimate")
-    return _point(value, EstimatorKind.AIPW, estimand, c.ds.n, total, *c.weight_ess(estimand))
+    return _finite((c.h(estimand) * c.contrast()).sum() / total, "augmented estimate")
 
 
-def _dr_linear(c: Nuisance, a: float, b: float, estimand: TargetFunction) -> PointEstimate:
+def _dr_linear(c: Nuisance, a: float, b: float, estimand: TargetFunction) -> float:
     """sum [ (a + b*A)*(m1 - m0) + (a + b*pi) * (A/pi*(Y - m1) - (1-A)/(1-pi)*(Y - m0)) ]
     / sum (a + b*A). The denominator replaces pi with the observed treatment
     indicator, which is what makes the estimator consistent when only one
@@ -360,17 +360,17 @@ def _dr_linear(c: Nuisance, a: float, b: float, estimand: TargetFunction) -> Poi
     # The sign of h is checked first, by the same code and with the same
     # message as for every other estimator of this target.
     h = c.h(estimand)
-    c_obs = a + b * c.ds.A
-    denom = float(c_obs.sum())
+    h_obs, denom = c.h_observed(a, b)
     if denom <= 0.0:
         raise EstimationError("denominator sum(a + b*A) is not positive")
-    value = _finite(
-        (c_obs * c.m_diff() + h * c.residual()).sum() / denom, "doubly robust estimate"
+    return _finite(
+        (h_obs * c.m_diff() + h * c.residual()).sum() / denom, "doubly robust estimate"
     )
-    return _point(
-        value, EstimatorKind.DR_LINEAR_IN_PI, estimand, c.ds.n,
-        c.h_total(estimand), *c.weight_ess(estimand),
-    )
+
+
+def _on_arm(kind: EstimatorKind, target: TargetFunction) -> bool:
+    """Whether ``(kind, target)`` is a regression over one arm's rows."""
+    return kind is EstimatorKind.REGRESSION and target.kind in (TargetKind.ATT, TargetKind.ATC)
 
 
 def _linear_coefficients(target: TargetFunction) -> tuple[float, float] | None:
@@ -396,6 +396,52 @@ def has_formula(kind: EstimatorKind, target: TargetFunction) -> bool:
             or not target.depends_on_propensity
         )
     return True
+
+
+def _route(
+    c: Nuisance, kind: EstimatorKind, target: TargetFunction
+) -> tuple[EstimatorKind, float]:
+    """The kind a ``(kind, target)`` cell reports, and its value from the
+    kernel for that pair. The augmented kind on a target linear in the
+    propensity runs, and reports, the doubly robust closed form. Before any
+    other kernel, a target that reads ``pi`` needs one and ``h`` is checked."""
+    if kind is EstimatorKind.UNWEIGHTED:
+        return kind, _unweighted(c, target)
+    if _on_arm(kind, target):
+        return kind, _regression_on_arm(c, target)
+    ab = _linear_coefficients(target)
+    if kind in (EstimatorKind.AIPW, EstimatorKind.DR_LINEAR_IN_PI) and ab is not None:
+        return EstimatorKind.DR_LINEAR_IN_PI, _dr_linear(c, ab[0], ab[1], target)
+    if kind is EstimatorKind.DR_LINEAR_IN_PI:
+        raise EstimationError(
+            f"closed-form doubly robust estimator only supports targets linear in "
+            f"the propensity, not {target.label!r}"
+        )
+    if target.depends_on_propensity:
+        c.propensity(f"target {target.label!r}")
+    c.h(target)
+    if kind is EstimatorKind.REGRESSION:
+        return kind, _regression(c, target)
+    if kind is EstimatorKind.AIPW:
+        return kind, _aipw(c, target)
+    if kind is EstimatorKind.IPW_NORMALIZED:
+        return kind, _ipw(c, target)
+    raise EstimationError(f"unknown estimator kind {kind!r}")
+
+
+def _diagnostics(c: Nuisance, kind: EstimatorKind, target: TargetFunction) -> Diagnostics:
+    """The weight mass and effective sample sizes behind a cell that reported
+    ``kind``, read from the terms its kernel computed: the arm's size for a
+    regression over one arm, the ESS of ``h`` per arm for the kinds that
+    weight no row by ``pi``, the ESS of the arm weights for the rest."""
+    if _on_arm(kind, target):
+        _, size = c.arm(target)
+        if target.kind is TargetKind.ATT:
+            return Diagnostics(size, size, 0.0)
+        return Diagnostics(size, 0.0, size)
+    if kind in (EstimatorKind.UNWEIGHTED, EstimatorKind.REGRESSION):
+        return Diagnostics(c.h_total(target), *c.arm_ess(target))
+    return Diagnostics(c.h_total(target), *c.weight_ess(target))
 
 
 def estimate(
@@ -430,28 +476,8 @@ def estimate(
         if target not in targets:
             targets.append(target)
         c = replace(c, t=targets.index(target))
-    if kind is EstimatorKind.UNWEIGHTED:
-        return _unweighted(c, target)
-    if kind is EstimatorKind.REGRESSION and target.kind in (TargetKind.ATT, TargetKind.ATC):
-        return _regression_on_arm(c, target)
-    ab = _linear_coefficients(target)
-    if kind in (EstimatorKind.AIPW, EstimatorKind.DR_LINEAR_IN_PI) and ab is not None:
-        return _dr_linear(c, ab[0], ab[1], target)
-    if kind is EstimatorKind.DR_LINEAR_IN_PI:
-        raise EstimationError(
-            f"closed-form doubly robust estimator only supports targets linear in "
-            f"the propensity, not {target.label!r}"
-        )
-    if target.depends_on_propensity:
-        c.propensity(f"target {target.label!r}")
-    c.h(target)
-    if kind is EstimatorKind.REGRESSION:
-        return _regression(c, target)
-    if kind is EstimatorKind.AIPW:
-        return _aipw(c, target)
-    if kind is EstimatorKind.IPW_NORMALIZED:
-        return _ipw(c, target)
-    raise EstimationError(f"unknown estimator kind {kind!r}")
+    reported, value = _route(c, kind, target)
+    return PointEstimate(value, reported, target, c.ds.n, _diagnostics(c, reported, target))
 
 
 # --- the fit-then-fill engine -------------------------------------------------
@@ -535,6 +561,31 @@ def _fitted(terms: dict[Hashable, object], ds: ObservationalDataset, plan: CellP
         raise FitFailure(key[0], exc) from None
 
 
+def _fill(
+    ds: ObservationalDataset,
+    plan: CellPlan | Sequence[EstimationPipeline],
+    cell: Callable[[Nuisance, EstimatorKind, TargetFunction], T],
+) -> list[T | WateError]:
+    """``cell(bundle, kind, target)`` for every pipeline of ``plan`` on
+    ``ds``, or the error it failed with: the one pass over a dataset."""
+    if not isinstance(plan, CellPlan):
+        plan = plan_cells(plan)
+    terms: dict[Hashable, object] = {}
+    results: list[T | WateError] = []
+    for p, (pi_slot, m_slot, t_slot) in zip(plan.pipelines, plan.slots):
+        try:
+            pi = m1 = m0 = None
+            if pi_slot >= 0:
+                pi = _fitted(terms, ds, plan, pi_slot)
+            if m_slot >= 0:
+                m1, m0 = _fitted(terms, ds, plan, m_slot)
+            bundle = Nuisance(ds, pi, m1, m0, terms, pi_slot, m_slot, t_slot)
+            results.append(cell(bundle, p.kind, p.estimand))
+        except WateError as exc:
+            results.append(exc)
+    return results
+
+
 def fill_cells(
     ds: ObservationalDataset, plan: CellPlan | Sequence[EstimationPipeline]
 ) -> list[PointEstimate | WateError]:
@@ -545,28 +596,13 @@ def fill_cells(
     A pipeline whose model failed to fit gets a :class:`FitFailure`, one
     whose estimate failed gets that error.
     """
-    if not isinstance(plan, CellPlan):
-        plan = plan_cells(plan)
-    terms: dict[Hashable, object] = {}
-    results: list[PointEstimate | WateError] = []
-    for p, (pi_slot, m_slot, t_slot) in zip(plan.pipelines, plan.slots):
-        try:
-            pi = m1 = m0 = None
-            if pi_slot >= 0:
-                pi = _fitted(terms, ds, plan, pi_slot)
-            if m_slot >= 0:
-                m1, m0 = _fitted(terms, ds, plan, m_slot)
-            cell = Nuisance(ds, pi, m1, m0, terms, pi_slot, m_slot, t_slot)
-            results.append(estimate(cell, p.kind, p.estimand))
-        except WateError as exc:
-            results.append(exc)
-    return results
+    return _fill(ds, plan, estimate)
 
 
 def cell_values(
     ds: ObservationalDataset, plan: CellPlan | Sequence[EstimationPipeline]
 ) -> NDArray[np.float64]:
-    """Values of :func:`fill_cells`, NaN where a pipeline failed."""
-    return np.array(
-        [r.value if isinstance(r, PointEstimate) else np.nan for r in fill_cells(ds, plan)]
-    )
+    """Values of :func:`fill_cells`, NaN where a pipeline failed, computed
+    by the same kernels without building any :class:`Diagnostics`."""
+    results = _fill(ds, plan, _route)
+    return np.array([np.nan if isinstance(r, WateError) else r[1] for r in results])

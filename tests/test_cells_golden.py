@@ -13,18 +13,33 @@ sizes, or the type and message of the error the cell failed with. The cases:
 
 To re-record the file after a change that is meant to alter an estimate, run
 ``PYTHONPATH=src python tests/test_cells_golden.py`` from the repository root.
+
+Replicates (study, bootstrap) read only the values, through ``cell_values``;
+the tests below pin those to the bits of ``fill_cells`` and check that they
+are computed without building any ``Diagnostics``.
 """
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import wate.estimators
+from wate.bootstrap import bootstrap_vector
 from wate.cli import _split_estimands, build_report_task
 from wate.data import load_csv
 from wate.design import main_effects
-from wate.estimators import EstimatorKind, PointEstimate, fill_cells
-from wate.simulation import SimulationDesign, _cell_pipeline, generate_dataset, study_cells
+from wate.errors import WateError
+from wate.estimators import EstimatorKind, PointEstimate, cell_values, fill_cells
+from wate.simulation import (
+    SimulationDesign,
+    _cell_pipeline,
+    generate_dataset,
+    run_study,
+    study_cells,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CELLS = GOLDEN / "cells.json"
@@ -41,12 +56,7 @@ def _cases():
                 ds = generate_dataset(model, n, np.random.default_rng(n))
                 tag = "none" if truncate is None else "1-99"
                 yield f"sim/model{model}/{tag}/n{n}", ds, pipelines
-    cohort = load_csv(GOLDEN / "cohort.csv", treatment="a", outcome="y")
-    names = cohort.covariate_names
-    task = build_report_task(
-        ["unweighted", "regression", "ipw", "aipw"], _split_estimands(REPORT_ESTIMANDS),
-        names, main_effects(names), main_effects(names), None, None,
-    )
+    cohort, task = _cohort_report()
     # The recorded report cells predate the unweighted kernel, whose value
     # test_estimators and the report goldens pin.
     pipelines = [p for p in task.plan.pipelines if p.kind is not EstimatorKind.UNWEIGHTED]
@@ -54,6 +64,17 @@ def _cases():
     for i in (1, 2):
         idx = np.random.default_rng(i).integers(0, cohort.n, size=cohort.n)
         yield f"report/resample{i}", cohort.replace_rows(idx), pipelines
+
+
+def _cohort_report():
+    """``cohort.csv`` and the ``estimate`` report task over it."""
+    cohort = load_csv(GOLDEN / "cohort.csv", treatment="a", outcome="y")
+    names = cohort.covariate_names
+    task = build_report_task(
+        ["unweighted", "regression", "ipw", "aipw"], _split_estimands(REPORT_ESTIMANDS),
+        names, main_effects(names), main_effects(names), None, None,
+    )
+    return cohort, task
 
 
 def _record(result):
@@ -80,6 +101,43 @@ def test_every_cell_matches_the_recorded_bits():
     assert sorted(actual) == sorted(expected)
     for name in expected:
         assert actual[name] == expected[name], name
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_cell_values_are_the_bits_of_fill_cells():
+    for name, ds, pipelines in _cases():
+        filled = [
+            np.nan if isinstance(r, WateError) else r.value for r in fill_cells(ds, pipelines)
+        ]
+        values = cell_values(ds, pipelines)
+        assert _hex(values) == _hex(filled), name
+        assert np.isnan(values).tolist() == np.isnan(filled).tolist(), name
+
+
+def _replicate_outputs():
+    """A small study, a bootstrap over the report plan and one report fill."""
+    study = run_study(SimulationDesign(n=200, replications=3, seed=5)).to_csv_text()
+    cohort, task = _cohort_report()
+    boot = bootstrap_vector(
+        cohort, partial(cell_values, plan=task.plan), n_out=len(task.cells), b=3, seed=2
+    ).values
+    return study, _hex(boot.ravel()), _hex(cell_values(cohort, task.plan))
+
+
+def test_replicates_build_no_diagnostics(monkeypatch):
+    expected = _replicate_outputs()
+
+    def no_diagnostics(*args, **kwargs):
+        raise AssertionError("a replicate built Diagnostics")
+
+    monkeypatch.setattr(wate.estimators, "Diagnostics", no_diagnostics)
+    cohort, task = _cohort_report()
+    with pytest.raises(AssertionError, match="built Diagnostics"):
+        fill_cells(cohort, task.plan)  # the patch is in effect
+    assert _replicate_outputs() == expected
 
 
 if __name__ == "__main__":

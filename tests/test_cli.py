@@ -307,6 +307,28 @@ def test_an_unwritable_out_is_a_usage_error(argv, data_csv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_an_unwritable_out_fails_before_the_study(tmp_path, capsys, monkeypatch):
+    def study_must_not_run(design):
+        raise AssertionError("the study ran before --out was checked")
+
+    monkeypatch.setattr(wate.cli, "run_study", study_must_not_run)
+    prefix = str(tmp_path / "missing" / "x")
+    code, out, err = run_cli(capsys, "simulate", "--out", prefix)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {prefix}.csv:")
+
+
+def test_no_half_written_report_pair(data_csv, tmp_path, capsys):
+    # Only the .md of the pair is unwritable; the .csv must not be written.
+    (tmp_path / "r.md").mkdir()
+    prefix = str(tmp_path / "r")
+    code, out, err = run_cli(capsys, "estimate", data_csv, "--bootstrap", "0", "--out", prefix)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {prefix}.md:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 _DATA_LINE = re.compile(r"^# data = .*$", re.MULTILINE)
 COHORT = Path(__file__).resolve().parent / "golden" / "cohort.csv"
 
