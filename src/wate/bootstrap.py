@@ -9,12 +9,15 @@ because a standard error from the survivors would be misleading.
 Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling
 order. :func:`parallel_map`, which spreads replicates over processes, is
-shared with the Monte Carlo study.
+shared with the Monte Carlo study. On Linux it forks its workers, so only
+the results must pickle; elsewhere the statistic must pickle too.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, TypeVar
@@ -23,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import ObservationalDataset
-from .errors import BootstrapError, FitFailure, WateError
+from .errors import BootstrapError, FitFailure, WateError, WorkerError
 from .estimators import EstimationPipeline, PointEstimate, cell_values, fill_cells, plan_cells
 
 T = TypeVar("T")
@@ -63,24 +66,104 @@ def _map_range(fn: Callable[[int], T], indices: range) -> list[T]:
     return [fn(i) for i in indices]
 
 
-def parallel_map(fn: Callable[[int], T], count: int, workers: int) -> list[T]:
-    """``[fn(i) for i in range(count)]``, over ``workers`` processes when
-    that is more than one.
+# Fork the workers of parallel_map directly. The stdlib pool forks them on
+# Linux too, but it is slower to start and costs every `import wate` the
+# multiprocessing modules; other platforms keep it, since they may not fork.
+_FORK = sys.platform == "linux"
 
-    Indices go out in contiguous chunks, four per worker to even out uneven
-    work, and results come back in index order, so the output never depends
-    on ``workers``. The pool starts no more processes than there are chunks.
-    ``fn`` must be picklable when ``workers > 1`` (a module-level function,
-    a ``functools.partial`` of one, or a frozen dataclass with
-    ``__call__``).
+
+def _chunks(count: int, parts: int) -> list[range]:
+    bounds = np.linspace(0, count, parts + 1).astype(int)
+    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def parallel_map(fn: Callable[[int], T], count: int, workers: int) -> list[T]:
+    """``[fn(i) for i in range(count)]``, over ``workers`` processes in total
+    when that is more than one.
+
+    Indices are split into contiguous chunks and results come back in index
+    order, so the output never depends on ``workers``. On Linux there is one
+    chunk per process: the calling process runs the first and forks one
+    child for each of the others, so only the results must pickle. Elsewhere
+    a process pool runs four chunks per worker while the caller waits, and
+    ``fn`` must be picklable too (a module-level function, a
+    ``functools.partial`` of one, or a frozen dataclass with ``__call__``).
+    An exception ``fn`` raises in a worker is raised again here; a worker
+    that exits without sending its results raises :class:`WorkerError`.
     """
-    if workers <= 1 or count == 0:
+    if workers <= 1 or count <= 1:
         return _map_range(fn, range(count))
-    bounds = np.linspace(0, count, min(workers * 4, count) + 1).astype(int)
-    chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if _FORK:
+        return _fork_map(fn, _chunks(count, min(workers, count)))
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = _chunks(count, min(workers * 4, count))
     with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
         futures = [pool.submit(_map_range, fn, chunk) for chunk in chunks]
         return [value for future in futures for value in future.result()]
+
+
+def _fork_map(fn: Callable[[int], T], chunks: list[range]) -> list[T]:
+    pids: list[int] = []
+    pipes: list[int] = []
+    try:
+        for chunk in chunks[1:]:
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(fn, chunk, write_end, pipes)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        results = _map_range(fn, chunks[0])
+        payloads = []
+        for read_end in pipes:
+            with open(read_end, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        # A child still writing gets EPIPE once its pipe is closed, so every
+        # wait ends, also when the caller's own chunk raised.
+        for read_end in pipes:
+            os.close(read_end)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for k, (payload, status) in enumerate(zip(payloads, statuses), start=1):
+        try:
+            ok, value = pickle.loads(payload)
+        except Exception:  # nothing, a truncated payload or one that does not load
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            chunk = chunks[k]
+            raise WorkerError(
+                f"parallel map worker for chunk {k} (items {chunk.start} to "
+                f"{chunk.stop - 1}) exited without its results ({how})"
+            ) from None
+        if not ok:
+            raise value
+        results.extend(value)
+    return results
+
+
+def _run_child(
+    fn: Callable[[int], T], chunk: range, write_end: int, inherited: list[int]
+) -> None:
+    """Body of a forked worker: run the chunk, pickle ``(ok, results or
+    exception)`` to the pipe and leave without running exit handlers or
+    flushing the stdio buffers copied from the parent."""
+    status = 1
+    try:
+        for read_end in inherited:
+            os.close(read_end)
+        try:
+            payload = (True, _map_range(fn, chunk))
+        except Exception as exc:
+            payload = (False, exc)
+        with open(write_end, "wb", closefd=False) as pipe:
+            pipe.write(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _replicate(
@@ -93,12 +176,10 @@ def _replicate(
     idx = _replicate_indices(seed, i, ds.n)
     try:
         row = np.asarray(statistic(ds.replace_rows(idx)), dtype=np.float64).ravel()
-        if row.shape[0] != n_out:
-            raise BootstrapError(
-                f"statistic returned length {row.shape[0]}, expected {n_out}"
-            )
     except WateError:
-        row = np.full(n_out, np.nan)
+        return np.full(n_out, np.nan)
+    if row.shape[0] != n_out:
+        raise BootstrapError(f"statistic returned length {row.shape[0]}, expected {n_out}")
     return row
 
 
@@ -111,11 +192,12 @@ def bootstrap_vector(
     workers: int = 1,
     max_failed_fraction: float = 0.2,
 ) -> BootstrapSamples:
-    """Evaluate a vector statistic on ``b`` bootstrap resamples.
+    """Evaluate a vector statistic on ``b`` bootstrap resamples, over
+    ``workers`` processes in total.
 
-    ``statistic`` must be picklable when ``workers > 1`` (a module-level
-    function, or a frozen dataclass with ``__call__``). Output is invariant
-    to ``workers``.
+    With ``workers > 1`` the statistic's results must pickle; off Linux the
+    statistic itself must pickle too (a module-level function, or a frozen
+    dataclass with ``__call__``). Output is invariant to ``workers``.
     """
     if b < 2:
         raise ValueError(f"need at least 2 replicates, got {b}")

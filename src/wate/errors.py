@@ -94,3 +94,8 @@ class MissingModelError(EstimationError):
 
 class BootstrapError(WateError):
     """The bootstrap failed on too many replicates to report a standard error."""
+
+
+class WorkerError(WateError):
+    """A worker process of the parallel map exited without sending back the
+    results of its chunk (killed, crashed, or its results did not pickle)."""

@@ -1,4 +1,6 @@
-from concurrent.futures import Future
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,9 +14,14 @@ from wate.bootstrap import (
     parallel_map,
     run_pipeline,
 )
-from wate.errors import BootstrapError
+from wate.errors import BootstrapError, WorkerError
 from wate.estimators import EstimatorKind
 from wate.simulation import generate_dataset, outcome_design, propensity_design
+
+
+# The fork path: the caller runs the first chunk, children may exit with a
+# status, and fn need not pickle. Other platforms use the stdlib pool.
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="parallel_map forks on Linux")
 
 
 def aipw_pipeline(outcome_model=2, truncate=None):
@@ -88,6 +95,7 @@ def test_worker_count_does_not_change_results(ds400):
     assert r1.se == r2.se
 
 
+@linux_only
 @pytest.mark.parametrize(
     "count, workers, pool_sizes",
     [(10, 500, [10]), (100, 3, [3]), (1, 2, [1]), (0, 4, [])],
@@ -95,29 +103,71 @@ def test_worker_count_does_not_change_results(ds400):
 def test_parallel_map_starts_no_more_workers_than_chunks(
     monkeypatch, count, workers, pool_sizes
 ):
-    sizes = []
+    # A pool size counts the processes that ran fn, the caller included: it
+    # runs the first chunk, and runs everything itself when count <= 1.
+    pids = parallel_map(lambda i: os.getpid(), count, workers)
+    assert ([len(set(pids))] if pids else []) == pool_sizes
+    assert pids[:1] == [os.getpid()][:count]
+    expected = [hex(i) for i in range(count)]
+    assert parallel_map(hex, count, workers) == expected
+    # The pool kept for platforms that do not fork gives the same list.
+    monkeypatch.setattr(wate.bootstrap, "_FORK", False)
+    assert parallel_map(hex, count, workers) == expected
 
-    class InlinePool:
-        """Stands in for ``ProcessPoolExecutor``: records its size and runs
-        each task at submit, so no process starts."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def _raise_in_last_chunk(i):
+    if i == 9:
+        raise KeyError("boom")
+    return i
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
 
-    monkeypatch.setattr(wate.bootstrap, "ProcessPoolExecutor", InlinePool)
-    assert parallel_map(lambda i: i * i, count, workers) == [i * i for i in range(count)]
-    assert sizes == pool_sizes
+def _exit_in_last_chunk(i):
+    if i == 9:
+        os._exit(3)
+    return i
+
+
+def test_parallel_map_reraises_a_workers_exception():
+    with pytest.raises(KeyError, match="boom"):
+        parallel_map(_raise_in_last_chunk, 10, 2)
+    _assert_no_child_left()
+
+
+@linux_only
+def test_parallel_map_reports_a_worker_that_exits_without_results():
+    with pytest.raises(WorkerError, match=r"chunk 1 .*exit status 3"):
+        parallel_map(_exit_in_last_chunk, 10, 2)
+    _assert_no_child_left()
+
+
+@linux_only
+def test_parallel_map_returns_results_larger_than_a_pipe_buffer():
+    rows = parallel_map(lambda i: np.full(3000, float(i)), 60, 3)
+    np.testing.assert_array_equal(np.array(rows), np.arange(60.0)[:, None] * np.ones(3000))
+    _assert_no_child_left()
+
+
+@linux_only
+def test_import_wate_loads_no_pool_modules():
+    probe = (
+        "import sys, wate; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_wrong_length_statistic_is_an_error_not_failed_replicates(ds400):
+    with pytest.raises(BootstrapError, match="returned length 3, expected 2"):
+        bootstrap_vector(ds400, lambda d: np.zeros(3), n_out=2, b=10)
 
 
 def test_se_recomputable_from_replicates(ds400):
