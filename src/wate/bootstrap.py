@@ -1,16 +1,21 @@
 """Pairs bootstrap with full pipeline refitting.
 
-Every replicate resamples rows with replacement, refits every model in the
-pipeline from scratch and recomputes the statistic. Replicates where any fit
-fails (a resample can easily lose one arm or go rank deficient) are dropped
-and counted; if more than ``max_failed_fraction`` fail the run aborts,
-because a standard error from the survivors would be misleading.
+:func:`bootstrap_vector` resamples the cells of a
+:class:`~wate.estimators.CellPlan`: every replicate resamples rows with
+replacement, refits every working model of the plan from scratch and fills
+every cell through :func:`~wate.estimators.cell_values`. A cell whose fit or
+estimate fails on a resample is NaN in that replicate, and a replicate in
+which every cell fails counts as failed (a resample can easily lose one arm
+or go rank deficient). If more than ``MAX_FAILED_FRACTION`` (20%) of the
+replicates fail, the run aborts, because a standard error from the
+survivors would be misleading. :func:`bootstrap_se` reports a standard
+error and a ``CI_LEVEL`` (95%) percentile interval for one pipeline.
 
 Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling
 order. :func:`parallel_map`, which spreads replicates over processes, is
 shared with the Monte Carlo study. On Linux it forks its workers, so only
-the results must pickle; elsewhere the statistic must pickle too.
+the results must pickle; elsewhere the plan must pickle too.
 """
 
 from __future__ import annotations
@@ -27,9 +32,19 @@ from numpy.typing import NDArray
 
 from .data import ObservationalDataset
 from .errors import BootstrapError, FitFailure, WateError, WorkerError
-from .estimators import EstimationPipeline, PointEstimate, cell_values, fill_cells, plan_cells
+from .estimators import (
+    CellPlan,
+    EstimationPipeline,
+    PointEstimate,
+    cell_values,
+    fill_cells,
+    plan_cells,
+)
 
 T = TypeVar("T")
+
+MAX_FAILED_FRACTION = 0.2
+CI_LEVEL = 0.95
 
 
 def run_pipeline(ds: ObservationalDataset, pipeline: EstimationPipeline) -> PointEstimate:
@@ -45,9 +60,9 @@ def run_pipeline(ds: ObservationalDataset, pipeline: EstimationPipeline) -> Poin
 
 @dataclass(frozen=True, eq=False)
 class BootstrapSamples:
-    """Raw replicate values: shape (b, n_out); a failed replicate is a row of
-    NaN, a per-entry failure inside an otherwise fine replicate is a single
-    NaN."""
+    """Raw replicate values: shape (b, number of cells); a failed replicate
+    is a row of NaN, a cell that failed inside an otherwise fine replicate is
+    a single NaN."""
 
     values: NDArray[np.float64]
     n_failed: int
@@ -167,47 +182,33 @@ def _run_child(
 
 
 def _replicate(
-    ds: ObservationalDataset,
-    statistic: Callable[[ObservationalDataset], NDArray[np.float64]],
-    n_out: int,
-    seed: int,
-    i: int,
+    ds: ObservationalDataset, plan: CellPlan, seed: int, i: int
 ) -> NDArray[np.float64]:
-    idx = _replicate_indices(seed, i, ds.n)
-    try:
-        row = np.asarray(statistic(ds.replace_rows(idx)), dtype=np.float64).ravel()
-    except WateError:
-        return np.full(n_out, np.nan)
-    if row.shape[0] != n_out:
-        raise BootstrapError(f"statistic returned length {row.shape[0]}, expected {n_out}")
-    return row
+    return cell_values(ds.replace_rows(_replicate_indices(seed, i, ds.n)), plan)
 
 
 def bootstrap_vector(
     ds: ObservationalDataset,
-    statistic: Callable[[ObservationalDataset], NDArray[np.float64]],
-    n_out: int,
+    plan: CellPlan,
     b: int = 1000,
     seed: int = 0,
     workers: int = 1,
-    max_failed_fraction: float = 0.2,
 ) -> BootstrapSamples:
-    """Evaluate a vector statistic on ``b`` bootstrap resamples, over
-    ``workers`` processes in total.
+    """The values of every cell of ``plan`` on ``b`` bootstrap resamples,
+    over ``workers`` processes in total; column j holds pipeline j.
 
-    With ``workers > 1`` the statistic's results must pickle; off Linux the
-    statistic itself must pickle too (a module-level function, or a frozen
-    dataclass with ``__call__``). Output is invariant to ``workers``.
+    Off Linux, ``workers > 1`` needs a picklable plan: a covariate target's
+    function must then be a module-level function or a frozen dataclass with
+    ``__call__``. Output is invariant to ``workers``.
     """
     if b < 2:
         raise ValueError(f"need at least 2 replicates, got {b}")
-    rows = parallel_map(partial(_replicate, ds, statistic, n_out, seed), b, workers)
-    values = np.array(rows)
-    n_failed = int(np.sum(np.all(np.isnan(values), axis=1))) if n_out else 0
-    if n_failed > max_failed_fraction * b:
+    values = np.array(parallel_map(partial(_replicate, ds, plan, seed), b, workers))
+    n_failed = int(np.sum(np.all(np.isnan(values), axis=1))) if plan.pipelines else 0
+    if n_failed > MAX_FAILED_FRACTION * b:
         raise BootstrapError(
             f"{n_failed} of {b} bootstrap replicates failed "
-            f"(limit {max_failed_fraction:.0%}); refusing to report standard errors"
+            f"(limit {MAX_FAILED_FRACTION:.0%}); refusing to report standard errors"
         )
     return BootstrapSamples(values=values, n_failed=n_failed)
 
@@ -218,8 +219,8 @@ class BootstrapResult:
 
     ``se`` is the sample standard deviation (ddof=1) of the surviving
     replicate values. ``ci_lower``/``ci_upper`` are plain percentile bounds
-    at the requested level; they are a convenience on top of the standard
-    error, not a separately calibrated interval.
+    at the ``CI_LEVEL`` (95%) level; they are a convenience on top of the
+    standard error, not a separately calibrated interval.
     """
 
     point: PointEstimate
@@ -228,7 +229,6 @@ class BootstrapResult:
     b_ok: int
     replicate_values: NDArray[np.float64]
     seed: int
-    ci_level: float
     ci_lower: float
     ci_upper: float
 
@@ -239,8 +239,6 @@ def bootstrap_se(
     b: int = 1000,
     seed: int = 0,
     workers: int = 1,
-    ci_level: float = 0.95,
-    max_failed_fraction: float = 0.2,
 ) -> BootstrapResult:
     """Standard error for one pipeline by the pairs bootstrap.
 
@@ -249,21 +247,13 @@ def bootstrap_se(
     bootstrap around it has no meaning.
     """
     point = run_pipeline(ds, pipeline)
-    samples = bootstrap_vector(
-        ds,
-        partial(cell_values, plan=plan_cells([pipeline])),
-        n_out=1,
-        b=b,
-        seed=seed,
-        workers=workers,
-        max_failed_fraction=max_failed_fraction,
-    )
+    samples = bootstrap_vector(ds, plan_cells([pipeline]), b=b, seed=seed, workers=workers)
     vals = samples.values[:, 0]
     ok = vals[np.isfinite(vals)]
     if ok.shape[0] < 2:
         raise BootstrapError("fewer than 2 successful replicates")
     se = float(np.std(ok, ddof=1))
-    alpha = 100.0 * (1.0 - ci_level) / 2.0
+    alpha = 100.0 * (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.percentile(ok, [alpha, 100.0 - alpha])
     return BootstrapResult(
         point=point,
@@ -272,7 +262,6 @@ def bootstrap_se(
         b_ok=int(ok.shape[0]),
         replicate_values=vals,
         seed=seed,
-        ci_level=ci_level,
         ci_lower=float(lo),
         ci_upper=float(hi),
     )

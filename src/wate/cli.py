@@ -21,7 +21,6 @@ import errno
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,20 +34,16 @@ from .estimators import (
     CellPlan,
     EstimationPipeline,
     EstimatorKind,
-    cell_values,
     fill_cells,
     has_formula,
     plan_cells,
 )
 from .simulation import SimulationDesign, reference_truth, run_study, study_cells
 from .targets import (
+    STANDARD_TARGETS,
     TargetFunction,
-    average_effect,
     covariate_target,
-    effect_on_controls,
-    effect_on_treated,
     linear_in_propensity,
-    overlap_effect,
 )
 
 _ESTIMATE_DEFAULTS = {
@@ -106,14 +101,8 @@ class _DesignSum:
 def parse_estimand_token(token: str, covariate_names: tuple[str, ...]) -> TargetFunction:
     """ate | att | atc | ato | linear:a,b | expr:<column expression>."""
     t = token.strip()
-    plain = {
-        "ate": average_effect,
-        "att": effect_on_treated,
-        "atc": effect_on_controls,
-        "ato": overlap_effect,
-    }
-    if t.lower() in plain:
-        return plain[t.lower()]()
+    if t.lower() in STANDARD_TARGETS:
+        return STANDARD_TARGETS[t.lower()]
     if t.lower().startswith("linear:"):
         body = t[len("linear:"):]
         parts = body.split(",")
@@ -365,10 +354,7 @@ def _estimate_report_texts(
     if b > 0 and not np.any(np.isfinite(points)):
         b, bootstrap_line = 0, "bootstrap skipped: no cell has a point estimate"
     if b > 0:
-        samples = bootstrap_vector(
-            ds, partial(cell_values, plan=task.plan), n_out=len(task.cells), b=b,
-            seed=seed, workers=workers,
-        )
+        samples = bootstrap_vector(ds, task.plan, b=b, seed=seed, workers=workers)
         for j in range(len(task.cells)):
             col = samples.values[:, j]
             finite = col[np.isfinite(col)]
@@ -587,7 +573,7 @@ def _cmd_true_values(args: argparse.Namespace) -> int:
     lines.append("outcome_model,estimand,value,mc_se,draws")
     for model in models:
         truth = reference_truth(model)
-        for estimand in ("ate", "att", "atc", "ato"):
+        for estimand in STANDARD_TARGETS:
             lines.append(
                 f"{model},{estimand},{truth.value(estimand):.6f},"
                 f"{truth.mc_se(estimand):.6f},{truth.draws}"

@@ -29,6 +29,9 @@ from .errors import (
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "."}
 
+# Smallest arm a loaded dataset may have.
+_MIN_ARM = 2
+
 # Formatting with 17 significant digits makes float64 -> text -> float64 exact.
 _FLOAT_FMT = "%.17g"
 
@@ -180,10 +183,10 @@ def validate(ds: ObservationalDataset) -> list[str]:
     usable). Checks minimum arm sizes and the n >= p + 2 sample size floor;
     a dataset's values are finite and its treatment binary by construction."""
     problems: list[str] = []
-    if ds.n_treated < 2:
-        problems.append(f"treated arm has {ds.n_treated} observations (need >= 2)")
-    if ds.n_control < 2:
-        problems.append(f"control arm has {ds.n_control} observations (need >= 2)")
+    if ds.n_treated < _MIN_ARM:
+        problems.append(f"treated arm has {ds.n_treated} observations (need >= {_MIN_ARM})")
+    if ds.n_control < _MIN_ARM:
+        problems.append(f"control arm has {ds.n_control} observations (need >= {_MIN_ARM})")
     if ds.n < ds.p + 2:
         problems.append(f"n = {ds.n} is below the floor p + 2 = {ds.p + 2}")
     return problems
@@ -193,10 +196,8 @@ def _raise_for_violations(ds: ObservationalDataset) -> None:
     problems = validate(ds)
     if not problems:
         return
-    msg = "; ".join(problems)
-    if any("arm has" in p for p in problems):
-        raise DegenerateArmError(msg)
-    raise DataError(msg)
+    degenerate = min(ds.n_treated, ds.n_control) < _MIN_ARM
+    raise (DegenerateArmError if degenerate else DataError)("; ".join(problems))
 
 
 def _parse_cell(token: str, row: int, column: str) -> float:

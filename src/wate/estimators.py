@@ -30,12 +30,14 @@ shared terms only when a :class:`PointEstimate` is built.
 
 :func:`fill_cells` is the one fit-then-fill engine, in two steps.
 :func:`plan_cells` resolves a list of :class:`EstimationPipeline` cells once
-into a :class:`CellPlan`: it lists each distinct working model once and maps
-every pipeline to integer slots (its propensity fit, its outcome fit, its
-target). The pass over one dataset then fits each listed model on first use,
-estimates every cell from the vectors the fits carry, with no prediction and
-no comparison of designs, and computes each term that several cells read
-once, keyed by slots:
+into a :class:`CellPlan`: it lists each distinct working model once in
+``CellPlan.fits``, keyed as ``("propensity", design, truncate)`` or
+``("outcome", main, interaction)``, and maps every pipeline to integer slots
+(its propensity fit, its outcome fit, its target). The pass over one
+dataset then fits each listed model on first use, estimates every cell from
+the vectors the fits carry, with no prediction and no comparison of
+designs, and computes each term that several cells read once, keyed by
+slots:
 
 * per target: the arm indicator of a treated or control regression and its
   size, and ``a + b*A`` of a linear target and its sum;
@@ -70,7 +72,6 @@ from .data import ObservationalDataset
 from .design import DesignSpec
 from .errors import EstimationError, FitFailure, MissingModelError, WateError
 from .models import (
-    FitOptions,
     OutcomeModel,
     PropensityModel,
     fit_outcome,
@@ -387,7 +388,8 @@ def _linear_coefficients(target: TargetFunction) -> tuple[float, float] | None:
 def has_formula(kind: EstimatorKind, target: TargetFunction) -> bool:
     """Whether ``(kind, target)`` has a formula without a model its row does
     not fit: the unweighted row fits none, the regression row no propensity
-    (the treated and controls have indicator forms)."""
+    (the treated and controls have indicator forms). The doubly robust closed
+    form exists only for targets linear in the propensity."""
     if kind is EstimatorKind.UNWEIGHTED:
         return target.kind is TargetKind.ATE
     if kind is EstimatorKind.REGRESSION:
@@ -395,6 +397,8 @@ def has_formula(kind: EstimatorKind, target: TargetFunction) -> bool:
             target.kind in (TargetKind.ATT, TargetKind.ATC)
             or not target.depends_on_propensity
         )
+    if kind is EstimatorKind.DR_LINEAR_IN_PI:
+        return _linear_coefficients(target) is not None
     return True
 
 
@@ -500,7 +504,6 @@ class EstimationPipeline:
     m_design: DesignSpec | None = None
     m_interaction: DesignSpec | None = None
     truncate: tuple[float, float] | None = None
-    options: FitOptions = field(default_factory=FitOptions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,8 +511,8 @@ class CellPlan:
     """Pipelines resolved once, to be filled on any number of datasets.
 
     ``fits`` lists each distinct working model once: a propensity fit as
-    ``("propensity", design, truncation, options)``, an outcome fit as
-    ``("outcome", main design, interaction design, options)``. ``slots``
+    ``("propensity", design, truncation)``, an outcome fit as
+    ``("outcome", main design, interaction design)``. ``slots``
     gives each pipeline its ``(propensity fit, outcome fit, target)``
     indices, -1 for a model it does not fit; equal targets share an index.
     A plan is picklable, so workers can receive it instead of building it.
@@ -528,9 +531,9 @@ def plan_cells(pipelines: Sequence[EstimationPipeline]) -> CellPlan:
     for p in pipelines:
         pi = m = -1
         if p.pi_design is not None:
-            pi = fits.setdefault(("propensity", p.pi_design, p.truncate, p.options), len(fits))
+            pi = fits.setdefault(("propensity", p.pi_design, p.truncate), len(fits))
         if p.m_design is not None:
-            m = fits.setdefault(("outcome", p.m_design, p.m_interaction, p.options), len(fits))
+            m = fits.setdefault(("outcome", p.m_design, p.m_interaction), len(fits))
         if p.estimand not in targets:
             targets.append(p.estimand)
         slots.append((pi, m, targets.index(p.estimand)))
@@ -542,12 +545,12 @@ def _fit(
 ) -> NDArray[np.float64] | tuple[NDArray[np.float64], NDArray[np.float64]]:
     """The vectors of the fit ``key`` names: ``pi`` (truncated and checked)
     or ``(m1, m0)``."""
-    stage, design, extra, options = key
+    stage, design, extra = key
     if stage == "propensity":
-        pi = fit_propensity(ds, design, options).pi
+        pi = fit_propensity(ds, design).pi
         pi_hat = pi if extra is None else truncate_propensity(pi, *extra)
         return _checked_pi(pi_hat, ds.n, EstimationError)
-    om = fit_outcome(ds, design, extra, options)
+    om = fit_outcome(ds, design, extra)
     return om.m1, om.m0
 
 

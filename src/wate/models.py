@@ -5,8 +5,12 @@ Both fitters prepend an intercept to the supplied design, check the design
 matrix for numerical rank deficiency via QR, and return frozen model objects
 that can be pickled into worker processes. The logistic fit is Newton's
 method with step halving; convergence is declared when the largest score
-component falls below ``tol``. The outcome fit solves through one reduced
-QR, whose R also serves the rank check.
+component falls below ``SCORE_TOL``, and the fit fails after ``MAX_ITER``
+Newton updates. Every fitted or predicted probability is clamped into
+``[PROB_CLAMP, 1 - PROB_CLAMP]`` so inverse weights stay finite. A design is
+rank deficient when its smallest ``|R_jj|`` is at most ``RANK_TOL`` times its
+largest. The outcome fit solves through one reduced QR, whose R also serves
+the rank check.
 
 Each fitted model also carries its vectors on the fitting rows: the final
 IRLS probabilities (``PropensityModel.pi``) and both arms' means
@@ -82,18 +86,10 @@ def _keep_freed_heap() -> None:
 _keep_freed_heap()
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    """Numerical knobs shared by the fitters.
-
-    ``prob_clamp`` bounds every predicted probability into
-    ``[clamp, 1 - clamp]`` so inverse weights stay finite.
-    """
-
-    tol: float = 1e-8
-    max_iter: int = 100
-    prob_clamp: float = 1e-12
-    rank_tol: float = 1e-10
+SCORE_TOL = 1e-8
+MAX_ITER = 100
+PROB_CLAMP = 1e-12
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +102,6 @@ class PropensityModel:
     converged: bool
     iterations: int
     log_likelihood: float
-    prob_clamp: float = 1e-12
     pi: NDArray[np.float64] | None = field(default=None, repr=False)
 
     @property
@@ -143,13 +138,12 @@ def _sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.where(eta >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
-def _clamped_sigmoid(eta: NDArray[np.float64], clamp: float) -> NDArray[np.float64]:
-    return np.clip(_sigmoid(eta), clamp, 1.0 - clamp)
+def _clamped_sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
+    return np.clip(_sigmoid(eta), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 def _check_full_rank(
     M: NDArray[np.float64],
-    rank_tol: float,
     what: str,
     r: NDArray[np.float64] | None = None,
 ) -> None:
@@ -165,7 +159,7 @@ def _check_full_rank(
         r = np.linalg.qr(M, mode="r")
     r_diag = np.abs(np.diag(r))
     top = r_diag.max()
-    if top == 0.0 or r_diag.min() <= rank_tol * top:
+    if top == 0.0 or r_diag.min() <= RANK_TOL * top:
         raise RankDeficiencyError(
             f"{what} matrix is numerically rank deficient "
             f"(min/max |R_jj| = {r_diag.min():.3e}/{top:.3e})"
@@ -211,20 +205,16 @@ def _set_arm(
     np.multiply(np.reshape(arm, (-1, 1)), g, out=M[:, j + 1:])
 
 
-def fit_propensity(
-    ds: ObservationalDataset,
-    design: DesignSpec,
-    options: FitOptions = FitOptions(),
-) -> PropensityModel:
+def fit_propensity(ds: ObservationalDataset, design: DesignSpec) -> PropensityModel:
     """Fit logistic regression of treatment on ``[1, design(X)]``.
 
     Raises :class:`RankDeficiencyError` when the design matrix is singular
     and :class:`ConvergenceError` (with the last iterate attached) when the
-    score has not dropped below ``options.tol`` after ``options.max_iter``
-    Newton updates.
+    score has not dropped below ``SCORE_TOL`` after ``MAX_ITER`` Newton
+    updates.
     """
     M = _design_matrix(design, ds.X)
-    _check_full_rank(M, options.rank_tol, "propensity design")
+    _check_full_rank(M, "propensity design")
     A = ds.A
     not_A = 1.0 - A
     # Every Newton step rewrites these instead of allocating its own.
@@ -239,16 +229,16 @@ def fit_propensity(
         return float(np.sum(np.add(log_p, log_q, out=log_p)))
 
     alpha = np.zeros(M.shape[1])
-    p = _clamped_sigmoid(M @ alpha, options.prob_clamp)
+    p = _clamped_sigmoid(M @ alpha)
     ll = loglik(p)
     converged = False
     updates = 0
     while True:
         score = M.T @ (A - p)
-        if float(np.max(np.abs(score))) < options.tol:
+        if float(np.max(np.abs(score))) < SCORE_TOL:
             converged = True
             break
-        if updates >= options.max_iter:
+        if updates >= MAX_ITER:
             break
         w = p * (1.0 - p)
         hessian = np.multiply(M, w[:, None], out=weighted).T @ M
@@ -257,7 +247,7 @@ def fit_propensity(
         except np.linalg.LinAlgError:
             model = PropensityModel(
                 alpha=alpha, design=design, converged=False, iterations=updates,
-                log_likelihood=ll, prob_clamp=options.prob_clamp, pi=p,
+                log_likelihood=ll, pi=p,
             )
             raise ConvergenceError(
                 "singular information matrix during propensity fit "
@@ -268,28 +258,25 @@ def fit_propensity(
         step = 1.0
         for _ in range(50):
             cand = alpha + step * delta
-            p_cand = _clamped_sigmoid(M @ cand, options.prob_clamp)
+            p_cand = _clamped_sigmoid(M @ cand)
             ll_cand = loglik(p_cand)
             if ll_cand >= ll - 1e-12:
                 break
             step *= 0.5
         alpha, p, ll = cand, p_cand, ll_cand
         updates += 1
-    pinned = bool(
-        np.any(p <= options.prob_clamp) or np.any(p >= 1.0 - options.prob_clamp)
-    )
+    pinned = bool(np.any(p <= PROB_CLAMP) or np.any(p >= 1.0 - PROB_CLAMP))
     model = PropensityModel(
         alpha=alpha,
         design=design,
         converged=converged and not pinned,
         iterations=updates,
         log_likelihood=ll,
-        prob_clamp=options.prob_clamp,
         pi=p,
     )
     if not converged:
         raise ConvergenceError(
-            f"propensity fit did not converge in {options.max_iter} updates "
+            f"propensity fit did not converge in {MAX_ITER} updates "
             f"(max |score| = {float(np.max(np.abs(M.T @ (A - p)))):.3e})",
             model=model,
         )
@@ -316,7 +303,7 @@ def predict_propensity(
             f"design evaluates to {M.shape[1]} columns but the model has "
             f"{model.alpha.shape[0]} coefficients"
         )
-    return _clamped_sigmoid(M @ model.alpha, model.prob_clamp)
+    return _clamped_sigmoid(M @ model.alpha)
 
 
 def truncate_propensity(
@@ -340,7 +327,6 @@ def fit_outcome(
     ds: ObservationalDataset,
     design: DesignSpec,
     interaction: DesignSpec | None = None,
-    options: FitOptions = FitOptions(),
 ) -> OutcomeModel:
     """Least squares fit of Y on ``[1, design(X), A, A * interaction(X)]``.
 
@@ -352,7 +338,7 @@ def fit_outcome(
     M, g = _outcome_matrix(design, inter, ds.X, ds.A)
     k = M.shape[1]
     q, r = np.linalg.qr(M)
-    _check_full_rank(M, options.rank_tol, "outcome design", r)
+    _check_full_rank(M, "outcome design", r)
     if ds.n - k < 1:
         raise ModelFitError(
             f"outcome model has {k} coefficients for {ds.n} rows; "

@@ -39,13 +39,7 @@ from .estimators import (
     plan_cells,
 )
 from .models import _sigmoid
-from .targets import (
-    TargetFunction,
-    average_effect,
-    effect_on_controls,
-    effect_on_treated,
-    overlap_effect,
-)
+from .targets import STANDARD_TARGETS
 
 _COVARIATE_NAMES = ("x1", "x2", "x3", "x4", "x5")
 
@@ -65,12 +59,8 @@ DEFAULT_TRUTH_DRAWS = 10**6
 _TRUTH_CHUNK = 1 << 19
 _TRUTH_BLOCK = 1 << 14
 
-_TARGETS: dict[str, TargetFunction] = {
-    "ate": average_effect(),
-    "att": effect_on_treated(),
-    "atc": effect_on_controls(),
-    "ato": overlap_effect(),
-}
+# Every study row with a model crosses correct and misspecified ones.
+_SPECS = (True, False)
 
 
 def _check_outcome_model(outcome_model: int) -> int:
@@ -324,8 +314,6 @@ class SimulationDesign:
     seed: int = 0
     estimators: tuple[str, ...] = ("regression", "ipw", "dr")
     estimands: tuple[str, ...] = ("ate", "att", "atc", "ato")
-    pi_specs: tuple[bool, ...] = (True, False)
-    m_specs: tuple[bool, ...] = (True, False)
     truncate: tuple[float, float] | None = None
     workers: int = 1
 
@@ -341,21 +329,19 @@ def study_cells(design: SimulationDesign) -> list[Cell]:
     rows: list[tuple[str, bool | None, bool | None]] = []
     for est in design.estimators:
         if est == "regression":
-            rows.extend((est, None, mc) for mc in design.m_specs)
+            rows.extend((est, None, mc) for mc in _SPECS)
         elif est == "ipw":
-            rows.extend((est, pc, None) for pc in design.pi_specs)
+            rows.extend((est, pc, None) for pc in _SPECS)
         elif est == "dr":
-            rows.extend(
-                (est, pc, mc) for pc in design.pi_specs for mc in design.m_specs
-            )
+            rows.extend((est, pc, mc) for pc in _SPECS for mc in _SPECS)
         else:
             raise ValueError(f"unknown estimator token {est!r}")
     cells: list[Cell] = []
     for est, pc, mc in rows:
         for estimand in design.estimands:
-            if estimand not in _TARGETS:
+            if estimand not in STANDARD_TARGETS:
                 raise ValueError(f"unknown estimand token {estimand!r}")
-            if not has_formula(_KIND_BY_TOKEN[est], _TARGETS[estimand]):
+            if not has_formula(_KIND_BY_TOKEN[est], STANDARD_TARGETS[estimand]):
                 continue
             cells.append((est, pc, mc, estimand))
     if not cells:
@@ -377,7 +363,7 @@ def _cell_pipeline(design: SimulationDesign, cell: Cell) -> EstimationPipeline:
     est, pc, mc, estimand = cell
     main, inter = (None, None) if mc is None else outcome_design(mc, design.outcome_model)
     return EstimationPipeline(
-        estimand=_TARGETS[estimand],
+        estimand=STANDARD_TARGETS[estimand],
         kind=_KIND_BY_TOKEN[est],
         pi_design=None if pc is None else propensity_design(pc),
         m_design=main,

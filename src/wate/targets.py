@@ -84,6 +84,13 @@ def covariate_target(
     return TargetFunction(kind=TargetKind.COVARIATE, fn=fn, label=label)
 
 
+# The four standard targets by their tokens, in report order.
+STANDARD_TARGETS: dict[str, TargetFunction] = {
+    t.label: t
+    for t in (average_effect(), effect_on_treated(), effect_on_controls(), overlap_effect())
+}
+
+
 def _checked_pi(
     pi_hat, n: int, error: type[WateError] = TargetError
 ) -> NDArray[np.float64]:

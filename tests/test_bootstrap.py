@@ -15,7 +15,7 @@ from wate.bootstrap import (
     run_pipeline,
 )
 from wate.errors import BootstrapError, WorkerError
-from wate.estimators import EstimatorKind
+from wate.estimators import EstimatorKind, plan_cells
 from wate.simulation import generate_dataset, outcome_design, propensity_design
 
 
@@ -165,11 +165,6 @@ def test_import_wate_loads_no_pool_modules():
     assert out.stdout.strip() == "[]"
 
 
-def test_wrong_length_statistic_is_an_error_not_failed_replicates(ds400):
-    with pytest.raises(BootstrapError, match="returned length 3, expected 2"):
-        bootstrap_vector(ds400, lambda d: np.zeros(3), n_out=2, b=10)
-
-
 def test_se_recomputable_from_replicates(ds400):
     pipe = aipw_pipeline()
     res = bootstrap_se(ds400, pipe, b=50, seed=3)
@@ -179,7 +174,7 @@ def test_se_recomputable_from_replicates(ds400):
     assert res.ci_lower <= res.point.value <= res.ci_upper
 
 
-def test_failed_replicates_are_dropped_and_counted():
+def test_failed_replicates_are_dropped_and_counted(monkeypatch):
     # Nine observations with three treated: resamples frequently lose an
     # arm or go rank deficient, so some replicates must fail.
     rng = np.random.default_rng(17)
@@ -192,10 +187,8 @@ def test_failed_replicates_are_dropped_and_counted():
         kind=EstimatorKind.IPW_NORMALIZED,
         pi_design=wate.main_effects(ds.covariate_names),
     )
-    samples = bootstrap_vector(
-        ds, lambda d: np.array([run_pipeline(d, pipe).value]), n_out=1,
-        b=200, seed=2, max_failed_fraction=1.0,
-    )
+    monkeypatch.setattr(wate.bootstrap, "MAX_FAILED_FRACTION", 1.0)
+    samples = bootstrap_vector(ds, plan_cells([pipe]), b=200, seed=2)
     assert samples.n_failed > 0
     assert samples.values.shape == (200, 1)
     finite = np.isfinite(samples.values[:, 0])

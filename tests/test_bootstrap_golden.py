@@ -18,7 +18,6 @@ root.
 """
 
 import json
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from wate.bootstrap import bootstrap_se, bootstrap_vector
 from wate.cli import _split_estimands, build_report_task
 from wate.data import load_csv
 from wate.design import main_effects
-from wate.estimators import EstimationPipeline, EstimatorKind, cell_values
+from wate.estimators import EstimationPipeline, EstimatorKind
 from wate.simulation import generate_dataset, outcome_design, propensity_design
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -48,11 +47,7 @@ def _report_replicates(workers):
         ["unweighted", "regression", "ipw", "aipw"], _split_estimands(REPORT_ESTIMANDS),
         names, main_effects(names), main_effects(names), None, None,
     )
-    samples = bootstrap_vector(
-        cohort, partial(cell_values, plan=task.plan), n_out=len(task.cells),
-        b=3, seed=2, workers=workers,
-    )
-    return samples.values
+    return bootstrap_vector(cohort, task.plan, b=3, seed=2, workers=workers).values
 
 
 def _se_replicates(workers):

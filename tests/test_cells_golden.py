@@ -20,7 +20,6 @@ are computed without building any ``Diagnostics``.
 """
 
 import json
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -121,9 +120,7 @@ def _replicate_outputs():
     """A small study, a bootstrap over the report plan and one report fill."""
     study = run_study(SimulationDesign(n=200, replications=3, seed=5)).to_csv_text()
     cohort, task = _cohort_report()
-    boot = bootstrap_vector(
-        cohort, partial(cell_values, plan=task.plan), n_out=len(task.cells), b=3, seed=2
-    ).values
+    boot = bootstrap_vector(cohort, task.plan, b=3, seed=2).values
     return study, _hex(boot.ravel()), _hex(cell_values(cohort, task.plan))
 
 

@@ -106,7 +106,7 @@ def test_validate_clean(small_dataset):
     assert validate(small_dataset) == []
 
 
-def test_validate_sample_size_floor():
+def test_validate_sample_size_floor(tmp_path):
     # n = 3 with five covariates: too small outright, and with only one
     # control the arm check fires as well.
     ds = ObservationalDataset(
@@ -114,9 +114,15 @@ def test_validate_sample_size_floor():
     )
     problems = validate(ds)
     assert any("p + 2" in p for p in problems)
+    # Loading it names both problems, as an arm error.
+    save_csv(ds, tmp_path / "small.csv")
+    with pytest.raises(DegenerateArmError) as info:
+        load_csv(tmp_path / "small.csv")
+    assert str(info.value) == "; ".join(problems)
+    assert "control arm has 1" in str(info.value) and "p + 2" in str(info.value)
 
 
-def test_validate_isolated_sample_size_violation():
+def test_validate_isolated_sample_size_violation(tmp_path):
     rng = np.random.default_rng(1)
     ds = ObservationalDataset(
         X=rng.normal(size=(5, 4)),
@@ -125,6 +131,11 @@ def test_validate_isolated_sample_size_violation():
     )
     problems = validate(ds)
     assert len(problems) == 1 and "p + 2" in problems[0]
+    # Both arms are fine, so loading it is a plain data error.
+    save_csv(ds, tmp_path / "small.csv")
+    with pytest.raises(DataError, match=r"p \+ 2") as info:
+        load_csv(tmp_path / "small.csv")
+    assert not isinstance(info.value, DegenerateArmError)
 
 
 def test_validate_non_finite():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wate.models
 from wate.data import ObservationalDataset
 from wate.design import main_effects
 from wate.errors import (
@@ -25,7 +26,6 @@ from wate.estimators import (
     plan_cells,
 )
 from wate.models import (
-    FitOptions,
     OutcomeModel,
     fit_outcome,
     fit_propensity,
@@ -449,15 +449,16 @@ def test_scaling_outcome_scales_estimates(scale):
 
 
 @pytest.mark.parametrize("correct", [True, False])
-def test_overlap_weights_balance_the_propensity_design_exactly(correct):
+def test_overlap_weights_balance_the_propensity_design_exactly(monkeypatch, correct):
     # Li, Morgan & Zaslavsky (2018): with a logistic fit that has an
     # intercept, the score equations make the overlap-weighted arm means of
     # every design column equal, up to the fit's score tolerance (tightened
     # here so the gap is rounding). Whole-population weights do not balance.
+    monkeypatch.setattr(wate.models, "SCORE_TOL", 1e-10)
     design = propensity_design(correct)
     for seed in range(3):
         ds = generate_dataset(1, 300, np.random.default_rng(seed)).observed()
-        pm = fit_propensity(ds, design, FitOptions(tol=1e-10))
+        pm = fit_propensity(ds, design)
         for j, column in enumerate(design.matrix(ds.X).T):
             as_outcome = ObservationalDataset(X=ds.X, A=ds.A, Y=column)
             ato = estimate(as_outcome, EstimatorKind.IPW_NORMALIZED, overlap_effect(), pm=pm)
@@ -637,7 +638,7 @@ def _alone(ds, p):
         pi = m1 = m0 = None
         if p.pi_design is not None:
             try:
-                pi = fit_propensity(ds, p.pi_design, p.options).pi
+                pi = fit_propensity(ds, p.pi_design).pi
                 if p.truncate is not None:
                     pi = truncate_propensity(pi, *p.truncate)
                 pi = Nuisance.from_models(ds, pi_hat=pi).pi
@@ -645,7 +646,7 @@ def _alone(ds, p):
                 raise FitFailure("propensity", exc) from None
         if p.m_design is not None:
             try:
-                om = fit_outcome(ds, p.m_design, p.m_interaction, p.options)
+                om = fit_outcome(ds, p.m_design, p.m_interaction)
             except WateError as exc:
                 raise FitFailure("outcome", exc) from None
             m1, m0 = om.m1, om.m0
@@ -770,6 +771,7 @@ def test_has_formula_names_the_cells_a_row_fills():
         EstimatorKind.REGRESSION: [True, True, True, False, False, True],
         EstimatorKind.IPW_NORMALIZED: [True] * 6,
         EstimatorKind.AIPW: [True] * 6,
+        EstimatorKind.DR_LINEAR_IN_PI: [False, True, True, False, True, False],
     }
     for kind, row in expected.items():
         assert [has_formula(kind, t) for t in targets] == row, kind

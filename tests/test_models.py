@@ -16,7 +16,6 @@ from wate.design import DesignSpec, TransformTerm, intercept_only, main_effects,
 from wate.errors import ConvergenceError, ModelFitError, RankDeficiencyError
 from wate.estimators import EstimationPipeline, EstimatorKind, estimate, fill_cells
 from wate.models import (
-    FitOptions,
     _keep_freed_heap,
     _sigmoid,
     fit_outcome,
@@ -124,33 +123,34 @@ def test_predictions_are_clamped():
         converged=True,
         iterations=0,
         log_likelihood=0.0,
-        prob_clamp=model.prob_clamp,
     )
     p = predict_propensity(forced, big)
     assert 0.0 < p[0] < 1.0
     assert p[0] <= 1.0 - 1e-12
 
 
-def test_separated_data_raises_with_last_iterate():
+def test_separated_data_raises_with_last_iterate(monkeypatch):
     x = np.linspace(-2, 2, 12)
     a = (x > 0).astype(float)
     ds = make_ds(x[:, None], a)
+    monkeypatch.setattr(wate.models, "MAX_ITER", 25)
     with pytest.raises(ConvergenceError) as err:
-        fit_propensity(ds, main_effects(("x",)), FitOptions(max_iter=25))
+        fit_propensity(ds, main_effects(("x",)))
     assert err.value.model is not None
     assert not err.value.model.converged
     # The slope runs off toward infinity; the attached iterate shows that.
     assert abs(err.value.model.alpha[1]) > 10.0
 
 
-def test_tiny_max_iter_raises():
+def test_tiny_max_iter_raises(monkeypatch):
     rng = np.random.default_rng(8)
     X = rng.normal(size=(200, 2))
     eta = X @ np.array([1.0, -1.0])
     A = (rng.random(200) < 1 / (1 + np.exp(-eta))).astype(float)
     ds = make_ds(X, A)
+    monkeypatch.setattr(wate.models, "MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as err:
-        fit_propensity(ds, main_effects(("x1", "x2")), FitOptions(max_iter=1))
+        fit_propensity(ds, main_effects(("x1", "x2")))
     assert err.value.model.iterations == 1
 
 
