@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import __version__
-from .bootstrap import bootstrap_vector
+from .bootstrap import MAX_FAILED_FRACTION, bootstrap_vector
 from .data import ObservationalDataset, load_csv
 from .design import DesignSpec, main_effects, parse_design
 from .errors import DesignError, MissingColumnError, WateError
@@ -336,15 +336,35 @@ def _fmt_value(v: float) -> str:
     return "%.6g" % v
 
 
-def _estimate_report_texts(
+def _pivot(
+    keys: tuple[str, ...],
+    columns: tuple[str, ...],
+    subs: tuple[str, ...],
+    rows: list[tuple[str, ...]],
+    cells: dict[tuple[tuple[str, ...], str], tuple[str, ...]],
+) -> list[str]:
+    """Markdown table lines: one row per key in ``rows`` (a tuple of labels,
+    one per ``keys``) and one cell per ``column + sub``. ``cells[row, column]``
+    holds a row's texts under ``column``; a missing pair prints ``-`` in each."""
+    lines = [
+        "| " + " | ".join([*keys, *(c + s for c in columns for s in subs)]) + " |",
+        "|" + "---|" * (len(keys) + len(columns) * len(subs)),
+    ]
+    for row in rows:
+        texts = [t for c in columns for t in cells.get((row, c), ("-",) * len(subs))]
+        lines.append("| " + " | ".join([*row, *texts]) + " |")
+    return lines
+
+
+def _estimate_report_lines(
     ds: ObservationalDataset,
     task: ReportTask,
     echo: list[str],
     b: int,
     seed: int,
     workers: int,
-) -> tuple[str, str, bool]:
-    """Returns (csv text, markdown text, all cells ok). The bootstrap is
+) -> tuple[list[str], list[str], bool]:
+    """Returns (csv lines, markdown lines, all cells ok). The bootstrap is
     skipped when no cell has a point estimate: no replicate could succeed,
     and the report then shows why each cell failed."""
     points, notes = _report_cells(task, ds)
@@ -359,16 +379,21 @@ def _estimate_report_texts(
             col = samples.values[:, j]
             finite = col[np.isfinite(col)]
             b_ok[j] = finite.shape[0]
-            if finite.shape[0] >= 2:
+            if not notes[j] and b - b_ok[j] > MAX_FAILED_FRACTION * b:
+                notes[j] = (
+                    f"{b - b_ok[j]} of {b} bootstrap replicates failed "
+                    f"(limit {MAX_FAILED_FRACTION:.0%})"
+                )
+            elif finite.shape[0] >= 2:
                 ses[j] = float(np.std(finite, ddof=1))
-    all_ok = bool(np.all(np.isfinite(points)))
 
     csv_lines = list(echo)
     csv_lines.append(
         f"# n = {ds.n}, treated = {ds.n_treated}, control = {ds.n_control}"
     )
     csv_lines.append("method,estimand,estimate,se,bootstrap_ok,note")
-    by_cell = {}
+    cells = {}
+    failures = []
     for j, (method, token) in enumerate(task.cells):
         token_csv = f'"{token}"' if "," in token else token
         est_txt = _fmt_value(points[j]) if np.isfinite(points[j]) else ""
@@ -377,8 +402,10 @@ def _estimate_report_texts(
         csv_lines.append(
             f"{method},{token_csv},{est_txt},{se_txt},{b_ok[j] if b > 0 else ''},{note}"
         )
-        by_cell[(method, token)] = (points[j], ses[j], notes[j])
-    csv_text = "\n".join(csv_lines) + "\n"
+        md_cell = f"{est_txt} ({se_txt})" if se_txt else est_txt
+        cells[(method,), token] = (md_cell if est_txt else "failed",)
+        if notes[j]:
+            failures.append(f"- {method} / {token}: {notes[j]}")
 
     md_lines = list(echo)
     md_lines.append("")
@@ -386,40 +413,10 @@ def _estimate_report_texts(
         f"n = {ds.n} ({ds.n_treated} treated, {ds.n_control} control); {bootstrap_line}"
     )
     md_lines.append("")
-    header = "| method |"
-    rule = "|---|"
-    for token in task.tokens:
-        header += f" {token} |"
-        rule += "---|"
-    md_lines.append(header)
-    md_lines.append(rule)
-    for mi, method in enumerate(task.methods):
-        row = f"| {method} |"
-        for token in task.tokens:
-            entry = by_cell.get((method, token))
-            if entry is None:
-                row += " - |"
-                continue
-            point, se, note = entry
-            if not np.isfinite(point):
-                row += " failed |"
-            elif np.isfinite(se):
-                row += f" {_fmt_value(point)} ({_fmt_value(se)}) |"
-            else:
-                row += f" {_fmt_value(point)} |"
-        md_lines.append(row)
-    failures = [
-        (method, token, notes[j])
-        for j, (method, token) in enumerate(task.cells)
-        if notes[j]
-    ]
+    md_lines += _pivot(("method",), task.tokens, ("",), [(m,) for m in task.methods], cells)
     if failures:
-        md_lines.append("")
-        md_lines.append("Failures:")
-        for method, token, note in failures:
-            md_lines.append(f"- {method} / {token}: {note}")
-    md_text = "\n".join(md_lines) + "\n"
-    return csv_text, md_text, all_ok
+        md_lines += ["", "Failures:", *failures]
+    return csv_lines, md_lines, not failures
 
 
 def _output_paths(out: str, fmt: str) -> dict[str, str]:
@@ -443,11 +440,12 @@ def _check_outputs(out: str, fmt: str) -> None:
         raise CliError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
-def _write_outputs(out: str, fmt: str, csv_text: str, md_text: str) -> None:
+def _write_outputs(out: str, fmt: str, csv_lines: list[str], md_lines: list[str]) -> None:
+    """Writes each report as its lines, each ended by a newline."""
+    texts = {"csv": "\n".join(csv_lines) + "\n", "md": "\n".join(md_lines) + "\n"}
     if not out:
-        sys.stdout.write(md_text if fmt in ("both", "md") else csv_text)
+        sys.stdout.write(texts["md"] if fmt in ("both", "md") else texts["csv"])
         return
-    texts = {"csv": csv_text, "md": md_text}
     for ext, path in _output_paths(out, fmt).items():
         try:
             with open(path, "w") as fh:
@@ -504,15 +502,19 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     workers = _parse_int(resolved, "workers", 1)
     _check_outputs(resolved["out"], fmt)
     echo = _echo_lines("estimate", {**resolved, "data": args.data})
-    csv_text, md_text, all_ok = _estimate_report_texts(
+    csv_lines, md_lines, all_ok = _estimate_report_lines(
         ds, task, echo, b, seed, workers
     )
-    _write_outputs(resolved["out"], fmt, csv_text, md_text)
+    _write_outputs(resolved["out"], fmt, csv_lines, md_lines)
     return 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------
 # simulate
+
+# A working model's specification in the CSV and the markdown; None: no such model.
+_SPEC_CSV = {None: "", True: "correct", False: "misspecified"}
+_SPEC_MD = {None: "-", True: "yes", False: "no"}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -533,8 +535,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_outputs(resolved["out"], fmt)
     echo = _echo_lines("simulate", resolved)
 
-    csv_parts: list[str] = []
-    md_parts: list[str] = []
+    csv_lines = [
+        *echo,
+        "outcome_model,n,replications,estimator,pi_spec,m_spec,estimand,"
+        "truth,bias,sd,rmse,mc_se,n_ok,n_failed",
+    ]
+    md_lines = list(echo)
     for model in models:
         for n in sizes:
             design = SimulationDesign(
@@ -548,15 +554,33 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 workers=workers,
             )
             report = run_study(design)
-            text = report.to_csv_text()
-            if csv_parts:
-                text = text.split("\n", 1)[1]
-            csv_parts.append(text)
-            md_parts.append(report.to_markdown_text())
-    echo_text = "\n".join(echo) + "\n"
-    csv_text = echo_text + "".join(csv_parts)
-    md_text = echo_text + "\n" + "\n".join(md_parts)
-    _write_outputs(resolved["out"], fmt, csv_text, md_text)
+            cells = {}
+            for c in report.cells:
+                stats = (report.truth.value(c.estimand), c.bias, c.sd, c.rmse, c.mc_se)
+                nums = ",".join("" if v is None else "%.10g" % v for v in stats)
+                pc, mc = c.pi_correct, c.m_correct
+                csv_lines.append(
+                    f"{model},{n},{reps},{c.estimator},{_SPEC_CSV[pc]},{_SPEC_CSV[mc]},"
+                    f"{c.estimand},{nums},{c.n_ok},{c.n_failed}"
+                )
+                row = (c.estimator, _SPEC_MD[pc], _SPEC_MD[mc])
+                if c.bias is None:
+                    cells[row, c.estimand] = ("!", "!")
+                else:
+                    cells[row, c.estimand] = (f"{c.bias:.2f}", f"{c.rmse:.2f}")
+            md_lines += [
+                "",
+                f"Outcome model {model}, n = {n}, {reps} replications.",
+                "",
+                *_pivot(
+                    ("estimator", "pi ok", "m ok"),
+                    estimands,
+                    (" bias", " rmse"),
+                    list(dict.fromkeys(row for row, _ in cells)),
+                    cells,
+                ),
+            ]
+    _write_outputs(resolved["out"], fmt, csv_lines, md_lines)
     return 0
 
 
@@ -578,8 +602,7 @@ def _cmd_true_values(args: argparse.Namespace) -> int:
                 f"{model},{estimand},{truth.value(estimand):.6f},"
                 f"{truth.mc_se(estimand):.6f},{truth.draws}"
             )
-    text = "\n".join(lines) + "\n"
-    _write_outputs(resolved["out"], "csv", text, text)
+    _write_outputs(resolved["out"], "csv", lines, lines)
     return 0
 
 

@@ -399,6 +399,8 @@ class CellStats:
 
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
+    """A study's results as data only; ``wate simulate`` formats them."""
+
     design: SimulationDesign
     truth: TrueEstimands
     cells: tuple[CellStats, ...]
@@ -419,82 +421,6 @@ class SimulationReport:
             ):
                 return c
         raise KeyError((estimator, pi_correct, m_correct, estimand))
-
-    def to_csv_text(self) -> str:
-        def num(v: float | None) -> str:
-            return "" if v is None else "%.10g" % v
-
-        def spec(v: bool | None) -> str:
-            if v is None:
-                return ""
-            return "correct" if v else "misspecified"
-
-        lines = [
-            "outcome_model,n,replications,estimator,pi_spec,m_spec,estimand,"
-            "truth,bias,sd,rmse,mc_se,n_ok,n_failed"
-        ]
-        for c in self.cells:
-            lines.append(
-                ",".join(
-                    [
-                        str(self.design.outcome_model),
-                        str(self.design.n),
-                        str(self.design.replications),
-                        c.estimator,
-                        spec(c.pi_correct),
-                        spec(c.m_correct),
-                        c.estimand,
-                        num(self.truth.value(c.estimand)),
-                        num(c.bias),
-                        num(c.sd),
-                        num(c.rmse),
-                        num(c.mc_se),
-                        str(c.n_ok),
-                        str(c.n_failed),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_markdown_text(self) -> str:
-        def mark(v: bool | None) -> str:
-            if v is None:
-                return "-"
-            return "yes" if v else "no"
-
-        estimands = [e for e in self.design.estimands]
-        header = "| estimator | pi ok | m ok |"
-        rule = "|---|---|---|"
-        for e in estimands:
-            header += f" {e} bias | {e} rmse |"
-            rule += "---|---|"
-        row_keys: list[tuple[str, bool | None, bool | None]] = []
-        for c in self.cells:
-            key = (c.estimator, c.pi_correct, c.m_correct)
-            if key not in row_keys:
-                row_keys.append(key)
-        lines = [
-            f"Outcome model {self.design.outcome_model}, n = {self.design.n}, "
-            f"{self.design.replications} replications.",
-            "",
-            header,
-            rule,
-        ]
-        by_key = {
-            (c.estimator, c.pi_correct, c.m_correct, c.estimand): c for c in self.cells
-        }
-        for est, pc, mc in row_keys:
-            row = f"| {est} | {mark(pc)} | {mark(mc)} |"
-            for e in estimands:
-                c = by_key.get((est, pc, mc, e))
-                if c is None:
-                    row += " - | - |"
-                elif c.bias is None:
-                    row += " ! | ! |"
-                else:
-                    row += f" {c.bias:.2f} | {c.rmse:.2f} |"
-            lines.append(row)
-        return "\n".join(lines) + "\n"
 
 
 def run_study(design: SimulationDesign) -> SimulationReport:

@@ -118,7 +118,7 @@ def test_cell_values_are_the_bits_of_fill_cells():
 
 def _replicate_outputs():
     """A small study, a bootstrap over the report plan and one report fill."""
-    study = run_study(SimulationDesign(n=200, replications=3, seed=5)).to_csv_text()
+    study = run_study(SimulationDesign(n=200, replications=3, seed=5)).cells
     cohort, task = _cohort_report()
     boot = bootstrap_vector(cohort, task.plan, b=3, seed=2).values
     return study, _hex(boot.ravel()), _hex(cell_values(cohort, task.plan))

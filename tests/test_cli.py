@@ -193,6 +193,27 @@ def test_estimate_reports_failed_cells(tmp_path, capsys):
     assert "| unweighted | 2" in out
 
 
+def test_a_cell_past_the_bootstrap_failure_limit_gets_no_se(tmp_path, capsys):
+    # Two treated rows: most resamples hold at most one of them, so the
+    # regression refit fails in 65 of 100 while the raw difference fails in 6.
+    path = tmp_path / "six.csv"
+    rows = ["1,1.0,0", "0,2.0,1", "1,0.5,2", "0,1.5,3", "0,2.5,4", "0,3.0,5"]
+    path.write_text("\n".join(["a,y,x1", *rows]) + "\n")
+    argv = [
+        "estimate", str(path), "--bootstrap", "100", "--estimand", "ate",
+        "--estimator", "regression",
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 1
+    note = "65 of 100 bootstrap replicates failed (limit 20%)"
+    assert f"regression,ate,-1.68214,,35,{note}" in out.splitlines()
+    assert re.search(r"^unweighted,ate,-1\.5,[0-9.]+,94,$", out, re.MULTILINE)
+    code, out, _ = run_cli(capsys, *argv, "--format", "md")
+    assert code == 1
+    assert "| regression | -1.68214 |" in out
+    assert f"- regression / ate: {note}" in out
+
+
 def test_estimand_token_parser_details():
     t = parse_estimand_token("ATT", ("x1",))
     assert t.label == "att"

@@ -283,18 +283,6 @@ def test_study_seed_changes_results(tiny_study):
     assert other.cells != tiny_study.cells
 
 
-def test_study_csv_and_markdown(tiny_study):
-    csv_text = tiny_study.to_csv_text()
-    lines = csv_text.strip().split("\n")
-    assert lines[0].startswith("outcome_model,n,replications")
-    assert len(lines) == 1 + 30
-    md = tiny_study.to_markdown_text()
-    assert "| regression | - | yes |" in md
-    # Absent cells are rendered as dashes, one pair per missing estimand.
-    reg_row = [l for l in md.split("\n") if l.startswith("| regression | - | yes |")][0]
-    assert reg_row.endswith("- | - |")
-
-
 def test_small_samples_produce_counted_failures():
     report = run_study(
         SimulationDesign(
