@@ -4,12 +4,14 @@
 :class:`~wate.estimators.CellPlan`: every replicate resamples rows with
 replacement, refits every working model of the plan from scratch and fills
 every cell through :func:`~wate.estimators.cell_values`. A cell whose fit or
-estimate fails on a resample is NaN in that replicate, and a replicate in
-which every cell fails counts as failed (a resample can easily lose one arm
-or go rank deficient). If more than ``MAX_FAILED_FRACTION`` (20%) of the
-replicates fail, the run aborts, because a standard error from the
-survivors would be misleading. :func:`bootstrap_se` reports a standard
-error and a ``CI_LEVEL`` (95%) percentile interval for one pipeline.
+estimate fails on a resample is NaN in that replicate (a resample can easily
+lose one arm or go rank deficient); :func:`bootstrap_vector` never raises
+for that. :func:`cell_se` is the one failure policy: a cell whose values
+failed in more than ``MAX_FAILED_FRACTION`` (20%) of the replicates gets no
+standard error, because one from the survivors would be misleading. The
+``estimate`` report applies it to each of its cells; :func:`bootstrap_se`
+applies it to its one pipeline, raises :class:`BootstrapError` past the
+limit and otherwise adds a ``CI_LEVEL`` (95%) percentile interval.
 
 Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling
@@ -45,31 +47,6 @@ T = TypeVar("T")
 
 MAX_FAILED_FRACTION = 0.2
 CI_LEVEL = 0.95
-
-
-def run_pipeline(ds: ObservationalDataset, pipeline: EstimationPipeline) -> PointEstimate:
-    """Fit the models the pipeline declares, then estimate; a failed fit
-    raises what the fitter raised."""
-    result = fill_cells(ds, [pipeline])[0]
-    if isinstance(result, FitFailure):
-        raise result.error
-    if isinstance(result, WateError):
-        raise result
-    return result
-
-
-@dataclass(frozen=True, eq=False)
-class BootstrapSamples:
-    """Raw replicate values: shape (b, number of cells); a failed replicate
-    is a row of NaN, a cell that failed inside an otherwise fine replicate is
-    a single NaN."""
-
-    values: NDArray[np.float64]
-    n_failed: int
-
-    @property
-    def b(self) -> int:
-        return self.values.shape[0]
 
 
 def _replicate_indices(seed: int, i: int, n: int) -> NDArray[np.intp]:
@@ -193,9 +170,10 @@ def bootstrap_vector(
     b: int = 1000,
     seed: int = 0,
     workers: int = 1,
-) -> BootstrapSamples:
+) -> NDArray[np.float64]:
     """The values of every cell of ``plan`` on ``b`` bootstrap resamples,
-    over ``workers`` processes in total; column j holds pipeline j.
+    over ``workers`` processes in total: shape (b, number of cells), column j
+    holds pipeline j, NaN where it failed on a resample.
 
     Off Linux, ``workers > 1`` needs a picklable plan: a covariate target's
     function must then be a module-level function or a frozen dataclass with
@@ -203,14 +181,25 @@ def bootstrap_vector(
     """
     if b < 2:
         raise ValueError(f"need at least 2 replicates, got {b}")
-    values = np.array(parallel_map(partial(_replicate, ds, plan, seed), b, workers))
-    n_failed = int(np.sum(np.all(np.isnan(values), axis=1))) if plan.pipelines else 0
-    if n_failed > MAX_FAILED_FRACTION * b:
-        raise BootstrapError(
-            f"{n_failed} of {b} bootstrap replicates failed "
-            f"(limit {MAX_FAILED_FRACTION:.0%}); refusing to report standard errors"
+    return np.array(parallel_map(partial(_replicate, ds, plan, seed), b, workers))
+
+
+def cell_se(column: NDArray[np.float64]) -> tuple[float, int, str]:
+    """``(se, b_ok, note)`` for one cell from its replicate values: the
+    sample standard deviation (ddof=1) of the ``b_ok`` finite values and an
+    empty note, or NaN and a note when more than ``MAX_FAILED_FRACTION`` of
+    the replicates failed. With at least 2 replicates, a cell within the
+    limit always has 2 finite values."""
+    b = column.shape[0]
+    ok = column[np.isfinite(column)]
+    failed = b - ok.shape[0]
+    if failed > MAX_FAILED_FRACTION * b:
+        note = (
+            f"{failed} of {b} bootstrap replicates failed (limit "
+            f"{MAX_FAILED_FRACTION:.0%})"
         )
-    return BootstrapSamples(values=values, n_failed=n_failed)
+        return np.nan, ok.shape[0], note
+    return float(np.std(ok, ddof=1)), ok.shape[0], ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +214,8 @@ class BootstrapResult:
 
     point: PointEstimate
     se: float
-    b: int
     b_ok: int
     replicate_values: NDArray[np.float64]
-    seed: int
     ci_lower: float
     ci_upper: float
 
@@ -243,25 +230,28 @@ def bootstrap_se(
     """Standard error for one pipeline by the pairs bootstrap.
 
     The full-data point estimate is computed first and any failure there is
-    raised as is: if the pipeline cannot run on the original data, a
-    bootstrap around it has no meaning.
+    raised as is (a failed fit as what the fitter raised): if the pipeline
+    cannot run on the original data, a bootstrap around it has no meaning.
+    Past the failure limit of :func:`cell_se` it raises
+    :class:`BootstrapError`.
     """
-    point = run_pipeline(ds, pipeline)
-    samples = bootstrap_vector(ds, plan_cells([pipeline]), b=b, seed=seed, workers=workers)
-    vals = samples.values[:, 0]
-    ok = vals[np.isfinite(vals)]
-    if ok.shape[0] < 2:
-        raise BootstrapError("fewer than 2 successful replicates")
-    se = float(np.std(ok, ddof=1))
+    plan = plan_cells([pipeline])
+    point = fill_cells(ds, plan)[0]
+    if isinstance(point, FitFailure):
+        raise point.error
+    if isinstance(point, WateError):
+        raise point
+    vals = bootstrap_vector(ds, plan, b=b, seed=seed, workers=workers)[:, 0]
+    se, b_ok, note = cell_se(vals)
+    if note:
+        raise BootstrapError(note + "; refusing to report standard errors")
     alpha = 100.0 * (1.0 - CI_LEVEL) / 2.0
-    lo, hi = np.percentile(ok, [alpha, 100.0 - alpha])
+    lo, hi = np.percentile(vals[np.isfinite(vals)], [alpha, 100.0 - alpha])
     return BootstrapResult(
         point=point,
         se=se,
-        b=b,
-        b_ok=int(ok.shape[0]),
+        b_ok=b_ok,
         replicate_values=vals,
-        seed=seed,
         ci_lower=float(lo),
         ci_upper=float(hi),
     )

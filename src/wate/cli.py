@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import __version__
-from .bootstrap import MAX_FAILED_FRACTION, bootstrap_vector
+from .bootstrap import bootstrap_vector, cell_se
 from .data import ObservationalDataset, load_csv
 from .design import DesignSpec, main_effects, parse_design
 from .errors import DesignError, MissingColumnError, WateError
@@ -375,17 +375,11 @@ def _estimate_report_lines(
         b, bootstrap_line = 0, "bootstrap skipped: no cell has a point estimate"
     if b > 0:
         samples = bootstrap_vector(ds, task.plan, b=b, seed=seed, workers=workers)
-        for j in range(len(task.cells)):
-            col = samples.values[:, j]
-            finite = col[np.isfinite(col)]
-            b_ok[j] = finite.shape[0]
-            if not notes[j] and b - b_ok[j] > MAX_FAILED_FRACTION * b:
-                notes[j] = (
-                    f"{b - b_ok[j]} of {b} bootstrap replicates failed "
-                    f"(limit {MAX_FAILED_FRACTION:.0%})"
-                )
-            elif finite.shape[0] >= 2:
-                ses[j] = float(np.std(finite, ddof=1))
+        for j, column in enumerate(samples.T):
+            se, b_ok[j], note = cell_se(column)
+            # A cell without a point estimate keeps its own note and no SE.
+            if not notes[j]:
+                ses[j], notes[j] = se, note
 
     csv_lines = list(echo)
     csv_lines.append(

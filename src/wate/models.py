@@ -104,10 +104,6 @@ class PropensityModel:
     log_likelihood: float
     pi: NDArray[np.float64] | None = field(default=None, repr=False)
 
-    @property
-    def coef_names(self) -> tuple[str, ...]:
-        return ("(intercept)",) + self.design.names
-
 
 @dataclass(frozen=True, eq=False)
 class OutcomeModel:
@@ -124,11 +120,6 @@ class OutcomeModel:
     residual_variance: float
     m1: NDArray[np.float64] | None = field(default=None, repr=False)
     m0: NDArray[np.float64] | None = field(default=None, repr=False)
-
-    @property
-    def coef_names(self) -> tuple[str, ...]:
-        inter = tuple("a*" + n for n in self.interaction_design.names)
-        return ("(intercept)",) + self.main_design.names + ("a",) + inter
 
 
 def _sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -11,11 +11,11 @@ from wate.bootstrap import (
     EstimationPipeline,
     bootstrap_se,
     bootstrap_vector,
+    cell_se,
     parallel_map,
-    run_pipeline,
 )
 from wate.errors import BootstrapError, WorkerError
-from wate.estimators import EstimatorKind, plan_cells
+from wate.estimators import EstimatorKind, fill_cells, plan_cells
 from wate.simulation import generate_dataset, outcome_design, propensity_design
 
 
@@ -34,6 +34,11 @@ def aipw_pipeline(outcome_model=2, truncate=None):
         m_interaction=inter,
         truncate=truncate,
     )
+
+
+def run_pipeline(ds, pipe):
+    """The full-data point estimate of one pipeline."""
+    return fill_cells(ds, [pipe])[0]
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +179,7 @@ def test_se_recomputable_from_replicates(ds400):
     assert res.ci_lower <= res.point.value <= res.ci_upper
 
 
-def test_failed_replicates_are_dropped_and_counted(monkeypatch):
+def test_failed_replicates_are_dropped_and_counted():
     # Nine observations with three treated: resamples frequently lose an
     # arm or go rank deficient, so some replicates must fail.
     rng = np.random.default_rng(17)
@@ -187,12 +192,16 @@ def test_failed_replicates_are_dropped_and_counted(monkeypatch):
         kind=EstimatorKind.IPW_NORMALIZED,
         pi_design=wate.main_effects(ds.covariate_names),
     )
-    monkeypatch.setattr(wate.bootstrap, "MAX_FAILED_FRACTION", 1.0)
     samples = bootstrap_vector(ds, plan_cells([pipe]), b=200, seed=2)
-    assert samples.n_failed > 0
-    assert samples.values.shape == (200, 1)
-    finite = np.isfinite(samples.values[:, 0])
-    assert finite.sum() + samples.n_failed == 200
+    assert samples.shape == (200, 1)
+    finite = np.isfinite(samples[:, 0])
+    assert 0 < finite.sum() < 200
+    assert np.all(np.isnan(samples[~finite, 0]))
+    # Far more than a fifth fail, so the cell gets no standard error.
+    se, b_ok, note = cell_se(samples[:, 0])
+    assert b_ok == finite.sum()
+    assert np.isnan(se)
+    assert note == f"{200 - b_ok} of 200 bootstrap replicates failed (limit 20%)"
 
 
 def test_too_many_failures_abort():

@@ -47,7 +47,7 @@ def _report_replicates(workers):
         ["unweighted", "regression", "ipw", "aipw"], _split_estimands(REPORT_ESTIMANDS),
         names, main_effects(names), main_effects(names), None, None,
     )
-    return bootstrap_vector(cohort, task.plan, b=3, seed=2, workers=workers).values
+    return bootstrap_vector(cohort, task.plan, b=3, seed=2, workers=workers)
 
 
 def _se_replicates(workers):

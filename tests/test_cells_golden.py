@@ -120,7 +120,7 @@ def _replicate_outputs():
     """A small study, a bootstrap over the report plan and one report fill."""
     study = run_study(SimulationDesign(n=200, replications=3, seed=5)).cells
     cohort, task = _cohort_report()
-    boot = bootstrap_vector(cohort, task.plan, b=3, seed=2).values
+    boot = bootstrap_vector(cohort, task.plan, b=3, seed=2)
     return study, _hex(boot.ravel()), _hex(cell_values(cohort, task.plan))
 
 

@@ -214,6 +214,66 @@ def test_a_cell_past_the_bootstrap_failure_limit_gets_no_se(tmp_path, capsys):
     assert f"- regression / ate: {note}" in out
 
 
+def test_a_cell_without_a_point_estimate_gets_no_se(tmp_path, capsys):
+    # One row has x1 = -0.5, so expr:x1 fails on the full data and on every
+    # resample that draws that row; the others still fill the cell.
+    path = tmp_path / "oneneg.csv"
+    rows = ["x1,a,y"]
+    for i in range(40):
+        x = -0.5 if i == 0 else i / 10
+        rows.append(f"{x},{i % 2},{x + i % 2 + (i % 3) / 4}")
+    path.write_text("\n".join(rows) + "\n")
+    code, out, _ = run_cli(
+        capsys, "estimate", str(path), "--estimand", "ate,expr:x1", "--bootstrap", "50",
+        "--format", "csv",
+    )
+    assert code == 1
+    note = "expr:x1: covariate target is negative for some observations"
+    cells = [line.split(",") for line in out.splitlines() if ",expr:x1," in line]
+    assert [row[0] for row in cells] == ["regression", "ipw", "aipw"]
+    for _, _, estimate, se, b_ok, row_note in cells:
+        assert (estimate, se, row_note) == ("", "", note)
+        assert 0 < int(b_ok) < 50
+
+
+def test_failed_whole_replicates_leave_the_report_standing(tmp_path, capsys):
+    # x1 separates the arms, so the ipw fit fails on the full data and on
+    # every resample. One of the 4 resamples also loses an arm: that whole
+    # replicate fails, and the unweighted cell is past the limit.
+    path = tmp_path / "four.csv"
+    path.write_text("x1,a,y\n0,1,1\n1,1,2\n2,0,3\n3,0,5\n")
+    code, out, err = run_cli(
+        capsys, "estimate", str(path), "--bootstrap", "4", "--seed", "1",
+        "--estimand", "ate", "--estimator", "ipw",
+    )
+    assert code == 1
+    assert err == ""
+    assert "- unweighted / ate: 1 of 4 bootstrap replicates failed (limit 20%)" in out
+    assert "- ipw / ate: propensity fit failed: fitted probabilities pinned" in out
+    assert "error:" not in out
+    assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_report_se_matches_bootstrap_se(workers, capsys):
+    code, out, _ = run_cli(
+        capsys, "estimate", str(COHORT), "--bootstrap", "50", "--seed", "1",
+        "--workers", workers, "--format", "csv",
+    )
+    assert code == 0
+    row = next(line.split(",") for line in out.splitlines() if line.startswith("aipw,att,"))
+    ds = wate.load_csv(COHORT)
+    names = ds.covariate_names
+    pipe = wate.EstimationPipeline(
+        estimand=wate.effect_on_treated(),
+        kind=EstimatorKind.AIPW,
+        pi_design=wate.main_effects(names),
+        m_design=wate.main_effects(names),
+    )
+    result = wate.bootstrap_se(ds, pipe, b=50, seed=1)
+    assert row[3:5] == ["%.6g" % result.se, str(result.b_ok)]
+
+
 def test_estimand_token_parser_details():
     t = parse_estimand_token("ATT", ("x1",))
     assert t.label == "att"
