@@ -31,7 +31,7 @@ from wate.cli import _split_estimands, build_report_task
 from wate.data import load_csv
 from wate.design import main_effects
 from wate.errors import WateError
-from wate.estimators import EstimatorKind, PointEstimate, cell_values, fill_cells
+from wate.estimators import PointEstimate, cell_values, fill_cells
 from wate.simulation import (
     SimulationDesign,
     _cell_pipeline,
@@ -56,9 +56,7 @@ def _cases():
                 tag = "none" if truncate is None else "1-99"
                 yield f"sim/model{model}/{tag}/n{n}", ds, pipelines
     cohort, task = _cohort_report()
-    # The recorded report cells predate the unweighted kernel, whose value
-    # test_estimators and the report goldens pin.
-    pipelines = [p for p in task.plan.pipelines if p.kind is not EstimatorKind.UNWEIGHTED]
+    pipelines = task.plan.pipelines
     yield "report/cohort", cohort, pipelines
     for i in (1, 2):
         idx = np.random.default_rng(i).integers(0, cohort.n, size=cohort.n)
