@@ -442,7 +442,7 @@ def _write_outputs(out: str, fmt: str, csv_lines: list[str], md_lines: list[str]
         return
     for ext, path in _output_paths(out, fmt).items():
         try:
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(texts[ext])
         except OSError as exc:
             raise CliError(f"cannot write {path}: {exc}") from None

@@ -289,7 +289,7 @@ def save_csv(ds: ObservationalDataset, path: str | os.PathLike) -> None:
     Floats are written with 17 significant digits so a load/save/load cycle
     reproduces every bit.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.covariate_names) + [ds.treatment_name, ds.outcome_name])
         for i in range(ds.n):

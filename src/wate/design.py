@@ -36,15 +36,17 @@ class MonomialTerm:
     powers: tuple[tuple[int, int], ...]
 
     def __call__(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
-        out = np.ones(X.shape[0])
+        # The product starts at the first factor: 1.0*x is x, bit for bit.
+        out = None
         for col, exp in self.powers:
             if col >= X.shape[1]:
                 raise DesignError(
                     f"term {self.name!r} refers to column index {col} but the "
                     f"covariate matrix has only {X.shape[1]} columns"
                 )
-            out = out * X[:, col] ** exp
-        return out
+            factor = X[:, col] ** exp
+            out = factor if out is None else out * factor
+        return np.ones(X.shape[0]) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -80,12 +82,24 @@ class DesignSpec:
         """The ``(n, len(self))`` design, column j from term j, evaluated
         straight into ``out`` when given (e.g. the design block of a model
         matrix, so the columns are never stacked and copied), else into a
-        new array. Returns the array written."""
+        new array. Returns the array written.
+
+        A design with a NaN or infinite value, e.g. a square that overflows,
+        raises :class:`DesignError` naming the first such term and its first
+        (1-based) rows; the overflow itself warns nothing."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if out is None:
             out = np.empty((X.shape[0], len(self.terms)))
-        for j, term in enumerate(self.terms):
-            out[:, j] = term(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, term in enumerate(self.terms):
+                out[:, j] = term(X)
+        if not np.isfinite(out).all():
+            for name, column in zip(self.names, out.T):
+                bad = np.flatnonzero(~np.isfinite(column))
+                if bad.size:
+                    rows = ", ".join(str(int(r) + 1) for r in bad[:5])
+                    more = ", ..." if bad.size > 5 else ""
+                    raise DesignError(f"term {name!r} is not finite (rows {rows}{more})")
         return out
 
     @property

@@ -3,10 +3,10 @@
 Every estimator is a short formula over the observed ``(A, Y)``, the target
 weights ``h`` and three fitted vectors: the propensity ``pi`` and the arm
 means ``m1`` and ``m0``. A :class:`Nuisance` bundle holds those vectors for
-one dataset, with the store of the terms computed from them.
+one dataset.
 
-:func:`estimate` is the one entry point; it picks the formula from the
-estimator kind and the target:
+:func:`estimate` estimates one cell; the formula follows from the estimator
+kind and the target:
 
 * the unweighted difference in arm means, the average effect with no model;
 * outcome regression: plug fitted arm means into the weighted contrast;
@@ -24,46 +24,50 @@ for the treated, is a :func:`~wate.targets.covariate_target`.
 :func:`has_formula` says which cells a report or study row can fill.
 
 Each formula is a kernel that returns the checked value and nothing else.
-One routing step picks the kernel and the kind the cell reports. The weight
-mass and effective sample sizes of a :class:`Diagnostics` are read from the
-shared terms only when a :class:`PointEstimate` is built.
+The weight mass and effective sample sizes of a :class:`Diagnostics` are
+read from the shared terms only when a :class:`PointEstimate` is built.
 
 :func:`fill_cells` is the one fit-then-fill engine, in two steps.
 :func:`plan_cells` resolves a list of :class:`EstimationPipeline` cells once
-into a :class:`CellPlan`: it lists each distinct working model once in
+into a :class:`CellPlan`. It lists each distinct working model once in
 ``CellPlan.fits``, keyed as ``("propensity", design, truncate)`` or
-``("outcome", main, interaction)``, and maps every pipeline to integer slots
-(its propensity fit, its outcome fit, its target). The pass over one
-dataset then fits each listed model on first use, estimates every cell from
-the vectors the fits carry, with no prediction and no comparison of
-designs, and computes each term that several cells read once, keyed by
-slots:
+``("outcome", main, interaction)``. It picks each cell's kernel and the kind
+the cell reports. It gives each propensity fit, and the cells that fit none,
+the targets its cells read ``h`` of, the targets linear in the propensity
+first. The pass over one dataset then fits each listed model on first use
+and estimates every cell from the vectors the fits carry, with no prediction
+and no comparison of designs. Per propensity fit, it evaluates the targets as
+the rows of one C-contiguous (targets, n) block ``H`` and computes each term
+on the whole block, once:
 
-* per target: the arm indicator of a treated or control regression and its
-  size, and ``a + b*A`` of a linear target and its sum;
-* per (propensity fit, target): ``h``, its sum, the weights ``A*h/pi`` and
-  ``(1-A)*h/(1-pi)`` and their effective sample sizes;
-* per (propensity fit, outcome fit): the augmented contrast and the doubly
-  robust residual;
-* per outcome fit: ``m1 - m0``.
+* the row sums of ``H``, the weights ``A*(H/pi)`` and ``(1-A)*(H/(1-pi))``
+  and their sums and effective sample sizes;
+* the six sub-terms of the augmented contrast and the doubly robust
+  residual, which every outcome fit shares;
+* per outcome fit, the numerators of the regression, augmented and doubly
+  robust estimates, one per row.
 
-An error raised while computing a term is kept and raised again for every
-cell that reads the term. Each cell is a :class:`Nuisance` bundle with its
-slots and the pass's store, so the terms live for one pass over one dataset;
-a bundle built by hand keeps a store of its own. The bootstrap, the command
-line report and the Monte Carlo study each build one plan and ship it to
-their workers. :func:`fill_cells` returns point estimates with their
-diagnostics; :func:`cell_values`, which every study and bootstrap replicate
-calls, makes the same pass and keeps only the values, so a replicate builds
-no diagnostics.
+Every sum over a block is a row sum. numpy sums each row of a C-contiguous
+block as it sums that row alone, so a cell gets the bits a pass over its one
+target gives (a test pins this property of numpy). ``m1 - m0`` is computed
+once per outcome fit. An error raised evaluating a target's ``h`` is kept
+with its row and raised again for every cell that reads the row.
+:func:`estimate` makes the same pass over a one-cell plan.
+
+The bootstrap, the command line report and the Monte Carlo study each build
+one plan and ship it to their workers. :func:`fill_cells` returns point
+estimates with their diagnostics; :func:`cell_values`, which every study and
+bootstrap replicate calls, makes the same pass and keeps only the values, so
+a replicate builds no diagnostics.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, Sequence, TypeVar
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -86,8 +90,6 @@ from .targets import (
     _checked_pi,
     _h_values,
 )
-
-T = TypeVar("T")
 
 
 class EstimatorKind(enum.Enum):
@@ -116,30 +118,12 @@ class PointEstimate:
     diagnostics: Diagnostics
 
 
-_MISSING = object()
-
-
-def _memo(store: dict[Hashable, object], key: Hashable, compute: Callable[[], T]) -> T:
-    """``store[key]``, computed on first use. A :class:`WateError` raised by
-    ``compute`` is stored instead and raised on every use."""
-    value = store.get(key, _MISSING)
-    if value is _MISSING:
-        try:
-            value = compute()
-        except WateError as exc:
-            value = exc
-        store[key] = value
-    if isinstance(value, WateError):
-        raise value
-    return value  # type: ignore[return-value]
-
-
-def _ess(weights: NDArray[np.float64], total: float) -> float:
-    """``total**2 / sum(weights**2)`` for ``total = sum(weights)``; 0 when the
-    weights have no positive mass."""
+def _ess(total: float, sum_sq: float) -> float:
+    """``total**2 / sum_sq`` for weights with sum ``total`` and sum of
+    squares ``sum_sq``; 0 when the weights have no positive mass."""
     if total <= 0.0:
         return 0.0
-    return total * total / float((weights * weights).sum())
+    return total * total / sum_sq
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,22 +132,12 @@ class Nuisance:
     truncation) and the arm means ``m1``/``m0`` of one outcome model. A vector
     is ``None`` when its model was not fitted. The vectors are used as given;
     :meth:`from_models` builds a bundle from fitted models and checks an
-    explicit ``pi_hat``.
-
-    ``terms`` holds each term computed from the vectors under the slots it
-    depends on (``p`` propensity fit, ``m`` outcome fit, ``t`` target), so
-    the cells of one :func:`fill_cells` pass share one store. A bundle built
-    by hand has a store of its own and ``t = -1``: :func:`estimate` gives
-    each distinct target a slot."""
+    explicit ``pi_hat``."""
 
     ds: ObservationalDataset
     pi: NDArray[np.float64] | None = None
     m1: NDArray[np.float64] | None = None
     m0: NDArray[np.float64] | None = None
-    terms: dict[Hashable, object] = field(default_factory=dict, repr=False)
-    p: int = 0
-    m: int = 0
-    t: int = -1
 
     @classmethod
     def from_models(
@@ -184,116 +158,204 @@ class Nuisance:
             return cls(ds, pi)
         return cls(ds, pi, predict_outcome(om, ds.X, 1), predict_outcome(om, ds.X, 0))
 
-    def propensity(self, reader: str) -> NDArray[np.float64]:
-        """``pi``; raises :class:`MissingModelError` naming ``reader`` if no
-        propensity was fitted."""
-        if self.pi is None:
-            raise MissingModelError(f"{reader} needs a propensity model or pi_hat")
-        return self.pi
 
-    def arm_means(self, reader: str) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """``(m1, m0)``; raises :class:`MissingModelError` naming ``reader`` if
-        no outcome model was fitted."""
-        if self.m1 is None:
-            raise MissingModelError(f"{reader} needs an outcome model")
-        return self.m1, self.m0
+# --- the terms of one pass ----------------------------------------------------
 
-    # Per target.
 
-    def arm(self, target: TargetFunction) -> tuple[NDArray[np.float64], float]:
-        """The indicator of the arm a treated or control target averages
-        over, ``A`` or ``1 - A``, and the arm's size."""
+_MISSING = object()
 
-        def compute():
-            arm = self.ds.A if target.kind is TargetKind.ATT else 1.0 - self.ds.A
-            return arm, float(arm.sum())
 
-        return _memo(self.terms, ("arm", self.t), compute)
+class _Pass:
+    """One fill over ``ds``: the vectors of each fit of ``plan``, from
+    ``vectors(slot)`` (``pi``, or ``(m1, m0)``) on first use, the
+    :class:`_Block` of each propensity fit, ``m1 - m0`` of each outcome fit
+    and each arm's indicator and size."""
 
-    def h_observed(self, a: float, b: float) -> tuple[NDArray[np.float64], float]:
-        """``a + b*A``, the linear target ``a + b*pi`` of the coefficients
-        with the observed treatment in place of ``pi``, and its sum."""
+    def __init__(
+        self, ds: ObservationalDataset, plan: "CellPlan", vectors: Callable[[int], object]
+    ):
+        self.ds = ds
+        self.plan = plan
+        self._vectors = vectors
+        self._fits: dict[int, object] = {}
+        self._blocks: dict[int, _Block] = {}
+        self._m_diff: dict[int, NDArray[np.float64]] = {}
 
-        def compute():
-            h_obs = a + b * self.ds.A
-            return h_obs, float(h_obs.sum())
+    def fitted(self, slot: int):
+        """The vectors of fit ``slot``; a failed fit raises
+        :class:`FitFailure` for every cell that needs it."""
+        value = self._fits.get(slot, _MISSING)
+        if value is _MISSING:
+            try:
+                value = self._vectors(slot)
+            except WateError as exc:
+                value = FitFailure(self.plan.fits[slot][0], exc)
+            self._fits[slot] = value
+        if isinstance(value, WateError):
+            raise value
+        return value
 
-        return _memo(self.terms, ("h_observed", self.t), compute)
+    def block(self, p: int) -> "_Block":
+        block = self._blocks.get(p)
+        if block is None:
+            block = self._blocks[p] = _Block(self, p)
+        return block
 
-    # Per (propensity fit, target).
+    def m_diff(self, m: int) -> NDArray[np.float64]:
+        diff = self._m_diff.get(m)
+        if diff is None:
+            m1, m0 = self.fitted(m)
+            diff = self._m_diff[m] = m1 - m0
+        return diff
 
-    def h(self, target: TargetFunction) -> NDArray[np.float64]:
-        """``h`` from :func:`~wate.targets._h_values`, which checks its length,
-        finiteness and sign."""
-        return _memo(self.terms, ("h", self.p, self.t),
-                     lambda: _h_values(target, self.ds.X, self.pi))
+    @cached_property
+    def not_A(self) -> NDArray[np.float64]:
+        return 1.0 - self.ds.A
 
-    def h_total(self, target: TargetFunction) -> float:
-        return _memo(self.terms, ("h_total", self.p, self.t),
-                     lambda: float(self.h(target).sum()))
+    @cached_property
+    def arms(self) -> tuple[tuple[NDArray[np.float64], float], ...]:
+        """The indicators ``A`` and ``1 - A`` of the treated and the
+        controls, each with its arm's size."""
+        A, not_A = self.ds.A, self.not_A
+        return (A, float(A.sum())), (not_A, float(not_A.sum()))
 
-    def h_checked(self, target: TargetFunction) -> float:
+
+class _Block:
+    """The targets the plan lists for propensity fit ``p`` (-1: the cells
+    that fit none), as the rows of one C-contiguous (targets, n) block ``H``.
+    Row i is ``h`` of target i from :func:`~wate.targets._h_values`, which
+    checks its length, finiteness and sign, or zeros when that raised; the
+    error is kept and raised for every cell that reads the row. The first
+    rows are the targets linear in the propensity. The terms of an outcome
+    fit take the pass, which the block does not keep: a block that kept it
+    would tie the pass into a reference cycle, whose arrays only the cycle
+    collector frees."""
+
+    def __init__(self, q: _Pass, p: int):
+        ds = self.ds = q.ds
+        self.not_A = q.not_A
+        self.pi = None if p < 0 else q.fitted(p)
+        targets, self.coefficients = q.plan.blocks[p]
+        self.H = np.zeros((len(targets), ds.n))
+        self.errors: list[WateError | None] = [None] * len(targets)
+        for i, target in enumerate(targets):
+            try:
+                self.H[i] = _h_values(target, ds.X, self.pi)
+            except WateError as exc:
+                self.errors[i] = exc
+        self.totals = self.H.sum(axis=1)
+        self._per_fit: dict[tuple[str, int], NDArray[np.float64]] = {}
+
+    def h_total(self, row: int) -> float:
+        """``sum(h)`` of the target in ``row``; raises the error its ``h``
+        raised."""
+        error = self.errors[row]
+        if error is not None:
+            raise error
+        return float(self.totals[row])
+
+    def h_checked(self, row: int) -> float:
         """``sum(h)``, refused when ``h`` puts no mass on the sample."""
-        total = self.h_total(target)
+        total = self.h_total(row)
         if total <= 0.0:
             raise EstimationError("target function puts zero mass on the sample")
         return total
 
-    def weights(
-        self, target: TargetFunction
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64], float, float]:
-        """``tw = A*h/pi``, ``cw = (1-A)*h/(1-pi)`` and their sums. ``A`` is
-        exactly 0 or 1, so ``A*(h/pi)`` equals ``(A*h)/pi`` to the last bit."""
+    @cached_property
+    def not_pi(self) -> NDArray[np.float64]:
+        return 1.0 - self.pi
+
+    @cached_property
+    def weights(self) -> tuple[NDArray[np.float64], ...]:
+        """``tw = A*(H/pi)``, ``cw = (1-A)*(H/(1-pi))`` and their row sums.
+        ``A`` is exactly 0 or 1, so ``A*(h/pi)`` equals ``(A*h)/pi`` to the
+        last bit."""
+        tw = self.ds.A * (self.H / self.pi)
+        cw = self.not_A * (self.H / self.not_pi)
+        return tw, cw, tw.sum(axis=1), cw.sum(axis=1)
+
+    @cached_property
+    def weighted_outcomes(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """Row sums of ``tw*Y`` and ``cw*Y``."""
+        tw, cw, _, _ = self.weights
+        Y = self.ds.Y
+        return (tw * Y).sum(axis=1), (cw * Y).sum(axis=1)
+
+    @cached_property
+    def weight_squares(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """Row sums of ``tw*tw`` and ``cw*cw``."""
+        tw, cw, _, _ = self.weights
+        return (tw * tw).sum(axis=1), (cw * cw).sum(axis=1)
+
+    @cached_property
+    def arm_squares(self) -> tuple[tuple[NDArray[np.float64], NDArray[np.float64]], ...]:
+        """Row sums of ``h`` and ``h*h`` over the treated rows, then over the
+        control rows."""
+        A = self.ds.A
+        sums = []
+        for arm in (A == 1.0, A == 0.0):
+            h = np.compress(arm, self.H, axis=1)
+            sums.append((h.sum(axis=1), (h * h).sum(axis=1)))
+        return tuple(sums)
+
+    @cached_property
+    def contrast_terms(self) -> tuple[NDArray[np.float64], ...]:
+        """``A*Y/pi``, ``(A-pi)/pi``, ``(1-A)*Y/(1-pi)`` and ``(A-pi)/(1-pi)``,
+        grouped as in the augmented contrast."""
+        A, Y, pi, not_pi = self.ds.A, self.ds.Y, self.pi, self.not_pi
+        A_pi = A - pi
+        return A * Y / pi, A_pi / pi, self.not_A * Y / not_pi, A_pi / not_pi
+
+    @cached_property
+    def residual_terms(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """``A/pi`` and ``(1-A)/(1-pi)``."""
+        return self.ds.A / self.pi, self.not_A / self.not_pi
+
+    @cached_property
+    def observed(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """``a + b*A`` of each leading target ``a + b*pi``, the linear
+        target with the observed treatment in place of ``pi``, and the row
+        sums."""
+        a, b = self.coefficients
+        h_obs = a + b * self.ds.A
+        return h_obs, h_obs.sum(axis=1)
+
+    def _once(self, name: str, m: int, compute: Callable[[], NDArray[np.float64]]):
+        value = self._per_fit.get((name, m))
+        if value is None:
+            value = self._per_fit[name, m] = compute()
+        return value
+
+    def regression(self, q: _Pass, m: int) -> NDArray[np.float64]:
+        """Row sums of ``H*(m1 - m0)``."""
+        return self._once("regression", m, lambda: (self.H * q.m_diff(m)).sum(axis=1))
+
+    def augmented(self, q: _Pass, m: int) -> NDArray[np.float64]:
+        """Row sums of ``H`` times the augmented contrast ``arm1 - arm0``."""
 
         def compute():
-            A, h, pi = self.ds.A, self.h(target), self.pi
-            tw = A * (h / pi)
-            cw = (1.0 - A) * (h / (1.0 - pi))
-            return tw, cw, float(tw.sum()), float(cw.sum())
+            m1, m0 = q.fitted(m)
+            ay_pi, a_pi, ay_not_pi, a_not_pi = self.contrast_terms
+            arm1 = ay_pi - a_pi * m1
+            arm0 = ay_not_pi + a_not_pi * m0
+            return (self.H * (arm1 - arm0)).sum(axis=1)
 
-        return _memo(self.terms, ("weights", self.p, self.t), compute)
+        return self._once("augmented", m, compute)
 
-    def weight_ess(self, target: TargetFunction) -> tuple[float, float]:
-        def compute():
-            tw, cw, st, sc = self.weights(target)
-            return _ess(tw, st), _ess(cw, sc)
-
-        return _memo(self.terms, ("weight_ess", self.p, self.t), compute)
-
-    def arm_ess(self, target: TargetFunction) -> tuple[float, float]:
-        """Effective sample sizes of ``h`` itself on each arm."""
+    def doubly_robust(self, q: _Pass, m: int) -> NDArray[np.float64]:
+        """Row sums of ``(a + b*A)*(m1 - m0) + h*(A/pi*(Y - m1) -
+        (1-A)/(1-pi)*(Y - m0))`` over the linear targets."""
 
         def compute():
-            A, h = self.ds.A, self.h(target)
-            h1, h0 = h[A == 1.0], h[A == 0.0]
-            return _ess(h1, float(h1.sum())), _ess(h0, float(h0.sum()))
+            m1, m0 = q.fitted(m)
+            Y = self.ds.Y
+            treated, control = self.residual_terms
+            residual = treated * (Y - m1) - control * (Y - m0)
+            h_obs, _ = self.observed
+            h = self.H[:h_obs.shape[0]]
+            return (h_obs * q.m_diff(m) + h * residual).sum(axis=1)
 
-        return _memo(self.terms, ("arm_ess", self.p, self.t), compute)
-
-    # Per (propensity fit, outcome fit) and per outcome fit.
-
-    def contrast(self) -> NDArray[np.float64]:
-        """The augmented contrast per row: ``arm1 - arm0``."""
-
-        def compute():
-            A, Y, pi, m1, m0 = self.ds.A, self.ds.Y, self.pi, self.m1, self.m0
-            arm1 = A * Y / pi - (A - pi) / pi * m1
-            arm0 = (1.0 - A) * Y / (1.0 - pi) + (A - pi) / (1.0 - pi) * m0
-            return arm1 - arm0
-
-        return _memo(self.terms, ("contrast", self.p, self.m), compute)
-
-    def residual(self) -> NDArray[np.float64]:
-        """``A/pi*(Y - m1) - (1-A)/(1-pi)*(Y - m0)``."""
-
-        def compute():
-            A, Y, pi, m1, m0 = self.ds.A, self.ds.Y, self.pi, self.m1, self.m0
-            return A / pi * (Y - m1) - (1.0 - A) / (1.0 - pi) * (Y - m0)
-
-        return _memo(self.terms, ("residual", self.p, self.m), compute)
-
-    def m_diff(self) -> NDArray[np.float64]:
-        return _memo(self.terms, ("m_diff", self.m), lambda: self.m1 - self.m0)
+        return self._once("doubly_robust", m, compute)
 
 
 def _finite(value: float, what: str) -> float:
@@ -303,70 +365,126 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _needs_propensity(p: int, reader: str) -> None:
+    """Raise :class:`MissingModelError` naming ``reader`` for a cell that
+    fits no propensity (``p = -1``)."""
+    if p < 0:
+        raise MissingModelError(f"{reader} needs a propensity model or pi_hat")
+
+
+def _needs_outcome(m: int, reader: str) -> None:
+    """Raise :class:`MissingModelError` naming ``reader`` for a cell that
+    fits no outcome model (``m = -1``)."""
+    if m < 0:
+        raise MissingModelError(f"{reader} needs an outcome model")
+
+
 # --- kernels over (A, Y, h, pi, m1, m0) ---------------------------------------
 
 
-def _unweighted(c: Nuisance, estimand: TargetFunction) -> float:
+class _Cell(NamedTuple):
+    """A pipeline resolved by :func:`plan_cells`: its kernel, the kind it
+    reports, its target, its propensity and outcome fit slots (-1: none)
+    and its target's row in the block of its propensity fit (-1: none)."""
+
+    kernel: Callable[[_Pass, "_Cell"], float]
+    reported: EstimatorKind
+    target: TargetFunction
+    p: int
+    m: int
+    row: int
+
+
+def _unweighted(q: _Pass, c: _Cell) -> float:
     """``mean(Y[A==1]) - mean(Y[A==0])``: the average effect when h = 1 and
     no model is fitted."""
-    if estimand.kind is not TargetKind.ATE:
-        raise EstimationError(f"the unweighted difference has no {estimand.label!r} form")
-    A, Y = c.ds.A, c.ds.Y
+    if c.target.kind is not TargetKind.ATE:
+        raise EstimationError(f"the unweighted difference has no {c.target.label!r} form")
+    A, Y = q.ds.A, q.ds.Y
     treated, control = Y[A == 1.0], Y[A == 0.0]
     if treated.size == 0 or control.size == 0:
         raise EstimationError("an arm is empty")
     return _finite(np.mean(treated) - np.mean(control), "unweighted estimate")
 
 
-def _regression(c: Nuisance, estimand: TargetFunction) -> float:
-    c.arm_means("regression estimator")
-    total = c.h_checked(estimand)
-    return _finite((c.h(estimand) * c.m_diff()).sum() / total, "regression estimate")
-
-
-def _regression_on_arm(c: Nuisance, target: TargetFunction) -> float:
-    m1, m0 = c.arm_means("regression estimator")
-    arm, size = c.arm(target)
-    treated = target.kind is TargetKind.ATT
+def _regression_on_arm(q: _Pass, c: _Cell) -> float:
+    _needs_outcome(c.m, "regression estimator")
+    m1, m0 = q.fitted(c.m)
+    treated = c.target.kind is TargetKind.ATT
+    arm, size = q.arms[0 if treated else 1]
     who = "treated" if treated else "control"
     if size < 1.0:
         raise EstimationError(f"no {who} observations")
-    contrast = c.ds.Y - m0 if treated else m1 - c.ds.Y
+    contrast = q.ds.Y - m0 if treated else m1 - q.ds.Y
     return _finite((arm * contrast).sum() / size, f"{who} regression estimate")
 
 
-def _ipw(c: Nuisance, estimand: TargetFunction) -> float:
-    c.propensity("weighting estimator")
-    tw, cw, st, sc = c.weights(estimand)
-    if st <= 0.0 or sc <= 0.0:
-        raise EstimationError("zero weight mass in one arm")
-    Y = c.ds.Y
-    return _finite((tw * Y).sum() / st - (cw * Y).sum() / sc, "ipw estimate")
-
-
-def _aipw(c: Nuisance, estimand: TargetFunction) -> float:
-    c.propensity("augmented estimator")
-    c.arm_means("augmented estimator")
-    total = c.h_checked(estimand)
-    return _finite((c.h(estimand) * c.contrast()).sum() / total, "augmented estimate")
-
-
-def _dr_linear(c: Nuisance, a: float, b: float, estimand: TargetFunction) -> float:
+def _dr_linear(q: _Pass, c: _Cell) -> float:
     """sum [ (a + b*A)*(m1 - m0) + (a + b*pi) * (A/pi*(Y - m1) - (1-A)/(1-pi)*(Y - m0)) ]
     / sum (a + b*A). The denominator replaces pi with the observed treatment
     indicator, which is what makes the estimator consistent when only one
     model is right."""
-    c.propensity("doubly robust estimator")
-    c.arm_means("doubly robust estimator")
+    _needs_propensity(c.p, "doubly robust estimator")
+    _needs_outcome(c.m, "doubly robust estimator")
+    block = q.block(c.p)
     # The sign of h is checked first, by the same code and with the same
     # message as for every other estimator of this target.
-    h = c.h(estimand)
-    h_obs, denom = c.h_observed(a, b)
+    block.h_total(c.row)
+    denom = float(block.observed[1][c.row])
     if denom <= 0.0:
         raise EstimationError("denominator sum(a + b*A) is not positive")
-    return _finite(
-        (h_obs * c.m_diff() + h * c.residual()).sum() / denom, "doubly robust estimate"
+    return _finite(block.doubly_robust(q, c.m)[c.row] / denom, "doubly robust estimate")
+
+
+def _no_closed_form(q: _Pass, c: _Cell) -> float:
+    raise EstimationError(
+        f"closed-form doubly robust estimator only supports targets linear in "
+        f"the propensity, not {c.target.label!r}"
     )
+
+
+def _block_of(q: _Pass, c: _Cell) -> _Block:
+    """The block holding the cell's ``h``, after the checks every kernel of
+    a generic ``h`` makes first: a target that reads ``pi`` needs one, and
+    ``h`` must have evaluated."""
+    if c.target.depends_on_propensity:
+        _needs_propensity(c.p, f"target {c.target.label!r}")
+    block = q.block(c.p)
+    block.h_total(c.row)
+    return block
+
+
+def _regression(q: _Pass, c: _Cell) -> float:
+    block = _block_of(q, c)
+    _needs_outcome(c.m, "regression estimator")
+    total = block.h_checked(c.row)
+    return _finite(block.regression(q, c.m)[c.row] / total, "regression estimate")
+
+
+def _ipw(q: _Pass, c: _Cell) -> float:
+    block = _block_of(q, c)
+    _needs_propensity(c.p, "weighting estimator")
+    _, _, st, sc = block.weights
+    st, sc = float(st[c.row]), float(sc[c.row])
+    if st <= 0.0 or sc <= 0.0:
+        raise EstimationError("zero weight mass in one arm")
+    ty, cy = block.weighted_outcomes
+    return _finite(ty[c.row] / st - cy[c.row] / sc, "ipw estimate")
+
+
+def _aipw(q: _Pass, c: _Cell) -> float:
+    block = _block_of(q, c)
+    _needs_propensity(c.p, "augmented estimator")
+    _needs_outcome(c.m, "augmented estimator")
+    total = block.h_checked(c.row)
+    return _finite(block.augmented(q, c.m)[c.row] / total, "augmented estimate")
+
+
+_GENERIC = {
+    EstimatorKind.REGRESSION: _regression,
+    EstimatorKind.IPW_NORMALIZED: _ipw,
+    EstimatorKind.AIPW: _aipw,
+}
 
 
 def _on_arm(kind: EstimatorKind, target: TargetFunction) -> bool:
@@ -403,49 +521,46 @@ def has_formula(kind: EstimatorKind, target: TargetFunction) -> bool:
 
 
 def _route(
-    c: Nuisance, kind: EstimatorKind, target: TargetFunction
-) -> tuple[EstimatorKind, float]:
-    """The kind a ``(kind, target)`` cell reports, and its value from the
-    kernel for that pair. The augmented kind on a target linear in the
-    propensity runs, and reports, the doubly robust closed form. Before any
-    other kernel, a target that reads ``pi`` needs one and ``h`` is checked."""
+    kind: EstimatorKind, target: TargetFunction
+) -> tuple[EstimatorKind, Callable[[_Pass, _Cell], float]]:
+    """The kind a ``(kind, target)`` cell reports and the kernel for that
+    pair. The augmented kind on a target linear in the propensity runs, and
+    reports, the doubly robust closed form."""
     if kind is EstimatorKind.UNWEIGHTED:
-        return kind, _unweighted(c, target)
+        return kind, _unweighted
     if _on_arm(kind, target):
-        return kind, _regression_on_arm(c, target)
-    ab = _linear_coefficients(target)
-    if kind in (EstimatorKind.AIPW, EstimatorKind.DR_LINEAR_IN_PI) and ab is not None:
-        return EstimatorKind.DR_LINEAR_IN_PI, _dr_linear(c, ab[0], ab[1], target)
-    if kind is EstimatorKind.DR_LINEAR_IN_PI:
-        raise EstimationError(
-            f"closed-form doubly robust estimator only supports targets linear in "
-            f"the propensity, not {target.label!r}"
-        )
-    if target.depends_on_propensity:
-        c.propensity(f"target {target.label!r}")
-    c.h(target)
-    if kind is EstimatorKind.REGRESSION:
-        return kind, _regression(c, target)
-    if kind is EstimatorKind.AIPW:
-        return kind, _aipw(c, target)
-    if kind is EstimatorKind.IPW_NORMALIZED:
-        return kind, _ipw(c, target)
-    raise EstimationError(f"unknown estimator kind {kind!r}")
+        return kind, _regression_on_arm
+    if kind in (EstimatorKind.AIPW, EstimatorKind.DR_LINEAR_IN_PI):
+        if _linear_coefficients(target) is not None:
+            return EstimatorKind.DR_LINEAR_IN_PI, _dr_linear
+        if kind is EstimatorKind.DR_LINEAR_IN_PI:
+            return kind, _no_closed_form
+    if kind not in _GENERIC:
+        raise EstimationError(f"unknown estimator kind {kind!r}")
+    return kind, _GENERIC[kind]
 
 
-def _diagnostics(c: Nuisance, kind: EstimatorKind, target: TargetFunction) -> Diagnostics:
-    """The weight mass and effective sample sizes behind a cell that reported
-    ``kind``, read from the terms its kernel computed: the arm's size for a
-    regression over one arm, the ESS of ``h`` per arm for the kinds that
-    weight no row by ``pi``, the ESS of the arm weights for the rest."""
-    if _on_arm(kind, target):
-        _, size = c.arm(target)
-        if target.kind is TargetKind.ATT:
+def _diagnostics(q: _Pass, c: _Cell) -> Diagnostics:
+    """The weight mass and effective sample sizes behind a cell, read from
+    the terms its kernel computed: the arm's size for a regression over one
+    arm, the ESS of ``h`` per arm for the kinds that weight no row by
+    ``pi``, the ESS of the arm weights for the rest."""
+    if c.kernel is _regression_on_arm:
+        if c.target.kind is TargetKind.ATT:
+            size = q.arms[0][1]
             return Diagnostics(size, size, 0.0)
+        size = q.arms[1][1]
         return Diagnostics(size, 0.0, size)
-    if kind in (EstimatorKind.UNWEIGHTED, EstimatorKind.REGRESSION):
-        return Diagnostics(c.h_total(target), *c.arm_ess(target))
-    return Diagnostics(c.h_total(target), *c.weight_ess(target))
+    block = q.block(c.p)
+    if c.reported in (EstimatorKind.UNWEIGHTED, EstimatorKind.REGRESSION):
+        (t1, s1), (t0, s0) = block.arm_squares
+    else:
+        _, _, t1, t0 = block.weights
+        s1, s0 = block.weight_squares
+    r = c.row
+    return Diagnostics(
+        block.h_total(r), _ess(float(t1[r]), float(s1[r])), _ess(float(t0[r]), float(s0[r]))
+    )
 
 
 def estimate(
@@ -460,12 +575,11 @@ def estimate(
 
     ``ds`` is a dataset whose fitted models are passed alongside, or a
     :class:`Nuisance` bundle of already fitted vectors (then pass no model),
-    which is used as is: its term store keeps the terms for later calls.
-    ``pi_hat`` overrides model predictions when given (used to inject
-    percentile-truncated propensities). The augmented estimator for the
-    treated, control and a + b*pi targets is the doubly robust closed form,
-    labelled :attr:`EstimatorKind.DR_LINEAR_IN_PI`; the generic augmented
-    form for such an h is a covariate target, e.g.
+    which is used as is. ``pi_hat`` overrides model predictions when given
+    (used to inject percentile-truncated propensities). The augmented
+    estimator for the treated, control and a + b*pi targets is the doubly
+    robust closed form, labelled :attr:`EstimatorKind.DR_LINEAR_IN_PI`; the
+    generic augmented form for such an h is a covariate target, e.g.
     ``covariate_target(functools.partial(predict_propensity, pm), "pi")``.
     """
     if not isinstance(ds, Nuisance):
@@ -474,14 +588,16 @@ def estimate(
         raise EstimationError("pass fitted models or a Nuisance bundle, not both")
     else:
         c = ds
-    if c.t < 0:
-        # Not planned: equal targets share a slot, as in plan_cells.
-        targets = c.terms.setdefault("targets", [])
-        if target not in targets:
-            targets.append(target)
-        c = replace(c, t=targets.index(target))
-    reported, value = _route(c, kind, target)
-    return PointEstimate(value, reported, target, c.ds.n, _diagnostics(c, reported, target))
+    # The bundle's vectors are fits 0 and 1 of a one-cell plan.
+    plan = _plan(
+        (EstimationPipeline(target, kind),),
+        (("propensity",), ("outcome",)),
+        ((-1 if c.pi is None else 0, -1 if c.m1 is None else 1),),
+    )
+    (result,) = _fill(c.ds, plan, True, (c.pi, (c.m1, c.m0)).__getitem__)
+    if isinstance(result, WateError):
+        raise result
+    return result
 
 
 # --- the fit-then-fill engine -------------------------------------------------
@@ -506,27 +622,37 @@ class EstimationPipeline:
     truncate: tuple[float, float] | None = None
 
 
+class _BlockPlan(NamedTuple):
+    """The targets of one propensity fit's block, and the coefficients
+    ``(a, b)`` of its leading linear targets as two (k, 1) columns."""
+
+    targets: tuple[TargetFunction, ...]
+    coefficients: tuple[NDArray[np.float64], NDArray[np.float64]]
+
+
 @dataclass(frozen=True, eq=False)
 class CellPlan:
     """Pipelines resolved once, to be filled on any number of datasets.
 
     ``fits`` lists each distinct working model once: a propensity fit as
     ``("propensity", design, truncation)``, an outcome fit as
-    ``("outcome", main design, interaction design)``. ``slots``
-    gives each pipeline its ``(propensity fit, outcome fit, target)``
-    indices, -1 for a model it does not fit; equal targets share an index.
-    A plan is picklable, so workers can receive it instead of building it.
+    ``("outcome", main design, interaction design)``. ``cells`` gives each
+    pipeline its kernel, the kind it reports and its slots: its propensity
+    and outcome fits (-1 for a model it does not fit) and its target's row
+    in ``blocks[p]``, the targets whose ``h`` propensity fit ``p`` evaluates
+    (``p = -1`` for the cells that fit none). A plan is picklable, so
+    workers can receive it instead of building it.
     """
 
     pipelines: tuple[EstimationPipeline, ...]
     fits: tuple[tuple[Hashable, ...], ...]
-    slots: tuple[tuple[int, int, int], ...]
+    cells: tuple[_Cell, ...]
+    blocks: dict[int, _BlockPlan]
 
 
 def plan_cells(pipelines: Sequence[EstimationPipeline]) -> CellPlan:
     """The :class:`CellPlan` of ``pipelines``."""
     fits: dict[tuple[Hashable, ...], int] = {}
-    targets: list[TargetFunction] = []
     slots = []
     for p in pipelines:
         pi = m = -1
@@ -534,10 +660,37 @@ def plan_cells(pipelines: Sequence[EstimationPipeline]) -> CellPlan:
             pi = fits.setdefault(("propensity", p.pi_design, p.truncate), len(fits))
         if p.m_design is not None:
             m = fits.setdefault(("outcome", p.m_design, p.m_interaction), len(fits))
-        if p.estimand not in targets:
-            targets.append(p.estimand)
-        slots.append((pi, m, targets.index(p.estimand)))
-    return CellPlan(tuple(pipelines), tuple(fits), tuple(slots))
+        slots.append((pi, m))
+    return _plan(tuple(pipelines), tuple(fits), slots)
+
+
+def _plan(
+    pipelines: tuple[EstimationPipeline, ...],
+    fits: tuple[tuple[Hashable, ...], ...],
+    slots: Sequence[tuple[int, int]],
+) -> CellPlan:
+    """The plan of ``pipelines`` with the fit slots ``(p, m)`` of each. A
+    block holds every target of its cells that it can evaluate: with no
+    propensity fit, those that do not read ``pi``."""
+    targets: dict[int, list[TargetFunction]] = {}
+    for pipe, (p, _) in zip(pipelines, slots):
+        rows = targets.setdefault(p, [])
+        if (p >= 0 or not pipe.estimand.depends_on_propensity) and pipe.estimand not in rows:
+            rows.append(pipe.estimand)
+    blocks = {}
+    for p, rows in targets.items():
+        # The doubly robust form reads the linear targets as leading rows.
+        rows.sort(key=lambda t: _linear_coefficients(t) is None)
+        linear = [_linear_coefficients(t) for t in rows]
+        ab = np.array([c for c in linear if c is not None], dtype=np.float64).reshape(-1, 2)
+        blocks[p] = _BlockPlan(tuple(rows), (ab[:, :1], ab[:, 1:]))
+    cells = []
+    for pipe, (p, m) in zip(pipelines, slots):
+        reported, kernel = _route(pipe.kind, pipe.estimand)
+        rows = blocks[p].targets
+        row = rows.index(pipe.estimand) if pipe.estimand in rows else -1
+        cells.append(_Cell(kernel, reported, pipe.estimand, p, m, row))
+    return CellPlan(pipelines, fits, tuple(cells), blocks)
 
 
 def _fit(
@@ -554,36 +707,30 @@ def _fit(
     return om.m1, om.m0
 
 
-def _fitted(terms: dict[Hashable, object], ds: ObservationalDataset, plan: CellPlan, slot: int):
-    """The vectors of fit ``slot``, fitted on first use; a failed fit raises
-    :class:`FitFailure` for every pipeline that needs it."""
-    key = plan.fits[slot]
-    try:
-        return _memo(terms, ("fit", slot), lambda: _fit(ds, key))
-    except WateError as exc:
-        raise FitFailure(key[0], exc) from None
-
-
 def _fill(
     ds: ObservationalDataset,
     plan: CellPlan | Sequence[EstimationPipeline],
-    cell: Callable[[Nuisance, EstimatorKind, TargetFunction], T],
-) -> list[T | WateError]:
-    """``cell(bundle, kind, target)`` for every pipeline of ``plan`` on
-    ``ds``, or the error it failed with: the one pass over a dataset."""
+    diagnostics: bool,
+    vectors: Callable[[int], object] | None = None,
+) -> list[PointEstimate | float | WateError]:
+    """Every cell of ``plan`` on ``ds``: the point estimate, or only its
+    value, or the error the cell failed with. Fit ``slot`` is
+    ``vectors(slot)`` when given, else fitted on ``ds``. The one pass over a
+    dataset."""
     if not isinstance(plan, CellPlan):
         plan = plan_cells(plan)
-    terms: dict[Hashable, object] = {}
-    results: list[T | WateError] = []
-    for p, (pi_slot, m_slot, t_slot) in zip(plan.pipelines, plan.slots):
+    q = _Pass(ds, plan, vectors or (lambda slot: _fit(ds, plan.fits[slot])))
+    results: list[PointEstimate | float | WateError] = []
+    for c in plan.cells:
         try:
-            pi = m1 = m0 = None
-            if pi_slot >= 0:
-                pi = _fitted(terms, ds, plan, pi_slot)
-            if m_slot >= 0:
-                m1, m0 = _fitted(terms, ds, plan, m_slot)
-            bundle = Nuisance(ds, pi, m1, m0, terms, pi_slot, m_slot, t_slot)
-            results.append(cell(bundle, p.kind, p.estimand))
+            if c.p >= 0:
+                q.fitted(c.p)
+            if c.m >= 0:
+                q.fitted(c.m)
+            value = c.kernel(q, c)
+            if diagnostics:
+                value = PointEstimate(value, c.reported, c.target, ds.n, _diagnostics(q, c))
+            results.append(value)
         except WateError as exc:
             results.append(exc)
     return results
@@ -599,7 +746,7 @@ def fill_cells(
     A pipeline whose model failed to fit gets a :class:`FitFailure`, one
     whose estimate failed gets that error.
     """
-    return _fill(ds, plan, estimate)
+    return _fill(ds, plan, diagnostics=True)
 
 
 def cell_values(
@@ -607,5 +754,5 @@ def cell_values(
 ) -> NDArray[np.float64]:
     """Values of :func:`fill_cells`, NaN where a pipeline failed, computed
     by the same kernels without building any :class:`Diagnostics`."""
-    results = _fill(ds, plan, _route)
-    return np.array([np.nan if isinstance(r, WateError) else r[1] for r in results])
+    results = _fill(ds, plan, diagnostics=False)
+    return np.array([np.nan if isinstance(r, WateError) else r for r in results])

@@ -23,8 +23,9 @@ Each fit builds one model matrix, with the design evaluated straight into
 it, and reuses it: the outcome fit gets ``m1`` and ``m0`` by overwriting the
 arm and interaction columns in place, and the Newton steps of the logistic
 fit write their weighted design and log likelihood terms into buffers
-allocated once per fit. None of this changes an operation or its order, so
-the results are the same bits.
+allocated once per fit. A Newton step clamps its probabilities in place and
+divides once per sigmoid. None of this changes the value of an element or
+the order of a sum, so the results are the same bits.
 
 At bootstrap sizes the n-by-k blocks that remain, most of them
 ``numpy.linalg.qr``'s own copies, are freed at the end of every fit. By
@@ -124,13 +125,16 @@ class OutcomeModel:
 
 def _sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
     # exp(-|eta|) never overflows; each branch is the textbook piecewise form
-    # (1/(1 + e^-eta) for eta >= 0, e^eta/(1 + e^eta) below), bit for bit.
+    # (1/(1 + e^-eta) for eta >= 0, e^eta/(1 + e^eta) below), bit for bit:
+    # the numerator is picked per element and divided once.
     ex = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return np.where(eta >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _clamped_sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
-    return np.clip(_sigmoid(eta), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    p = _sigmoid(eta)
+    np.maximum(p, PROB_CLAMP, out=p)
+    return np.minimum(p, 1.0 - PROB_CLAMP, out=p)
 
 
 def _check_full_rank(
@@ -214,10 +218,13 @@ def fit_propensity(ds: ObservationalDataset, design: DesignSpec) -> PropensityMo
     log_q = np.empty(ds.n)
 
     def loglik(p: NDArray[np.float64]) -> float:
-        """Bernoulli log likelihood ``sum(A log p + (1 - A) log(1 - p))``."""
+        """Bernoulli log likelihood ``sum(A log p + (1 - A) log(1 - p))``.
+        Picking each row's log with a select on ``A`` gives the same bits,
+        but made the whole fit 15-20% slower at n = 5000 (x86-64, numpy
+        2.4)."""
         np.multiply(A, np.log(p, out=log_p), out=log_p)
         np.multiply(not_A, np.log1p(np.negative(p, out=log_q), out=log_q), out=log_q)
-        return float(np.sum(np.add(log_p, log_q, out=log_p)))
+        return float(np.add(log_p, log_q, out=log_p).sum())
 
     alpha = np.zeros(M.shape[1])
     p = _clamped_sigmoid(M @ alpha)
@@ -226,7 +233,7 @@ def fit_propensity(ds: ObservationalDataset, design: DesignSpec) -> PropensityMo
     updates = 0
     while True:
         score = M.T @ (A - p)
-        if float(np.max(np.abs(score))) < SCORE_TOL:
+        if float(np.abs(score).max()) < SCORE_TOL:
             converged = True
             break
         if updates >= MAX_ITER:

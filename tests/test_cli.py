@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -488,3 +491,54 @@ def test_report_with_no_point_estimate_skips_the_bootstrap(tmp_path, capsys):
     rows = [line for line in out.splitlines() if line.startswith(("regression", "ipw", "aipw"))]
     assert len(rows) == 3
     assert all(",,,," in row for row in rows)
+
+
+def test_an_overflowing_design_term_fails_its_fits_by_name(tmp_path, capsys):
+    # x1 = 1e200 is finite, but its square is not: every fit on x1^2 fails
+    # with a note naming the term and row, without a warning (an error under
+    # the test configuration) or Newton steps on NaN, and the run exits 1.
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((60, 2))
+    X[3, 0] = 1e200
+    A = np.arange(60) % 2
+    big = tmp_path / "big.csv"
+    save_csv(wate.ObservationalDataset(X=X, A=A, Y=rng.standard_normal(60)), big)
+    code, out, err = run_cli(
+        capsys, "estimate", str(big), "--bootstrap", "0",
+        "--pi-design", "x1^2 + x2", "--m-design", "x1^2 + x2",
+    )
+    assert (code, err) == (1, "")
+    notes = [l for l in out.splitlines() if l.startswith("- ")]
+    assert len(notes) == 11
+    for note in notes:
+        assert note.endswith(" fit failed: term 'x1^2' is not finite (rows 4)"), note
+
+
+def test_files_are_written_as_utf8_whatever_the_locale(tmp_path):
+    # Data and config files are read as UTF-8; a saved dataset and a report
+    # file are written as UTF-8 too, also where the locale is plain ASCII.
+    data = tmp_path / "utf.csv"
+    data.write_text(COHORT.read_text().replace("x1,", "xé,", 1), encoding="utf-8")
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text("covariates = xé\n", encoding="utf-8")
+    probe = (
+        "import sys\n"
+        "from wate.cli import main\n"
+        "from wate.data import load_csv, save_csv\n"
+        "save_csv(load_csv(sys.argv[1]), sys.argv[2])\n"
+        "sys.exit(main(['estimate', sys.argv[2], '--config', sys.argv[3], '--bootstrap', '0',"
+        " '--out', sys.argv[4], '--format', 'csv']))\n"
+    )
+    saved, report = tmp_path / "saved.csv", tmp_path / "rep"
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
+    env.update(
+        LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+        PYTHONPATH=os.pathsep.join(sys.path),
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe, str(data), str(saved), str(cfg), str(report)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert saved.read_text(encoding="utf-8").startswith("xé,x2,")
+    assert "# covariates = xé\n" in (tmp_path / "rep.csv").read_text(encoding="utf-8")

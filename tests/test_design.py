@@ -137,3 +137,19 @@ def test_monomial_matches_loop(powers, data):
         float(np.prod([row[c] ** e for c, e in merged.items()])) for row in X
     ]
     np.testing.assert_allclose(term(X), expected, rtol=1e-12, atol=1e-12)
+
+
+def test_a_non_finite_term_is_refused_by_name_and_rows():
+    # A finite covariate whose square overflows: the design names the term
+    # and its first rows instead of handing inf to a fitter, and warns
+    # nothing (the test configuration makes a RuntimeWarning an error).
+    X = np.ones((8, 2))
+    X[[2, 6], 0] = 1e200
+    spec = parse_design("x2 + x1^2 + x1", ("x1", "x2"))
+    with pytest.raises(DesignError, match=r"^term 'x1\^2' is not finite \(rows 3, 7\)$"):
+        spec.matrix(X)
+    X[:, 1] = np.inf
+    first_five = r"^term 'x2' is not finite \(rows 1, 2, 3, 4, 5, \.\.\.\)$"
+    with pytest.raises(DesignError, match=first_five):
+        spec.matrix(X)
+    assert np.isfinite(spec.matrix(np.ones((3, 2)))).all()

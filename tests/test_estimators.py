@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from wate.estimators import (
     EstimationPipeline,
     EstimatorKind,
     Nuisance,
+    cell_values,
     estimate,
     fill_cells,
     has_formula,
@@ -607,6 +609,24 @@ def test_affine_outcome_map_scales_every_estimate(seed, c, negate, d):
 # --- one fill equals many single estimates -----------------------------------
 
 
+@given(
+    rows=st.integers(1, 8),
+    n=st.integers(0, 12345),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_row_sum_of_a_block_is_the_rows_own_sum(rows, n, seed):
+    # The fill sums each target's terms as one row of a C-contiguous block,
+    # and its per-arm ESS as one row of the block's columns on that arm. A
+    # cell gets the bits of its own 1-D sum only while numpy sums each row
+    # of a block as it sums that row alone.
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((rows, n)) * np.exp2(rng.integers(-30, 30, size=(rows, n)))
+    arm = np.compress(rng.random(n) < 0.5, block, axis=1)
+    for b in (block, arm):
+        assert b.flags.c_contiguous
+        assert [s.hex() for s in b.sum(axis=1)] == [r.sum().hex() for r in b]
+
+
 def _x2_squared(X):
     return X[:, 1] ** 2
 
@@ -726,13 +746,29 @@ def test_planned_fill_computes_each_shared_term_once(monkeypatch, make_plan, exp
 
     for what, name in (
         ("propensity", "fit_propensity"), ("outcome", "fit_outcome"),
-        ("h", "_h_values"), ("estimate", "estimate"),
+        ("h", "_h_values"), ("estimate", "PointEstimate"),
     ):
         monkeypatch.setattr(wate.estimators, name, counting(what, getattr(wate.estimators, name)))
     monkeypatch.setattr(DesignSpec, "__hash__", counting("hash", DesignSpec.__hash__))
     results = fill_cells(ds, plan)
     assert all(not isinstance(r, WateError) for r in results)
     assert calls == expected
+
+
+def test_a_fill_leaves_no_cyclic_garbage():
+    # Each pass's blocks are freed by reference counting when the pass ends.
+    # Blocks in a reference cycle would wait for the cycle collector, and a
+    # study would hold the blocks of many replicates at once.
+    plan = _study_plan()
+    ds = generate_dataset(1, 200, np.random.default_rng(5))
+    gc.collect()
+    gc.disable()
+    try:
+        cell_values(ds, plan)
+        fill_cells(ds, plan)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- the unweighted difference, cell applicability and the bundle -----------
