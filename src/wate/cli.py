@@ -29,7 +29,7 @@ from . import __version__
 from .bootstrap import bootstrap_vector, cell_se
 from .data import ObservationalDataset, load_csv
 from .design import DesignSpec, main_effects, parse_design
-from .errors import DesignError, MissingColumnError, WateError
+from .errors import ColumnRoleError, DesignError, MissingColumnError, WateError
 from .estimators import (
     CellPlan,
     EstimationPipeline,
@@ -435,10 +435,19 @@ def _check_outputs(out: str, fmt: str) -> None:
 
 
 def _write_outputs(out: str, fmt: str, csv_lines: list[str], md_lines: list[str]) -> None:
-    """Writes each report as its lines, each ended by a newline."""
+    """Writes each report as its lines, each ended by a newline, in UTF-8
+    whatever the locale. Standard output gets the UTF-8 bytes when it has a
+    binary buffer, and the text itself when it has none (a ``StringIO``)."""
     texts = {"csv": "\n".join(csv_lines) + "\n", "md": "\n".join(md_lines) + "\n"}
     if not out:
-        sys.stdout.write(texts["md"] if fmt in ("both", "md") else texts["csv"])
+        text = texts["md"] if fmt in ("both", "md") else texts["csv"]
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+        else:
+            # Text written before must come out first.
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
         return
     for ext, path in _output_paths(out, fmt).items():
         try:
@@ -470,7 +479,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         )
     except OSError as exc:
         raise CliError(f"cannot read {args.data}: {exc}") from None
-    except MissingColumnError as exc:
+    except (MissingColumnError, ColumnRoleError) as exc:
         raise CliError(str(exc)) from None
     names = ds.covariate_names
     methods = ["unweighted"] + _split_list(resolved["estimator"])

@@ -5,6 +5,14 @@ routine consumes: an ``(n, p)`` covariate matrix, a binary treatment vector
 and an outcome vector, all float64 and frozen read-only after construction.
 :class:`CounterfactualDataset` extends it with both potential outcomes and
 the true propensity, which only a simulator can know.
+
+:func:`load_csv` converts a block of rows at a time: it checks the width of
+every row of the block, transposes it and turns its needed columns into
+floats with one ``numpy.fromiter`` call. A block that fails any check, and
+the rows read before the CSV reader itself fails, are read again row by
+row with :func:`_parse_cell`, so a malformed file raises the first fault a
+row-by-row read meets, and a token only ``_parse_cell`` accepts (padded
+with U+001C to U+001F) still loads.
 """
 
 from __future__ import annotations
@@ -13,12 +21,14 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    ColumnRoleError,
     CsvFormatError,
     DataError,
     DegenerateArmError,
@@ -28,6 +38,11 @@ from .errors import (
 )
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "."}
+
+# Rows load_csv converts at a time: numpy converts each block in one call,
+# and the tokens held at once stay few, so a load takes less memory than
+# the file's values as Python floats would.
+_BLOCK_ROWS = 1024
 
 # Smallest arm a loaded dataset may have.
 _MIN_ARM = 2
@@ -215,6 +230,50 @@ def _parse_cell(token: str, row: int, column: str) -> float:
     return value
 
 
+def _parse_rows(
+    records: list[list[str]],
+    first_row: int,
+    width: int,
+    columns: list[tuple[str, int]],
+    path: str | os.PathLike,
+) -> NDArray[np.float64]:
+    """The cells of ``columns`` (name, field index) in ``records`` (data rows
+    ``first_row``, ...) as a (len(columns), len(records)) block, converted
+    cell by cell. Raises the first fault a row-by-row read meets: a row that
+    is not ``width`` fields wide, or a cell :func:`_parse_cell` refuses."""
+    values = []
+    for r, record in enumerate(records, start=first_row):
+        if len(record) != width:
+            raise CsvFormatError(
+                f"{path}: data row {r} has {len(record)} fields, expected {width}"
+            )
+        values.append([_parse_cell(record[i], r, name) for name, i in columns])
+    return np.array(values, dtype=np.float64).reshape(len(records), len(columns)).T
+
+
+def _convert_block(
+    records: list[list[str]], width: int, columns: list[tuple[str, int]]
+) -> NDArray[np.float64] | None:
+    """The cells of ``columns`` (name, field index) in ``records`` as a
+    (len(columns), len(records)) block, each value from ``float(token)``,
+    the float :func:`_parse_cell` gives; None when a row is not ``width``
+    fields wide, a token does not parse or a value is not finite. ``float``
+    strips the whitespace ``str.strip`` does except U+001C to U+001F, so a
+    token padded with those gets None here and its value from
+    :func:`_parse_rows`."""
+    if set(map(len, records)) != {width}:
+        return None
+    fields = list(zip(*records))
+    tokens = chain.from_iterable(fields[i] for _, i in columns)
+    try:
+        block = np.fromiter(map(float, tokens), np.float64, len(columns) * len(records))
+    except ValueError:
+        return None
+    if not np.isfinite(block).all():
+        return None
+    return block.reshape(len(columns), len(records))
+
+
 def _decoded_lines(fh: Iterable[str], path: str | os.PathLike) -> Iterator[str]:
     """The lines of a text file, with a decoding error raised as a
     :class:`CsvFormatError` naming the file."""
@@ -234,7 +293,9 @@ def load_csv(
 
     ``covariates`` restricts (and orders) the covariate columns; by default
     every column other than the treatment and outcome is used, in file order.
-    The file is read as UTF-8, with a leading byte order mark dropped.
+    A covariate that is the treatment or the outcome, or is named twice, is
+    refused before any row is read. The file is read as UTF-8, with a
+    leading byte order mark dropped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(_decoded_lines(fh, path))
@@ -253,28 +314,45 @@ def load_csv(
         if covariates is None:
             cov_names = [h for h in header if h not in (treatment, outcome)]
         else:
-            cov_names = list(covariates)
-            for c in cov_names:
+            cov_names = []
+            for c in covariates:
+                if c in (treatment, outcome):
+                    role = "treatment" if c == treatment else "outcome"
+                    raise ColumnRoleError(
+                        f"{path}: covariate column {c!r} is the {role} column"
+                    )
+                if c in cov_names:
+                    raise ColumnRoleError(f"{path}: covariate column {c!r} is named twice")
                 if c not in header:
                     raise MissingColumnError(f"{path}: covariate column {c!r} not found")
-        col_index = {h: i for i, h in enumerate(header)}
-        rows_x: list[list[float]] = []
-        rows_a: list[float] = []
-        rows_y: list[float] = []
-        for r, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise CsvFormatError(
-                    f"{path}: data row {r} has {len(record)} fields, expected {len(header)}"
-                )
-            rows_x.append([_parse_cell(record[col_index[c]], r, c) for c in cov_names])
-            rows_a.append(_parse_cell(record[col_index[treatment]], r, treatment))
-            rows_y.append(_parse_cell(record[col_index[outcome]], r, outcome))
-    if not rows_a:
+                cov_names.append(c)
+        width = len(header)
+        columns = [(c, header.index(c)) for c in (*cov_names, treatment, outcome)]
+        blocks: list[NDArray[np.float64]] = []
+        n = 0
+        while True:
+            records: list[list[str]] = []
+            try:
+                # On an error, extend keeps the records read before it.
+                records.extend(islice(reader, _BLOCK_ROWS))
+            except (CsvFormatError, csv.Error):
+                _parse_rows(records, n + 1, width, columns, path)
+                raise
+            if not records:
+                break
+            block = _convert_block(records, width, columns)
+            if block is None:
+                block = _parse_rows(records, n + 1, width, columns, path)
+            blocks.append(block)
+            n += len(records)
+    if not blocks:
         raise CsvFormatError(f"{path}: no data rows")
+    values = np.concatenate(blocks, axis=1)
+    p = len(cov_names)
     ds = ObservationalDataset(
-        X=np.asarray(rows_x, dtype=np.float64).reshape(len(rows_a), len(cov_names)),
-        A=np.asarray(rows_a),
-        Y=np.asarray(rows_y),
+        X=values[:p].T,
+        A=values[p],
+        Y=values[p + 1],
         covariate_names=tuple(cov_names),
         treatment_name=treatment,
         outcome_name=outcome,

@@ -37,6 +37,11 @@ class MissingColumnError(CsvFormatError):
     """A column named by the caller is not in the CSV header."""
 
 
+class ColumnRoleError(CsvFormatError):
+    """A covariate column named by the caller is the treatment or the
+    outcome column, or is named twice."""
+
+
 class DesignError(WateError):
     """A design specification cannot be evaluated (bad expression, unknown
     column, column index outside the covariate matrix)."""

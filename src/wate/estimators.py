@@ -189,7 +189,7 @@ class _Pass:
             try:
                 value = self._vectors(slot)
             except WateError as exc:
-                value = FitFailure(self.plan.fits[slot][0], exc)
+                value = FitFailure(self.plan.fits[slot][0], exc.with_traceback(None))
             self._fits[slot] = value
         if isinstance(value, WateError):
             raise value
@@ -225,11 +225,11 @@ class _Block:
     that fit none), as the rows of one C-contiguous (targets, n) block ``H``.
     Row i is ``h`` of target i from :func:`~wate.targets._h_values`, which
     checks its length, finiteness and sign, or zeros when that raised; the
-    error is kept and raised for every cell that reads the row. The first
-    rows are the targets linear in the propensity. The terms of an outcome
-    fit take the pass, which the block does not keep: a block that kept it
-    would tie the pass into a reference cycle, whose arrays only the cycle
-    collector frees."""
+    error is kept, without its traceback, and raised for every cell that
+    reads the row. The first rows are the targets linear in the propensity.
+    The terms of an outcome fit take the pass, which the block does not
+    keep: a block that kept it would tie the pass into a reference cycle,
+    whose arrays only the cycle collector frees."""
 
     def __init__(self, q: _Pass, p: int):
         ds = self.ds = q.ds
@@ -242,7 +242,7 @@ class _Block:
             try:
                 self.H[i] = _h_values(target, ds.X, self.pi)
             except WateError as exc:
-                self.errors[i] = exc
+                self.errors[i] = exc.with_traceback(None)
         self.totals = self.H.sum(axis=1)
         self._per_fit: dict[tuple[str, int], NDArray[np.float64]] = {}
 
@@ -732,7 +732,8 @@ def _fill(
                 value = PointEstimate(value, c.reported, c.target, ds.n, _diagnostics(q, c))
             results.append(value)
         except WateError as exc:
-            results.append(exc)
+            # A raise gives a kept error the traceback of its frames again.
+            results.append(exc.with_traceback(None))
     return results
 
 

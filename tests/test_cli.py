@@ -177,6 +177,26 @@ def test_bad_option_values_are_usage_errors(argv, data_csv, capsys):
     assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize(
+    "covariates, message",
+    [
+        ("y", "covariate column 'y' is the outcome column"),
+        ("a", "covariate column 'a' is the treatment column"),
+        ("x1,x1", "covariate column 'x1' is named twice"),
+    ],
+    ids=["outcome", "treatment", "twice"],
+)
+def test_a_covariate_that_is_no_covariate_is_a_usage_error(
+    covariates, message, data_csv, capsys
+):
+    # --covariates y once fitted the outcome on itself and exited 0.
+    code, out, err = run_cli(
+        capsys, "estimate", data_csv, "--covariates", covariates,
+        "--estimand", "ate", "--estimator", "regression", "--bootstrap", "0",
+    )
+    assert (code, out, err) == (2, "", f"error: {data_csv}: {message}\n")
+
+
 def test_estimate_reports_failed_cells(tmp_path, capsys):
     # x1 separates the arms perfectly, so the propensity fit is refused and
     # the weighting rows fail while the others still come out.
@@ -542,3 +562,27 @@ def test_files_are_written_as_utf8_whatever_the_locale(tmp_path):
     assert (run.returncode, run.stderr) == (0, "")
     assert saved.read_text(encoding="utf-8").startswith("xé,x2,")
     assert "# covariates = xé\n" in (tmp_path / "rep.csv").read_text(encoding="utf-8")
+
+
+def test_stdout_reports_are_utf8_whatever_the_locale(tmp_path):
+    # With no --out the report goes to standard output, which under a plain
+    # ASCII locale once failed with UnicodeEncodeError on a non-ASCII name.
+    # The name comes from a config file: the command line is decoded in the
+    # locale's encoding.
+    data = tmp_path / "utf.csv"
+    data.write_text(COHORT.read_text().replace("x1,", "xé,", 1), encoding="utf-8")
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text("covariates = xé\n", encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
+    env.update(
+        LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+        PYTHONPATH=os.pathsep.join(sys.path),
+    )
+    for fmt in ("csv", "md"):
+        run = subprocess.run(
+            [sys.executable, "-m", "wate.cli", "estimate", str(data), "--config", str(cfg),
+             "--bootstrap", "0", "--format", fmt],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert "\n# covariates = xé\n" in run.stdout.decode("utf-8")

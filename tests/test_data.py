@@ -11,6 +11,7 @@ from wate.data import (
     validate,
 )
 from wate.errors import (
+    ColumnRoleError,
     CsvFormatError,
     DataError,
     DegenerateArmError,
@@ -43,6 +44,23 @@ def test_load_covariate_subset_reorders(tmp_path):
     ds = load_csv(write(tmp_path, BASIC), covariates=["x2", "x1"])
     assert ds.covariate_names == ("x2", "x1")
     np.testing.assert_array_equal(ds.X[:, 0], [2, 0.5, 1, -2])
+
+
+@pytest.mark.parametrize(
+    "covariates, message",
+    [
+        (["x1", "y"], "covariate column 'y' is the outcome column"),
+        (["a"], "covariate column 'a' is the treatment column"),
+        (["x2", "x1", "x2"], "covariate column 'x2' is named twice"),
+    ],
+    ids=["outcome", "treatment", "twice"],
+)
+def test_a_covariate_must_be_another_column_named_once(tmp_path, covariates, message):
+    # Refused before any row is read: the bad cell in row 1 is never met.
+    path = write(tmp_path, BASIC.replace("1,2,0,1.5", "oops,2,0,1.5"))
+    with pytest.raises(ColumnRoleError) as info:
+        load_csv(path, covariates=covariates)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_load_custom_column_names(tmp_path):
