@@ -13,7 +13,10 @@ iterate a :class:`ConvergenceError` carries. The cases:
   generated dataset of each outcome model at n = 12 (where fits fail), 40,
   1000 and 5000;
 * the same four fits on a resample with repeated rows of the n = 1000
-  dataset of outcome model 2.
+  dataset of outcome model 2;
+* one propensity fit for each exit of the Newton loop that those datasets
+  do not reach: steps that halve, ``MAX_ITER`` updates with and without
+  halving, a singular information matrix and a duplicated column.
 
 To re-record the file after a change that is meant to alter a fit, run
 ``PYTHONPATH=src python tests/test_fits_golden.py`` from the repository root.
@@ -25,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from wate.data import ObservationalDataset
+from wate.design import main_effects
 from wate.errors import WateError
 from wate.models import fit_outcome, fit_propensity
 from wate.simulation import generate_dataset, outcome_design, propensity_design
@@ -84,12 +89,47 @@ def _datasets():
                 yield f"model{model}/n{n}/resample", ds.replace_rows(idx), model
 
 
+def _one_covariate(x, a):
+    return ObservationalDataset(X=np.reshape(x, (-1, 1)), A=a, Y=np.zeros(len(a)))
+
+
+def _irls_cases():
+    """(case name, dataset, design) for the propensity fits that end the
+    Newton loop in the ways the simulation datasets do not."""
+    x1 = main_effects(("x1",))
+    # Full Newton steps that would lower the log likelihood are halved, on
+    # the way to probabilities pinned at the clamp bounds.
+    yield "irls/halving", generate_dataset(1, 20, np.random.default_rng(40)), propensity_design(True)
+    # A covariate of scale 1e8 leaves a score of about 1e-7 from rounding
+    # alone, so the fit stops after MAX_ITER updates.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(200)
+    a = (rng.random(200) < 1.0 / (1.0 + np.exp(-x))).astype(np.float64)
+    yield "irls/max_iter", _one_covariate(1e8 * x, a), x1
+    # x = 2^27 + (0 or 1): the squares lose their low bits, every step is
+    # halved 50 times and the last try is kept, MAX_ITER times over.
+    b = (np.arange(12) % 3 == 0).astype(np.float64)
+    a = np.array([0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0], dtype=np.float64)
+    yield "irls/max_iter_halved", _one_covariate(2.0**27 + b, a), x1
+    # x = 2^25 + (0, 1 or 2): after 23 updates a pivot of the information
+    # matrix cancels to exactly zero.
+    b = np.array([1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 0, 1], dtype=np.float64)
+    a = np.array([0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1], dtype=np.float64)
+    yield "irls/singular", _one_covariate(2.0**25 + b, a), x1
+    ds = generate_dataset(2, 40, np.random.default_rng(40))
+    twice = ObservationalDataset(X=ds.X[:, [0, 0]], A=ds.A, Y=ds.Y)
+    yield "irls/duplicated_column", twice, main_effects(("x1", "x1 again"))
+
+
 def current_fits():
-    return {
+    fits = {
         f"{case}/{name}": _record(fit)
         for case, ds, model in _datasets()
         for name, fit in _fits(ds, model)
     }
+    for case, ds, design in _irls_cases():
+        fits[f"{case}/propensity"] = _record(lambda: fit_propensity(ds, design))
+    return fits
 
 
 def test_every_fit_matches_the_recorded_bits():
