@@ -15,7 +15,11 @@ limit and otherwise adds a ``CI_LEVEL`` (95%) percentile interval.
 
 Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling
-order. :func:`parallel_map`, which spreads replicates over processes, is
+order. Replicates are filled in stacks of ``max(1, _BATCH_ROWS // n)``
+consecutive ones (``_BATCH_ROWS`` = 4096 rows): the propensity fits of a
+stack run as one stacked IRLS (see :mod:`wate.models`), which gives each
+replicate the bits it gets alone, so the stack size changes no result
+either. :func:`parallel_map`, which spreads the stacks over processes, is
 shared with the Monte Carlo study. On Linux it forks its workers, so only
 the results must pickle; elsewhere the plan must pickle too.
 """
@@ -38,7 +42,7 @@ from .estimators import (
     CellPlan,
     EstimationPipeline,
     PointEstimate,
-    cell_values,
+    _cell_value_rows,
     fill_cells,
     plan_cells,
 )
@@ -48,6 +52,13 @@ T = TypeVar("T")
 MAX_FAILED_FRACTION = 0.2
 CI_LEVEL = 0.95
 
+# Rows of data per stack of replicates. The replicates of a stack share one
+# stacked IRLS per propensity design, which pays numpy's fixed cost per call
+# once per stack: 4 replicates at n = 1000 took 10-13% off a study's wall
+# time. 8 gained no more and raised its peak memory by 5%. From n = 4096 up
+# a stack holds one replicate.
+_BATCH_ROWS = 4096
+
 
 def _replicate_indices(seed: int, i: int, n: int) -> NDArray[np.intp]:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
@@ -56,6 +67,19 @@ def _replicate_indices(seed: int, i: int, n: int) -> NDArray[np.intp]:
 
 def _map_range(fn: Callable[[int], T], indices: range) -> list[T]:
     return [fn(i) for i in indices]
+
+
+def _stack(fn: Callable[[range], list[T]], size: int, count: int, j: int) -> list[T]:
+    return fn(range(j * size, min(count, (j + 1) * size)))
+
+
+def _map_stacks(fn: Callable[[range], list[T]], count: int, n: int, workers: int) -> list[T]:
+    """``fn(range(count))``, as :func:`parallel_map` over stacks of
+    ``max(1, _BATCH_ROWS // n)`` consecutive indices, where ``fn`` gives one
+    result per index of its range and ``n`` is the rows of each replicate."""
+    size = max(1, _BATCH_ROWS // n)
+    stacks = parallel_map(partial(_stack, fn, size, count), -(-count // size), workers)
+    return [result for stack in stacks for result in stack]
 
 
 # Fork the workers of parallel_map directly. The stdlib pool forks them on
@@ -158,10 +182,11 @@ def _run_child(
         os._exit(status)
 
 
-def _replicate(
-    ds: ObservationalDataset, plan: CellPlan, seed: int, i: int
-) -> NDArray[np.float64]:
-    return cell_values(ds.replace_rows(_replicate_indices(seed, i, ds.n)), plan)
+def _replicates(
+    ds: ObservationalDataset, plan: CellPlan, seed: int, indices: range
+) -> list[NDArray[np.float64]]:
+    resamples = [ds.replace_rows(_replicate_indices(seed, i, ds.n)) for i in indices]
+    return _cell_value_rows(resamples, plan)
 
 
 def bootstrap_vector(
@@ -181,7 +206,7 @@ def bootstrap_vector(
     """
     if b < 2:
         raise ValueError(f"need at least 2 replicates, got {b}")
-    return np.array(parallel_map(partial(_replicate, ds, plan, seed), b, workers))
+    return np.array(_map_stacks(partial(_replicates, ds, plan, seed), b, ds.n, workers))
 
 
 def cell_se(column: NDArray[np.float64]) -> tuple[float, int, str]:

@@ -293,8 +293,9 @@ def load_csv(
 
     ``covariates`` restricts (and orders) the covariate columns; by default
     every column other than the treatment and outcome is used, in file order.
-    A covariate that is the treatment or the outcome, or is named twice, is
-    refused before any row is read. The file is read as UTF-8, with a
+    One column named as both the treatment and the outcome, and a covariate
+    that is the treatment or the outcome or is named twice, are refused
+    before any row is read. The file is read as UTF-8, with a
     leading byte order mark dropped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -311,6 +312,10 @@ def load_csv(
                 raise MissingColumnError(
                     f"{path}: column {required!r} not found (header: {header})"
                 )
+        if treatment == outcome:
+            raise ColumnRoleError(
+                f"{path}: column {treatment!r} is both the treatment and the outcome"
+            )
         if covariates is None:
             cov_names = [h for h in header if h not in (treatment, outcome)]
         else:

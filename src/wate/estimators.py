@@ -56,9 +56,12 @@ with its row and raised again for every cell that reads the row.
 
 The bootstrap, the command line report and the Monte Carlo study each build
 one plan and ship it to their workers. :func:`fill_cells` returns point
-estimates with their diagnostics; :func:`cell_values`, which every study and
-bootstrap replicate calls, makes the same pass and keeps only the values, so
-a replicate builds no diagnostics.
+estimates with their diagnostics; :func:`cell_values` makes the same pass
+and keeps only the values. Study and bootstrap replicates call its form over
+many same-n datasets, ``_cell_value_rows``, a stack of replicates at a time:
+each propensity fit of the plan runs on the whole stack as one stacked IRLS,
+then each dataset gets its truncation and checks, its outcome fits and its
+pass, as one dataset alone does, and the same bits.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -78,8 +81,8 @@ from .errors import EstimationError, FitFailure, MissingModelError, WateError
 from .models import (
     OutcomeModel,
     PropensityModel,
+    _fit_propensities,
     fit_outcome,
-    fit_propensity,
     predict_outcome,
     predict_propensity,
     truncate_propensity,
@@ -693,33 +696,58 @@ def _plan(
     return CellPlan(pipelines, fits, tuple(cells), blocks)
 
 
-def _fit(
-    ds: ObservationalDataset, key: tuple[Hashable, ...]
+def _fill_many(
+    datasets: Sequence[ObservationalDataset],
+    plan: CellPlan | Sequence[EstimationPipeline],
+    diagnostics: bool,
+) -> list[list[PointEstimate | float | WateError]]:
+    """:func:`_fill` of every cell of ``plan`` on each of ``datasets``,
+    which have the same number of rows. Each propensity fit of the plan runs
+    on all of them as one stack; its truncation and check, the outcome fits
+    and the fill run per dataset."""
+    if not isinstance(plan, CellPlan):
+        plan = plan_cells(plan)
+    stacked = [
+        _fit_propensities(datasets, design) if stage == "propensity" else None
+        for stage, design, _ in plan.fits
+    ]
+    results = []
+    for i, ds in enumerate(datasets):
+        propensity = [None if fits is None else fits[i] for fits in stacked]
+        results.append(_fill(ds, plan, diagnostics, partial(_vectors, ds, plan, propensity)))
+    return results
+
+
+def _vectors(
+    ds: ObservationalDataset,
+    plan: CellPlan,
+    propensity: list[PropensityModel | WateError | None],
+    slot: int,
 ) -> NDArray[np.float64] | tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The vectors of the fit ``key`` names: ``pi`` (truncated and checked)
-    or ``(m1, m0)``."""
-    stage, design, extra = key
-    if stage == "propensity":
-        pi = fit_propensity(ds, design).pi
-        pi_hat = pi if extra is None else truncate_propensity(pi, *extra)
-        return _checked_pi(pi_hat, ds.n, EstimationError)
-    om = fit_outcome(ds, design, extra)
-    return om.m1, om.m0
+    """The vectors of fit ``slot`` on ``ds``: ``pi`` of its propensity
+    model in ``propensity[slot]``, truncated and checked, or ``(m1, m0)``
+    of the outcome model fitted here."""
+    stage, design, extra = plan.fits[slot]
+    if stage == "outcome":
+        om = fit_outcome(ds, design, extra)
+        return om.m1, om.m0
+    pm = propensity[slot]
+    if isinstance(pm, WateError):
+        raise pm
+    pi = pm.pi if extra is None else truncate_propensity(pm.pi, *extra)
+    return _checked_pi(pi, ds.n, EstimationError)
 
 
 def _fill(
     ds: ObservationalDataset,
-    plan: CellPlan | Sequence[EstimationPipeline],
+    plan: CellPlan,
     diagnostics: bool,
-    vectors: Callable[[int], object] | None = None,
+    vectors: Callable[[int], object],
 ) -> list[PointEstimate | float | WateError]:
-    """Every cell of ``plan`` on ``ds``: the point estimate, or only its
-    value, or the error the cell failed with. Fit ``slot`` is
-    ``vectors(slot)`` when given, else fitted on ``ds``. The one pass over a
-    dataset."""
-    if not isinstance(plan, CellPlan):
-        plan = plan_cells(plan)
-    q = _Pass(ds, plan, vectors or (lambda slot: _fit(ds, plan.fits[slot])))
+    """Every cell of ``plan`` on ``ds``, with fit ``slot`` read from
+    ``vectors(slot)``: the point estimate, or only its value, or the error
+    the cell failed with. The one pass over a dataset."""
+    q = _Pass(ds, plan, vectors)
     results: list[PointEstimate | float | WateError] = []
     for c in plan.cells:
         try:
@@ -747,7 +775,7 @@ def fill_cells(
     A pipeline whose model failed to fit gets a :class:`FitFailure`, one
     whose estimate failed gets that error.
     """
-    return _fill(ds, plan, diagnostics=True)
+    return _fill_many([ds], plan, diagnostics=True)[0]
 
 
 def cell_values(
@@ -755,5 +783,16 @@ def cell_values(
 ) -> NDArray[np.float64]:
     """Values of :func:`fill_cells`, NaN where a pipeline failed, computed
     by the same kernels without building any :class:`Diagnostics`."""
-    results = _fill(ds, plan, diagnostics=False)
-    return np.array([np.nan if isinstance(r, WateError) else r for r in results])
+    return _cell_value_rows([ds], plan)[0]
+
+
+def _cell_value_rows(
+    datasets: Sequence[ObservationalDataset], plan: CellPlan | Sequence[EstimationPipeline]
+) -> list[NDArray[np.float64]]:
+    """:func:`cell_values` of each of ``datasets``, which have the same
+    number of rows, with each propensity fit run on all of them as one
+    stack."""
+    return [
+        np.array([np.nan if isinstance(r, WateError) else r for r in results])
+        for results in _fill_many(datasets, plan, diagnostics=False)
+    ]

@@ -6,11 +6,15 @@ matrix for numerical rank deficiency via QR, and return frozen model objects
 that can be pickled into worker processes. The logistic fit is Newton's
 method with step halving; convergence is declared when the largest score
 component falls below ``SCORE_TOL``, and the fit fails after ``MAX_ITER``
-Newton updates. Every fitted or predicted probability is clamped into
-``[PROB_CLAMP, 1 - PROB_CLAMP]`` so inverse weights stay finite. A design is
-rank deficient when its smallest ``|R_jj|`` is at most ``RANK_TOL`` times its
-largest. The outcome fit solves through one reduced QR, whose R also serves
-the rank check.
+Newton updates. There is one such IRLS, and it runs over a stack of
+problems: the study and the bootstrap fit one propensity design on a stack
+of same-n replicates at once, which pays numpy's fixed cost per call once
+per stack, and :func:`fit_propensity` is a stack of one. Every problem of a
+stack gets the bits and the error it gets alone. Every fitted or predicted
+probability is clamped into ``[PROB_CLAMP, 1 - PROB_CLAMP]`` so inverse
+weights stay finite. A design is rank deficient when its smallest ``|R_jj|``
+is at most ``RANK_TOL`` times its largest. The outcome fit solves through
+one reduced QR, whose R also serves the rank check.
 
 Each fitted model also carries its vectors on the fitting rows: the final
 IRLS probabilities (``PropensityModel.pi``) and both arms' means
@@ -20,12 +24,13 @@ so a caller estimating on the fitting data needs no prediction; predict for
 any other rows.
 
 Each fit builds one model matrix, with the design evaluated straight into
-it, and reuses it: the outcome fit gets ``m1`` and ``m0`` by overwriting the
-arm and interaction columns in place, and the Newton steps of the logistic
-fit write their weighted design and log likelihood terms into buffers
-allocated once per fit. A Newton step clamps its probabilities in place and
-divides once per sigmoid. None of this changes the value of an element or
-the order of a sum, so the results are the same bits.
+it (for the logistic fit, into its slice of the stack), and reuses it: the
+outcome fit gets ``m1`` and ``m0`` by overwriting the arm and interaction
+columns in place, and the Newton steps of the logistic fit write their
+weighted design and log likelihood terms into buffers allocated once per
+stack. A Newton step clamps its probabilities in place and divides once per
+sigmoid. None of this changes the value of an element or the order of a
+sum, so the results are the same bits.
 
 At bootstrap sizes the n-by-k blocks that remain, most of them
 ``numpy.linalg.qr``'s own copies, are freed at the end of every fit. By
@@ -40,13 +45,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .data import ObservationalDataset
 from .design import DesignSpec
-from .errors import ConvergenceError, ModelFitError, RankDeficiencyError
+from .errors import ConvergenceError, ModelFitError, RankDeficiencyError, WateError
 
 
 _MMAP_THRESHOLD = 32 << 20
@@ -126,9 +132,12 @@ class OutcomeModel:
 def _sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
     # exp(-|eta|) never overflows; each branch is the textbook piecewise form
     # (1/(1 + e^-eta) for eta >= 0, e^eta/(1 + e^eta) below), bit for bit:
-    # the numerator is picked per element and divided once.
-    ex = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0, ex) / (1.0 + ex)
+    # the numerator is picked per element and divided once. The terms are
+    # computed in place, into two arrays in all.
+    ex = np.abs(eta)
+    np.exp(np.negative(ex, out=ex), out=ex)
+    p = np.where(eta >= 0, 1.0, ex)
+    return np.divide(p, np.add(ex, 1.0, out=ex), out=p)
 
 
 def _clamped_sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -161,10 +170,13 @@ def _check_full_rank(
         )
 
 
-def _design_matrix(design: DesignSpec, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``[1, design(X)]``, the design evaluated straight into its block."""
+def _design_matrix(
+    design: DesignSpec, X: NDArray[np.float64], out: NDArray[np.float64] | None = None
+) -> NDArray[np.float64]:
+    """``[1, design(X)]``, the design evaluated straight into its block of
+    ``out``, or of a new array."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    M = np.empty((X.shape[0], len(design) + 1))
+    M = np.empty((X.shape[0], len(design) + 1)) if out is None else out
     M[:, 0] = 1.0
     design.matrix(X, out=M[:, 1:])
     return M
@@ -208,87 +220,192 @@ def fit_propensity(ds: ObservationalDataset, design: DesignSpec) -> PropensityMo
     score has not dropped below ``SCORE_TOL`` after ``MAX_ITER`` Newton
     updates.
     """
-    M = _design_matrix(design, ds.X)
-    _check_full_rank(M, "propensity design")
-    A = ds.A
+    (result,) = _fit_propensities([ds], design)
+    if isinstance(result, WateError):
+        raise result
+    return result
+
+
+def _fit_propensities(
+    datasets: Sequence[ObservationalDataset], design: DesignSpec
+) -> list[PropensityModel | WateError]:
+    """:func:`fit_propensity` of ``design`` on each of ``datasets``, which
+    have the same number of rows: its model, or the error it failed with.
+    Each design is evaluated into its slice of one stack and checked for
+    rank; the full-rank ones are fitted by one stacked IRLS."""
+    n = datasets[0].n
+    M = np.empty((len(datasets), n, len(design) + 1))
+    A = np.empty((len(datasets), n))
+    results: list[PropensityModel | WateError | None] = [None] * len(datasets)
+    rows = []
+    for i, ds in enumerate(datasets):
+        try:
+            _check_full_rank(_design_matrix(design, ds.X, M[i]), "propensity design")
+        except WateError as exc:
+            results[i] = exc.with_traceback(None)
+            continue
+        A[i] = ds.A
+        rows.append(i)
+    if rows:
+        if len(rows) < len(datasets):
+            M, A = M[rows], A[rows]
+        for i, result in zip(rows, _irls(M, A, design)):
+            results[i] = result
+    return results
+
+
+def _irls(
+    M: NDArray[np.float64], A: NDArray[np.float64], design: DesignSpec
+) -> list[PropensityModel | ConvergenceError]:
+    """Newton's method with step halving on each problem of a stack: ``M``
+    is a (b, n, k) stack of model matrices, ``A`` the (b, n) stack of
+    treatments.
+
+    Every problem runs the sequence of a fit on its own: the score test, the
+    ``MAX_ITER`` stop, the solve and up to 50 halvings of its own step, on
+    bits equal to those of the 2-D calls, since a stacked ``matmul`` or
+    ``linalg.solve`` computes each slice as the 2-D call does and a row sum
+    of a C-contiguous block sums the row as a vector sum does. Problems
+    start together, so they share the update count. One that converges or
+    fails leaves the stack, and the others go on; the stack is compacted
+    only then. The solve is repeated slice by slice only when some
+    information matrix is singular, to find which.
+
+    The stack's length-n vectors are kept end to end in one flat array:
+    numpy's fixed cost per call is lower on 1-D arrays, and elementwise
+    arithmetic gives the same bits in either shape.
+    """
+    b, n, _ = M.shape
+    results: list[PropensityModel | ConvergenceError | None] = [None] * b
+    # Each problem's index in the results and its log likelihood, as Python
+    # values: a comparison per problem costs less than a numpy call per stack.
+    ids = list(range(b))
+    A = A.reshape(-1)
     not_A = 1.0 - A
-    # Every Newton step rewrites these instead of allocating its own.
+    # Every Newton step rewrites these instead of allocating its own; a
+    # shrunken stack uses their leading part.
     weighted = np.empty_like(M)
-    log_p = np.empty(ds.n)
-    log_q = np.empty(ds.n)
+    log_p = np.empty(b * n)
+    log_q = np.empty(b * n)
 
-    def loglik(p: NDArray[np.float64]) -> float:
-        """Bernoulli log likelihood ``sum(A log p + (1 - A) log(1 - p))``.
-        Picking each row's log with a select on ``A`` gives the same bits,
-        but made the whole fit 15-20% slower at n = 5000 (x86-64, numpy
-        2.4)."""
-        np.multiply(A, np.log(p, out=log_p), out=log_p)
-        np.multiply(not_A, np.log1p(np.negative(p, out=log_q), out=log_q), out=log_q)
-        return float(np.add(log_p, log_q, out=log_p).sum())
-
-    alpha = np.zeros(M.shape[1])
-    p = _clamped_sigmoid(M @ alpha)
-    ll = loglik(p)
-    converged = False
+    alpha = np.zeros((b, M.shape[2], 1))
+    # The probabilities at alpha = 0: M is finite, so M @ alpha is +-0 and
+    # its clamped sigmoid exactly 1/2.
+    p = np.full(b * n, 0.5)
+    ll = _loglik(p, A, not_A, log_p, log_q, n)
     updates = 0
     while True:
-        score = M.T @ (A - p)
-        if float(np.abs(score).max()) < SCORE_TOL:
-            converged = True
-            break
-        if updates >= MAX_ITER:
-            break
+        m = len(ids)
+        score = M.transpose(0, 2, 1) @ (A - p).reshape(m, n, 1)
+        top = np.maximum.reduce(np.abs(score[:, :, 0]), axis=1).tolist()
+        stop = [j for j, t in enumerate(top) if t < SCORE_TOL or updates >= MAX_ITER]
+        if stop:
+            for j in stop:
+                converged = top[j] < SCORE_TOL
+                results[ids[j]] = _stopped(
+                    design, alpha[j], p[j * n:(j + 1) * n], ll[j], updates, converged,
+                    "" if converged else f"propensity fit did not converge in {MAX_ITER} "
+                    f"updates (max |score| = {top[j]:.3e})",
+                )
+            keep = [j for j in range(m) if j not in stop]
+            if not keep:
+                break
+            ids, ll, m = [ids[j] for j in keep], [ll[j] for j in keep], len(keep)
+            M, alpha, score = M[keep], alpha[keep], score[keep]
+            A, not_A, p = (x.reshape(-1, n)[keep].reshape(-1) for x in (A, not_A, p))
         w = p * (1.0 - p)
-        hessian = np.multiply(M, w[:, None], out=weighted).T @ M
+        hessian = np.multiply(M, w.reshape(m, n, 1), out=weighted[:m]).transpose(0, 2, 1) @ M
         try:
             delta = np.linalg.solve(hessian, score)
         except np.linalg.LinAlgError:
-            model = PropensityModel(
-                alpha=alpha, design=design, converged=False, iterations=updates,
-                log_likelihood=ll, pi=p,
-            )
-            raise ConvergenceError(
-                "singular information matrix during propensity fit "
-                f"(after {updates} updates)", model=model,
-            ) from None
-        # Halve the step until the log likelihood stops decreasing; Newton's
-        # direction is an ascent direction, so this terminates.
+            delta = np.zeros_like(score)
+            keep = []
+            for j in range(m):
+                try:
+                    delta[j] = np.linalg.solve(hessian[j], score[j])
+                    keep.append(j)
+                except np.linalg.LinAlgError:
+                    results[ids[j]] = _stopped(
+                        design, alpha[j], p[j * n:(j + 1) * n], ll[j], updates, False,
+                        f"singular information matrix during propensity fit (after "
+                        f"{updates} updates)",
+                    )
+            if not keep:
+                break
+            ids, ll, m = [ids[j] for j in keep], [ll[j] for j in keep], len(keep)
+            M, alpha, delta = M[keep], alpha[keep], delta[keep]
+            A, not_A, p = (x.reshape(-1, n)[keep].reshape(-1) for x in (A, not_A, p))
+        # Halve each problem's step until its log likelihood stops
+        # decreasing; Newton's direction is an ascent direction, so this
+        # terminates. The problems still halving have halved equally often.
+        cand = alpha + delta
+        p_cand = _clamped_sigmoid((M @ cand).reshape(-1))
+        ll_cand = _loglik(p_cand, A, not_A, log_p[:m * n], log_q[:m * n], n)
+        halving = [j for j in range(m) if not ll_cand[j] >= ll[j] - 1e-12]
         step = 1.0
-        for _ in range(50):
-            cand = alpha + step * delta
-            p_cand = _clamped_sigmoid(M @ cand)
-            ll_cand = loglik(p_cand)
-            if ll_cand >= ll - 1e-12:
+        for _ in range(49):
+            if not halving:
                 break
             step *= 0.5
+            c = alpha[halving] + step * delta[halving]
+            pc = _clamped_sigmoid((M[halving] @ c).reshape(-1))
+            a, not_a = (x.reshape(-1, n)[halving].reshape(-1) for x in (A, not_A))
+            lc = _loglik(pc, a, not_a, np.empty_like(pc), np.empty_like(pc), n)
+            cand[halving] = c
+            p_cand.reshape(m, n)[halving] = pc.reshape(-1, n)
+            for j, value in zip(halving, lc):
+                ll_cand[j] = value
+            halving = [j for j, value in zip(halving, lc) if not value >= ll[j] - 1e-12]
         alpha, p, ll = cand, p_cand, ll_cand
         updates += 1
-    pinned = bool(np.any(p <= PROB_CLAMP) or np.any(p >= 1.0 - PROB_CLAMP))
+    return results
+
+
+def _stopped(
+    design: DesignSpec,
+    alpha: NDArray[np.float64],
+    pi: NDArray[np.float64],
+    ll: float,
+    updates: int,
+    converged: bool,
+    message: str,
+) -> PropensityModel | ConvergenceError:
+    """The model of a problem that leaves the stack, or the error its fit
+    ends with: ``message`` if given, else the pinned-probability error when
+    a converged fit has a probability at a clamp bound."""
+    pinned = converged and bool(np.any(pi <= PROB_CLAMP) or np.any(pi >= 1.0 - PROB_CLAMP))
     model = PropensityModel(
-        alpha=alpha,
-        design=design,
-        converged=converged and not pinned,
-        iterations=updates,
-        log_likelihood=ll,
-        pi=p,
+        alpha=alpha[:, 0], design=design, converged=converged and not pinned,
+        iterations=updates, log_likelihood=ll, pi=pi,
     )
-    if not converged:
-        raise ConvergenceError(
-            f"propensity fit did not converge in {MAX_ITER} updates "
-            f"(max |score| = {float(np.max(np.abs(M.T @ (A - p)))):.3e})",
-            model=model,
-        )
     if pinned:
         # The score can vanish with fitted probabilities stuck at the clamp
         # bounds, which is how separated data present themselves here. Such a
         # fit would feed effectively infinite weights downstream, so report
         # it as a failure rather than a model.
-        raise ConvergenceError(
+        message = (
             "fitted probabilities pinned at the clamp bounds; "
-            "treatment may be separable from these covariates",
-            model=model,
+            "treatment may be separable from these covariates"
         )
-    return model
+    return ConvergenceError(message, model=model) if message else model
+
+
+def _loglik(
+    p: NDArray[np.float64],
+    A: NDArray[np.float64],
+    not_A: NDArray[np.float64],
+    log_p: NDArray[np.float64],
+    log_q: NDArray[np.float64],
+    n: int,
+) -> list[float]:
+    """Bernoulli log likelihood ``sum(A log p + (1 - A) log(1 - p))`` of
+    each length-n part of the flat vectors, as a list, through the buffers
+    ``log_p`` and ``log_q``.
+    Picking each row's log with a select on ``A`` gives the same bits, but
+    made the whole fit 15-20% slower at n = 5000 (x86-64, numpy 2.4)."""
+    np.multiply(A, np.log(p, out=log_p), out=log_p)
+    np.multiply(not_A, np.log1p(np.negative(p, out=log_q), out=log_q), out=log_q)
+    return np.add.reduce(np.add(log_p, log_q, out=log_p).reshape(-1, n), axis=1).tolist()
 
 
 def predict_propensity(

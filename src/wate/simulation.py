@@ -17,6 +17,13 @@ public for other draws or streams. It streams its draws: its working set is
 about five chunk-length arrays (~21 MB), whatever the number of draws, and
 it takes about 0.2 s per 10^6 draws. ``_TRUTH_CHUNK`` is its summation unit,
 so changing it changes the last bits of the values.
+
+Replicate r draws its data from the stream keyed by ``(seed, r)``. The
+replicates are filled a stack of ``max(1, bootstrap._BATCH_ROWS // n)`` at
+a time, each propensity design fitted on the whole stack by one stacked
+IRLS, which gives every replicate the bits it gets alone: the results do not
+depend on the stacks or on ``workers``. :func:`generate_dataset` hands the
+dataset read-only arrays, which it keeps instead of copying.
 """
 
 from __future__ import annotations
@@ -27,14 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bootstrap import parallel_map
+from .bootstrap import _map_stacks
 from .data import CounterfactualDataset
 from .design import DesignSpec, TransformTerm, main_effects, parse_design
 from .estimators import (
     CellPlan,
     EstimationPipeline,
     EstimatorKind,
-    cell_values,
+    _cell_value_rows,
     has_formula,
     plan_cells,
 )
@@ -100,6 +107,9 @@ def generate_dataset(
     y0 = 1.0 + X[:, 1] ** 2 + X[:, 2] + noise
     y1 = y0 + treatment_effect(outcome_model, X)
     Y = np.where(A == 1.0, y1, y0)
+    # Fresh arrays made read-only are kept by the dataset, not copied.
+    for arr in (X, A, Y, y1, y0, pi):
+        arr.flags.writeable = False
     return CounterfactualDataset(
         X=X,
         A=A,
@@ -373,14 +383,20 @@ def _cell_pipeline(design: SimulationDesign, cell: Cell) -> EstimationPipeline:
 
 
 def _replicate_values(
-    design: SimulationDesign, plan: CellPlan, rep: int
-) -> NDArray[np.float64]:
-    """One replication: draw data, then fill every cell, fitting each working
-    model once. Failed fits or estimates become NaN."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,))
-    )
-    return cell_values(generate_dataset(design.outcome_model, design.n, rng), plan)
+    design: SimulationDesign, plan: CellPlan, reps: range
+) -> list[NDArray[np.float64]]:
+    """The replications ``reps``: draw each one's data from its own stream,
+    then fill every cell, fitting each working model once per dataset.
+    Failed fits or estimates become NaN."""
+    datasets = [
+        generate_dataset(
+            design.outcome_model,
+            design.n,
+            np.random.default_rng(np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,))),
+        )
+        for rep in reps
+    ]
+    return _cell_value_rows(datasets, plan)
 
 
 @dataclass(frozen=True)
@@ -432,7 +448,9 @@ def run_study(design: SimulationDesign) -> SimulationReport:
         raise ValueError("need at least 2 replications")
     plan = plan_cells([_cell_pipeline(design, cell) for cell in cells])
     matrix = np.array(
-        parallel_map(functools.partial(_replicate_values, design, plan), reps, design.workers)
+        _map_stacks(
+            functools.partial(_replicate_values, design, plan), reps, design.n, design.workers
+        )
     )
     truth = reference_truth(design.outcome_model)
     stats = []

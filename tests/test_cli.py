@@ -197,6 +197,16 @@ def test_a_covariate_that_is_no_covariate_is_a_usage_error(
     assert (code, out, err) == (2, "", f"error: {data_csv}: {message}\n")
 
 
+def test_one_column_as_treatment_and_outcome_is_a_usage_error(data_csv, capsys):
+    # It once fitted the treatment on itself and printed regression,ate,1.
+    code, out, err = run_cli(
+        capsys, "estimate", data_csv, "--treatment", "a", "--outcome", "a",
+        "--estimand", "ate", "--estimator", "regression", "--bootstrap", "0", "--format", "csv",
+    )
+    message = "column 'a' is both the treatment and the outcome"
+    assert (code, out, err) == (2, "", f"error: {data_csv}: {message}\n")
+
+
 def test_estimate_reports_failed_cells(tmp_path, capsys):
     # x1 separates the arms perfectly, so the propensity fit is refused and
     # the weighting rows fail while the others still come out.

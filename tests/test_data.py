@@ -63,6 +63,14 @@ def test_a_covariate_must_be_another_column_named_once(tmp_path, covariates, mes
     assert str(info.value) == f"{path}: {message}"
 
 
+def test_the_treatment_and_the_outcome_must_be_two_columns(tmp_path):
+    # Refused before any row is read, like a covariate in either role.
+    path = write(tmp_path, BASIC.replace("1,2,0,1.5", "oops,2,0,1.5"))
+    with pytest.raises(ColumnRoleError) as info:
+        load_csv(path, treatment="a", outcome="a")
+    assert str(info.value) == f"{path}: column 'a' is both the treatment and the outcome"
+
+
 def test_load_custom_column_names(tmp_path):
     text = "age,treat,outcome\n1,0,1\n2,1,2\n3,0,3\n4,1,4\n"
     ds = load_csv(write(tmp_path, text), treatment="treat", outcome="outcome")

@@ -745,7 +745,7 @@ def test_planned_fill_computes_each_shared_term_once(monkeypatch, make_plan, exp
         return wrapper
 
     for what, name in (
-        ("propensity", "fit_propensity"), ("outcome", "fit_outcome"),
+        ("propensity", "_fit_propensities"), ("outcome", "fit_outcome"),
         ("h", "_h_values"), ("estimate", "PointEstimate"),
     ):
         monkeypatch.setattr(wate.estimators, name, counting(what, getattr(wate.estimators, name)))

@@ -225,15 +225,20 @@ def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypa
 
     calls = {"propensity": 0, "outcome": 0, "predict": 0, "matrix": 0, "outcome_matrix": 0}
 
-    def counting(stage, fn):
+    def counting(stage, fn, count=lambda *args: 1):
         def wrapper(*args, **kwargs):
-            calls[stage] += 1
+            calls[stage] += count(*args)
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for stage, fit in (("propensity", fit_propensity), ("outcome", fit_outcome)):
-        monkeypatch.setattr(wate.estimators, f"fit_{stage}", counting(stage, fit))
+    # The propensity fits of a stack of replicates are one call; count the
+    # datasets it fits.
+    monkeypatch.setattr(
+        wate.estimators, "_fit_propensities",
+        counting("propensity", wate.models._fit_propensities, lambda datasets, _: len(datasets)),
+    )
+    monkeypatch.setattr(wate.estimators, "fit_outcome", counting("outcome", fit_outcome))
     for module in (wate.estimators, wate.models):
         for name in ("predict_propensity", "predict_outcome"):
             monkeypatch.setattr(module, name, counting("predict", getattr(module, name)))

@@ -1,0 +1,144 @@
+"""Stacking replicates changes no result.
+
+The propensity fits of a stack of same-n datasets run as one stacked IRLS,
+and the study and the bootstrap fill their replicates a stack at a time.
+Each problem of a stack must get the bits, or the error, it gets fitted
+alone, whatever else is in the stack and whenever the others leave it.
+"""
+
+import numpy as np
+import pytest
+
+import wate.bootstrap
+import wate.simulation
+from wate.bootstrap import _map_stacks, bootstrap_vector
+from wate.data import ObservationalDataset
+from wate.design import main_effects
+from wate.errors import WateError
+from wate.estimators import plan_cells
+from wate.models import _fit_propensities
+from wate.simulation import (
+    SimulationDesign,
+    _cell_pipeline,
+    generate_dataset,
+    propensity_design,
+    run_study,
+    study_cells,
+)
+
+
+def _record(result):
+    """Everything a fit returns, as comparable values: the bits of a model,
+    or the class and message of an error and the bits of its model."""
+    if isinstance(result, WateError):
+        model = getattr(result, "model", None)
+        return (type(result).__name__, str(result), None if model is None else _record(model))
+    return (
+        result.alpha.tobytes(), result.pi.tobytes(), result.log_likelihood.hex(),
+        result.iterations, result.converged,
+    )
+
+
+def _one_covariate(x, a):
+    return ObservationalDataset(X=np.reshape(x, (-1, 1)), A=a, Y=np.zeros(len(a)))
+
+
+def _simulated_stack():
+    """n = 20 datasets for the correct simulation design: fits that converge,
+    fits that end pinned at the clamp bounds, one of them after halved steps
+    (seed 40), and a rank-deficient design."""
+    stack = [generate_dataset(1, 20, np.random.default_rng(seed)) for seed in (40, 1, 2, 3, 4, 5)]
+    constant = stack[3]
+    X = constant.X.copy()
+    X[:, 0] = 1.0
+    stack[3] = ObservationalDataset(X=X, A=constant.A, Y=constant.Y)
+    return stack, propensity_design(True)
+
+
+def _one_covariate_stack():
+    """n = 12 datasets for one covariate: a fit that converges, one pinned at
+    the clamp bounds, a singular information matrix after 23 updates,
+    MAX_ITER updates of steps halved 50 times and a constant covariate."""
+    converging = _one_covariate(
+        [0.13, -0.13, 0.64, 0.1, -0.54, 0.36, 1.3, 0.95, -0.7, -1.27, -0.62, 0.04],
+        np.array([0, 1, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0], dtype=np.float64),
+    )
+    separated = _one_covariate(
+        [0.19, -0.52, -0.41, -2.44, 1.8, 1.14, -0.33, 0.77, 0.28, -0.55, 0.98, -0.31],
+        np.array([1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0], dtype=np.float64),
+    )
+    singular = _one_covariate(
+        2.0**25 + np.array([1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 0, 1], dtype=np.float64),
+        np.array([0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1], dtype=np.float64),
+    )
+    halved = _one_covariate(
+        2.0**27 + (np.arange(12) % 3 == 0),
+        np.array([0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0], dtype=np.float64),
+    )
+    constant = _one_covariate(np.full(12, 3.0), converging.A)
+    return [singular, converging, halved, separated, constant, converging], main_effects(("x1",))
+
+
+@pytest.mark.parametrize("make_stack", [_simulated_stack, _one_covariate_stack])
+def test_a_stacked_fit_gives_each_problem_its_own_bits(make_stack):
+    stack, design = make_stack()
+    alone = [_record(_fit_propensities([ds], design)[0]) for ds in stack]
+    assert [_record(r) for r in _fit_propensities(stack, design)] == alone
+    # And in another order, so each problem has other neighbours.
+    order = [2, 5, 0, 4, 1, 3]
+    restacked = _fit_propensities([stack[i] for i in order], design)
+    assert [_record(r) for r in restacked] == [alone[i] for i in order]
+
+
+def test_the_stacks_hold_every_exit_of_the_newton_loop():
+    messages = set()
+    for make_stack in (_simulated_stack, _one_covariate_stack):
+        stack, design = make_stack()
+        for result in _fit_propensities(stack, design):
+            messages.add(str(result).split(" (")[0] if isinstance(result, WateError) else "model")
+    assert messages == {
+        "model",
+        "fitted probabilities pinned at the clamp bounds; treatment may be separable "
+        "from these covariates",
+        "singular information matrix during propensity fit",
+        "propensity fit did not converge in 100 updates",
+        "propensity design matrix is numerically rank deficient",
+    }
+
+
+def _study_matrix(monkeypatch, batch_rows, workers=1):
+    """The (replicates, cells) matrix of a study at n = 15."""
+    monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", batch_rows)
+    matrices = []
+
+    def recording(*args):
+        rows = _map_stacks(*args)
+        matrices.append(np.array(rows))
+        return rows
+
+    monkeypatch.setattr(wate.simulation, "_map_stacks", recording)
+    run_study(SimulationDesign(outcome_model=1, n=15, replications=7, seed=3, workers=workers))
+    (matrix,) = matrices
+    return matrix
+
+
+def _bootstrap_matrix(monkeypatch, batch_rows, workers=1):
+    """The (replicates, cells) matrix of a bootstrap at n = 20."""
+    monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", batch_rows)
+    design = SimulationDesign(outcome_model=2, n=20)
+    plan = plan_cells([_cell_pipeline(design, cell) for cell in study_cells(design)])
+    ds = generate_dataset(2, 20, np.random.default_rng(1)).observed()
+    return bootstrap_vector(ds, plan, b=7, seed=5, workers=workers)
+
+
+@pytest.mark.parametrize("matrix, n", [(_study_matrix, 15), (_bootstrap_matrix, 20)])
+def test_replicates_are_the_same_bits_at_every_stack_size(monkeypatch, matrix, n):
+    # 7 replicates in stacks of 1 (_BATCH_ROWS = 1 and n), of 3 (3n, the
+    # last stack holding 1) and of all 7 (the default). Different cells fail
+    # in different replicates, so the stacks hold failing fits too.
+    reference = matrix(monkeypatch, 1)
+    failed = np.isnan(reference).sum(axis=1)
+    assert len(set(failed.tolist())) > 1 and failed.max() < reference.shape[1]
+    for batch_rows, workers in ((n, 1), (3 * n, 1), (3 * n, 2), (4096, 1)):
+        got = matrix(monkeypatch, batch_rows, workers)
+        assert got.tobytes() == reference.tobytes(), (batch_rows, workers)
