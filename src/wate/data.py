@@ -295,8 +295,8 @@ def load_csv(
     every column other than the treatment and outcome is used, in file order.
     One column named as both the treatment and the outcome, and a covariate
     that is the treatment or the outcome or is named twice, are refused
-    before any row is read. The file is read as UTF-8, with a
-    leading byte order mark dropped.
+    before any row is read. The file is read as UTF-8, with a leading byte
+    order mark dropped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(_decoded_lines(fh, path))
