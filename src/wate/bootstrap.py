@@ -55,8 +55,8 @@ CI_LEVEL = 0.95
 # Rows of data per stack of replicates. The replicates of a stack share one
 # stacked IRLS per propensity design, which pays numpy's fixed cost per call
 # once per stack: 4 replicates at n = 1000 took 10-13% off a study's wall
-# time. 8 gained no more and raised its peak memory by 5%. From n = 4096 up
-# a stack holds one replicate.
+# time. 8 gained no more and raised its peak memory by 5%. Above n = 2048 a
+# stack holds one replicate.
 _BATCH_ROWS = 4096
 
 
