@@ -3,15 +3,16 @@
 :func:`bootstrap_vector` resamples the cells of a
 :class:`~wate.estimators.CellPlan`: every replicate resamples rows with
 replacement, refits every working model of the plan from scratch and fills
-every cell through :func:`~wate.estimators.cell_values`. A cell whose fit or
-estimate fails on a resample is NaN in that replicate (a resample can easily
-lose one arm or go rank deficient); :func:`bootstrap_vector` never raises
-for that. :func:`cell_se` is the one failure policy: a cell whose values
-failed in more than ``MAX_FAILED_FRACTION`` (20%) of the replicates gets no
-standard error, because one from the survivors would be misleading. The
-``estimate`` report applies it to each of its cells; :func:`bootstrap_se`
-applies it to its one pipeline, raises :class:`BootstrapError` past the
-limit and otherwise adds a ``CI_LEVEL`` (95%) percentile interval.
+every cell by the pass :func:`~wate.estimators.fill_cells` makes, keeping
+only the values. A cell whose fit or estimate fails on a resample is NaN in
+that replicate (a resample can easily lose one arm or go rank deficient);
+:func:`bootstrap_vector` never raises for that. :func:`cell_se` is the one
+failure policy: a cell whose values failed in more than
+``MAX_FAILED_FRACTION`` (20%) of the replicates gets no standard error,
+because one from the survivors would be misleading. The ``estimate`` report
+applies it to each of its cells; :func:`bootstrap_se` applies it to its one
+pipeline, raises :class:`BootstrapError` past the limit and otherwise adds a
+``CI_LEVEL`` (95%) percentile interval.
 
 Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling

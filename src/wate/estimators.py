@@ -2,11 +2,7 @@
 
 Every estimator is a short formula over the observed ``(A, Y)``, the target
 weights ``h`` and three fitted vectors: the propensity ``pi`` and the arm
-means ``m1`` and ``m0``. A :class:`Nuisance` bundle holds those vectors for
-one dataset.
-
-:func:`estimate` estimates one cell; the formula follows from the estimator
-kind and the target:
+means ``m1`` and ``m0``. The estimator kind and the target pick the formula:
 
 * the unweighted difference in arm means, the average effect with no model;
 * outcome regression: plug fitted arm means into the weighted contrast;
@@ -52,16 +48,19 @@ block as it sums that row alone, so a cell gets the bits a pass over its one
 target gives (a test pins this property of numpy). ``m1 - m0`` is computed
 once per outcome fit. An error raised evaluating a target's ``h`` is kept
 with its row and raised again for every cell that reads the row.
-:func:`estimate` makes the same pass over a one-cell plan.
+
+Vectors supplied to :func:`fill_cells` (a truncated or external ``pi``, arm
+means predicted from a model fitted on other rows) join the plan as fits of
+their own, ``(stage, None, vectors)``: the cells that fit no such model read
+them, and the pass reads them as it reads a fitted model's vectors.
 
 The bootstrap, the command line report and the Monte Carlo study each build
 one plan and ship it to their workers. :func:`fill_cells` returns point
-estimates with their diagnostics; :func:`cell_values` makes the same pass
-and keeps only the values. Study and bootstrap replicates call its form over
-many same-n datasets, ``_cell_value_rows``, a stack of replicates at a time:
-each propensity fit of the plan runs on the whole stack as one stacked IRLS,
-then each dataset gets its truncation and checks, its outcome fits and its
-pass, as one dataset alone does, and the same bits.
+estimates with their diagnostics. Study and bootstrap replicates keep only
+the values, through ``_cell_value_rows`` over many same-n datasets, a stack
+of replicates at a time: each propensity fit of the plan runs on the whole
+stack as one stacked IRLS, then each dataset gets its truncation and checks,
+its outcome fits and its pass, as one dataset alone does, and the same bits.
 """
 
 from __future__ import annotations
@@ -79,12 +78,9 @@ from .data import ObservationalDataset
 from .design import DesignSpec
 from .errors import EstimationError, FitFailure, MissingModelError, WateError
 from .models import (
-    OutcomeModel,
     PropensityModel,
     _fit_propensities,
     fit_outcome,
-    predict_outcome,
-    predict_propensity,
     truncate_propensity,
 )
 from .targets import (
@@ -127,39 +123,6 @@ def _ess(total: float, sum_sq: float) -> float:
     if total <= 0.0:
         return 0.0
     return total * total / sum_sq
-
-
-@dataclass(frozen=True, eq=False)
-class Nuisance:
-    """Fitted vectors on the rows of ``ds``: the propensity ``pi`` (after any
-    truncation) and the arm means ``m1``/``m0`` of one outcome model. A vector
-    is ``None`` when its model was not fitted. The vectors are used as given;
-    :meth:`from_models` builds a bundle from fitted models and checks an
-    explicit ``pi_hat``."""
-
-    ds: ObservationalDataset
-    pi: NDArray[np.float64] | None = None
-    m1: NDArray[np.float64] | None = None
-    m0: NDArray[np.float64] | None = None
-
-    @classmethod
-    def from_models(
-        cls,
-        ds: ObservationalDataset,
-        pm: PropensityModel | None = None,
-        om: OutcomeModel | None = None,
-        pi_hat: NDArray[np.float64] | None = None,
-    ) -> "Nuisance":
-        """Explicit ``pi_hat`` (e.g. a truncated vector) wins over ``pm``.
-        Each arm of ``om`` is predicted once."""
-        pi = None
-        if pi_hat is not None:
-            pi = _checked_pi(pi_hat, ds.n, EstimationError)
-        elif pm is not None:
-            pi = predict_propensity(pm, ds.X)
-        if om is None:
-            return cls(ds, pi)
-        return cls(ds, pi, predict_outcome(om, ds.X, 1), predict_outcome(om, ds.X, 0))
 
 
 # --- the terms of one pass ----------------------------------------------------
@@ -372,7 +335,7 @@ def _needs_propensity(p: int, reader: str) -> None:
     """Raise :class:`MissingModelError` naming ``reader`` for a cell that
     fits no propensity (``p = -1``)."""
     if p < 0:
-        raise MissingModelError(f"{reader} needs a propensity model or pi_hat")
+        raise MissingModelError(f"{reader} needs a propensity model or a supplied pi")
 
 
 def _needs_outcome(m: int, reader: str) -> None:
@@ -566,43 +529,6 @@ def _diagnostics(q: _Pass, c: _Cell) -> Diagnostics:
     )
 
 
-def estimate(
-    ds: ObservationalDataset | Nuisance,
-    kind: EstimatorKind,
-    target: TargetFunction,
-    pm: PropensityModel | None = None,
-    om: OutcomeModel | None = None,
-    pi_hat: NDArray[np.float64] | None = None,
-) -> PointEstimate:
-    """Estimate one (estimator, target) pair.
-
-    ``ds`` is a dataset whose fitted models are passed alongside, or a
-    :class:`Nuisance` bundle of already fitted vectors (then pass no model),
-    which is used as is. ``pi_hat`` overrides model predictions when given
-    (used to inject percentile-truncated propensities). The augmented
-    estimator for the treated, control and a + b*pi targets is the doubly
-    robust closed form, labelled :attr:`EstimatorKind.DR_LINEAR_IN_PI`; the
-    generic augmented form for such an h is a covariate target, e.g.
-    ``covariate_target(functools.partial(predict_propensity, pm), "pi")``.
-    """
-    if not isinstance(ds, Nuisance):
-        c = Nuisance.from_models(ds, pm, om, pi_hat)
-    elif pm is not None or om is not None or pi_hat is not None:
-        raise EstimationError("pass fitted models or a Nuisance bundle, not both")
-    else:
-        c = ds
-    # The bundle's vectors are fits 0 and 1 of a one-cell plan.
-    plan = _plan(
-        (EstimationPipeline(target, kind),),
-        (("propensity",), ("outcome",)),
-        ((-1 if c.pi is None else 0, -1 if c.m1 is None else 1),),
-    )
-    (result,) = _fill(c.ds, plan, True, (c.pi, (c.m1, c.m0)).__getitem__)
-    if isinstance(result, WateError):
-        raise result
-    return result
-
-
 # --- the fit-then-fill engine -------------------------------------------------
 
 
@@ -611,7 +537,8 @@ class EstimationPipeline:
     """Everything needed to go from raw data to one point estimate.
 
     ``pi_design`` / ``m_design`` of ``None`` mean the corresponding model is
-    not fitted (the dispatcher then rejects estimators that need it).
+    not fitted: the cell reads the vectors supplied to :func:`fill_cells`,
+    and without them the dispatcher rejects estimators that need it.
     ``truncate`` is a percentile pair applied to the fitted propensities
     before any weight is formed; the target function is evaluated on the
     truncated values too.
@@ -639,7 +566,8 @@ class CellPlan:
 
     ``fits`` lists each distinct working model once: a propensity fit as
     ``("propensity", design, truncation)``, an outcome fit as
-    ``("outcome", main design, interaction design)``. ``cells`` gives each
+    ``("outcome", main design, interaction design)``, and vectors supplied
+    to :func:`fill_cells` as ``(stage, None, vectors)``. ``cells`` gives each
     pipeline its kernel, the kind it reports and its slots: its propensity
     and outcome fits (-1 for a model it does not fit) and its target's row
     in ``blocks[p]``, the targets whose ``h`` propensity fit ``p`` evaluates
@@ -648,7 +576,7 @@ class CellPlan:
     """
 
     pipelines: tuple[EstimationPipeline, ...]
-    fits: tuple[tuple[Hashable, ...], ...]
+    fits: tuple[tuple[object, ...], ...]
     cells: tuple[_Cell, ...]
     blocks: dict[int, _BlockPlan]
 
@@ -669,7 +597,7 @@ def plan_cells(pipelines: Sequence[EstimationPipeline]) -> CellPlan:
 
 def _plan(
     pipelines: tuple[EstimationPipeline, ...],
-    fits: tuple[tuple[Hashable, ...], ...],
+    fits: tuple[tuple[object, ...], ...],
     slots: Sequence[tuple[int, int]],
 ) -> CellPlan:
     """The plan of ``pipelines`` with the fit slots ``(p, m)`` of each. A
@@ -708,7 +636,9 @@ def _fill_many(
     if not isinstance(plan, CellPlan):
         plan = plan_cells(plan)
     stacked = [
-        _fit_propensities(datasets, design) if stage == "propensity" else None
+        _fit_propensities(datasets, design)
+        if stage == "propensity" and design is not None
+        else None
         for stage, design, _ in plan.fits
     ]
     results = []
@@ -724,10 +654,12 @@ def _vectors(
     propensity: list[PropensityModel | WateError | None],
     slot: int,
 ) -> NDArray[np.float64] | tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The vectors of fit ``slot`` on ``ds``: ``pi`` of its propensity
-    model in ``propensity[slot]``, truncated and checked, or ``(m1, m0)``
-    of the outcome model fitted here."""
+    """The vectors of fit ``slot`` on ``ds``: those supplied, ``pi`` of its
+    propensity model in ``propensity[slot]``, truncated and checked, or
+    ``(m1, m0)`` of the outcome model fitted here."""
     stage, design, extra = plan.fits[slot]
+    if design is None:
+        return extra
     if stage == "outcome":
         om = fit_outcome(ds, design, extra)
         return om.m1, om.m0
@@ -766,32 +698,68 @@ def _fill(
 
 
 def fill_cells(
-    ds: ObservationalDataset, plan: CellPlan | Sequence[EstimationPipeline]
+    ds: ObservationalDataset,
+    plan: CellPlan | Sequence[EstimationPipeline],
+    pi: NDArray[np.float64] | None = None,
+    m1: NDArray[np.float64] | None = None,
+    m0: NDArray[np.float64] | None = None,
 ) -> list[PointEstimate | WateError]:
     """Estimate every pipeline of ``plan`` (a :class:`CellPlan`, or
     pipelines to plan here) on ``ds``, fitting each distinct working model
     once and computing each shared term once.
 
+    A pipeline with no ``pi_design`` reads the supplied propensity ``pi``,
+    e.g. a truncated vector or one predicted from a model fitted on other
+    rows; one with no ``m_design`` reads the supplied arm means ``m1`` and
+    ``m0``. They are used as given, once ``pi`` is checked to lie inside
+    (0, 1) and each vector to have a value per row.
+
     A pipeline whose model failed to fit gets a :class:`FitFailure`, one
     whose estimate failed gets that error.
     """
+    if pi is not None or m1 is not None or m0 is not None:
+        plan = _supplied(ds, plan, pi, m1, m0)
     return _fill_many([ds], plan, diagnostics=True)[0]
 
 
-def cell_values(
-    ds: ObservationalDataset, plan: CellPlan | Sequence[EstimationPipeline]
-) -> NDArray[np.float64]:
-    """Values of :func:`fill_cells`, NaN where a pipeline failed, computed
-    by the same kernels without building any :class:`Diagnostics`."""
-    return _cell_value_rows([ds], plan)[0]
+def _supplied(
+    ds: ObservationalDataset,
+    plan: CellPlan | Sequence[EstimationPipeline],
+    pi: NDArray[np.float64] | None,
+    m1: NDArray[np.float64] | None,
+    m0: NDArray[np.float64] | None,
+) -> CellPlan:
+    """``plan`` with the supplied vectors as fits of their own, read by
+    every cell that fits no such model."""
+    if (m1 is None) != (m0 is None):
+        raise EstimationError("the arm means m1 and m0 must be supplied together")
+    if not isinstance(plan, CellPlan):
+        plan = plan_cells(plan)
+    fits, p, m = plan.fits, -1, -1
+    if pi is not None:
+        p = len(fits)
+        fits += (("propensity", None, _checked_pi(pi, ds.n, EstimationError)),)
+    if m1 is not None:
+        m = len(fits)
+        fits += (("outcome", None, (_checked_mean(m1, ds.n), _checked_mean(m0, ds.n))),)
+    slots = [(p if c.p < 0 else c.p, m if c.m < 0 else c.m) for c in plan.cells]
+    return _plan(plan.pipelines, fits, slots)
+
+
+def _checked_mean(m: NDArray[np.float64], n: int) -> NDArray[np.float64]:
+    m = np.asarray(m, dtype=np.float64).ravel()
+    if m.shape[0] != n:
+        raise EstimationError(f"arm mean vector has length {m.shape[0]}, expected {n}")
+    return m
 
 
 def _cell_value_rows(
     datasets: Sequence[ObservationalDataset], plan: CellPlan | Sequence[EstimationPipeline]
 ) -> list[NDArray[np.float64]]:
-    """:func:`cell_values` of each of ``datasets``, which have the same
-    number of rows, with each propensity fit run on all of them as one
-    stack."""
+    """The values of :func:`fill_cells` on each of ``datasets``, which have
+    the same number of rows, NaN where a pipeline failed: the same kernels
+    build no :class:`Diagnostics`, and each propensity fit runs on all the
+    datasets as one stack."""
     return [
         np.array([np.nan if isinstance(r, WateError) else r for r in results])
         for results in _fill_many(datasets, plan, diagnostics=False)

@@ -11,6 +11,7 @@ w1 = h/pi on the treated and w0 = h/(1 - pi) on the controls.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,9 +70,12 @@ def overlap_effect() -> TargetFunction:
 
 
 def linear_in_propensity(a: float, b: float) -> TargetFunction:
-    """h = a + b*pi with (a, b) != (0, 0); h must stay nonnegative on the data."""
+    """h = a + b*pi with finite (a, b) != (0, 0); h must stay nonnegative on
+    the data."""
     a = float(a)
     b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"coefficients (a, b) must be finite, got ({a:g}, {b:g})")
     if a == 0.0 and b == 0.0:
         raise ValueError("coefficients (a, b) must not both be zero")
     return TargetFunction(kind=TargetKind.LINEAR, a=a, b=b, label=f"linear:{a:g},{b:g}")

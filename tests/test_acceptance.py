@@ -22,10 +22,12 @@ import numpy as np
 import pytest
 
 from test_estimators import (
+    arm_means,
     atc_dr,
     atc_dr_oracle,
     att_dr,
     att_dr_oracle,
+    fill_one,
     fixed_h,
     random_instance,
     unnormalized_ipw_oracle,
@@ -37,11 +39,10 @@ import wate
 from wate.cli import main
 from wate.data import ObservationalDataset, save_csv
 from wate.design import main_effects
-from wate.estimators import EstimatorKind, estimate
+from wate.estimators import EstimatorKind
 from wate.models import (
     fit_outcome,
     fit_propensity,
-    predict_outcome,
     predict_propensity,
 )
 from wate.simulation import (
@@ -245,26 +246,23 @@ def test_acceptance_6_exact_identities():
         ds, om, pi = random_instance(seed, n=30)
         checks = []
 
-        zero = zero_outcome_model(om)
+        zero = arm_means(zero_outcome_model(om), ds.X)
         for target in (average_effect(), effect_on_treated(), overlap_effect()):
             h = evaluate_h(target, ds.X, pi)
             checks.append(
                 (
-                    estimate(ds, EstimatorKind.AIPW, fixed_h(h), om=zero, pi_hat=pi).value,
+                    fill_one(ds, EstimatorKind.AIPW, fixed_h(h), pi=pi, **zero).value,
                     unnormalized_ipw_oracle(ds, h, pi),
                 )
             )
 
-        fitted = np.where(
-            ds.A == 1.0, predict_outcome(om, ds.X, 1), predict_outcome(om, ds.X, 0)
-        )
+        means = arm_means(om, ds.X)
+        fitted = np.where(ds.A == 1.0, means["m1"], means["m0"])
         ds_fit = ObservationalDataset(X=ds.X, A=ds.A, Y=fitted)
         checks.append(
             (
-                estimate(ds_fit, EstimatorKind.AIPW, overlap_effect(), om=om, pi_hat=pi).value,
-                estimate(
-                    ds_fit, EstimatorKind.REGRESSION, overlap_effect(), om=om, pi_hat=pi
-                ).value,
+                fill_one(ds_fit, EstimatorKind.AIPW, overlap_effect(), pi=pi, **means).value,
+                fill_one(ds_fit, EstimatorKind.REGRESSION, overlap_effect(), pi=pi, **means).value,
             )
         )
 
@@ -274,8 +272,8 @@ def test_acceptance_6_exact_identities():
         flat = np.full(ds.n, 0.2 + 0.006 * (seed % 100))
         checks.append(
             (
-                estimate(ds, EstimatorKind.AIPW, overlap_effect(), om=om, pi_hat=flat).value,
-                estimate(ds, EstimatorKind.AIPW, average_effect(), om=om, pi_hat=flat).value,
+                fill_one(ds, EstimatorKind.AIPW, overlap_effect(), pi=flat, **means).value,
+                fill_one(ds, EstimatorKind.AIPW, average_effect(), pi=flat, **means).value,
             )
         )
 

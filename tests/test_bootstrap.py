@@ -51,8 +51,12 @@ def test_run_pipeline_matches_manual_fit(ds400):
     got = run_pipeline(ds400, pipe)
     pm = wate.fit_propensity(ds400, pipe.pi_design)
     om = wate.fit_outcome(ds400, pipe.m_design, pipe.m_interaction)
-    manual = wate.estimate(
-        ds400, EstimatorKind.AIPW, wate.average_effect(), pm=pm, om=om
+    (manual,) = wate.fill_cells(
+        ds400,
+        [EstimationPipeline(wate.average_effect(), EstimatorKind.AIPW)],
+        pi=wate.predict_propensity(pm, ds400.X),
+        m1=wate.predict_outcome(om, ds400.X, 1),
+        m0=wate.predict_outcome(om, ds400.X, 0),
     )
     assert got.value == pytest.approx(manual.value, rel=1e-14)
 

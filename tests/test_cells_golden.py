@@ -14,9 +14,9 @@ sizes, or the type and message of the error the cell failed with. The cases:
 To re-record the file after a change that is meant to alter an estimate, run
 ``PYTHONPATH=src python tests/test_cells_golden.py`` from the repository root.
 
-Replicates (study, bootstrap) read only the values, through ``cell_values``;
-the tests below pin those to the bits of ``fill_cells`` and check that they
-are computed without building any ``Diagnostics``.
+Replicates (study, bootstrap) read only the values, through
+``_cell_value_rows``; the tests below pin those to the bits of ``fill_cells``
+and check that they are computed without building any ``Diagnostics``.
 """
 
 import json
@@ -31,7 +31,7 @@ from wate.cli import _split_estimands, build_report_task
 from wate.data import load_csv
 from wate.design import main_effects
 from wate.errors import WateError
-from wate.estimators import PointEstimate, cell_values, fill_cells
+from wate.estimators import PointEstimate, _cell_value_rows, fill_cells
 from wate.simulation import (
     SimulationDesign,
     _cell_pipeline,
@@ -109,7 +109,7 @@ def test_cell_values_are_the_bits_of_fill_cells():
         filled = [
             np.nan if isinstance(r, WateError) else r.value for r in fill_cells(ds, pipelines)
         ]
-        values = cell_values(ds, pipelines)
+        (values,) = _cell_value_rows([ds], pipelines)
         assert _hex(values) == _hex(filled), name
         assert np.isnan(values).tolist() == np.isnan(filled).tolist(), name
 
@@ -119,7 +119,7 @@ def _replicate_outputs():
     study = run_study(SimulationDesign(n=200, replications=3, seed=5)).cells
     cohort, task = _cohort_report()
     boot = bootstrap_vector(cohort, task.plan, b=3, seed=2)
-    return study, _hex(boot.ravel()), _hex(cell_values(cohort, task.plan))
+    return study, _hex(boot.ravel()), _hex(_cell_value_rows([cohort], task.plan)[0])
 
 
 def test_replicates_build_no_diagnostics(monkeypatch):

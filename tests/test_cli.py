@@ -63,11 +63,15 @@ def test_estimate_csv_matches_library(data_csv, tmp_path, capsys):
     ds = wate.load_csv(data_csv)
     pm = wate.fit_propensity(ds, wate.main_effects(ds.covariate_names))
     om = wate.fit_outcome(ds, wate.main_effects(ds.covariate_names))
-    expected = wate.estimate(
-        ds, EstimatorKind.AIPW, wate.average_effect(), pm=pm, om=om
-    ).value
+    (expected,) = wate.fill_cells(
+        ds,
+        [wate.EstimationPipeline(wate.average_effect(), EstimatorKind.AIPW)],
+        pi=wate.predict_propensity(pm, ds.X),
+        m1=wate.predict_outcome(om, ds.X, 1),
+        m0=wate.predict_outcome(om, ds.X, 0),
+    )
     got = float(rows[("aipw", "ate")][2])
-    assert got == pytest.approx(expected, rel=1e-5)
+    assert got == pytest.approx(expected.value, rel=1e-5)
     naive = float(rows[("unweighted", "ate")][2])
     assert naive == pytest.approx(
         ds.Y[ds.A == 1].mean() - ds.Y[ds.A == 0].mean(), rel=1e-5
@@ -148,6 +152,14 @@ def test_estimate_usage_errors(data_csv, tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize("token", ["linear:nan,1", "linear:inf,0", "linear:1e400,1"])
+def test_estimate_refuses_non_finite_linear_coefficients(data_csv, capsys, token):
+    code, out, err = run_cli(capsys, "estimate", data_csv, "--estimand", token, "--bootstrap", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: estimand {token!r}: coefficients (a, b) must be finite")
 
 
 @pytest.mark.parametrize(

@@ -20,9 +20,7 @@ from wate.estimators import (
     Diagnostics,
     EstimationPipeline,
     EstimatorKind,
-    Nuisance,
-    cell_values,
-    estimate,
+    _cell_value_rows,
     fill_cells,
     has_formula,
     plan_cells,
@@ -77,6 +75,21 @@ def fixed_h(h, label="fixed-h"):
     return covariate_target(lambda X: h, label)
 
 
+def fill_one(ds, kind, target, pi=None, m1=None, m0=None):
+    """The one cell ``(kind, target)``, filled by :func:`fill_cells` from the
+    supplied vectors; raises the error the cell failed with."""
+    (result,) = fill_cells(ds, [EstimationPipeline(target, kind)], pi=pi, m1=m1, m0=m0)
+    if isinstance(result, WateError):
+        raise result
+    return result
+
+
+def arm_means(om, X):
+    """The arm means of ``om`` predicted on the rows ``X``, as the ``m1`` and
+    ``m0`` keywords of :func:`fill_one`."""
+    return {"m1": predict_outcome(om, X, 1), "m0": predict_outcome(om, X, 0)}
+
+
 # --- hand-summed oracles -----------------------------------------------------
 
 
@@ -122,7 +135,9 @@ def unnormalized_ipw_oracle(ds, h, pi):
 
 def _linear_dr(ds, om, pi, a, b):
     target = linear_in_propensity(a, b)
-    return estimate(ds, EstimatorKind.DR_LINEAR_IN_PI, target, om=om, pi_hat=pi).value
+    return fill_one(
+        ds, EstimatorKind.DR_LINEAR_IN_PI, target, pi=pi, **arm_means(om, ds.X)
+    ).value
 
 
 def att_dr(ds, om, pi):
@@ -141,7 +156,9 @@ def test_regression_matches_fsum_oracle():
     oracle = math.fsum(
         h[i] * (m1[i] - m0[i]) for i in range(ds.n)
     ) / math.fsum(h)
-    got = estimate(ds, EstimatorKind.REGRESSION, overlap_effect(), om=om, pi_hat=pi).value
+    got = fill_one(
+        ds, EstimatorKind.REGRESSION, overlap_effect(), pi=pi, **arm_means(om, ds.X)
+    ).value
     assert got == pytest.approx(oracle, rel=1e-12)
 
 
@@ -164,7 +181,7 @@ def test_ipw_normalized_matches_fsum_oracle():
         cw = [(1 - a[i]) * w[i][1] for i in range(ds.n)]
         top = math.fsum(tw[i] * y[i] for i in range(ds.n)) / math.fsum(tw)
         bot = math.fsum(cw[i] * y[i] for i in range(ds.n)) / math.fsum(cw)
-        got = estimate(ds, EstimatorKind.IPW_NORMALIZED, target, pi_hat=pi)
+        got = fill_one(ds, EstimatorKind.IPW_NORMALIZED, target, pi=pi)
         assert close(got.value, top - bot), target.label
         d = got.diagnostics
         ess_t = math.fsum(tw) ** 2 / math.fsum(t * t for t in tw)
@@ -191,7 +208,7 @@ def test_aipw_matches_fsum_oracle():
         for i in range(ds.n)
     ]
     oracle = math.fsum(terms) / math.fsum(h)
-    got = estimate(ds, EstimatorKind.AIPW, overlap_effect(), om=om, pi_hat=pi).value
+    got = fill_one(ds, EstimatorKind.AIPW, overlap_effect(), pi=pi, **arm_means(om, ds.X)).value
     assert got == pytest.approx(oracle, rel=1e-12)
 
 
@@ -212,7 +229,7 @@ def test_regression_constant_effect():
     ds = ObservationalDataset(X=X, A=A, Y=Y)
     om = fit_outcome(ds, main_effects(("x1",)))
     h = np.abs(rng.normal(size=30)) + 0.1
-    got = estimate(ds, EstimatorKind.REGRESSION, fixed_h(h), om=om).value
+    got = fill_one(ds, EstimatorKind.REGRESSION, fixed_h(h), **arm_means(om, ds.X)).value
     assert got == pytest.approx(2.5, abs=1e-9)
 
 
@@ -222,14 +239,14 @@ def test_point_mass_h_reads_single_contrast():
     h[7] = 1.0
     m1 = predict_outcome(om, ds.X, 1)
     m0 = predict_outcome(om, ds.X, 0)
-    got = estimate(ds, EstimatorKind.REGRESSION, fixed_h(h, "point"), om=om).value
+    got = fill_one(ds, EstimatorKind.REGRESSION, fixed_h(h, "point"), **arm_means(om, ds.X)).value
     assert got == pytest.approx(m1[7] - m0[7], rel=1e-12)
 
 
 def test_ipw_equal_propensities_give_mean_difference():
     ds, _, _ = random_instance(6)
     pi = np.full(ds.n, 0.5)
-    got = estimate(ds, EstimatorKind.IPW_NORMALIZED, average_effect(), pi_hat=pi).value
+    got = fill_one(ds, EstimatorKind.IPW_NORMALIZED, average_effect(), pi=pi).value
     expected = ds.Y[ds.A == 1].mean() - ds.Y[ds.A == 0].mean()
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -240,7 +257,7 @@ def test_ipw_zero_when_outcome_constant():
     A = (np.arange(20) % 2).astype(float)
     ds = ObservationalDataset(X=X, A=A, Y=np.full(20, 3.7))
     pi = rng.uniform(0.2, 0.8, 20)
-    got = estimate(ds, EstimatorKind.IPW_NORMALIZED, overlap_effect(), pi_hat=pi).value
+    got = fill_one(ds, EstimatorKind.IPW_NORMALIZED, overlap_effect(), pi=pi).value
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
@@ -297,7 +314,7 @@ def att_regression_oracle(ds, om):
 
 def test_att_regression_indicator_form():
     ds, om, _ = random_instance(9)
-    got = estimate(ds, EstimatorKind.REGRESSION, effect_on_treated(), om=om).value
+    got = fill_one(ds, EstimatorKind.REGRESSION, effect_on_treated(), **arm_means(om, ds.X)).value
     assert got == pytest.approx(att_regression_oracle(ds, om), rel=1e-12)
 
 
@@ -308,7 +325,7 @@ def test_atc_regression_indicator_form():
     oracle = math.fsum(
         (1 - a[i]) * (m1[i] - y[i]) for i in range(ds.n)
     ) / math.fsum(1 - a[i] for i in range(ds.n))
-    got = estimate(ds, EstimatorKind.REGRESSION, effect_on_controls(), om=om).value
+    got = fill_one(ds, EstimatorKind.REGRESSION, effect_on_controls(), **arm_means(om, ds.X)).value
     assert got == pytest.approx(oracle, rel=1e-12)
 
 
@@ -332,7 +349,7 @@ def test_aipw_with_zero_outcome_model_is_unnormalized_ipw(seed):
     zero = zero_outcome_model(om)
     for target in (average_effect(), overlap_effect(), effect_on_treated()):
         h = evaluate_h(target, ds.X, pi)
-        lhs = estimate(ds, EstimatorKind.AIPW, fixed_h(h), om=zero, pi_hat=pi).value
+        lhs = fill_one(ds, EstimatorKind.AIPW, fixed_h(h), pi=pi, **arm_means(zero, ds.X)).value
         assert close(lhs, unnormalized_ipw_oracle(ds, h, pi)), target.label
 
 
@@ -344,8 +361,9 @@ def test_aipw_with_zero_residuals_is_regression(seed):
     )
     ds_fit = ObservationalDataset(X=ds.X, A=ds.A, Y=fitted)
     om_fit = fit_outcome(ds_fit, om.main_design, om.interaction_design)
-    lhs = estimate(ds_fit, EstimatorKind.AIPW, overlap_effect(), om=om_fit, pi_hat=pi).value
-    rhs = estimate(ds_fit, EstimatorKind.REGRESSION, overlap_effect(), om=om_fit, pi_hat=pi).value
+    means = arm_means(om_fit, ds_fit.X)
+    lhs = fill_one(ds_fit, EstimatorKind.AIPW, overlap_effect(), pi=pi, **means).value
+    rhs = fill_one(ds_fit, EstimatorKind.REGRESSION, overlap_effect(), pi=pi, **means).value
     assert close(lhs, rhs, tol=1e-10)
 
 
@@ -355,12 +373,8 @@ def test_constant_propensity_collapses_overlap_to_average(seed):
     # average and the overlap-population estimate equals the plain one.
     ds, om, _ = random_instance(seed, n=50)
     pi = np.full(ds.n, 0.35 + 0.01 * seed)
-    lhs = estimate(
-        ds, EstimatorKind.AIPW, overlap_effect(), om=om, pi_hat=pi
-    ).value
-    rhs = estimate(
-        ds, EstimatorKind.AIPW, average_effect(), om=om, pi_hat=pi
-    ).value
+    lhs = fill_one(ds, EstimatorKind.AIPW, overlap_effect(), pi=pi, **arm_means(om, ds.X)).value
+    rhs = fill_one(ds, EstimatorKind.AIPW, average_effect(), pi=pi, **arm_means(om, ds.X)).value
     assert close(lhs, rhs)
 
 
@@ -391,10 +405,10 @@ def test_swapping_treatment_labels_negates_the_estimators(seed):
     assert close(lhs, -rhs)
     assert lhs == pytest.approx(att_dr_oracle(ds_swapped, om_swapped, 1.0 - pi), rel=1e-12)
     assert rhs == pytest.approx(atc_dr_oracle(ds, om, pi), rel=1e-12)
-    lhs2 = estimate(
-        ds_swapped, EstimatorKind.IPW_NORMALIZED, effect_on_treated(), pi_hat=1.0 - pi
+    lhs2 = fill_one(
+        ds_swapped, EstimatorKind.IPW_NORMALIZED, effect_on_treated(), pi=1.0 - pi
     ).value
-    rhs2 = estimate(ds, EstimatorKind.IPW_NORMALIZED, effect_on_controls(), pi_hat=pi).value
+    rhs2 = fill_one(ds, EstimatorKind.IPW_NORMALIZED, effect_on_controls(), pi=pi).value
     assert close(lhs2, -rhs2)
 
 
@@ -408,9 +422,9 @@ def _all_pipeline_values(ds, om, pi):
     ato = overlap_effect()
     return np.array(
         [
-            estimate(ds, EstimatorKind.REGRESSION, ato, om=om, pi_hat=pi).value,
-            estimate(ds, EstimatorKind.IPW_NORMALIZED, ato, pi_hat=pi).value,
-            estimate(ds, EstimatorKind.AIPW, ato, om=om, pi_hat=pi).value,
+            fill_one(ds, EstimatorKind.REGRESSION, ato, pi=pi, **arm_means(om, ds.X)).value,
+            fill_one(ds, EstimatorKind.IPW_NORMALIZED, ato, pi=pi).value,
+            fill_one(ds, EstimatorKind.AIPW, ato, pi=pi, **arm_means(om, ds.X)).value,
             att,
             atc,
             _linear_dr(ds, om, pi, 1, 2),
@@ -438,12 +452,12 @@ def test_scaling_outcome_scales_estimates(scale):
     base = _all_pipeline_values(ds, om, pi)
     h_ato = fixed_h(evaluate_h(overlap_effect(), ds.X, pi))
     zero = zero_outcome_model(om)
-    base_unnorm = estimate(ds, EstimatorKind.AIPW, h_ato, om=zero, pi_hat=pi).value
+    base_unnorm = fill_one(ds, EstimatorKind.AIPW, h_ato, pi=pi, **arm_means(zero, ds.X)).value
     ds2 = ObservationalDataset(X=ds.X, A=ds.A, Y=ds.Y * scale)
     om2 = fit_outcome(ds2, om.main_design, om.interaction_design)
     scaled = _all_pipeline_values(ds2, om2, pi)
     np.testing.assert_allclose(scaled, scale * base, rtol=1e-9, atol=1e-9)
-    scaled_unnorm = estimate(ds2, EstimatorKind.AIPW, h_ato, om=zero, pi_hat=pi).value
+    scaled_unnorm = fill_one(ds2, EstimatorKind.AIPW, h_ato, pi=pi, **arm_means(zero, ds2.X)).value
     assert scaled_unnorm == pytest.approx(scale * base_unnorm, rel=1e-9)
     assert base_unnorm == pytest.approx(
         unnormalized_ipw_oracle(ds, evaluate_h(overlap_effect(), ds.X, pi), pi), rel=1e-12
@@ -463,8 +477,8 @@ def test_overlap_weights_balance_the_propensity_design_exactly(monkeypatch, corr
         pm = fit_propensity(ds, design)
         for j, column in enumerate(design.matrix(ds.X).T):
             as_outcome = ObservationalDataset(X=ds.X, A=ds.A, Y=column)
-            ato = estimate(as_outcome, EstimatorKind.IPW_NORMALIZED, overlap_effect(), pm=pm)
-            ate = estimate(as_outcome, EstimatorKind.IPW_NORMALIZED, average_effect(), pm=pm)
+            ato = fill_one(as_outcome, EstimatorKind.IPW_NORMALIZED, overlap_effect(), pi=pm.pi)
+            ate = fill_one(as_outcome, EstimatorKind.IPW_NORMALIZED, average_effect(), pi=pm.pi)
             assert abs(ato.value) <= 1e-10, (seed, design.names[j], ato.value)
             assert abs(ate.value) >= 1e-3, (seed, design.names[j], ate.value)
 
@@ -474,14 +488,12 @@ def test_overlap_weights_balance_the_propensity_design_exactly(monkeypatch, corr
 
 def test_dispatch_routes_aipw_to_closed_forms():
     ds, om, pi = random_instance(13, n=50)
-    routed = estimate(ds, EstimatorKind.AIPW, effect_on_treated(), om=om, pi_hat=pi)
+    routed = fill_one(ds, EstimatorKind.AIPW, effect_on_treated(), pi=pi, **arm_means(om, ds.X))
     assert routed.estimator is EstimatorKind.DR_LINEAR_IN_PI
     assert routed.estimand.label == "att"
     assert routed.value == pytest.approx(att_dr(ds, om, pi), rel=1e-14)
     assert routed.value == pytest.approx(att_dr_oracle(ds, om, pi), rel=1e-12)
-    lin = estimate(
-        ds, EstimatorKind.AIPW, linear_in_propensity(1, 3), om=om, pi_hat=pi
-    )
+    lin = fill_one(ds, EstimatorKind.AIPW, linear_in_propensity(1, 3), pi=pi, **arm_means(om, ds.X))
     assert lin.estimator is EstimatorKind.DR_LINEAR_IN_PI
 
 
@@ -489,15 +501,15 @@ def test_plain_aipw_changes_the_formula():
     # The generic augmented form with h evaluated at the fitted propensity is
     # a different estimator from the closed form the dispatcher routes to.
     ds, om, pi = random_instance(14, n=50)
-    routed = estimate(ds, EstimatorKind.AIPW, effect_on_treated(), om=om, pi_hat=pi)
-    plain = estimate(ds, EstimatorKind.AIPW, fixed_h(pi, "pi"), om=om, pi_hat=pi)
+    routed = fill_one(ds, EstimatorKind.AIPW, effect_on_treated(), pi=pi, **arm_means(om, ds.X))
+    plain = fill_one(ds, EstimatorKind.AIPW, fixed_h(pi, "pi"), pi=pi, **arm_means(om, ds.X))
     assert plain.estimator is EstimatorKind.AIPW
     assert plain.value != routed.value
 
 
 def test_dispatch_regression_att_needs_no_propensity():
     ds, om, _ = random_instance(15, n=50)
-    got = estimate(ds, EstimatorKind.REGRESSION, effect_on_treated(), om=om)
+    got = fill_one(ds, EstimatorKind.REGRESSION, effect_on_treated(), **arm_means(om, ds.X))
     assert got.estimator is EstimatorKind.REGRESSION
     assert got.diagnostics.h_total == ds.n_treated
     assert got.value == pytest.approx(att_regression_oracle(ds, om), rel=1e-12)
@@ -506,25 +518,25 @@ def test_dispatch_regression_att_needs_no_propensity():
 def test_dispatch_missing_models():
     ds, om, pi = random_instance(16, n=50)
     with pytest.raises(MissingModelError):
-        estimate(ds, EstimatorKind.AIPW, overlap_effect(), om=om)
+        fill_one(ds, EstimatorKind.AIPW, overlap_effect(), **arm_means(om, ds.X))
     with pytest.raises(MissingModelError):
-        estimate(ds, EstimatorKind.AIPW, overlap_effect(), pi_hat=pi)
+        fill_one(ds, EstimatorKind.AIPW, overlap_effect(), pi=pi)
     with pytest.raises(MissingModelError):
-        estimate(ds, EstimatorKind.REGRESSION, overlap_effect(), om=om)
+        fill_one(ds, EstimatorKind.REGRESSION, overlap_effect(), **arm_means(om, ds.X))
     with pytest.raises(MissingModelError):
-        estimate(ds, EstimatorKind.IPW_NORMALIZED, average_effect())
+        fill_one(ds, EstimatorKind.IPW_NORMALIZED, average_effect())
 
 
 def test_dispatch_rejects_closed_form_for_overlap():
     ds, om, pi = random_instance(17, n=50)
     with pytest.raises(EstimationError):
-        estimate(ds, EstimatorKind.DR_LINEAR_IN_PI, overlap_effect(), om=om, pi_hat=pi)
+        fill_one(ds, EstimatorKind.DR_LINEAR_IN_PI, overlap_effect(), pi=pi, **arm_means(om, ds.X))
 
 
 def test_zero_mass_h_rejected():
     ds, om, pi = random_instance(18, n=50)
     with pytest.raises(EstimationError):
-        estimate(ds, EstimatorKind.REGRESSION, fixed_h(np.zeros(ds.n)), om=om)
+        fill_one(ds, EstimatorKind.REGRESSION, fixed_h(np.zeros(ds.n)), **arm_means(om, ds.X))
 
 
 def test_negative_h_rejected():
@@ -532,24 +544,18 @@ def test_negative_h_rejected():
     h = np.ones(ds.n)
     h[0] = -0.5
     with pytest.raises(NegativeTargetError):
-        estimate(ds, EstimatorKind.REGRESSION, fixed_h(h), om=om)
+        fill_one(ds, EstimatorKind.REGRESSION, fixed_h(h), **arm_means(om, ds.X))
 
 
 def test_bad_pi_hat_rejected():
     ds, om, _ = random_instance(20, n=50)
     with pytest.raises(EstimationError):
-        estimate(
-            ds,
-            EstimatorKind.AIPW,
-            average_effect(),
-            om=om,
-            pi_hat=np.ones(ds.n),
-        )
+        fill_one(ds, EstimatorKind.AIPW, average_effect(), pi=np.ones(ds.n), **arm_means(om, ds.X))
 
 
 def test_diagnostics_are_sensible():
     ds, om, pi = random_instance(21, n=50)
-    got = estimate(ds, EstimatorKind.IPW_NORMALIZED, average_effect(), pi_hat=pi)
+    got = fill_one(ds, EstimatorKind.IPW_NORMALIZED, average_effect(), pi=pi)
     d = got.diagnostics
     assert got.n_used == ds.n
     assert d.h_total == pytest.approx(float(ds.n))
@@ -581,8 +587,10 @@ def test_row_permutation_leaves_every_estimate_unchanged(seed, order):
     shuffled = ObservationalDataset(X=ds.X[order], A=ds.A[order], Y=ds.Y[order])
     for kind in _KINDS:
         for target in _TARGETS:
-            before = estimate(ds, kind, target, om=om, pi_hat=pi).value
-            after = estimate(shuffled, kind, target, om=om, pi_hat=pi[order]).value
+            before = fill_one(ds, kind, target, pi=pi, **arm_means(om, ds.X)).value
+            after = fill_one(
+                shuffled, kind, target, pi=pi[order], **arm_means(om, shuffled.X)
+            ).value
             assert close(before, after), (kind, target.label)
 
 
@@ -601,8 +609,8 @@ def test_affine_outcome_map_scales_every_estimate(seed, c, negate, d):
     om2 = fit_outcome(ds2, om.main_design, om.interaction_design)
     for kind in _KINDS:
         for target in _TARGETS:
-            before = estimate(ds, kind, target, om=om, pi_hat=pi).value
-            after = estimate(ds2, kind, target, om=om2, pi_hat=pi).value
+            before = fill_one(ds, kind, target, pi=pi, **arm_means(om, ds.X)).value
+            after = fill_one(ds2, kind, target, pi=pi, **arm_means(om2, ds2.X)).value
             assert close(after, c * before, tol=1e-9), (kind, target.label)
 
 
@@ -652,27 +660,35 @@ _pipelines = st.builds(
 )
 
 
-def _alone(ds, p):
-    """``p`` estimated by :func:`estimate` on a bundle of its own fits."""
-    try:
-        pi = m1 = m0 = None
-        if p.pi_design is not None:
-            try:
-                pi = fit_propensity(ds, p.pi_design).pi
-                if p.truncate is not None:
-                    pi = truncate_propensity(pi, *p.truncate)
-                pi = Nuisance.from_models(ds, pi_hat=pi).pi
-            except WateError as exc:
-                raise FitFailure("propensity", exc) from None
-        if p.m_design is not None:
-            try:
-                om = fit_outcome(ds, p.m_design, p.m_interaction)
-            except WateError as exc:
-                raise FitFailure("outcome", exc) from None
-            m1, m0 = om.m1, om.m0
-        return estimate(Nuisance(ds, pi, m1, m0), p.kind, p.estimand)
-    except WateError as exc:
-        return exc
+def _vectors_to_supply(ds, which):
+    """Keywords of :func:`fill_cells` supplying synthetic vectors on ``ds``:
+    ``which`` of ``pi`` and ``m`` (``m1`` and ``m0``)."""
+    rng = np.random.default_rng(ds.n)
+    vectors = {"pi": rng.uniform(0.1, 0.9, ds.n), "m1": rng.normal(size=ds.n)}
+    vectors["m0"] = vectors["m1"] - rng.normal(size=ds.n)
+    return {k: v for k, v in vectors.items() if k[0] in which}
+
+
+def _alone(ds, p, supplied):
+    """``p`` filled alone by :func:`fill_cells`, from the vectors of its own
+    fits or else the ``supplied`` ones, given to a pipeline that fits no
+    model."""
+    pi, m1, m0 = (supplied.get(k) for k in ("pi", "m1", "m0"))
+    if p.pi_design is not None:
+        try:
+            pi = fit_propensity(ds, p.pi_design).pi
+        except WateError as exc:
+            return FitFailure("propensity", exc)
+        if p.truncate is not None:
+            pi = truncate_propensity(pi, *p.truncate)
+    if p.m_design is not None:
+        try:
+            om = fit_outcome(ds, p.m_design, p.m_interaction)
+        except WateError as exc:
+            return FitFailure("outcome", exc)
+        m1, m0 = om.m1, om.m0
+    (result,) = fill_cells(ds, [EstimationPipeline(p.estimand, p.kind)], pi=pi, m1=m1, m0=m0)
+    return result
 
 
 def _bits(result):
@@ -688,14 +704,17 @@ def _bits(result):
 @given(
     which=st.integers(0, len(_FILL_DATASETS) - 1),
     pipelines=st.lists(_pipelines, min_size=1, max_size=8),
+    supply=st.sampled_from(("", "p", "m", "pm")),
 )
-def test_one_fill_equals_each_pipeline_estimated_alone(which, pipelines):
-    # Cells that share fits and terms in one pass give, to the last bit, what
-    # each pipeline gives on its own fits, and fail with the same error.
+def test_one_fill_equals_each_pipeline_estimated_alone(which, pipelines, supply):
+    # Cells that share fits, supplied vectors and terms in one pass give, to
+    # the last bit, what each pipeline gives on its own vectors, and fail
+    # with the same error.
     ds = _FILL_DATASETS[which]
-    expected = [_bits(_alone(ds, p)) for p in pipelines]
-    assert [_bits(r) for r in fill_cells(ds, pipelines)] == expected
-    assert [_bits(r) for r in fill_cells(ds, plan_cells(pipelines))] == expected
+    supplied = _vectors_to_supply(ds, supply)
+    expected = [_bits(_alone(ds, p, supplied)) for p in pipelines]
+    assert [_bits(r) for r in fill_cells(ds, pipelines, **supplied)] == expected
+    assert [_bits(r) for r in fill_cells(ds, plan_cells(pipelines), **supplied)] == expected
 
 
 # --- work done by one planned fill -------------------------------------------
@@ -767,7 +786,7 @@ def test_a_fill_leaves_no_cyclic_garbage():
         gc.collect()
         gc.disable()
         try:
-            assert np.isnan(cell_values(ds, plan)).sum() == failed
+            assert np.isnan(_cell_value_rows([ds], plan)[0]).sum() == failed
             results = fill_cells(ds, plan)
             assert sum(isinstance(r, WateError) for r in results) == failed
             del results
@@ -776,7 +795,7 @@ def test_a_fill_leaves_no_cyclic_garbage():
             gc.enable()
 
 
-# --- the unweighted difference, cell applicability and the bundle -----------
+# --- the unweighted difference, cell applicability, supplied vectors --------
 
 
 @pytest.mark.parametrize("which", range(len(_FILL_DATASETS)))
@@ -784,22 +803,18 @@ def test_unweighted_is_the_raw_difference_in_arm_means(which):
     ds = _FILL_DATASETS[which]
     A, Y = ds.A, ds.Y
     expected = float(np.mean(Y[A == 1]) - np.mean(Y[A == 0]))
-    pipeline = EstimationPipeline(estimand=average_effect(), kind=EstimatorKind.UNWEIGHTED)
-    for got in (
-        estimate(ds, EstimatorKind.UNWEIGHTED, average_effect()),
-        fill_cells(ds, [pipeline])[0],
-    ):
-        assert got.value.hex() == expected.hex()
-        assert got.diagnostics == Diagnostics(ds.n, ds.n_treated, ds.n_control)
+    got = fill_one(ds, EstimatorKind.UNWEIGHTED, average_effect())
+    assert got.value.hex() == expected.hex()
+    assert got.diagnostics == Diagnostics(ds.n, ds.n_treated, ds.n_control)
 
 
 def test_unweighted_refuses_an_empty_arm_and_other_targets():
     ds, _, _ = random_instance(21, n=20)
     treated_only = ObservationalDataset(X=ds.X, A=np.ones(ds.n), Y=ds.Y)
     with pytest.raises(EstimationError, match="^an arm is empty$"):
-        estimate(treated_only, EstimatorKind.UNWEIGHTED, average_effect())
+        fill_one(treated_only, EstimatorKind.UNWEIGHTED, average_effect())
     with pytest.raises(EstimationError, match="'att'"):
-        estimate(ds, EstimatorKind.UNWEIGHTED, effect_on_treated())
+        fill_one(ds, EstimatorKind.UNWEIGHTED, effect_on_treated())
 
 
 def test_has_formula_names_the_cells_a_row_fills():
@@ -828,13 +843,37 @@ def _ipw_oracle(ds, target, pi):
     )
 
 
-def test_each_bundle_keeps_its_own_terms():
-    # Two bundles on one dataset with different propensities, each asked for
-    # two targets: every estimate matches its own oracle, which fails if the
-    # bundles shared a term store or one bundle reused a target's weights.
-    ds, _, pi = random_instance(22)
-    bundles = [Nuisance(ds, pi), Nuisance(ds, 1.0 - pi)]
-    for target in (average_effect(), overlap_effect()):
-        for bundle in bundles:
-            got = estimate(bundle, EstimatorKind.IPW_NORMALIZED, target).value
-            assert close(got, _ipw_oracle(ds, target, bundle.pi)), target.label
+def test_supplied_and_fitted_propensities_keep_their_own_terms():
+    # One fill reads a fitted propensity in some cells and the supplied one in
+    # the others, each for two targets: every estimate matches its own oracle,
+    # which fails if the two propensities shared a block or one reused a
+    # target's weights.
+    ds, _, supplied = random_instance(22)
+    design = main_effects(ds.covariate_names)
+    fitted = fit_propensity(ds, design).pi
+    pipelines = [
+        EstimationPipeline(target, EstimatorKind.IPW_NORMALIZED, pi_design=pi_design)
+        for pi_design in (design, None)
+        for target in (average_effect(), overlap_effect())
+    ]
+    for p, got in zip(pipelines, fill_cells(ds, pipelines, pi=supplied)):
+        pi = supplied if p.pi_design is None else fitted
+        assert close(got.value, _ipw_oracle(ds, p.estimand, pi)), (p.estimand.label, pi is fitted)
+
+
+def test_supplied_vectors_are_checked():
+    ds, om, pi = random_instance(23)
+    cell = [EstimationPipeline(average_effect(), EstimatorKind.AIPW)]
+    m1, m0 = predict_outcome(om, ds.X, 1), predict_outcome(om, ds.X, 0)
+    with pytest.raises(EstimationError, match="supplied together$"):
+        fill_cells(ds, cell, pi=pi, m1=m1)
+    with pytest.raises(EstimationError, match="^arm mean vector has length 39, expected 40$"):
+        fill_cells(ds, cell, pi=pi, m1=m1, m0=m0[1:])
+    with pytest.raises(EstimationError, match="^propensity vector has length 39, expected 40$"):
+        fill_cells(ds, cell, pi=pi[1:], m1=m1, m0=m0)
+    with pytest.raises(EstimationError, match="inside"):
+        fill_cells(ds, cell, pi=np.where(ds.A == 1.0, 1.0, pi))
+    # Without supplied vectors, the cell fits no model and fails as before.
+    (missing,) = fill_cells(ds, cell)
+    assert isinstance(missing, MissingModelError)
+    assert str(missing) == "augmented estimator needs a propensity model or a supplied pi"

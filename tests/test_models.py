@@ -14,7 +14,7 @@ import wate.models
 from wate.data import ObservationalDataset
 from wate.design import DesignSpec, TransformTerm, intercept_only, main_effects, parse_design
 from wate.errors import ConvergenceError, ModelFitError, RankDeficiencyError
-from wate.estimators import EstimationPipeline, EstimatorKind, estimate, fill_cells
+from wate.estimators import EstimationPipeline, EstimatorKind, fill_cells
 from wate.models import (
     _keep_freed_heap,
     _sigmoid,
@@ -223,14 +223,15 @@ def test_propensity_fit_keeps_the_predicted_vector(generated_dataset, correct, t
     assert np.array_equal(pm.pi, predicted)
     # The engine reads the fit's vector; the estimate equals the one made
     # from predictions, truncated the same way, to the last bit.
-    pi_hat = predicted if truncate is None else truncate_propensity(predicted, *truncate)
+    pi = predicted if truncate is None else truncate_propensity(predicted, *truncate)
     pipeline = EstimationPipeline(
         estimand=effect_on_treated(), kind=EstimatorKind.IPW_NORMALIZED,
         pi_design=propensity_design(correct), truncate=truncate,
     )
     (filled,) = fill_cells(ds, [pipeline])
-    direct = estimate(ds, EstimatorKind.IPW_NORMALIZED, effect_on_treated(), pi_hat=pi_hat)
-    assert filled.value == direct.value
+    bare = EstimationPipeline(pipeline.estimand, pipeline.kind)
+    (supplied,) = fill_cells(ds, [bare], pi=pi)
+    assert filled.value == supplied.value
 
 
 _NAMES = ("x1", "x2", "x3", "x4", "x5")
@@ -257,7 +258,10 @@ def test_outcome_fit_keeps_both_predicted_arms(generated_dataset, setup):
         m_design=main, m_interaction=inter,
     )
     (filled,) = fill_cells(ds, [pipeline])
-    assert filled.value == estimate(ds, EstimatorKind.REGRESSION, effect_on_treated(), om=om).value
+    m1, m0 = predict_outcome(om, ds.X, 1), predict_outcome(om, ds.X, 0)
+    bare = EstimationPipeline(pipeline.estimand, pipeline.kind)
+    (supplied,) = fill_cells(ds, [bare], m1=m1, m0=m0)
+    assert filled.value == supplied.value
 
 
 # --- truncation --------------------------------------------------------------

@@ -1,17 +1,50 @@
-"""The README's library quick start runs as written, on the golden cohort."""
+"""The README's library quick start runs as written, on the golden cohort,
+and every name of the package it mentions exists."""
 
+import importlib
 import re
 from pathlib import Path
 
+import wate
+
 ROOT = Path(__file__).resolve().parent.parent
 COHORT = ROOT / "tests" / "golden" / "cohort.csv"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_library_quick_start_runs(capsys):
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    blocks = re.findall(r"^```python\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     code = blocks[0].replace('"cohort.csv"', repr(str(COHORT)))
     assert code != blocks[0]
     exec(compile(code, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` (``wate.a.b``) names a module of the package or an
+    attribute of one."""
+    obj = wate
+    for i, part in enumerate(dotted.split(".")[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(dotted.split(".")[:i]))
+        except ModuleNotFoundError:
+            return False
+    return True
+
+
+def test_every_package_name_in_the_readme_resolves():
+    # Code and prose alike: ``wate.<name>`` chains and ``from wate.<module>
+    # import <names>`` lines.
+    dotted = set(re.findall(r"\bwate(?:\.[A-Za-z_]\w*)+", README))
+    for module, names in re.findall(r"^from (wate(?:\.\w+)*) import (.+)$", README, re.MULTILINE):
+        dotted.update(f"{module}.{name.strip()}" for name in names.split(","))
+    assert len(dotted) > 20
+    assert sorted(name for name in dotted if not _resolves(name)) == []
+
+
+def test_every_name_in_all_exists():
+    assert [name for name in wate.__all__ if not hasattr(wate, name)] == []

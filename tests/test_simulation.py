@@ -239,9 +239,8 @@ def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypa
         counting("propensity", wate.models._fit_propensities, lambda datasets, _: len(datasets)),
     )
     monkeypatch.setattr(wate.estimators, "fit_outcome", counting("outcome", fit_outcome))
-    for module in (wate.estimators, wate.models):
-        for name in ("predict_propensity", "predict_outcome"):
-            monkeypatch.setattr(module, name, counting("predict", getattr(module, name)))
+    for name in ("predict_propensity", "predict_outcome"):
+        monkeypatch.setattr(wate.models, name, counting("predict", getattr(wate.models, name)))
     monkeypatch.setattr(
         wate.design.DesignSpec, "matrix", counting("matrix", wate.design.DesignSpec.matrix)
     )

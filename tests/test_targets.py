@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -80,6 +82,14 @@ def test_propensity_required():
 def test_linear_rejects_zero_pair():
     with pytest.raises(ValueError):
         linear_in_propensity(0, 0)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(math.nan, 1), (1, math.nan), (math.inf, 0), (0, -math.inf), (float("1e400"), 1)]
+)
+def test_linear_rejects_non_finite_coefficients(a, b):
+    with pytest.raises(ValueError, match="must be finite"):
+        linear_in_propensity(a, b)
 
 
 def test_linear_negative_h_detected():
