@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -476,6 +476,36 @@ def fit_outcome(
         m1=m1,
         m0=m0,
     )
+
+
+class _OutcomeFits(NamedTuple):
+    """The outcome fits of a stack of b same-n datasets: the error each one
+    failed with (``None`` for a fit), and the (b, k) coefficients and the
+    (b, n) arm means, zero in the rows of the failed fits."""
+
+    errors: list[WateError | None]
+    beta: NDArray[np.float64]
+    m1: NDArray[np.float64]
+    m0: NDArray[np.float64]
+
+
+def _fit_outcomes(
+    datasets: Sequence[ObservationalDataset], main: DesignSpec, inter: DesignSpec
+) -> _OutcomeFits:
+    """:func:`fit_outcome` of ``(main, inter)`` on each of ``datasets``."""
+    b, n = len(datasets), datasets[0].n
+    k = len(main) + 2 + len(inter)
+    errors: list[WateError | None] = []
+    beta, m1, m0 = np.zeros((b, k)), np.zeros((b, n)), np.zeros((b, n))
+    for i, ds in enumerate(datasets):
+        try:
+            om = fit_outcome(ds, main, inter)
+        except WateError as exc:
+            errors.append(exc.with_traceback(None))
+            continue
+        errors.append(None)
+        beta[i], m1[i], m0[i] = om.beta, om.m1, om.m0
+    return _OutcomeFits(errors, beta, m1, m0)
 
 
 def predict_outcome(

@@ -1,9 +1,10 @@
 """Stacking replicates changes no result.
 
 The propensity fits of a stack of same-n datasets run as one stacked IRLS,
-and the study and the bootstrap fill their replicates a stack at a time.
-Each problem of a stack must get the bits, or the error, it gets fitted
-alone, whatever else is in the stack and whenever the others leave it.
+the outcome fits as one stacked least squares fit, and the study and the
+bootstrap fill their replicates a stack at a time. Each problem of a stack
+must get the bits, or the error, it gets alone, whatever else is in the
+stack and whenever the others leave it.
 """
 
 import numpy as np
@@ -15,16 +16,18 @@ from wate.bootstrap import _map_stacks, bootstrap_vector
 from wate.data import ObservationalDataset
 from wate.design import main_effects
 from wate.errors import WateError
-from wate.estimators import plan_cells
-from wate.models import _fit_propensities
+from wate.estimators import EstimationPipeline, EstimatorKind, _cell_value_rows, plan_cells
+from wate.models import _fit_outcomes, _fit_propensities, fit_outcome
 from wate.simulation import (
     SimulationDesign,
     _cell_pipeline,
     generate_dataset,
+    outcome_design,
     propensity_design,
     run_study,
     study_cells,
 )
+from wate.targets import STANDARD_TARGETS, covariate_target, linear_in_propensity
 
 
 def _record(result):
@@ -104,6 +107,88 @@ def test_the_stacks_hold_every_exit_of_the_newton_loop():
         "propensity fit did not converge in 100 updates",
         "propensity design matrix is numerically rank deficient",
     }
+
+
+def _with_columns(ds, A=None, **columns):
+    """``ds`` with covariate columns ``x<j>`` and the treatment replaced."""
+    X = ds.X.copy()
+    for name, values in columns.items():
+        X[:, int(name[1:]) - 1] = values
+    return ObservationalDataset(X=X, A=ds.A if A is None else A, Y=ds.Y)
+
+
+def _outcome_alone(ds, main, inter):
+    try:
+        om = fit_outcome(ds, main, inter)
+    except WateError as exc:
+        return type(exc).__name__, str(exc)
+    return om.beta.tobytes(), om.m1.tobytes(), om.m0.tobytes()
+
+
+def _outcome_stacked(fits, i):
+    error = fits.errors[i]
+    if error is not None:
+        return type(error).__name__, str(error)
+    return fits.beta[i].tobytes(), fits.m1[i].tobytes(), fits.m0[i].tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 12, 40])
+@pytest.mark.parametrize("correct, model", [(True, 1), (True, 2), (False, 1)])
+def test_a_stacked_outcome_fit_gives_each_dataset_its_own_bits(n, correct, model):
+    # Dataset 1 has a constant covariate, which every design reads, so its
+    # fit is rank deficient. At n = 10 and 12 the misspecified design (12
+    # columns) has more columns than rows or no residual degree of freedom.
+    stack = [generate_dataset(model, n, np.random.default_rng(seed)) for seed in range(5)]
+    stack[1] = _with_columns(stack[1], x3=0.5)
+    main, inter = outcome_design(correct, model)
+    alone = [_outcome_alone(ds, main, inter) for ds in stack]
+    assert any(len(record) == 3 for record in alone) == (correct or n == 40)
+    assert alone[1][0] == "RankDeficiencyError" or n == 10 and not correct
+    for order in ([0, 1, 2, 3, 4], [3, 1, 4, 0, 2]):
+        fits = _fit_outcomes([stack[i] for i in order], main, inter)
+        assert [_outcome_stacked(fits, j) for j in range(5)] == [alone[i] for i in order]
+
+
+def _positive_x1(X):
+    return np.maximum(X[:, 0], 0.0)
+
+
+def _mixed_plan():
+    """Every kind on the four standard targets, a linear target that is
+    negative on some rows and a covariate target, with and without a
+    propensity design and a truncation."""
+    targets = (
+        *STANDARD_TARGETS.values(),
+        linear_in_propensity(-0.2, 1.0),
+        covariate_target(_positive_x1, "max(x1,0)"),
+    )
+    design = main_effects(("x1", "x2", "x3", "x4", "x5"))
+    reads_m = (EstimatorKind.REGRESSION, EstimatorKind.AIPW, EstimatorKind.DR_LINEAR_IN_PI)
+    return plan_cells([
+        EstimationPipeline(target, kind, pi, design if kind in reads_m else None, truncate=truncate)
+        for kind in EstimatorKind
+        for target in targets
+        for pi, truncate in ((None, None), (design, None), (design, (2.0, 98.0)))
+    ])
+
+
+def test_a_stacked_fill_gives_each_dataset_its_own_bits():
+    # Dataset 1 puts no mass on the covariate target, dataset 3 has no
+    # treated rows, so every cell fails on it, and both fits of dataset 4
+    # fail on a constant covariate.
+    n = 40
+    stack = [generate_dataset(1, n, np.random.default_rng(seed)) for seed in (7, 8, 9, 10, 11)]
+    stack[1] = _with_columns(stack[1], x1=-np.abs(stack[1].X[:, 0]))
+    stack[3] = _with_columns(stack[3], A=np.zeros(n))
+    stack[4] = _with_columns(stack[4], x5=0.5)
+    plan = _mixed_plan()
+    alone = [_cell_value_rows([ds], plan)[0] for ds in stack]
+    failed = [np.isnan(row) for row in alone]
+    assert failed[3].all() and not (failed[0].all() or failed[1].all() or failed[4].all())
+    assert (failed[1] & ~failed[0]).any() and (failed[4] & ~failed[0]).any()
+    for order in ([0, 1, 2, 3, 4], [3, 1, 4, 0, 2]):
+        rows = _cell_value_rows([stack[i] for i in order], plan)
+        assert [row.tobytes() for row in rows] == [alone[i].tobytes() for i in order]
 
 
 def _study_matrix(monkeypatch, batch_rows, workers=1):
