@@ -17,8 +17,9 @@ pipeline, raises :class:`BootstrapError` past the limit and otherwise adds a
 Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling
 order. Replicates are filled in stacks of ``max(1, _BATCH_ROWS // n)``
-consecutive ones (``_BATCH_ROWS`` = 4096 rows): the propensity fits of a
-stack run as one stacked IRLS (see :mod:`wate.models`), which gives each
+consecutive ones (``_BATCH_ROWS`` = 4096 rows): each working model of the
+plan is fitted on a stack at once (see :mod:`wate.models`) and the cells are
+filled by one pass over it (see :mod:`wate.estimators`), which gives each
 replicate the bits it gets alone, so the stack size changes no result
 either. :func:`parallel_map`, which spreads the stacks over processes, is
 shared with the Monte Carlo study. On Linux it forks its workers, so only
@@ -54,10 +55,12 @@ MAX_FAILED_FRACTION = 0.2
 CI_LEVEL = 0.95
 
 # Rows of data per stack of replicates. The replicates of a stack share one
-# stacked IRLS per propensity design, which pays numpy's fixed cost per call
-# once per stack: 4 replicates at n = 1000 took 10-13% off a study's wall
-# time. 8 gained no more and raised its peak memory by 5%. Above n = 2048 a
-# stack holds one replicate.
+# stacked fit per working model and one pass of the fill, which pays numpy's
+# fixed cost per call once per stack. The stacked IRLS alone, 4 replicates at
+# n = 1000, took 10-13% off a study's wall time; 8 gained no more and raised
+# its peak memory by 5%. Stacking the outcome fits and the fill took about
+# 17% more off, at about 2% more peak memory. Above n = 2048 a stack holds
+# one replicate.
 _BATCH_ROWS = 4096
 
 

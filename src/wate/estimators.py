@@ -19,10 +19,6 @@ propensity model at all. Any other h, including the generic augmented form
 for the treated, is a :func:`~wate.targets.covariate_target`.
 :func:`has_formula` says which cells a report or study row can fill.
 
-Each formula is a kernel that returns the checked value and nothing else.
-The weight mass and effective sample sizes of a :class:`Diagnostics` are
-read from the shared terms only when a :class:`PointEstimate` is built.
-
 :func:`fill_cells` is the one fit-then-fill engine, in two steps.
 :func:`plan_cells` resolves a list of :class:`EstimationPipeline` cells once
 into a :class:`CellPlan`. It lists each distinct working model once in
@@ -30,24 +26,36 @@ into a :class:`CellPlan`. It lists each distinct working model once in
 ``("outcome", main, interaction)``. It picks each cell's kernel and the kind
 the cell reports. It gives each propensity fit, and the cells that fit none,
 the targets its cells read ``h`` of, the targets linear in the propensity
-first. The pass over one dataset then fits each listed model on first use
-and estimates every cell from the vectors the fits carry, with no prediction
-and no comparison of designs. Per propensity fit, it evaluates the targets as
-the rows of one C-contiguous (targets, n) block ``H`` and computes each term
-on the whole block, once:
+first. The pass then fills every cell on a stack of b same-n datasets at
+once: it fits each listed model on first use, on the whole stack (one
+stacked IRLS per propensity design, one stacked least squares fit per
+outcome design, see :mod:`wate.models`), and estimates every cell from the
+vectors the fits carry, with no prediction and no comparison of designs.
+``A``, ``Y``, ``pi``, ``m1`` and ``m0`` are (b, n) stacks. Per propensity
+fit, the pass evaluates the targets as one C-contiguous (b, targets, n)
+block ``H`` and computes each term on the whole block, once:
 
-* the row sums of ``H``, the weights ``A*(H/pi)`` and ``(1-A)*(H/(1-pi))``
-  and their sums and effective sample sizes;
+* the row sums of ``H``, of the weights ``A*(H/pi)`` and ``(1-A)*(H/(1-pi))``
+  and of the weighted outcomes;
 * the six sub-terms of the augmented contrast and the doubly robust
   residual, which every outcome fit shares;
 * per outcome fit, the numerators of the regression, augmented and doubly
   robust estimates, one per row.
 
-Every sum over a block is a row sum. numpy sums each row of a C-contiguous
-block as it sums that row alone, so a cell gets the bits a pass over its one
-target gives (a test pins this property of numpy). ``m1 - m0`` is computed
-once per outcome fit. An error raised evaluating a target's ``h`` is kept
-with its row and raised again for every cell that reads the row.
+Every sum over a block is a sum over its last axis. numpy sums each row of
+a C-contiguous block as it sums that row alone, and an elementwise term
+gets the same bits in any shape, so a dataset gets the bits a pass over it
+alone gives (a test pins this property of numpy). The cells are filled a
+block at a time, and a block is freed after its last cell.
+
+Each kernel returns its cell's value on every dataset of the stack and
+records, per dataset, the first check the dataset fails, in the order a
+pass over that dataset alone makes the checks: a failed fit, an error raised
+evaluating ``h`` (kept without its traceback), then the kernel's own
+refusals. An error that holds for every dataset, such as a model the cell
+does not fit, is raised. Only the unweighted difference, which takes each
+dataset's arm means, and the per-arm sums of the diagnostics loop over the
+datasets.
 
 Vectors supplied to :func:`fill_cells` (a truncated or external ``pi``, arm
 means predicted from a model fitted on other rows) join the plan as fits of
@@ -55,12 +63,11 @@ their own, ``(stage, None, vectors)``: the cells that fit no such model read
 them, and the pass reads them as it reads a fitted model's vectors.
 
 The bootstrap, the command line report and the Monte Carlo study each build
-one plan and ship it to their workers. :func:`fill_cells` returns point
-estimates with their diagnostics. Study and bootstrap replicates keep only
-the values, through ``_cell_value_rows`` over many same-n datasets, a stack
-of replicates at a time: each propensity fit of the plan runs on the whole
-stack as one stacked IRLS, then each dataset gets its truncation and checks,
-its outcome fits and its pass, as one dataset alone does, and the same bits.
+one plan and ship it to their workers. :func:`fill_cells` is a pass over a
+stack of one, and returns point estimates with their diagnostics (the weight
+mass and effective sample sizes of a :class:`Diagnostics`, read from the
+shared terms). Study and bootstrap replicates keep only the values, through
+``_cell_value_rows``, a pass over a stack of replicates.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -77,12 +84,7 @@ from numpy.typing import NDArray
 from .data import ObservationalDataset
 from .design import DesignSpec
 from .errors import EstimationError, FitFailure, MissingModelError, WateError
-from .models import (
-    PropensityModel,
-    _fit_propensities,
-    fit_outcome,
-    truncate_propensity,
-)
+from .models import _fit_outcomes, _fit_propensities, truncate_propensity
 from .targets import (
     TargetFunction,
     TargetKind,
@@ -128,38 +130,34 @@ def _ess(total: float, sum_sq: float) -> float:
 # --- the terms of one pass ----------------------------------------------------
 
 
-_MISSING = object()
-
-
 class _Pass:
-    """One fill over ``ds``: the vectors of each fit of ``plan``, from
-    ``vectors(slot)`` (``pi``, or ``(m1, m0)``) on first use, the
-    :class:`_Block` of each propensity fit, ``m1 - m0`` of each outcome fit
-    and each arm's indicator and size."""
+    """One fill over a stack of b same-n datasets: the (b, n) stacks ``A``,
+    ``1 - A`` and ``Y``, the vectors of each fit of ``plan`` on first use,
+    the :class:`_Block` of each propensity fit, ``m1 - m0`` of each outcome
+    fit and each arm's indicator and sizes."""
 
-    def __init__(
-        self, ds: ObservationalDataset, plan: "CellPlan", vectors: Callable[[int], object]
-    ):
-        self.ds = ds
+    def __init__(self, datasets: Sequence[ObservationalDataset], plan: "CellPlan"):
+        self.datasets = datasets
         self.plan = plan
-        self._vectors = vectors
-        self._fits: dict[int, object] = {}
+        self.A = _stacked([ds.A for ds in datasets])
+        self.Y = _stacked([ds.Y for ds in datasets])
+        self.not_A = 1.0 - self.A
+        self._fits: dict[int, tuple[object, dict[int, FitFailure]]] = {}
         self._blocks: dict[int, _Block] = {}
         self._m_diff: dict[int, NDArray[np.float64]] = {}
 
-    def fitted(self, slot: int):
-        """The vectors of fit ``slot``; a failed fit raises
-        :class:`FitFailure` for every cell that needs it."""
-        value = self._fits.get(slot, _MISSING)
-        if value is _MISSING:
-            try:
-                value = self._vectors(slot)
-            except WateError as exc:
-                value = FitFailure(self.plan.fits[slot][0], exc.with_traceback(None))
-            self._fits[slot] = value
-        if isinstance(value, WateError):
-            raise value
-        return value
+    def fitted(self, slot: int) -> tuple[object, dict[int, FitFailure]]:
+        """The vectors of fit ``slot`` (``pi``, or ``(m1, m0)``) as (b, n)
+        stacks, and the :class:`FitFailure` of each dataset it failed on,
+        by position; the rows of a failed fit hold placeholders."""
+        fit = self._fits.get(slot)
+        if fit is None:
+            fit = self._fits[slot] = _fit(self.datasets, self.plan.fits[slot])
+        return fit
+
+    def vectors(self, slot: int):
+        """The vectors of fit ``slot``."""
+        return self.fitted(slot)[0]
 
     def block(self, p: int) -> "_Block":
         block = self._blocks.get(p)
@@ -167,115 +165,122 @@ class _Pass:
             block = self._blocks[p] = _Block(self, p)
         return block
 
+    def release(self, p: int) -> None:
+        """Free the block of propensity fit ``p``."""
+        self._blocks.pop(p, None)
+
     def m_diff(self, m: int) -> NDArray[np.float64]:
         diff = self._m_diff.get(m)
         if diff is None:
-            m1, m0 = self.fitted(m)
+            m1, m0 = self.vectors(m)
             diff = self._m_diff[m] = m1 - m0
         return diff
 
     @cached_property
-    def not_A(self) -> NDArray[np.float64]:
-        return 1.0 - self.ds.A
-
-    @cached_property
-    def arms(self) -> tuple[tuple[NDArray[np.float64], float], ...]:
+    def arms(self) -> tuple[tuple[NDArray[np.float64], NDArray[np.float64]], ...]:
         """The indicators ``A`` and ``1 - A`` of the treated and the
-        controls, each with its arm's size."""
-        A, not_A = self.ds.A, self.not_A
-        return (A, float(A.sum())), (not_A, float(not_A.sum()))
+        controls, each with its arm's size in every dataset."""
+        return (self.A, self.A.sum(axis=1)), (self.not_A, self.not_A.sum(axis=1))
+
+
+def _stacked(vectors: list[NDArray[np.float64]]) -> NDArray[np.float64]:
+    """The (b, n) stack of ``vectors``; a stack of one is a view."""
+    return vectors[0].reshape(1, -1) if len(vectors) == 1 else np.stack(vectors)
 
 
 class _Block:
     """The targets the plan lists for propensity fit ``p`` (-1: the cells
-    that fit none), as the rows of one C-contiguous (targets, n) block ``H``.
-    Row i is ``h`` of target i from :func:`~wate.targets._h_values`, which
-    checks its length, finiteness and sign, or zeros when that raised; the
-    error is kept, without its traceback, and raised for every cell that
-    reads the row. The first rows are the targets linear in the propensity.
-    The terms of an outcome fit take the pass, which the block does not
-    keep: a block that kept it would tie the pass into a reference cycle,
-    whose arrays only the cycle collector frees."""
+    that fit none), as a C-contiguous (b, targets, n) block ``H``: row
+    ``H[i, t]`` is ``h`` of target t on dataset i from
+    :func:`~wate.targets._h_values`, which checks its length, finiteness and
+    sign, or zeros when that raised or the fit failed on the dataset. An
+    error ``h`` raised is kept, without its traceback, and given to every
+    cell that reads its row. The first rows are the targets linear in the
+    propensity. Every term is computed on the whole block and every sum is
+    over the last axis. The terms of an outcome fit take the pass, which the
+    block does not keep: a block that kept it would tie the pass into a
+    reference cycle, whose arrays only the cycle collector frees."""
 
     def __init__(self, q: _Pass, p: int):
-        ds = self.ds = q.ds
-        self.not_A = q.not_A
-        self.pi = None if p < 0 else q.fitted(p)
+        self.A, self.not_A, self.Y = q.A, q.not_A, q.Y
+        self.pi, failed = (None, {}) if p < 0 else q.fitted(p)
         targets, self.coefficients = q.plan.blocks[p]
-        self.H = np.zeros((len(targets), ds.n))
-        self.errors: list[WateError | None] = [None] * len(targets)
-        for i, target in enumerate(targets):
-            try:
-                self.H[i] = _h_values(target, ds.X, self.pi)
-            except WateError as exc:
-                self.errors[i] = exc.with_traceback(None)
-        self.totals = self.H.sum(axis=1)
+        self.H = np.zeros((len(q.datasets), len(targets), q.A.shape[1]))
+        self.errors: dict[int, dict[int, WateError]] = {}
+        for i, ds in enumerate(q.datasets):
+            if i in failed:
+                continue
+            pi = None if self.pi is None else self.pi[i]
+            for t, target in enumerate(targets):
+                try:
+                    self.H[i, t] = _h_values(target, ds.X, pi)
+                except WateError as exc:
+                    self.errors.setdefault(t, {})[i] = exc.with_traceback(None)
+        self.totals = self.H.sum(axis=2)
         self._per_fit: dict[tuple[str, int], NDArray[np.float64]] = {}
 
-    def h_total(self, row: int) -> float:
-        """``sum(h)`` of the target in ``row``; raises the error its ``h``
-        raised."""
-        error = self.errors[row]
-        if error is not None:
-            raise error
-        return float(self.totals[row])
+    def h_total(self, row: int, err: dict[int, WateError]) -> NDArray[np.float64]:
+        """``sum(h)`` of the target in ``row`` per dataset; a dataset on
+        which ``h`` raised gets that error."""
+        for i, error in self.errors.get(row, {}).items():
+            err.setdefault(i, error)
+        return self.totals[:, row]
 
-    def h_checked(self, row: int) -> float:
-        """``sum(h)``, refused when ``h`` puts no mass on the sample."""
-        total = self.h_total(row)
-        if total <= 0.0:
-            raise EstimationError("target function puts zero mass on the sample")
+    def h_checked(self, row: int, err: dict[int, WateError]) -> NDArray[np.float64]:
+        """``sum(h)``, refused where ``h`` puts no mass on the sample."""
+        total = self.h_total(row, err)
+        _refuse(err, total <= 0.0, "target function puts zero mass on the sample")
         return total
 
     @cached_property
     def not_pi(self) -> NDArray[np.float64]:
         return 1.0 - self.pi
 
-    @cached_property
-    def weights(self) -> tuple[NDArray[np.float64], ...]:
-        """``tw = A*(H/pi)``, ``cw = (1-A)*(H/(1-pi))`` and their row sums.
-        ``A`` is exactly 0 or 1, so ``A*(h/pi)`` equals ``(A*h)/pi`` to the
-        last bit."""
-        tw = self.ds.A * (self.H / self.pi)
-        cw = self.not_A * (self.H / self.not_pi)
-        return tw, cw, tw.sum(axis=1), cw.sum(axis=1)
+    def _arm_weights(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """``tw = A*(H/pi)`` and ``cw = (1-A)*(H/(1-pi))``. ``A`` is exactly 0
+        or 1, so ``A*(h/pi)`` equals ``(A*h)/pi`` to the last bit."""
+        tw = np.divide(self.H, self.pi[:, None])
+        cw = np.divide(self.H, self.not_pi[:, None])
+        return np.multiply(tw, self.A[:, None], out=tw), np.multiply(cw, self.not_A[:, None], out=cw)
 
     @cached_property
-    def weighted_outcomes(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """Row sums of ``tw*Y`` and ``cw*Y``."""
-        tw, cw, _, _ = self.weights
-        Y = self.ds.Y
-        return (tw * Y).sum(axis=1), (cw * Y).sum(axis=1)
+    def weights(self) -> tuple[NDArray[np.float64], ...]:
+        """Row sums of ``tw`` and ``cw``, then of ``tw*Y`` and ``cw*Y``; the
+        weights themselves are not kept."""
+        tw, cw = self._arm_weights()
+        st, sc = tw.sum(axis=2), cw.sum(axis=2)
+        Y = self.Y[:, None]
+        return st, sc, np.multiply(tw, Y, out=tw).sum(axis=2), np.multiply(cw, Y, out=cw).sum(axis=2)
 
     @cached_property
     def weight_squares(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """Row sums of ``tw*tw`` and ``cw*cw``."""
-        tw, cw, _, _ = self.weights
-        return (tw * tw).sum(axis=1), (cw * cw).sum(axis=1)
+        tw, cw = self._arm_weights()
+        return (tw * tw).sum(axis=2), (cw * cw).sum(axis=2)
 
     @cached_property
-    def arm_squares(self) -> tuple[tuple[NDArray[np.float64], NDArray[np.float64]], ...]:
+    def arm_squares(self) -> NDArray[np.float64]:
         """Row sums of ``h`` and ``h*h`` over the treated rows, then over the
-        control rows."""
-        A = self.ds.A
-        sums = []
-        for arm in (A == 1.0, A == 0.0):
-            h = np.compress(arm, self.H, axis=1)
-            sums.append((h.sum(axis=1), (h * h).sum(axis=1)))
-        return tuple(sums)
+        control rows, of each dataset: a (2, 2, b, targets) array."""
+        sums = np.empty((2, 2) + self.totals.shape)
+        for i, (A, H) in enumerate(zip(self.A, self.H)):
+            for j, arm in enumerate((A == 1.0, A == 0.0)):
+                h = np.compress(arm, H, axis=1)
+                sums[j, 0, i], sums[j, 1, i] = h.sum(axis=1), (h * h).sum(axis=1)
+        return sums
 
     @cached_property
     def contrast_terms(self) -> tuple[NDArray[np.float64], ...]:
         """``A*Y/pi``, ``(A-pi)/pi``, ``(1-A)*Y/(1-pi)`` and ``(A-pi)/(1-pi)``,
         grouped as in the augmented contrast."""
-        A, Y, pi, not_pi = self.ds.A, self.ds.Y, self.pi, self.not_pi
+        A, Y, pi, not_pi = self.A, self.Y, self.pi, self.not_pi
         A_pi = A - pi
         return A * Y / pi, A_pi / pi, self.not_A * Y / not_pi, A_pi / not_pi
 
     @cached_property
     def residual_terms(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """``A/pi`` and ``(1-A)/(1-pi)``."""
-        return self.ds.A / self.pi, self.not_A / self.not_pi
+        return self.A / self.pi, self.not_A / self.not_pi
 
     @cached_property
     def observed(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -283,8 +288,8 @@ class _Block:
         target with the observed treatment in place of ``pi``, and the row
         sums."""
         a, b = self.coefficients
-        h_obs = a + b * self.ds.A
-        return h_obs, h_obs.sum(axis=1)
+        h_obs = a + b * self.A[:, None]
+        return h_obs, h_obs.sum(axis=2)
 
     def _once(self, name: str, m: int, compute: Callable[[], NDArray[np.float64]]):
         value = self._per_fit.get((name, m))
@@ -294,17 +299,19 @@ class _Block:
 
     def regression(self, q: _Pass, m: int) -> NDArray[np.float64]:
         """Row sums of ``H*(m1 - m0)``."""
-        return self._once("regression", m, lambda: (self.H * q.m_diff(m)).sum(axis=1))
+        return self._once(
+            "regression", m, lambda: (self.H * q.m_diff(m)[:, None]).sum(axis=2)
+        )
 
     def augmented(self, q: _Pass, m: int) -> NDArray[np.float64]:
         """Row sums of ``H`` times the augmented contrast ``arm1 - arm0``."""
 
         def compute():
-            m1, m0 = q.fitted(m)
+            m1, m0 = q.vectors(m)
             ay_pi, a_pi, ay_not_pi, a_not_pi = self.contrast_terms
             arm1 = ay_pi - a_pi * m1
             arm0 = ay_not_pi + a_not_pi * m0
-            return (self.H * (arm1 - arm0)).sum(axis=1)
+            return (self.H * (arm1 - arm0)[:, None]).sum(axis=2)
 
         return self._once("augmented", m, compute)
 
@@ -313,22 +320,31 @@ class _Block:
         (1-A)/(1-pi)*(Y - m0))`` over the linear targets."""
 
         def compute():
-            m1, m0 = q.fitted(m)
-            Y = self.ds.Y
+            m1, m0 = q.vectors(m)
+            Y = self.Y
             treated, control = self.residual_terms
             residual = treated * (Y - m1) - control * (Y - m0)
             h_obs, _ = self.observed
-            h = self.H[:h_obs.shape[0]]
-            return (h_obs * q.m_diff(m) + h * residual).sum(axis=1)
+            h = self.H[:, :h_obs.shape[1]]
+            return (h_obs * q.m_diff(m)[:, None] + h * residual[:, None]).sum(axis=2)
 
         return self._once("doubly_robust", m, compute)
 
 
-def _finite(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise EstimationError(f"{what} evaluated to a non-finite value")
-    return value
+def _refuse(err: dict[int, WateError], bad: NDArray[np.bool_], message: str) -> None:
+    """Give each dataset where ``bad`` holds an :class:`EstimationError`
+    with ``message``, unless it failed an earlier check."""
+    if bad.any():
+        error = EstimationError(message)
+        for i in np.flatnonzero(bad).tolist():
+            err.setdefault(i, error)
+
+
+def _finite(
+    values: NDArray[np.float64], what: str, err: dict[int, WateError]
+) -> NDArray[np.float64]:
+    _refuse(err, ~np.isfinite(values), f"{what} evaluated to a non-finite value")
+    return values
 
 
 def _needs_propensity(p: int, reader: str) -> None:
@@ -353,7 +369,7 @@ class _Cell(NamedTuple):
     reports, its target, its propensity and outcome fit slots (-1: none)
     and its target's row in the block of its propensity fit (-1: none)."""
 
-    kernel: Callable[[_Pass, "_Cell"], float]
+    kernel: Callable[[_Pass, "_Cell", dict[int, WateError]], NDArray[np.float64]]
     reported: EstimatorKind
     target: TargetFunction
     p: int
@@ -361,31 +377,33 @@ class _Cell(NamedTuple):
     row: int
 
 
-def _unweighted(q: _Pass, c: _Cell) -> float:
+def _unweighted(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
     """``mean(Y[A==1]) - mean(Y[A==0])``: the average effect when h = 1 and
     no model is fitted."""
     if c.target.kind is not TargetKind.ATE:
         raise EstimationError(f"the unweighted difference has no {c.target.label!r} form")
-    A, Y = q.ds.A, q.ds.Y
-    treated, control = Y[A == 1.0], Y[A == 0.0]
-    if treated.size == 0 or control.size == 0:
-        raise EstimationError("an arm is empty")
-    return _finite(np.mean(treated) - np.mean(control), "unweighted estimate")
+    values = np.zeros(q.A.shape[0])
+    for i, (A, Y) in enumerate(zip(q.A, q.Y)):
+        treated, control = Y[A == 1.0], Y[A == 0.0]
+        if treated.size == 0 or control.size == 0:
+            err.setdefault(i, EstimationError("an arm is empty"))
+        else:
+            values[i] = np.mean(treated) - np.mean(control)
+    return _finite(values, "unweighted estimate", err)
 
 
-def _regression_on_arm(q: _Pass, c: _Cell) -> float:
+def _regression_on_arm(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
     _needs_outcome(c.m, "regression estimator")
-    m1, m0 = q.fitted(c.m)
+    m1, m0 = q.vectors(c.m)
     treated = c.target.kind is TargetKind.ATT
     arm, size = q.arms[0 if treated else 1]
     who = "treated" if treated else "control"
-    if size < 1.0:
-        raise EstimationError(f"no {who} observations")
-    contrast = q.ds.Y - m0 if treated else m1 - q.ds.Y
-    return _finite((arm * contrast).sum() / size, f"{who} regression estimate")
+    _refuse(err, size < 1.0, f"no {who} observations")
+    contrast = q.Y - m0 if treated else m1 - q.Y
+    return _finite((arm * contrast).sum(axis=1) / size, f"{who} regression estimate", err)
 
 
-def _dr_linear(q: _Pass, c: _Cell) -> float:
+def _dr_linear(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
     """sum [ (a + b*A)*(m1 - m0) + (a + b*pi) * (A/pi*(Y - m1) - (1-A)/(1-pi)*(Y - m0)) ]
     / sum (a + b*A). The denominator replaces pi with the observed treatment
     indicator, which is what makes the estimator consistent when only one
@@ -395,55 +413,52 @@ def _dr_linear(q: _Pass, c: _Cell) -> float:
     block = q.block(c.p)
     # The sign of h is checked first, by the same code and with the same
     # message as for every other estimator of this target.
-    block.h_total(c.row)
-    denom = float(block.observed[1][c.row])
-    if denom <= 0.0:
-        raise EstimationError("denominator sum(a + b*A) is not positive")
-    return _finite(block.doubly_robust(q, c.m)[c.row] / denom, "doubly robust estimate")
+    block.h_total(c.row, err)
+    denom = block.observed[1][:, c.row]
+    _refuse(err, denom <= 0.0, "denominator sum(a + b*A) is not positive")
+    return _finite(block.doubly_robust(q, c.m)[:, c.row] / denom, "doubly robust estimate", err)
 
 
-def _no_closed_form(q: _Pass, c: _Cell) -> float:
+def _no_closed_form(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
     raise EstimationError(
         f"closed-form doubly robust estimator only supports targets linear in "
         f"the propensity, not {c.target.label!r}"
     )
 
 
-def _block_of(q: _Pass, c: _Cell) -> _Block:
+def _block_of(q: _Pass, c: _Cell, err: dict[int, WateError]) -> _Block:
     """The block holding the cell's ``h``, after the checks every kernel of
     a generic ``h`` makes first: a target that reads ``pi`` needs one, and
     ``h`` must have evaluated."""
     if c.target.depends_on_propensity:
         _needs_propensity(c.p, f"target {c.target.label!r}")
     block = q.block(c.p)
-    block.h_total(c.row)
+    block.h_total(c.row, err)
     return block
 
 
-def _regression(q: _Pass, c: _Cell) -> float:
-    block = _block_of(q, c)
+def _regression(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
+    block = _block_of(q, c, err)
     _needs_outcome(c.m, "regression estimator")
-    total = block.h_checked(c.row)
-    return _finite(block.regression(q, c.m)[c.row] / total, "regression estimate")
+    total = block.h_checked(c.row, err)
+    return _finite(block.regression(q, c.m)[:, c.row] / total, "regression estimate", err)
 
 
-def _ipw(q: _Pass, c: _Cell) -> float:
-    block = _block_of(q, c)
+def _ipw(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
+    block = _block_of(q, c, err)
     _needs_propensity(c.p, "weighting estimator")
-    _, _, st, sc = block.weights
-    st, sc = float(st[c.row]), float(sc[c.row])
-    if st <= 0.0 or sc <= 0.0:
-        raise EstimationError("zero weight mass in one arm")
-    ty, cy = block.weighted_outcomes
-    return _finite(ty[c.row] / st - cy[c.row] / sc, "ipw estimate")
+    st, sc, ty, cy = block.weights
+    st, sc = st[:, c.row], sc[:, c.row]
+    _refuse(err, (st <= 0.0) | (sc <= 0.0), "zero weight mass in one arm")
+    return _finite(ty[:, c.row] / st - cy[:, c.row] / sc, "ipw estimate", err)
 
 
-def _aipw(q: _Pass, c: _Cell) -> float:
-    block = _block_of(q, c)
+def _aipw(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
+    block = _block_of(q, c, err)
     _needs_propensity(c.p, "augmented estimator")
     _needs_outcome(c.m, "augmented estimator")
-    total = block.h_checked(c.row)
-    return _finite(block.augmented(q, c.m)[c.row] / total, "augmented estimate")
+    total = block.h_checked(c.row, err)
+    return _finite(block.augmented(q, c.m)[:, c.row] / total, "augmented estimate", err)
 
 
 _GENERIC = {
@@ -488,7 +503,7 @@ def has_formula(kind: EstimatorKind, target: TargetFunction) -> bool:
 
 def _route(
     kind: EstimatorKind, target: TargetFunction
-) -> tuple[EstimatorKind, Callable[[_Pass, _Cell], float]]:
+) -> tuple[EstimatorKind, Callable[[_Pass, _Cell, dict[int, WateError]], NDArray[np.float64]]]:
     """The kind a ``(kind, target)`` cell reports and the kernel for that
     pair. The augmented kind on a target linear in the propensity runs, and
     reports, the doubly robust closed form."""
@@ -507,25 +522,28 @@ def _route(
 
 
 def _diagnostics(q: _Pass, c: _Cell) -> Diagnostics:
-    """The weight mass and effective sample sizes behind a cell, read from
-    the terms its kernel computed: the arm's size for a regression over one
-    arm, the ESS of ``h`` per arm for the kinds that weight no row by
-    ``pi``, the ESS of the arm weights for the rest."""
+    """The weight mass and effective sample sizes behind a cell on a pass
+    over one dataset, read from the terms its kernel computed: the arm's
+    size for a regression over one arm, the ESS of ``h`` per arm for the
+    kinds that weight no row by ``pi``, the ESS of the arm weights for the
+    rest."""
     if c.kernel is _regression_on_arm:
         if c.target.kind is TargetKind.ATT:
-            size = q.arms[0][1]
+            size = float(q.arms[0][1][0])
             return Diagnostics(size, size, 0.0)
-        size = q.arms[1][1]
+        size = float(q.arms[1][1][0])
         return Diagnostics(size, 0.0, size)
     block = q.block(c.p)
     if c.reported in (EstimatorKind.UNWEIGHTED, EstimatorKind.REGRESSION):
         (t1, s1), (t0, s0) = block.arm_squares
     else:
-        _, _, t1, t0 = block.weights
+        t1, t0, _, _ = block.weights
         s1, s0 = block.weight_squares
     r = c.row
     return Diagnostics(
-        block.h_total(r), _ess(float(t1[r]), float(s1[r])), _ess(float(t0[r]), float(s0[r]))
+        float(block.totals[0, r]),
+        _ess(float(t1[0, r]), float(s1[0, r])),
+        _ess(float(t0[0, r]), float(s0[0, r])),
     )
 
 
@@ -624,77 +642,84 @@ def _plan(
     return CellPlan(pipelines, fits, tuple(cells), blocks)
 
 
-def _fill_many(
-    datasets: Sequence[ObservationalDataset],
-    plan: CellPlan | Sequence[EstimationPipeline],
-    diagnostics: bool,
-) -> list[list[PointEstimate | float | WateError]]:
-    """:func:`_fill` of every cell of ``plan`` on each of ``datasets``,
-    which have the same number of rows. Each propensity fit of the plan runs
-    on all of them as one stack; its truncation and check, the outcome fits
-    and the fill run per dataset."""
-    if not isinstance(plan, CellPlan):
-        plan = plan_cells(plan)
-    stacked = [
-        _fit_propensities(datasets, design)
-        if stage == "propensity" and design is not None
-        else None
-        for stage, design, _ in plan.fits
-    ]
-    results = []
-    for i, ds in enumerate(datasets):
-        propensity = [None if fits is None else fits[i] for fits in stacked]
-        results.append(_fill(ds, plan, diagnostics, partial(_vectors, ds, plan, propensity)))
-    return results
-
-
-def _vectors(
-    ds: ObservationalDataset,
-    plan: CellPlan,
-    propensity: list[PropensityModel | WateError | None],
-    slot: int,
-) -> NDArray[np.float64] | tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The vectors of fit ``slot`` on ``ds``: those supplied, ``pi`` of its
-    propensity model in ``propensity[slot]``, truncated and checked, or
-    ``(m1, m0)`` of the outcome model fitted here."""
-    stage, design, extra = plan.fits[slot]
+def _fit(
+    datasets: Sequence[ObservationalDataset], fit: tuple[object, ...]
+) -> tuple[object, dict[int, FitFailure]]:
+    """The vectors of ``fit`` on a stack of datasets, as (b, n) stacks, and
+    the :class:`FitFailure` of each dataset it failed on, by position: the
+    vectors supplied to a stack of one, ``pi`` of the stacked propensity
+    fit, truncated and checked per dataset (0.5 where it failed), or
+    ``(m1, m0)`` of the stacked outcome fit (0 where it failed)."""
+    stage, design, extra = fit
     if design is None:
-        return extra
+        if stage == "outcome":
+            return tuple(v.reshape(1, -1) for v in extra), {}
+        return extra.reshape(1, -1), {}
     if stage == "outcome":
-        om = fit_outcome(ds, design, extra)
-        return om.m1, om.m0
-    pm = propensity[slot]
-    if isinstance(pm, WateError):
-        raise pm
-    pi = pm.pi if extra is None else truncate_propensity(pm.pi, *extra)
-    return _checked_pi(pi, ds.n, EstimationError)
+        fits = _fit_outcomes(datasets, design, design if extra is None else extra)
+        return (fits.m1, fits.m0), _failures(stage, fits.errors)
+    n = datasets[0].n
+    pi = np.full((len(datasets), n), 0.5)
+    errors: list[WateError | None] = []
+    for i, pm in enumerate(_fit_propensities(datasets, design)):
+        if not isinstance(pm, WateError):
+            try:
+                pi[i] = _checked_pi(
+                    pm.pi if extra is None else truncate_propensity(pm.pi, *extra),
+                    n, EstimationError,
+                )
+                pm = None
+            except WateError as exc:
+                pm = exc.with_traceback(None)
+        errors.append(pm)
+    return pi, _failures(stage, errors)
+
+
+def _failures(stage: str, errors: list[WateError | None]) -> dict[int, FitFailure]:
+    return {i: FitFailure(stage, error) for i, error in enumerate(errors) if error is not None}
 
 
 def _fill(
-    ds: ObservationalDataset,
-    plan: CellPlan,
-    diagnostics: bool,
-    vectors: Callable[[int], object],
-) -> list[PointEstimate | float | WateError]:
-    """Every cell of ``plan`` on ``ds``, with fit ``slot`` read from
-    ``vectors(slot)``: the point estimate, or only its value, or the error
-    the cell failed with. The one pass over a dataset."""
-    q = _Pass(ds, plan, vectors)
-    results: list[PointEstimate | float | WateError] = []
-    for c in plan.cells:
-        try:
-            if c.p >= 0:
-                q.fitted(c.p)
-            if c.m >= 0:
-                q.fitted(c.m)
-            value = c.kernel(q, c)
-            if diagnostics:
-                value = PointEstimate(value, c.reported, c.target, ds.n, _diagnostics(q, c))
-            results.append(value)
-        except WateError as exc:
-            # A raise gives a kept error the traceback of its frames again.
-            results.append(exc.with_traceback(None))
-    return results
+    datasets: Sequence[ObservationalDataset], plan: CellPlan, diagnostics: bool = False
+) -> tuple[NDArray[np.float64], list[dict[int, WateError]], list[Diagnostics | None]]:
+    """Every cell of ``plan`` on each of ``datasets``, which have the same
+    number of rows: the (datasets, cells) matrix of values, where a failed
+    value is undefined, per cell the error of each dataset it failed on, by
+    position, and, with ``diagnostics`` on a stack of one, the
+    :class:`Diagnostics` of each cell that did not fail.
+
+    The one pass, over the whole stack: each fit of the plan runs once on
+    it and each kernel once, and each dataset gets the checks in the order a
+    pass over it alone makes them, so its first failure and its bits; an
+    error a kernel raises applies to every dataset. The cells are filled a
+    block at a time, and each block is freed after its last cell."""
+    q = _Pass(datasets, plan)
+    cells = plan.cells
+    values = np.empty((len(datasets), len(cells)))
+    errors: list[dict[int, WateError]] = [{} for _ in cells]
+    found: list[Diagnostics | None] = [None] * len(cells)
+    order = sorted(range(len(cells)), key=lambda j: cells[j].p)
+    # The divisions of a refused dataset may divide by zero; its value is
+    # dropped.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, after in zip(order, order[1:] + [None]):
+            c, err = cells[j], errors[j]
+            for slot in (c.p, c.m):
+                if slot >= 0:
+                    for i, failure in q.fitted(slot)[1].items():
+                        err.setdefault(i, failure)
+            try:
+                values[:, j] = c.kernel(q, c, err)
+            except WateError as exc:
+                # A raise gives a kept error the traceback of its frames.
+                exc = exc.with_traceback(None)
+                for i in range(len(datasets)):
+                    err.setdefault(i, exc)
+            if diagnostics and not err:
+                found[j] = _diagnostics(q, c)
+            if after is None or cells[after].p != c.p:
+                q.release(c.p)
+    return values, errors, found
 
 
 def fill_cells(
@@ -719,7 +744,13 @@ def fill_cells(
     """
     if pi is not None or m1 is not None or m0 is not None:
         plan = _supplied(ds, plan, pi, m1, m0)
-    return _fill_many([ds], plan, diagnostics=True)[0]
+    elif not isinstance(plan, CellPlan):
+        plan = plan_cells(plan)
+    values, errors, diagnostics = _fill([ds], plan, diagnostics=True)
+    return [
+        err[0] if err else PointEstimate(float(values[0, j]), c.reported, c.target, ds.n, d)
+        for j, (c, err, d) in enumerate(zip(plan.cells, errors, diagnostics))
+    ]
 
 
 def _supplied(
@@ -757,10 +788,12 @@ def _cell_value_rows(
     datasets: Sequence[ObservationalDataset], plan: CellPlan | Sequence[EstimationPipeline]
 ) -> list[NDArray[np.float64]]:
     """The values of :func:`fill_cells` on each of ``datasets``, which have
-    the same number of rows, NaN where a pipeline failed: the same kernels
-    build no :class:`Diagnostics`, and each propensity fit runs on all the
-    datasets as one stack."""
-    return [
-        np.array([np.nan if isinstance(r, WateError) else r for r in results])
-        for results in _fill_many(datasets, plan, diagnostics=False)
-    ]
+    the same number of rows, NaN where a pipeline failed, from one pass over
+    the whole stack that builds no :class:`Diagnostics`."""
+    if not isinstance(plan, CellPlan):
+        plan = plan_cells(plan)
+    values, errors, _ = _fill(datasets, plan)
+    for j, err in enumerate(errors):
+        if err:
+            values[list(err), j] = np.nan
+    return list(values)

@@ -6,31 +6,37 @@ matrix for numerical rank deficiency via QR, and return frozen model objects
 that can be pickled into worker processes. The logistic fit is Newton's
 method with step halving; convergence is declared when the largest score
 component falls below ``SCORE_TOL``, and the fit fails after ``MAX_ITER``
-Newton updates. There is one such IRLS, and it runs over a stack of
-problems: the study and the bootstrap fit one propensity design on a stack
-of same-n replicates at once, which pays numpy's fixed cost per call once
-per stack, and :func:`fit_propensity` is a stack of one. Every problem of a
-stack gets the bits and the error it gets alone. Every fitted or predicted
-probability is clamped into ``[PROB_CLAMP, 1 - PROB_CLAMP]`` so inverse
-weights stay finite. A design is rank deficient when its smallest ``|R_jj|``
-is at most ``RANK_TOL`` times its largest. The outcome fit solves through
-one reduced QR, whose R also serves the rank check.
+Newton updates. Every fitted or predicted probability is clamped into
+``[PROB_CLAMP, 1 - PROB_CLAMP]`` so inverse weights stay finite. A design is
+rank deficient when its smallest ``|R_jj|`` is at most ``RANK_TOL`` times its
+largest. The outcome fit solves through one reduced QR, whose R also serves
+the rank check.
+
+Both fits run over a stack of problems: the study and the bootstrap fit
+each working model on a stack of same-n replicates at once, which pays
+numpy's fixed cost per call once per stack. There is one IRLS
+(:func:`_irls`) and one least squares fit (:func:`_fit_outcomes`), each on a
+(b, n, k) stack of model matrices; :func:`fit_propensity` and
+:func:`fit_outcome` are stacks of one. A stacked ``qr``, ``solve`` or
+``matmul`` computes each slice as the 2-D call does, so every problem of a
+stack gets the bits and the error it gets alone.
 
 Each fitted model also carries its vectors on the fitting rows: the final
 IRLS probabilities (``PropensityModel.pi``) and both arms' means
 (``OutcomeModel.m1``/``m0``). They are bit-for-bit what
 :func:`predict_propensity` and :func:`predict_outcome` return on those rows,
 so a caller estimating on the fitting data needs no prediction; predict for
-any other rows.
+any other rows. Only :func:`fit_outcome` computes the residual variance,
+which no estimator reads.
 
-Each fit builds one model matrix, with the design evaluated straight into
-it (for the logistic fit, into its slice of the stack), and reuses it: the
-outcome fit gets ``m1`` and ``m0`` by overwriting the arm and interaction
-columns in place, and the Newton steps of the logistic fit write their
-weighted design and log likelihood terms into buffers allocated once per
-stack. A Newton step clamps its probabilities in place and divides once per
-sigmoid. None of this changes the value of an element or the order of a
-sum, so the results are the same bits.
+Each design is evaluated straight into its slice of one stack of model
+matrices, and the stack is reused: the outcome fit gets ``m1`` and ``m0`` by
+overwriting the arm and interaction columns in place, and the Newton steps
+of the logistic fit write their weighted design and log likelihood terms
+into buffers allocated once per stack. A Newton step clamps its
+probabilities in place and divides once per sigmoid. None of this changes
+the value of an element or the order of a sum, so the results are the same
+bits.
 
 At bootstrap sizes the n-by-k blocks that remain, most of them
 ``numpy.linalg.qr``'s own copies, are freed at the end of every fit. By
@@ -146,28 +152,22 @@ def _clamped_sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.minimum(p, 1.0 - PROB_CLAMP, out=p)
 
 
-def _check_full_rank(
-    M: NDArray[np.float64],
-    what: str,
-    r: NDArray[np.float64] | None = None,
-) -> None:
-    """Raise unless ``M`` has full column rank. ``r`` is the R factor of
-    ``M`` when the caller has already factored it."""
-    if M.shape[1] == 0:
-        return
-    if M.shape[0] < M.shape[1]:
-        raise RankDeficiencyError(
-            f"{what}: {M.shape[1]} columns but only {M.shape[0]} rows"
+def _rank_errors(r: NDArray[np.float64], what: str) -> list[WateError | None]:
+    """For each R factor of the (b, k, k) stack ``r``, ``None`` if its
+    matrix has full column rank, else the :class:`RankDeficiencyError`."""
+    r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    tops, lows = r_diag.max(axis=1).tolist(), r_diag.min(axis=1).tolist()
+    return [
+        None if top != 0.0 and low > RANK_TOL * top else RankDeficiencyError(
+            f"{what} matrix is numerically rank deficient (min/max |R_jj| = {low:.3e}/{top:.3e})"
         )
-    if r is None:
-        r = np.linalg.qr(M, mode="r")
-    r_diag = np.abs(np.diag(r))
-    top = r_diag.max()
-    if top == 0.0 or r_diag.min() <= RANK_TOL * top:
-        raise RankDeficiencyError(
-            f"{what} matrix is numerically rank deficient "
-            f"(min/max |R_jj| = {r_diag.min():.3e}/{top:.3e})"
-        )
+        for top, low in zip(tops, lows)
+    ]
+
+
+def _too_few_rows(n: int, k: int, what: str) -> RankDeficiencyError | None:
+    """The error of a design with more columns than rows, if it has."""
+    return RankDeficiencyError(f"{what}: {k} columns but only {n} rows") if n < k else None
 
 
 def _design_matrix(
@@ -187,17 +187,20 @@ def _outcome_matrix(
     inter: DesignSpec,
     X: NDArray[np.float64],
     arm: NDArray[np.float64] | float,
+    out: NDArray[np.float64] | None = None,
+    g: NDArray[np.float64] | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """``[1, main(X), arm, arm * inter(X)]``, the one layout of the outcome
     model's columns for fitting and for predicting, and the interaction
-    columns ``inter(X)``, which :func:`_set_arm` needs to switch the arm.
-    Equal designs are evaluated once."""
+    columns ``inter(X)``, which :func:`_set_arm` needs to switch the arm,
+    each evaluated into ``out`` and ``g`` when given. Equal designs are
+    evaluated once: ``g`` is then the main block of the matrix."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     kb = len(main)
-    M = np.empty((X.shape[0], kb + 2 + len(inter)))
+    M = np.empty((X.shape[0], kb + 2 + len(inter))) if out is None else out
     M[:, 0] = 1.0
     main.matrix(X, out=M[:, 1:kb + 1])
-    g = M[:, 1:kb + 1] if inter == main else inter.matrix(X)
+    g = M[:, 1:kb + 1] if inter == main else inter.matrix(X, out=g)
     _set_arm(M, arm, g)
     return M, g
 
@@ -205,11 +208,11 @@ def _outcome_matrix(
 def _set_arm(
     M: NDArray[np.float64], arm: NDArray[np.float64] | float, g: NDArray[np.float64]
 ) -> None:
-    """Overwrite the arm column of an outcome model matrix and the
-    interaction block after it with ``arm`` and ``arm * g``."""
-    j = M.shape[1] - g.shape[1] - 1
-    M[:, j] = arm
-    np.multiply(np.reshape(arm, (-1, 1)), g, out=M[:, j + 1:])
+    """Overwrite the arm column of an outcome model matrix, or of a stack of
+    them, and the interaction block after it with ``arm`` and ``arm * g``."""
+    j = M.shape[-1] - g.shape[-1] - 1
+    M[..., j] = arm
+    np.multiply(np.asarray(arm)[..., None], g, out=M[..., j + 1:])
 
 
 def fit_propensity(ds: ObservationalDataset, design: DesignSpec) -> PropensityModel:
@@ -231,26 +234,35 @@ def _fit_propensities(
 ) -> list[PropensityModel | WateError]:
     """:func:`fit_propensity` of ``design`` on each of ``datasets``, which
     have the same number of rows: its model, or the error it failed with.
-    Each design is evaluated into its slice of one stack and checked for
-    rank; the full-rank ones are fitted by one stacked IRLS."""
-    n = datasets[0].n
-    M = np.empty((len(datasets), n, len(design) + 1))
-    A = np.empty((len(datasets), n))
-    results: list[PropensityModel | WateError | None] = [None] * len(datasets)
-    rows = []
+    Each design is evaluated into its slice of one stack; the stack is
+    checked for rank by one stacked QR and the full-rank designs are fitted
+    by one stacked IRLS."""
+    b, n, k = len(datasets), datasets[0].n, len(design) + 1
+    M = np.empty((b, n, k))
+    A = np.empty((b, n))
+    results: list[PropensityModel | WateError | None] = [None] * b
     for i, ds in enumerate(datasets):
         try:
-            _check_full_rank(_design_matrix(design, ds.X, M[i]), "propensity design")
+            _design_matrix(design, ds.X, M[i])
         except WateError as exc:
             results[i] = exc.with_traceback(None)
             continue
         A[i] = ds.A
-        rows.append(i)
-    if rows:
-        if len(rows) < len(datasets):
-            M, A = M[rows], A[rows]
-        for i, result in zip(rows, _irls(M, A, design)):
-            results[i] = result
+    rows = [i for i, result in enumerate(results) if result is None]
+    if len(rows) < b:
+        M, A = M[rows], A[rows]
+    shortage = _too_few_rows(n, k, "propensity design")
+    errors = [shortage] * len(rows) if shortage else _rank_errors(
+        np.linalg.qr(M, mode="r"), "propensity design"
+    )
+    for i, error in zip(rows, errors):
+        results[i] = error
+    full = [j for j, error in enumerate(errors) if error is None]
+    if full:
+        if len(full) < len(rows):
+            M, A = M[full], A[full]
+        for j, result in zip(full, _irls(M, A, design)):
+            results[rows[j]] = result
     return results
 
 
@@ -450,31 +462,21 @@ def fit_outcome(
     denominator and requires at least one residual degree of freedom.
     """
     inter = design if interaction is None else interaction
-    M, g = _outcome_matrix(design, inter, ds.X, ds.A)
-    k = M.shape[1]
-    q, r = np.linalg.qr(M)
-    _check_full_rank(M, "outcome design", r)
-    if ds.n - k < 1:
-        raise ModelFitError(
-            f"outcome model has {k} coefficients for {ds.n} rows; "
-            "no residual degrees of freedom"
-        )
-    beta = np.linalg.solve(r, q.T @ ds.Y)
-    resid = ds.Y - M @ beta
-    residual_variance = float(resid @ resid / (ds.n - k))
-    # Switching the arm in place writes 1*g and 0*g, the bits a matrix
-    # rebuilt for each arm would hold.
-    _set_arm(M, 1.0, g)
-    m1 = M @ beta
-    _set_arm(M, 0.0, g)
-    m0 = M @ beta
+    fits = _fit_outcomes([ds], design, inter)
+    (error,) = fits.errors
+    if error is not None:
+        raise error
+    beta = fits.beta[0]
+    # Only this model keeps the residual variance, from the matrix rebuilt
+    # with the observed arm: the stacked fit has switched its arms.
+    resid = ds.Y - _outcome_matrix(design, inter, ds.X, ds.A)[0] @ beta
     return OutcomeModel(
         beta=beta,
         main_design=design,
         interaction_design=inter,
-        residual_variance=residual_variance,
-        m1=m1,
-        m0=m0,
+        residual_variance=float(resid @ resid / (ds.n - beta.shape[0])),
+        m1=fits.m1[0],
+        m0=fits.m0[0],
     )
 
 
@@ -492,20 +494,56 @@ class _OutcomeFits(NamedTuple):
 def _fit_outcomes(
     datasets: Sequence[ObservationalDataset], main: DesignSpec, inter: DesignSpec
 ) -> _OutcomeFits:
-    """:func:`fit_outcome` of ``(main, inter)`` on each of ``datasets``."""
+    """:func:`fit_outcome` of ``(main, inter)`` on each of ``datasets``,
+    which have the same number of rows, as one stacked least squares fit.
+
+    The model matrices are evaluated into one (b, n, k) stack and factored
+    by one stacked reduced QR; each R is checked for rank, then the
+    full-rank systems are solved by one stacked solve. Both arms' means come
+    from the same stack, its arm columns switched in place, by one stacked
+    ``M @ beta`` each. A stacked QR, solve or matmul computes each slice as
+    the 2-D call does, so every dataset gets the bits, or the error, it gets
+    alone."""
     b, n = len(datasets), datasets[0].n
-    k = len(main) + 2 + len(inter)
-    errors: list[WateError | None] = []
-    beta, m1, m0 = np.zeros((b, k)), np.zeros((b, n)), np.zeros((b, n))
+    kb, ki = len(main), len(inter)
+    k = kb + 2 + ki
+    M = np.empty((b, n, k))
+    G = M[:, :, 1:kb + 1] if inter == main else np.empty((b, n, ki))
+    Y = np.empty((b, n, 1))
+    errors: list[WateError | None] = [None] * b
     for i, ds in enumerate(datasets):
         try:
-            om = fit_outcome(ds, main, inter)
+            _outcome_matrix(main, inter, ds.X, ds.A, M[i], G[i])
         except WateError as exc:
-            errors.append(exc.with_traceback(None))
-            continue
-        errors.append(None)
-        beta[i], m1[i], m0[i] = om.beta, om.m1, om.m0
-    return _OutcomeFits(errors, beta, m1, m0)
+            errors[i] = exc.with_traceback(None)
+            M[i] = G[i] = 0.0
+        Y[i, :, 0] = ds.Y
+    beta = np.zeros((b, k, 1))
+    shortage = _too_few_rows(n, k, "outcome design")
+    if shortage:
+        errors = [error or shortage for error in errors]
+    else:
+        q, r = np.linalg.qr(M)
+        qty = q.transpose(0, 2, 1) @ Y
+        del q
+        no_df = ModelFitError(
+            f"outcome model has {k} coefficients for {n} rows; no residual degrees of freedom"
+        ) if n - k < 1 else None
+        errors = [
+            error or rank or no_df for error, rank in zip(errors, _rank_errors(r, "outcome design"))
+        ]
+        rows = [i for i, error in enumerate(errors) if error is None]
+        if len(rows) == b:
+            beta = np.linalg.solve(r, qty)
+        elif rows:
+            beta[rows] = np.linalg.solve(r[rows], qty[rows])
+    # Switching the arm in place writes 1*g and 0*g, the bits a matrix
+    # rebuilt for each arm would hold.
+    _set_arm(M, 1.0, G)
+    m1 = M @ beta
+    _set_arm(M, 0.0, G)
+    m0 = M @ beta
+    return _OutcomeFits(errors, beta[:, :, 0], m1[:, :, 0], m0[:, :, 0])
 
 
 def predict_outcome(

@@ -618,21 +618,26 @@ def test_affine_outcome_map_scales_every_estimate(seed, c, negate, d):
 
 
 @given(
+    stack=st.integers(1, 5),
     rows=st.integers(1, 8),
     n=st.integers(0, 12345),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_each_row_sum_of_a_block_is_the_rows_own_sum(rows, n, seed):
-    # The fill sums each target's terms as one row of a C-contiguous block,
-    # and its per-arm ESS as one row of the block's columns on that arm. A
-    # cell gets the bits of its own 1-D sum only while numpy sums each row
-    # of a block as it sums that row alone.
+def test_each_row_sum_of_a_block_is_the_rows_own_sum(stack, rows, n, seed):
+    # The fill sums each target's terms on each dataset of a stack as one
+    # row of a C-contiguous (datasets, targets, n) block, and its per-arm
+    # ESS as one row of a dataset's columns on that arm. A cell gets the
+    # bits of its own 1-D sum only while numpy sums each row of a block as
+    # it sums that row alone.
     rng = np.random.default_rng(seed)
-    block = rng.standard_normal((rows, n)) * np.exp2(rng.integers(-30, 30, size=(rows, n)))
-    arm = np.compress(rng.random(n) < 0.5, block, axis=1)
-    for b in (block, arm):
-        assert b.flags.c_contiguous
-        assert [s.hex() for s in b.sum(axis=1)] == [r.sum().hex() for r in b]
+    shape = (stack, rows, n)
+    block = rng.standard_normal(shape) * np.exp2(rng.integers(-30, 30, size=shape))
+    arm = np.compress(rng.random(n) < 0.5, block[-1], axis=1)
+    assert block.flags.c_contiguous and arm.flags.c_contiguous
+    assert [s.hex() for s in block.sum(axis=2).ravel()] == [
+        r.sum().hex() for r in block.reshape(stack * rows, n)
+    ]
+    assert [s.hex() for s in arm.sum(axis=1)] == [r.sum().hex() for r in arm]
 
 
 def _x2_squared(X):
@@ -756,17 +761,19 @@ def test_planned_fill_computes_each_shared_term_once(monkeypatch, make_plan, exp
     ds = generate_dataset(1, 300, np.random.default_rng(5))
     calls = dict.fromkeys(expected, 0)
 
-    def counting(what, fn):
+    def counting(what, fn, count=lambda *args: 1):
         def wrapper(*args, **kwargs):
-            calls[what] += 1
+            calls[what] += count(*args)
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for what, name in (
-        ("propensity", "_fit_propensities"), ("outcome", "fit_outcome"),
-        ("h", "_h_values"), ("estimate", "PointEstimate"),
-    ):
+    # The fits of a stack are one call per working model; count the datasets
+    # each call fits.
+    for what, name in (("propensity", "_fit_propensities"), ("outcome", "_fit_outcomes")):
+        fit = counting(what, getattr(wate.estimators, name), lambda datasets, *_: len(datasets))
+        monkeypatch.setattr(wate.estimators, name, fit)
+    for what, name in (("h", "_h_values"), ("estimate", "PointEstimate")):
         monkeypatch.setattr(wate.estimators, name, counting(what, getattr(wate.estimators, name)))
     monkeypatch.setattr(DesignSpec, "__hash__", counting("hash", DesignSpec.__hash__))
     results = fill_cells(ds, plan)

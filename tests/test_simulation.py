@@ -232,13 +232,16 @@ def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypa
 
         return wrapper
 
-    # The propensity fits of a stack of replicates are one call; count the
-    # datasets it fits.
+    # The fits of a stack of replicates are one call per working model;
+    # count the datasets each call fits.
     monkeypatch.setattr(
         wate.estimators, "_fit_propensities",
         counting("propensity", wate.models._fit_propensities, lambda datasets, _: len(datasets)),
     )
-    monkeypatch.setattr(wate.estimators, "fit_outcome", counting("outcome", fit_outcome))
+    monkeypatch.setattr(
+        wate.estimators, "_fit_outcomes",
+        counting("outcome", wate.models._fit_outcomes, lambda datasets, *_: len(datasets)),
+    )
     for name in ("predict_propensity", "predict_outcome"):
         monkeypatch.setattr(wate.models, name, counting("predict", getattr(wate.models, name)))
     monkeypatch.setattr(
