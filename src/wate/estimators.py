@@ -241,7 +241,8 @@ class _Block:
         or 1, so ``A*(h/pi)`` equals ``(A*h)/pi`` to the last bit."""
         tw = np.divide(self.H, self.pi[:, None])
         cw = np.divide(self.H, self.not_pi[:, None])
-        return np.multiply(tw, self.A[:, None], out=tw), np.multiply(cw, self.not_A[:, None], out=cw)
+        np.multiply(tw, self.A[:, None], out=tw)
+        return tw, np.multiply(cw, self.not_A[:, None], out=cw)
 
     @cached_property
     def weights(self) -> tuple[NDArray[np.float64], ...]:
@@ -250,7 +251,8 @@ class _Block:
         tw, cw = self._arm_weights()
         st, sc = tw.sum(axis=2), cw.sum(axis=2)
         Y = self.Y[:, None]
-        return st, sc, np.multiply(tw, Y, out=tw).sum(axis=2), np.multiply(cw, Y, out=cw).sum(axis=2)
+        ty, cy = np.multiply(tw, Y, out=tw).sum(axis=2), np.multiply(cw, Y, out=cw).sum(axis=2)
+        return st, sc, ty, cy
 
     @cached_property
     def weight_squares(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

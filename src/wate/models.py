@@ -152,22 +152,24 @@ def _clamped_sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.minimum(p, 1.0 - PROB_CLAMP, out=p)
 
 
-def _rank_errors(r: NDArray[np.float64], what: str) -> list[WateError | None]:
-    """For each R factor of the (b, k, k) stack ``r``, ``None`` if its
-    matrix has full column rank, else the :class:`RankDeficiencyError`."""
+def _rank_errors(
+    M: NDArray[np.float64], what: str, r: NDArray[np.float64] | None = None
+) -> list[WateError | None]:
+    """For each matrix of the (b, n, k) stack ``M``, ``None`` if it has
+    full column rank, else the :class:`RankDeficiencyError`. ``r`` is the
+    stack of R factors when the caller has already factored ``M``."""
+    b, n, k = M.shape
+    if n < k:
+        return [RankDeficiencyError(f"{what}: {k} columns but only {n} rows")] * b
+    if r is None:
+        r = np.linalg.qr(M, mode="r")
     r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    tops, lows = r_diag.max(axis=1).tolist(), r_diag.min(axis=1).tolist()
     return [
         None if top != 0.0 and low > RANK_TOL * top else RankDeficiencyError(
             f"{what} matrix is numerically rank deficient (min/max |R_jj| = {low:.3e}/{top:.3e})"
         )
-        for top, low in zip(tops, lows)
+        for top, low in zip(r_diag.max(axis=1).tolist(), r_diag.min(axis=1).tolist())
     ]
-
-
-def _too_few_rows(n: int, k: int, what: str) -> RankDeficiencyError | None:
-    """The error of a design with more columns than rows, if it has."""
-    return RankDeficiencyError(f"{what}: {k} columns but only {n} rows") if n < k else None
 
 
 def _design_matrix(
@@ -234,11 +236,11 @@ def _fit_propensities(
 ) -> list[PropensityModel | WateError]:
     """:func:`fit_propensity` of ``design`` on each of ``datasets``, which
     have the same number of rows: its model, or the error it failed with.
-    Each design is evaluated into its slice of one stack; the stack is
+    Each design is evaluated into its slice of one stack, the stack is
     checked for rank by one stacked QR and the full-rank designs are fitted
     by one stacked IRLS."""
-    b, n, k = len(datasets), datasets[0].n, len(design) + 1
-    M = np.empty((b, n, k))
+    b, n = len(datasets), datasets[0].n
+    M = np.empty((b, n, len(design) + 1))
     A = np.empty((b, n))
     results: list[PropensityModel | WateError | None] = [None] * b
     for i, ds in enumerate(datasets):
@@ -246,23 +248,17 @@ def _fit_propensities(
             _design_matrix(design, ds.X, M[i])
         except WateError as exc:
             results[i] = exc.with_traceback(None)
-            continue
+            M[i] = 0.0
         A[i] = ds.A
-    rows = [i for i, result in enumerate(results) if result is None]
-    if len(rows) < b:
-        M, A = M[rows], A[rows]
-    shortage = _too_few_rows(n, k, "propensity design")
-    errors = [shortage] * len(rows) if shortage else _rank_errors(
-        np.linalg.qr(M, mode="r"), "propensity design"
-    )
-    for i, error in zip(rows, errors):
-        results[i] = error
-    full = [j for j, error in enumerate(errors) if error is None]
-    if full:
-        if len(full) < len(rows):
-            M, A = M[full], A[full]
-        for j, result in zip(full, _irls(M, A, design)):
-            results[rows[j]] = result
+    results = [
+        error or rank for error, rank in zip(results, _rank_errors(M, "propensity design"))
+    ]
+    rows = [i for i, error in enumerate(results) if error is None]
+    if rows:
+        if len(rows) < b:
+            M, A = M[rows], A[rows]
+        for i, result in zip(rows, _irls(M, A, design)):
+            results[i] = result
     return results
 
 
@@ -518,24 +514,22 @@ def _fit_outcomes(
             errors[i] = exc.with_traceback(None)
             M[i] = G[i] = 0.0
         Y[i, :, 0] = ds.Y
-    beta = np.zeros((b, k, 1))
-    shortage = _too_few_rows(n, k, "outcome design")
-    if shortage:
-        errors = [error or shortage for error in errors]
+    q, r = np.linalg.qr(M)
+    qty = q.transpose(0, 2, 1) @ Y
+    del q
+    no_df = ModelFitError(
+        f"outcome model has {k} coefficients for {n} rows; no residual degrees of freedom"
+    ) if n - k < 1 else None
+    errors = [
+        error or rank or no_df
+        for error, rank in zip(errors, _rank_errors(M, "outcome design", r))
+    ]
+    rows = [i for i, error in enumerate(errors) if error is None]
+    if len(rows) == b:
+        beta = np.linalg.solve(r, qty)
     else:
-        q, r = np.linalg.qr(M)
-        qty = q.transpose(0, 2, 1) @ Y
-        del q
-        no_df = ModelFitError(
-            f"outcome model has {k} coefficients for {n} rows; no residual degrees of freedom"
-        ) if n - k < 1 else None
-        errors = [
-            error or rank or no_df for error, rank in zip(errors, _rank_errors(r, "outcome design"))
-        ]
-        rows = [i for i, error in enumerate(errors) if error is None]
-        if len(rows) == b:
-            beta = np.linalg.solve(r, qty)
-        elif rows:
+        beta = np.zeros((b, k, 1))
+        if rows:
             beta[rows] = np.linalg.solve(r[rows], qty[rows])
     # Switching the arm in place writes 1*g and 0*g, the bits a matrix
     # rebuilt for each arm would hold.

@@ -22,8 +22,9 @@ Replicate r draws its data from the stream keyed by ``(seed, r)``. The
 replicates are filled a stack of ``max(1, bootstrap._BATCH_ROWS // n)`` at
 a time, each working model fitted on the whole stack at once and every cell
 filled by one pass over it, which gives every replicate the bits it gets
-alone: the results do not depend on the stacks or on ``workers``. :func:`generate_dataset` hands the
-dataset read-only arrays, which it keeps instead of copying.
+alone: the results do not depend on the stacks or on ``workers``.
+:func:`generate_dataset` hands the dataset read-only arrays, which it keeps
+instead of copying.
 """
 
 from __future__ import annotations
