@@ -58,9 +58,9 @@ CI_LEVEL = 0.95
 # stacked fit per working model and one pass of the fill, which pays numpy's
 # fixed cost per call once per stack. The stacked IRLS alone, 4 replicates at
 # n = 1000, took 10-13% off a study's wall time; 8 gained no more and raised
-# its peak memory by 5%. Stacking the outcome fits and the fill took about
-# 17% more off, at about 2% more peak memory. Above n = 2048 a stack holds
-# one replicate.
+# its peak memory by 5%. Stacking the outcome fits and the fill too took 16%
+# more off, at 2% more peak memory. Above n = 2048 a stack holds one
+# replicate.
 _BATCH_ROWS = 4096
 
 
