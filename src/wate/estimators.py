@@ -84,7 +84,7 @@ from numpy.typing import NDArray
 from .data import ObservationalDataset
 from .design import DesignSpec
 from .errors import EstimationError, FitFailure, MissingModelError, WateError
-from .models import _fit_outcomes, _fit_propensities, truncate_propensity
+from .models import _check_percentiles, _fit_outcomes, _fit_propensities, truncate_propensity
 from .targets import (
     TargetFunction,
     TargetKind,
@@ -561,7 +561,8 @@ class EstimationPipeline:
     and without them the dispatcher rejects estimators that need it.
     ``truncate`` is a percentile pair applied to the fitted propensities
     before any weight is formed; the target function is evaluated on the
-    truncated values too.
+    truncated values too. A pair that :func:`truncate_propensity` would
+    refuse is refused here, with its ``ValueError``.
     """
 
     estimand: TargetFunction
@@ -570,6 +571,10 @@ class EstimationPipeline:
     m_design: DesignSpec | None = None
     m_interaction: DesignSpec | None = None
     truncate: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.truncate is not None:
+            _check_percentiles(*self.truncate)
 
 
 class _BlockPlan(NamedTuple):

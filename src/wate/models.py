@@ -30,21 +30,29 @@ any other rows. Only :func:`fit_outcome` computes the residual variance,
 which no estimator reads.
 
 Each design is evaluated straight into its slice of one stack of model
-matrices, and the stack is reused: the outcome fit gets ``m1`` and ``m0`` by
-overwriting the arm and interaction columns in place, and the Newton steps
-of the logistic fit write their weighted design and log likelihood terms
-into buffers allocated once per stack. A Newton step clamps its
-probabilities in place and divides once per sigmoid. None of this changes
-the value of an element or the order of a sum, so the results are the same
-bits.
+matrices. The slices are column-major, a (b, k, n) array seen as (b, n, k):
+each design column is written to contiguous memory, and
+``numpy.linalg.qr``, which copies every slice into a Fortran buffer for
+LAPACK, copies it without transposing. The BLAS products read row-major
+model matrices, since a column-major operand changes the bits of
+``matmul``: the IRLS gets one C-contiguous copy of the full-rank slices, and
+the outcome fit gets ``m1`` and ``m0`` by switching the arm and interaction
+columns of its stack and copying it into one row-major buffer before each
+``M @ beta``. The
+Newton steps of the logistic fit write their weighted design and log
+likelihood terms into buffers allocated once per stack. A Newton step clamps
+its probabilities in place and divides once per sigmoid. None of this
+changes the value of an element or the order of a sum, and LAPACK reads the
+same buffer in either layout, so the results are the same bits.
 
-At bootstrap sizes the n-by-k blocks that remain, most of them
-``numpy.linalg.qr``'s own copies, are freed at the end of every fit. By
-default glibc hands that memory back to the OS and the next fit faults it in
-again, page by page. On glibc, importing this module therefore raises the
-mmap threshold to 32 MiB and the trim threshold to 64 MiB (see
-:func:`_keep_freed_heap`), so freed fit blocks stay in the heap for the next
-fit; a user who sets either threshold through the environment keeps it.
+At bootstrap sizes the n-by-k blocks of a fit (the stack, its row-major
+copy, ``numpy.linalg.qr``'s copy of it and ``q``) are freed at the end of
+every fit. By default glibc hands that memory back to the OS and the next
+fit faults it in again, page by page. On glibc, importing this module
+therefore raises the mmap threshold to 32 MiB and the trim threshold to 64
+MiB (see :func:`_keep_freed_heap`), so freed fit blocks stay in the heap for
+the next fit; a user who sets either threshold through the environment
+keeps it.
 """
 
 from __future__ import annotations
@@ -236,11 +244,11 @@ def _fit_propensities(
 ) -> list[PropensityModel | WateError]:
     """:func:`fit_propensity` of ``design`` on each of ``datasets``, which
     have the same number of rows: its model, or the error it failed with.
-    Each design is evaluated into its slice of one stack, the stack is
-    checked for rank by one stacked QR and the full-rank designs are fitted
-    by one stacked IRLS."""
+    Each design is evaluated into its column-major slice of one stack, the
+    stack is checked for rank by one stacked QR, and a row-major copy of the
+    full-rank designs is fitted by one stacked IRLS."""
     b, n = len(datasets), datasets[0].n
-    M = np.empty((b, n, len(design) + 1))
+    M = np.empty((b, len(design) + 1, n)).transpose(0, 2, 1)
     A = np.empty((b, n))
     results: list[PropensityModel | WateError | None] = [None] * b
     for i, ds in enumerate(datasets):
@@ -255,9 +263,16 @@ def _fit_propensities(
     ]
     rows = [i for i, error in enumerate(results) if error is None]
     if rows:
+        # One row-major copy of the full-rank slices for the IRLS's BLAS
+        # products; fancy indexing would keep the column-major layout. The
+        # stack is freed before the IRLS, which needs only the copy.
+        full_rank = np.empty((len(rows), n, M.shape[2]))
+        for j, i in enumerate(rows):
+            full_rank[j] = M[i]
+        del M
         if len(rows) < b:
-            M, A = M[rows], A[rows]
-        for i, result in zip(rows, _irls(M, A, design)):
+            A = A[rows]
+        for i, result in zip(rows, _irls(full_rank, A, design)):
             results[i] = result
     return results
 
@@ -266,8 +281,8 @@ def _irls(
     M: NDArray[np.float64], A: NDArray[np.float64], design: DesignSpec
 ) -> list[PropensityModel | ConvergenceError]:
     """Newton's method with step halving on each problem of a stack: ``M``
-    is a (b, n, k) stack of model matrices, ``A`` the (b, n) stack of
-    treatments.
+    is a C-contiguous (b, n, k) stack of model matrices, ``A`` the (b, n)
+    stack of treatments.
 
     Every problem runs the sequence of a fit on its own: the score test, the
     ``MAX_ITER`` stop, the solve and up to 50 halvings of its own step, on
@@ -437,13 +452,19 @@ def truncate_propensity(
     Percentiles use linear interpolation between order statistics. The pair
     (0, 100) is a no-op apart from clipping at the observed min/max.
     """
+    _check_percentiles(lower_pct, upper_pct)
+    pi = np.asarray(pi, dtype=np.float64)
+    lo, hi = np.percentile(pi, [lower_pct, upper_pct])
+    return np.clip(pi, lo, hi)
+
+
+def _check_percentiles(lower_pct: float, upper_pct: float) -> None:
+    """Raise ``ValueError`` unless ``0 <= lower_pct < upper_pct <= 100``,
+    which NaN fails."""
     if not (0.0 <= lower_pct < upper_pct <= 100.0):
         raise ValueError(
             f"need 0 <= lower < upper <= 100, got ({lower_pct}, {upper_pct})"
         )
-    pi = np.asarray(pi, dtype=np.float64)
-    lo, hi = np.percentile(pi, [lower_pct, upper_pct])
-    return np.clip(pi, lo, hi)
 
 
 def fit_outcome(
@@ -493,18 +514,19 @@ def _fit_outcomes(
     """:func:`fit_outcome` of ``(main, inter)`` on each of ``datasets``,
     which have the same number of rows, as one stacked least squares fit.
 
-    The model matrices are evaluated into one (b, n, k) stack and factored
-    by one stacked reduced QR; each R is checked for rank, then the
-    full-rank systems are solved by one stacked solve. Both arms' means come
-    from the same stack, its arm columns switched in place, by one stacked
+    The model matrices are evaluated into one (b, n, k) stack of
+    column-major slices and factored by one stacked reduced QR; each R is
+    checked for rank, then the full-rank systems are solved by one stacked
+    solve. Both arms' means come from the same stack, its arm columns
+    switched in place and copied into a row-major buffer, by one stacked
     ``M @ beta`` each. A stacked QR, solve or matmul computes each slice as
     the 2-D call does, so every dataset gets the bits, or the error, it gets
     alone."""
     b, n = len(datasets), datasets[0].n
     kb, ki = len(main), len(inter)
     k = kb + 2 + ki
-    M = np.empty((b, n, k))
-    G = M[:, :, 1:kb + 1] if inter == main else np.empty((b, n, ki))
+    M = np.empty((b, k, n)).transpose(0, 2, 1)
+    G = M[:, :, 1:kb + 1] if inter == main else np.empty((b, ki, n)).transpose(0, 2, 1)
     Y = np.empty((b, n, 1))
     errors: list[WateError | None] = [None] * b
     for i, ds in enumerate(datasets):
@@ -532,11 +554,14 @@ def _fit_outcomes(
         if rows:
             beta[rows] = np.linalg.solve(r[rows], qty[rows])
     # Switching the arm in place writes 1*g and 0*g, the bits a matrix
-    # rebuilt for each arm would hold.
+    # rebuilt for each arm would hold. The products read a row-major copy.
+    row_major = np.empty((b, n, k))
     _set_arm(M, 1.0, G)
-    m1 = M @ beta
+    np.copyto(row_major, M)
+    m1 = row_major @ beta
     _set_arm(M, 0.0, G)
-    m0 = M @ beta
+    np.copyto(row_major, M)
+    m0 = row_major @ beta
     return _OutcomeFits(errors, beta[:, :, 0], m1[:, :, 0], m0[:, :, 0])
 
 

@@ -292,10 +292,19 @@ def test_truncate_noop_bounds():
     np.testing.assert_array_equal(truncate_propensity(pi, 0.0, 100.0), pi)
 
 
-@pytest.mark.parametrize("bad", [(-1, 90), (5, 105), (50, 50), (95, 5)])
+@pytest.mark.parametrize(
+    "bad", [(-1, 90), (5, 105), (50, 50), (95, 5), (99, 1), (math.nan, 50), (-5, 50), (5, math.inf)]
+)
 def test_truncate_rejects_bad_percentiles(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 0 <= lower < upper <= 100") as refused:
         truncate_propensity(np.array([0.2, 0.5]), *bad)
+    # A pipeline refuses the pair when it is built, not inside every fill.
+    with pytest.raises(ValueError) as built:
+        EstimationPipeline(
+            effect_on_treated(), EstimatorKind.IPW_NORMALIZED,
+            pi_design=main_effects(("x1",)), truncate=bad,
+        )
+    assert str(built.value) == str(refused.value)
 
 
 @given(

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 import wate.bootstrap
+import wate.models
 import wate.simulation
 from wate.bootstrap import _map_stacks, bootstrap_vector
 from wate.data import ObservationalDataset
 from wate.design import main_effects
 from wate.errors import WateError
 from wate.estimators import EstimationPipeline, EstimatorKind, _cell_value_rows, plan_cells
-from wate.models import _fit_outcomes, _fit_propensities, fit_outcome
+from wate.models import RANK_TOL, _fit_outcomes, _fit_propensities, fit_outcome
 from wate.simulation import (
     SimulationDesign,
     _cell_pipeline,
@@ -147,6 +148,56 @@ def test_a_stacked_outcome_fit_gives_each_dataset_its_own_bits(n, correct, model
     for order in ([0, 1, 2, 3, 4], [3, 1, 4, 0, 2]):
         fits = _fit_outcomes([stack[i] for i in order], main, inter)
         assert [_outcome_stacked(fits, j) for j in range(5)] == [alone[i] for i in order]
+
+
+@pytest.mark.parametrize("n", [10, 13, 1000])
+@pytest.mark.parametrize("k", [4, 5, 6, 12])
+@pytest.mark.parametrize("b", [1, 4])
+def test_qr_gives_the_same_bits_on_a_column_major_stack(b, k, n):
+    # The fits hand numpy.linalg.qr column-major slices; numpy copies each
+    # slice into a Fortran buffer before LAPACK reads it, so the layout of
+    # its input must change no bit of q, of R or of the R-only R. Slice 0
+    # repeats a column, so its smallest |R_jj| is rounding noise, which the
+    # rank message prints.
+    M = np.random.default_rng([b, k, n]).standard_normal((b, n, k))
+    M[:, :, 0] = 1.0
+    M[0, :, k - 1] = M[0, :, 1]
+    F = np.empty((b, k, n)).transpose(0, 2, 1)
+    F[...] = M
+    assert all(f.flags.f_contiguous and not f.flags.c_contiguous for f in F)
+    q, r = np.linalg.qr(M)
+    q_f, r_f = np.linalg.qr(F)
+    assert q_f.tobytes() == q.tobytes() and r_f.tobytes() == r.tobytes()
+    assert np.linalg.qr(F, mode="r").tobytes() == np.linalg.qr(M, mode="r").tobytes()
+    r_diag = np.abs(np.diagonal(r[0]))
+    assert n < k or r_diag.min() <= RANK_TOL * r_diag.max()
+
+
+def test_qr_reads_column_major_slices_and_irls_row_major_stacks(monkeypatch):
+    # The model matrices are built column-major for LAPACK; every BLAS
+    # product of the IRLS reads a row-major copy, whose bits a column-major
+    # operand would change.
+    seen = []
+    qr, irls = np.linalg.qr, wate.models._irls
+
+    def recording_qr(a, *args, **kwargs):
+        seen.append(("qr", all(m.flags.f_contiguous and not m.flags.c_contiguous for m in a)))
+        return qr(a, *args, **kwargs)
+
+    def recording_irls(M, *args):
+        seen.append(("irls", M.flags.c_contiguous))
+        return irls(M, *args)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(wate.models, "_irls", recording_irls)
+    stack, design = _simulated_stack()
+    # All full rank, then a stack whose rank-deficient dataset leaves it.
+    _fit_propensities(stack[:3], design)
+    _fit_propensities(stack, design)
+    data = [generate_dataset(1, 40, np.random.default_rng(seed)) for seed in range(3)]
+    for correct in (True, False):  # separate interaction columns, then shared ones
+        _fit_outcomes(data, *outcome_design(correct, 1))
+    assert seen == [("qr", True), ("irls", True)] * 2 + [("qr", True)] * 2
 
 
 def _positive_x1(X):
