@@ -38,6 +38,7 @@ from .estimators import (
     has_formula,
     plan_cells,
 )
+from .models import _check_percentiles
 from .simulation import SimulationDesign, reference_truth, run_study, study_cells
 from .targets import (
     STANDARD_TARGETS,
@@ -177,8 +178,10 @@ def _parse_truncate(text: str) -> tuple[float, float] | None:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise CliError(f"--truncate values must be numbers, got {text!r}") from None
-    if not (0.0 <= lo < hi <= 100.0):
-        raise CliError(f"--truncate needs 0 <= low < high <= 100, got {text!r}")
+    try:
+        _check_percentiles(lo, hi)
+    except ValueError as exc:
+        raise CliError(f"--truncate {text!r}: {exc}") from None
     return (lo, hi)
 
 

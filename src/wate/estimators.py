@@ -76,6 +76,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -561,8 +562,9 @@ class EstimationPipeline:
     and without them the dispatcher rejects estimators that need it.
     ``truncate`` is a percentile pair applied to the fitted propensities
     before any weight is formed; the target function is evaluated on the
-    truncated values too. A pair that :func:`truncate_propensity` would
-    refuse is refused here, with its ``ValueError``.
+    truncated values too. A value that is not a pair of real numbers, or a
+    pair that :func:`truncate_propensity` would refuse, is refused here with
+    a ``ValueError``, the latter with that function's message.
     """
 
     estimand: TargetFunction
@@ -573,8 +575,12 @@ class EstimationPipeline:
     truncate: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.truncate is not None:
-            _check_percentiles(*self.truncate)
+        t = self.truncate
+        if t is None:
+            return
+        if not isinstance(t, tuple) or len(t) != 2 or not all(isinstance(v, Real) for v in t):
+            raise ValueError(f"truncate must be a (lower, upper) pair of percentiles, got {t!r}")
+        _check_percentiles(*t)
 
 
 class _BlockPlan(NamedTuple):

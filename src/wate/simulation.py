@@ -10,13 +10,11 @@ linear ``x1 + 0.5*x3*x5``.
 
 ``run_study`` crosses estimators with correct and misspecified working
 models over many replications, and reports bias and RMSE per cell against
-the population values of ``reference_truth``: constants of the module, equal
-bit for bit to ``true_estimands`` integrating ``DEFAULT_TRUTH_DRAWS`` draws
-on a separate fixed stream (``_truth_stream``). ``true_estimands`` stays
-public for other draws or streams. It streams its draws: its working set is
-about five chunk-length arrays (~21 MB), whatever the number of draws, and
-it takes about 0.2 s per 10^6 draws. ``_TRUTH_CHUNK`` is its summation unit,
-so changing it changes the last bits of the values.
+the population values of ``reference_truth``. The pinned table
+``_PINNED_TRUTH`` is the library's only source of them: a Monte Carlo
+integration of ``DEFAULT_TRUTH_DRAWS`` draws on a fixed stream of its own,
+stored as constants. The tests reproduce the table bit for bit from that
+stream and check it against Gauss-Hermite quadrature.
 
 Replicate r draws its data from the stream keyed by ``(seed, r)``. The
 replicates are filled a stack of ``max(1, bootstrap._BATCH_ROWS // n)`` at
@@ -51,21 +49,8 @@ from .targets import STANDARD_TARGETS
 
 _COVARIATE_NAMES = ("x1", "x2", "x3", "x4", "x5")
 
-# Entropy for the dedicated stream behind the population values. Study
-# replicate r draws from the user's seed with spawn key (r,), and the truth of
-# outcome model m from this entropy with spawn key (m,), so the two streams are
-# the same only for ``--seed 196883741`` and r == m; any other seed keeps them
-# apart.
-_TRUTH_ENTROPY = 196_883_741
-
 # Draws behind the study's population values.
 DEFAULT_TRUTH_DRAWS = 10**6
-
-# Draws per summation chunk, and rows per block of covariates drawn within a
-# chunk. The chunk fixes how the sums are grouped, so it is part of the
-# values' last bits; the block only bounds memory.
-_TRUTH_CHUNK = 1 << 19
-_TRUTH_BLOCK = 1 << 14
 
 # Every study row with a model crosses correct and misspecified ones.
 _SPECS = (True, False)
@@ -144,97 +129,8 @@ class TrueEstimands:
         return float(getattr(self, "se_" + estimand))
 
 
-def true_estimands(
-    outcome_model: int,
-    draws: int = DEFAULT_TRUTH_DRAWS,
-    rng: np.random.Generator | None = None,
-) -> TrueEstimands:
-    """Monte Carlo integration of the four standard contrasts.
-
-    Each contrast is a weighted mean E[h*effect]/E[h]; its standard error
-    comes from the variance of the per-draw influence values
-    (h*effect - tau*h)/E[h]. Note the model-1 effect is so heavy tailed that
-    the whole-population value converges slowly; the overlap and
-    treated/control contrasts are much better behaved.
-
-    The covariates are drawn in blocks of ``_TRUTH_BLOCK`` rows, which gives
-    the same numbers as one draw of the whole sample, and only each draw's
-    propensity and effect are kept. The working set is about five
-    chunk-length arrays (~21 MB), whatever ``draws`` is. ``_TRUTH_CHUNK`` is
-    the summation unit: every sum runs over one chunk, so changing it changes
-    the last bits of the values.
-    """
-    _check_outcome_model(outcome_model)
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    weights = {
-        "ate": np.ones_like,
-        "att": lambda pi: pi,
-        "atc": lambda pi: 1.0 - pi,
-        "ato": lambda pi: pi * (1.0 - pi),
-    }
-    s_h = dict.fromkeys(weights, 0.0)
-    s_hd = dict.fromkeys(weights, 0.0)
-    s_h2 = dict.fromkeys(weights, 0.0)
-    s_hd2 = dict.fromkeys(weights, 0.0)
-    s_hhd = dict.fromkeys(weights, 0.0)
-    pi_buf = np.empty(min(_TRUTH_CHUNK, draws))
-    delta_buf = np.empty_like(pi_buf)
-    done = 0
-    while done < draws:
-        m = min(_TRUTH_CHUNK, draws - done)
-        pi, delta = pi_buf[:m], delta_buf[:m]
-        for lo in range(0, m, _TRUTH_BLOCK):
-            X = rng.standard_normal((min(_TRUTH_BLOCK, m - lo), 5))
-            pi[lo : lo + len(X)] = true_propensity(X)
-            delta[lo : lo + len(X)] = treatment_effect(outcome_model, X)
-        # One target's h and h*delta at a time; each sum runs over the whole
-        # chunk.
-        for key, weight in weights.items():
-            h = weight(pi)
-            hd = h * delta
-            s_h[key] += float(np.sum(h))
-            s_hd[key] += float(np.sum(hd))
-            s_h2[key] += float(np.sum(h * h))
-            s_hd2[key] += float(np.sum(hd * hd))
-            s_hhd[key] += float(np.sum(h * hd))
-        done += m
-    values = {}
-    ses = {}
-    for key in weights:
-        mean_h = s_h[key] / draws
-        tau = s_hd[key] / s_h[key]
-        # E[(h*delta - tau*h)^2]; the first moment of that quantity is zero
-        # by the definition of tau.
-        second = (s_hd2[key] - 2.0 * tau * s_hhd[key] + tau * tau * s_h2[key]) / draws
-        values[key] = tau
-        ses[key] = float(np.sqrt(max(second, 0.0) / draws) / mean_h)
-    return TrueEstimands(
-        outcome_model=outcome_model,
-        draws=draws,
-        ate=values["ate"],
-        att=values["att"],
-        atc=values["atc"],
-        ato=values["ato"],
-        se_ate=ses["ate"],
-        se_att=ses["att"],
-        se_atc=ses["atc"],
-        se_ato=ses["ato"],
-    )
-
-
-def _truth_stream(outcome_model: int) -> np.random.Generator:
-    """A fresh generator on the fixed stream behind ``outcome_model``'s
-    population values."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=_TRUTH_ENTROPY, spawn_key=(outcome_model,))
-    )
-
-
-# true_estimands(m, DEFAULT_TRUTH_DRAWS, _truth_stream(m)) for both outcome
-# models, to the last bit.
+# Monte Carlo integration of DEFAULT_TRUTH_DRAWS draws on each outcome model's
+# own fixed stream; tests/test_truth_golden.py reproduces every bit.
 _PINNED_TRUTH: dict[int, TrueEstimands] = {
     1: TrueEstimands(
         outcome_model=1,
@@ -266,18 +162,17 @@ _PINNED_TRUTH: dict[int, TrueEstimands] = {
 def reference_truth(
     outcome_model: int, draws: int = DEFAULT_TRUTH_DRAWS
 ) -> TrueEstimands:
-    """The population values every study compares against: pinned constants,
-    equal bit for bit to integrating ``DEFAULT_TRUTH_DRAWS`` draws of
-    ``outcome_model``'s fixed truth stream.
-
-    ``draws`` must be ``DEFAULT_TRUTH_DRAWS``; other draws or streams go
-    through :func:`true_estimands`.
+    """The population values every study compares against: ``_PINNED_TRUTH``,
+    the library's only table of them. The tests reproduce it bit for bit from
+    its fixed stream of ``DEFAULT_TRUTH_DRAWS`` draws and check it against
+    Gauss-Hermite quadrature. Other ``draws`` are refused: the library
+    integrates nothing.
     """
     _check_outcome_model(outcome_model)
     if draws != DEFAULT_TRUTH_DRAWS:
         raise ValueError(
-            f"reference_truth has only {DEFAULT_TRUTH_DRAWS} draws, got {draws!r}; "
-            "call true_estimands for other draws"
+            f"reference_truth has only the pinned {DEFAULT_TRUTH_DRAWS}-draw values, "
+            f"got draws={draws!r}"
         )
     return _PINNED_TRUTH[outcome_model]
 

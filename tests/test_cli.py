@@ -152,6 +152,14 @@ def test_estimate_usage_errors(data_csv, tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+    # --truncate refuses a range by the rule the library uses.
+    refused = [("95,5", "(95.0, 5.0)"), ("nan,50", "(nan, 50.0)"), ("-5,50", "(-5.0, 50.0)")]
+    for text, pair in refused:
+        code, _, err = run_cli(capsys, "estimate", data_csv, f"--truncate={text}")
+        assert code == 2, text
+        assert err.startswith(
+            f"error: --truncate {text!r}: need 0 <= lower < upper <= 100, got {pair}"
+        ), err
 
 
 @pytest.mark.parametrize("token", ["linear:nan,1", "linear:inf,0", "linear:1e400,1"])

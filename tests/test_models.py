@@ -307,6 +307,15 @@ def test_truncate_rejects_bad_percentiles(bad):
     assert str(built.value) == str(refused.value)
 
 
+@pytest.mark.parametrize("bad", [(1, 2, 3), "5,95", (None, 50)])
+def test_pipeline_truncate_must_be_a_pair_of_numbers(bad):
+    with pytest.raises(ValueError, match=r"^truncate must be a \(lower, upper\) pair"):
+        EstimationPipeline(
+            effect_on_treated(), EstimatorKind.IPW_NORMALIZED,
+            pi_design=main_effects(("x1",)), truncate=bad,
+        )
+
+
 @given(
     values=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=40),
     bounds=st.tuples(st.floats(0, 49), st.floats(51, 100)),

@@ -1,13 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
-from wate import simulation
 from wate.data import CounterfactualDataset
 from wate.models import fit_outcome, fit_propensity, predict_outcome, predict_propensity
 from wate.simulation import (
-    _TRUTH_CHUNK,
     SimulationDesign,
     generate_dataset,
     outcome_design,
@@ -16,7 +13,6 @@ from wate.simulation import (
     run_study,
     study_cells,
     treatment_effect,
-    true_estimands,
     true_propensity,
 )
 
@@ -70,30 +66,43 @@ def test_generated_dataset_is_consistent():
     assert abs(ds.A.mean() - ds.pi_true.mean()) < 0.1
 
 
-# Frozen oracle values for the population contrasts, computed once from an
-# independent 4-million-draw re-implementation on its own stream. The
-# whole-population value of model 1 instead uses the closed form
-# E[exp(x1)] * E[exp(0.5*x3*x5)] = exp(1/2) / sqrt(3/4) = 1.903837.
-# Model 1 effects have infinite second moment for the whole-population and
-# treated contrasts (E[exp(2*x1 + x3*x5)] diverges), so those two get wide
-# bands; everything else is tight.
-ORACLE_TRUTH = {
-    1: {"ate": 1.903837, "att": 2.7578, "atc": 1.0390, "ato": 1.4987},
-    2: {"ate": 0.0009, "att": 0.4648, "atc": -0.4742, "ato": -0.0257},
-}
-ORACLE_TOL = {
-    1: {"ate": 0.020, "att": 0.050, "atc": 0.005, "ato": 0.007},
-    2: {"ate": 0.005, "att": 0.005, "atc": 0.005, "ato": 0.005},
-}
+def _quadrature_truth(model, nodes):
+    """The four standard contrasts E[h*effect]/E[h] under the nodes^4-point
+    Gauss-Hermite rule over x1, x2, x3 and x5 (x4 enters no contrast),
+    summed one x1 node at a time."""
+    z, w = hermegauss(nodes)
+    w = w / w.sum()
+    x2, x3, x5 = np.ix_(z, z, z)
+    w2, w3, w5 = np.ix_(w, w, w)
+    num = dict.fromkeys(("ate", "att", "atc", "ato"), 0.0)
+    den = dict.fromkeys(num, 0.0)
+    for x1, w1 in zip(z, w):
+        weight = w1 * w2 * w3 * w5
+        base = x1 + 0.5 * x3 * x5
+        effect = np.exp(base) if model == 1 else base
+        pi = 1.0 / (1.0 + np.exp(-(0.5 + x1 - 0.5 * x2**2 + 0.5 * x3 * x5)))
+        for key, h in zip(num, (1.0, pi, 1.0 - pi, pi * (1.0 - pi))):
+            num[key] += np.sum(weight * h * effect)
+            den[key] += np.sum(weight * h)
+    return {key: float(num[key] / den[key]) for key in num}
+
+
+# Exact population values by symmetry or in closed form: model 1's ATE is
+# E[exp(x1)] * E[exp(0.5*x3*x5)] = exp(1/2) / sqrt(3/4), model 2's is 0.
+EXACT_ATE = {1: np.exp(0.5) / np.sqrt(0.75), 2: 0.0}
 
 
 @pytest.mark.parametrize("model", [1, 2])
-def test_true_estimands_match_frozen_oracle(model):
-    truth = true_estimands(model, draws=10**6, rng=np.random.default_rng(2024))
-    for key, expected in ORACLE_TRUTH[model].items():
-        got = truth.value(key)
-        assert got == pytest.approx(expected, abs=ORACLE_TOL[model][key]), key
-        assert truth.mc_se(key) < 0.02
+def test_pinned_values_match_gauss_hermite_quadrature(model):
+    coarse = _quadrature_truth(model, 30)
+    fine = _quadrature_truth(model, 40)
+    truth = reference_truth(model)
+    for key, exact in fine.items():
+        assert abs(coarse[key] - exact) < 1e-7, key
+        # The pinned values are a Monte Carlo integration, so each lies
+        # within a few of its own standard errors of the quadrature.
+        assert abs(truth.value(key) - exact) < 3 * truth.mc_se(key), key
+    assert abs(fine["ate"] - EXACT_ATE[model]) < 1e-12
 
 
 def test_true_estimand_ordering_model1():
@@ -107,55 +116,20 @@ def test_reference_truth_is_cached_and_deterministic():
     a = reference_truth(2)
     b = reference_truth(2)
     assert a is b
-    c = true_estimands(2, draws=10**5, rng=np.random.default_rng(8))
-    assert c.value("att") == pytest.approx(a.att, abs=0.02)
 
 
-def test_default_population_values_are_pinned_not_integrated(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the default population values must not be integrated")
-
-    monkeypatch.setattr(simulation, "true_estimands", refuse)
+def test_default_population_values_are_pinned_not_integrated():
     for model in (1, 2):
         assert reference_truth(model) is reference_truth(model, 10**6)
         assert reference_truth(model, draws=10**6).draws == 10**6
         assert reference_truth(model).outcome_model == model
-    # Other draws are not integrated on demand: true_estimands serves them.
-    with pytest.raises(ValueError, match="true_estimands") as other_draws:
+    # Other draws are refused: the library integrates nothing.
+    with pytest.raises(ValueError, match="only the pinned") as other_draws:
         reference_truth(1, 1000)
     assert "1000" in str(other_draws.value)
     with pytest.raises(ValueError) as bad_model:
         reference_truth(3)
     assert str(bad_model.value) == "outcome_model must be 1 or 2, got 3"
-
-
-@pytest.mark.parametrize("draws", [0, -5])
-def test_true_estimands_refuse_too_few_draws(draws):
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="draws must be at least 1"):
-        true_estimands(1, draws, rng)
-    assert rng.bit_generator.state == state
-
-
-def test_true_estimands_peak_memory_stays_below_six_chunks():
-    # numpy reports its buffers to tracemalloc. The draws cross a chunk
-    # boundary, so the bound covers a full chunk and the partial last one.
-    # Tracing started outside the test is left on, and what it had already
-    # traced is not counted.
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        true_estimands(1, _TRUTH_CHUNK + 3, np.random.default_rng(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if started:
-            tracemalloc.stop()
-    grown = peak - before
-    assert grown < 6 * _TRUTH_CHUNK * 8, grown / (_TRUTH_CHUNK * 8)
 
 
 def test_correct_propensity_design_recovers_coefficients():
