@@ -109,7 +109,8 @@ def parallel_map(fn: Callable[[int], T], count: int, workers: int) -> list[T]:
     ``fn`` must be picklable too (a module-level function, a
     ``functools.partial`` of one, or a frozen dataclass with ``__call__``).
     An exception ``fn`` raises in a worker is raised again here; a worker
-    that exits without sending its results raises :class:`WorkerError`.
+    that cannot be forked, or exits without sending its results, raises
+    :class:`WorkerError`.
     """
     if workers <= 1 or count <= 1:
         return _map_range(fn, range(count))
@@ -127,15 +128,20 @@ def _fork_map(fn: Callable[[int], T], chunks: list[range]) -> list[T]:
     pids: list[int] = []
     pipes: list[int] = []
     try:
-        for chunk in chunks[1:]:
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
+        for k, chunk in enumerate(chunks[1:], start=1):
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_child(fn, chunk, write_end, pipes)
-            finally:
-                os.close(write_end)
+                read_end, write_end = os.pipe()
+                pipes.append(read_end)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _run_child(fn, chunk, write_end, pipes)
+                finally:
+                    os.close(write_end)
+            except OSError as exc:
+                raise WorkerError(
+                    f"parallel map could not start the worker for {_chunk_label(k, chunk)}: {exc}"
+                ) from None
             pids.append(pid)
         results = _map_range(fn, chunks[0])
         payloads = []
@@ -154,15 +160,18 @@ def _fork_map(fn: Callable[[int], T], chunks: list[range]) -> list[T]:
         except Exception:  # nothing, a truncated payload or one that does not load
             code = os.waitstatus_to_exitcode(status)
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            chunk = chunks[k]
             raise WorkerError(
-                f"parallel map worker for chunk {k} (items {chunk.start} to "
-                f"{chunk.stop - 1}) exited without its results ({how})"
+                f"parallel map worker for {_chunk_label(k, chunks[k])} exited "
+                f"without its results ({how})"
             ) from None
         if not ok:
             raise value
         results.extend(value)
     return results
+
+
+def _chunk_label(k: int, chunk: range) -> str:
+    return f"chunk {k} (items {chunk.start} to {chunk.stop - 1})"
 
 
 def _run_child(

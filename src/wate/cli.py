@@ -21,6 +21,7 @@ import errno
 import os
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -134,6 +135,17 @@ def parse_estimand_token(token: str, covariate_names: tuple[str, ...]) -> Target
 
 def _split_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
+
+
+def _refuse_repeats(what: str, tokens: Sequence[str], keys: Sequence[object]) -> None:
+    """Refuse a token whose key (the token itself, or what it parses to) an
+    earlier token already has."""
+    for i, key in enumerate(keys):
+        first = keys.index(key)
+        if first < i:
+            if tokens[first] == tokens[i]:
+                raise CliError(f"{what} {tokens[i]!r} is named twice")
+            raise CliError(f"{what} {tokens[i]!r} names the same target as {tokens[first]!r}")
 
 
 def _is_number(text: str) -> bool:
@@ -299,6 +311,8 @@ def build_report_task(
     truncate: tuple[float, float] | None,
 ) -> ReportTask:
     targets = [parse_estimand_token(t, covariate_names) for t in tokens]
+    # A target is its h; its label only names it.
+    _refuse_repeats("estimand", tokens, [(t.kind, t.a, t.b, t.fn) for t in targets])
     cells = []
     pipelines = []
     for method in methods:
@@ -489,6 +503,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     for m in methods[1:]:
         if m == "unweighted" or m not in _METHOD_KINDS:
             raise CliError(f"unknown estimator token {m!r} (regression, ipw, aipw)")
+    _refuse_repeats("estimator token", methods, methods)
     tokens = _split_estimands(resolved["estimand"])
     if not tokens:
         raise CliError("no estimands requested")
@@ -537,6 +552,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         study_cells(SimulationDesign(estimators=estimators, estimands=estimands))
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    _refuse_repeats("estimator token", estimators, estimators)
+    _refuse_repeats("estimand", estimands, estimands)
     truncate = _parse_truncate(resolved["truncate"])
     _check_outputs(resolved["out"], fmt)
     echo = _echo_lines("simulate", resolved)

@@ -102,5 +102,6 @@ class BootstrapError(WateError):
 
 
 class WorkerError(WateError):
-    """A worker process of the parallel map exited without sending back the
+    """A worker process of the parallel map could not be started (no pipe or
+    no fork, e.g. at the process limit), or exited without sending back the
     results of its chunk (killed, crashed, or its results did not pickle)."""

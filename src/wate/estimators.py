@@ -54,8 +54,7 @@ pass over that dataset alone makes the checks: a failed fit, an error raised
 evaluating ``h`` (kept without its traceback), then the kernel's own
 refusals. An error that holds for every dataset, such as a model the cell
 does not fit, is raised. Only the unweighted difference, which takes each
-dataset's arm means, and the per-arm sums of the diagnostics loop over the
-datasets.
+dataset's arm means, loops over the datasets.
 
 Vectors supplied to :func:`fill_cells` (a truncated or external ``pi``, arm
 means predicted from a model fitted on other rows) join the plan as fits of
@@ -64,16 +63,14 @@ them, and the pass reads them as it reads a fitted model's vectors.
 
 The bootstrap, the command line report and the Monte Carlo study each build
 one plan and ship it to their workers. :func:`fill_cells` is a pass over a
-stack of one, and returns point estimates with their diagnostics (the weight
-mass and effective sample sizes of a :class:`Diagnostics`, read from the
-shared terms). Study and bootstrap replicates keep only the values, through
-``_cell_value_rows``, a pass over a stack of replicates.
+stack of one that returns point estimates. Study and bootstrap replicates
+keep only the values, through ``_cell_value_rows``, a pass over a stack of
+replicates.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
@@ -102,30 +99,11 @@ class EstimatorKind(enum.Enum):
     DR_LINEAR_IN_PI = "dr"
 
 
-@dataclass(frozen=True)
-class Diagnostics:
-    """Weight mass and effective sample sizes behind an estimate."""
-
-    h_total: float
-    ess_treated: float
-    ess_control: float
-
-
 @dataclass(frozen=True, eq=False)
 class PointEstimate:
     value: float
     estimator: EstimatorKind
     estimand: TargetFunction
-    n_used: int
-    diagnostics: Diagnostics
-
-
-def _ess(total: float, sum_sq: float) -> float:
-    """``total**2 / sum_sq`` for weights with sum ``total`` and sum of
-    squares ``sum_sq``; 0 when the weights have no positive mass."""
-    if total <= 0.0:
-        return 0.0
-    return total * total / sum_sq
 
 
 # --- the terms of one pass ----------------------------------------------------
@@ -134,8 +112,8 @@ def _ess(total: float, sum_sq: float) -> float:
 class _Pass:
     """One fill over a stack of b same-n datasets: the (b, n) stacks ``A``,
     ``1 - A`` and ``Y``, the vectors of each fit of ``plan`` on first use,
-    the :class:`_Block` of each propensity fit, ``m1 - m0`` of each outcome
-    fit and each arm's indicator and sizes."""
+    the :class:`_Block` of each propensity fit and ``m1 - m0`` of each
+    outcome fit."""
 
     def __init__(self, datasets: Sequence[ObservationalDataset], plan: "CellPlan"):
         self.datasets = datasets
@@ -176,12 +154,6 @@ class _Pass:
             m1, m0 = self.vectors(m)
             diff = self._m_diff[m] = m1 - m0
         return diff
-
-    @cached_property
-    def arms(self) -> tuple[tuple[NDArray[np.float64], NDArray[np.float64]], ...]:
-        """The indicators ``A`` and ``1 - A`` of the treated and the
-        controls, each with its arm's size in every dataset."""
-        return (self.A, self.A.sum(axis=1)), (self.not_A, self.not_A.sum(axis=1))
 
 
 def _stacked(vectors: list[NDArray[np.float64]]) -> NDArray[np.float64]:
@@ -237,40 +209,20 @@ class _Block:
     def not_pi(self) -> NDArray[np.float64]:
         return 1.0 - self.pi
 
-    def _arm_weights(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """``tw = A*(H/pi)`` and ``cw = (1-A)*(H/(1-pi))``. ``A`` is exactly 0
-        or 1, so ``A*(h/pi)`` equals ``(A*h)/pi`` to the last bit."""
+    @cached_property
+    def weights(self) -> tuple[NDArray[np.float64], ...]:
+        """Row sums of ``tw = A*(H/pi)`` and ``cw = (1-A)*(H/(1-pi))``, then
+        of ``tw*Y`` and ``cw*Y``; the weights themselves are not kept. ``A``
+        is exactly 0 or 1, so ``A*(h/pi)`` equals ``(A*h)/pi`` to the last
+        bit."""
         tw = np.divide(self.H, self.pi[:, None])
         cw = np.divide(self.H, self.not_pi[:, None])
         np.multiply(tw, self.A[:, None], out=tw)
-        return tw, np.multiply(cw, self.not_A[:, None], out=cw)
-
-    @cached_property
-    def weights(self) -> tuple[NDArray[np.float64], ...]:
-        """Row sums of ``tw`` and ``cw``, then of ``tw*Y`` and ``cw*Y``; the
-        weights themselves are not kept."""
-        tw, cw = self._arm_weights()
+        np.multiply(cw, self.not_A[:, None], out=cw)
         st, sc = tw.sum(axis=2), cw.sum(axis=2)
         Y = self.Y[:, None]
         ty, cy = np.multiply(tw, Y, out=tw).sum(axis=2), np.multiply(cw, Y, out=cw).sum(axis=2)
         return st, sc, ty, cy
-
-    @cached_property
-    def weight_squares(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """Row sums of ``tw*tw`` and ``cw*cw``."""
-        tw, cw = self._arm_weights()
-        return (tw * tw).sum(axis=2), (cw * cw).sum(axis=2)
-
-    @cached_property
-    def arm_squares(self) -> NDArray[np.float64]:
-        """Row sums of ``h`` and ``h*h`` over the treated rows, then over the
-        control rows, of each dataset: a (2, 2, b, targets) array."""
-        sums = np.empty((2, 2) + self.totals.shape)
-        for i, (A, H) in enumerate(zip(self.A, self.H)):
-            for j, arm in enumerate((A == 1.0, A == 0.0)):
-                h = np.compress(arm, H, axis=1)
-                sums[j, 0, i], sums[j, 1, i] = h.sum(axis=1), (h * h).sum(axis=1)
-        return sums
 
     @cached_property
     def contrast_terms(self) -> tuple[NDArray[np.float64], ...]:
@@ -399,7 +351,8 @@ def _regression_on_arm(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray
     _needs_outcome(c.m, "regression estimator")
     m1, m0 = q.vectors(c.m)
     treated = c.target.kind is TargetKind.ATT
-    arm, size = q.arms[0 if treated else 1]
+    arm = q.A if treated else q.not_A
+    size = arm.sum(axis=1)
     who = "treated" if treated else "control"
     _refuse(err, size < 1.0, f"no {who} observations")
     contrast = q.Y - m0 if treated else m1 - q.Y
@@ -471,11 +424,6 @@ _GENERIC = {
 }
 
 
-def _on_arm(kind: EstimatorKind, target: TargetFunction) -> bool:
-    """Whether ``(kind, target)`` is a regression over one arm's rows."""
-    return kind is EstimatorKind.REGRESSION and target.kind in (TargetKind.ATT, TargetKind.ATC)
-
-
 def _linear_coefficients(target: TargetFunction) -> tuple[float, float] | None:
     """(a, b) with h = a + b*pi, for the targets that have that form."""
     if target.kind is TargetKind.ATT:
@@ -512,7 +460,8 @@ def _route(
     reports, the doubly robust closed form."""
     if kind is EstimatorKind.UNWEIGHTED:
         return kind, _unweighted
-    if _on_arm(kind, target):
+    if kind is EstimatorKind.REGRESSION and target.kind in (TargetKind.ATT, TargetKind.ATC):
+        # A regression over one arm's rows.
         return kind, _regression_on_arm
     if kind in (EstimatorKind.AIPW, EstimatorKind.DR_LINEAR_IN_PI):
         if _linear_coefficients(target) is not None:
@@ -522,32 +471,6 @@ def _route(
     if kind not in _GENERIC:
         raise EstimationError(f"unknown estimator kind {kind!r}")
     return kind, _GENERIC[kind]
-
-
-def _diagnostics(q: _Pass, c: _Cell) -> Diagnostics:
-    """The weight mass and effective sample sizes behind a cell on a pass
-    over one dataset, read from the terms its kernel computed: the arm's
-    size for a regression over one arm, the ESS of ``h`` per arm for the
-    kinds that weight no row by ``pi``, the ESS of the arm weights for the
-    rest."""
-    if c.kernel is _regression_on_arm:
-        if c.target.kind is TargetKind.ATT:
-            size = float(q.arms[0][1][0])
-            return Diagnostics(size, size, 0.0)
-        size = float(q.arms[1][1][0])
-        return Diagnostics(size, 0.0, size)
-    block = q.block(c.p)
-    if c.reported in (EstimatorKind.UNWEIGHTED, EstimatorKind.REGRESSION):
-        (t1, s1), (t0, s0) = block.arm_squares
-    else:
-        t1, t0, _, _ = block.weights
-        s1, s0 = block.weight_squares
-    r = c.row
-    return Diagnostics(
-        float(block.totals[0, r]),
-        _ess(float(t1[0, r]), float(s1[0, r])),
-        _ess(float(t0[0, r]), float(s0[0, r])),
-    )
 
 
 # --- the fit-then-fill engine -------------------------------------------------
@@ -693,13 +616,12 @@ def _failures(stage: str, errors: list[WateError | None]) -> dict[int, FitFailur
 
 
 def _fill(
-    datasets: Sequence[ObservationalDataset], plan: CellPlan, diagnostics: bool = False
-) -> tuple[NDArray[np.float64], list[dict[int, WateError]], list[Diagnostics | None]]:
+    datasets: Sequence[ObservationalDataset], plan: CellPlan
+) -> tuple[NDArray[np.float64], list[dict[int, WateError]]]:
     """Every cell of ``plan`` on each of ``datasets``, which have the same
     number of rows: the (datasets, cells) matrix of values, where a failed
-    value is undefined, per cell the error of each dataset it failed on, by
-    position, and, with ``diagnostics`` on a stack of one, the
-    :class:`Diagnostics` of each cell that did not fail.
+    value is undefined, and per cell the error of each dataset it failed on,
+    by position.
 
     The one pass, over the whole stack: each fit of the plan runs once on
     it and each kernel once, and each dataset gets the checks in the order a
@@ -710,7 +632,6 @@ def _fill(
     cells = plan.cells
     values = np.empty((len(datasets), len(cells)))
     errors: list[dict[int, WateError]] = [{} for _ in cells]
-    found: list[Diagnostics | None] = [None] * len(cells)
     order = sorted(range(len(cells)), key=lambda j: cells[j].p)
     # The divisions of a refused dataset may divide by zero; its value is
     # dropped.
@@ -728,11 +649,9 @@ def _fill(
                 exc = exc.with_traceback(None)
                 for i in range(len(datasets)):
                     err.setdefault(i, exc)
-            if diagnostics and not err:
-                found[j] = _diagnostics(q, c)
             if after is None or cells[after].p != c.p:
                 q.release(c.p)
-    return values, errors, found
+    return values, errors
 
 
 def fill_cells(
@@ -759,10 +678,10 @@ def fill_cells(
         plan = _supplied(ds, plan, pi, m1, m0)
     elif not isinstance(plan, CellPlan):
         plan = plan_cells(plan)
-    values, errors, diagnostics = _fill([ds], plan, diagnostics=True)
+    values, errors = _fill([ds], plan)
     return [
-        err[0] if err else PointEstimate(float(values[0, j]), c.reported, c.target, ds.n, d)
-        for j, (c, err, d) in enumerate(zip(plan.cells, errors, diagnostics))
+        err[0] if err else PointEstimate(float(values[0, j]), c.reported, c.target)
+        for j, (c, err) in enumerate(zip(plan.cells, errors))
     ]
 
 
@@ -802,10 +721,10 @@ def _cell_value_rows(
 ) -> list[NDArray[np.float64]]:
     """The values of :func:`fill_cells` on each of ``datasets``, which have
     the same number of rows, NaN where a pipeline failed, from one pass over
-    the whole stack that builds no :class:`Diagnostics`."""
+    the whole stack."""
     if not isinstance(plan, CellPlan):
         plan = plan_cells(plan)
-    values, errors, _ = _fill(datasets, plan)
+    values, errors = _fill(datasets, plan)
     for j, err in enumerate(errors):
         if err:
             values[list(err), j] = np.nan

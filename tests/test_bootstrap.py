@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -152,6 +153,32 @@ def test_parallel_map_reports_a_worker_that_exits_without_results():
     with pytest.raises(WorkerError, match=r"chunk 1 .*exit status 3"):
         parallel_map(_exit_in_last_chunk, 10, 2)
     _assert_no_child_left()
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@linux_only
+def test_parallel_map_reports_a_worker_it_could_not_start(monkeypatch):
+    # The second fork fails as it does at the process limit; the one child
+    # that was forked is reaped and every pipe is closed.
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    before = _open_descriptors()
+    monkeypatch.setattr(os, "fork", fork)
+    match = r"could not start the worker for chunk 2 \(items 6 to 8\)"
+    with pytest.raises(WorkerError, match=match):
+        parallel_map(lambda i: i, 9, 3)
+    assert len(calls) == 2
+    _assert_no_child_left()
+    assert _open_descriptors() == before
 
 
 @linux_only

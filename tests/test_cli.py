@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import subprocess
@@ -225,6 +226,62 @@ def test_one_column_as_treatment_and_outcome_is_a_usage_error(data_csv, capsys):
     )
     message = "column 'a' is both the treatment and the outcome"
     assert (code, out, err) == (2, "", f"error: {data_csv}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "DATA", "--estimator", "ipw,ipw"], "estimator token 'ipw' is named twice"),
+        (["estimate", "DATA", "--estimand", "ate,ate"], "estimand 'ate' is named twice"),
+        (
+            ["estimate", "DATA", "--estimand", "ATE,att,ate"],
+            "estimand 'ate' names the same target as 'ATE'",
+        ),
+        (
+            ["estimate", "DATA", "--estimand", "linear:1,-1,linear:1.0,-1"],
+            "estimand 'linear:1.0,-1' names the same target as 'linear:1,-1'",
+        ),
+        (
+            ["estimate", "DATA", "--estimand", "expr:x1*x2,expr:x2 * x1"],
+            "estimand 'expr:x2 * x1' names the same target as 'expr:x1*x2'",
+        ),
+        (["simulate", "--estimator", "dr,ipw,dr"], "estimator token 'dr' is named twice"),
+        (["simulate", "--estimand", "ate,ate"], "estimand 'ate' is named twice"),
+    ],
+    ids=[
+        "estimator", "estimand", "same-target", "same-linear", "same-expr",
+        "sim-estimator", "sim-estimand",
+    ],
+)
+def test_a_repeated_token_is_a_usage_error(argv, message, data_csv, capsys):
+    # Each was once accepted and its row or column printed twice.
+    argv = [data_csv if a == "DATA" else a for a in argv]
+    if argv[0] == "estimate":
+        argv += ["--bootstrap", "0"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="parallel_map forks on Linux")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Enough replicates for two stacks, so two chunks.
+        ["estimate", "DATA", "--bootstrap", "120", "--estimand", "ate"],
+        ["simulate", "--n", "2048", "--reps", "4", "--estimand", "ate", "--estimator", "ipw"],
+    ],
+    ids=["estimate", "simulate"],
+)
+def test_a_worker_that_cannot_start_is_an_error(argv, data_csv, capsys, monkeypatch):
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    argv = [data_csv if a == "DATA" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--workers", "2")
+    assert code == 1
+    assert err.startswith("error: parallel map could not start the worker for chunk 1 "), err
+    assert err.count("\n") == 1
 
 
 def test_estimate_reports_failed_cells(tmp_path, capsys):

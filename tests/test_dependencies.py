@@ -1,6 +1,6 @@
 """numpy stays the package's only runtime dependency: every module of
 ``src/wate`` imports only numpy, the package itself and the standard
-library."""
+library. And every module uses each name it imports."""
 
 import ast
 import sys
@@ -25,3 +25,25 @@ def _imported_packages(tree):
 def test_module_imports_only_numpy_and_the_standard_library(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert set(_imported_packages(tree)) <= ALLOWED
+
+
+def _imported_names(tree):
+    """Each name an ``import`` or ``from`` statement in ``tree`` binds, with
+    its line; ``from __future__`` binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+# The package's imports are its public names.
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [(name, line) for name, line in _imported_names(tree) if name not in used] == []
