@@ -17,13 +17,16 @@ pipeline, raises :class:`BootstrapError` past the limit and otherwise adds a
 Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling
 order. Replicates are filled in stacks of ``max(1, _BATCH_ROWS // n)``
-consecutive ones (``_BATCH_ROWS`` = 4096 rows): each working model of the
-plan is fitted on a stack at once (see :mod:`wate.models`) and the cells are
-filled by one pass over it (see :mod:`wate.estimators`), which gives each
-replicate the bits it gets alone, so the stack size changes no result
-either. :func:`parallel_map`, which spreads the stacks over processes, is
-shared with the Monte Carlo study. On Linux it forks its workers, so only
-the results must pickle; elsewhere the plan must pickle too.
+consecutive ones (``_BATCH_ROWS`` = 4096 rows): the rows of a stack are
+gathered by one ``numpy.take`` per array over its (b, n) index stack into a
+:class:`~wate.data._Stack`, each design is evaluated once on it, each
+working model of the plan is fitted on it at once (see :mod:`wate.models`)
+and the cells are filled by one pass over it (see :mod:`wate.estimators`),
+which gives each replicate the bits it gets alone, so the stack size changes
+no result either. :func:`parallel_map`, which spreads the stacks over
+processes, is shared with the Monte Carlo study. On Linux it forks its
+workers, so only the results must pickle; elsewhere the plan must pickle
+too.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Callable, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import ObservationalDataset
+from .data import ObservationalDataset, _Stack
 from .errors import BootstrapError, FitFailure, WateError, WorkerError
 from .estimators import (
     CellPlan,
@@ -198,8 +201,8 @@ def _run_child(
 def _replicates(
     ds: ObservationalDataset, plan: CellPlan, seed: int, indices: range
 ) -> list[NDArray[np.float64]]:
-    resamples = [ds.replace_rows(_replicate_indices(seed, i, ds.n)) for i in indices]
-    return _cell_value_rows(resamples, plan)
+    idx = np.array([_replicate_indices(seed, i, ds.n) for i in indices])
+    return _cell_value_rows(_Stack.gather(ds, idx), plan)
 
 
 def bootstrap_vector(

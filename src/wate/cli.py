@@ -217,7 +217,9 @@ def _parse_int_list(
     tokens = _split_list(resolved[key])
     if not tokens:
         raise CliError(f"--{key} needs at least one value, got {resolved[key]!r}")
-    return [_parse_int({key: t}, key, minimum, maximum) for t in tokens]
+    values = [_parse_int({key: t}, key, minimum, maximum) for t in tokens]
+    _refuse_repeats(f"--{key} value", [str(v) for v in values], values)
+    return values
 
 
 def _parse_design_option(

@@ -53,7 +53,9 @@ class MonomialTerm:
 class TransformTerm:
     """Arbitrary column computed by a callable (must be picklable if the spec
     is shipped to worker processes: a module-level function or a frozen
-    callable dataclass)."""
+    callable dataclass). On a stack of replicates it is called once per
+    replicate, on that replicate's (n, p) rows, so it may read every row of
+    its replicate, e.g. to centre a column."""
 
     name: str
     fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]
@@ -84,22 +86,35 @@ class DesignSpec:
         matrix, so the columns are never stacked and copied), else into a
         new array. Returns the array written.
 
+        ``X`` may also be a (b, n, p) stack of replicates, giving a (b, n,
+        len(self)) design: each :class:`MonomialTerm` is evaluated once, on
+        the (b*n, p) rows, and each :class:`TransformTerm` once per
+        replicate. An elementwise product gets the same bits in any shape,
+        so each replicate gets the values it gets alone.
+
         A design with a NaN or infinite value, e.g. a square that overflows,
         raises :class:`DesignError` naming the first such term and its first
-        (1-based) rows; the overflow itself warns nothing."""
+        (1-based) rows, of the first such replicate of a stack; the overflow
+        itself warns nothing."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if out is None:
-            out = np.empty((X.shape[0], len(self.terms)))
+            out = np.empty((*X.shape[:-1], len(self.terms)))
+        rows = X.reshape(-1, X.shape[-1])
         with np.errstate(over="ignore", invalid="ignore"):
             for j, term in enumerate(self.terms):
-                out[:, j] = term(X)
+                if X.ndim == 3 and isinstance(term, TransformTerm):
+                    for x, column in zip(X, out[..., j]):
+                        column[...] = term(x)
+                else:
+                    out[..., j] = term(rows).reshape(X.shape[:-1])
         if not np.isfinite(out).all():
-            for name, column in zip(self.names, out.T):
-                bad = np.flatnonzero(~np.isfinite(column))
-                if bad.size:
-                    rows = ", ".join(str(int(r) + 1) for r in bad[:5])
-                    more = ", ..." if bad.size > 5 else ""
-                    raise DesignError(f"term {name!r} is not finite (rows {rows}{more})")
+            for block in out.reshape(-1, *out.shape[-2:]):
+                for name, column in zip(self.names, block.T):
+                    bad = np.flatnonzero(~np.isfinite(column))
+                    if bad.size:
+                        listed = ", ".join(str(int(r) + 1) for r in bad[:5])
+                        more = ", ..." if bad.size > 5 else ""
+                        raise DesignError(f"term {name!r} is not finite (rows {listed}{more})")
         return out
 
     @property

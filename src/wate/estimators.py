@@ -26,14 +26,17 @@ into a :class:`CellPlan`. It lists each distinct working model once in
 ``("outcome", main, interaction)``. It picks each cell's kernel and the kind
 the cell reports. It gives each propensity fit, and the cells that fit none,
 the targets its cells read ``h`` of, the targets linear in the propensity
-first. The pass then fills every cell on a stack of b same-n datasets at
-once: it fits each listed model on first use, on the whole stack (one
-stacked IRLS per propensity design, one stacked least squares fit per
-outcome design, see :mod:`wate.models`), and estimates every cell from the
-vectors the fits carry, with no prediction and no comparison of designs.
-``A``, ``Y``, ``pi``, ``m1`` and ``m0`` are (b, n) stacks. Per propensity
-fit, the pass evaluates the targets as one C-contiguous (b, targets, n)
-block ``H`` and computes each term on the whole block, once:
+first. The pass then fills every cell on a :class:`~wate.data._Stack` of b
+same-n replicates at once: it fits each listed model on first use, on the
+whole stack (one stacked IRLS per propensity design, one stacked least
+squares fit per outcome design, see :mod:`wate.models`), and estimates every
+cell from the vectors the fits carry, with no prediction and no comparison
+of designs. ``A``, ``Y``, ``pi``, ``m1`` and ``m0`` are (b, n) stacks. The
+check that each fitted and truncated ``pi`` lies inside (0, 1) runs on the
+whole stack. Per propensity fit, the pass evaluates the targets as one
+C-contiguous (b, targets, n) block ``H``, each standard or linear target
+once on the whole stack and a covariate target's function once per
+replicate, and computes each term on the whole block, once:
 
 * the row sums of ``H``, of the weights ``A*(H/pi)`` and ``(1-A)*(H/(1-pi))``
   and of the weighted outcomes;
@@ -44,17 +47,17 @@ block ``H`` and computes each term on the whole block, once:
 
 Every sum over a block is a sum over its last axis. numpy sums each row of
 a C-contiguous block as it sums that row alone, and an elementwise term
-gets the same bits in any shape, so a dataset gets the bits a pass over it
-alone gives (a test pins this property of numpy). The cells are filled a
+gets the same bits in any shape, so a replicate gets the bits a pass over
+it alone gives (a test pins this property of numpy). The cells are filled a
 block at a time, and a block is freed after its last cell.
 
-Each kernel returns its cell's value on every dataset of the stack and
-records, per dataset, the first check the dataset fails, in the order a
-pass over that dataset alone makes the checks: a failed fit, an error raised
+Each kernel returns its cell's value on every replicate of the stack and
+records, per replicate, the first check the replicate fails, in the order a
+pass over that replicate alone makes the checks: a failed fit, an error
 evaluating ``h`` (kept without its traceback), then the kernel's own
-refusals. An error that holds for every dataset, such as a model the cell
+refusals. An error that holds for every replicate, such as a model the cell
 does not fit, is raised. Only the unweighted difference, which takes each
-dataset's arm means, loops over the datasets.
+replicate's arm means, loops over the replicates.
 
 Vectors supplied to :func:`fill_cells` (a truncated or external ``pi``, arm
 means predicted from a model fitted on other rows) join the plan as fits of
@@ -62,10 +65,10 @@ their own, ``(stage, None, vectors)``: the cells that fit no such model read
 them, and the pass reads them as it reads a fitted model's vectors.
 
 The bootstrap, the command line report and the Monte Carlo study each build
-one plan and ship it to their workers. :func:`fill_cells` is a pass over a
-stack of one that returns point estimates. Study and bootstrap replicates
-keep only the values, through ``_cell_value_rows``, a pass over a stack of
-replicates.
+one plan and ship it to their workers. :func:`fill_cells` is a pass over its
+dataset as a stack of one, made of views, that returns point estimates.
+Study and bootstrap replicates keep only the values, through
+``_cell_value_rows``, a pass over a stack of replicates.
 """
 
 from __future__ import annotations
@@ -79,15 +82,17 @@ from typing import Callable, Hashable, NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import ObservationalDataset
+from .data import ObservationalDataset, _Stack
 from .design import DesignSpec
 from .errors import EstimationError, FitFailure, MissingModelError, WateError
 from .models import _check_percentiles, _fit_outcomes, _fit_propensities, truncate_propensity
 from .targets import (
+    _PI_RANGE,
     TargetFunction,
     TargetKind,
     _checked_pi,
     _h_values,
+    _outside,
 )
 
 
@@ -110,16 +115,15 @@ class PointEstimate:
 
 
 class _Pass:
-    """One fill over a stack of b same-n datasets: the (b, n) stacks ``A``,
-    ``1 - A`` and ``Y``, the vectors of each fit of ``plan`` on first use,
-    the :class:`_Block` of each propensity fit and ``m1 - m0`` of each
-    outcome fit."""
+    """One fill over a stack of b replicates: its (b, n) ``A``, ``1 - A``
+    and ``Y``, the vectors of each fit of ``plan`` on first use, the
+    :class:`_Block` of each propensity fit and ``m1 - m0`` of each outcome
+    fit."""
 
-    def __init__(self, datasets: Sequence[ObservationalDataset], plan: "CellPlan"):
-        self.datasets = datasets
+    def __init__(self, stack: _Stack, plan: "CellPlan"):
+        self.stack = stack
         self.plan = plan
-        self.A = _stacked([ds.A for ds in datasets])
-        self.Y = _stacked([ds.Y for ds in datasets])
+        self.A, self.Y = stack.A, stack.Y
         self.not_A = 1.0 - self.A
         self._fits: dict[int, tuple[object, dict[int, FitFailure]]] = {}
         self._blocks: dict[int, _Block] = {}
@@ -127,11 +131,11 @@ class _Pass:
 
     def fitted(self, slot: int) -> tuple[object, dict[int, FitFailure]]:
         """The vectors of fit ``slot`` (``pi``, or ``(m1, m0)``) as (b, n)
-        stacks, and the :class:`FitFailure` of each dataset it failed on,
+        stacks, and the :class:`FitFailure` of each replicate it failed on,
         by position; the rows of a failed fit hold placeholders."""
         fit = self._fits.get(slot)
         if fit is None:
-            fit = self._fits[slot] = _fit(self.datasets, self.plan.fits[slot])
+            fit = self._fits[slot] = _fit(self.stack, self.plan.fits[slot])
         return fit
 
     def vectors(self, slot: int):
@@ -156,45 +160,37 @@ class _Pass:
         return diff
 
 
-def _stacked(vectors: list[NDArray[np.float64]]) -> NDArray[np.float64]:
-    """The (b, n) stack of ``vectors``; a stack of one is a view."""
-    return vectors[0].reshape(1, -1) if len(vectors) == 1 else np.stack(vectors)
-
-
 class _Block:
     """The targets the plan lists for propensity fit ``p`` (-1: the cells
     that fit none), as a C-contiguous (b, targets, n) block ``H``: row
-    ``H[i, t]`` is ``h`` of target t on dataset i from
-    :func:`~wate.targets._h_values`, which checks its length, finiteness and
-    sign, or zeros when that raised or the fit failed on the dataset. An
-    error ``h`` raised is kept, without its traceback, and given to every
-    cell that reads its row. The first rows are the targets linear in the
-    propensity. Every term is computed on the whole block and every sum is
-    over the last axis. The terms of an outcome fit take the pass, which the
-    block does not keep: a block that kept it would tie the pass into a
-    reference cycle, whose arrays only the cycle collector frees."""
+    ``H[i, t]`` is ``h`` of target t on replicate i from
+    :func:`~wate.targets._h_values`, which evaluates each target once on the
+    stack (a covariate target's function once per replicate) and checks its
+    length, finiteness and sign, or zeros when that failed or the fit failed
+    on the replicate. The error of a replicate on which ``h`` failed is given
+    to every cell that reads its row. The first rows are the targets linear
+    in the propensity. Every term is computed on the whole block and every
+    sum is over the last axis. The terms of an outcome fit take the pass,
+    which the block does not keep: a block that kept it would tie the pass
+    into a reference cycle, whose arrays only the cycle collector frees."""
 
     def __init__(self, q: _Pass, p: int):
         self.A, self.not_A, self.Y = q.A, q.not_A, q.Y
         self.pi, failed = (None, {}) if p < 0 else q.fitted(p)
         targets, self.coefficients = q.plan.blocks[p]
-        self.H = np.zeros((len(q.datasets), len(targets), q.A.shape[1]))
+        b, n = q.A.shape
+        self.H = np.empty((b, len(targets), n))
         self.errors: dict[int, dict[int, WateError]] = {}
-        for i, ds in enumerate(q.datasets):
-            if i in failed:
-                continue
-            pi = None if self.pi is None else self.pi[i]
-            for t, target in enumerate(targets):
-                try:
-                    self.H[i, t] = _h_values(target, ds.X, pi)
-                except WateError as exc:
-                    self.errors.setdefault(t, {})[i] = exc.with_traceback(None)
+        for t, target in enumerate(targets):
+            self.H[:, t], errors = _h_values(target, q.stack.X, self.pi, failed)
+            if errors:
+                self.errors[t] = errors
         self.totals = self.H.sum(axis=2)
         self._per_fit: dict[tuple[str, int], NDArray[np.float64]] = {}
 
     def h_total(self, row: int, err: dict[int, WateError]) -> NDArray[np.float64]:
-        """``sum(h)`` of the target in ``row`` per dataset; a dataset on
-        which ``h`` raised gets that error."""
+        """``sum(h)`` of the target in ``row`` per replicate; a replicate on
+        which ``h`` failed gets that error."""
         for i, error in self.errors.get(row, {}).items():
             err.setdefault(i, error)
         return self.totals[:, row]
@@ -578,36 +574,33 @@ def _plan(
     return CellPlan(pipelines, fits, tuple(cells), blocks)
 
 
-def _fit(
-    datasets: Sequence[ObservationalDataset], fit: tuple[object, ...]
-) -> tuple[object, dict[int, FitFailure]]:
-    """The vectors of ``fit`` on a stack of datasets, as (b, n) stacks, and
-    the :class:`FitFailure` of each dataset it failed on, by position: the
-    vectors supplied to a stack of one, ``pi`` of the stacked propensity
-    fit, truncated and checked per dataset (0.5 where it failed), or
-    ``(m1, m0)`` of the stacked outcome fit (0 where it failed)."""
+def _fit(stack: _Stack, fit: tuple[object, ...]) -> tuple[object, dict[int, FitFailure]]:
+    """The vectors of ``fit`` on a stack of replicates, as (b, n) stacks,
+    and the :class:`FitFailure` of each replicate it failed on, by position:
+    the vectors supplied to a stack of one, ``pi`` of the stacked propensity
+    fit, truncated per replicate and checked on the whole stack (0.5 where
+    it failed), or ``(m1, m0)`` of the stacked outcome fit (0 where it
+    failed)."""
     stage, design, extra = fit
     if design is None:
         if stage == "outcome":
             return tuple(v.reshape(1, -1) for v in extra), {}
         return extra.reshape(1, -1), {}
     if stage == "outcome":
-        fits = _fit_outcomes(datasets, design, design if extra is None else extra)
+        fits = _fit_outcomes(stack, design, design if extra is None else extra)
         return (fits.m1, fits.m0), _failures(stage, fits.errors)
-    n = datasets[0].n
-    pi = np.full((len(datasets), n), 0.5)
+    pi = np.full(stack.A.shape, 0.5)
     errors: list[WateError | None] = []
-    for i, pm in enumerate(_fit_propensities(datasets, design)):
+    for i, pm in enumerate(_fit_propensities(stack, design)):
         if not isinstance(pm, WateError):
-            try:
-                pi[i] = _checked_pi(
-                    pm.pi if extra is None else truncate_propensity(pm.pi, *extra),
-                    n, EstimationError,
-                )
-                pm = None
-            except WateError as exc:
-                pm = exc.with_traceback(None)
+            pi[i] = pm.pi if extra is None else truncate_propensity(pm.pi, *extra)
+            pm = None
         errors.append(pm)
+    outside = _outside(pi)
+    if outside.any():
+        error = EstimationError(_PI_RANGE)
+        for i in np.flatnonzero(outside).tolist():
+            errors[i], pi[i] = error, 0.5
     return pi, _failures(stage, errors)
 
 
@@ -616,24 +609,24 @@ def _failures(stage: str, errors: list[WateError | None]) -> dict[int, FitFailur
 
 
 def _fill(
-    datasets: Sequence[ObservationalDataset], plan: CellPlan
+    stack: _Stack, plan: CellPlan
 ) -> tuple[NDArray[np.float64], list[dict[int, WateError]]]:
-    """Every cell of ``plan`` on each of ``datasets``, which have the same
-    number of rows: the (datasets, cells) matrix of values, where a failed
-    value is undefined, and per cell the error of each dataset it failed on,
-    by position.
+    """Every cell of ``plan`` on each replicate of ``stack``: the
+    (replicates, cells) matrix of values, where a failed value is undefined,
+    and per cell the error of each replicate it failed on, by position.
 
     The one pass, over the whole stack: each fit of the plan runs once on
-    it and each kernel once, and each dataset gets the checks in the order a
-    pass over it alone makes them, so its first failure and its bits; an
-    error a kernel raises applies to every dataset. The cells are filled a
+    it and each kernel once, and each replicate gets the checks in the order
+    a pass over it alone makes them, so its first failure and its bits; an
+    error a kernel raises applies to every replicate. The cells are filled a
     block at a time, and each block is freed after its last cell."""
-    q = _Pass(datasets, plan)
+    q = _Pass(stack, plan)
+    b = stack.A.shape[0]
     cells = plan.cells
-    values = np.empty((len(datasets), len(cells)))
+    values = np.empty((b, len(cells)))
     errors: list[dict[int, WateError]] = [{} for _ in cells]
     order = sorted(range(len(cells)), key=lambda j: cells[j].p)
-    # The divisions of a refused dataset may divide by zero; its value is
+    # The divisions of a refused replicate may divide by zero; its value is
     # dropped.
     with np.errstate(divide="ignore", invalid="ignore"):
         for j, after in zip(order, order[1:] + [None]):
@@ -647,7 +640,7 @@ def _fill(
             except WateError as exc:
                 # A raise gives a kept error the traceback of its frames.
                 exc = exc.with_traceback(None)
-                for i in range(len(datasets)):
+                for i in range(b):
                     err.setdefault(i, exc)
             if after is None or cells[after].p != c.p:
                 q.release(c.p)
@@ -678,7 +671,7 @@ def fill_cells(
         plan = _supplied(ds, plan, pi, m1, m0)
     elif not isinstance(plan, CellPlan):
         plan = plan_cells(plan)
-    values, errors = _fill([ds], plan)
+    values, errors = _fill(_Stack.of(ds), plan)
     return [
         err[0] if err else PointEstimate(float(values[0, j]), c.reported, c.target)
         for j, (c, err) in enumerate(zip(plan.cells, errors))
@@ -717,14 +710,13 @@ def _checked_mean(m: NDArray[np.float64], n: int) -> NDArray[np.float64]:
 
 
 def _cell_value_rows(
-    datasets: Sequence[ObservationalDataset], plan: CellPlan | Sequence[EstimationPipeline]
+    stack: _Stack, plan: CellPlan | Sequence[EstimationPipeline]
 ) -> list[NDArray[np.float64]]:
-    """The values of :func:`fill_cells` on each of ``datasets``, which have
-    the same number of rows, NaN where a pipeline failed, from one pass over
-    the whole stack."""
+    """The values of :func:`fill_cells` on each replicate of ``stack``, NaN
+    where a pipeline failed, from one pass over the whole stack."""
     if not isinstance(plan, CellPlan):
         plan = plan_cells(plan)
-    values, errors = _fill(datasets, plan)
+    values, errors = _fill(stack, plan)
     for j, err in enumerate(errors):
         if err:
             values[list(err), j] = np.nan

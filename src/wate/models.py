@@ -13,13 +13,13 @@ largest. The outcome fit solves through one reduced QR, whose R also serves
 the rank check.
 
 Both fits run over a stack of problems: the study and the bootstrap fit
-each working model on a stack of same-n replicates at once, which pays
-numpy's fixed cost per call once per stack. There is one IRLS
-(:func:`_irls`) and one least squares fit (:func:`_fit_outcomes`), each on a
-(b, n, k) stack of model matrices; :func:`fit_propensity` and
-:func:`fit_outcome` are stacks of one. A stacked ``qr``, ``solve`` or
-``matmul`` computes each slice as the 2-D call does, so every problem of a
-stack gets the bits and the error it gets alone.
+each working model on a :class:`~wate.data._Stack` of same-n replicates at
+once, which pays numpy's fixed cost per call once per stack. There is one
+IRLS (:func:`_irls`) and one least squares fit (:func:`_fit_outcomes`), each
+on a (b, n, k) stack of model matrices; :func:`fit_propensity` and
+:func:`fit_outcome` are stacks of one, made of views of the dataset. A
+stacked ``qr``, ``solve`` or ``matmul`` computes each slice as the 2-D call
+does, so every problem of a stack gets the bits and the error it gets alone.
 
 Each fitted model also carries its vectors on the fitting rows: the final
 IRLS probabilities (``PropensityModel.pi``) and both arms' means
@@ -29,16 +29,20 @@ so a caller estimating on the fitting data needs no prediction; predict for
 any other rows. Only :func:`fit_outcome` computes the residual variance,
 which no estimator reads.
 
-Each design is evaluated straight into its slice of one stack of model
-matrices. The slices are column-major, a (b, k, n) array seen as (b, n, k):
-each design column is written to contiguous memory, and
-``numpy.linalg.qr``, which copies every slice into a Fortran buffer for
-LAPACK, copies it without transposing. The BLAS products read row-major
-model matrices, since a column-major operand changes the bits of
-``matmul``: the IRLS gets one C-contiguous copy of the full-rank slices, and
-the outcome fit gets ``m1`` and ``m0`` by switching the arm and interaction
-columns of its stack and copying it into one row-major buffer before each
-``M @ beta``. The
+Each design is evaluated once per stack, by one
+:meth:`~wate.design.DesignSpec.matrix` call on the (b, n, p) covariates,
+straight into one stack of model matrices. A design that raises on the
+stack, e.g. a square that overflows in one replicate, is evaluated again
+replicate by replicate, only then, so each replicate gets its own error; the
+IRLS finds a singular information matrix the same way. The slices are
+column-major, a (b, k, n) array seen as (b, n, k): each design column is
+written to contiguous memory, and ``numpy.linalg.qr``, which copies every
+slice into a Fortran buffer for LAPACK, copies it without transposing. The
+BLAS products read row-major model matrices, since a column-major operand
+changes the bits of ``matmul``: the IRLS gets one C-contiguous copy of the
+stack, of its full-rank slices when some are not, and the outcome fit gets
+``m1`` and ``m0`` by switching the arm and interaction columns of its stack
+and copying it into one row-major buffer before each ``M @ beta``. The
 Newton steps of the logistic fit write their weighted design and log
 likelihood terms into buffers allocated once per stack. A Newton step clamps
 its probabilities in place and divides once per sigmoid. None of this
@@ -59,12 +63,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import ObservationalDataset
+from .data import ObservationalDataset, _Stack
 from .design import DesignSpec
 from .errors import ConvergenceError, ModelFitError, RankDeficiencyError, WateError
 
@@ -184,11 +188,11 @@ def _design_matrix(
     design: DesignSpec, X: NDArray[np.float64], out: NDArray[np.float64] | None = None
 ) -> NDArray[np.float64]:
     """``[1, design(X)]``, the design evaluated straight into its block of
-    ``out``, or of a new array."""
+    ``out``, or of a new array; of each replicate for a (b, n, p) stack."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    M = np.empty((X.shape[0], len(design) + 1)) if out is None else out
-    M[:, 0] = 1.0
-    design.matrix(X, out=M[:, 1:])
+    M = np.empty((*X.shape[:-1], len(design) + 1)) if out is None else out
+    M[..., 0] = 1.0
+    design.matrix(X, out=M[..., 1:])
     return M
 
 
@@ -203,14 +207,15 @@ def _outcome_matrix(
     """``[1, main(X), arm, arm * inter(X)]``, the one layout of the outcome
     model's columns for fitting and for predicting, and the interaction
     columns ``inter(X)``, which :func:`_set_arm` needs to switch the arm,
-    each evaluated into ``out`` and ``g`` when given. Equal designs are
-    evaluated once: ``g`` is then the main block of the matrix."""
+    each evaluated into ``out`` and ``g`` when given; of each replicate for
+    a (b, n, p) stack and a (b, n) ``arm``. Equal designs are evaluated
+    once: ``g`` is then the main block of the matrix."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     kb = len(main)
-    M = np.empty((X.shape[0], kb + 2 + len(inter))) if out is None else out
-    M[:, 0] = 1.0
-    main.matrix(X, out=M[:, 1:kb + 1])
-    g = M[:, 1:kb + 1] if inter == main else inter.matrix(X, out=g)
+    M = np.empty((*X.shape[:-1], kb + 2 + len(inter))) if out is None else out
+    M[..., 0] = 1.0
+    main.matrix(X, out=M[..., 1:kb + 1])
+    g = M[..., 1:kb + 1] if inter == main else inter.matrix(X, out=g)
     _set_arm(M, arm, g)
     return M, g
 
@@ -233,45 +238,61 @@ def fit_propensity(ds: ObservationalDataset, design: DesignSpec) -> PropensityMo
     score has not dropped below ``SCORE_TOL`` after ``MAX_ITER`` Newton
     updates.
     """
-    (result,) = _fit_propensities([ds], design)
+    (result,) = _fit_propensities(_Stack.of(ds), design)
     if isinstance(result, WateError):
         raise result
     return result
 
 
-def _fit_propensities(
-    datasets: Sequence[ObservationalDataset], design: DesignSpec
-) -> list[PropensityModel | WateError]:
-    """:func:`fit_propensity` of ``design`` on each of ``datasets``, which
-    have the same number of rows: its model, or the error it failed with.
-    Each design is evaluated into its column-major slice of one stack, the
-    stack is checked for rank by one stacked QR, and a row-major copy of the
-    full-rank designs is fitted by one stacked IRLS."""
-    b, n = len(datasets), datasets[0].n
-    M = np.empty((b, len(design) + 1, n)).transpose(0, 2, 1)
-    A = np.empty((b, n))
-    results: list[PropensityModel | WateError | None] = [None] * b
-    for i, ds in enumerate(datasets):
+def _evaluated(
+    evaluate: Callable[[Any], object], b: int, *outs: NDArray[np.float64]
+) -> list[WateError | None]:
+    """Run ``evaluate(...)``, which evaluates a stack of b replicates into
+    ``outs``, and return the error of each replicate: none when it returns.
+    When it raises, each replicate i is evaluated alone by ``evaluate(i)``
+    instead, and one that raises gets its error, kept without its traceback,
+    and zeros in ``outs``."""
+    try:
+        evaluate(...)
+        return [None] * b
+    except WateError:
+        pass
+    errors: list[WateError | None] = []
+    for i in range(b):
         try:
-            _design_matrix(design, ds.X, M[i])
+            evaluate(i)
+            errors.append(None)
         except WateError as exc:
-            results[i] = exc.with_traceback(None)
-            M[i] = 0.0
-        A[i] = ds.A
-    results = [
-        error or rank for error, rank in zip(results, _rank_errors(M, "propensity design"))
+            errors.append(exc.with_traceback(None))
+            for out in outs:
+                out[i] = 0.0
+    return errors
+
+
+def _fit_propensities(stack: _Stack, design: DesignSpec) -> list[PropensityModel | WateError]:
+    """:func:`fit_propensity` of ``design`` on each replicate of ``stack``:
+    its model, or the error it failed with. The design is evaluated once,
+    into one stack of column-major slices, the stack is checked for rank by
+    one stacked QR, and a row-major copy of the full-rank designs is fitted
+    by one stacked IRLS."""
+    X, A = stack.X, stack.A
+    b, n = A.shape
+    M = np.empty((b, len(design) + 1, n)).transpose(0, 2, 1)
+    errors = _evaluated(lambda i: _design_matrix(design, X[i], M[i]), b, M)
+    results: list[PropensityModel | WateError | None] = [
+        error or rank for error, rank in zip(errors, _rank_errors(M, "propensity design"))
     ]
     rows = [i for i, error in enumerate(results) if error is None]
     if rows:
-        # One row-major copy of the full-rank slices for the IRLS's BLAS
-        # products; fancy indexing would keep the column-major layout. The
-        # stack is freed before the IRLS, which needs only the copy.
-        full_rank = np.empty((len(rows), n, M.shape[2]))
-        for j, i in enumerate(rows):
-            full_rank[j] = M[i]
+        # One row-major copy for the IRLS's BLAS products, of the full-rank
+        # slices when some are not; fancy indexing the stack would keep its
+        # column-major layout. The stack is freed before the IRLS, which
+        # needs only the copy.
+        full_rank = np.empty((b, n, M.shape[2]))
+        np.copyto(full_rank, M)
         del M
         if len(rows) < b:
-            A = A[rows]
+            full_rank, A = full_rank[rows], A[rows]
         for i, result in zip(rows, _irls(full_rank, A, design)):
             results[i] = result
     return results
@@ -479,7 +500,7 @@ def fit_outcome(
     denominator and requires at least one residual degree of freedom.
     """
     inter = design if interaction is None else interaction
-    fits = _fit_outcomes([ds], design, inter)
+    fits = _fit_outcomes(_Stack.of(ds), design, inter)
     (error,) = fits.errors
     if error is not None:
         raise error
@@ -498,7 +519,7 @@ def fit_outcome(
 
 
 class _OutcomeFits(NamedTuple):
-    """The outcome fits of a stack of b same-n datasets: the error each one
+    """The outcome fits of a stack of b replicates: the error each one
     failed with (``None`` for a fit), and the (b, k) coefficients and the
     (b, n) arm means, zero in the rows of the failed fits."""
 
@@ -508,34 +529,27 @@ class _OutcomeFits(NamedTuple):
     m0: NDArray[np.float64]
 
 
-def _fit_outcomes(
-    datasets: Sequence[ObservationalDataset], main: DesignSpec, inter: DesignSpec
-) -> _OutcomeFits:
-    """:func:`fit_outcome` of ``(main, inter)`` on each of ``datasets``,
-    which have the same number of rows, as one stacked least squares fit.
+def _fit_outcomes(stack: _Stack, main: DesignSpec, inter: DesignSpec) -> _OutcomeFits:
+    """:func:`fit_outcome` of ``(main, inter)`` on each replicate of
+    ``stack``, as one stacked least squares fit.
 
-    The model matrices are evaluated into one (b, n, k) stack of
-    column-major slices and factored by one stacked reduced QR; each R is
+    The model matrices are evaluated once, into one (b, n, k) stack of
+    column-major slices, and factored by one stacked reduced QR; each R is
     checked for rank, then the full-rank systems are solved by one stacked
     solve. Both arms' means come from the same stack, its arm columns
     switched in place and copied into a row-major buffer, by one stacked
     ``M @ beta`` each. A stacked QR, solve or matmul computes each slice as
-    the 2-D call does, so every dataset gets the bits, or the error, it gets
-    alone."""
-    b, n = len(datasets), datasets[0].n
+    the 2-D call does, so every replicate gets the bits, or the error, it
+    gets alone."""
+    X, A = stack.X, stack.A
+    b, n = A.shape
     kb, ki = len(main), len(inter)
     k = kb + 2 + ki
     M = np.empty((b, k, n)).transpose(0, 2, 1)
     G = M[:, :, 1:kb + 1] if inter == main else np.empty((b, ki, n)).transpose(0, 2, 1)
+    errors = _evaluated(lambda i: _outcome_matrix(main, inter, X[i], A[i], M[i], G[i]), b, M, G)
     Y = np.empty((b, n, 1))
-    errors: list[WateError | None] = [None] * b
-    for i, ds in enumerate(datasets):
-        try:
-            _outcome_matrix(main, inter, ds.X, ds.A, M[i], G[i])
-        except WateError as exc:
-            errors[i] = exc.with_traceback(None)
-            M[i] = G[i] = 0.0
-        Y[i, :, 0] = ds.Y
+    Y[:, :, 0] = stack.Y
     q, r = np.linalg.qr(M)
     qty = q.transpose(0, 2, 1) @ Y
     del q

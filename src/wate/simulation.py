@@ -18,23 +18,27 @@ stream and check it against Gauss-Hermite quadrature.
 
 Replicate r draws its data from the stream keyed by ``(seed, r)``. The
 replicates are filled a stack of ``max(1, bootstrap._BATCH_ROWS // n)`` at
-a time, each working model fitted on the whole stack at once and every cell
-filled by one pass over it, which gives every replicate the bits it gets
-alone: the results do not depend on the stacks or on ``workers``.
-:func:`generate_dataset` hands the dataset read-only arrays, which it keeps
-instead of copying.
+a time. Each stream draws its replicate straight into one
+:class:`~wate.data._Stack`, which keeps only ``X``, ``A`` and ``Y`` and is
+checked once; each design is evaluated once on it, each working model fitted
+on the whole stack at once and every cell filled by one pass over it, which
+gives every replicate the bits it gets alone: the results do not depend on
+the stacks or on ``workers``. :func:`generate_dataset` draws through the
+same helper, ``_draw``, as a stack of one, and hands the dataset read-only
+arrays, which it keeps instead of copying.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .bootstrap import _map_stacks
-from .data import CounterfactualDataset
+from .data import CounterfactualDataset, _Stack
 from .design import DesignSpec, TransformTerm, main_effects, parse_design
 from .estimators import (
     CellPlan,
@@ -86,13 +90,7 @@ def generate_dataset(
     reproducibility contract; tests pin it.
     """
     _check_outcome_model(outcome_model)
-    X = rng.standard_normal((n, 5))
-    pi = true_propensity(X)
-    A = (rng.random(n) < pi).astype(np.float64)
-    noise = rng.standard_normal(n)
-    y0 = 1.0 + X[:, 1] ** 2 + X[:, 2] + noise
-    y1 = y0 + treatment_effect(outcome_model, X)
-    Y = np.where(A == 1.0, y1, y0)
+    X, A, Y, y1, y0, pi = (arr[0] for arr in _draw(outcome_model, n, [rng]))
     # Fresh arrays made read-only are kept by the dataset, not copied.
     for arr in (X, A, Y, y1, y0, pi):
         arr.flags.writeable = False
@@ -105,6 +103,32 @@ def generate_dataset(
         y0=y0,
         pi_true=pi,
     )
+
+
+def _draw(
+    outcome_model: int, n: int, rngs: Sequence[np.random.Generator]
+) -> tuple[NDArray[np.float64], ...]:
+    """One dataset of size n from each stream of ``rngs``, as a stack:
+    ``X`` (b, n, 5), then ``A``, ``Y``, ``y1``, ``y0`` and the true
+    propensity, each (b, n). Each stream draws the covariates, the
+    assignment uniforms and the noise, in that order; the rest is
+    elementwise arithmetic on the whole stack, which gives each dataset the
+    bits it gets alone."""
+    b = len(rngs)
+    X = np.empty((b, n, 5))
+    uniforms = np.empty((b, n))
+    noise = np.empty((b, n))
+    for rng, x, u, e in zip(rngs, X, uniforms, noise):
+        rng.standard_normal(out=x)
+        rng.random(out=u)
+        rng.standard_normal(out=e)
+    rows = X.reshape(-1, 5)
+    pi = true_propensity(rows).reshape(b, n)
+    A = (uniforms < pi).astype(np.float64)
+    y0 = 1.0 + X[:, :, 1] ** 2 + X[:, :, 2] + noise
+    y1 = y0 + treatment_effect(outcome_model, rows).reshape(b, n)
+    Y = np.where(A == 1.0, y1, y0)
+    return X, A, Y, y1, y0, pi
 
 
 @dataclass(frozen=True)
@@ -281,18 +305,15 @@ def _cell_pipeline(design: SimulationDesign, cell: Cell) -> EstimationPipeline:
 def _replicate_values(
     design: SimulationDesign, plan: CellPlan, reps: range
 ) -> list[NDArray[np.float64]]:
-    """The replications ``reps``: draw each one's data from its own stream,
-    then fill every cell, fitting each working model once per dataset.
-    Failed fits or estimates become NaN."""
-    datasets = [
-        generate_dataset(
-            design.outcome_model,
-            design.n,
-            np.random.default_rng(np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,))),
-        )
+    """The replications ``reps``: draw each one's data from its own stream
+    into one stack, then fill every cell, fitting each working model once
+    per stack. Failed fits or estimates become NaN."""
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,)))
         for rep in reps
     ]
-    return _cell_value_rows(datasets, plan)
+    X, A, Y, *_ = _draw(design.outcome_model, design.n, rngs)
+    return _cell_value_rows(_Stack(X, A, Y, _COVARIATE_NAMES), plan)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Container
 
 import numpy as np
 from numpy.typing import NDArray
@@ -95,6 +95,15 @@ STANDARD_TARGETS: dict[str, TargetFunction] = {
 }
 
 
+_PI_RANGE = "propensity values must lie strictly inside (0, 1)"
+
+
+def _outside(pi: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """Whether each row of ``pi`` has a value outside (0, 1), NaN included;
+    a bool for a vector."""
+    return ~np.all((pi > 0.0) & (pi < 1.0), axis=-1)
+
+
 def _checked_pi(
     pi_hat, n: int, error: type[WateError] = TargetError
 ) -> NDArray[np.float64]:
@@ -103,8 +112,8 @@ def _checked_pi(
     pi = np.asarray(pi_hat, dtype=np.float64).ravel()
     if pi.shape[0] != n:
         raise error(f"propensity vector has length {pi.shape[0]}, expected {n}")
-    if not np.all((pi > 0.0) & (pi < 1.0)):
-        raise error("propensity values must lie strictly inside (0, 1)")
+    if _outside(pi):
+        raise error(_PI_RANGE)
     return pi
 
 
@@ -121,47 +130,74 @@ def evaluate_h(
             raise PropensityRequiredError(
                 f"target {target.label!r} needs fitted propensities"
             )
-        pi = _checked_pi(pi_hat, X.shape[0])
-    return _h_values(target, X, pi)
+        pi = _checked_pi(pi_hat, X.shape[0])[None]
+    h, errors = _h_values(target, X[None], pi)
+    if errors:
+        raise errors[0]
+    return h[0]
 
 
 def _h_values(
     target: TargetFunction,
     X: NDArray[np.float64],
     pi: NDArray[np.float64] | None,
-) -> NDArray[np.float64]:
-    """h on the rows of a 2-D ``X`` for a propensity vector that has already
-    been checked (and is present whenever the target depends on it)."""
-    n = X.shape[0]
+    skip: Container[int] = (),
+) -> tuple[NDArray[np.float64], dict[int, WateError]]:
+    """h on each replicate of a (b, n, p) stack ``X``, for a (b, n) stack of
+    propensities that have already been checked (and are present whenever
+    the target depends on them): the (b, n) values, and the error of each
+    replicate on which h failed, by position, kept without its traceback.
+    A function of the propensity is evaluated on the whole stack, a
+    covariate target's function once per replicate. The replicates in
+    ``skip`` get zeros, and no call and no error."""
+    b, n = X.shape[:2]
+    errors: dict[int, WateError] = {}
+    if target.kind is TargetKind.COVARIATE:
+        h = np.zeros((b, n))
+        for i in range(b):
+            if i not in skip:
+                try:
+                    h[i] = _covariate_h(target, X[i])
+                except WateError as exc:
+                    errors[i] = exc.with_traceback(None)
+        return h, errors
     if target.kind is TargetKind.ATE:
-        return np.ones(n)
-    if target.kind is TargetKind.ATT:
-        return pi.copy()
-    if target.kind is TargetKind.ATC:
-        return 1.0 - pi
-    if target.kind is TargetKind.ATO:
-        return pi * (1.0 - pi)
-    if target.kind is TargetKind.LINEAR:
+        h = np.ones((b, n))
+    elif target.kind is TargetKind.ATT:
+        h = pi.copy()
+    elif target.kind is TargetKind.ATC:
+        h = 1.0 - pi
+    elif target.kind is TargetKind.ATO:
+        h = pi * (1.0 - pi)
+    elif target.kind is TargetKind.LINEAR:
         h = target.a + target.b * pi
-        if np.any(h < 0.0):
-            raise NegativeTargetError(
+        negative = np.any(h < 0.0, axis=1)
+        if negative.any():
+            error = NegativeTargetError(
                 f"{target.label}: a + b*pi is negative for some observations"
             )
-        return h
-    if target.kind is TargetKind.COVARIATE:
-        if target.fn is None:
-            raise TargetError("covariate target has no function attached")
-        h = np.asarray(target.fn(X), dtype=np.float64).ravel()
-        if h.shape[0] != n:
-            raise TargetError(
-                f"covariate target returned length {h.shape[0]}, expected {n}"
-            )
-        if not np.all(np.isfinite(h)):
-            raise TargetError("covariate target produced non-finite values")
-        if np.any(h < 0.0):
-            raise NegativeTargetError(
-                f"{target.label}: covariate target is negative for some observations"
-            )
-        return h
-    raise TargetError(f"unhandled target kind {target.kind}")
+            errors = {i: error for i in np.flatnonzero(negative).tolist() if i not in skip}
+    else:
+        raise TargetError(f"unhandled target kind {target.kind}")
+    for i in skip:
+        h[i] = 0.0
+    return h, errors
 
+
+def _covariate_h(target: TargetFunction, X: NDArray[np.float64]) -> NDArray[np.float64]:
+    """h of a covariate target on the rows of a 2-D ``X``."""
+    n = X.shape[0]
+    if target.fn is None:
+        raise TargetError("covariate target has no function attached")
+    h = np.asarray(target.fn(X), dtype=np.float64).ravel()
+    if h.shape[0] != n:
+        raise TargetError(
+            f"covariate target returned length {h.shape[0]}, expected {n}"
+        )
+    if not np.all(np.isfinite(h)):
+        raise TargetError("covariate target produced non-finite values")
+    if np.any(h < 0.0):
+        raise NegativeTargetError(
+            f"{target.label}: covariate target is negative for some observations"
+        )
+    return h

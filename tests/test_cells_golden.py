@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from wate.cli import _split_estimands, build_report_task
-from wate.data import load_csv
+from wate.data import _Stack, load_csv
 from wate.design import main_effects
 from wate.errors import WateError
 from wate.estimators import PointEstimate, _cell_value_rows, fill_cells
@@ -100,7 +100,7 @@ def test_cell_values_are_the_bits_of_fill_cells():
         filled = [
             np.nan if isinstance(r, WateError) else r.value for r in fill_cells(ds, pipelines)
         ]
-        (values,) = _cell_value_rows([ds], pipelines)
+        (values,) = _cell_value_rows(_Stack.of(ds), pipelines)
         assert _hex(values) == _hex(filled), name
         assert np.isnan(values).tolist() == np.isnan(filled).tolist(), name
 

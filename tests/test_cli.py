@@ -247,10 +247,16 @@ def test_one_column_as_treatment_and_outcome_is_a_usage_error(data_csv, capsys):
         ),
         (["simulate", "--estimator", "dr,ipw,dr"], "estimator token 'dr' is named twice"),
         (["simulate", "--estimand", "ate,ate"], "estimand 'ate' is named twice"),
+        (["simulate", "--n", "50,50"], "--n value '50' is named twice"),
+        (["simulate", "--outcome-model", "1,1"], "--outcome-model value '1' is named twice"),
+        (
+            ["true-values", "--outcome-model", "1,1"],
+            "--outcome-model value '1' is named twice",
+        ),
     ],
     ids=[
         "estimator", "estimand", "same-target", "same-linear", "same-expr",
-        "sim-estimator", "sim-estimand",
+        "sim-estimator", "sim-estimand", "sim-n", "sim-model", "true-values-model",
     ],
 )
 def test_a_repeated_token_is_a_usage_error(argv, message, data_csv, capsys):

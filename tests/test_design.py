@@ -153,3 +153,21 @@ def test_a_non_finite_term_is_refused_by_name_and_rows():
     with pytest.raises(DesignError, match=first_five):
         spec.matrix(X)
     assert np.isfinite(spec.matrix(np.ones((3, 2)))).all()
+
+
+def test_a_stack_gets_each_replicates_design_and_first_error():
+    # A (b, n, p) stack is evaluated as each of its replicates alone: the
+    # monomials on the rows of the whole stack, a term that reads every row
+    # (x1 centred) once per replicate.
+    X = np.random.default_rng(4).standard_normal((3, 6, 2))
+    spec = DesignSpec(terms=(
+        *parse_design("x2 + x1^2 + x1*x2", ("x1", "x2")).terms,
+        TransformTerm(name="x1 - mean(x1)", fn=lambda x: x[:, 0] - x[:, 0].mean()),
+    ))
+    stacked = spec.matrix(X)
+    assert stacked.shape == (3, 6, 4)
+    assert [m.tobytes() for m in stacked] == [spec.matrix(x).tobytes() for x in X]
+    # The error names the rows of the first replicate that has one.
+    X[2, 4, 0] = X[1, 2, 0] = 1e200
+    with pytest.raises(DesignError, match=r"^term 'x1\^2' is not finite \(rows 3\)$"):
+        spec.matrix(X)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wate.models
-from wate.data import ObservationalDataset
+from wate.data import ObservationalDataset, _Stack
 from wate.design import main_effects
 from wate.errors import (
     EstimationError,
@@ -747,10 +747,10 @@ def test_planned_fill_computes_each_shared_term_once(monkeypatch, make_plan, exp
 
         return wrapper
 
-    # The fits of a stack are one call per working model; count the datasets
-    # each call fits.
+    # The fits of a stack are one call per working model; count the
+    # replicates each call fits.
     for what, name in (("propensity", "_fit_propensities"), ("outcome", "_fit_outcomes")):
-        fit = counting(what, getattr(wate.estimators, name), lambda datasets, *_: len(datasets))
+        fit = counting(what, getattr(wate.estimators, name), lambda stack, *_: len(stack.A))
         monkeypatch.setattr(wate.estimators, name, fit)
     for what, name in (("h", "_h_values"), ("estimate", "PointEstimate")):
         monkeypatch.setattr(wate.estimators, name, counting(what, getattr(wate.estimators, name)))
@@ -772,7 +772,7 @@ def test_a_fill_leaves_no_cyclic_garbage():
         gc.collect()
         gc.disable()
         try:
-            assert np.isnan(_cell_value_rows([ds], plan)[0]).sum() == failed
+            assert np.isnan(_cell_value_rows(_Stack.of(ds), plan)[0]).sum() == failed
             results = fill_cells(ds, plan)
             assert sum(isinstance(r, WateError) for r in results) == failed
             del results

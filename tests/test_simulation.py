@@ -187,12 +187,13 @@ def test_study_cells_layout():
 
 
 def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypatch):
-    # Two replicates of the default 30-cell grid: per replicate, 2 propensity
-    # and 2 outcome fits, no prediction (the cells read the fits' own
-    # in-sample vectors), 5 design evaluations (one per propensity design,
-    # one for the outcome model whose interaction design equals its main
-    # design and two for the one whose designs differ) and one outcome model
-    # matrix per outcome fit, which also serves both arms' fitted means.
+    # 21 replicates of the default 30-cell grid at n = 200, in two stacks
+    # (20 and 1): per replicate, 2 propensity and 2 outcome fits and no
+    # prediction (the cells read the fits' own in-sample vectors). Per stack,
+    # 5 design evaluations (one per propensity design, one for the outcome
+    # model whose interaction design equals its main design and two for the
+    # one whose designs differ) and one outcome model matrix per outcome
+    # fit, which also serves both arms' fitted means.
     import wate.design
     import wate.estimators
     import wate.models
@@ -210,11 +211,11 @@ def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypa
     # count the datasets each call fits.
     monkeypatch.setattr(
         wate.estimators, "_fit_propensities",
-        counting("propensity", wate.models._fit_propensities, lambda datasets, _: len(datasets)),
+        counting("propensity", wate.models._fit_propensities, lambda stack, _: len(stack.A)),
     )
     monkeypatch.setattr(
         wate.estimators, "_fit_outcomes",
-        counting("outcome", wate.models._fit_outcomes, lambda datasets, *_: len(datasets)),
+        counting("outcome", wate.models._fit_outcomes, lambda stack, *_: len(stack.A)),
     )
     for name in ("predict_propensity", "predict_outcome"):
         monkeypatch.setattr(wate.models, name, counting("predict", getattr(wate.models, name)))
@@ -224,11 +225,11 @@ def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypa
     monkeypatch.setattr(
         wate.models, "_outcome_matrix", counting("outcome_matrix", wate.models._outcome_matrix)
     )
-    design = SimulationDesign(outcome_model=1, n=200, replications=2)
+    design = SimulationDesign(outcome_model=1, n=200, replications=21)
     assert len(study_cells(design)) == 30
     run_study(design)
     assert calls == {
-        "propensity": 2 * 2, "outcome": 2 * 2, "predict": 0, "matrix": 2 * 5,
+        "propensity": 21 * 2, "outcome": 21 * 2, "predict": 0, "matrix": 2 * 5,
         "outcome_matrix": 2 * 2,
     }
 

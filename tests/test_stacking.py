@@ -14,10 +14,17 @@ import wate.bootstrap
 import wate.models
 import wate.simulation
 from wate.bootstrap import _map_stacks, bootstrap_vector
-from wate.data import ObservationalDataset
-from wate.design import main_effects
+from wate.data import ObservationalDataset, _Stack
+from wate.design import DesignSpec, TransformTerm, main_effects
 from wate.errors import WateError
-from wate.estimators import EstimationPipeline, EstimatorKind, _cell_value_rows, plan_cells
+from wate.estimators import (
+    EstimationPipeline,
+    EstimatorKind,
+    _cell_value_rows,
+    _fill,
+    fill_cells,
+    plan_cells,
+)
 from wate.models import RANK_TOL, _fit_outcomes, _fit_propensities, fit_outcome
 from wate.simulation import (
     SimulationDesign,
@@ -29,6 +36,14 @@ from wate.simulation import (
     study_cells,
 )
 from wate.targets import STANDARD_TARGETS, covariate_target, linear_in_propensity
+
+
+def _stacked(datasets):
+    """The same-n datasets as one stack of replicates."""
+    return _Stack(
+        np.stack([ds.X for ds in datasets]), np.stack([ds.A for ds in datasets]),
+        np.stack([ds.Y for ds in datasets]), datasets[0].covariate_names,
+    )
 
 
 def _record(result):
@@ -86,11 +101,11 @@ def _one_covariate_stack():
 @pytest.mark.parametrize("make_stack", [_simulated_stack, _one_covariate_stack])
 def test_a_stacked_fit_gives_each_problem_its_own_bits(make_stack):
     stack, design = make_stack()
-    alone = [_record(_fit_propensities([ds], design)[0]) for ds in stack]
-    assert [_record(r) for r in _fit_propensities(stack, design)] == alone
+    alone = [_record(_fit_propensities(_stacked([ds]), design)[0]) for ds in stack]
+    assert [_record(r) for r in _fit_propensities(_stacked(stack), design)] == alone
     # And in another order, so each problem has other neighbours.
     order = [2, 5, 0, 4, 1, 3]
-    restacked = _fit_propensities([stack[i] for i in order], design)
+    restacked = _fit_propensities(_stacked([stack[i] for i in order]), design)
     assert [_record(r) for r in restacked] == [alone[i] for i in order]
 
 
@@ -98,7 +113,7 @@ def test_the_stacks_hold_every_exit_of_the_newton_loop():
     messages = set()
     for make_stack in (_simulated_stack, _one_covariate_stack):
         stack, design = make_stack()
-        for result in _fit_propensities(stack, design):
+        for result in _fit_propensities(_stacked(stack), design):
             messages.add(str(result).split(" (")[0] if isinstance(result, WateError) else "model")
     assert messages == {
         "model",
@@ -146,7 +161,7 @@ def test_a_stacked_outcome_fit_gives_each_dataset_its_own_bits(n, correct, model
     assert any(len(record) == 3 for record in alone) == (correct or n == 40)
     assert alone[1][0] == "RankDeficiencyError" or n == 10 and not correct
     for order in ([0, 1, 2, 3, 4], [3, 1, 4, 0, 2]):
-        fits = _fit_outcomes([stack[i] for i in order], main, inter)
+        fits = _fit_outcomes(_stacked([stack[i] for i in order]), main, inter)
         assert [_outcome_stacked(fits, j) for j in range(5)] == [alone[i] for i in order]
 
 
@@ -192,11 +207,11 @@ def test_qr_reads_column_major_slices_and_irls_row_major_stacks(monkeypatch):
     monkeypatch.setattr(wate.models, "_irls", recording_irls)
     stack, design = _simulated_stack()
     # All full rank, then a stack whose rank-deficient dataset leaves it.
-    _fit_propensities(stack[:3], design)
-    _fit_propensities(stack, design)
+    _fit_propensities(_stacked(stack[:3]), design)
+    _fit_propensities(_stacked(stack), design)
     data = [generate_dataset(1, 40, np.random.default_rng(seed)) for seed in range(3)]
     for correct in (True, False):  # separate interaction columns, then shared ones
-        _fit_outcomes(data, *outcome_design(correct, 1))
+        _fit_outcomes(_stacked(data), *outcome_design(correct, 1))
     assert seen == [("qr", True), ("irls", True)] * 2 + [("qr", True)] * 2
 
 
@@ -233,13 +248,86 @@ def test_a_stacked_fill_gives_each_dataset_its_own_bits():
     stack[3] = _with_columns(stack[3], A=np.zeros(n))
     stack[4] = _with_columns(stack[4], x5=0.5)
     plan = _mixed_plan()
-    alone = [_cell_value_rows([ds], plan)[0] for ds in stack]
+    alone = [_cell_value_rows(_stacked([ds]), plan)[0] for ds in stack]
     failed = [np.isnan(row) for row in alone]
     assert failed[3].all() and not (failed[0].all() or failed[1].all() or failed[4].all())
     assert (failed[1] & ~failed[0]).any() and (failed[4] & ~failed[0]).any()
     for order in ([0, 1, 2, 3, 4], [3, 1, 4, 0, 2]):
-        rows = _cell_value_rows([stack[i] for i in order], plan)
+        rows = _cell_value_rows(_stacked([stack[i] for i in order]), plan)
         assert [row.tobytes() for row in rows] == [alone[i].tobytes() for i in order]
+
+
+def _error_stack():
+    """n = 40 datasets on which the errors of the fits and of ``h`` are each
+    a replicate's own: in dataset 1, ``x2^2`` overflows in row 7 (so does
+    the misspecified design's rank check), and dataset 3 has fitted
+    propensities below 0.02, where ``h = -0.02 + pi`` is negative."""
+    stack = [generate_dataset(1, 40, np.random.default_rng(seed)) for seed in (0, 1, 2, 6, 11)]
+    x2 = stack[1].X[:, 1].copy()
+    x2[6] = 1e200
+    stack[1] = _with_columns(stack[1], x2=x2)
+    return stack
+
+
+def _error_plan():
+    targets = (*STANDARD_TARGETS.values(), linear_in_propensity(-0.02, 1.0))
+    kinds = (EstimatorKind.REGRESSION, EstimatorKind.IPW_NORMALIZED, EstimatorKind.AIPW)
+    return plan_cells([
+        EstimationPipeline(
+            target, kind, propensity_design(pc), *outcome_design(mc, 1)
+        )
+        for kind in kinds for target in targets for pc in (True, False) for mc in (True, False)
+    ])
+
+
+def _described(result):
+    if isinstance(result, WateError):
+        return type(result).__name__, str(result)
+    return result.value.hex()
+
+
+def test_each_replicate_of_a_stack_gets_its_own_errors():
+    stack = _error_stack()
+    plan = _error_plan()
+    designs = [propensity_design(True), propensity_design(False)]
+    outcomes = [outcome_design(True, 1), outcome_design(False, 1)]
+    fits_alone = [
+        [_record(_fit_propensities(_Stack.of(ds), design)[0]) for design in designs]
+        for ds in stack
+    ]
+    outcomes_alone = [[_outcome_alone(ds, *pair) for pair in outcomes] for ds in stack]
+    cells_alone = [[_described(r) for r in fill_cells(ds, plan)] for ds in stack]
+    values_alone = [_cell_value_rows(_Stack.of(ds), plan)[0] for ds in stack]
+    # The errors are each one replicate's, with rows counted in its own data.
+    overflow = ("DesignError", "term 'x2^2' is not finite (rows 7)")
+    assert fits_alone[1][0][:2] == outcomes_alone[1][0] == overflow
+    assert fits_alone[1][1][0] == outcomes_alone[1][1][0] == "RankDeficiencyError"
+    negative = (
+        "NegativeTargetError", "linear:-0.02,1: a + b*pi is negative for some observations"
+    )
+    linear = [j for j, c in enumerate(plan.cells) if c.target.label.startswith("linear")]
+    for i, cells in enumerate(cells_alone):
+        assert [cells[j] == negative for j in linear] == [i == 3] * len(linear)
+    assert all(isinstance(cells_alone[i][j], str) for i in (0, 2, 4) for j in linear)
+    for order in ([0, 1, 2, 3, 4], [3, 4, 1, 0, 2]):
+        stacked = _stacked([stack[i] for i in order])
+        for d, design in enumerate(designs):
+            fits = _fit_propensities(stacked, design)
+            assert [_record(r) for r in fits] == [fits_alone[i][d] for i in order]
+        for d, pair in enumerate(outcomes):
+            fits = _fit_outcomes(stacked, *pair)
+            assert [_outcome_stacked(fits, j) for j in range(5)] == [
+                outcomes_alone[i][d] for i in order
+            ]
+        values, errors = _fill(stacked, plan)
+        for j, i in enumerate(order):
+            cells = [
+                _described(err[j]) if j in err else values[j, c].hex()
+                for c, err in enumerate(errors)
+            ]
+            assert cells == cells_alone[i]
+        rows = _cell_value_rows(stacked, plan)
+        assert [row.tobytes() for row in rows] == [values_alone[i].tobytes() for i in order]
 
 
 def _study_matrix(monkeypatch, batch_rows, workers=1):
@@ -267,14 +355,61 @@ def _bootstrap_matrix(monkeypatch, batch_rows, workers=1):
     return bootstrap_vector(ds, plan, b=7, seed=5, workers=workers)
 
 
+def _centred_x1(X):
+    return X[:, 0] - X[:, 0].mean()
+
+
+def _centred_propensity_design(correct):
+    """The misspecified propensity design with x1 centred on its replicate's
+    mean: a term that reads every row of its replicate."""
+    if correct:
+        return propensity_design(True)
+    terms = main_effects(("x1", "x2", "x3", "x4", "x5")).terms
+    return DesignSpec((TransformTerm("x1 - mean(x1)", _centred_x1), *terms[1:]))
+
+
 @pytest.mark.parametrize("matrix, n", [(_study_matrix, 15), (_bootstrap_matrix, 20)])
 def test_replicates_are_the_same_bits_at_every_stack_size(monkeypatch, matrix, n):
     # 7 replicates in stacks of 1 (_BATCH_ROWS = 1 and n), of 3 (3n, the
     # last stack holding 1) and of all 7 (the default). Different cells fail
-    # in different replicates, so the stacks hold failing fits too.
+    # in different replicates, so the stacks hold failing fits too. The
+    # misspecified propensity design centres x1 on each replicate's mean,
+    # which a term evaluated on the rows of the whole stack would not.
+    monkeypatch.setattr(wate.simulation, "propensity_design", _centred_propensity_design)
     reference = matrix(monkeypatch, 1)
     failed = np.isnan(reference).sum(axis=1)
     assert len(set(failed.tolist())) > 1 and failed.max() < reference.shape[1]
     for batch_rows, workers in ((n, 1), (3 * n, 1), (3 * n, 2), (4096, 1)):
         got = matrix(monkeypatch, batch_rows, workers)
         assert got.tobytes() == reference.tobytes(), (batch_rows, workers)
+
+
+def test_a_bootstrap_gathers_each_stack_once(monkeypatch):
+    # 7 replicates at n = 20 in stacks of 3: one gather of a (3, 20) index
+    # stack per stack, which gives each replicate the rows replace_rows
+    # gives it, and no dataset per replicate.
+    ds = generate_dataset(2, 20, np.random.default_rng(1)).observed()
+    idx = np.array([wate.bootstrap._replicate_indices(5, i, 20) for i in range(3)])
+    stack = _Stack.gather(ds, idx)
+    for i, rows in enumerate(idx):
+        resample = ds.replace_rows(rows)
+        assert [stack.X[i].tobytes(), stack.A[i].tobytes(), stack.Y[i].tobytes()] == [
+            resample.X.tobytes(), resample.A.tobytes(), resample.Y.tobytes()
+        ]
+    gathers, replaced = [], []
+    gather, replace_rows = _Stack.gather, ObservationalDataset.replace_rows
+    monkeypatch.setattr(
+        _Stack, "gather",
+        classmethod(lambda cls, ds, idx: gathers.append(idx.shape) or gather(ds, idx)),
+    )
+    monkeypatch.setattr(
+        ObservationalDataset, "replace_rows",
+        lambda self, idx: replaced.append(idx) or replace_rows(self, idx),
+    )
+    monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", 60)
+    design = main_effects(ds.covariate_names)
+    plan = plan_cells(
+        [EstimationPipeline(STANDARD_TARGETS["ate"], EstimatorKind.AIPW, design, design)]
+    )
+    bootstrap_vector(ds, plan, b=7, seed=5)
+    assert gathers == [(3, 20), (3, 20), (1, 20)] and replaced == []
