@@ -16,17 +16,18 @@ pipeline, raises :class:`BootstrapError` past the limit and otherwise adds a
 
 Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling
-order. Replicates are filled in stacks of ``max(1, _BATCH_ROWS // n)``
-consecutive ones (``_BATCH_ROWS`` = 4096 rows): the rows of a stack are
-gathered by one ``numpy.take`` per array over its (b, n) index stack into a
-:class:`~wate.data._Stack`, each design is evaluated once on it, each
-working model of the plan is fitted on it at once (see :mod:`wate.models`)
-and the cells are filled by one pass over it (see :mod:`wate.estimators`),
-which gives each replicate the bits it gets alone, so the stack size changes
-no result either. :func:`parallel_map`, which spreads the stacks over
-processes, is shared with the Monte Carlo study. On Linux it forks its
-workers, so only the results must pickle; elsewhere the plan must pickle
-too.
+order. The replicates are split into contiguous chunks over the processes
+as :func:`parallel_map` splits its indices, and each process fills its
+chunk in stacks of ``max(1, _BATCH_ROWS // n)`` consecutive replicates
+(``_BATCH_ROWS`` = 8192 rows, from :mod:`wate.data`), the last one shorter:
+the rows of a stack are gathered by one ``numpy.take`` per array over its
+(b, n) index stack into a :class:`~wate.data._Stack`, each design is
+evaluated once on it, each working model of the plan is fitted on it at
+once (see :mod:`wate.models`) and the cells are filled by one pass over it
+(see :mod:`wate.estimators`), which gives each replicate the bits it gets
+alone, so neither the chunks nor the stacks change a result. The Monte Carlo
+study shares this map, ``_map_stacks``. On Linux it forks its workers, so
+only the results must pickle; elsewhere the plan must pickle too.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import ObservationalDataset, _Stack
+from .data import _BATCH_ROWS, ObservationalDataset, _Stack
 from .errors import BootstrapError, FitFailure, WateError, WorkerError
 from .estimators import (
     CellPlan,
@@ -57,15 +58,6 @@ T = TypeVar("T")
 MAX_FAILED_FRACTION = 0.2
 CI_LEVEL = 0.95
 
-# Rows of data per stack of replicates. The replicates of a stack share one
-# stacked fit per working model and one pass of the fill, which pays numpy's
-# fixed cost per call once per stack. The stacked IRLS alone, 4 replicates at
-# n = 1000, took 10-13% off a study's wall time; 8 gained no more and raised
-# its peak memory by 5%. Stacking the outcome fits and the fill too took 16%
-# more off, at 2% more peak memory. Above n = 2048 a stack holds one
-# replicate.
-_BATCH_ROWS = 4096
-
 
 def _replicate_indices(seed: int, i: int, n: int) -> NDArray[np.intp]:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
@@ -76,17 +68,21 @@ def _map_range(fn: Callable[[int], T], indices: range) -> list[T]:
     return [fn(i) for i in indices]
 
 
-def _stack(fn: Callable[[range], list[T]], size: int, count: int, j: int) -> list[T]:
-    return fn(range(j * size, min(count, (j + 1) * size)))
-
-
 def _map_stacks(fn: Callable[[range], list[T]], count: int, n: int, workers: int) -> list[T]:
-    """``fn(range(count))``, as :func:`parallel_map` over stacks of
-    ``max(1, _BATCH_ROWS // n)`` consecutive indices, where ``fn`` gives one
-    result per index of its range and ``n`` is the rows of each replicate."""
-    size = max(1, _BATCH_ROWS // n)
-    stacks = parallel_map(partial(_stack, fn, size, count), -(-count // size), workers)
-    return [result for stack in stacks for result in stack]
+    """``fn(range(count))``, where ``fn`` gives one result per index of its
+    range and ``n`` is the rows of each replicate: the indices are split
+    over the processes as :func:`parallel_map` splits them, and each process
+    calls ``fn`` on its chunk in stacks of ``max(1, _BATCH_ROWS // n)``
+    consecutive indices, the last one shorter."""
+    return _map_chunks(partial(_stacks, fn, max(1, _BATCH_ROWS // n)), count, workers)
+
+
+def _stacks(fn: Callable[[range], list[T]], size: int, chunk: range) -> list[T]:
+    return [
+        result
+        for start in range(chunk.start, chunk.stop, size)
+        for result in fn(range(start, min(chunk.stop, start + size)))
+    ]
 
 
 # Fork the workers of parallel_map directly. The stdlib pool forks them on
@@ -115,19 +111,25 @@ def parallel_map(fn: Callable[[int], T], count: int, workers: int) -> list[T]:
     that cannot be forked, or exits without sending its results, raises
     :class:`WorkerError`.
     """
+    return _map_chunks(partial(_map_range, fn), count, workers)
+
+
+def _map_chunks(run: Callable[[range], list[T]], count: int, workers: int) -> list[T]:
+    """``run(range(count))`` as :func:`parallel_map` computes it: ``run``
+    gives one result per index of the chunk of indices it is called on."""
     if workers <= 1 or count <= 1:
-        return _map_range(fn, range(count))
+        return run(range(count))
     if _FORK:
-        return _fork_map(fn, _chunks(count, min(workers, count)))
+        return _fork_map(run, _chunks(count, min(workers, count)))
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = _chunks(count, min(workers * 4, count))
     with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        futures = [pool.submit(_map_range, fn, chunk) for chunk in chunks]
+        futures = [pool.submit(run, chunk) for chunk in chunks]
         return [value for future in futures for value in future.result()]
 
 
-def _fork_map(fn: Callable[[int], T], chunks: list[range]) -> list[T]:
+def _fork_map(run: Callable[[range], list[T]], chunks: list[range]) -> list[T]:
     pids: list[int] = []
     pipes: list[int] = []
     try:
@@ -138,7 +140,7 @@ def _fork_map(fn: Callable[[int], T], chunks: list[range]) -> list[T]:
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _run_child(fn, chunk, write_end, pipes)
+                        _run_child(run, chunk, write_end, pipes)
                 finally:
                     os.close(write_end)
             except OSError as exc:
@@ -146,7 +148,7 @@ def _fork_map(fn: Callable[[int], T], chunks: list[range]) -> list[T]:
                     f"parallel map could not start the worker for {_chunk_label(k, chunk)}: {exc}"
                 ) from None
             pids.append(pid)
-        results = _map_range(fn, chunks[0])
+        results = run(chunks[0])
         payloads = []
         for read_end in pipes:
             with open(read_end, "rb", closefd=False) as pipe:
@@ -178,7 +180,7 @@ def _chunk_label(k: int, chunk: range) -> str:
 
 
 def _run_child(
-    fn: Callable[[int], T], chunk: range, write_end: int, inherited: list[int]
+    run: Callable[[range], list[T]], chunk: range, write_end: int, inherited: list[int]
 ) -> None:
     """Body of a forked worker: run the chunk, pickle ``(ok, results or
     exception)`` to the pipe and leave without running exit handlers or
@@ -188,7 +190,7 @@ def _run_child(
         for read_end in inherited:
             os.close(read_end)
         try:
-            payload = (True, _map_range(fn, chunk))
+            payload = (True, run(chunk))
         except Exception as exc:
             payload = (False, exc)
         with open(write_end, "wb", closefd=False) as pipe:

@@ -154,6 +154,18 @@ class ObservationalDataset:
         )
 
 
+# Rows of data per stack of replicates: the study and the bootstrap draw or
+# gather, fit and fill ``max(1, _BATCH_ROWS // n)`` replicates at a time,
+# which pays numpy's fixed cost per call once per stack. With only the IRLS
+# stacked, 8 replicates at n = 1000 gained no more than 4; with the outcome
+# fits, the fill and the data path stacked too, 8192 rows took about 10% off
+# a study's wall time against 4096, at 2-3% more peak memory. An outcome fit
+# works through its stack in parts of half as many rows, which keeps its QR
+# at the memory peak of a 4096-row stack (see wate.models). Above n = 8192 a
+# stack holds one replicate.
+_BATCH_ROWS = 8192
+
+
 @dataclass(frozen=True, eq=False)
 class _Stack:
     """b replicates of n rows each, the unit the study and the bootstrap fit

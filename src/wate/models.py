@@ -16,7 +16,8 @@ Both fits run over a stack of problems: the study and the bootstrap fit
 each working model on a :class:`~wate.data._Stack` of same-n replicates at
 once, which pays numpy's fixed cost per call once per stack. There is one
 IRLS (:func:`_irls`) and one least squares fit (:func:`_fit_outcomes`), each
-on a (b, n, k) stack of model matrices; :func:`fit_propensity` and
+on a (b, n, k) stack of model matrices, the least squares fit a part of the
+stack at a time (see below); :func:`fit_propensity` and
 :func:`fit_outcome` are stacks of one, made of views of the dataset. A
 stacked ``qr``, ``solve`` or ``matmul`` computes each slice as the 2-D call
 does, so every problem of a stack gets the bits and the error it gets alone.
@@ -49,6 +50,17 @@ its probabilities in place and divides once per sigmoid. None of this
 changes the value of an element or the order of a sum, and LAPACK reads the
 same buffer in either layout, so the results are the same bits.
 
+The outcome fit's QR is the largest transient of a pass: it holds the model
+matrices, numpy's copy of them, ``q`` and LAPACK's buffers at once. So
+:func:`_fit_outcomes` works through its stack in consecutive parts of
+``max(1, _PART_ROWS // n)`` replicates, ``_PART_ROWS`` being half the
+stack's ``wate.data._BATCH_ROWS`` (4096 of 8192 rows), each part evaluated,
+factored, checked for rank and solved as one stack. That keeps the QR's
+peak where a 4096-row stack had it; factoring all 8192 rows at once was no
+faster and raised a study's peak memory by 1 MB more (n = 1000). The IRLS
+and the fill, whose fixed cost per numpy call is what a larger stack saves,
+take the whole stack.
+
 At bootstrap sizes the n-by-k blocks of a fit (the stack, its row-major
 copy, ``numpy.linalg.qr``'s copy of it and ``q``) are freed at the end of
 every fit. By default glibc hands that memory back to the OS and the next
@@ -68,7 +80,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import ObservationalDataset, _Stack
+from .data import _BATCH_ROWS, ObservationalDataset, _Stack
 from .design import DesignSpec
 from .errors import ConvergenceError, ModelFitError, RankDeficiencyError, WateError
 
@@ -110,6 +122,9 @@ def _keep_freed_heap() -> None:
 
 _keep_freed_heap()
 
+
+# Rows of data per part of an outcome fit; see the module docstring.
+_PART_ROWS = _BATCH_ROWS // 2
 
 SCORE_TOL = 1e-8
 MAX_ITER = 100
@@ -531,7 +546,25 @@ class _OutcomeFits(NamedTuple):
 
 def _fit_outcomes(stack: _Stack, main: DesignSpec, inter: DesignSpec) -> _OutcomeFits:
     """:func:`fit_outcome` of ``(main, inter)`` on each replicate of
-    ``stack``, as one stacked least squares fit.
+    ``stack``, as stacked least squares fits of its consecutive parts of
+    ``max(1, _PART_ROWS // n)`` replicates, joined in replicate order. A
+    part is a slice of the stack, which is not checked again."""
+    b, n = stack.A.shape
+    size = max(1, _PART_ROWS // n)
+    parts = [_fit_outcome_part(stack, slice(i, i + size), main, inter) for i in range(0, b, size)]
+    if len(parts) == 1:
+        return parts[0]
+    return _OutcomeFits(
+        [error for part in parts for error in part.errors],
+        *(np.concatenate(arrays) for arrays in zip(*(part[1:] for part in parts))),
+    )
+
+
+def _fit_outcome_part(
+    stack: _Stack, part: slice, main: DesignSpec, inter: DesignSpec
+) -> _OutcomeFits:
+    """The outcome fits of the replicates ``part`` of ``stack``, as one
+    stacked least squares fit.
 
     The model matrices are evaluated once, into one (b, n, k) stack of
     column-major slices, and factored by one stacked reduced QR; each R is
@@ -541,7 +574,7 @@ def _fit_outcomes(stack: _Stack, main: DesignSpec, inter: DesignSpec) -> _Outcom
     ``M @ beta`` each. A stacked QR, solve or matmul computes each slice as
     the 2-D call does, so every replicate gets the bits, or the error, it
     gets alone."""
-    X, A = stack.X, stack.A
+    X, A = stack.X[part], stack.A[part]
     b, n = A.shape
     kb, ki = len(main), len(inter)
     k = kb + 2 + ki
@@ -549,7 +582,7 @@ def _fit_outcomes(stack: _Stack, main: DesignSpec, inter: DesignSpec) -> _Outcom
     G = M[:, :, 1:kb + 1] if inter == main else np.empty((b, ki, n)).transpose(0, 2, 1)
     errors = _evaluated(lambda i: _outcome_matrix(main, inter, X[i], A[i], M[i], G[i]), b, M, G)
     Y = np.empty((b, n, 1))
-    Y[:, :, 0] = stack.Y
+    Y[:, :, 0] = stack.Y[part]
     q, r = np.linalg.qr(M)
     qty = q.transpose(0, 2, 1) @ Y
     del q

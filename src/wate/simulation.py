@@ -17,15 +17,18 @@ stored as constants. The tests reproduce the table bit for bit from that
 stream and check it against Gauss-Hermite quadrature.
 
 Replicate r draws its data from the stream keyed by ``(seed, r)``. The
-replicates are filled a stack of ``max(1, bootstrap._BATCH_ROWS // n)`` at
-a time. Each stream draws its replicate straight into one
-:class:`~wate.data._Stack`, which keeps only ``X``, ``A`` and ``Y`` and is
-checked once; each design is evaluated once on it, each working model fitted
-on the whole stack at once and every cell filled by one pass over it, which
-gives every replicate the bits it gets alone: the results do not depend on
-the stacks or on ``workers``. :func:`generate_dataset` draws through the
-same helper, ``_draw``, as a stack of one, and hands the dataset read-only
-arrays, which it keeps instead of copying.
+replicates are split over the ``workers`` processes first, and each process
+fills its share a stack of ``max(1, data._BATCH_ROWS // n)`` (8192 rows) at
+a time, through the bootstrap's ``_map_stacks``. Each stream draws its
+replicate straight into one :class:`~wate.data._Stack`, which keeps only
+``X``, ``A`` and ``Y`` and is checked once; each design is evaluated once on
+it (an outcome design once per part of an outcome fit, see
+:mod:`wate.models`), each working model fitted on the whole stack at once
+and every cell filled by one pass over it, which gives every replicate the
+bits it gets alone: the results do not depend on the shares, the stacks or
+``workers``. :func:`generate_dataset` draws through the same helper,
+``_draw``, as a stack of one, and hands the dataset read-only arrays, which
+it keeps instead of copying.
 """
 
 from __future__ import annotations

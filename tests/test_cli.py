@@ -272,7 +272,7 @@ def test_a_repeated_token_is_a_usage_error(argv, message, data_csv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # Enough replicates for two stacks, so two chunks.
+        # Two replicates or more, so one chunk per worker.
         ["estimate", "DATA", "--bootstrap", "120", "--estimand", "ate"],
         ["simulate", "--n", "2048", "--reps", "4", "--estimand", "ate", "--estimator", "ipw"],
     ],

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import wate
+import wate.bootstrap
 
 ROOT = Path(__file__).resolve().parent.parent
 COHORT = ROOT / "tests" / "golden" / "cohort.csv"
@@ -48,3 +49,10 @@ def test_every_package_name_in_the_readme_resolves():
 
 def test_every_name_in_all_exists():
     assert [name for name in wate.__all__ if not hasattr(wate, name)] == []
+
+
+def test_the_stack_rule_quotes_the_stack_size():
+    # The README states the stack rule with the number; a change to the
+    # constant must change the docs too.
+    rules = re.findall(r"max\(1, (\d+) // n\)", README)
+    assert rules and rules == [str(wate.bootstrap._BATCH_ROWS)] * len(rules)

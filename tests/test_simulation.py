@@ -187,13 +187,16 @@ def test_study_cells_layout():
 
 
 def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypatch):
-    # 21 replicates of the default 30-cell grid at n = 200, in two stacks
-    # (20 and 1): per replicate, 2 propensity and 2 outcome fits and no
-    # prediction (the cells read the fits' own in-sample vectors). Per stack,
-    # 5 design evaluations (one per propensity design, one for the outcome
-    # model whose interaction design equals its main design and two for the
-    # one whose designs differ) and one outcome model matrix per outcome
-    # fit, which also serves both arms' fitted means.
+    # 41 replicates of the default 30-cell grid at n = 200, in stacks of
+    # max(1, _BATCH_ROWS // 200) and outcome parts of max(1, _PART_ROWS //
+    # 200) (40 and 1, and 20, 20 and 1 at 8192 rows): per replicate, 2
+    # propensity and 2 outcome fits and no prediction (the cells read the
+    # fits' own in-sample vectors). Per stack, one design evaluation per
+    # propensity design; per outcome part, 3 (one for the outcome model whose
+    # interaction design equals its main design and two for the one whose
+    # designs differ) and one outcome model matrix per outcome fit, which
+    # also serves both arms' fitted means.
+    import wate.bootstrap
     import wate.design
     import wate.estimators
     import wate.models
@@ -225,12 +228,17 @@ def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypa
     monkeypatch.setattr(
         wate.models, "_outcome_matrix", counting("outcome_matrix", wate.models._outcome_matrix)
     )
-    design = SimulationDesign(outcome_model=1, n=200, replications=21)
+    reps, n = 41, 200
+    stack, part = max(1, wate.bootstrap._BATCH_ROWS // n), max(1, wate.models._PART_ROWS // n)
+    stacks = [min(stack, reps - start) for start in range(0, reps, stack)]
+    parts = sum(-(-size // part) for size in stacks)
+    assert len(stacks) > 1 and parts > len(stacks)
+    design = SimulationDesign(outcome_model=1, n=n, replications=reps)
     assert len(study_cells(design)) == 30
     run_study(design)
     assert calls == {
-        "propensity": 21 * 2, "outcome": 21 * 2, "predict": 0, "matrix": 2 * 5,
-        "outcome_matrix": 2 * 2,
+        "propensity": reps * 2, "outcome": reps * 2, "predict": 0,
+        "matrix": len(stacks) * 2 + parts * 3, "outcome_matrix": parts * 2,
     }
 
 

@@ -1,16 +1,18 @@
 """Stacking replicates changes no result.
 
 The propensity fits of a stack of same-n datasets run as one stacked IRLS,
-the outcome fits as one stacked least squares fit, and the study and the
-bootstrap fill their replicates a stack at a time. Each problem of a stack
-must get the bits, or the error, it gets alone, whatever else is in the
-stack and whenever the others leave it.
+the outcome fits as stacked least squares fits of consecutive parts of the
+stack, and the study and the bootstrap split their replicates over the
+processes, then fill each process's share a stack at a time. Each problem of
+a stack must get the bits, or the error, it gets alone, whatever else is in
+the stack or its part and whenever the others leave it.
 """
 
 import numpy as np
 import pytest
 
 import wate.bootstrap
+import wate.data
 import wate.models
 import wate.simulation
 from wate.bootstrap import _map_stacks, bootstrap_vector
@@ -36,6 +38,9 @@ from wate.simulation import (
     study_cells,
 )
 from wate.targets import STANDARD_TARGETS, covariate_target, linear_in_propensity
+
+
+_DEFAULT_BATCH_ROWS = wate.data._BATCH_ROWS
 
 
 def _stacked(datasets):
@@ -330,9 +335,70 @@ def test_each_replicate_of_a_stack_gets_its_own_errors():
         assert [row.tobytes() for row in rows] == [values_alone[i].tobytes() for i in order]
 
 
+@pytest.mark.parametrize("fault", ["rank", "design"])
+def test_an_outcome_fit_works_through_its_stack_in_parts(monkeypatch, fault):
+    # 5 datasets at n = 40 in parts of 2 (_PART_ROWS = 80): parts 0-1, 2-3
+    # and 4. Dataset 3, in the second part, has a constant covariate, which
+    # every design reads, or an x2 of 1e200 in row 7, where the correct
+    # design's x2^2 overflows. That fit, and only that one, fails, with the
+    # error it gets alone; the others keep their bits. Each part is factored
+    # on its own and is a slice of the stack, which is not checked again.
+    stack = [generate_dataset(1, 40, np.random.default_rng(seed)) for seed in range(5)]
+    if fault == "rank":
+        stack[3] = _with_columns(stack[3], x3=0.5)
+    else:
+        x2 = stack[3].X[:, 1].copy()
+        x2[6] = 1e200
+        stack[3] = _with_columns(stack[3], x2=x2)
+    whole = _stacked(stack)
+    monkeypatch.setattr(wate.models, "_PART_ROWS", 80)
+    shapes, checks = [], []
+    qr, post_init = np.linalg.qr, _Stack.__post_init__
+    monkeypatch.setattr(
+        np.linalg, "qr", lambda a, *args, **kw: shapes.append(a.shape[:2]) or qr(a, *args, **kw)
+    )
+    monkeypatch.setattr(_Stack, "__post_init__", lambda self: checks.append(None) or post_init(self))
+    for correct in (True, False):
+        main, inter = outcome_design(correct, 1)
+        alone = [_outcome_alone(ds, main, inter) for ds in stack]
+        assert [len(record) == 2 for record in alone] == [False, False, False, True, False]
+        if fault == "design" and correct:
+            assert alone[3] == ("DesignError", "term 'x2^2' is not finite (rows 7)")
+        shapes.clear()
+        checks.clear()
+        fits = _fit_outcomes(whole, main, inter)
+        assert shapes == [(2, 40), (2, 40), (1, 40)] and checks == []
+        assert [_outcome_stacked(fits, j) for j in range(5)] == alone
+
+
+def _map_bounds(indices):
+    return [(indices.start, indices.stop)] * len(indices)
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_the_replicates_are_split_over_the_processes_before_they_are_stacked(monkeypatch, fork):
+    # 7 replicates at n = 15 fit one stack (_BATCH_ROWS = 7n). Two workers
+    # split them 3 and 4 first and stack each share, and the pool kept for
+    # platforms that do not fork runs four shares per worker.
+    monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", 7 * 15)
+    monkeypatch.setattr(wate.bootstrap, "_FORK", fork)
+    assert _map_stacks(_map_bounds, 7, 15, 1) == [(0, 7)] * 7
+    shares = [(0, 3)] * 3 + [(3, 7)] * 4 if fork else [(i, i + 1) for i in range(7)]
+    assert _map_stacks(_map_bounds, 7, 15, 2) == shares
+    monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", 2 * 15)
+    stacks = [(0, 2)] * 2 + [(2, 3)] + [(3, 5)] * 2 + [(5, 7)] * 2
+    assert _map_stacks(_map_bounds, 7, 15, 2) == (stacks if fork else shares)
+
+
+def _set_batch_rows(monkeypatch, batch_rows):
+    """Stacks of ``batch_rows`` rows and outcome parts of half as many."""
+    monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", batch_rows)
+    monkeypatch.setattr(wate.models, "_PART_ROWS", batch_rows // 2)
+
+
 def _study_matrix(monkeypatch, batch_rows, workers=1):
     """The (replicates, cells) matrix of a study at n = 15."""
-    monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", batch_rows)
+    _set_batch_rows(monkeypatch, batch_rows)
     matrices = []
 
     def recording(*args):
@@ -348,7 +414,7 @@ def _study_matrix(monkeypatch, batch_rows, workers=1):
 
 def _bootstrap_matrix(monkeypatch, batch_rows, workers=1):
     """The (replicates, cells) matrix of a bootstrap at n = 20."""
-    monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", batch_rows)
+    _set_batch_rows(monkeypatch, batch_rows)
     design = SimulationDesign(outcome_model=2, n=20)
     plan = plan_cells([_cell_pipeline(design, cell) for cell in study_cells(design)])
     ds = generate_dataset(2, 20, np.random.default_rng(1)).observed()
@@ -371,15 +437,19 @@ def _centred_propensity_design(correct):
 @pytest.mark.parametrize("matrix, n", [(_study_matrix, 15), (_bootstrap_matrix, 20)])
 def test_replicates_are_the_same_bits_at_every_stack_size(monkeypatch, matrix, n):
     # 7 replicates in stacks of 1 (_BATCH_ROWS = 1 and n), of 3 (3n, the
-    # last stack holding 1) and of all 7 (the default). Different cells fail
-    # in different replicates, so the stacks hold failing fits too. The
-    # misspecified propensity design centres x1 on each replicate's mean,
-    # which a term evaluated on the rows of the whole stack would not.
+    # last stack holding 1) and of all 7 (7n, which 2 workers split into
+    # shares of 3 and 4, and the default). The outcome fits run in parts of
+    # half the stack's rows: parts of 1 in stacks of 3, and a 4-replicate
+    # share in parts of 3 and 1. Different cells fail in different
+    # replicates, so the stacks hold failing fits too. The misspecified
+    # propensity design centres x1 on each replicate's mean, which a term
+    # evaluated on the rows of the whole stack would not.
     monkeypatch.setattr(wate.simulation, "propensity_design", _centred_propensity_design)
     reference = matrix(monkeypatch, 1)
     failed = np.isnan(reference).sum(axis=1)
     assert len(set(failed.tolist())) > 1 and failed.max() < reference.shape[1]
-    for batch_rows, workers in ((n, 1), (3 * n, 1), (3 * n, 2), (4096, 1)):
+    cases = ((n, 1), (3 * n, 1), (3 * n, 2), (7 * n, 2), (_DEFAULT_BATCH_ROWS, 1))
+    for batch_rows, workers in cases:
         got = matrix(monkeypatch, batch_rows, workers)
         assert got.tobytes() == reference.tobytes(), (batch_rows, workers)
 
