@@ -29,14 +29,17 @@ class MonomialTerm:
     """Product of integer powers of covariate columns.
 
     ``powers`` holds (column index, exponent) pairs, sorted by column, e.g.
-    x2^2 * x5 over a 5-column matrix is ``((1, 2), (4, 1))``.
+    x2^2 * x5 over a 5-column matrix is ``((1, 2), (4, 1))``. A term of
+    one linear factor, e.g. ``x1``, returns the column of ``X`` itself, a
+    view, not a copy.
     """
 
     name: str
     powers: tuple[tuple[int, int], ...]
 
     def __call__(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
-        # The product starts at the first factor: 1.0*x is x, bit for bit.
+        # The product starts at the first factor, and a linear factor is the
+        # column itself: 1.0*x and x**1 are x, bit for bit.
         out = None
         for col, exp in self.powers:
             if col >= X.shape[1]:
@@ -44,7 +47,7 @@ class MonomialTerm:
                     f"term {self.name!r} refers to column index {col} but the "
                     f"covariate matrix has only {X.shape[1]} columns"
                 )
-            factor = X[:, col] ** exp
+            factor = X[:, col] if exp == 1 else X[:, col] ** exp
             out = factor if out is None else out * factor
         return np.ones(X.shape[0]) if out is None else out
 

@@ -85,7 +85,7 @@ from numpy.typing import NDArray
 from .data import ObservationalDataset, _Stack
 from .design import DesignSpec
 from .errors import EstimationError, FitFailure, MissingModelError, WateError
-from .models import _check_percentiles, _fit_outcomes, _fit_propensities, truncate_propensity
+from .models import _check_percentiles, _fit_outcomes, _fit_propensities, _truncated
 from .targets import (
     _PI_RANGE,
     TargetFunction,
@@ -578,9 +578,8 @@ def _fit(stack: _Stack, fit: tuple[object, ...]) -> tuple[object, dict[int, FitF
     """The vectors of ``fit`` on a stack of replicates, as (b, n) stacks,
     and the :class:`FitFailure` of each replicate it failed on, by position:
     the vectors supplied to a stack of one, ``pi`` of the stacked propensity
-    fit, truncated per replicate and checked on the whole stack (0.5 where
-    it failed), or ``(m1, m0)`` of the stacked outcome fit (0 where it
-    failed)."""
+    fit, truncated and checked on the whole stack (0.5 where it failed), or
+    ``(m1, m0)`` of the stacked outcome fit (0 where it failed)."""
     stage, design, extra = fit
     if design is None:
         if stage == "outcome":
@@ -593,9 +592,12 @@ def _fit(stack: _Stack, fit: tuple[object, ...]) -> tuple[object, dict[int, FitF
     errors: list[WateError | None] = []
     for i, pm in enumerate(_fit_propensities(stack, design)):
         if not isinstance(pm, WateError):
-            pi[i] = pm.pi if extra is None else truncate_propensity(pm.pi, *extra)
+            pi[i] = pm.pi
             pm = None
         errors.append(pm)
+    if extra is not None:
+        # A failed row, all 0.5, keeps its bits.
+        pi = _truncated(pi, *extra)
     outside = _outside(pi)
     if outside.any():
         error = EstimationError(_PI_RANGE)

@@ -93,7 +93,10 @@ def generate_dataset(
     reproducibility contract; tests pin it.
     """
     _check_outcome_model(outcome_model)
-    X, A, Y, y1, y0, pi = (arr[0] for arr in _draw(outcome_model, n, [rng]))
+    X, A, y0, effect = (arr[0] for arr in _draw(outcome_model, n, [rng]))
+    y1 = y0 + effect
+    Y = np.where(A == 1.0, y1, y0)
+    pi = true_propensity(X)
     # Fresh arrays made read-only are kept by the dataset, not copied.
     for arr in (X, A, Y, y1, y0, pi):
         arr.flags.writeable = False
@@ -112,11 +115,12 @@ def _draw(
     outcome_model: int, n: int, rngs: Sequence[np.random.Generator]
 ) -> tuple[NDArray[np.float64], ...]:
     """One dataset of size n from each stream of ``rngs``, as a stack:
-    ``X`` (b, n, 5), then ``A``, ``Y``, ``y1``, ``y0`` and the true
-    propensity, each (b, n). Each stream draws the covariates, the
+    ``X`` (b, n, 5), then ``A``, the untreated outcome ``y0`` and the
+    treatment effect, each (b, n). Each stream draws the covariates, the
     assignment uniforms and the noise, in that order; the rest is
     elementwise arithmetic on the whole stack, which gives each dataset the
-    bits it gets alone."""
+    bits it gets alone. The true propensity is dropped once ``A`` is drawn,
+    and ``y1`` is never formed: the study turns ``y0`` into ``Y`` in place."""
     b = len(rngs)
     X = np.empty((b, n, 5))
     uniforms = np.empty((b, n))
@@ -126,12 +130,9 @@ def _draw(
         rng.random(out=u)
         rng.standard_normal(out=e)
     rows = X.reshape(-1, 5)
-    pi = true_propensity(rows).reshape(b, n)
-    A = (uniforms < pi).astype(np.float64)
+    A = (uniforms < true_propensity(rows).reshape(b, n)).astype(np.float64)
     y0 = 1.0 + X[:, :, 1] ** 2 + X[:, :, 2] + noise
-    y1 = y0 + treatment_effect(outcome_model, rows).reshape(b, n)
-    Y = np.where(A == 1.0, y1, y0)
-    return X, A, Y, y1, y0, pi
+    return X, A, y0, treatment_effect(outcome_model, rows).reshape(b, n)
 
 
 @dataclass(frozen=True)
@@ -315,7 +316,11 @@ def _replicate_values(
         np.random.default_rng(np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,)))
         for rep in reps
     ]
-    X, A, Y, *_ = _draw(design.outcome_model, design.n, rngs)
+    X, A, Y, effect = _draw(design.outcome_model, design.n, rngs)
+    # Y holds y0 until the effect is added where treated: the bits of
+    # np.where(A == 1.0, y0 + effect, y0).
+    np.add(Y, effect, out=Y, where=A == 1.0)
+    del effect
     return _cell_value_rows(_Stack(X, A, Y, _COVARIATE_NAMES), plan)
 
 

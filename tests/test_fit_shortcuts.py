@@ -1,0 +1,197 @@
+"""The fits' shortcuts give the decisions and the bits of the paths they skip.
+
+* The propensity rank check factors only the designs whose Gram matrix
+  cannot prove full rank; every decision and message is the QR's.
+* Truncation sorts a stack of propensity vectors once and computes numpy's
+  ``linear`` percentiles from it; each row gets the bits of
+  ``np.clip(pi, *np.percentile(pi, [lo, hi]))``.
+* A linear factor of a monomial is the covariate column itself, the bits of
+  ``x ** 1``.
+
+Their decisions must not depend on the BLAS kernel or thread count, so CI
+runs this file under two BLAS threads and another OpenBLAS kernel too.
+"""
+
+import numpy as np
+import pytest
+
+import wate
+from wate.design import MonomialTerm
+from wate.models import _rank_errors, _truncated, truncate_propensity
+from wate.simulation import generate_dataset
+
+
+def _column_major(*matrices):
+    """The (n, k) matrices as one stack of column-major slices, the layout
+    the fits hand the rank check."""
+    b = len(matrices)
+    n, k = matrices[0].shape
+    M = np.empty((b, k, n)).transpose(0, 2, 1)
+    M[...] = matrices
+    return M
+
+
+def _described(errors):
+    return [None if e is None else (type(e).__name__, str(e)) for e in errors]
+
+
+def _by_qr(M, what):
+    """The rank check with every matrix factored, the check as it ran
+    before the Gram proof."""
+    return _described(_rank_errors(M, what, np.linalg.qr(M, mode="r")))
+
+
+def _factored(monkeypatch):
+    """Record the number of matrices each numpy.linalg.qr call factors, by
+    mode."""
+    calls = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, mode="reduced"):
+        calls.append((mode, len(a)))
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    return calls
+
+
+def test_only_designs_the_gram_matrix_cannot_prove_reach_the_qr(monkeypatch):
+    # Slices 0 and 4 are well conditioned. Slice 1 has full rank but a
+    # column scaled by 1e5 (cond2 about 1e5 > 1e3), slice 2 a repeated
+    # column, slice 3 a constant column, slice 5 a value of 1e200, whose
+    # Gram matrix overflows without a warning; all four reach the QR and get
+    # its decision and message, rank deficient for all but slice 1.
+    rng = np.random.default_rng(3)
+    designs = [np.column_stack([np.ones(50), rng.standard_normal((50, 3))]) for _ in range(6)]
+    designs[1][:, 2] *= 1e5
+    designs[2][:, 3] = designs[2][:, 1]
+    designs[3][:, 1] = 3.0
+    designs[5][7, 2] = 1e200
+    M = _column_major(*designs)
+    calls = _factored(monkeypatch)
+    errors = _described(_rank_errors(M, "propensity design"))
+    assert calls == [("r", 4)]
+    assert errors == _by_qr(M, "propensity design")
+    assert [e is None for e in errors] == [True, True, False, False, True, False]
+    assert errors[2][1].startswith(
+        "propensity design matrix is numerically rank deficient (min/max |R_jj| = "
+    )
+    # A well-conditioned stack is not factored at all.
+    calls.clear()
+    assert _rank_errors(M[[0, 4]], "propensity design") == [None, None]
+    assert calls == []
+
+
+def test_the_gram_proof_agrees_with_the_qr_on_every_conditioning():
+    # 400 designs at n = 30 with k = 4 columns, each scaled by 10**e for e
+    # in [-9, 9], a fifth of them with a column repeated up to 1e-12: from
+    # well conditioned through the Gram proof's bound to rank deficient.
+    rng = np.random.default_rng(11)
+    M = _column_major(*rng.standard_normal((400, 30, 4)))
+    M *= 10.0 ** rng.uniform(-9, 9, (400, 1, 4))
+    near = rng.random(400) < 0.2
+    M[near, :, 3] = M[near, :, 0] * (1 + 1e-12 * rng.standard_normal((near.sum(), 30)))
+    errors = _described(_rank_errors(M, "design"))
+    assert errors == _by_qr(M, "design")
+    assert 0 < sum(e is not None for e in errors) < 400
+
+
+def test_a_design_wider_than_its_rows_is_refused_before_any_factoring(monkeypatch):
+    calls = _factored(monkeypatch)
+    errors = _described(_rank_errors(np.ones((2, 3, 4)), "design"))
+    assert errors == [("RankDeficiencyError", "design: 4 columns but only 3 rows")] * 2
+    assert calls == []
+
+
+def test_a_well_conditioned_bootstrap_factors_no_propensity_design(monkeypatch):
+    # The boot-fit shape: the effect on the treated by AIPW with main
+    # effects, truncation at (1, 99), n = 5000 and 50 refits, one per stack.
+    # Each of the 51 fits factors its outcome design (reduced QR) and none
+    # its propensity design (R only).
+    ds = generate_dataset(1, 5000, np.random.default_rng(3))
+    names = ds.covariate_names
+    pipeline = wate.EstimationPipeline(
+        estimand=wate.effect_on_treated(),
+        kind=wate.EstimatorKind.AIPW,
+        pi_design=wate.main_effects(names),
+        m_design=wate.main_effects(names),
+        truncate=(1.0, 99.0),
+    )
+    calls = _factored(monkeypatch)
+    result = wate.bootstrap_se(ds, pipeline, b=50, seed=0, workers=1)
+    assert result.b_ok == 50
+    assert calls == [("reduced", 1)] * 51
+
+
+# --- truncation ------------------------------------------------------------
+
+
+def _oracle(pi, lo, hi):
+    return np.clip(pi, *np.percentile(pi, [lo, hi]))
+
+
+_PAIRS = [(0.0, 100.0), (1.0, 99.0), (1, 99), (2.5, 97.5), (10.0, 90.0), (25.0, 50.5),
+          (100 / 3, 200 / 3), (0.0, 12.5), (87.5, 100.0)]
+
+
+def test_truncation_is_numpys_percentile_clip_to_the_bit():
+    # 4000 vectors of 1 to 60 values, continuous or with many ties, at
+    # percentile pairs whose virtual indices are integral, halfway between
+    # order statistics (gamma = 0.5, e.g. n = 5 at 12.5 and 87.5), or
+    # anywhere, including the pair (0, 100).
+    rng = np.random.default_rng(7)
+    for case in range(4000):
+        n = int(rng.integers(1, 61))
+        pi = rng.random(n) if case % 2 else rng.integers(1, 5, n) / 5.0
+        lo, hi = _PAIRS[case % len(_PAIRS)]
+        assert truncate_propensity(pi, lo, hi).tobytes() == _oracle(pi, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("pi", [[0.3], [0.7, 0.2], [0.2, 0.7], [0.4, 0.4]])
+@pytest.mark.parametrize("lo, hi", [(0.0, 100.0), (1.0, 99.0), (50.0, 100.0), (25.0, 75.0)])
+def test_truncation_of_one_or_two_values(pi, lo, hi):
+    pi = np.array(pi)
+    assert truncate_propensity(pi, lo, hi).tobytes() == _oracle(pi, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("n, lo, hi", [(101, 1.0, 99.0), (5, 25.0, 75.0), (5, 12.5, 87.5),
+                                       (3, 25.0, 75.0)])
+def test_truncation_at_integral_and_halfway_virtual_indices(n, lo, hi):
+    # (n - 1) q is 1 and 99, 1 and 3, 0.5 and 3.5, 0.5 and 1.5.
+    pi = np.random.default_rng(n).random(n)
+    assert truncate_propensity(pi, lo, hi).tobytes() == _oracle(pi, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", _PAIRS)
+def test_a_nan_propensity_makes_every_value_nan(lo, hi):
+    # Also when neither bound's order statistics reach the NaN, sorted last.
+    pi = np.array([0.2, np.nan, 0.6, 0.4, 0.3])
+    out = truncate_propensity(pi, lo, hi)
+    assert np.isnan(out).all()
+    assert out.tobytes() == _oracle(pi, lo, hi).tobytes()
+
+
+def test_each_row_of_a_stack_is_truncated_as_it_is_alone():
+    # Rows of random values, of ties, of one constant and with a NaN.
+    rng = np.random.default_rng(19)
+    pi = rng.random((6, 40))
+    pi[1] = rng.integers(1, 4, 40) / 4.0
+    pi[2] = 0.5
+    pi[4, 9] = np.nan
+    for lo, hi in _PAIRS:
+        stacked = _truncated(pi, lo, hi)
+        assert [row.tobytes() for row in stacked] == [
+            truncate_propensity(row, lo, hi).tobytes() for row in pi
+        ]
+
+
+# --- monomials -------------------------------------------------------------
+
+
+def test_a_linear_factor_is_the_column_itself():
+    X = np.random.default_rng(5).standard_normal((30, 3)) * 1e154
+    X[3, 0], X[4, 1], X[5, 2] = -0.0, np.nan, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for powers in (((0, 1),), ((0, 1), (2, 1)), ((1, 2), (2, 1)), ((0, 1), (1, 3))):
+            expected = np.prod([X[:, c] ** e for c, e in powers], axis=0)
+            assert MonomialTerm("t", powers)(X).tobytes() == expected.tobytes()

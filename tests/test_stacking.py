@@ -196,16 +196,20 @@ def test_qr_gives_the_same_bits_on_a_column_major_stack(b, k, n):
 def test_qr_reads_column_major_slices_and_irls_row_major_stacks(monkeypatch):
     # The model matrices are built column-major for LAPACK; every BLAS
     # product of the IRLS reads a row-major copy, whose bits a column-major
-    # operand would change.
+    # operand would change. A propensity design whose Gram matrix proves it
+    # full rank is not factored: of the two propensity stacks, only the
+    # rank-deficient dataset reaches the QR, as a stack of one. Each outcome
+    # fit factors its whole stack.
     seen = []
     qr, irls = np.linalg.qr, wate.models._irls
 
     def recording_qr(a, *args, **kwargs):
-        seen.append(("qr", all(m.flags.f_contiguous and not m.flags.c_contiguous for m in a)))
+        column_major = all(m.flags.f_contiguous and not m.flags.c_contiguous for m in a)
+        seen.append(("qr", len(a), column_major))
         return qr(a, *args, **kwargs)
 
     def recording_irls(M, *args):
-        seen.append(("irls", M.flags.c_contiguous))
+        seen.append(("irls", len(M), M.flags.c_contiguous))
         return irls(M, *args)
 
     monkeypatch.setattr(np.linalg, "qr", recording_qr)
@@ -217,7 +221,9 @@ def test_qr_reads_column_major_slices_and_irls_row_major_stacks(monkeypatch):
     data = [generate_dataset(1, 40, np.random.default_rng(seed)) for seed in range(3)]
     for correct in (True, False):  # separate interaction columns, then shared ones
         _fit_outcomes(_stacked(data), *outcome_design(correct, 1))
-    assert seen == [("qr", True), ("irls", True)] * 2 + [("qr", True)] * 2
+    assert seen == [
+        ("irls", 3, True), ("qr", 1, True), ("irls", 5, True), ("qr", 3, True), ("qr", 3, True)
+    ]
 
 
 def _positive_x1(X):
