@@ -18,8 +18,10 @@ Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling
 order. The replicates are split into contiguous chunks over the processes
 as :func:`parallel_map` splits its indices, and each process fills its
-chunk in stacks of ``max(1, _BATCH_ROWS // n)`` consecutive replicates
-(``_BATCH_ROWS`` = 8192 rows, from :mod:`wate.data`), the last one shorter:
+chunk in stacks of the fewest consecutive replicates that hold at least
+``_BATCH_ROWS`` = 8192 rows (``max(1, ceil(8192 / n))``, from
+:mod:`wate.data`: 8192 to 16383 rows up to n = 8192, pairs at n = 5000, one
+replicate above n = 8192), the last one shorter:
 the rows of a stack are gathered by one ``numpy.take`` per array over its
 (b, n) index stack into a :class:`~wate.data._Stack`, each design is
 evaluated once on it, each working model of the plan is fitted on it at
@@ -42,7 +44,7 @@ from typing import Callable, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import _BATCH_ROWS, ObservationalDataset, _Stack
+from .data import _BATCH_ROWS, ObservationalDataset, _Stack, _stack_size
 from .errors import BootstrapError, FitFailure, WateError, WorkerError
 from .estimators import (
     CellPlan,
@@ -72,9 +74,9 @@ def _map_stacks(fn: Callable[[range], list[T]], count: int, n: int, workers: int
     """``fn(range(count))``, where ``fn`` gives one result per index of its
     range and ``n`` is the rows of each replicate: the indices are split
     over the processes as :func:`parallel_map` splits them, and each process
-    calls ``fn`` on its chunk in stacks of ``max(1, _BATCH_ROWS // n)``
+    calls ``fn`` on its chunk in stacks of ``_stack_size(_BATCH_ROWS, n)``
     consecutive indices, the last one shorter."""
-    return _map_chunks(partial(_stacks, fn, max(1, _BATCH_ROWS // n)), count, workers)
+    return _map_chunks(partial(_stacks, fn, _stack_size(_BATCH_ROWS, n)), count, workers)
 
 
 def _stacks(fn: Callable[[range], list[T]], size: int, chunk: range) -> list[T]:
@@ -224,6 +226,8 @@ def bootstrap_vector(
     """
     if b < 2:
         raise ValueError(f"need at least 2 replicates, got {b}")
+    if ds.n < 1:
+        raise ValueError("cannot resample a dataset with no rows")
     return np.array(_map_stacks(partial(_replicates, ds, plan, seed), b, ds.n, workers))
 
 

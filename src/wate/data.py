@@ -155,15 +155,23 @@ class ObservationalDataset:
 
 
 # Rows of data per stack of replicates: the study and the bootstrap draw or
-# gather, fit and fill ``max(1, _BATCH_ROWS // n)`` replicates at a time,
+# gather, fit and fill ``_stack_size(_BATCH_ROWS, n)`` replicates at a time,
+# the fewest that hold at least 8192 rows (8192 to 16383 rows for n <= 8192),
 # which pays numpy's fixed cost per call once per stack. With only the IRLS
 # stacked, 8 replicates at n = 1000 gained no more than 4; with the outcome
 # fits, the fill and the data path stacked too, 8192 rows took about 10% off
-# a study's wall time against 4096, at 2-3% more peak memory. An outcome fit
-# works through its stack in parts of half as many rows, which keeps its QR
-# at the memory peak of a 4096-row stack (see wate.models). Above n = 8192 a
-# stack holds one replicate.
+# a study's wall time against 4096, at 2-3% more peak memory. Rounding up
+# makes an n = 5000 bootstrap fit its refits in pairs, which took 8% off its
+# wall time against one at a time, at 1% more peak memory. An outcome fit
+# works through its stack in parts sized by the same rule from half as many
+# rows (see wate.models). Above n = 8192 a stack holds one replicate.
 _BATCH_ROWS = 8192
+
+
+def _stack_size(rows: int, n: int) -> int:
+    """The fewest replicates of ``n`` rows that hold at least ``rows`` rows,
+    and at least one."""
+    return max(1, -(-rows // n))
 
 
 @dataclass(frozen=True, eq=False)

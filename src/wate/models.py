@@ -62,11 +62,14 @@ same buffer in either layout, so the results are the same bits.
 The outcome fit's QR is the largest transient of a pass: it holds the model
 matrices, numpy's copy of them, ``q`` and LAPACK's buffers at once. So
 :func:`_fit_outcomes` works through its stack in consecutive parts of
-``max(1, _PART_ROWS // n)`` replicates, ``_PART_ROWS`` being half the
-stack's ``wate.data._BATCH_ROWS`` (4096 of 8192 rows), each part evaluated,
-factored, checked for rank and solved as one stack. That keeps the QR's
-peak where a 4096-row stack had it; factoring all 8192 rows at once was no
-faster and raised a study's peak memory by 1 MB more (n = 1000). The IRLS
+the fewest replicates that hold at least ``_PART_ROWS`` rows,
+``max(1, ceil(_PART_ROWS / n))``, ``_PART_ROWS`` being half the stack's
+``wate.data._BATCH_ROWS`` (4096 of 8192 rows), each part evaluated,
+factored, checked for rank and solved as one stack. A part holds 4096 to
+8191 rows up to n = 4096 and one replicate above it (5000 rows at n = 1000
+and at n = 5000), which keeps the QR's peak at a part's rows rather than a
+whole stack's; factoring all 8192 rows of a stack at once was no faster and
+raised a study's peak memory by 1 MB more (n = 1000). The IRLS
 and the fill, whose fixed cost per numpy call is what a larger stack saves,
 take the whole stack.
 
@@ -90,7 +93,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import _BATCH_ROWS, ObservationalDataset, _Stack
+from .data import _BATCH_ROWS, ObservationalDataset, _Stack, _stack_size
 from .design import DesignSpec
 from .errors import ConvergenceError, ModelFitError, RankDeficiencyError, WateError
 
@@ -631,10 +634,10 @@ class _OutcomeFits(NamedTuple):
 def _fit_outcomes(stack: _Stack, main: DesignSpec, inter: DesignSpec) -> _OutcomeFits:
     """:func:`fit_outcome` of ``(main, inter)`` on each replicate of
     ``stack``, as stacked least squares fits of its consecutive parts of
-    ``max(1, _PART_ROWS // n)`` replicates, joined in replicate order. A
+    ``_stack_size(_PART_ROWS, n)`` replicates, joined in replicate order. A
     part is a slice of the stack, which is not checked again."""
     b, n = stack.A.shape
-    size = max(1, _PART_ROWS // n)
+    size = _stack_size(_PART_ROWS, n)
     parts = [_fit_outcome_part(stack, slice(i, i + size), main, inter) for i in range(0, b, size)]
     if len(parts) == 1:
         return parts[0]

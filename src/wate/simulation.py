@@ -18,8 +18,9 @@ stream and check it against Gauss-Hermite quadrature.
 
 Replicate r draws its data from the stream keyed by ``(seed, r)``. The
 replicates are split over the ``workers`` processes first, and each process
-fills its share a stack of ``max(1, data._BATCH_ROWS // n)`` (8192 rows) at
-a time, through the bootstrap's ``_map_stacks``. Each stream draws its
+fills its share a stack at a time, through the bootstrap's ``_map_stacks``:
+a stack is the fewest replicates that hold at least ``data._BATCH_ROWS``
+(8192) rows, ``max(1, ceil(8192 / n))``. Each stream draws its
 replicate straight into one :class:`~wate.data._Stack`, which keeps only
 ``X``, ``A`` and ``Y`` and is checked once; each design is evaluated once on
 it (an outcome design once per part of an outcome fit, see
@@ -371,6 +372,8 @@ def run_study(design: SimulationDesign) -> SimulationReport:
     reps = design.replications
     if reps < 2:
         raise ValueError("need at least 2 replications")
+    if design.n < 1:
+        raise ValueError(f"need at least 1 row per replication, got n = {design.n}")
     plan = plan_cells([_cell_pipeline(design, cell) for cell in cells])
     matrix = np.array(
         _map_stacks(

@@ -291,3 +291,11 @@ def test_bootstrap_se_calibration():
 def test_rejects_too_few_replicates(ds400):
     with pytest.raises(ValueError):
         bootstrap_se(ds400, aipw_pipeline(), b=1, seed=0)
+
+
+def test_refuses_a_dataset_with_no_rows_before_any_draw(monkeypatch):
+    # The stack size divides by n, so no rows is refused up front.
+    empty = wate.ObservationalDataset(X=np.zeros((0, 5)), A=np.zeros(0), Y=np.zeros(0))
+    monkeypatch.setattr(wate.bootstrap, "_replicate_indices", None)
+    with pytest.raises(ValueError, match="no rows"):
+        bootstrap_vector(empty, plan_cells([aipw_pipeline()]), b=10, seed=0)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import wate
 import wate.bootstrap
+import wate.models
 
 ROOT = Path(__file__).resolve().parent.parent
 COHORT = ROOT / "tests" / "golden" / "cohort.csv"
@@ -52,7 +53,8 @@ def test_every_name_in_all_exists():
 
 
 def test_the_stack_rule_quotes_the_stack_size():
-    # The README states the stack rule with the number; a change to the
-    # constant must change the docs too.
-    rules = re.findall(r"max\(1, (\d+) // n\)", README)
-    assert rules and rules == [str(wate.bootstrap._BATCH_ROWS)] * len(rules)
+    # The README states the stack rule and the outcome part rule, which
+    # round up, with their numbers; a change to a constant must change the
+    # docs too.
+    rules = re.findall(r"max\(1, ceil\((\d+) / n\)\)", README)
+    assert rules == [str(wate.bootstrap._BATCH_ROWS), str(wate.models._PART_ROWS)]

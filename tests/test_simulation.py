@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
+import wate.simulation
+
 from wate.data import CounterfactualDataset
 from wate.models import fit_outcome, fit_propensity, predict_outcome, predict_propensity
 from wate.simulation import (
@@ -187,15 +189,15 @@ def test_study_cells_layout():
 
 
 def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypatch):
-    # 41 replicates of the default 30-cell grid at n = 200, in stacks of
-    # max(1, _BATCH_ROWS // 200) and outcome parts of max(1, _PART_ROWS //
-    # 200) (40 and 1, and 20, 20 and 1 at 8192 rows): per replicate, 2
-    # propensity and 2 outcome fits and no prediction (the cells read the
-    # fits' own in-sample vectors). Per stack, one design evaluation per
-    # propensity design; per outcome part, 3 (one for the outcome model whose
-    # interaction design equals its main design and two for the one whose
-    # designs differ) and one outcome model matrix per outcome fit, which
-    # also serves both arms' fitted means.
+    # 43 replicates of the default 30-cell grid at n = 200, in stacks of the
+    # fewest replicates that hold _BATCH_ROWS rows and outcome parts of the
+    # fewest that hold _PART_ROWS (41 and 2, and 21, 20 and 2 at 8192 rows):
+    # per replicate, 2 propensity and 2 outcome fits and no prediction (the
+    # cells read the fits' own in-sample vectors). Per stack, one design
+    # evaluation per propensity design; per outcome part, 3 (one for the
+    # outcome model whose interaction design equals its main design and two
+    # for the one whose designs differ) and one outcome model matrix per
+    # outcome fit, which also serves both arms' fitted means.
     import wate.bootstrap
     import wate.design
     import wate.estimators
@@ -228,8 +230,8 @@ def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypa
     monkeypatch.setattr(
         wate.models, "_outcome_matrix", counting("outcome_matrix", wate.models._outcome_matrix)
     )
-    reps, n = 41, 200
-    stack, part = max(1, wate.bootstrap._BATCH_ROWS // n), max(1, wate.models._PART_ROWS // n)
+    reps, n = 43, 200
+    stack, part = -(-wate.bootstrap._BATCH_ROWS // n), -(-wate.models._PART_ROWS // n)
     stacks = [min(stack, reps - start) for start in range(0, reps, stack)]
     parts = sum(-(-size // part) for size in stacks)
     assert len(stacks) > 1 and parts > len(stacks)
@@ -301,6 +303,14 @@ def test_quick_bias_smoke():
     assert abs(report.cell("ipw", True, None, "att").bias) < 0.2
     assert abs(report.cell("dr", False, True, "att").bias) < 0.2
     assert report.cell("ipw", False, None, "ate").bias < -0.45
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_study_refuses_replications_without_rows_before_any_draw(monkeypatch, n):
+    # The stack size divides by n, so n < 1 is refused up front.
+    monkeypatch.setattr(wate.simulation, "_map_stacks", None)
+    with pytest.raises(ValueError, match=f"at least 1 row per replication, got n = {n}"):
+        run_study(SimulationDesign(n=n, replications=10))
 
 
 def test_invalid_design_tokens():

@@ -41,6 +41,7 @@ from wate.targets import STANDARD_TARGETS, covariate_target, linear_in_propensit
 
 
 _DEFAULT_BATCH_ROWS = wate.data._BATCH_ROWS
+_DEFAULT_PART_ROWS = wate.models._PART_ROWS
 
 
 def _stacked(datasets):
@@ -396,15 +397,15 @@ def test_the_replicates_are_split_over_the_processes_before_they_are_stacked(mon
     assert _map_stacks(_map_bounds, 7, 15, 2) == (stacks if fork else shares)
 
 
-def _set_batch_rows(monkeypatch, batch_rows):
-    """Stacks of ``batch_rows`` rows and outcome parts of half as many."""
+def _set_batch_rows(monkeypatch, batch_rows, part_rows):
+    """Stacks of ``batch_rows`` rows and outcome parts of ``part_rows``."""
     monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", batch_rows)
-    monkeypatch.setattr(wate.models, "_PART_ROWS", batch_rows // 2)
+    monkeypatch.setattr(wate.models, "_PART_ROWS", part_rows)
 
 
-def _study_matrix(monkeypatch, batch_rows, workers=1):
+def _study_matrix(monkeypatch, batch_rows, part_rows, workers=1):
     """The (replicates, cells) matrix of a study at n = 15."""
-    _set_batch_rows(monkeypatch, batch_rows)
+    _set_batch_rows(monkeypatch, batch_rows, part_rows)
     matrices = []
 
     def recording(*args):
@@ -418,9 +419,9 @@ def _study_matrix(monkeypatch, batch_rows, workers=1):
     return matrix
 
 
-def _bootstrap_matrix(monkeypatch, batch_rows, workers=1):
+def _bootstrap_matrix(monkeypatch, batch_rows, part_rows, workers=1):
     """The (replicates, cells) matrix of a bootstrap at n = 20."""
-    _set_batch_rows(monkeypatch, batch_rows)
+    _set_batch_rows(monkeypatch, batch_rows, part_rows)
     design = SimulationDesign(outcome_model=2, n=20)
     plan = plan_cells([_cell_pipeline(design, cell) for cell in study_cells(design)])
     ds = generate_dataset(2, 20, np.random.default_rng(1)).observed()
@@ -442,22 +443,27 @@ def _centred_propensity_design(correct):
 
 @pytest.mark.parametrize("matrix, n", [(_study_matrix, 15), (_bootstrap_matrix, 20)])
 def test_replicates_are_the_same_bits_at_every_stack_size(monkeypatch, matrix, n):
-    # 7 replicates in stacks of 1 (_BATCH_ROWS = 1 and n), of 3 (3n, the
+    # 7 replicates in stacks of 1 (_BATCH_ROWS = 1, where the outcome parts
+    # get a budget of 0 rows and hold one replicate, and n), of 3 (3n, the
     # last stack holding 1) and of all 7 (7n, which 2 workers split into
     # shares of 3 and 4, and the default). The outcome fits run in parts of
-    # half the stack's rows: parts of 1 in stacks of 3, and a 4-replicate
+    # 2 and 1 in stacks of 3 (_PART_ROWS = 3n // 2 rounds up to 2
+    # replicates), and of 3 with 7n rows (_PART_ROWS = 3n), a 4-replicate
     # share in parts of 3 and 1. Different cells fail in different
     # replicates, so the stacks hold failing fits too. The misspecified
     # propensity design centres x1 on each replicate's mean, which a term
     # evaluated on the rows of the whole stack would not.
     monkeypatch.setattr(wate.simulation, "propensity_design", _centred_propensity_design)
-    reference = matrix(monkeypatch, 1)
+    reference = matrix(monkeypatch, 1, 0)
     failed = np.isnan(reference).sum(axis=1)
     assert len(set(failed.tolist())) > 1 and failed.max() < reference.shape[1]
-    cases = ((n, 1), (3 * n, 1), (3 * n, 2), (7 * n, 2), (_DEFAULT_BATCH_ROWS, 1))
-    for batch_rows, workers in cases:
-        got = matrix(monkeypatch, batch_rows, workers)
-        assert got.tobytes() == reference.tobytes(), (batch_rows, workers)
+    cases = (
+        (n, n // 2, 1), (3 * n, 3 * n // 2, 1), (3 * n, 3 * n // 2, 2), (7 * n, 3 * n, 2),
+        (_DEFAULT_BATCH_ROWS, _DEFAULT_PART_ROWS, 1),
+    )
+    for batch_rows, part_rows, workers in cases:
+        got = matrix(monkeypatch, batch_rows, part_rows, workers)
+        assert got.tobytes() == reference.tobytes(), (batch_rows, part_rows, workers)
 
 
 def test_a_bootstrap_gathers_each_stack_once(monkeypatch):
@@ -489,3 +495,43 @@ def test_a_bootstrap_gathers_each_stack_once(monkeypatch):
     )
     bootstrap_vector(ds, plan, b=7, seed=5)
     assert gathers == [(3, 20), (3, 20), (1, 20)] and replaced == []
+
+
+def test_a_stack_is_the_fewest_replicates_that_hold_the_batch_rows():
+    # Stacks round up: at least _BATCH_ROWS = 8192 rows, fewer than 16384
+    # up to n = 8192, pairs from n = 4097 to 8191, and one replicate above.
+    assert _DEFAULT_BATCH_ROWS == 8192
+    sizes = {}
+    for n in (200, 1000, 4096, 4097, 5000, 8192, 8193):
+        stacks = []
+        _map_stacks(lambda indices: stacks.append(len(indices)) or list(indices), 100, n, 1)
+        sizes[n] = stacks[0]
+        assert sum(stacks) == 100 and set(stacks[:-1]) == {stacks[0]}
+    assert sizes == {200: 41, 1000: 9, 4096: 2, 4097: 2, 5000: 2, 8192: 1, 8193: 1}
+
+
+def test_a_large_bootstrap_refits_its_resamples_in_pairs(monkeypatch):
+    # The shape of the README quick start at n = 5000: the effect on the
+    # treated by AIPW, main effects in both models, propensities truncated
+    # at (1, 99). Its 4 refits gather two (2, 5000) index stacks and get the
+    # bits of stacks of one.
+    ds = generate_dataset(1, 5000, np.random.default_rng(8)).observed()
+    design = main_effects(ds.covariate_names)
+    pipeline = EstimationPipeline(
+        STANDARD_TARGETS["att"], EstimatorKind.AIPW, design, design, truncate=(1.0, 99.0)
+    )
+    plan = plan_cells([pipeline])
+    gathers = []
+    gather = _Stack.gather
+    monkeypatch.setattr(
+        _Stack, "gather",
+        classmethod(lambda cls, ds, idx: gathers.append(idx.shape) or gather(ds, idx)),
+    )
+    pairs = bootstrap_vector(ds, plan, b=4, seed=0)
+    assert gathers == [(2, 5000), (2, 5000)]
+    assert np.isfinite(pairs).all()
+    monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", 1)
+    gathers.clear()
+    ones = bootstrap_vector(ds, plan, b=4, seed=0)
+    assert gathers == [(1, 5000)] * 4
+    assert pairs.tobytes() == ones.tobytes()
