@@ -16,9 +16,9 @@ pipeline, raises :class:`BootstrapError` past the limit and otherwise adds a
 
 Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling
-order. The replicates are split into contiguous chunks over the processes
-as :func:`parallel_map` splits its indices, and each process fills its
-chunk in stacks of the fewest consecutive replicates that hold at least
+order. ``_map_stacks``, the one parallel map, splits the replicates into
+contiguous chunks over the processes, and each process fills its chunk in
+stacks of the fewest consecutive replicates that hold at least
 ``_BATCH_ROWS`` = 8192 rows (``max(1, ceil(8192 / n))``, from
 :mod:`wate.data`: 8192 to 16383 rows up to n = 8192, pairs at n = 5000, one
 replicate above n = 8192), the last one shorter:
@@ -28,8 +28,8 @@ evaluated once on it, each working model of the plan is fitted on it at
 once (see :mod:`wate.models`) and the cells are filled by one pass over it
 (see :mod:`wate.estimators`), which gives each replicate the bits it gets
 alone, so neither the chunks nor the stacks change a result. The Monte Carlo
-study shares this map, ``_map_stacks``. On Linux it forks its workers, so
-only the results must pickle; elsewhere the plan must pickle too.
+study shares this map. On Linux it forks its workers, so only the results
+must pickle; elsewhere the plan must pickle too.
 """
 
 from __future__ import annotations
@@ -66,59 +66,24 @@ def _replicate_indices(seed: int, i: int, n: int) -> NDArray[np.intp]:
     return rng.integers(0, n, size=n)
 
 
-def _map_range(fn: Callable[[int], T], indices: range) -> list[T]:
-    return [fn(i) for i in indices]
-
-
 def _map_stacks(fn: Callable[[range], list[T]], count: int, n: int, workers: int) -> list[T]:
-    """``fn(range(count))``, where ``fn`` gives one result per index of its
-    range and ``n`` is the rows of each replicate: the indices are split
-    over the processes as :func:`parallel_map` splits them, and each process
-    calls ``fn`` on its chunk in stacks of ``_stack_size(_BATCH_ROWS, n)``
-    consecutive indices, the last one shorter."""
-    return _map_chunks(partial(_stacks, fn, _stack_size(_BATCH_ROWS, n)), count, workers)
-
-
-def _stacks(fn: Callable[[range], list[T]], size: int, chunk: range) -> list[T]:
-    return [
-        result
-        for start in range(chunk.start, chunk.stop, size)
-        for result in fn(range(start, min(chunk.stop, start + size)))
-    ]
-
-
-# Fork the workers of parallel_map directly. The stdlib pool forks them on
-# Linux too, but it is slower to start and costs every `import wate` the
-# multiprocessing modules; other platforms keep it, since they may not fork.
-_FORK = sys.platform == "linux"
-
-
-def _chunks(count: int, parts: int) -> list[range]:
-    bounds = np.linspace(0, count, parts + 1).astype(int)
-    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def parallel_map(fn: Callable[[int], T], count: int, workers: int) -> list[T]:
-    """``[fn(i) for i in range(count)]``, over ``workers`` processes in total
-    when that is more than one.
+    """``fn(range(count))``, over ``workers`` processes in total when that is
+    more than one, where ``fn`` gives one result per index of its range and
+    ``n`` is the rows of each replicate.
 
     Indices are split into contiguous chunks and results come back in index
-    order, so the output never depends on ``workers``. On Linux there is one
-    chunk per process: the calling process runs the first and forks one
-    child for each of the others, so only the results must pickle. Elsewhere
-    a process pool runs four chunks per worker while the caller waits, and
-    ``fn`` must be picklable too (a module-level function, a
-    ``functools.partial`` of one, or a frozen dataclass with ``__call__``).
-    An exception ``fn`` raises in a worker is raised again here; a worker
-    that cannot be forked, or exits without sending its results, raises
-    :class:`WorkerError`.
+    order, so the output never depends on ``workers``. Each process calls
+    ``fn`` on its chunk in stacks of ``_stack_size(_BATCH_ROWS, n)``
+    consecutive indices, the last one shorter. On Linux there is one chunk
+    per process: the calling process runs the first and forks one child for
+    each of the others, so only the results must pickle. Elsewhere a process
+    pool runs four chunks per worker while the caller waits, and ``fn`` must
+    be picklable too (a module-level function or a ``functools.partial`` of
+    one). An exception ``fn`` raises in a worker is raised again here; a
+    worker that cannot be forked, or exits without sending its results,
+    raises :class:`WorkerError`.
     """
-    return _map_chunks(partial(_map_range, fn), count, workers)
-
-
-def _map_chunks(run: Callable[[range], list[T]], count: int, workers: int) -> list[T]:
-    """``run(range(count))`` as :func:`parallel_map` computes it: ``run``
-    gives one result per index of the chunk of indices it is called on."""
+    run = partial(_stacks, fn, _stack_size(_BATCH_ROWS, n))
     if workers <= 1 or count <= 1:
         return run(range(count))
     if _FORK:
@@ -129,6 +94,25 @@ def _map_chunks(run: Callable[[range], list[T]], count: int, workers: int) -> li
     with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
         futures = [pool.submit(run, chunk) for chunk in chunks]
         return [value for future in futures for value in future.result()]
+
+
+def _stacks(fn: Callable[[range], list[T]], size: int, chunk: range) -> list[T]:
+    return [
+        result
+        for start in range(chunk.start, chunk.stop, size)
+        for result in fn(range(start, min(chunk.stop, start + size)))
+    ]
+
+
+# Fork the workers of _map_stacks directly. The stdlib pool forks them on
+# Linux too, but it is slower to start and costs every `import wate` the
+# multiprocessing modules; other platforms keep it, since they may not fork.
+_FORK = sys.platform == "linux"
+
+
+def _chunks(count: int, parts: int) -> list[range]:
+    bounds = np.linspace(0, count, parts + 1).astype(int)
+    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _fork_map(run: Callable[[range], list[T]], chunks: list[range]) -> list[T]:
@@ -226,8 +210,6 @@ def bootstrap_vector(
     """
     if b < 2:
         raise ValueError(f"need at least 2 replicates, got {b}")
-    if ds.n < 1:
-        raise ValueError("cannot resample a dataset with no rows")
     return np.array(_map_stacks(partial(_replicates, ds, plan, seed), b, ds.n, workers))
 
 

@@ -75,19 +75,12 @@ def _refuse_non_finite(named: Sequence[tuple[str, NDArray[np.float64]]]) -> None
         raise MissingValueError("; ".join(problems))
 
 
-def _gather(arr: NDArray[np.float64], idx) -> NDArray[np.float64]:
-    """``arr[idx]`` made read-only, so :func:`_freeze` keeps a fresh gather
-    instead of copying it."""
-    out = np.asarray(arr[idx])
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ObservationalDataset:
-    """Covariates, binary treatment and observed outcome for n subjects. A
-    non-finite value anywhere and a treatment value other than 0/1 are
-    refused; :func:`validate` reports the other problems."""
+    """Covariates, binary treatment and observed outcome for n >= 1
+    subjects. No rows, a non-finite value anywhere and a treatment value
+    other than 0/1 are refused; :func:`validate` reports the other
+    problems."""
 
     X: NDArray[np.float64]
     A: NDArray[np.float64]
@@ -105,6 +98,8 @@ class ObservationalDataset:
                 f"inconsistent lengths: X has {X.shape[0]} rows, "
                 f"A has {A.shape[0]}, Y has {Y.shape[0]}"
             )
+        if A.shape[0] == 0:
+            raise DataError("a dataset needs at least one row, got none")
         _refuse_non_finite(
             (("covariates", X), (self.treatment_name, A), (self.outcome_name, Y))
         )
@@ -141,17 +136,6 @@ class ObservationalDataset:
     @property
     def n_control(self) -> int:
         return int(np.sum(self.A == 0.0))
-
-    def replace_rows(self, idx: NDArray[np.intp]) -> "ObservationalDataset":
-        """Dataset made of the given rows (with repeats), e.g. a bootstrap draw."""
-        return ObservationalDataset(
-            X=_gather(self.X, idx),
-            A=_gather(self.A, idx),
-            Y=_gather(self.Y, idx),
-            covariate_names=self.covariate_names,
-            treatment_name=self.treatment_name,
-            outcome_name=self.outcome_name,
-        )
 
 
 # Rows of data per stack of replicates: the study and the bootstrap draw or
@@ -209,8 +193,7 @@ class _Stack:
     @classmethod
     def gather(cls, ds: ObservationalDataset, idx: NDArray[np.intp]) -> "_Stack":
         """The rows ``idx[i]`` of ``ds`` as replicate i, for a (b, n) index
-        stack: the values :meth:`ObservationalDataset.replace_rows` gives
-        each replicate, from one ``numpy.take`` per array."""
+        stack, from one ``numpy.take`` per array: the one resampler."""
         return cls(
             np.take(ds.X, idx, axis=0), np.take(ds.A, idx), np.take(ds.Y, idx),
             ds.covariate_names,

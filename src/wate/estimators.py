@@ -711,13 +711,9 @@ def _checked_mean(m: NDArray[np.float64], n: int) -> NDArray[np.float64]:
     return m
 
 
-def _cell_value_rows(
-    stack: _Stack, plan: CellPlan | Sequence[EstimationPipeline]
-) -> list[NDArray[np.float64]]:
+def _cell_value_rows(stack: _Stack, plan: CellPlan) -> list[NDArray[np.float64]]:
     """The values of :func:`fill_cells` on each replicate of ``stack``, NaN
     where a pipeline failed, from one pass over the whole stack."""
-    if not isinstance(plan, CellPlan):
-        plan = plan_cells(plan)
     values, errors = _fill(stack, plan)
     for j, err in enumerate(errors):
         if err:

@@ -36,8 +36,7 @@ IRLS probabilities (``PropensityModel.pi``) and both arms' means
 (``OutcomeModel.m1``/``m0``). They are bit-for-bit what
 :func:`predict_propensity` and :func:`predict_outcome` return on those rows,
 so a caller estimating on the fitting data needs no prediction; predict for
-any other rows. Only :func:`fit_outcome` computes the residual variance,
-which no estimator reads.
+any other rows.
 
 Each design is evaluated once per stack, by one
 :meth:`~wate.design.DesignSpec.matrix` call on the (b, n, p) covariates,
@@ -172,7 +171,6 @@ class OutcomeModel:
     beta: NDArray[np.float64]
     main_design: DesignSpec
     interaction_design: DesignSpec
-    residual_variance: float
     m1: NDArray[np.float64] | None = field(default=None, repr=False)
     m0: NDArray[np.float64] | None = field(default=None, repr=False)
 
@@ -539,10 +537,13 @@ def truncate_propensity(
     *np.percentile(pi, [lower_pct, upper_pct]))`` to the bit, except that a
     bound of zero may have the other sign when ``pi`` holds both ``0.0`` and
     ``-0.0``, which compare equal. The pair (0, 100) is a no-op apart from
-    clipping at the observed min/max.
+    clipping at the observed min/max. An empty ``pi`` has no percentiles and
+    raises ``ValueError``.
     """
     _check_percentiles(lower_pct, upper_pct)
     pi = np.asarray(pi, dtype=np.float64)
+    if pi.size == 0:
+        raise ValueError("cannot truncate an empty propensity vector")
     return _truncated(pi.reshape(1, -1), lower_pct, upper_pct).reshape(pi.shape)
 
 
@@ -598,23 +599,18 @@ def fit_outcome(
     """Least squares fit of Y on ``[1, design(X), A, A * interaction(X)]``.
 
     ``interaction`` defaults to ``design``, giving every covariate term a
-    treatment interaction. The residual variance uses the usual n - k
-    denominator and requires at least one residual degree of freedom.
+    treatment interaction. The fit requires at least one residual degree of
+    freedom, n - k >= 1 for k coefficients.
     """
     inter = design if interaction is None else interaction
     fits = _fit_outcomes(_Stack.of(ds), design, inter)
     (error,) = fits.errors
     if error is not None:
         raise error
-    beta = fits.beta[0]
-    # Only this model keeps the residual variance, from the matrix rebuilt
-    # with the observed arm: the stacked fit has switched its arms.
-    resid = ds.Y - _outcome_matrix(design, inter, ds.X, ds.A)[0] @ beta
     return OutcomeModel(
-        beta=beta,
+        beta=fits.beta[0],
         main_design=design,
         interaction_design=inter,
-        residual_variance=float(resid @ resid / (ds.n - beta.shape[0])),
         m1=fits.m1[0],
         m0=fits.m0[0],
     )

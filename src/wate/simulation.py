@@ -91,9 +91,12 @@ def generate_dataset(
     """Draw one dataset of size n, keeping both potential outcomes.
 
     Draw order (covariates, assignment uniforms, noise) is part of the
-    reproducibility contract; tests pin it.
+    reproducibility contract; tests pin it. ``n < 1`` is refused before any
+    draw.
     """
     _check_outcome_model(outcome_model)
+    if n < 1:
+        raise ValueError(f"need at least 1 row, got n = {n}")
     X, A, y0, effect = (arr[0] for arr in _draw(outcome_model, n, [rng]))
     y1 = y0 + effect
     Y = np.where(A == 1.0, y1, y0)

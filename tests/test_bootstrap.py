@@ -10,19 +10,21 @@ import wate
 import wate.bootstrap
 from wate.bootstrap import (
     EstimationPipeline,
+    _map_stacks,
     bootstrap_se,
     bootstrap_vector,
     cell_se,
-    parallel_map,
 )
-from wate.errors import BootstrapError, WorkerError
+from wate.data import _BATCH_ROWS
+from wate.errors import BootstrapError, DataError, WorkerError
 from wate.estimators import EstimatorKind, fill_cells, plan_cells
 from wate.simulation import generate_dataset, outcome_design, propensity_design
 
 
-# The fork path: the caller runs the first chunk, children may exit with a
-# status, and fn need not pickle. Other platforms use the stdlib pool.
-linux_only = pytest.mark.skipif(sys.platform != "linux", reason="parallel_map forks on Linux")
+# The fork path of the parallel map, _map_stacks: the caller runs the first
+# chunk, children may exit with a status, and fn need not pickle. Other
+# platforms use the stdlib pool.
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="_map_stacks forks on Linux")
 
 
 def aipw_pipeline(outcome_model=2, truncate=None):
@@ -105,6 +107,12 @@ def test_worker_count_does_not_change_results(ds400):
     assert r1.se == r2.se
 
 
+def _hexes(indices):
+    # Module level, so the pool kept for platforms that do not fork can
+    # pickle it.
+    return [hex(i) for i in indices]
+
+
 @linux_only
 @pytest.mark.parametrize(
     "count, workers, pool_sizes",
@@ -113,16 +121,22 @@ def test_worker_count_does_not_change_results(ds400):
 def test_parallel_map_starts_no_more_workers_than_chunks(
     monkeypatch, count, workers, pool_sizes
 ):
-    # A pool size counts the processes that ran fn, the caller included: it
-    # runs the first chunk, and runs everything itself when count <= 1.
-    pids = parallel_map(lambda i: os.getpid(), count, workers)
+    # Replicates of _BATCH_ROWS rows make stacks of one index. A pool size
+    # counts the processes that ran fn, the caller included: it runs the
+    # first chunk, and runs everything itself when count <= 1.
+    def run(indices):
+        return [(os.getpid(), len(indices)) for _ in indices]
+
+    runs = _map_stacks(run, count, _BATCH_ROWS, workers)
+    pids = [pid for pid, _ in runs]
     assert ([len(set(pids))] if pids else []) == pool_sizes
     assert pids[:1] == [os.getpid()][:count]
+    assert all(size == 1 for _, size in runs)
     expected = [hex(i) for i in range(count)]
-    assert parallel_map(hex, count, workers) == expected
+    assert _map_stacks(_hexes, count, _BATCH_ROWS, workers) == expected
     # The pool kept for platforms that do not fork gives the same list.
     monkeypatch.setattr(wate.bootstrap, "_FORK", False)
-    assert parallel_map(hex, count, workers) == expected
+    assert _map_stacks(_hexes, count, _BATCH_ROWS, workers) == expected
 
 
 def _assert_no_child_left():
@@ -130,28 +144,28 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _raise_in_last_chunk(i):
-    if i == 9:
+def _raise_in_last_chunk(indices):
+    if 9 in indices:
         raise KeyError("boom")
-    return i
+    return list(indices)
 
 
-def _exit_in_last_chunk(i):
-    if i == 9:
+def _exit_in_last_chunk(indices):
+    if 9 in indices:
         os._exit(3)
-    return i
+    return list(indices)
 
 
 def test_parallel_map_reraises_a_workers_exception():
     with pytest.raises(KeyError, match="boom"):
-        parallel_map(_raise_in_last_chunk, 10, 2)
+        _map_stacks(_raise_in_last_chunk, 10, _BATCH_ROWS, 2)
     _assert_no_child_left()
 
 
 @linux_only
 def test_parallel_map_reports_a_worker_that_exits_without_results():
     with pytest.raises(WorkerError, match=r"chunk 1 .*exit status 3"):
-        parallel_map(_exit_in_last_chunk, 10, 2)
+        _map_stacks(_exit_in_last_chunk, 10, _BATCH_ROWS, 2)
     _assert_no_child_left()
 
 
@@ -175,7 +189,7 @@ def test_parallel_map_reports_a_worker_it_could_not_start(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     match = r"could not start the worker for chunk 2 \(items 6 to 8\)"
     with pytest.raises(WorkerError, match=match):
-        parallel_map(lambda i: i, 9, 3)
+        _map_stacks(list, 9, _BATCH_ROWS, 3)
     assert len(calls) == 2
     _assert_no_child_left()
     assert _open_descriptors() == before
@@ -183,7 +197,9 @@ def test_parallel_map_reports_a_worker_it_could_not_start(monkeypatch):
 
 @linux_only
 def test_parallel_map_returns_results_larger_than_a_pipe_buffer():
-    rows = parallel_map(lambda i: np.full(3000, float(i)), 60, 3)
+    rows = _map_stacks(
+        lambda indices: [np.full(3000, float(i)) for i in indices], 60, _BATCH_ROWS, 3
+    )
     np.testing.assert_array_equal(np.array(rows), np.arange(60.0)[:, None] * np.ones(3000))
     _assert_no_child_left()
 
@@ -293,9 +309,8 @@ def test_rejects_too_few_replicates(ds400):
         bootstrap_se(ds400, aipw_pipeline(), b=1, seed=0)
 
 
-def test_refuses_a_dataset_with_no_rows_before_any_draw(monkeypatch):
-    # The stack size divides by n, so no rows is refused up front.
-    empty = wate.ObservationalDataset(X=np.zeros((0, 5)), A=np.zeros(0), Y=np.zeros(0))
-    monkeypatch.setattr(wate.bootstrap, "_replicate_indices", None)
-    with pytest.raises(ValueError, match="no rows"):
-        bootstrap_vector(empty, plan_cells([aipw_pipeline()]), b=10, seed=0)
+def test_refuses_a_dataset_with_no_rows_before_any_draw():
+    # The stack size divides by n, so no rows is refused where the dataset
+    # is built.
+    with pytest.raises(DataError, match="at least one row"):
+        wate.ObservationalDataset(X=np.zeros((0, 5)), A=np.zeros(0), Y=np.zeros(0))

@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from wate.cli import _split_estimands, build_report_task
-from wate.data import _Stack, load_csv
+from wate.data import ObservationalDataset, _Stack, load_csv
 from wate.design import main_effects
 from wate.errors import WateError
-from wate.estimators import PointEstimate, _cell_value_rows, fill_cells
+from wate.estimators import PointEstimate, _cell_value_rows, fill_cells, plan_cells
 from wate.simulation import (
     SimulationDesign,
     _cell_pipeline,
@@ -55,7 +55,10 @@ def _cases():
     yield "report/cohort", cohort, pipelines
     for i in (1, 2):
         idx = np.random.default_rng(i).integers(0, cohort.n, size=cohort.n)
-        yield f"report/resample{i}", cohort.replace_rows(idx), pipelines
+        resample = ObservationalDataset(
+            cohort.X[idx], cohort.A[idx], cohort.Y[idx], cohort.covariate_names
+        )
+        yield f"report/resample{i}", resample, pipelines
 
 
 def _cohort_report():
@@ -100,7 +103,7 @@ def test_cell_values_are_the_bits_of_fill_cells():
         filled = [
             np.nan if isinstance(r, WateError) else r.value for r in fill_cells(ds, pipelines)
         ]
-        (values,) = _cell_value_rows(_Stack.of(ds), pipelines)
+        (values,) = _cell_value_rows(_Stack.of(ds), plan_cells(pipelines))
         assert _hex(values) == _hex(filled), name
         assert np.isnan(values).tolist() == np.isnan(filled).tolist(), name
 

@@ -268,7 +268,7 @@ def test_a_repeated_token_is_a_usage_error(argv, message, data_csv, capsys):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="parallel_map forks on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="_map_stacks forks on Linux")
 @pytest.mark.parametrize(
     "argv",
     [

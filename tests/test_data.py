@@ -193,6 +193,13 @@ def test_length_mismatch_rejected():
         ObservationalDataset(X=np.ones((4, 1)), A=np.zeros(3), Y=np.zeros(4))
 
 
+@pytest.mark.parametrize("cls", [ObservationalDataset, CounterfactualDataset])
+def test_construction_refuses_a_dataset_with_no_rows(cls):
+    # Every fit and the bootstrap size their stacks by dividing by n.
+    with pytest.raises(DataError, match="^a dataset needs at least one row, got none$"):
+        cls(X=np.zeros((0, 2)), A=np.zeros(0), Y=np.zeros(0))
+
+
 def test_counterfactual_consistency_enforced():
     X = np.zeros((4, 1))
     A = np.array([0.0, 1, 0, 1])
@@ -275,41 +282,3 @@ def test_round_trip_arbitrary_floats(tmp_path_factory, rows):
     back = load_csv(path)
     assert back.X.tobytes() == ds.X.tobytes()
     assert back.Y.tobytes() == ds.Y.tobytes()
-
-
-def test_replace_rows_resamples(small_dataset):
-    idx = np.array([0, 0, 1, 2, 3, 3])
-    sub = small_dataset.replace_rows(idx)
-    assert sub.n == 6
-    np.testing.assert_array_equal(sub.Y, small_dataset.Y[idx])
-    assert sub.covariate_names == small_dataset.covariate_names
-    assert type(sub) is ObservationalDataset
-    for arr in (sub.X, sub.A, sub.Y):
-        assert arr.flags.c_contiguous and not arr.flags.writeable
-    np.testing.assert_array_equal(sub.X, small_dataset.X[idx])
-    np.testing.assert_array_equal(sub.A, small_dataset.A[idx])
-
-
-@pytest.mark.parametrize(
-    "idx",
-    [
-        np.array([4, 0, 0, 9, 2]),
-        np.arange(12) % 3 == 0,
-        slice(2, 8),
-        slice(1, 11, 3),
-    ],
-    ids=["int-array", "bool-mask", "slice", "strided-slice"],
-)
-def test_replace_rows_index_kinds(idx):
-    X = np.arange(36.0).reshape(12, 3)
-    A = np.arange(12) % 2.0
-    Y = np.linspace(-1.0, 1.0, 12)
-    source = ObservationalDataset(X=X, A=A, Y=Y)
-    before = [arr.copy() for arr in (source.X, source.A, source.Y)]
-    sub = source.replace_rows(idx)
-    for got, full in zip((sub.X, sub.A, sub.Y), (X, A, Y)):
-        np.testing.assert_array_equal(got, full[idx])
-        assert got.flags.c_contiguous and not got.flags.writeable
-    for arr, old in zip((source.X, source.A, source.Y), before):
-        np.testing.assert_array_equal(arr, old)
-        assert not arr.flags.writeable

@@ -64,7 +64,6 @@ def zero_outcome_model(om):
         beta=np.zeros_like(om.beta),
         main_design=om.main_design,
         interaction_design=om.interaction_design,
-        residual_variance=0.0,
     )
 
 
@@ -268,7 +267,6 @@ def test_att_dr_shift_between_arms():
         beta=np.array([2.0, 0.5, 0.0, 0.0]),
         main_design=main_effects(("x1",)),
         interaction_design=main_effects(("x1",)),
-        residual_variance=0.0,
     )
     m0 = predict_outcome(om, X, 0)
     Y = np.where(A == 1, m0 + delta, m0)
@@ -289,7 +287,6 @@ def test_atc_dr_shift_between_arms():
         beta=np.array([1.0, -0.5, 0.0, 0.0]),
         main_design=main_effects(("x1",)),
         interaction_design=main_effects(("x1",)),
-        residual_variance=0.0,
     )
     m1 = predict_outcome(om, X, 1)
     Y = np.where(A == 1, m1, m1 - delta)
@@ -392,7 +389,6 @@ def test_swapping_treatment_labels_negates_the_estimators(seed):
         beta=swapped_beta,
         main_design=om.main_design,
         interaction_design=om.interaction_design,
-        residual_variance=om.residual_variance,
     )
     lhs = att_dr(ds_swapped, om_swapped, 1.0 - pi)
     rhs = atc_dr(ds, om, pi)

@@ -151,6 +151,12 @@ def test_misspecified_propensity_correlation():
     assert corr == pytest.approx(0.75, abs=0.05)
 
 
+def _residual_variance(ds, om):
+    """The residual sum of squares over n - k, from the fitted arm means."""
+    resid = ds.Y - np.where(ds.A == 1, om.m1, om.m0)
+    return resid @ resid / (ds.n - om.beta.shape[0])
+
+
 @pytest.mark.parametrize("model", [1, 2])
 def test_correct_outcome_design_reproduces_conditional_mean(model):
     ds = generate_dataset(model, 30_000, np.random.default_rng(9))
@@ -161,18 +167,18 @@ def test_correct_outcome_design_reproduces_conditional_mean(model):
     # The design nests the truth, so predictions converge on it.
     assert np.mean((predict_outcome(om, ds.X, 0) - mean0) ** 2) < 0.01
     assert np.mean((predict_outcome(om, ds.X, 1) - mean1) ** 2) < 0.01
-    assert om.residual_variance == pytest.approx(1.0, abs=0.05)
+    assert _residual_variance(ds, om) == pytest.approx(1.0, abs=0.05)
 
 
 def test_misspecified_outcome_r_squared_model2():
     ds = generate_dataset(2, 100_000, np.random.default_rng(10))
     main, inter = outcome_design(False, 2)
     om = fit_outcome(ds, main, inter)
-    r2 = 1.0 - om.residual_variance / np.var(ds.Y, ddof=1)
+    r2 = 1.0 - _residual_variance(ds, om) / np.var(ds.Y, ddof=1)
     assert 0.25 < r2 < 0.40
     main_c, inter_c = outcome_design(True, 2)
     om_c = fit_outcome(ds, main_c, inter_c)
-    r2_c = 1.0 - om_c.residual_variance / np.var(ds.Y, ddof=1)
+    r2_c = 1.0 - _residual_variance(ds, om_c) / np.var(ds.Y, ddof=1)
     assert r2_c > 0.7
 
 
@@ -311,6 +317,15 @@ def test_a_study_refuses_replications_without_rows_before_any_draw(monkeypatch, 
     monkeypatch.setattr(wate.simulation, "_map_stacks", None)
     with pytest.raises(ValueError, match=f"at least 1 row per replication, got n = {n}"):
         run_study(SimulationDesign(n=n, replications=10))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_generate_dataset_refuses_no_rows_before_any_draw(n):
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^need at least 1 row, got n = {n}$"):
+        generate_dataset(1, n, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_invalid_design_tokens():

@@ -468,25 +468,23 @@ def test_replicates_are_the_same_bits_at_every_stack_size(monkeypatch, matrix, n
 
 def test_a_bootstrap_gathers_each_stack_once(monkeypatch):
     # 7 replicates at n = 20 in stacks of 3: one gather of a (3, 20) index
-    # stack per stack, which gives each replicate the rows replace_rows
-    # gives it, and no dataset per replicate.
+    # stack per stack, which gives each replicate the rows ds.X[rows],
+    # ds.A[rows] and ds.Y[rows], and no dataset per replicate.
     ds = generate_dataset(2, 20, np.random.default_rng(1)).observed()
     idx = np.array([wate.bootstrap._replicate_indices(5, i, 20) for i in range(3)])
     stack = _Stack.gather(ds, idx)
     for i, rows in enumerate(idx):
-        resample = ds.replace_rows(rows)
         assert [stack.X[i].tobytes(), stack.A[i].tobytes(), stack.Y[i].tobytes()] == [
-            resample.X.tobytes(), resample.A.tobytes(), resample.Y.tobytes()
+            ds.X[rows].tobytes(), ds.A[rows].tobytes(), ds.Y[rows].tobytes()
         ]
-    gathers, replaced = [], []
-    gather, replace_rows = _Stack.gather, ObservationalDataset.replace_rows
+    gathers, built = [], []
+    gather, post_init = _Stack.gather, ObservationalDataset.__post_init__
     monkeypatch.setattr(
         _Stack, "gather",
         classmethod(lambda cls, ds, idx: gathers.append(idx.shape) or gather(ds, idx)),
     )
     monkeypatch.setattr(
-        ObservationalDataset, "replace_rows",
-        lambda self, idx: replaced.append(idx) or replace_rows(self, idx),
+        ObservationalDataset, "__post_init__", lambda self: built.append(self) or post_init(self)
     )
     monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", 60)
     design = main_effects(ds.covariate_names)
@@ -494,7 +492,7 @@ def test_a_bootstrap_gathers_each_stack_once(monkeypatch):
         [EstimationPipeline(STANDARD_TARGETS["ate"], EstimatorKind.AIPW, design, design)]
     )
     bootstrap_vector(ds, plan, b=7, seed=5)
-    assert gathers == [(3, 20), (3, 20), (1, 20)] and replaced == []
+    assert gathers == [(3, 20), (3, 20), (1, 20)] and built == []
 
 
 def test_a_stack_is_the_fewest_replicates_that_hold_the_batch_rows():
