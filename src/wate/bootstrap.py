@@ -217,8 +217,8 @@ def cell_se(column: NDArray[np.float64]) -> tuple[float, int, str]:
     """``(se, b_ok, note)`` for one cell from its replicate values: the
     sample standard deviation (ddof=1) of the ``b_ok`` finite values and an
     empty note, or NaN and a note when more than ``MAX_FAILED_FRACTION`` of
-    the replicates failed. With at least 2 replicates, a cell within the
-    limit always has 2 finite values."""
+    the replicates failed or the standard deviation overflows. With at least
+    2 replicates, a cell within the limit always has 2 finite values."""
     b = column.shape[0]
     ok = column[np.isfinite(column)]
     failed = b - ok.shape[0]
@@ -228,7 +228,11 @@ def cell_se(column: NDArray[np.float64]) -> tuple[float, int, str]:
             f"{MAX_FAILED_FRACTION:.0%})"
         )
         return np.nan, ok.shape[0], note
-    return float(np.std(ok, ddof=1)), ok.shape[0], ""
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = float(np.std(ok, ddof=1))
+    if not np.isfinite(se):
+        return np.nan, ok.shape[0], "the standard deviation of the bootstrap replicates overflows"
+    return se, ok.shape[0], ""
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,13 +30,15 @@ first. The pass then fills every cell on a :class:`~wate.data._Stack` of b
 same-n replicates at once: it fits each listed model on first use, on the
 whole stack (one stacked IRLS per propensity design, one stacked least
 squares fit per outcome design, see :mod:`wate.models`), and estimates every
-cell from the vectors the fits carry, with no prediction and no comparison
-of designs. ``A``, ``Y``, ``pi``, ``m1`` and ``m0`` are (b, n) stacks. The
-check that each fitted and truncated ``pi`` lies inside (0, 1) runs on the
-whole stack. Per propensity fit, the pass evaluates the targets as one
-C-contiguous (b, targets, n) block ``H``, each standard or linear target
-once on the whole stack and a covariate target's function once per
-replicate, and computes each term on the whole block, once:
+cell from the (b, n) vector stacks of the fits' stacked results as they
+come, with no model object, no prediction and no comparison of designs; the
+rows of a failed fit hold placeholders, 0.5 in ``pi`` and 0 in ``m1`` and
+``m0``. ``A`` and ``Y`` are (b, n) stacks too. The check that each fitted
+and truncated ``pi`` lies inside (0, 1) runs on the whole stack. Per
+propensity fit, the pass evaluates the targets as one C-contiguous
+(b, targets, n) block ``H``, each standard or linear target once on the
+whole stack and a covariate target's function once per replicate, and
+computes each term on the whole block, once:
 
 * the row sums of ``H``, of the weights ``A*(H/pi)`` and ``(1-A)*(H/(1-pi))``
   and of the weighted outcomes;
@@ -588,13 +590,9 @@ def _fit(stack: _Stack, fit: tuple[object, ...]) -> tuple[object, dict[int, FitF
     if stage == "outcome":
         fits = _fit_outcomes(stack, design, design if extra is None else extra)
         return (fits.m1, fits.m0), _failures(stage, fits.errors)
-    pi = np.full(stack.A.shape, 0.5)
-    errors: list[WateError | None] = []
-    for i, pm in enumerate(_fit_propensities(stack, design)):
-        if not isinstance(pm, WateError):
-            pi[i] = pm.pi
-            pm = None
-        errors.append(pm)
+    fits = _fit_propensities(stack, design)
+    pi, errors = fits.pi, fits.errors
+    pi[[i for i, error in enumerate(errors) if error is not None]] = 0.5
     if extra is not None:
         # A failed row, all 0.5, keeps its bits.
         pi = _truncated(pi, *extra)
@@ -628,9 +626,10 @@ def _fill(
     values = np.empty((b, len(cells)))
     errors: list[dict[int, WateError]] = [{} for _ in cells]
     order = sorted(range(len(cells)), key=lambda j: cells[j].p)
-    # The divisions of a refused replicate may divide by zero; its value is
-    # dropped.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # The divisions of a refused replicate may divide by zero, and the sums
+    # of extreme but finite data may overflow; _finite refuses a value that
+    # is not finite.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j, after in zip(order, order[1:] + [None]):
             c, err = cells[j], errors[j]
             for slot in (c.p, c.m):

@@ -1,9 +1,8 @@
 """Working models: logistic regression for the propensity score and ordinary
 least squares for the outcome.
 
-Both fitters prepend an intercept to the supplied design, check the design
-matrix for numerical rank deficiency, and return frozen model objects that
-can be pickled into worker processes. The logistic fit is Newton's
+Both fitters prepend an intercept to the supplied design and check the
+design matrix for numerical rank deficiency. The logistic fit is Newton's
 method with step halving; convergence is declared when the largest score
 component falls below ``SCORE_TOL``, and the fit fails after ``MAX_ITER``
 Newton updates. Every fitted or predicted probability is clamped into
@@ -26,17 +25,22 @@ each working model on a :class:`~wate.data._Stack` of same-n replicates at
 once, which pays numpy's fixed cost per call once per stack. There is one
 IRLS (:func:`_irls`) and one least squares fit (:func:`_fit_outcomes`), each
 on a (b, n, k) stack of model matrices, the least squares fit a part of the
-stack at a time (see below); :func:`fit_propensity` and
-:func:`fit_outcome` are stacks of one, made of views of the dataset. A
-stacked ``qr``, ``solve`` or ``matmul`` computes each slice as the 2-D call
-does, so every problem of a stack gets the bits and the error it gets alone.
+stack at a time (see below). A stacked ``qr``, ``solve`` or ``matmul``
+computes each slice as the 2-D call does, so every problem of a stack gets
+the bits and the error it gets alone.
 
-Each fitted model also carries its vectors on the fitting rows: the final
-IRLS probabilities (``PropensityModel.pi``) and both arms' means
-(``OutcomeModel.m1``/``m0``). They are bit-for-bit what
-:func:`predict_propensity` and :func:`predict_outcome` return on those rows,
-so a caller estimating on the fitting data needs no prediction; predict for
-any other rows.
+Each returns one stacked result, :class:`_PropensityFits` or
+:class:`_OutcomeFits`: per replicate its error or ``None``, and (b, k)
+coefficients and (b, n) fitted vectors on the fitting rows, the final IRLS
+probabilities or both arms' means, which the pass reads as they are. Model
+objects exist only at the public boundary: :func:`fit_propensity` and
+:func:`fit_outcome` are stacks of one, made of views of the dataset, that
+build a frozen, picklable model from row 0 (``PropensityModel.pi``,
+``OutcomeModel.m1``/``m0``) or raise the row's error; a
+:class:`ConvergenceError` carries the model of the last iterate. The
+vectors are bit-for-bit what :func:`predict_propensity` and
+:func:`predict_outcome` return on the fitting rows; predict for any other
+rows.
 
 Each design is evaluated once per stack, by one
 :meth:`~wate.design.DesignSpec.matrix` call on the (b, n, p) covariates,
@@ -300,10 +304,17 @@ def fit_propensity(ds: ObservationalDataset, design: DesignSpec) -> PropensityMo
     score has not dropped below ``SCORE_TOL`` after ``MAX_ITER`` Newton
     updates.
     """
-    (result,) = _fit_propensities(_Stack.of(ds), design)
-    if isinstance(result, WateError):
-        raise result
-    return result
+    fits = _fit_propensities(_Stack.of(ds), design)
+    (error,) = fits.errors
+    model = PropensityModel(
+        alpha=fits.alpha[0], design=design, converged=error is None,
+        iterations=fits.iterations[0], log_likelihood=fits.log_likelihood[0], pi=fits.pi[0],
+    )
+    if isinstance(error, ConvergenceError):
+        error.model = model
+    if error is not None:
+        raise error
+    return model
 
 
 def _evaluated(
@@ -331,61 +342,83 @@ def _evaluated(
     return errors
 
 
-def _fit_propensities(stack: _Stack, design: DesignSpec) -> list[PropensityModel | WateError]:
-    """:func:`fit_propensity` of ``design`` on each replicate of ``stack``:
-    its model, or the error it failed with. The design is evaluated once,
-    into one stack of column-major slices, the stack is checked for rank by
-    one stacked QR, and a row-major copy of the full-rank designs is fitted
-    by one stacked IRLS."""
+class _PropensityFits(NamedTuple):
+    """The propensity fits of a stack of b replicates: the error each one
+    failed with (``None`` for a fit), and each one's last iterate, as the
+    (b, k) coefficients, the (b, n) clamped probabilities, the log
+    likelihoods and the update counts, zero in the rows of the designs that
+    failed before the IRLS."""
+
+    errors: list[WateError | None]
+    alpha: NDArray[np.float64]
+    pi: NDArray[np.float64]
+    log_likelihood: list[float]
+    iterations: list[int]
+
+
+def _fit_propensities(stack: _Stack, design: DesignSpec) -> _PropensityFits:
+    """:func:`fit_propensity` of ``design`` on each replicate of ``stack``.
+    The design is evaluated once, into one stack of column-major slices,
+    the stack is checked for rank by one stacked QR, and a row-major copy of
+    the full-rank designs is fitted by one stacked IRLS."""
     X, A = stack.X, stack.A
     b, n = A.shape
-    M = np.empty((b, len(design) + 1, n)).transpose(0, 2, 1)
+    k = len(design) + 1
+    M = np.empty((b, k, n)).transpose(0, 2, 1)
     errors = _evaluated(lambda i: _design_matrix(design, X[i], M[i]), b, M)
-    results: list[PropensityModel | WateError | None] = [
-        error or rank for error, rank in zip(errors, _rank_errors(M, "propensity design"))
-    ]
-    rows = [i for i, error in enumerate(results) if error is None]
+    fits = _PropensityFits(
+        [error or rank for error, rank in zip(errors, _rank_errors(M, "propensity design"))],
+        np.zeros((b, k)), np.zeros((b, n)), [0.0] * b, [0] * b,
+    )
+    rows = [i for i, error in enumerate(fits.errors) if error is None]
     if rows:
         # One row-major copy for the IRLS's BLAS products, of the full-rank
         # slices when some are not; fancy indexing the stack would keep its
         # column-major layout. The stack is freed before the IRLS, which
         # needs only the copy.
-        full_rank = np.empty((b, n, M.shape[2]))
+        full_rank = np.empty((b, n, k))
         np.copyto(full_rank, M)
         del M
         if len(rows) < b:
             full_rank, A = full_rank[rows], A[rows]
-        for i, result in zip(rows, _irls(full_rank, A, design)):
-            results[i] = result
-    return results
+        _irls(full_rank, A, fits, rows)
+    return fits
 
 
 def _irls(
-    M: NDArray[np.float64], A: NDArray[np.float64], design: DesignSpec
-) -> list[PropensityModel | ConvergenceError]:
+    M: NDArray[np.float64], A: NDArray[np.float64], fits: _PropensityFits, ids: list[int]
+) -> None:
     """Newton's method with step halving on each problem of a stack: ``M``
     is a C-contiguous (b, n, k) stack of model matrices, ``A`` the (b, n)
-    stack of treatments.
+    stack of treatments, and problem j is written to row ``ids[j]`` of
+    ``fits`` as it leaves the stack.
 
     Every problem runs the sequence of a fit on its own: the score test, the
-    ``MAX_ITER`` stop, the solve and up to 50 halvings of its own step, on
-    bits equal to those of the 2-D calls, since a stacked ``matmul`` or
-    ``linalg.solve`` computes each slice as the 2-D call does and a row sum
-    of a C-contiguous block sums the row as a vector sum does. Problems
-    start together, so they share the update count. One that converges or
-    fails leaves the stack, and the others go on; the stack is compacted
-    only then. The solve is repeated slice by slice only when some
-    information matrix is singular, to find which.
+    ``MAX_ITER`` stop, the solve, and its own full step followed by at most
+    49 halvings, on bits equal to those of the 2-D calls, since a stacked
+    ``matmul`` or ``linalg.solve`` computes each slice as the 2-D call does
+    and a row sum of a C-contiguous block sums the row as a vector sum does.
+    Problems start together, so they share the update count. A step is kept
+    once its log likelihood is at most ``max(1e-12, 2 ulp(ll))`` below the
+    current ``ll``: with the fixed 1e-12 alone, which one rounding of ``ll``
+    exceeds once ``|ll| >= 8192``, a fit near its optimum refused every step
+    and stalled short of ``SCORE_TOL``. Below ``|ll| = 4096`` the slack is
+    1e-12.
+
+    A problem that converges or fails leaves at the top of the loop, where
+    the stack is compacted, and the others start their update again from
+    the same bits. The solve is repeated slice by slice only when some
+    information matrix is singular, to find which. A converged fit whose
+    probabilities reach a clamp bound fails: that check is one row min/max
+    of the whole ``pi`` stack, read for the converged fits.
 
     The stack's length-n vectors are kept end to end in one flat array:
     numpy's fixed cost per call is lower on 1-D arrays, and elementwise
     arithmetic gives the same bits in either shape.
     """
-    b, n, _ = M.shape
-    results: list[PropensityModel | ConvergenceError | None] = [None] * b
-    # Each problem's index in the results and its log likelihood, as Python
+    b, n, k = M.shape
+    # Each problem's row in fits (ids) and its log likelihood are Python
     # values: a comparison per problem costs less than a numpy call per stack.
-    ids = list(range(b))
     A = A.reshape(-1)
     not_A = 1.0 - A
     # Every Newton step rewrites these instead of allocating its own; a
@@ -394,60 +427,65 @@ def _irls(
     log_p = np.empty(b * n)
     log_q = np.empty(b * n)
 
-    alpha = np.zeros((b, M.shape[2], 1))
+    alpha = np.zeros((b, k, 1))
     # The probabilities at alpha = 0: M is finite, so M @ alpha is +-0 and
     # its clamped sigmoid exactly 1/2.
     p = np.full(b * n, 0.5)
     ll = _loglik(p, A, not_A, log_p, log_q, n)
     updates = 0
+    # The problems leaving the stack, with their error messages ("" for a
+    # fit that converged).
+    exits: dict[int, str] = {}
     while True:
+        if exits:
+            out, leaving = [ids[j] for j in exits], list(exits)
+            fits.alpha[out] = alpha[leaving, :, 0]
+            fits.pi[out] = p.reshape(-1, n)[leaving]
+            for i, j in zip(out, leaving):
+                if exits[j]:
+                    fits.errors[i] = ConvergenceError(exits[j])
+                fits.log_likelihood[i], fits.iterations[i] = ll[j], updates
+            keep = [j for j in range(len(ids)) if j not in exits]
+            if not keep:
+                break
+            ids, ll = [ids[j] for j in keep], [ll[j] for j in keep]
+            M, alpha = M[keep], alpha[keep]
+            A, not_A, p = (x.reshape(-1, n)[keep].reshape(-1) for x in (A, not_A, p))
         m = len(ids)
         score = M.transpose(0, 2, 1) @ (A - p).reshape(m, n, 1)
         top = np.maximum.reduce(np.abs(score[:, :, 0]), axis=1).tolist()
-        stop = [j for j, t in enumerate(top) if t < SCORE_TOL or updates >= MAX_ITER]
-        if stop:
-            for j in stop:
-                converged = top[j] < SCORE_TOL
-                results[ids[j]] = _stopped(
-                    design, alpha[j], p[j * n:(j + 1) * n], ll[j], updates, converged,
-                    "" if converged else f"propensity fit did not converge in {MAX_ITER} "
-                    f"updates (max |score| = {top[j]:.3e})",
-                )
-            keep = [j for j in range(m) if j not in stop]
-            if not keep:
-                break
-            ids, ll, m = [ids[j] for j in keep], [ll[j] for j in keep], len(keep)
-            M, alpha, score = M[keep], alpha[keep], score[keep]
-            A, not_A, p = (x.reshape(-1, n)[keep].reshape(-1) for x in (A, not_A, p))
+        exits = {
+            j: "" if t < SCORE_TOL else f"propensity fit did not converge in {MAX_ITER} "
+            f"updates (max |score| = {t:.3e})"
+            for j, t in enumerate(top) if t < SCORE_TOL or updates >= MAX_ITER
+        }
+        if exits:
+            continue
         w = p * (1.0 - p)
         hessian = np.multiply(M, w.reshape(m, n, 1), out=weighted[:m]).transpose(0, 2, 1) @ M
         try:
             delta = np.linalg.solve(hessian, score)
         except np.linalg.LinAlgError:
-            delta = np.zeros_like(score)
-            keep = []
+            # A slice that fails the stacked solve fails alone too, so at
+            # least one problem leaves before the update starts again.
             for j in range(m):
                 try:
-                    delta[j] = np.linalg.solve(hessian[j], score[j])
-                    keep.append(j)
+                    np.linalg.solve(hessian[j], score[j])
                 except np.linalg.LinAlgError:
-                    results[ids[j]] = _stopped(
-                        design, alpha[j], p[j * n:(j + 1) * n], ll[j], updates, False,
+                    exits[j] = (
                         f"singular information matrix during propensity fit (after "
-                        f"{updates} updates)",
+                        f"{updates} updates)"
                     )
-            if not keep:
-                break
-            ids, ll, m = [ids[j] for j in keep], [ll[j] for j in keep], len(keep)
-            M, alpha, delta = M[keep], alpha[keep], delta[keep]
-            A, not_A, p = (x.reshape(-1, n)[keep].reshape(-1) for x in (A, not_A, p))
+            continue
         # Halve each problem's step until its log likelihood stops
-        # decreasing; Newton's direction is an ascent direction, so this
-        # terminates. The problems still halving have halved equally often.
+        # decreasing, to within the slack; Newton's direction is an ascent
+        # direction, so this terminates. The problems still halving have
+        # halved equally often.
+        floor = [v - max(1e-12, 2 * math.ulp(v)) for v in ll]
         cand = alpha + delta
         p_cand = _clamped_sigmoid((M @ cand).reshape(-1))
         ll_cand = _loglik(p_cand, A, not_A, log_p[:m * n], log_q[:m * n], n)
-        halving = [j for j in range(m) if not ll_cand[j] >= ll[j] - 1e-12]
+        halving = [j for j in range(m) if not ll_cand[j] >= floor[j]]
         step = 1.0
         for _ in range(49):
             if not halving:
@@ -461,39 +499,20 @@ def _irls(
             p_cand.reshape(m, n)[halving] = pc.reshape(-1, n)
             for j, value in zip(halving, lc):
                 ll_cand[j] = value
-            halving = [j for j, value in zip(halving, lc) if not value >= ll[j] - 1e-12]
+            halving = [j for j, value in zip(halving, lc) if not value >= floor[j]]
         alpha, p, ll = cand, p_cand, ll_cand
         updates += 1
-    return results
-
-
-def _stopped(
-    design: DesignSpec,
-    alpha: NDArray[np.float64],
-    pi: NDArray[np.float64],
-    ll: float,
-    updates: int,
-    converged: bool,
-    message: str,
-) -> PropensityModel | ConvergenceError:
-    """The model of a problem that leaves the stack, or the error its fit
-    ends with: ``message`` if given, else the pinned-probability error when
-    a converged fit has a probability at a clamp bound."""
-    pinned = converged and bool(np.any(pi <= PROB_CLAMP) or np.any(pi >= 1.0 - PROB_CLAMP))
-    model = PropensityModel(
-        alpha=alpha[:, 0], design=design, converged=converged and not pinned,
-        iterations=updates, log_likelihood=ll, pi=pi,
-    )
-    if pinned:
-        # The score can vanish with fitted probabilities stuck at the clamp
-        # bounds, which is how separated data present themselves here. Such a
-        # fit would feed effectively infinite weights downstream, so report
-        # it as a failure rather than a model.
-        message = (
-            "fitted probabilities pinned at the clamp bounds; "
-            "treatment may be separable from these covariates"
-        )
-    return ConvergenceError(message, model=model) if message else model
+    # The score can vanish with fitted probabilities stuck at the clamp
+    # bounds, which is how separated data present themselves here. Such a
+    # fit would feed effectively infinite weights downstream, so report it
+    # as a failure rather than a model.
+    pinned = (fits.pi.min(axis=1) <= PROB_CLAMP) | (fits.pi.max(axis=1) >= 1.0 - PROB_CLAMP)
+    for i in np.flatnonzero(pinned).tolist():
+        if fits.errors[i] is None:
+            fits.errors[i] = ConvergenceError(
+                "fitted probabilities pinned at the clamp bounds; "
+                "treatment may be separable from these covariates"
+            )
 
 
 def _loglik(

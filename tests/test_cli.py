@@ -3,15 +3,20 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wate
+from wate.bootstrap import bootstrap_vector
 from wate.cli import main, parse_estimand_token
-from wate.data import save_csv
-from wate.estimators import EstimatorKind
+from wate.data import ObservationalDataset, save_csv
+from wate.design import main_effects
+from wate.errors import EstimationError, WateError
+from wate.estimators import EstimationPipeline, EstimatorKind, fill_cells, plan_cells
+from wate.targets import STANDARD_TARGETS
 from wate.simulation import generate_dataset
 
 
@@ -679,3 +684,40 @@ def test_stdout_reports_are_utf8_whatever_the_locale(tmp_path):
         )
         assert (run.returncode, run.stderr) == (0, b"")
         assert "\n# covariates = xé\n" in run.stdout.decode("utf-8")
+
+
+def test_extreme_finite_outcomes_give_refusals_and_notes_not_numpy_warnings(tmp_path):
+    # 50 rows whose outcomes reach about 1e307 (and 5e307): the sums of a
+    # pass and the SD of the bootstrap values overflow. A cell whose value is
+    # not finite gets its typed refusal and an SD that overflows a note, with
+    # no numpy warning, and the report ends in exit status 1, not in a
+    # RuntimeWarning traceback under -W error.
+    rng = np.random.default_rng(0)
+    X, A, noise = rng.standard_normal((50, 2)), (rng.random(50) < 0.5) * 1.0, rng.standard_normal(50)
+    design = main_effects(("x1", "x2"))
+    plan = plan_cells([
+        EstimationPipeline(target, kind, design, design)
+        for kind in (EstimatorKind.REGRESSION, EstimatorKind.IPW_NORMALIZED, EstimatorKind.AIPW)
+        for target in STANDARD_TARGETS.values()
+    ])
+    for scale, refused in ((1e307, 0), (5e307, 8)):
+        ds = ObservationalDataset(X, A, noise * scale, ("x1", "x2"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = fill_cells(ds, plan)
+            values = bootstrap_vector(ds, plan, b=20)
+        errors = [r for r in results if isinstance(r, WateError)]
+        assert len(errors) == refused
+        assert all(isinstance(e, EstimationError) and "non-finite" in str(e) for e in errors)
+        assert np.isnan(values).any() and np.isfinite(values).any()
+    path = tmp_path / "extreme.csv"
+    save_csv(ObservationalDataset(X, A, noise * 1e307, ("x1", "x2")), path)
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "wate.cli", "estimate", str(path),
+         "--bootstrap", "20", "--format", "csv"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, encoding="utf-8", timeout=120,
+    )
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+    assert "the standard deviation of the bootstrap replicates overflows" in run.stdout

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wate.bootstrap
 import wate.models
 from wate.data import ObservationalDataset
 from wate.design import DesignSpec, TransformTerm, intercept_only, main_effects, parse_design
@@ -152,6 +153,20 @@ def test_tiny_max_iter_raises(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         fit_propensity(ds, main_effects(("x1", "x2")))
     assert err.value.model.iterations == 1
+
+
+def test_a_large_resample_converges_in_a_few_updates():
+    # Resample 15 (bootstrap seed 0) of a model-1 draw at n = 10^5 reaches
+    # max |score| ~ 2e-6 after 4 updates, where its log likelihood is about
+    # -61493 and one rounding of it, 7.3e-12, passes a fixed halving slack of
+    # 1e-12: every later step was refused until MAX_ITER updates and a
+    # ConvergenceError. A slack of 2 ulp(ll) lets it converge in 5.
+    ds = generate_dataset(1, 10**5, np.random.default_rng(0)).observed()
+    idx = wate.bootstrap._replicate_indices(0, 15, ds.n)
+    resample = ObservationalDataset(ds.X[idx], ds.A[idx], ds.Y[idx], ds.covariate_names)
+    pm = fit_propensity(resample, main_effects(ds.covariate_names))
+    assert pm.converged and pm.iterations <= 10
+    assert math.ulp(pm.log_likelihood) > 1e-12
 
 
 def test_rank_deficient_propensity_design():

@@ -18,7 +18,7 @@ import wate.simulation
 from wate.bootstrap import _map_stacks, bootstrap_vector
 from wate.data import ObservationalDataset, _Stack
 from wate.design import DesignSpec, TransformTerm, main_effects
-from wate.errors import WateError
+from wate.errors import ConvergenceError, WateError
 from wate.estimators import (
     EstimationPipeline,
     EstimatorKind,
@@ -27,7 +27,15 @@ from wate.estimators import (
     fill_cells,
     plan_cells,
 )
-from wate.models import RANK_TOL, _fit_outcomes, _fit_propensities, fit_outcome
+from wate.models import (
+    PROB_CLAMP,
+    RANK_TOL,
+    PropensityModel,
+    _fit_outcomes,
+    _fit_propensities,
+    fit_outcome,
+    fit_propensity,
+)
 from wate.simulation import (
     SimulationDesign,
     _cell_pipeline,
@@ -52,16 +60,20 @@ def _stacked(datasets):
     )
 
 
-def _record(result):
-    """Everything a fit returns, as comparable values: the bits of a model,
-    or the class and message of an error and the bits of its model."""
-    if isinstance(result, WateError):
-        model = getattr(result, "model", None)
-        return (type(result).__name__, str(result), None if model is None else _record(model))
+def _record(fits, i):
+    """Row i of a stacked propensity result as comparable values: the class
+    and message of its error (``None`` for a fit) and the bits of its last
+    iterate."""
+    error = fits.errors[i]
     return (
-        result.alpha.tobytes(), result.pi.tobytes(), result.log_likelihood.hex(),
-        result.iterations, result.converged,
+        None if error is None else (type(error).__name__, str(error)),
+        fits.alpha[i].tobytes(), fits.pi[i].tobytes(), fits.log_likelihood[i].hex(),
+        fits.iterations[i],
     )
+
+
+def _records(fits):
+    return [_record(fits, i) for i in range(len(fits.errors))]
 
 
 def _one_covariate(x, a):
@@ -107,20 +119,20 @@ def _one_covariate_stack():
 @pytest.mark.parametrize("make_stack", [_simulated_stack, _one_covariate_stack])
 def test_a_stacked_fit_gives_each_problem_its_own_bits(make_stack):
     stack, design = make_stack()
-    alone = [_record(_fit_propensities(_stacked([ds]), design)[0]) for ds in stack]
-    assert [_record(r) for r in _fit_propensities(_stacked(stack), design)] == alone
+    alone = [_record(_fit_propensities(_stacked([ds]), design), 0) for ds in stack]
+    assert _records(_fit_propensities(_stacked(stack), design)) == alone
     # And in another order, so each problem has other neighbours.
     order = [2, 5, 0, 4, 1, 3]
     restacked = _fit_propensities(_stacked([stack[i] for i in order]), design)
-    assert [_record(r) for r in restacked] == [alone[i] for i in order]
+    assert _records(restacked) == [alone[i] for i in order]
 
 
 def test_the_stacks_hold_every_exit_of_the_newton_loop():
     messages = set()
     for make_stack in (_simulated_stack, _one_covariate_stack):
         stack, design = make_stack()
-        for result in _fit_propensities(_stacked(stack), design):
-            messages.add(str(result).split(" (")[0] if isinstance(result, WateError) else "model")
+        for error in _fit_propensities(_stacked(stack), design).errors:
+            messages.add("model" if error is None else str(error).split(" (")[0])
     assert messages == {
         "model",
         "fitted probabilities pinned at the clamp bounds; treatment may be separable "
@@ -129,6 +141,53 @@ def test_the_stacks_hold_every_exit_of_the_newton_loop():
         "propensity fit did not converge in 100 updates",
         "propensity design matrix is numerically rank deficient",
     }
+
+
+def test_a_stacked_fill_builds_no_propensity_model(monkeypatch):
+    # The pass reads the rows of the stacked propensity result; only
+    # fit_propensity, the public stack of one, builds a PropensityModel.
+    built = []
+    init = PropensityModel.__init__
+    monkeypatch.setattr(
+        PropensityModel, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)
+    )
+    for make_stack in (_simulated_stack, _one_covariate_stack):
+        stack, design = make_stack()
+        plan = plan_cells([
+            EstimationPipeline(STANDARD_TARGETS["ate"], EstimatorKind.IPW_NORMALIZED, design)
+        ])
+        _, errors = _fill(_stacked(stack), plan)
+        assert 0 < len(errors[0]) < len(stack)
+    assert built == []
+    fit_propensity(stack[1], design)
+    assert built == [1]
+
+
+@pytest.mark.parametrize("case, exit_message", [
+    (2, "propensity fit did not converge in 100 updates"),
+    (0, "singular information matrix during propensity fit (after {} updates)"),
+    (3, "fitted probabilities pinned at the clamp bounds"),
+])
+def test_fit_propensity_attaches_the_last_iterate_to_each_irls_exit(case, exit_message):
+    # The not-converged, singular and pinned exits of the Newton loop: the
+    # error carries the model of row 0 of the stack of one. The update at
+    # which the information matrix turns singular depends on the BLAS
+    # kernel's rounding (23 here, 5 under OPENBLAS_CORETYPE=Haswell).
+    stack, design = _one_covariate_stack()
+    ds = stack[case]
+    fits = _fit_propensities(_Stack.of(ds), design)
+    with pytest.raises(ConvergenceError) as err:
+        fit_propensity(ds, design)
+    model = err.value.model
+    assert str(err.value) == str(fits.errors[0])
+    assert str(err.value).startswith(exit_message.format(model.iterations))
+    assert model.converged is False and model.design == design
+    assert model.iterations == fits.iterations[0] > 0
+    assert model.alpha.tobytes() == fits.alpha[0].tobytes()
+    assert model.pi.tobytes() == fits.pi[0].tobytes()
+    assert model.log_likelihood == fits.log_likelihood[0] < 0.0
+    pinned = model.pi.min() <= PROB_CLAMP or model.pi.max() >= 1.0 - PROB_CLAMP
+    assert pinned == (case == 3)
 
 
 def _with_columns(ds, A=None, **columns):
@@ -304,7 +363,7 @@ def test_each_replicate_of_a_stack_gets_its_own_errors():
     designs = [propensity_design(True), propensity_design(False)]
     outcomes = [outcome_design(True, 1), outcome_design(False, 1)]
     fits_alone = [
-        [_record(_fit_propensities(_Stack.of(ds), design)[0]) for design in designs]
+        [_record(_fit_propensities(_Stack.of(ds), design), 0) for design in designs]
         for ds in stack
     ]
     outcomes_alone = [[_outcome_alone(ds, *pair) for pair in outcomes] for ds in stack]
@@ -312,8 +371,8 @@ def test_each_replicate_of_a_stack_gets_its_own_errors():
     values_alone = [_cell_value_rows(_Stack.of(ds), plan)[0] for ds in stack]
     # The errors are each one replicate's, with rows counted in its own data.
     overflow = ("DesignError", "term 'x2^2' is not finite (rows 7)")
-    assert fits_alone[1][0][:2] == outcomes_alone[1][0] == overflow
-    assert fits_alone[1][1][0] == outcomes_alone[1][1][0] == "RankDeficiencyError"
+    assert fits_alone[1][0][0] == outcomes_alone[1][0] == overflow
+    assert fits_alone[1][1][0][0] == outcomes_alone[1][1][0] == "RankDeficiencyError"
     negative = (
         "NegativeTargetError", "linear:-0.02,1: a + b*pi is negative for some observations"
     )
@@ -325,7 +384,7 @@ def test_each_replicate_of_a_stack_gets_its_own_errors():
         stacked = _stacked([stack[i] for i in order])
         for d, design in enumerate(designs):
             fits = _fit_propensities(stacked, design)
-            assert [_record(r) for r in fits] == [fits_alone[i][d] for i in order]
+            assert _records(fits) == [fits_alone[i][d] for i in order]
         for d, pair in enumerate(outcomes):
             fits = _fit_outcomes(stacked, *pair)
             assert [_outcome_stacked(fits, j) for j in range(5)] == [
