@@ -17,19 +17,20 @@ pipeline, raises :class:`BootstrapError` past the limit and otherwise adds a
 Replicate i draws its indices from a dedicated random stream keyed by
 ``(seed, i)``, so results are identical for any worker count or scheduling
 order. ``_map_stacks``, the one parallel map, splits the replicates into
-contiguous chunks over the processes, and each process fills its chunk in
-stacks of the fewest consecutive replicates that hold at least
-``_BATCH_ROWS`` = 8192 rows (``max(1, ceil(8192 / n))``, from
-:mod:`wate.data`: 8192 to 16383 rows up to n = 8192, pairs at n = 5000, one
-replicate above n = 8192), the last one shorter:
-the rows of a stack are gathered by one ``numpy.take`` per array over its
-(b, n) index stack into a :class:`~wate.data._Stack`, each design is
-evaluated once on it, each working model of the plan is fitted on it at
+one contiguous chunk per process, the caller's first, by the same rule on
+every platform, and each process fills its chunk in stacks of the fewest
+consecutive replicates that hold at least ``_BATCH_ROWS`` = 8192 rows
+(``max(1, ceil(8192 / n))``, from :mod:`wate.data`: 8192 to 16383 rows up
+to n = 8192, pairs at n = 5000, one replicate above n = 8192), the last one
+shorter: the rows of a stack are gathered by one ``numpy.take`` per array
+over its (b, n) index stack into a :class:`~wate.data._Stack`, each design
+is evaluated once on it, each working model of the plan is fitted on it at
 once (see :mod:`wate.models`) and the cells are filled by one pass over it
 (see :mod:`wate.estimators`), which gives each replicate the bits it gets
 alone, so neither the chunks nor the stacks change a result. The Monte Carlo
 study shares this map. On Linux it forks its workers, so only the results
-must pickle; elsewhere the plan must pickle too.
+must pickle; elsewhere a process pool runs them and the plan must pickle
+too.
 """
 
 from __future__ import annotations
@@ -71,29 +72,32 @@ def _map_stacks(fn: Callable[[range], list[T]], count: int, n: int, workers: int
     more than one, where ``fn`` gives one result per index of its range and
     ``n`` is the rows of each replicate.
 
-    Indices are split into contiguous chunks and results come back in index
-    order, so the output never depends on ``workers``. Each process calls
-    ``fn`` on its chunk in stacks of ``_stack_size(_BATCH_ROWS, n)``
-    consecutive indices, the last one shorter. On Linux there is one chunk
-    per process: the calling process runs the first and forks one child for
-    each of the others, so only the results must pickle. Elsewhere a process
-    pool runs four chunks per worker while the caller waits, and ``fn`` must
-    be picklable too (a module-level function or a ``functools.partial`` of
-    one). An exception ``fn`` raises in a worker is raised again here; a
-    worker that cannot be forked, or exits without sending its results,
-    raises :class:`WorkerError`.
+    Indices are split into one contiguous chunk per process and results
+    come back in index order, so the output never depends on ``workers``.
+    Each process calls ``fn`` on its chunk in stacks of
+    ``_stack_size(_BATCH_ROWS, n)`` consecutive indices, the last one
+    shorter. The calling process runs the first chunk. On Linux it forks one
+    child for each of the others, so only the results must pickle; a worker
+    that cannot be forked, or exits without sending its results, raises
+    :class:`WorkerError`. Elsewhere a process pool of one worker per other
+    chunk runs them, and ``fn`` must be picklable too (a module-level
+    function or a ``functools.partial`` of one). An exception ``fn`` raises
+    in a worker is raised again here.
     """
     run = partial(_stacks, fn, _stack_size(_BATCH_ROWS, n))
     if workers <= 1 or count <= 1:
         return run(range(count))
+    chunks = _chunks(count, min(workers, count))
     if _FORK:
-        return _fork_map(run, _chunks(count, min(workers, count)))
+        return _fork_map(run, chunks)
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = _chunks(count, min(workers * 4, count))
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        futures = [pool.submit(run, chunk) for chunk in chunks]
-        return [value for future in futures for value in future.result()]
+    with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
+        futures = [pool.submit(run, chunk) for chunk in chunks[1:]]
+        results = run(chunks[0])
+        for future in futures:
+            results.extend(future.result())
+    return results
 
 
 def _stacks(fn: Callable[[range], list[T]], size: int, chunk: range) -> list[T]:

@@ -5,8 +5,9 @@ routine consumes: an ``(n, p)`` covariate matrix, a binary treatment vector
 and an outcome vector, all float64 and frozen read-only after construction.
 :class:`CounterfactualDataset` extends it with both potential outcomes and
 the true propensity, which only a simulator can know. The study and the
-bootstrap fit and fill a private ``_Stack`` of b same-n replicates instead,
-``X`` (b, n, p) and ``A``, ``Y`` (b, n), checked once when built.
+bootstrap fit and fill a private ``_Stack`` of b same-n replicates instead:
+the plain triple ``X`` (b, n, p) and ``A``, ``Y`` (b, n), built only from
+checked data and not checked again.
 
 :func:`load_csv` converts a block of rows at a time: it checks the width of
 every row of the block, transposes it and turns its needed columns into
@@ -24,7 +25,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -158,46 +159,27 @@ def _stack_size(rows: int, n: int) -> int:
     return max(1, -(-rows // n))
 
 
-@dataclass(frozen=True, eq=False)
-class _Stack:
+class _Stack(NamedTuple):
     """b replicates of n rows each, the unit the study and the bootstrap fit
-    and fill: ``X`` is (b, n, p), ``A`` and ``Y`` are (b, n). It is checked
-    once, when built, for everything :class:`ObservationalDataset` refuses; a
-    stack that fails raises the error its first failing replicate raises
-    alone."""
+    and fill: ``X`` is (b, n, p), ``A`` and ``Y`` are (b, n). It is built
+    only from checked data, the rows of an :class:`ObservationalDataset`
+    (:meth:`of`, :meth:`gather`) or the study's finite 0/1 draws, and is not
+    checked again."""
 
     X: NDArray[np.float64]
     A: NDArray[np.float64]
     Y: NDArray[np.float64]
-    covariate_names: tuple[str, ...]
-
-    def __post_init__(self):
-        X, A, Y = self.X, self.A, self.Y
-        if X.ndim != 3 or A.shape != X.shape[:2] or Y.shape != A.shape:
-            raise DataError(
-                f"inconsistent shapes: X is {X.shape}, A is {A.shape}, Y is {Y.shape}"
-            )
-        if len(self.covariate_names) != X.shape[2]:
-            raise DataError(
-                f"{len(self.covariate_names)} covariate names for {X.shape[2]} columns"
-            )
-        if not (np.isfinite(X).all() and np.isfinite(Y).all() and ((A == 0.0) | (A == 1.0)).all()):
-            for x, a, y in zip(X, A, Y):
-                ObservationalDataset(x, a, y, self.covariate_names)
 
     @classmethod
     def of(cls, ds: ObservationalDataset) -> "_Stack":
         """``ds`` as a stack of one, made of views."""
-        return cls(ds.X[None], ds.A[None], ds.Y[None], ds.covariate_names)
+        return cls(ds.X[None], ds.A[None], ds.Y[None])
 
     @classmethod
     def gather(cls, ds: ObservationalDataset, idx: NDArray[np.intp]) -> "_Stack":
         """The rows ``idx[i]`` of ``ds`` as replicate i, for a (b, n) index
         stack, from one ``numpy.take`` per array: the one resampler."""
-        return cls(
-            np.take(ds.X, idx, axis=0), np.take(ds.A, idx), np.take(ds.Y, idx),
-            ds.covariate_names,
-        )
+        return cls(np.take(ds.X, idx, axis=0), np.take(ds.A, idx), np.take(ds.Y, idx))
 
 
 @dataclass(frozen=True, eq=False)

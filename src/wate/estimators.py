@@ -33,8 +33,8 @@ squares fit per outcome design, see :mod:`wate.models`), and estimates every
 cell from the (b, n) vector stacks of the fits' stacked results as they
 come, with no model object, no prediction and no comparison of designs; the
 rows of a failed fit hold placeholders, 0.5 in ``pi`` and 0 in ``m1`` and
-``m0``. ``A`` and ``Y`` are (b, n) stacks too. The check that each fitted
-and truncated ``pi`` lies inside (0, 1) runs on the whole stack. Per
+``m0``. ``A`` and ``Y`` are (b, n) stacks too. A fitted and truncated
+``pi`` is not checked again: the fit keeps it strictly inside (0, 1). Per
 propensity fit, the pass evaluates the targets as one C-contiguous
 (b, targets, n) block ``H``, each standard or linear target once on the
 whole stack and a covariate target's function once per replicate, and
@@ -88,14 +88,7 @@ from .data import ObservationalDataset, _Stack
 from .design import DesignSpec
 from .errors import EstimationError, FitFailure, MissingModelError, WateError
 from .models import _check_percentiles, _fit_outcomes, _fit_propensities, _truncated
-from .targets import (
-    _PI_RANGE,
-    TargetFunction,
-    TargetKind,
-    _checked_pi,
-    _h_values,
-    _outside,
-)
+from .targets import TargetFunction, TargetKind, _checked_pi, _h_values
 
 
 class EstimatorKind(enum.Enum):
@@ -580,8 +573,11 @@ def _fit(stack: _Stack, fit: tuple[object, ...]) -> tuple[object, dict[int, FitF
     """The vectors of ``fit`` on a stack of replicates, as (b, n) stacks,
     and the :class:`FitFailure` of each replicate it failed on, by position:
     the vectors supplied to a stack of one, ``pi`` of the stacked propensity
-    fit, truncated and checked on the whole stack (0.5 where it failed), or
-    ``(m1, m0)`` of the stacked outcome fit (0 where it failed)."""
+    fit, truncated on the whole stack (0.5 where it failed), or ``(m1, m0)``
+    of the stacked outcome fit (0 where it failed). A fitted ``pi`` needs no
+    check: the IRLS fails a fit that reaches its clamp, so each fit lies
+    strictly inside (``PROB_CLAMP``, 1 - ``PROB_CLAMP``), and a truncation
+    only clips it at its own percentiles."""
     stage, design, extra = fit
     if design is None:
         if stage == "outcome":
@@ -596,11 +592,6 @@ def _fit(stack: _Stack, fit: tuple[object, ...]) -> tuple[object, dict[int, FitF
     if extra is not None:
         # A failed row, all 0.5, keeps its bits.
         pi = _truncated(pi, *extra)
-    outside = _outside(pi)
-    if outside.any():
-        error = EstimationError(_PI_RANGE)
-        for i in np.flatnonzero(outside).tolist():
-            errors[i], pi[i] = error, 0.5
     return pi, _failures(stage, errors)
 
 

@@ -650,7 +650,7 @@ def _fit_outcomes(stack: _Stack, main: DesignSpec, inter: DesignSpec) -> _Outcom
     """:func:`fit_outcome` of ``(main, inter)`` on each replicate of
     ``stack``, as stacked least squares fits of its consecutive parts of
     ``_stack_size(_PART_ROWS, n)`` replicates, joined in replicate order. A
-    part is a slice of the stack, which is not checked again."""
+    part is a slice of the stack."""
     b, n = stack.A.shape
     size = _stack_size(_PART_ROWS, n)
     parts = [_fit_outcome_part(stack, slice(i, i + size), main, inter) for i in range(0, b, size)]

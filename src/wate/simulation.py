@@ -20,10 +20,10 @@ Replicate r draws its data from the stream keyed by ``(seed, r)``. The
 replicates are split over the ``workers`` processes first, and each process
 fills its share a stack at a time, through the bootstrap's ``_map_stacks``:
 a stack is the fewest replicates that hold at least ``data._BATCH_ROWS``
-(8192) rows, ``max(1, ceil(8192 / n))``. Each stream draws its
-replicate straight into one :class:`~wate.data._Stack`, which keeps only
-``X``, ``A`` and ``Y`` and is checked once; each design is evaluated once on
-it (an outcome design once per part of an outcome fit, see
+(8192) rows, ``max(1, ceil(8192 / n))``. Each stream draws its replicate
+straight into one :class:`~wate.data._Stack`, the plain triple ``X``, ``A``
+and ``Y``, whose finite 0/1 draws need no check; each design is evaluated
+once on it (an outcome design once per part of an outcome fit, see
 :mod:`wate.models`), each working model fitted on the whole stack at once
 and every cell filled by one pass over it, which gives every replicate the
 bits it gets alone: the results do not depend on the shares, the stacks or
@@ -325,7 +325,7 @@ def _replicate_values(
     # np.where(A == 1.0, y0 + effect, y0).
     np.add(Y, effect, out=Y, where=A == 1.0)
     del effect
-    return _cell_value_rows(_Stack(X, A, Y, _COVARIATE_NAMES), plan)
+    return _cell_value_rows(_Stack(X, A, Y), plan)
 
 
 @dataclass(frozen=True)

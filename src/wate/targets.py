@@ -95,15 +95,6 @@ STANDARD_TARGETS: dict[str, TargetFunction] = {
 }
 
 
-_PI_RANGE = "propensity values must lie strictly inside (0, 1)"
-
-
-def _outside(pi: NDArray[np.float64]) -> NDArray[np.bool_]:
-    """Whether each row of ``pi`` has a value outside (0, 1), NaN included;
-    a bool for a vector."""
-    return ~np.all((pi > 0.0) & (pi < 1.0), axis=-1)
-
-
 def _checked_pi(
     pi_hat, n: int, error: type[WateError] = TargetError
 ) -> NDArray[np.float64]:
@@ -112,8 +103,9 @@ def _checked_pi(
     pi = np.asarray(pi_hat, dtype=np.float64).ravel()
     if pi.shape[0] != n:
         raise error(f"propensity vector has length {pi.shape[0]}, expected {n}")
-    if _outside(pi):
-        raise error(_PI_RANGE)
+    # Written so that NaN fails it too.
+    if not np.all((pi > 0.0) & (pi < 1.0)):
+        raise error("propensity values must lie strictly inside (0, 1)")
     return pi
 
 

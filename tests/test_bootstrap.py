@@ -10,6 +10,7 @@ import wate
 import wate.bootstrap
 from wate.bootstrap import (
     EstimationPipeline,
+    _chunks,
     _map_stacks,
     bootstrap_se,
     bootstrap_vector,
@@ -113,6 +114,10 @@ def _hexes(indices):
     return [hex(i) for i in indices]
 
 
+def _pids(indices):
+    return [(os.getpid(), len(indices)) for _ in indices]
+
+
 @linux_only
 @pytest.mark.parametrize(
     "count, workers, pool_sizes",
@@ -123,20 +128,20 @@ def test_parallel_map_starts_no_more_workers_than_chunks(
 ):
     # Replicates of _BATCH_ROWS rows make stacks of one index. A pool size
     # counts the processes that ran fn, the caller included: it runs the
-    # first chunk, and runs everything itself when count <= 1.
-    def run(indices):
-        return [(os.getpid(), len(indices)) for _ in indices]
-
-    runs = _map_stacks(run, count, _BATCH_ROWS, workers)
-    pids = [pid for pid, _ in runs]
-    assert ([len(set(pids))] if pids else []) == pool_sizes
-    assert pids[:1] == [os.getpid()][:count]
-    assert all(size == 1 for _, size in runs)
+    # first chunk, and runs everything itself when count <= 1. So does the
+    # caller on the pool kept for platforms that do not fork, whose workers
+    # may share out the other chunks among fewer processes.
     expected = [hex(i) for i in range(count)]
-    assert _map_stacks(_hexes, count, _BATCH_ROWS, workers) == expected
-    # The pool kept for platforms that do not fork gives the same list.
-    monkeypatch.setattr(wate.bootstrap, "_FORK", False)
-    assert _map_stacks(_hexes, count, _BATCH_ROWS, workers) == expected
+    first = len(_chunks(count, min(workers, count))[0]) if count else 0
+    for fork in (True, False):
+        monkeypatch.setattr(wate.bootstrap, "_FORK", fork)
+        runs = _map_stacks(_pids, count, _BATCH_ROWS, workers)
+        pids = [pid for pid, _ in runs]
+        distinct = [len(set(pids))] if pids else []
+        assert distinct == pool_sizes if fork else distinct <= pool_sizes
+        assert [pid == os.getpid() for pid in pids] == [i < first for i in range(count)]
+        assert all(size == 1 for _, size in runs)
+        assert _map_stacks(_hexes, count, _BATCH_ROWS, workers) == expected
 
 
 def _assert_no_child_left():

@@ -1,17 +1,23 @@
+import contextlib
 import errno
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wate
+import wate.bootstrap
 from wate.bootstrap import bootstrap_vector
-from wate.cli import main, parse_estimand_token
+from wate.cli import build_report_task, main, parse_estimand_token
 from wate.data import ObservationalDataset, save_csv
 from wate.design import main_effects
 from wate.errors import EstimationError, WateError
@@ -84,7 +90,12 @@ def test_estimate_csv_matches_library(data_csv, tmp_path, capsys):
     )
 
 
-def test_estimate_bootstrap_deterministic_across_workers(data_csv, tmp_path, capsys):
+@pytest.mark.parametrize("fork", [True, False])
+def test_estimate_bootstrap_deterministic_across_workers(
+    data_csv, tmp_path, capsys, monkeypatch, fork
+):
+    # On the fork path and on the pool kept for platforms that do not fork.
+    monkeypatch.setattr(wate.bootstrap, "_FORK", fork)
     args = [
         "estimate", data_csv, "--bootstrap", "60", "--seed", "3",
         "--estimator", "ipw", "--estimand", "ate,ato", "--format", "csv",
@@ -410,7 +421,9 @@ def test_estimand_token_parser_details():
     np.testing.assert_allclose(clone.fn(X), [6.0, 4.0])
 
 
-def test_simulate_csv_and_worker_invariance(tmp_path, capsys):
+@pytest.mark.parametrize("fork", [True, False])
+def test_simulate_csv_and_worker_invariance(tmp_path, capsys, monkeypatch, fork):
+    monkeypatch.setattr(wate.bootstrap, "_FORK", fork)
     args = [
         "simulate", "--reps", "6", "--n", "60", "--outcome-model", "2",
         "--seed", "1", "--format", "csv",
@@ -721,3 +734,64 @@ def test_extreme_finite_outcomes_give_refusals_and_notes_not_numpy_warnings(tmp_
     assert run.returncode == 1
     assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
     assert "the standard deviation of the bootstrap replicates overflows" in run.stdout
+
+
+# Scales of a column of the sweep below: finite extremes up to 1e307, at
+# which a sum of a few values overflows, and down to 1e-300, at which a
+# product of two underflows.
+_SCALES = (1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e307)
+
+
+@st.composite
+def _extreme_datasets(draw):
+    """A valid dataset of 1 to 12 rows and 1 to 3 covariates, each column
+    and the outcome a draw in [-1, 1] times a scale of _SCALES; the last
+    column may be constant or a copy of the first, and the arms random,
+    separable by the first column or lopsided, with one row in one arm."""
+    n, p = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+
+    def column():
+        values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        return np.array(values) * draw(st.sampled_from(_SCALES))
+
+    X = np.column_stack([column() for _ in range(p)])
+    shape = draw(st.sampled_from(["free", "constant", "copy"]))
+    if shape == "constant":
+        X[:, -1] = X[0, -1]
+    elif shape == "copy":
+        X[:, -1] = X[:, 0]
+    arms = draw(st.sampled_from(["random", "separable", "lopsided"]))
+    if arms == "random":
+        A = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    elif arms == "separable":
+        A = X[:, 0] > np.median(X[:, 0])
+    else:
+        A = np.arange(n) == draw(st.integers(0, n - 1))
+        A ^= draw(st.booleans())
+    return ObservationalDataset(X, A.astype(np.float64), column())
+
+
+@given(_extreme_datasets(), st.booleans())
+def test_valid_extreme_data_gives_values_or_typed_errors_and_no_numpy_warning(ds, truncate):
+    # The library calls and the command line on valid but extreme data:
+    # each returns, raises a WateError or exits 0, 1 or 2, and none lets a
+    # numpy warning through.
+    names = ds.covariate_names
+    methods, tokens = ["unweighted", "regression", "ipw", "aipw"], list(STANDARD_TARGETS)
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("error")
+        for trunc in (None, (1.0, 99.0)):
+            plan = build_report_task(
+                methods, tokens, names, main_effects(names), main_effects(names), None, trunc
+            ).plan
+            for call in (lambda: fill_cells(ds, plan), lambda: bootstrap_vector(ds, plan, b=4)):
+                try:
+                    call()
+                except WateError:
+                    pass
+        path = os.path.join(tmp, "data.csv")
+        save_csv(ds, path)
+        argv = ["estimate", path, "--bootstrap", "4", "--out", os.path.join(tmp, "r")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + (["--truncate", "1,99"] if truncate else []))
+    assert code in (0, 1, 2)

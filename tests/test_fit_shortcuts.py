@@ -7,6 +7,8 @@
   ``np.clip(pi, *np.percentile(pi, [lo, hi]))``.
 * A linear factor of a monomial is the covariate column itself, the bits of
   ``x ** 1``.
+* Every propensity fit that succeeds lies strictly inside the clamp bounds,
+  before and after truncation, so the fill reads it unchecked.
 
 Their decisions must not depend on the BLAS kernel or thread count, so CI
 runs this file under two BLAS threads and another OpenBLAS kernel too.
@@ -17,7 +19,14 @@ import pytest
 
 import wate
 from wate.design import MonomialTerm
-from wate.models import _rank_errors, _truncated, truncate_propensity
+from wate.data import _Stack
+from wate.models import (
+    PROB_CLAMP,
+    _fit_propensities,
+    _rank_errors,
+    _truncated,
+    truncate_propensity,
+)
 from wate.simulation import generate_dataset
 
 
@@ -183,6 +192,39 @@ def test_each_row_of_a_stack_is_truncated_as_it_is_alone():
         assert [row.tobytes() for row in stacked] == [
             truncate_propensity(row, lo, hi).tobytes() for row in pi
         ]
+
+
+# --- the range of a fitted propensity ------------------------------------
+
+
+def test_a_fitted_propensity_lies_strictly_inside_the_clamp_bounds():
+    # 400 stacks of 1 to 5 replicates at n = 8 to 79 with 1 to 3 main
+    # effects, each column scaled by 10**e for e in [-3, 6], a third of them
+    # rounded to integers, and a treatment from the first column plus noise
+    # from 1e-4 to 10 times its scale: from overlapping to separable arms.
+    # Each fit that succeeds has every value strictly inside (PROB_CLAMP,
+    # 1 - PROB_CLAMP), also once truncated at random percentiles; a fit
+    # pinned at a bound is an error.
+    rng = np.random.default_rng(23)
+    clean = pinned = 0
+    for case in range(400):
+        b, n, p = int(rng.integers(1, 6)), int(rng.integers(8, 80)), int(rng.integers(1, 4))
+        Z = rng.standard_normal((b, n, p))
+        X = Z * 10.0 ** rng.uniform(-3, 6, (b, 1, p))
+        if case % 3 == 0:
+            X = np.round(X)
+        noise = 10.0 ** rng.uniform(-4, 1) * rng.standard_normal((b, n))
+        A = (Z[:, :, 0] + noise > rng.uniform(-0.5, 0.5)).astype(np.float64)
+        design = wate.main_effects([f"x{j + 1}" for j in range(p)])
+        fits = _fit_propensities(_Stack(X, A, np.zeros((b, n))), design)
+        lo, hi = rng.uniform(0, 50), rng.uniform(50, 100)
+        for pi, error in zip(fits.pi, fits.errors):
+            pinned += "pinned at the clamp bounds" in str(error)
+            if error is None:
+                clean += 1
+                for values in (pi, _truncated(pi[None], lo, hi)[0]):
+                    assert ((values > PROB_CLAMP) & (values < 1.0 - PROB_CLAMP)).all()
+    assert clean > 100 and pinned > 100, (clean, pinned)
 
 
 # --- monomials -------------------------------------------------------------

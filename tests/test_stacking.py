@@ -56,7 +56,7 @@ def _stacked(datasets):
     """The same-n datasets as one stack of replicates."""
     return _Stack(
         np.stack([ds.X for ds in datasets]), np.stack([ds.A for ds in datasets]),
-        np.stack([ds.Y for ds in datasets]), datasets[0].covariate_names,
+        np.stack([ds.Y for ds in datasets]),
     )
 
 
@@ -408,7 +408,7 @@ def test_an_outcome_fit_works_through_its_stack_in_parts(monkeypatch, fault):
     # every design reads, or an x2 of 1e200 in row 7, where the correct
     # design's x2^2 overflows. That fit, and only that one, fails, with the
     # error it gets alone; the others keep their bits. Each part is factored
-    # on its own and is a slice of the stack, which is not checked again.
+    # on its own.
     stack = [generate_dataset(1, 40, np.random.default_rng(seed)) for seed in range(5)]
     if fault == "rank":
         stack[3] = _with_columns(stack[3], x3=0.5)
@@ -418,12 +418,10 @@ def test_an_outcome_fit_works_through_its_stack_in_parts(monkeypatch, fault):
         stack[3] = _with_columns(stack[3], x2=x2)
     whole = _stacked(stack)
     monkeypatch.setattr(wate.models, "_PART_ROWS", 80)
-    shapes, checks = [], []
-    qr, post_init = np.linalg.qr, _Stack.__post_init__
+    shapes, qr = [], np.linalg.qr
     monkeypatch.setattr(
         np.linalg, "qr", lambda a, *args, **kw: shapes.append(a.shape[:2]) or qr(a, *args, **kw)
     )
-    monkeypatch.setattr(_Stack, "__post_init__", lambda self: checks.append(None) or post_init(self))
     for correct in (True, False):
         main, inter = outcome_design(correct, 1)
         alone = [_outcome_alone(ds, main, inter) for ds in stack]
@@ -431,9 +429,8 @@ def test_an_outcome_fit_works_through_its_stack_in_parts(monkeypatch, fault):
         if fault == "design" and correct:
             assert alone[3] == ("DesignError", "term 'x2^2' is not finite (rows 7)")
         shapes.clear()
-        checks.clear()
         fits = _fit_outcomes(whole, main, inter)
-        assert shapes == [(2, 40), (2, 40), (1, 40)] and checks == []
+        assert shapes == [(2, 40), (2, 40), (1, 40)]
         assert [_outcome_stacked(fits, j) for j in range(5)] == alone
 
 
@@ -444,16 +441,15 @@ def _map_bounds(indices):
 @pytest.mark.parametrize("fork", [True, False])
 def test_the_replicates_are_split_over_the_processes_before_they_are_stacked(monkeypatch, fork):
     # 7 replicates at n = 15 fit one stack (_BATCH_ROWS = 7n). Two workers
-    # split them 3 and 4 first and stack each share, and the pool kept for
-    # platforms that do not fork runs four shares per worker.
+    # split them 3 and 4 first and stack each share, on the fork path and on
+    # the pool kept for platforms that do not fork alike.
     monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", 7 * 15)
     monkeypatch.setattr(wate.bootstrap, "_FORK", fork)
     assert _map_stacks(_map_bounds, 7, 15, 1) == [(0, 7)] * 7
-    shares = [(0, 3)] * 3 + [(3, 7)] * 4 if fork else [(i, i + 1) for i in range(7)]
-    assert _map_stacks(_map_bounds, 7, 15, 2) == shares
+    assert _map_stacks(_map_bounds, 7, 15, 2) == [(0, 3)] * 3 + [(3, 7)] * 4
     monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", 2 * 15)
     stacks = [(0, 2)] * 2 + [(2, 3)] + [(3, 5)] * 2 + [(5, 7)] * 2
-    assert _map_stacks(_map_bounds, 7, 15, 2) == (stacks if fork else shares)
+    assert _map_stacks(_map_bounds, 7, 15, 2) == stacks
 
 
 def _set_batch_rows(monkeypatch, batch_rows, part_rows):
