@@ -325,7 +325,7 @@ class _Cell(NamedTuple):
 
 def _unweighted(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
     """``mean(Y[A==1]) - mean(Y[A==0])``: the average effect when h = 1 and
-    no model is fitted."""
+    no model is fitted, each mean summed and divided as ``np.mean`` does."""
     if c.target.kind is not TargetKind.ATE:
         raise EstimationError(f"the unweighted difference has no {c.target.label!r} form")
     values = np.zeros(q.A.shape[0])
@@ -334,7 +334,8 @@ def _unweighted(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.flo
         if treated.size == 0 or control.size == 0:
             err.setdefault(i, EstimationError("an arm is empty"))
         else:
-            values[i] = np.mean(treated) - np.mean(control)
+            sum1, sum0 = np.add.reduce(treated), np.add.reduce(control)
+            values[i] = sum1 / treated.size - sum0 / control.size
     return _finite(values, "unweighted estimate", err)
 
 

@@ -47,20 +47,20 @@ Each design is evaluated once per stack, by one
 straight into one stack of model matrices. A design that raises on the
 stack, e.g. a square that overflows in one replicate, is evaluated again
 replicate by replicate, only then, so each replicate gets its own error; the
-IRLS finds a singular information matrix the same way. The slices are
-column-major, a (b, k, n) array seen as (b, n, k): each design column is
-written to contiguous memory, and ``numpy.linalg.qr``, which copies every
-slice into a Fortran buffer for LAPACK, copies it without transposing. The
-BLAS products read row-major model matrices, since a column-major operand
-changes the bits of ``matmul``: the IRLS gets one C-contiguous copy of the
-stack, of its full-rank slices when some are not, and the outcome fit gets
-``m1`` and ``m0`` by switching the arm and interaction columns of its stack
-and copying it into one row-major buffer before each ``M @ beta``. The
-Newton steps of the logistic fit write their weighted design and log
-likelihood terms into buffers allocated once per stack. A Newton step clamps
-its probabilities in place and divides once per sigmoid. None of this
-changes the value of an element or the order of a sum, and LAPACK reads the
-same buffer in either layout, so the results are the same bits.
+IRLS finds a singular information matrix the same way. The BLAS products
+read row-major model matrices, since a column-major operand changes the
+bits of ``matmul``, so the propensity stack is row-major from the start and
+the IRLS reads it as it is, or a copy of its full-rank slices. Only the
+outcome fit, whose QR factors every part, builds column-major slices, a
+(b, k, n) array seen as (b, n, k), which ``numpy.linalg.qr`` copies into
+its Fortran buffer for LAPACK without transposing; the few propensity
+designs the QR checks are copied from either layout to the same bits. The
+outcome fit gets ``m1`` and ``m0`` by switching the arm and interaction
+columns of its stack and copying it into one row-major buffer before each
+``M @ beta``, the second time only the switched columns. The Newton steps
+of the logistic fit write their weighted design and log likelihood terms
+into buffers allocated once per stack, and clamp their probabilities in
+place. None of this changes an element's value or the order of a sum.
 
 The outcome fit's QR is the largest transient of a pass: it holds the model
 matrices, numpy's copy of them, ``q`` and LAPACK's buffers at once. So
@@ -182,11 +182,14 @@ class OutcomeModel:
 def _sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
     # exp(-|eta|) never overflows; each branch is the textbook piecewise form
     # (1/(1 + e^-eta) for eta >= 0, e^eta/(1 + e^eta) below), bit for bit:
-    # the numerator is picked per element and divided once. The terms are
-    # computed in place, into two arrays in all.
+    # the numerator exp(min(eta, 0)) is 1 or exp(-|eta|), divided once. fmin,
+    # not minimum, keeps the textbook NaN: it gives 1 for a NaN eta, and the
+    # quotient takes the NaN of 1 + exp(-|eta|), not the NaN of eta. The
+    # terms are computed in place, into two arrays in all.
     ex = np.abs(eta)
     np.exp(np.negative(ex, out=ex), out=ex)
-    p = np.where(eta >= 0, 1.0, ex)
+    p = np.fmin(eta, 0.0)
+    np.exp(p, out=p)
     return np.divide(p, np.add(ex, 1.0, out=ex), out=p)
 
 
@@ -358,13 +361,13 @@ class _PropensityFits(NamedTuple):
 
 def _fit_propensities(stack: _Stack, design: DesignSpec) -> _PropensityFits:
     """:func:`fit_propensity` of ``design`` on each replicate of ``stack``.
-    The design is evaluated once, into one stack of column-major slices,
-    the stack is checked for rank by one stacked QR, and a row-major copy of
-    the full-rank designs is fitted by one stacked IRLS."""
+    The design is evaluated once, into one row-major stack, checked for rank
+    (see :func:`_rank_errors`), and the full-rank designs are fitted by one
+    stacked IRLS, which reads the stack itself when every design is one."""
     X, A = stack.X, stack.A
     b, n = A.shape
     k = len(design) + 1
-    M = np.empty((b, k, n)).transpose(0, 2, 1)
+    M = np.empty((b, n, k))
     errors = _evaluated(lambda i: _design_matrix(design, X[i], M[i]), b, M)
     fits = _PropensityFits(
         [error or rank for error, rank in zip(errors, _rank_errors(M, "propensity design"))],
@@ -372,16 +375,9 @@ def _fit_propensities(stack: _Stack, design: DesignSpec) -> _PropensityFits:
     )
     rows = [i for i, error in enumerate(fits.errors) if error is None]
     if rows:
-        # One row-major copy for the IRLS's BLAS products, of the full-rank
-        # slices when some are not; fancy indexing the stack would keep its
-        # column-major layout. The stack is freed before the IRLS, which
-        # needs only the copy.
-        full_rank = np.empty((b, n, k))
-        np.copyto(full_rank, M)
-        del M
         if len(rows) < b:
-            full_rank, A = full_rank[rows], A[rows]
-        _irls(full_rank, A, fits, rows)
+            M, A = M[rows], A[rows]
+        _irls(M, A, fits, rows)
     return fits
 
 
@@ -703,13 +699,14 @@ def _fit_outcome_part(
         if rows:
             beta[rows] = np.linalg.solve(r[rows], qty[rows])
     # Switching the arm in place writes 1*g and 0*g, the bits a matrix
-    # rebuilt for each arm would hold. The products read a row-major copy.
+    # rebuilt for each arm would hold. The products read a row-major copy,
+    # of which the second arm rewrites only the switched columns.
     row_major = np.empty((b, n, k))
     _set_arm(M, 1.0, G)
     np.copyto(row_major, M)
     m1 = row_major @ beta
     _set_arm(M, 0.0, G)
-    np.copyto(row_major, M)
+    np.copyto(row_major[:, :, kb + 1:], M[:, :, kb + 1:])
     m0 = row_major @ beta
     return _OutcomeFits(errors, beta[:, :, 0], m1[:, :, 0], m0[:, :, 0])
 

@@ -323,7 +323,7 @@ def _replicate_values(
     X, A, Y, effect = _draw(design.outcome_model, design.n, rngs)
     # Y holds y0 until the effect is added where treated: the bits of
     # np.where(A == 1.0, y0 + effect, y0).
-    np.add(Y, effect, out=Y, where=A == 1.0)
+    np.putmask(Y, A == 1.0, Y + effect)
     del effect
     return _cell_value_rows(_Stack(X, A, Y), plan)
 

@@ -789,6 +789,21 @@ def test_unweighted_is_the_raw_difference_in_arm_means(which):
     assert got.value.hex() == expected.hex()
 
 
+def test_a_stacked_unweighted_difference_has_np_means_bits():
+    # 60 replicates at n = 2 to 300 whose treated arm holds 1 to n - 1 rows,
+    # outcomes at scales from 1e-3 to 1e6, in one stack per n.
+    rng = np.random.default_rng(37)
+    plan = plan_cells([EstimationPipeline(average_effect(), EstimatorKind.UNWEIGHTED)])
+    for n in (2, 3, 17, 300):
+        A = np.zeros((15, n))
+        for row, treated in zip(A, rng.integers(1, n, 15)):
+            row[rng.permutation(n)[:treated]] = 1.0
+        Y = rng.standard_normal((15, n)) * 10.0 ** rng.uniform(-3, 6, (15, 1))
+        values = _cell_value_rows(_Stack(np.zeros((15, n, 1)), A, Y), plan)
+        for (value,), a, y in zip(values, A, Y):
+            assert value.tobytes() == (np.mean(y[a == 1.0]) - np.mean(y[a == 0.0])).tobytes()
+
+
 def test_unweighted_refuses_an_empty_arm_and_other_targets():
     ds, _, _ = random_instance(21, n=20)
     treated_only = ObservationalDataset(X=ds.X, A=np.ones(ds.n), Y=ds.Y)

@@ -9,6 +9,10 @@
   ``x ** 1``.
 * Every propensity fit that succeeds lies strictly inside the clamp bounds,
   before and after truncation, so the fill reads it unchecked.
+* The fast forms of the pass give the bits of the forms they replace: the
+  sigmoid's ``exp(fmin(eta, 0))`` numerator those of the textbook select,
+  the study's masked ``putmask`` those of a select of ``y0 + effect``; and
+  the IRLS fits the very stack a full-rank design was evaluated into.
 
 Their decisions must not depend on the BLAS kernel or thread count, so CI
 runs this file under two BLAS threads and another OpenBLAS kernel too.
@@ -24,15 +28,22 @@ from wate.models import (
     PROB_CLAMP,
     _fit_propensities,
     _rank_errors,
+    _sigmoid,
     _truncated,
     truncate_propensity,
 )
-from wate.simulation import generate_dataset
+from wate.simulation import (
+    SimulationDesign,
+    _replicate_values,
+    generate_dataset,
+    propensity_design,
+)
 
 
 def _column_major(*matrices):
-    """The (n, k) matrices as one stack of column-major slices, the layout
-    the fits hand the rank check."""
+    """The (n, k) matrices as one stack of column-major slices: the rank
+    check must decide on them as on the row-major stack the propensity fit
+    hands it."""
     b = len(matrices)
     n, k = matrices[0].shape
     M = np.empty((b, k, n)).transpose(0, 2, 1)
@@ -76,19 +87,20 @@ def test_only_designs_the_gram_matrix_cannot_prove_reach_the_qr(monkeypatch):
     designs[2][:, 3] = designs[2][:, 1]
     designs[3][:, 1] = 3.0
     designs[5][7, 2] = 1e200
-    M = _column_major(*designs)
     calls = _factored(monkeypatch)
-    errors = _described(_rank_errors(M, "propensity design"))
-    assert calls == [("r", 4)]
-    assert errors == _by_qr(M, "propensity design")
-    assert [e is None for e in errors] == [True, True, False, False, True, False]
-    assert errors[2][1].startswith(
-        "propensity design matrix is numerically rank deficient (min/max |R_jj| = "
-    )
-    # A well-conditioned stack is not factored at all.
-    calls.clear()
-    assert _rank_errors(M[[0, 4]], "propensity design") == [None, None]
-    assert calls == []
+    for M in (np.array(designs), _column_major(*designs)):
+        calls.clear()
+        errors = _described(_rank_errors(M, "propensity design"))
+        assert calls == [("r", 4)]
+        assert errors == _by_qr(M, "propensity design")
+        assert [e is None for e in errors] == [True, True, False, False, True, False]
+        assert errors[2][1].startswith(
+            "propensity design matrix is numerically rank deficient (min/max |R_jj| = "
+        )
+        # A well-conditioned stack is not factored at all.
+        calls.clear()
+        assert _rank_errors(M[[0, 4]], "propensity design") == [None, None]
+        assert calls == []
 
 
 def test_the_gram_proof_agrees_with_the_qr_on_every_conditioning():
@@ -96,12 +108,13 @@ def test_the_gram_proof_agrees_with_the_qr_on_every_conditioning():
     # in [-9, 9], a fifth of them with a column repeated up to 1e-12: from
     # well conditioned through the Gram proof's bound to rank deficient.
     rng = np.random.default_rng(11)
-    M = _column_major(*rng.standard_normal((400, 30, 4)))
+    M = rng.standard_normal((400, 30, 4))
     M *= 10.0 ** rng.uniform(-9, 9, (400, 1, 4))
     near = rng.random(400) < 0.2
     M[near, :, 3] = M[near, :, 0] * (1 + 1e-12 * rng.standard_normal((near.sum(), 30)))
     errors = _described(_rank_errors(M, "design"))
     assert errors == _by_qr(M, "design")
+    assert errors == _described(_rank_errors(_column_major(*M), "design"))
     assert 0 < sum(e is not None for e in errors) < 400
 
 
@@ -237,3 +250,65 @@ def test_a_linear_factor_is_the_column_itself():
         for powers in (((0, 1),), ((0, 1), (2, 1)), ((1, 2), (2, 1)), ((0, 1), (1, 3))):
             expected = np.prod([X[:, c] ** e for c, e in powers], axis=0)
             assert MonomialTerm("t", powers)(X).tobytes() == expected.tobytes()
+
+
+# --- fast forms ------------------------------------------------------------
+
+
+def _textbook_sigmoid(eta):
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
+
+
+def test_the_sigmoid_is_the_textbook_select_to_the_bit():
+    # Signed zeros, infinities and NaNs, exp's overflow and underflow edges,
+    # the largest and the smallest doubles, then 10^5 values at scales from
+    # 1e-3 to 1e2; every prefix up to 40 values too, for the vector loops'
+    # tails. A NaN must come out as the textbook's NaN, sign included.
+    rng = np.random.default_rng(29)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+               745.2, -745.2, 1e308, -1e308, 5e-324, -5e-324]
+    values = rng.standard_normal(10**5) * 10.0 ** rng.uniform(-3, 2, 10**5)
+    eta = np.concatenate([special, values])
+    for m in (*range(1, 41), eta.size):
+        assert _sigmoid(eta[:m]).tobytes() == _textbook_sigmoid(eta[:m]).tobytes()
+
+
+@pytest.mark.parametrize("outcome_model", [1, 2])
+def test_the_study_adds_the_effect_with_the_bits_of_a_select(monkeypatch, outcome_model):
+    # Each replicate's observed outcome in the study's stack is the one
+    # generate_dataset selects, np.where(A == 1.0, y0 + effect, y0).
+    design = SimulationDesign(outcome_model=outcome_model, n=300, seed=31)
+    stacks = []
+    monkeypatch.setattr(
+        wate.simulation, "_cell_value_rows", lambda stack, plan: stacks.append(stack) or []
+    )
+    _replicate_values(design, None, range(4, 13))
+    (stack,) = stacks
+    for rep, Y in zip(range(4, 13), stack.Y):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=31, spawn_key=(rep,)))
+        assert Y.tobytes() == generate_dataset(outcome_model, 300, rng).Y.tobytes()
+
+
+def test_the_irls_fits_the_stack_the_designs_were_evaluated_into(monkeypatch):
+    # The propensity stack is row-major from the start: when every design
+    # has full rank, the IRLS reads that very array, not a copy of it.
+    evaluated, fitted = [], []
+    design_matrix, irls = wate.models._design_matrix, wate.models._irls
+
+    def recording_design_matrix(design, X, out=None):
+        evaluated.append(out)
+        return design_matrix(design, X, out)
+
+    def recording_irls(M, *args):
+        fitted.append(M)
+        return irls(M, *args)
+
+    monkeypatch.setattr(wate.models, "_design_matrix", recording_design_matrix)
+    monkeypatch.setattr(wate.models, "_irls", recording_irls)
+    data = [generate_dataset(1, 200, np.random.default_rng(seed)) for seed in range(3)]
+    stack = _Stack(*(np.stack([getattr(ds, a) for ds in data]) for a in "XAY"))
+    fits = _fit_propensities(stack, propensity_design(True))
+    assert fits.errors == [None] * 3
+    (out,), (M,) = evaluated, fitted
+    assert M.shape == out.shape and M.flags.c_contiguous and np.shares_memory(M, out)

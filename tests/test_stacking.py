@@ -234,11 +234,11 @@ def test_a_stacked_outcome_fit_gives_each_dataset_its_own_bits(n, correct, model
 @pytest.mark.parametrize("k", [4, 5, 6, 12])
 @pytest.mark.parametrize("b", [1, 4])
 def test_qr_gives_the_same_bits_on_a_column_major_stack(b, k, n):
-    # The fits hand numpy.linalg.qr column-major slices; numpy copies each
-    # slice into a Fortran buffer before LAPACK reads it, so the layout of
-    # its input must change no bit of q, of R or of the R-only R. Slice 0
-    # repeats a column, so its smallest |R_jj| is rounding noise, which the
-    # rank message prints.
+    # The outcome fit hands numpy.linalg.qr column-major slices, the
+    # propensity rank check row-major ones; numpy copies each slice into a
+    # Fortran buffer before LAPACK reads it, so the layout of its input must
+    # change no bit of q, of R or of the R-only R. Slice 0 repeats a column,
+    # so its smallest |R_jj| is rounding noise, which the rank message prints.
     M = np.random.default_rng([b, k, n]).standard_normal((b, n, k))
     M[:, :, 0] = 1.0
     M[0, :, k - 1] = M[0, :, 1]
@@ -253,13 +253,15 @@ def test_qr_gives_the_same_bits_on_a_column_major_stack(b, k, n):
     assert n < k or r_diag.min() <= RANK_TOL * r_diag.max()
 
 
-def test_qr_reads_column_major_slices_and_irls_row_major_stacks(monkeypatch):
-    # The model matrices are built column-major for LAPACK; every BLAS
-    # product of the IRLS reads a row-major copy, whose bits a column-major
-    # operand would change. A propensity design whose Gram matrix proves it
-    # full rank is not factored: of the two propensity stacks, only the
-    # rank-deficient dataset reaches the QR, as a stack of one. Each outcome
-    # fit factors its whole stack.
+def test_qr_reads_column_major_outcome_slices_and_irls_row_major_stacks(monkeypatch):
+    # The outcome model matrices are built column-major for LAPACK, since
+    # the QR factors every part. The propensity stack is row-major from the
+    # start, for the IRLS's BLAS products, whose bits a column-major operand
+    # would change; its QR, which numpy.linalg.qr gives the same bits from
+    # either layout, runs only on the designs the Gram matrix cannot prove
+    # full rank. So of the two propensity stacks, only the rank-deficient
+    # dataset reaches the QR, as a row-major stack of one. Each outcome fit
+    # factors its whole stack.
     seen = []
     qr, irls = np.linalg.qr, wate.models._irls
 
@@ -282,7 +284,7 @@ def test_qr_reads_column_major_slices_and_irls_row_major_stacks(monkeypatch):
     for correct in (True, False):  # separate interaction columns, then shared ones
         _fit_outcomes(_stacked(data), *outcome_design(correct, 1))
     assert seen == [
-        ("irls", 3, True), ("qr", 1, True), ("irls", 5, True), ("qr", 3, True), ("qr", 3, True)
+        ("irls", 3, True), ("qr", 1, False), ("irls", 5, True), ("qr", 3, True), ("qr", 3, True)
     ]
 
 
