@@ -19,9 +19,9 @@ Replicate i draws its indices from a dedicated random stream keyed by
 order. ``_map_stacks``, the one parallel map, splits the replicates into
 one contiguous chunk per process, the caller's first, by the same rule on
 every platform, and each process fills its chunk in stacks of the fewest
-consecutive replicates that hold at least ``_BATCH_ROWS`` = 8192 rows
-(``max(1, ceil(8192 / n))``, from :mod:`wate.data`: 8192 to 16383 rows up
-to n = 8192, pairs at n = 5000, one replicate above n = 8192), the last one
+consecutive replicates that hold at least ``_BATCH_ROWS`` = 12288 rows
+(``max(1, ceil(12288 / n))``, from :mod:`wate.data`: 12288 to 24575 rows up
+to n = 12288, threes at n = 5000, one replicate above n = 12288), the last one
 shorter: the rows of a stack are gathered by one ``numpy.take`` per array
 over its (b, n) index stack into a :class:`~wate.data._Stack`, each design
 is evaluated once on it, each working model of the plan is fitted on it at

@@ -141,16 +141,22 @@ class ObservationalDataset:
 
 # Rows of data per stack of replicates: the study and the bootstrap draw or
 # gather, fit and fill ``_stack_size(_BATCH_ROWS, n)`` replicates at a time,
-# the fewest that hold at least 8192 rows (8192 to 16383 rows for n <= 8192),
-# which pays numpy's fixed cost per call once per stack. With only the IRLS
-# stacked, 8 replicates at n = 1000 gained no more than 4; with the outcome
-# fits, the fill and the data path stacked too, 8192 rows took about 10% off
-# a study's wall time against 4096, at 2-3% more peak memory. Rounding up
-# makes an n = 5000 bootstrap fit its refits in pairs, which took 8% off its
-# wall time against one at a time, at 1% more peak memory. An outcome fit
-# works through its stack in parts sized by the same rule from half as many
-# rows (see wate.models). Above n = 8192 a stack holds one replicate.
-_BATCH_ROWS = 8192
+# the fewest that hold at least 12288 rows (12288 to 24575 rows for n <=
+# 12288), which pays numpy's fixed cost per call once per stack. With only
+# the IRLS stacked, 8 replicates at n = 1000 gained no more than 4; with the
+# outcome fits, the fill and the data path stacked too, 8192 rows took about
+# 10% off a study's wall time against 4096, at 2-3% more peak memory.
+# Rounding up made an n = 5000 bootstrap fit its refits in pairs, which took
+# 8% off its wall time against one at a time, at 1% more peak memory. With
+# an IRLS that allocates its vectors once per stack, 12288 rows against 8192
+# (stacks of 13 rather than 9 at n = 1000, threes rather than pairs at n =
+# 5000) took 3.5% off the 50-replicate study at n = 1000 and 5.2% off the
+# n = 5000 bootstrap (10 of 10 pairs each), at 2.5% and 0.8% more peak
+# memory (x86-64, one BLAS thread); 16384 rows raised the study's peak by
+# 6%. An outcome fit works through its stack in parts sized by the same
+# rule from a third as many rows (see wate.models). From n = 12288 a stack
+# holds one replicate.
+_BATCH_ROWS = 12288
 
 
 def _stack_size(rows: int, n: int) -> int:

@@ -58,23 +58,26 @@ designs the QR checks are copied from either layout to the same bits. The
 outcome fit gets ``m1`` and ``m0`` by switching the arm and interaction
 columns of its stack and copying it into one row-major buffer before each
 ``M @ beta``, the second time only the switched columns. The Newton steps
-of the logistic fit write their weighted design and log likelihood terms
-into buffers allocated once per stack, and clamp their probabilities in
-place. None of this changes an element's value or the order of a sum.
+of the logistic fit write their weighted design and every vector of the
+main path into buffers allocated once per stack, and a problem that leaves
+the stack is dropped by moving the others' model matrices forward in place
+(see :func:`_irls`). None of this changes an element's value or the order
+of a sum.
 
 The outcome fit's QR is the largest transient of a pass: it holds the model
 matrices, numpy's copy of them, ``q`` and LAPACK's buffers at once. So
 :func:`_fit_outcomes` works through its stack in consecutive parts of
 the fewest replicates that hold at least ``_PART_ROWS`` rows,
-``max(1, ceil(_PART_ROWS / n))``, ``_PART_ROWS`` being half the stack's
-``wate.data._BATCH_ROWS`` (4096 of 8192 rows), each part evaluated,
+``max(1, ceil(_PART_ROWS / n))``, ``_PART_ROWS`` being a third of the
+stack's ``wate.data._BATCH_ROWS`` (4096 of 12288 rows), each part evaluated,
 factored, checked for rank and solved as one stack. A part holds 4096 to
 8191 rows up to n = 4096 and one replicate above it (5000 rows at n = 1000
 and at n = 5000), which keeps the QR's peak at a part's rows rather than a
-whole stack's; factoring all 8192 rows of a stack at once was no faster and
-raised a study's peak memory by 1 MB more (n = 1000). The IRLS
-and the fill, whose fixed cost per numpy call is what a larger stack saves,
-take the whole stack.
+whole stack's: factoring a whole stack of 8192 rows at once was no faster
+and raised a study's peak memory by 1 MB more (n = 1000), and parts of
+half of 12288 rows, which pair the replicates at n = 5000, raised the
+bootstrap's peak by 1.4 MB (3%) more. The IRLS and the fill, whose fixed
+cost per numpy call is what a larger stack saves, take the whole stack.
 
 At bootstrap sizes the n-by-k blocks of a fit (the stack, its row-major
 copy, ``numpy.linalg.qr``'s copy of it and ``q``) are freed at the end of
@@ -140,7 +143,7 @@ _keep_freed_heap()
 
 
 # Rows of data per part of an outcome fit; see the module docstring.
-_PART_ROWS = _BATCH_ROWS // 2
+_PART_ROWS = _BATCH_ROWS // 3
 
 SCORE_TOL = 1e-8
 MAX_ITER = 100
@@ -179,22 +182,31 @@ class OutcomeModel:
     m0: NDArray[np.float64] | None = field(default=None, repr=False)
 
 
-def _sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
+def _sigmoid(
+    eta: NDArray[np.float64],
+    out: NDArray[np.float64] | None = None,
+    ex: NDArray[np.float64] | None = None,
+) -> NDArray[np.float64]:
     # exp(-|eta|) never overflows; each branch is the textbook piecewise form
     # (1/(1 + e^-eta) for eta >= 0, e^eta/(1 + e^eta) below), bit for bit:
     # the numerator exp(min(eta, 0)) is 1 or exp(-|eta|), divided once. fmin,
     # not minimum, keeps the textbook NaN: it gives 1 for a NaN eta, and the
     # quotient takes the NaN of 1 + exp(-|eta|), not the NaN of eta. The
-    # terms are computed in place, into two arrays in all.
-    ex = np.abs(eta)
+    # terms are computed in place, into two arrays in all: ``out``, which
+    # is returned, and ``ex``, new ones where not given.
+    ex = np.abs(eta, out=ex)
     np.exp(np.negative(ex, out=ex), out=ex)
-    p = np.fmin(eta, 0.0)
+    p = np.fmin(eta, 0.0, out=out)
     np.exp(p, out=p)
     return np.divide(p, np.add(ex, 1.0, out=ex), out=p)
 
 
-def _clamped_sigmoid(eta: NDArray[np.float64]) -> NDArray[np.float64]:
-    p = _sigmoid(eta)
+def _clamped_sigmoid(
+    eta: NDArray[np.float64],
+    out: NDArray[np.float64] | None = None,
+    ex: NDArray[np.float64] | None = None,
+) -> NDArray[np.float64]:
+    p = _sigmoid(eta, out, ex)
     np.maximum(p, PROB_CLAMP, out=p)
     return np.minimum(p, 1.0 - PROB_CLAMP, out=p)
 
@@ -410,24 +422,32 @@ def _irls(
 
     The stack's length-n vectors are kept end to end in one flat array:
     numpy's fixed cost per call is lower on 1-D arrays, and elementwise
-    arithmetic gives the same bits in either shape.
+    arithmetic gives the same bits in either shape. Each update writes its
+    vectors into buffers made once per stack, of which a shrunken stack
+    uses the leading part: the weighted design; two scratch vectors, which
+    hold in turn the score residual ``A - p``, the weights ``p(1 - p)`` and
+    ``M @ cand`` (the first), the sigmoid's ``exp(-|eta|)`` (the second) and
+    the log likelihood's two terms (both); and the candidate probabilities,
+    written over the probabilities before the last update, the two buffers
+    swapping at each update. Only the step halving allocates its own. A
+    problem that leaves is dropped by moving the remaining problems' model
+    matrices forward in ``M``, which the fit owns and overwrites; ``A``, a
+    view of the stack, is never written, and it and the other vectors are
+    taken by index.
     """
     b, n, k = M.shape
     # Each problem's row in fits (ids) and its log likelihood are Python
     # values: a comparison per problem costs less than a numpy call per stack.
     A = A.reshape(-1)
     not_A = 1.0 - A
-    # Every Newton step rewrites these instead of allocating its own; a
-    # shrunken stack uses their leading part.
     weighted = np.empty_like(M)
-    log_p = np.empty(b * n)
-    log_q = np.empty(b * n)
+    scratch, p_next = np.empty((2, b * n)), np.empty(b * n)
 
     alpha = np.zeros((b, k, 1))
     # The probabilities at alpha = 0: M is finite, so M @ alpha is +-0 and
     # its clamped sigmoid exactly 1/2.
     p = np.full(b * n, 0.5)
-    ll = _loglik(p, A, not_A, log_p, log_q, n)
+    ll = _loglik(p, A, not_A, *scratch, n)
     updates = 0
     # The problems leaving the stack, with their error messages ("" for a
     # fit that converged).
@@ -445,10 +465,15 @@ def _irls(
             if not keep:
                 break
             ids, ll = [ids[j] for j in keep], [ll[j] for j in keep]
-            M, alpha = M[keep], alpha[keep]
+            # M[keep] would be a second stack of model matrices.
+            for i, j in enumerate(keep):
+                if i < j:
+                    M[i] = M[j]
+            M, alpha = M[:len(keep)], alpha[keep]
             A, not_A, p = (x.reshape(-1, n)[keep].reshape(-1) for x in (A, not_A, p))
         m = len(ids)
-        score = M.transpose(0, 2, 1) @ (A - p).reshape(m, n, 1)
+        s1, s2 = scratch[:, :m * n]
+        score = M.transpose(0, 2, 1) @ np.subtract(A, p, out=s1).reshape(m, n, 1)
         top = np.maximum.reduce(np.abs(score[:, :, 0]), axis=1).tolist()
         exits = {
             j: "" if t < SCORE_TOL else f"propensity fit did not converge in {MAX_ITER} "
@@ -457,7 +482,7 @@ def _irls(
         }
         if exits:
             continue
-        w = p * (1.0 - p)
+        w = np.multiply(p, np.subtract(1.0, p, out=s1), out=s1)
         hessian = np.multiply(M, w.reshape(m, n, 1), out=weighted[:m]).transpose(0, 2, 1) @ M
         try:
             delta = np.linalg.solve(hessian, score)
@@ -479,8 +504,9 @@ def _irls(
         # halved equally often.
         floor = [v - max(1e-12, 2 * math.ulp(v)) for v in ll]
         cand = alpha + delta
-        p_cand = _clamped_sigmoid((M @ cand).reshape(-1))
-        ll_cand = _loglik(p_cand, A, not_A, log_p[:m * n], log_q[:m * n], n)
+        eta = np.matmul(M, cand, out=s1.reshape(m, n, 1))
+        p_cand = _clamped_sigmoid(eta.reshape(-1), p_next[:m * n], s2)
+        ll_cand = _loglik(p_cand, A, not_A, s1, s2, n)
         halving = [j for j in range(m) if not ll_cand[j] >= floor[j]]
         step = 1.0
         for _ in range(49):
@@ -496,7 +522,7 @@ def _irls(
             for j, value in zip(halving, lc):
                 ll_cand[j] = value
             halving = [j for j, value in zip(halving, lc) if not value >= floor[j]]
-        alpha, p, ll = cand, p_cand, ll_cand
+        alpha, p, p_next, ll = cand, p_cand, p, ll_cand
         updates += 1
     # The score can vanish with fitted probabilities stuck at the clamp
     # bounds, which is how separated data present themselves here. Such a

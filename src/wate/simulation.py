@@ -20,7 +20,7 @@ Replicate r draws its data from the stream keyed by ``(seed, r)``. The
 replicates are split over the ``workers`` processes first, and each process
 fills its share a stack at a time, through the bootstrap's ``_map_stacks``:
 a stack is the fewest replicates that hold at least ``data._BATCH_ROWS``
-(8192) rows, ``max(1, ceil(8192 / n))``. Each stream draws its replicate
+(12288) rows, ``max(1, ceil(12288 / n))``. Each stream draws its replicate
 straight into one :class:`~wate.data._Stack`, the plain triple ``X``, ``A``
 and ``Y``, whose finite 0/1 draws need no check; each design is evaluated
 once on it (an outcome design once per part of an outcome fit, see

@@ -11,12 +11,16 @@
   before and after truncation, so the fill reads it unchecked.
 * The fast forms of the pass give the bits of the forms they replace: the
   sigmoid's ``exp(fmin(eta, 0))`` numerator those of the textbook select,
-  the study's masked ``putmask`` those of a select of ``y0 + effect``; and
-  the IRLS fits the very stack a full-rank design was evaluated into.
+  the study's masked ``putmask`` those of a select of ``y0 + effect``, and
+  the IRLS's products and sigmoid written into its buffers those of the
+  calls that allocate; the IRLS fits the very stack a full-rank design was
+  evaluated into, and its traced peak stays within 2k + 10 vectors per row.
 
 Their decisions must not depend on the BLAS kernel or thread count, so CI
 runs this file under two BLAS threads and another OpenBLAS kernel too.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from wate.design import MonomialTerm
 from wate.data import _Stack
 from wate.models import (
     PROB_CLAMP,
+    _clamped_sigmoid,
     _fit_propensities,
     _rank_errors,
     _sigmoid,
@@ -38,6 +43,8 @@ from wate.simulation import (
     generate_dataset,
     propensity_design,
 )
+
+from test_stacking import _stacked, _study_draw
 
 
 def _column_major(*matrices):
@@ -312,3 +319,48 @@ def test_the_irls_fits_the_stack_the_designs_were_evaluated_into(monkeypatch):
     assert fits.errors == [None] * 3
     (out,), (M,) = evaluated, fitted
     assert M.shape == out.shape and M.flags.c_contiguous and np.shares_memory(M, out)
+
+
+def test_the_irls_buffers_give_the_bits_of_the_calls_that_allocate():
+    # The IRLS writes M @ cand and its clamped sigmoid into the leading part
+    # of flat buffers made for the whole stack, which hold stale values; each
+    # must give the bits of the call that allocates, at stack and row counts
+    # that leave vector loop tails. The sigmoid's eta takes special values
+    # and logits from 1e-3 to 1e3 in size.
+    rng = np.random.default_rng(37)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 40.0, -40.0]
+    for m, n, k in ((1, 7, 2), (3, 1000, 6), (4, 33, 4), (13, 1000, 6)):
+        M = rng.standard_normal((m, n, k)) * 10.0 ** rng.uniform(-1, 1, (m, 1, k))
+        cand = rng.standard_normal((m, k, 1))
+        scratch = np.full((2, (m + 2) * n), np.nan)
+        s1, s2 = scratch[:, :m * n]
+        eta = np.matmul(M, cand, out=s1.reshape(m, n, 1))
+        assert np.shares_memory(eta, s1) and eta.tobytes() == (M @ cand).tobytes()
+        values = eta.reshape(-1) * 10.0 ** rng.uniform(-3, 3, m * n)
+        values[:len(special)] = special[:m * n]
+        expected = _clamped_sigmoid(values)
+        out = np.full((m + 1) * n, np.nan)[:m * n]
+        p = _clamped_sigmoid(values, out, s2)
+        assert p is out and p.tobytes() == expected.tobytes()
+        assert _sigmoid(values, out, s2).tobytes() == _sigmoid(values).tobytes()
+
+
+def test_the_irls_peak_stays_within_2k_plus_10_vectors_per_row():
+    # The study's first stack at n = 1000 under the misspecified design (k =
+    # 6): its problems leave the IRLS after 4 and 5 updates, so the stack is
+    # compacted once. The fit's traced peak, its model matrices, weighted
+    # design, buffers and result included, stays within 2k + 10 length-(b n)
+    # vectors; copying the staying problems' model matrices, or allocating
+    # each update's vectors, goes past it.
+    data, design = _study_draw()
+    stack = _stacked(data)
+    b, n = stack.A.shape
+    k = len(design) + 1
+    tracemalloc.start()
+    try:
+        fits = _fit_propensities(stack, design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fits.errors == [None] * b and set(fits.iterations) == {4, 5}
+    assert peak <= (2 * k + 10) * 8 * b * n, peak / (8 * b * n) - 2 * k

@@ -195,9 +195,10 @@ def test_study_cells_layout():
 
 
 def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypatch):
-    # 43 replicates of the default 30-cell grid at n = 200, in stacks of the
+    # 65 replicates of the default 30-cell grid at n = 200, in stacks of the
     # fewest replicates that hold _BATCH_ROWS rows and outcome parts of the
-    # fewest that hold _PART_ROWS (41 and 2, and 21, 20 and 2 at 8192 rows):
+    # fewest that hold _PART_ROWS (62 and 3, and 21, 21, 20 and 3 at 12288
+    # rows):
     # per replicate, 2 propensity and 2 outcome fits and no prediction (the
     # cells read the fits' own in-sample vectors). Per stack, one design
     # evaluation per propensity design; per outcome part, 3 (one for the
@@ -236,7 +237,7 @@ def test_study_replicate_fits_each_working_model_once_and_predicts_none(monkeypa
     monkeypatch.setattr(
         wate.models, "_outcome_matrix", counting("outcome_matrix", wate.models._outcome_matrix)
     )
-    reps, n = 43, 200
+    reps, n = 65, 200
     stack, part = -(-wate.bootstrap._BATCH_ROWS // n), -(-wate.models._PART_ROWS // n)
     stacks = [min(stack, reps - start) for start in range(0, reps, stack)]
     parts = sum(-(-size // part) for size in stacks)

@@ -116,7 +116,17 @@ def _one_covariate_stack():
     return [singular, converging, halved, separated, constant, converging], main_effects(("x1",))
 
 
-@pytest.mark.parametrize("make_stack", [_simulated_stack, _one_covariate_stack])
+def _study_draw():
+    """The study's first stack at n = 1000 (outcome model 1, seed 0, 13
+    replicates) for the misspecified design: problems 2 and 5 leave after 4
+    updates and the others after 5, so the IRLS moves the staying problems'
+    model matrices forward in place once."""
+    seeds = (np.random.SeedSequence(entropy=0, spawn_key=(rep,)) for rep in range(13))
+    stack = [generate_dataset(1, 1000, np.random.default_rng(seed)) for seed in seeds]
+    return stack, propensity_design(False)
+
+
+@pytest.mark.parametrize("make_stack", [_simulated_stack, _one_covariate_stack, _study_draw])
 def test_a_stacked_fit_gives_each_problem_its_own_bits(make_stack):
     stack, design = make_stack()
     alone = [_record(_fit_propensities(_stacked([ds]), design), 0) for ds in stack]
@@ -553,22 +563,23 @@ def test_a_bootstrap_gathers_each_stack_once(monkeypatch):
 
 
 def test_a_stack_is_the_fewest_replicates_that_hold_the_batch_rows():
-    # Stacks round up: at least _BATCH_ROWS = 8192 rows, fewer than 16384
-    # up to n = 8192, pairs from n = 4097 to 8191, and one replicate above.
-    assert _DEFAULT_BATCH_ROWS == 8192
+    # Stacks round up: at least _BATCH_ROWS = 12288 rows, fewer than 24576
+    # up to n = 12288, threes from n = 4096 to 6143, pairs from n = 6144
+    # to 12287, and one replicate from n = 12288.
+    assert _DEFAULT_BATCH_ROWS == 12288
     sizes = {}
-    for n in (200, 1000, 4096, 4097, 5000, 8192, 8193):
+    for n in (200, 1000, 4096, 5000, 6143, 6144, 12288):
         stacks = []
         _map_stacks(lambda indices: stacks.append(len(indices)) or list(indices), 100, n, 1)
         sizes[n] = stacks[0]
         assert sum(stacks) == 100 and set(stacks[:-1]) == {stacks[0]}
-    assert sizes == {200: 41, 1000: 9, 4096: 2, 4097: 2, 5000: 2, 8192: 1, 8193: 1}
+    assert sizes == {200: 62, 1000: 13, 4096: 3, 5000: 3, 6143: 3, 6144: 2, 12288: 1}
 
 
-def test_a_large_bootstrap_refits_its_resamples_in_pairs(monkeypatch):
+def test_a_large_bootstrap_refits_its_resamples_in_threes(monkeypatch):
     # The shape of the README quick start at n = 5000: the effect on the
     # treated by AIPW, main effects in both models, propensities truncated
-    # at (1, 99). Its 4 refits gather two (2, 5000) index stacks and get the
+    # at (1, 99). Its 6 refits gather two (3, 5000) index stacks and get the
     # bits of stacks of one.
     ds = generate_dataset(1, 5000, np.random.default_rng(8)).observed()
     design = main_effects(ds.covariate_names)
@@ -582,11 +593,11 @@ def test_a_large_bootstrap_refits_its_resamples_in_pairs(monkeypatch):
         _Stack, "gather",
         classmethod(lambda cls, ds, idx: gathers.append(idx.shape) or gather(ds, idx)),
     )
-    pairs = bootstrap_vector(ds, plan, b=4, seed=0)
-    assert gathers == [(2, 5000), (2, 5000)]
-    assert np.isfinite(pairs).all()
+    threes = bootstrap_vector(ds, plan, b=6, seed=0)
+    assert gathers == [(3, 5000), (3, 5000)]
+    assert np.isfinite(threes).all()
     monkeypatch.setattr(wate.bootstrap, "_BATCH_ROWS", 1)
     gathers.clear()
-    ones = bootstrap_vector(ds, plan, b=4, seed=0)
-    assert gathers == [(1, 5000)] * 4
-    assert pairs.tobytes() == ones.tobytes()
+    ones = bootstrap_vector(ds, plan, b=6, seed=0)
+    assert gathers == [(1, 5000)] * 6
+    assert threes.tobytes() == ones.tobytes()
