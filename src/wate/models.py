@@ -25,9 +25,10 @@ each working model on a :class:`~wate.data._Stack` of same-n replicates at
 once, which pays numpy's fixed cost per call once per stack. There is one
 IRLS (:func:`_irls`) and one least squares fit (:func:`_fit_outcomes`), each
 on a (b, n, k) stack of model matrices, the least squares fit a part of the
-stack at a time (see below). A stacked ``qr``, ``solve`` or ``matmul``
-computes each slice as the 2-D call does, so every problem of a stack gets
-the bits and the error it gets alone.
+stack at a time (see below). The QR (:func:`_qr`) runs LAPACK on each
+slice in turn, and a stacked ``solve`` or ``matmul`` computes each slice as
+the 2-D call does, so every problem of a stack gets the bits and the error
+it gets alone.
 
 Each returns one stacked result, :class:`_PropensityFits` or
 :class:`_OutcomeFits`: per replicate its error or ``None``, and (b, k)
@@ -51,21 +52,23 @@ IRLS finds a singular information matrix the same way. The BLAS products
 read row-major model matrices, since a column-major operand changes the
 bits of ``matmul``, so the propensity stack is row-major from the start and
 the IRLS reads it as it is, or a copy of its full-rank slices. Only the
-outcome fit, whose QR factors every part, builds column-major slices, a
-(b, k, n) array seen as (b, n, k), which ``numpy.linalg.qr`` copies into
-its Fortran buffer for LAPACK without transposing; the few propensity
-designs the QR checks are copied from either layout to the same bits. The
-outcome fit gets ``m1`` and ``m0`` by switching the arm and interaction
-columns of its stack and copying it into one row-major buffer before each
-``M @ beta``, the second time only the switched columns. The Newton steps
-of the logistic fit write their weighted design and every vector of the
-main path into buffers allocated once per stack, and a problem that leaves
-the stack is dropped by moving the others' model matrices forward in place
-(see :func:`_irls`). None of this changes an element's value or the order
-of a sum.
+outcome fit, whose QR factors every part, builds column-major slices: a
+C-contiguous (b, k, n) array seen as (b, n, k), whose slices are the
+Fortran matrices LAPACK factors in place, with ``numpy.linalg.qr``'s
+arguments and its bits but without its copies of the input (see
+:func:`_qr`); the few propensity designs the QR checks are copied into
+that layout. Before its buffer is factored, the outcome fit copies it into
+one row-major stack, and gets ``m1`` and ``m0`` by switching the arm and
+interaction columns of that copy before each ``M @ beta``. The Newton
+steps of the logistic fit write their weighted design and every vector of
+the main path into buffers allocated once per stack, the first weighted
+design as the scalar multiple ``0.25 * M``, since every probability is 1/2
+before the first update, and a problem that leaves the stack is dropped by
+moving the others' model matrices forward in place (see :func:`_irls`).
+None of this changes an element's value or the order of a sum.
 
 The outcome fit's QR is the largest transient of a pass: it holds the model
-matrices, numpy's copy of them, ``q`` and LAPACK's buffers at once. So
+matrices, factored in place, their row-major copy and ``q`` at once. So
 :func:`_fit_outcomes` works through its stack in consecutive parts of
 the fewest replicates that hold at least ``_PART_ROWS`` rows,
 ``max(1, ceil(_PART_ROWS / n))``, ``_PART_ROWS`` being a third of the
@@ -79,24 +82,25 @@ half of 12288 rows, which pair the replicates at n = 5000, raised the
 bootstrap's peak by 1.4 MB (3%) more. The IRLS and the fill, whose fixed
 cost per numpy call is what a larger stack saves, take the whole stack.
 
-At bootstrap sizes the n-by-k blocks of a fit (the stack, its row-major
-copy, ``numpy.linalg.qr``'s copy of it and ``q``) are freed at the end of
-every fit. By default glibc hands that memory back to the OS and the next
-fit faults it in again, page by page. On glibc, importing this module
-therefore raises the mmap threshold to 32 MiB and the trim threshold to 64
-MiB (see :func:`_keep_freed_heap`), so freed fit blocks stay in the heap for
-the next fit; a user who sets either threshold through the environment
-keeps it.
+At bootstrap sizes the n-by-k blocks of a fit (the stack, its row-major copy
+and ``q``) are freed at the end of every fit. By default glibc hands that
+memory back to the OS and the next fit faults it in again, page by page. On
+glibc, importing this module therefore raises the mmap threshold to 32 MiB
+and the trim threshold to 64 MiB (see :func:`_keep_freed_heap`), so freed
+fit blocks stay in the heap for the next fit; a user who sets either
+threshold through the environment keeps it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import lapack_lite
 from numpy.typing import NDArray
 
 from .data import _BATCH_ROWS, ObservationalDataset, _Stack, _stack_size
@@ -230,7 +234,8 @@ def _rank_errors(
         rows = np.flatnonzero(~_gram_full_rank(M)).tolist()
         if not rows:
             return errors
-        r = np.linalg.qr(M if len(rows) == b else M[rows], mode="r")
+        checked = M if len(rows) == b else M[rows]
+        _, r = _qr(np.ascontiguousarray(checked.transpose(0, 2, 1)), with_q=False)
     r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
     for i, top, low in zip(rows, r_diag.max(axis=1).tolist(), r_diag.min(axis=1).tolist()):
         if not (top != 0.0 and low > RANK_TOL * top):
@@ -238,6 +243,64 @@ def _rank_errors(
                 f"{what} matrix is numerically rank deficient (min/max |R_jj| = {low:.3e}/{top:.3e})"
             )
     return errors
+
+
+def _qr(
+    F: NDArray[np.float64], with_q: bool = True
+) -> tuple[NDArray[np.float64] | None, NDArray[np.float64]]:
+    """``numpy.linalg.qr`` of the (b, n, k) stack ``F.transpose(0, 2, 1)``,
+    reduced ``(q, r)``, or ``(None, r)`` without ``q``, to the bit; ``F``
+    is a C-contiguous (b, k, n) stack, so each slice is the column-major
+    n-by-k matrix LAPACK factors, and is overwritten.
+
+    numpy copies its input into a new array and each slice into and out of
+    a Fortran buffer of its own; here LAPACK's ``dgeqrf`` and ``dorgqr``
+    run on each slice of ``F`` in place, with numpy's leading dimension and
+    workspace lengths (see :func:`_qr_work`), so they take numpy's path.
+    R is the upper triangle ``np.triu`` reads before ``dorgqr`` forms Q over
+    the reflectors, and Q is copied once into a C-contiguous
+    (b, n, min(n, k)) array, numpy's layout: a ``q.T @ y`` on Q's
+    column-major slices would reach BLAS's ``dgemv`` in the other
+    orientation, with other bits.
+    """
+    b, k, n = F.shape
+    mn, lda = min(n, k), max(1, n)
+    geqrf, orgqr = _qr_work(n, k)
+    tau = np.empty((b, mn))
+    work = np.empty(max(geqrf, orgqr))
+    for i in range(b):
+        _lapack("dgeqrf", n, k, F[i], lda, tau[i], work, geqrf)
+    M = F.transpose(0, 2, 1)
+    r = np.triu(M[:, :mn, :])
+    if not with_q:
+        return None, r
+    for i in range(b):
+        _lapack("dorgqr", n, mn, mn, F[i], lda, tau[i], work, orgqr)
+    return np.ascontiguousarray(M[:, :, :mn]), r
+
+
+@functools.cache
+def _qr_work(n: int, k: int) -> tuple[int, int]:
+    """The workspace lengths numpy gives ``dgeqrf`` and ``dorgqr`` for a
+    reduced QR of an n-by-k matrix: LAPACK's optimum, queried once per
+    shape, but at least ``max(1, k)``. LAPACK picks its blocked or
+    unblocked path by the length, so the bits follow numpy's only with
+    numpy's lengths."""
+    mn, lda = min(n, k), max(1, n)
+    query, unread = np.zeros(1), np.zeros(1)
+    _lapack("dgeqrf", n, k, unread, lda, unread, query, -1)
+    geqrf = max(1, k, int(query[0]))
+    _lapack("dorgqr", n, mn, mn, unread, lda, unread, query, -1)
+    return geqrf, max(1, k, int(query[0]))
+
+
+def _lapack(routine: str, *args: object) -> None:
+    """Call ``routine`` of ``numpy.linalg.lapack_lite``, on the LAPACK
+    numpy's own QR links against, and raise ``LinAlgError`` if LAPACK refuses an
+    argument, as ``numpy.linalg.qr`` does."""
+    info = getattr(lapack_lite, routine)(*args, 0)["info"]
+    if info:
+        raise np.linalg.LinAlgError(f"{routine} refused argument {-info}")
 
 
 def _gram_full_rank(M: NDArray[np.float64]) -> NDArray[np.bool_]:
@@ -429,11 +492,15 @@ def _irls(
     ``M @ cand`` (the first), the sigmoid's ``exp(-|eta|)`` (the second) and
     the log likelihood's two terms (both); and the candidate probabilities,
     written over the probabilities before the last update, the two buffers
-    swapping at each update. Only the step halving allocates its own. A
-    problem that leaves is dropped by moving the remaining problems' model
-    matrices forward in ``M``, which the fit owns and overwrites; ``A``, a
-    view of the stack, is never written, and it and the other vectors are
-    taken by index.
+    swapping at each update. Before the first update every ``p`` is exactly
+    1/2 and every weight ``p(1 - p)`` exactly 1/4, so that update weights
+    the design by the scalar 0.25: the bits of the broadcast weight vector,
+    in 21 against 123 us at (3, 5000, 6) (x86-64). A problem that leaves
+    before it leaves the others at that update. Only the step halving
+    allocates its own. A problem that leaves is dropped by moving the
+    remaining problems' model matrices forward in ``M``, which the fit owns
+    and overwrites; ``A``, a view of the stack, is never written, and it and
+    the other vectors are taken by index.
     """
     b, n, k = M.shape
     # Each problem's row in fits (ids) and its log likelihood are Python
@@ -482,8 +549,13 @@ def _irls(
         }
         if exits:
             continue
-        w = np.multiply(p, np.subtract(1.0, p, out=s1), out=s1)
-        hessian = np.multiply(M, w.reshape(m, n, 1), out=weighted[:m]).transpose(0, 2, 1) @ M
+        if updates:
+            w = np.multiply(p, np.subtract(1.0, p, out=s1), out=s1)
+            wM = np.multiply(M, w.reshape(m, n, 1), out=weighted[:m])
+        else:
+            # Every p is exactly 1/2 until the first update.
+            wM = np.multiply(M, 0.25, out=weighted[:m])
+        hessian = wM.transpose(0, 2, 1) @ M
         try:
             delta = np.linalg.solve(hessian, score)
         except np.linalg.LinAlgError:
@@ -690,24 +762,29 @@ def _fit_outcome_part(
     """The outcome fits of the replicates ``part`` of ``stack``, as one
     stacked least squares fit.
 
-    The model matrices are evaluated once, into one (b, n, k) stack of
-    column-major slices, and factored by one stacked reduced QR; each R is
+    The model matrices are evaluated once, into one C-contiguous (b, k, n)
+    buffer of column-major slices, copied into a row-major (b, n, k) stack
+    for the arm means, and factored in place by :func:`_qr`; each R is
     checked for rank, then the full-rank systems are solved by one stacked
-    solve. Both arms' means come from the same stack, its arm columns
-    switched in place and copied into a row-major buffer, by one stacked
-    ``M @ beta`` each. A stacked QR, solve or matmul computes each slice as
-    the 2-D call does, so every replicate gets the bits, or the error, it
-    gets alone."""
+    solve. Both arms' means come from the row-major stack, its arm columns
+    switched in place, by one stacked ``M @ beta`` each. LAPACK's QR and a
+    stacked solve or matmul compute each slice as the 2-D call does, so
+    every replicate gets the bits, or the error, it gets alone."""
     X, A = stack.X[part], stack.A[part]
     b, n = A.shape
     kb, ki = len(main), len(inter)
     k = kb + 2 + ki
-    M = np.empty((b, k, n)).transpose(0, 2, 1)
+    F = np.empty((b, k, n))
+    M = F.transpose(0, 2, 1)
     G = M[:, :, 1:kb + 1] if inter == main else np.empty((b, ki, n)).transpose(0, 2, 1)
     errors = _evaluated(lambda i: _outcome_matrix(main, inter, X[i], A[i], M[i], G[i]), b, M, G)
+    row_major = np.empty((b, n, k))
+    np.copyto(row_major, M)
+    if inter == main:
+        G = row_major[:, :, 1:kb + 1]
     Y = np.empty((b, n, 1))
     Y[:, :, 0] = stack.Y[part]
-    q, r = np.linalg.qr(M)
+    q, r = _qr(F)
     qty = q.transpose(0, 2, 1) @ Y
     del q
     no_df = ModelFitError(
@@ -715,7 +792,7 @@ def _fit_outcome_part(
     ) if n - k < 1 else None
     errors = [
         error or rank or no_df
-        for error, rank in zip(errors, _rank_errors(M, "outcome design", r))
+        for error, rank in zip(errors, _rank_errors(row_major, "outcome design", r))
     ]
     rows = [i for i, error in enumerate(errors) if error is None]
     if len(rows) == b:
@@ -725,14 +802,10 @@ def _fit_outcome_part(
         if rows:
             beta[rows] = np.linalg.solve(r[rows], qty[rows])
     # Switching the arm in place writes 1*g and 0*g, the bits a matrix
-    # rebuilt for each arm would hold. The products read a row-major copy,
-    # of which the second arm rewrites only the switched columns.
-    row_major = np.empty((b, n, k))
-    _set_arm(M, 1.0, G)
-    np.copyto(row_major, M)
+    # rebuilt for each arm would hold.
+    _set_arm(row_major, 1.0, G)
     m1 = row_major @ beta
-    _set_arm(M, 0.0, G)
-    np.copyto(row_major[:, :, kb + 1:], M[:, :, kb + 1:])
+    _set_arm(row_major, 0.0, G)
     m0 = row_major @ beta
     return _OutcomeFits(errors, beta[:, :, 0], m1[:, :, 0], m0[:, :, 0])
 

@@ -13,8 +13,12 @@
   sigmoid's ``exp(fmin(eta, 0))`` numerator those of the textbook select,
   the study's masked ``putmask`` those of a select of ``y0 + effect``, and
   the IRLS's products and sigmoid written into its buffers those of the
-  calls that allocate; the IRLS fits the very stack a full-rank design was
-  evaluated into, and its traced peak stays within 2k + 10 vectors per row.
+  calls that allocate, and its first update's weighting by the constant 1/4
+  that of the broadcast weights; the IRLS fits the very stack a full-rank
+  design was evaluated into, and its traced peak stays within 2k + 10
+  vectors per row.
+* The fits' QR, LAPACK run in place on a column-major buffer, gives
+  ``numpy.linalg.qr``'s q, R and ``q.T @ y``, and no fit calls numpy's.
 
 Their decisions must not depend on the BLAS kernel or thread count, so CI
 runs this file under two BLAS threads and another OpenBLAS kernel too.
@@ -32,6 +36,7 @@ from wate.models import (
     PROB_CLAMP,
     _clamped_sigmoid,
     _fit_propensities,
+    _qr,
     _rank_errors,
     _sigmoid,
     _truncated,
@@ -44,7 +49,7 @@ from wate.simulation import (
     propensity_design,
 )
 
-from test_stacking import _stacked, _study_draw
+from test_stacking import _one_covariate, _record, _stacked, _study_draw
 
 
 def _column_major(*matrices):
@@ -69,16 +74,16 @@ def _by_qr(M, what):
 
 
 def _factored(monkeypatch):
-    """Record the number of matrices each numpy.linalg.qr call factors, by
-    mode."""
+    """Record the number of matrices each call of the fits' QR factors, by
+    mode: "reduced" when it forms q too, "r" for R alone."""
     calls = []
-    qr = np.linalg.qr
+    qr = wate.models._qr
 
-    def recording_qr(a, mode="reduced"):
-        calls.append((mode, len(a)))
-        return qr(a, mode=mode)
+    def recording_qr(F, with_q=True):
+        calls.append(("reduced" if with_q else "r", len(F)))
+        return qr(F, with_q)
 
-    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(wate.models, "_qr", recording_qr)
     return calls
 
 
@@ -147,6 +152,7 @@ def test_a_well_conditioned_bootstrap_factors_no_propensity_design(monkeypatch):
         truncate=(1.0, 99.0),
     )
     calls = _factored(monkeypatch)
+    monkeypatch.setattr(np.linalg, "qr", None)  # no fit calls numpy's QR
     result = wate.bootstrap_se(ds, pipeline, b=50, seed=0, workers=1)
     assert result.b_ok == 50
     assert calls == [("reduced", 1)] * 51
@@ -345,6 +351,49 @@ def test_the_irls_buffers_give_the_bits_of_the_calls_that_allocate():
         assert _sigmoid(values, out, s2).tobytes() == _sigmoid(values).tobytes()
 
 
+def test_the_first_update_weights_by_a_quarter_with_the_bits_of_the_broadcast():
+    # Before the first update every p is exactly 1/2, and the IRLS weights
+    # its design by the scalar 1/4 instead of the (b, n, 1) broadcast of
+    # p(1 - p). The products must agree byte for byte on signed zeros,
+    # subnormals (whose quarter rounds), infinities and NaNs, at shapes
+    # that leave vector loop tails.
+    rng = np.random.default_rng(41)
+    special = [0.0, -0.0, 5e-324, -5e-324, 3e-323, 2.2e-308, -1.5e-308, np.inf, -np.inf,
+               np.nan, 1e308, -1e308]
+    for m, n, k in ((1, 7, 2), (3, 5000, 6), (4, 33, 4), (13, 1000, 6)):
+        M = rng.standard_normal((m, n, k)) * 10.0 ** rng.uniform(-300, 300, (m, n, k))
+        M.reshape(-1)[:len(special)] = special
+        p = np.full(m * n, 0.5)
+        w = np.multiply(p, np.subtract(1.0, p))
+        out = np.full((m + 1, n, k), np.nan)[:m]
+        quarter = np.multiply(M, 0.25, out=out)
+        assert quarter is out and quarter.tobytes() == (M * w.reshape(m, n, 1)).tobytes()
+
+
+def test_a_singular_exit_before_the_first_update_leaves_the_others_their_bits():
+    # x = 2^28 + (0, 1 or 2): the QR rank check passes the design, but at
+    # alpha = 0 a pivot of its information matrix cancels to exactly zero,
+    # so that problem leaves the stack before the first update. The others
+    # start their first update again, still weighted by 1/4, and each gets
+    # the bits it gets alone.
+    rng = np.random.default_rng(43)
+    singular = _one_covariate(
+        2.0**28 + np.array([0, 2, 1, 0, 0, 1, 2, 1, 2], dtype=np.float64),
+        np.array([1, 0, 1, 1, 1, 1, 0, 1, 1], dtype=np.float64),
+    )
+    a = np.array([0, 1, 1, 0, 1, 0, 0, 1, 0], dtype=np.float64)
+    others = [_one_covariate(rng.standard_normal(9), a) for _ in range(3)]
+    design = wate.main_effects(("x1",))
+    stack = [others[0], singular, others[1], others[2]]
+    alone = [_record(_fit_propensities(_stacked([ds]), design), 0) for ds in stack]
+    assert alone[1][0] == (
+        "ConvergenceError", "singular information matrix during propensity fit (after 0 updates)"
+    )
+    assert all(alone[i][0] is None and alone[i][4] > 0 for i in (0, 2, 3))
+    fits = _fit_propensities(_stacked(stack), design)
+    assert [_record(fits, i) for i in range(4)] == alone
+
+
 def test_the_irls_peak_stays_within_2k_plus_10_vectors_per_row():
     # The study's first stack at n = 1000 under the misspecified design (k =
     # 6): its problems leave the IRLS after 4 and 5 updates, so the stack is
@@ -364,3 +413,37 @@ def test_the_irls_peak_stays_within_2k_plus_10_vectors_per_row():
         tracemalloc.stop()
     assert fits.errors == [None] * b and set(fits.iterations) == {4, 5}
     assert peak <= (2 * k + 10) * 8 * b * n, peak / (8 * b * n) - 2 * k
+
+
+# --- the fits' QR ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("n, k", [(5, 8), (60, 2), (300, 40), (400, 140)])
+@pytest.mark.parametrize("special", [None, "zero", "rank", "nan"])
+def test_the_qr_gives_numpys_bits(b, n, k, special):
+    # LAPACK's dgeqrf and dorgqr on the column-major slices of a (b, k, n)
+    # buffer, in place, against numpy.linalg.qr of the row-major (b, n, k)
+    # stack: q, R, the R-only R and q.T @ y, byte for byte. The shapes take
+    # in a matrix wider than its rows and k = 140, past the 128 columns
+    # above which LAPACK's blocked path starts; the last slice may be all
+    # zero, repeat a column or hold a NaN, beside well-conditioned ones.
+    rng = np.random.default_rng([b, n, k, len(str(special))])
+    for _ in range(3):
+        M = rng.standard_normal((b, n, k)) * 10.0 ** rng.uniform(-3, 3, (b, 1, k))
+        Y = rng.standard_normal((b, n, 1))
+        if special == "zero":
+            M[-1] = 0.0
+        elif special == "rank":
+            M[-1, :, k - 1] = M[-1, :, 0]
+        elif special == "nan":
+            M[-1, n // 2, k // 2] = np.nan
+        F = np.ascontiguousarray(M.transpose(0, 2, 1))
+        _, r_only = _qr(F.copy(), with_q=False)
+        q, r = _qr(F)
+        q_np, r_np = np.linalg.qr(M)
+        assert q.flags.c_contiguous and q.shape == q_np.shape and r.shape == r_np.shape
+        assert q.tobytes() == q_np.tobytes() and r.tobytes() == r_np.tobytes()
+        assert r_only.tobytes() == np.linalg.qr(M, mode="r").tobytes()
+        qty = q.transpose(0, 2, 1) @ Y
+        assert qty.tobytes() == (q_np.transpose(0, 2, 1) @ Y).tobytes()

@@ -33,6 +33,7 @@ from wate.models import (
     PropensityModel,
     _fit_outcomes,
     _fit_propensities,
+    _qr,
     fit_outcome,
     fit_propensity,
 )
@@ -244,47 +245,49 @@ def test_a_stacked_outcome_fit_gives_each_dataset_its_own_bits(n, correct, model
 @pytest.mark.parametrize("k", [4, 5, 6, 12])
 @pytest.mark.parametrize("b", [1, 4])
 def test_qr_gives_the_same_bits_on_a_column_major_stack(b, k, n):
-    # The outcome fit hands numpy.linalg.qr column-major slices, the
-    # propensity rank check row-major ones; numpy copies each slice into a
-    # Fortran buffer before LAPACK reads it, so the layout of its input must
-    # change no bit of q, of R or of the R-only R. Slice 0 repeats a column,
+    # The fits' QR factors column-major slices in place: the outcome fit's
+    # own buffer, or a column-major copy of the propensity rank check's
+    # row-major stack. Each must get the bits numpy.linalg.qr gives the
+    # row-major stack, for q, R and the R-only R. Slice 0 repeats a column,
     # so its smallest |R_jj| is rounding noise, which the rank message prints.
     M = np.random.default_rng([b, k, n]).standard_normal((b, n, k))
     M[:, :, 0] = 1.0
     M[0, :, k - 1] = M[0, :, 1]
-    F = np.empty((b, k, n)).transpose(0, 2, 1)
-    F[...] = M
-    assert all(f.flags.f_contiguous and not f.flags.c_contiguous for f in F)
+    F = np.empty((b, k, n))
+    F.transpose(0, 2, 1)[...] = M
+    assert all(f.flags.f_contiguous and not f.flags.c_contiguous for f in F.transpose(0, 2, 1))
     q, r = np.linalg.qr(M)
-    q_f, r_f = np.linalg.qr(F)
+    _, r_only = _qr(F.copy(), with_q=False)
+    q_f, r_f = _qr(F)
     assert q_f.tobytes() == q.tobytes() and r_f.tobytes() == r.tobytes()
-    assert np.linalg.qr(F, mode="r").tobytes() == np.linalg.qr(M, mode="r").tobytes()
+    assert r_only.tobytes() == np.linalg.qr(M, mode="r").tobytes()
     r_diag = np.abs(np.diagonal(r[0]))
     assert n < k or r_diag.min() <= RANK_TOL * r_diag.max()
 
 
 def test_qr_reads_column_major_outcome_slices_and_irls_row_major_stacks(monkeypatch):
     # The outcome model matrices are built column-major for LAPACK, since
-    # the QR factors every part. The propensity stack is row-major from the
-    # start, for the IRLS's BLAS products, whose bits a column-major operand
-    # would change; its QR, which numpy.linalg.qr gives the same bits from
-    # either layout, runs only on the designs the Gram matrix cannot prove
-    # full rank. So of the two propensity stacks, only the rank-deficient
-    # dataset reaches the QR, as a row-major stack of one. Each outcome fit
-    # factors its whole stack.
+    # the QR factors every part in place. The propensity stack is row-major
+    # from the start, for the IRLS's BLAS products, whose bits a column-major
+    # operand would change; the QR, which factors a column-major copy of it,
+    # runs only on the designs the Gram matrix cannot prove full rank. So of
+    # the two propensity stacks, only the rank-deficient dataset reaches the
+    # QR, as a stack of one. Each outcome fit factors its whole stack.
     seen = []
-    qr, irls = np.linalg.qr, wate.models._irls
+    qr, irls = wate.models._qr, wate.models._irls
 
-    def recording_qr(a, *args, **kwargs):
-        column_major = all(m.flags.f_contiguous and not m.flags.c_contiguous for m in a)
-        seen.append(("qr", len(a), column_major))
-        return qr(a, *args, **kwargs)
+    def recording_qr(F, **kwargs):
+        column_major = all(
+            m.flags.f_contiguous and not m.flags.c_contiguous for m in F.transpose(0, 2, 1)
+        )
+        seen.append(("qr", len(F), column_major))
+        return qr(F, **kwargs)
 
     def recording_irls(M, *args):
         seen.append(("irls", len(M), M.flags.c_contiguous))
         return irls(M, *args)
 
-    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(wate.models, "_qr", recording_qr)
     monkeypatch.setattr(wate.models, "_irls", recording_irls)
     stack, design = _simulated_stack()
     # All full rank, then a stack whose rank-deficient dataset leaves it.
@@ -294,7 +297,7 @@ def test_qr_reads_column_major_outcome_slices_and_irls_row_major_stacks(monkeypa
     for correct in (True, False):  # separate interaction columns, then shared ones
         _fit_outcomes(_stacked(data), *outcome_design(correct, 1))
     assert seen == [
-        ("irls", 3, True), ("qr", 1, False), ("irls", 5, True), ("qr", 3, True), ("qr", 3, True)
+        ("irls", 3, True), ("qr", 1, True), ("irls", 5, True), ("qr", 3, True), ("qr", 3, True)
     ]
 
 
@@ -430,9 +433,9 @@ def test_an_outcome_fit_works_through_its_stack_in_parts(monkeypatch, fault):
         stack[3] = _with_columns(stack[3], x2=x2)
     whole = _stacked(stack)
     monkeypatch.setattr(wate.models, "_PART_ROWS", 80)
-    shapes, qr = [], np.linalg.qr
+    shapes, qr = [], wate.models._qr
     monkeypatch.setattr(
-        np.linalg, "qr", lambda a, *args, **kw: shapes.append(a.shape[:2]) or qr(a, *args, **kw)
+        wate.models, "_qr", lambda F, **kw: shapes.append((len(F), F.shape[2])) or qr(F, **kw)
     )
     for correct in (True, False):
         main, inter = outcome_design(correct, 1)
