@@ -45,7 +45,7 @@ from typing import Callable, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import _BATCH_ROWS, ObservationalDataset, _Stack, _stack_size
+from .data import _BATCH_ROWS, ObservationalDataset, _Stack, _replicate_rng, _stack_size
 from .errors import BootstrapError, FitFailure, WateError, WorkerError
 from .estimators import (
     CellPlan,
@@ -63,8 +63,7 @@ CI_LEVEL = 0.95
 
 
 def _replicate_indices(seed: int, i: int, n: int) -> NDArray[np.intp]:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-    return rng.integers(0, n, size=n)
+    return _replicate_rng(seed, i).integers(0, n, size=n)
 
 
 def _map_stacks(fn: Callable[[range], list[T]], count: int, n: int, workers: int) -> list[T]:

@@ -165,6 +165,12 @@ def _stack_size(rows: int, n: int) -> int:
     return max(1, -(-rows // n))
 
 
+def _replicate_rng(seed: int, i: int) -> np.random.Generator:
+    """The stream of replicate ``i`` of a study or a bootstrap seeded by
+    ``seed``: child ``i`` of the seed's ``SeedSequence``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+
+
 class _Stack(NamedTuple):
     """b replicates of n rows each, the unit the study and the bootstrap fit
     and fill: ``X`` is (b, n, p), ``A`` and ``Y`` are (b, n). It is built

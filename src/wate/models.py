@@ -6,19 +6,12 @@ design matrix for numerical rank deficiency. The logistic fit is Newton's
 method with step halving; convergence is declared when the largest score
 component falls below ``SCORE_TOL``, and the fit fails after ``MAX_ITER``
 Newton updates. Every fitted or predicted probability is clamped into
-``[PROB_CLAMP, 1 - PROB_CLAMP]`` so inverse weights stay finite. A design is
-rank deficient when its smallest ``|R_jj|`` is at most ``RANK_TOL`` times its
-largest. The outcome fit solves through one reduced QR, whose R also serves
-the rank check. The propensity fit needs no QR but for that check, so it
-first tries to prove full rank from each design's Gram matrix ``M'M``: when
-its eigenvalues have ``lambda_min > 1e-6 * lambda_max``, every R factor of
-the design has ``min/max |R_jj| > 1e-3``, far from ``RANK_TOL``, and the
-design is not factored (see :func:`_gram_full_rank`). Only the designs the
-Gram matrix cannot prove, ill-conditioned, rank deficient or overflowing
-ones, are factored, so every decision and message is the QR's. At n = 5000
-and six columns the proof took 65 us against 98 us for the QR in a warm
-loop, and the rank checks of a 51-fit bootstrap fell from 8.2 to 6.0 ms
-(x86-64, one BLAS thread).
+``[PROB_CLAMP, 1 - PROB_CLAMP]`` so inverse weights stay finite. A design
+with more columns than rows is refused before it is factored; any other is
+rank deficient when its smallest ``|R_jj|`` is at most ``RANK_TOL`` times
+its largest. Both fits factor every design, by one QR in place (see
+:func:`_factored`): the outcome fit solves through the reduced QR, whose R
+also serves the rank check, and the propensity fit computes R alone.
 
 Both fits run over a stack of problems: the study and the bootstrap fit
 each working model on a :class:`~wate.data._Stack` of same-n replicates at
@@ -48,23 +41,22 @@ Each design is evaluated once per stack, by one
 straight into one stack of model matrices. A design that raises on the
 stack, e.g. a square that overflows in one replicate, is evaluated again
 replicate by replicate, only then, so each replicate gets its own error; the
-IRLS finds a singular information matrix the same way. The BLAS products
-read row-major model matrices, since a column-major operand changes the
-bits of ``matmul``, so the propensity stack is row-major from the start and
-the IRLS reads it as it is, or a copy of its full-rank slices. Only the
-outcome fit, whose QR factors every part, builds column-major slices: a
-C-contiguous (b, k, n) array seen as (b, n, k), whose slices are the
+IRLS finds a singular information matrix the same way. Both fits evaluate
+into a C-contiguous (b, k, n) array seen as (b, n, k), whose slices are the
 Fortran matrices LAPACK factors in place, with ``numpy.linalg.qr``'s
 arguments and its bits but without its copies of the input (see
-:func:`_qr`); the few propensity designs the QR checks are copied into
-that layout. Before its buffer is factored, the outcome fit copies it into
-one row-major stack, and gets ``m1`` and ``m0`` by switching the arm and
-interaction columns of that copy before each ``M @ beta``. The Newton
-steps of the logistic fit write their weighted design and every vector of
-the main path into buffers allocated once per stack, the first weighted
-design as the scalar multiple ``0.25 * M``, since every probability is 1/2
-before the first update, and a problem that leaves the stack is dropped by
-moving the others' model matrices forward in place (see :func:`_irls`).
+:func:`_qr`). The BLAS products read row-major model matrices, since a
+column-major operand changes the bits of ``matmul``, so each fit copies its
+buffer once into a row-major stack before the buffer is factored. The IRLS
+reads that copy as it is, or a copy of its full-rank slices, and the
+factored buffer is freed before it starts; the outcome fit gets ``m1`` and
+``m0`` by switching the arm and interaction columns of its copy before each
+``M @ beta``. The Newton steps of the logistic fit write their weighted
+design and every vector of the main path into buffers allocated once per
+stack, the first weighted design as the scalar multiple ``0.25 * M``, since
+every probability is 1/2 before the first update, and a problem that leaves
+the stack is dropped by moving the others' model matrices forward in place
+(see :func:`_irls`).
 None of this changes an element's value or the order of a sum.
 
 The outcome fit's QR is the largest transient of a pass: it holds the model
@@ -153,8 +145,6 @@ SCORE_TOL = 1e-8
 MAX_ITER = 100
 PROB_CLAMP = 1e-12
 RANK_TOL = 1e-10
-# Eigenvalue ratio of a Gram matrix that proves full rank; see _gram_full_rank.
-_GRAM_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,34 +205,16 @@ def _clamped_sigmoid(
     return np.minimum(p, 1.0 - PROB_CLAMP, out=p)
 
 
-def _rank_errors(
-    M: NDArray[np.float64], what: str, r: NDArray[np.float64] | None = None
-) -> list[WateError | None]:
-    """For each matrix of the (b, n, k) stack ``M``, ``None`` if it has
-    full column rank, else the :class:`RankDeficiencyError`. ``r`` is the
-    stack of R factors when the caller has already factored ``M``.
-
-    Without ``r``, the matrices :func:`_gram_full_rank` proves to have full
-    rank are not factored: a stacked QR checks only the others, with
-    ``|R_jj|``, so every decision and message is the one the QR gives."""
-    b, n, k = M.shape
-    if n < k:
-        return [RankDeficiencyError(f"{what}: {k} columns but only {n} rows")] * b
-    errors: list[WateError | None] = [None] * b
-    rows = range(b)
-    if r is None:
-        rows = np.flatnonzero(~_gram_full_rank(M)).tolist()
-        if not rows:
-            return errors
-        checked = M if len(rows) == b else M[rows]
-        _, r = _qr(np.ascontiguousarray(checked.transpose(0, 2, 1)), with_q=False)
+def _rank_errors(r: NDArray[np.float64], what: str) -> list[WateError | None]:
+    """For each R factor of the (b, k, k) stack ``r``, ``None`` if its
+    matrix has full column rank, else the :class:`RankDeficiencyError`."""
     r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    for i, top, low in zip(rows, r_diag.max(axis=1).tolist(), r_diag.min(axis=1).tolist()):
-        if not (top != 0.0 and low > RANK_TOL * top):
-            errors[i] = RankDeficiencyError(
-                f"{what} matrix is numerically rank deficient (min/max |R_jj| = {low:.3e}/{top:.3e})"
-            )
-    return errors
+    return [
+        None if top != 0.0 and low > RANK_TOL * top else RankDeficiencyError(
+            f"{what} matrix is numerically rank deficient (min/max |R_jj| = {low:.3e}/{top:.3e})"
+        )
+        for top, low in zip(r_diag.max(axis=1).tolist(), r_diag.min(axis=1).tolist())
+    ]
 
 
 def _qr(
@@ -303,29 +275,28 @@ def _lapack(routine: str, *args: object) -> None:
         raise np.linalg.LinAlgError(f"{routine} refused argument {-info}")
 
 
-def _gram_full_rank(M: NDArray[np.float64]) -> NDArray[np.bool_]:
-    """For each matrix of the (b, n, k) stack ``M``, whether its Gram matrix
-    ``M'M`` is finite with eigenvalues ``lambda_min > _GRAM_TOL *
-    lambda_max``, which proves that ``M`` has full column rank by the QR
-    rank check's ``RANK_TOL``; ``False`` says nothing.
-
-    Why the proof holds: ``M`` then has ``cond2(M) < 1/sqrt(_GRAM_TOL) =
-    1e3``, and every triangular factor R of ``M`` has ``min/max |R_jj| >=
-    1/cond2(M)``, far above ``RANK_TOL = 1e-10``. Forming the Gram matrix
-    and its eigenvalues perturbs them by about ``n k`` units in the last
-    place of ``lambda_max``, and the QR's R by as much, which ``_GRAM_TOL``
-    covers at any n that fits in memory. A Gram matrix that overflows is
-    not finite, and its matrix goes to the QR."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = M.transpose(0, 2, 1) @ M
-    finite = np.isfinite(gram).all(axis=(1, 2))
-    proved = np.zeros_like(finite)
-    try:
-        lam = np.linalg.eigvalsh(gram[finite])
-    except np.linalg.LinAlgError:
-        return proved
-    proved[finite] = lam[:, 0] > _GRAM_TOL * lam[:, -1]
-    return proved
+def _factored(
+    M: NDArray[np.float64], errors: list[WateError | None], what: str, with_q: bool
+) -> tuple[
+    NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64] | None,
+    list[WateError | None],
+]:
+    """Copy the model matrices ``M``, the (b, n, k) view of a C-contiguous
+    (b, k, n) buffer, into a new row-major stack, then factor the buffer in
+    place by ``_qr(..., with_q)``: the row-major stack, ``q`` (``None``
+    without it), R and ``errors``, the evaluation errors, with each
+    matrix's rank error added (see :func:`_rank_errors`). A design with more
+    columns than rows is refused and nothing is factored; ``q`` and R are
+    then ``None``. The caller frees the factored buffer by dropping ``M``,
+    as the propensity fit does before its IRLS."""
+    b, n, k = M.shape
+    row_major = np.empty((b, n, k))
+    np.copyto(row_major, M)
+    if n < k:
+        wide = RankDeficiencyError(f"{what}: {k} columns but only {n} rows")
+        return row_major, None, None, [error or wide for error in errors]
+    q, r = _qr(M.transpose(0, 2, 1), with_q=with_q)
+    return row_major, q, r, [error or rank for error, rank in zip(errors, _rank_errors(r, what))]
 
 
 def _design_matrix(
@@ -436,18 +407,18 @@ class _PropensityFits(NamedTuple):
 
 def _fit_propensities(stack: _Stack, design: DesignSpec) -> _PropensityFits:
     """:func:`fit_propensity` of ``design`` on each replicate of ``stack``.
-    The design is evaluated once, into one row-major stack, checked for rank
-    (see :func:`_rank_errors`), and the full-rank designs are fitted by one
-    stacked IRLS, which reads the stack itself when every design is one."""
+    The design is evaluated once, into one stack of column-major model
+    matrices, which :func:`_factored` copies into the row-major stack the
+    IRLS reads and factors for the rank check; the full-rank designs are
+    fitted by one stacked IRLS, which reads that copy itself when every
+    design is one. The factored buffer is freed before the IRLS starts."""
     X, A = stack.X, stack.A
     b, n = A.shape
     k = len(design) + 1
-    M = np.empty((b, n, k))
+    M = np.empty((b, k, n)).transpose(0, 2, 1)
     errors = _evaluated(lambda i: _design_matrix(design, X[i], M[i]), b, M)
-    fits = _PropensityFits(
-        [error or rank for error, rank in zip(errors, _rank_errors(M, "propensity design"))],
-        np.zeros((b, k)), np.zeros((b, n)), [0.0] * b, [0] * b,
-    )
+    M, _, _, errors = _factored(M, errors, "propensity design", with_q=False)
+    fits = _PropensityFits(errors, np.zeros((b, k)), np.zeros((b, n)), [0.0] * b, [0] * b)
     rows = [i for i, error in enumerate(fits.errors) if error is None]
     if rows:
         if len(rows) < b:
@@ -762,51 +733,41 @@ def _fit_outcome_part(
     """The outcome fits of the replicates ``part`` of ``stack``, as one
     stacked least squares fit.
 
-    The model matrices are evaluated once, into one C-contiguous (b, k, n)
-    buffer of column-major slices, copied into a row-major (b, n, k) stack
-    for the arm means, and factored in place by :func:`_qr`; each R is
-    checked for rank, then the full-rank systems are solved by one stacked
-    solve. Both arms' means come from the row-major stack, its arm columns
-    switched in place, by one stacked ``M @ beta`` each. LAPACK's QR and a
-    stacked solve or matmul compute each slice as the 2-D call does, so
-    every replicate gets the bits, or the error, it gets alone."""
+    The model matrices are evaluated once, into one stack of column-major
+    slices, which :func:`_factored` copies into a row-major stack for the
+    arm means and factors in place, checking each R for rank; then the
+    full-rank systems are solved by one stacked solve. Both arms' means come
+    from the row-major stack, its arm columns switched in place, by one
+    stacked ``M @ beta`` each. LAPACK's QR and a stacked solve or matmul
+    compute each slice as the 2-D call does, so every replicate gets the
+    bits, or the error, it gets alone."""
     X, A = stack.X[part], stack.A[part]
     b, n = A.shape
     kb, ki = len(main), len(inter)
     k = kb + 2 + ki
-    F = np.empty((b, k, n))
-    M = F.transpose(0, 2, 1)
+    M = np.empty((b, k, n)).transpose(0, 2, 1)
     G = M[:, :, 1:kb + 1] if inter == main else np.empty((b, ki, n)).transpose(0, 2, 1)
     errors = _evaluated(lambda i: _outcome_matrix(main, inter, X[i], A[i], M[i], G[i]), b, M, G)
-    row_major = np.empty((b, n, k))
-    np.copyto(row_major, M)
+    M, q, r, errors = _factored(M, errors, "outcome design", with_q=True)
     if inter == main:
-        G = row_major[:, :, 1:kb + 1]
-    Y = np.empty((b, n, 1))
-    Y[:, :, 0] = stack.Y[part]
-    q, r = _qr(F)
-    qty = q.transpose(0, 2, 1) @ Y
-    del q
+        G = M[:, :, 1:kb + 1]
     no_df = ModelFitError(
         f"outcome model has {k} coefficients for {n} rows; no residual degrees of freedom"
     ) if n - k < 1 else None
-    errors = [
-        error or rank or no_df
-        for error, rank in zip(errors, _rank_errors(row_major, "outcome design", r))
-    ]
+    errors = [error or no_df for error in errors]
     rows = [i for i, error in enumerate(errors) if error is None]
-    if len(rows) == b:
-        beta = np.linalg.solve(r, qty)
-    else:
-        beta = np.zeros((b, k, 1))
-        if rows:
-            beta[rows] = np.linalg.solve(r[rows], qty[rows])
+    beta = np.zeros((b, k, 1))
+    if rows:
+        Y = np.empty((b, n, 1))
+        Y[:, :, 0] = stack.Y[part]
+        qty = q.transpose(0, 2, 1) @ Y
+        beta[rows] = np.linalg.solve(r[rows], qty[rows])
     # Switching the arm in place writes 1*g and 0*g, the bits a matrix
     # rebuilt for each arm would hold.
-    _set_arm(row_major, 1.0, G)
-    m1 = row_major @ beta
-    _set_arm(row_major, 0.0, G)
-    m0 = row_major @ beta
+    _set_arm(M, 1.0, G)
+    m1 = M @ beta
+    _set_arm(M, 0.0, G)
+    m0 = M @ beta
     return _OutcomeFits(errors, beta[:, :, 0], m1[:, :, 0], m0[:, :, 0])
 
 

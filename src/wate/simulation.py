@@ -42,7 +42,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bootstrap import _map_stacks
-from .data import CounterfactualDataset, _Stack
+from .data import CounterfactualDataset, _Stack, _replicate_rng
 from .design import DesignSpec, TransformTerm, main_effects, parse_design
 from .estimators import (
     CellPlan,
@@ -316,10 +316,7 @@ def _replicate_values(
     """The replications ``reps``: draw each one's data from its own stream
     into one stack, then fill every cell, fitting each working model once
     per stack. Failed fits or estimates become NaN."""
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,)))
-        for rep in reps
-    ]
+    rngs = [_replicate_rng(design.seed, rep) for rep in reps]
     X, A, Y, effect = _draw(design.outcome_model, design.n, rngs)
     # Y holds y0 until the effect is added where treated: the bits of
     # np.where(A == 1.0, y0 + effect, y0).

@@ -1,7 +1,8 @@
 """The fits' shortcuts give the decisions and the bits of the paths they skip.
 
-* The propensity rank check factors only the designs whose Gram matrix
-  cannot prove full rank; every decision and message is the QR's.
+* Both fits factor every design in place, R alone for the propensity
+  fit, and take each rank decision and message from numpy.linalg.qr's R;
+  a design wider than its rows is refused before any factoring.
 * Truncation sorts a stack of propensity vectors once and computes numpy's
   ``linear`` percentiles from it; each row gets the bits of
   ``np.clip(pi, *np.percentile(pi, [lo, hi]))``.
@@ -14,9 +15,9 @@
   the study's masked ``putmask`` those of a select of ``y0 + effect``, and
   the IRLS's products and sigmoid written into its buffers those of the
   calls that allocate, and its first update's weighting by the constant 1/4
-  that of the broadcast weights; the IRLS fits the very stack a full-rank
-  design was evaluated into, and its traced peak stays within 2k + 10
-  vectors per row.
+  that of the broadcast weights; the IRLS fits the one row-major copy of
+  the designs, and the traced peak of a propensity fit, of its IRLS alone
+  too, stays within 2k + 10 vectors per row.
 * The fits' QR, LAPACK run in place on a column-major buffer, gives
   ``numpy.linalg.qr``'s q, R and ``q.T @ y``, and no fit calls numpy's.
 
@@ -31,10 +32,12 @@ import pytest
 
 import wate
 from wate.design import MonomialTerm
-from wate.data import _Stack
+from wate.data import _Stack, _replicate_rng
 from wate.models import (
     PROB_CLAMP,
     _clamped_sigmoid,
+    _factored,
+    _fit_outcomes,
     _fit_propensities,
     _qr,
     _rank_errors,
@@ -53,9 +56,9 @@ from test_stacking import _one_covariate, _record, _stacked, _study_draw
 
 
 def _column_major(*matrices):
-    """The (n, k) matrices as one stack of column-major slices: the rank
-    check must decide on them as on the row-major stack the propensity fit
-    hands it."""
+    """The (n, k) matrices as one stack of column-major slices, the layout
+    both fits evaluate their designs into: the (b, n, k) view of a
+    C-contiguous (b, k, n) buffer."""
     b = len(matrices)
     n, k = matrices[0].shape
     M = np.empty((b, k, n)).transpose(0, 2, 1)
@@ -68,12 +71,11 @@ def _described(errors):
 
 
 def _by_qr(M, what):
-    """The rank check with every matrix factored, the check as it ran
-    before the Gram proof."""
-    return _described(_rank_errors(M, what, np.linalg.qr(M, mode="r")))
+    """The rank check on numpy.linalg.qr's R of the row-major stack."""
+    return _described(_rank_errors(np.linalg.qr(M, mode="r"), what))
 
 
-def _factored(monkeypatch):
+def _qr_calls(monkeypatch):
     """Record the number of matrices each call of the fits' QR factors, by
     mode: "reduced" when it forms q too, "r" for R alone."""
     calls = []
@@ -87,61 +89,46 @@ def _factored(monkeypatch):
     return calls
 
 
-def test_only_designs_the_gram_matrix_cannot_prove_reach_the_qr(monkeypatch):
-    # Slices 0 and 4 are well conditioned. Slice 1 has full rank but a
-    # column scaled by 1e5 (cond2 about 1e5 > 1e3), slice 2 a repeated
-    # column, slice 3 a constant column, slice 5 a value of 1e200, whose
-    # Gram matrix overflows without a warning; all four reach the QR and get
-    # its decision and message, rank deficient for all but slice 1.
-    rng = np.random.default_rng(3)
-    designs = [np.column_stack([np.ones(50), rng.standard_normal((50, 3))]) for _ in range(6)]
-    designs[1][:, 2] *= 1e5
-    designs[2][:, 3] = designs[2][:, 1]
-    designs[3][:, 1] = 3.0
-    designs[5][7, 2] = 1e200
-    calls = _factored(monkeypatch)
-    for M in (np.array(designs), _column_major(*designs)):
-        calls.clear()
-        errors = _described(_rank_errors(M, "propensity design"))
-        assert calls == [("r", 4)]
-        assert errors == _by_qr(M, "propensity design")
-        assert [e is None for e in errors] == [True, True, False, False, True, False]
-        assert errors[2][1].startswith(
-            "propensity design matrix is numerically rank deficient (min/max |R_jj| = "
-        )
-        # A well-conditioned stack is not factored at all.
-        calls.clear()
-        assert _rank_errors(M[[0, 4]], "propensity design") == [None, None]
-        assert calls == []
-
-
-def test_the_gram_proof_agrees_with_the_qr_on_every_conditioning():
+def test_the_rank_check_agrees_with_numpys_qr_on_every_conditioning():
     # 400 designs at n = 30 with k = 4 columns, each scaled by 10**e for e
     # in [-9, 9], a fifth of them with a column repeated up to 1e-12: from
-    # well conditioned through the Gram proof's bound to rank deficient.
+    # well conditioned to rank deficient. The fits' path, a row-major copy
+    # and then R alone from the column-major slices factored in place,
+    # decides as numpy.linalg.qr's R of the row-major stack does.
     rng = np.random.default_rng(11)
     M = rng.standard_normal((400, 30, 4))
     M *= 10.0 ** rng.uniform(-9, 9, (400, 1, 4))
     near = rng.random(400) < 0.2
     M[near, :, 3] = M[near, :, 0] * (1 + 1e-12 * rng.standard_normal((near.sum(), 30)))
-    errors = _described(_rank_errors(M, "design"))
-    assert errors == _by_qr(M, "design")
-    assert errors == _described(_rank_errors(_column_major(*M), "design"))
+    row_major, q, _, errors = _factored(_column_major(*M), [None] * 400, "design", False)
+    assert q is None and row_major.tobytes() == M.tobytes()
+    assert _described(errors) == _by_qr(M, "design")
     assert 0 < sum(e is not None for e in errors) < 400
 
 
 def test_a_design_wider_than_its_rows_is_refused_before_any_factoring(monkeypatch):
-    calls = _factored(monkeypatch)
-    errors = _described(_rank_errors(np.ones((2, 3, 4)), "design"))
-    assert errors == [("RankDeficiencyError", "design: 4 columns but only 3 rows")] * 2
+    # Three rows for the propensity design's 4 columns and the outcome
+    # design's 8: both fits refuse every replicate without calling the QR.
+    rng = np.random.default_rng(47)
+    A = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    stack = _Stack(rng.standard_normal((2, 3, 3)), A, rng.standard_normal((2, 3)))
+    design = wate.main_effects(("x1", "x2", "x3"))
+    calls = _qr_calls(monkeypatch)
+    assert _described(_fit_propensities(stack, design).errors) == [
+        ("RankDeficiencyError", "propensity design: 4 columns but only 3 rows")
+    ] * 2
+    assert _described(_fit_outcomes(stack, design, design).errors) == [
+        ("RankDeficiencyError", "outcome design: 8 columns but only 3 rows")
+    ] * 2
     assert calls == []
 
 
-def test_a_well_conditioned_bootstrap_factors_no_propensity_design(monkeypatch):
+def test_the_bootstrap_factors_each_design_once_in_place(monkeypatch):
     # The boot-fit shape: the effect on the treated by AIPW with main
-    # effects, truncation at (1, 99), n = 5000 and 50 refits, one per stack.
-    # Each of the 51 fits factors its outcome design (reduced QR) and none
-    # its propensity design (R only).
+    # effects, truncation at (1, 99), n = 5000 and 50 refits in stacks of
+    # 3, the last of 2. Each of the 51 fits factors its propensity design
+    # for R alone, a stack at a time, and its outcome design for the
+    # reduced QR, one replicate per part.
     ds = generate_dataset(1, 5000, np.random.default_rng(3))
     names = ds.covariate_names
     pipeline = wate.EstimationPipeline(
@@ -151,11 +138,12 @@ def test_a_well_conditioned_bootstrap_factors_no_propensity_design(monkeypatch):
         m_design=wate.main_effects(names),
         truncate=(1.0, 99.0),
     )
-    calls = _factored(monkeypatch)
+    calls = _qr_calls(monkeypatch)
     monkeypatch.setattr(np.linalg, "qr", None)  # no fit calls numpy's QR
     result = wate.bootstrap_se(ds, pipeline, b=50, seed=0, workers=1)
     assert result.b_ok == 50
-    assert calls == [("reduced", 1)] * 51
+    assert [size for mode, size in calls if mode == "r"] == [1] + [3] * 16 + [2]
+    assert [size for mode, size in calls if mode == "reduced"] == [1] * 51
 
 
 # --- truncation ------------------------------------------------------------
@@ -303,28 +291,40 @@ def test_the_study_adds_the_effect_with_the_bits_of_a_select(monkeypatch, outcom
         assert Y.tobytes() == generate_dataset(outcome_model, 300, rng).Y.tobytes()
 
 
-def test_the_irls_fits_the_stack_the_designs_were_evaluated_into(monkeypatch):
-    # The propensity stack is row-major from the start: when every design
-    # has full rank, the IRLS reads that very array, not a copy of it.
-    evaluated, fitted = [], []
-    design_matrix, irls = wate.models._design_matrix, wate.models._irls
+def test_the_irls_fits_the_one_row_major_copy_of_the_designs(monkeypatch):
+    # The designs are evaluated into column-major slices, which are copied
+    # once into the row-major stack the IRLS reads and then factored in
+    # place. When every design has full rank, the IRLS reads that copy
+    # itself, not a second copy of it.
+    evaluated, copies, fitted = [], [], []
+    design_matrix, factored, irls = (
+        wate.models._design_matrix, wate.models._factored, wate.models._irls
+    )
 
     def recording_design_matrix(design, X, out=None):
         evaluated.append(out)
         return design_matrix(design, X, out)
+
+    def recording_factored(*args, **kwargs):
+        result = factored(*args, **kwargs)
+        copies.append(result[0])
+        return result
 
     def recording_irls(M, *args):
         fitted.append(M)
         return irls(M, *args)
 
     monkeypatch.setattr(wate.models, "_design_matrix", recording_design_matrix)
+    monkeypatch.setattr(wate.models, "_factored", recording_factored)
     monkeypatch.setattr(wate.models, "_irls", recording_irls)
     data = [generate_dataset(1, 200, np.random.default_rng(seed)) for seed in range(3)]
     stack = _Stack(*(np.stack([getattr(ds, a) for ds in data]) for a in "XAY"))
     fits = _fit_propensities(stack, propensity_design(True))
     assert fits.errors == [None] * 3
-    (out,), (M,) = evaluated, fitted
-    assert M.shape == out.shape and M.flags.c_contiguous and np.shares_memory(M, out)
+    (out,), (copy,), (M,) = evaluated, copies, fitted
+    assert all(m.flags.f_contiguous and not m.flags.c_contiguous for m in out)
+    assert M is copy and M.shape == out.shape and M.flags.c_contiguous
+    assert not np.shares_memory(M, out)
 
 
 def test_the_irls_buffers_give_the_bits_of_the_calls_that_allocate():
@@ -412,6 +412,27 @@ def test_the_irls_peak_stays_within_2k_plus_10_vectors_per_row():
     finally:
         tracemalloc.stop()
     assert fits.errors == [None] * b and set(fits.iterations) == {4, 5}
+    assert peak <= (2 * k + 10) * 8 * b * n, peak / (8 * b * n) - 2 * k
+
+
+@pytest.mark.parametrize("b, n", [(3, 5000), (13, 1000), (62, 200)])
+@pytest.mark.parametrize("correct", [True, False])
+def test_a_propensity_fit_peaks_within_2k_plus_10_vectors_per_row(b, n, correct):
+    # The study's first stack at each benchmark size, under either design.
+    # The traced peak of the whole fit (the evaluation, the row-major copy,
+    # the QR and the IRLS) stays within 2k + 10 length-(b n) vectors: the
+    # factored column-major buffer must be freed before the IRLS starts,
+    # since it would add k vectors to the IRLS's peak.
+    stack = _stacked([generate_dataset(1, n, _replicate_rng(0, rep)) for rep in range(b)])
+    design = propensity_design(correct)
+    k = len(design) + 1
+    tracemalloc.start()
+    try:
+        fits = _fit_propensities(stack, design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fits.errors.count(None) > 0
     assert peak <= (2 * k + 10) * 8 * b * n, peak / (8 * b * n) - 2 * k
 
 

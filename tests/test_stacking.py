@@ -245,10 +245,9 @@ def test_a_stacked_outcome_fit_gives_each_dataset_its_own_bits(n, correct, model
 @pytest.mark.parametrize("k", [4, 5, 6, 12])
 @pytest.mark.parametrize("b", [1, 4])
 def test_qr_gives_the_same_bits_on_a_column_major_stack(b, k, n):
-    # The fits' QR factors column-major slices in place: the outcome fit's
-    # own buffer, or a column-major copy of the propensity rank check's
-    # row-major stack. Each must get the bits numpy.linalg.qr gives the
-    # row-major stack, for q, R and the R-only R. Slice 0 repeats a column,
+    # The fits' QR factors the column-major slices of their buffers in
+    # place. Each must get the bits numpy.linalg.qr gives the row-major
+    # stack, for q, R and the R-only R. Slice 0 repeats a column,
     # so its smallest |R_jj| is rounding noise, which the rank message prints.
     M = np.random.default_rng([b, k, n]).standard_normal((b, n, k))
     M[:, :, 0] = 1.0
@@ -266,13 +265,12 @@ def test_qr_gives_the_same_bits_on_a_column_major_stack(b, k, n):
 
 
 def test_qr_reads_column_major_outcome_slices_and_irls_row_major_stacks(monkeypatch):
-    # The outcome model matrices are built column-major for LAPACK, since
-    # the QR factors every part in place. The propensity stack is row-major
-    # from the start, for the IRLS's BLAS products, whose bits a column-major
-    # operand would change; the QR, which factors a column-major copy of it,
-    # runs only on the designs the Gram matrix cannot prove full rank. So of
-    # the two propensity stacks, only the rank-deficient dataset reaches the
-    # QR, as a stack of one. Each outcome fit factors its whole stack.
+    # Both fits build their model matrices column-major for LAPACK, which
+    # factors every stack in place, and the IRLS reads a row-major copy,
+    # since a column-major operand would change the bits of its BLAS
+    # products. So each propensity stack is factored whole before its IRLS,
+    # which fits the rest when the rank-deficient dataset leaves, and each
+    # outcome fit factors its whole stack.
     seen = []
     qr, irls = wate.models._qr, wate.models._irls
 
@@ -297,7 +295,8 @@ def test_qr_reads_column_major_outcome_slices_and_irls_row_major_stacks(monkeypa
     for correct in (True, False):  # separate interaction columns, then shared ones
         _fit_outcomes(_stacked(data), *outcome_design(correct, 1))
     assert seen == [
-        ("irls", 3, True), ("qr", 1, True), ("irls", 5, True), ("qr", 3, True), ("qr", 3, True)
+        ("qr", 3, True), ("irls", 3, True), ("qr", 6, True), ("irls", 5, True),
+        ("qr", 3, True), ("qr", 3, True),
     ]
 
 
