@@ -10,7 +10,7 @@ Newton updates. Every fitted or predicted probability is clamped into
 with more columns than rows is refused before it is factored; any other is
 rank deficient when its smallest ``|R_jj|`` is at most ``RANK_TOL`` times
 its largest. Both fits factor every design, by one QR in place (see
-:func:`_factored`): the outcome fit solves through the reduced QR, whose R
+:func:`_qr_checked`): the outcome fit solves through the reduced QR, whose R
 also serves the rank check, and the propensity fit computes R alone.
 
 Both fits run over a stack of problems: the study and the bootstrap fit
@@ -46,21 +46,26 @@ into a C-contiguous (b, k, n) array seen as (b, n, k), whose slices are the
 Fortran matrices LAPACK factors in place, with ``numpy.linalg.qr``'s
 arguments and its bits but without its copies of the input (see
 :func:`_qr`). The BLAS products read row-major model matrices, since a
-column-major operand changes the bits of ``matmul``, so each fit copies its
-buffer once into a row-major stack before the buffer is factored. The IRLS
-reads that copy as it is, or a copy of its full-rank slices, and the
-factored buffer is freed before it starts; the outcome fit gets ``m1`` and
-``m0`` by switching the arm and interaction columns of its copy before each
-``M @ beta``. The Newton steps of the logistic fit write their weighted
-design and every vector of the main path into buffers allocated once per
-stack, the first weighted design as the scalar multiple ``0.25 * M``, since
-every probability is 1/2 before the first update, and a problem that leaves
-the stack is dropped by moving the others' model matrices forward in place
-(see :func:`_irls`).
+column-major operand changes the bits of ``matmul``. The propensity fit
+copies its buffer once into a row-major stack before the buffer is factored
+(see :func:`_factored`); the IRLS reads that copy as it is, or a copy of
+its full-rank slices, and the factored buffer is freed before it starts.
+The outcome fit evaluates the arm-1 operand ``[1, f, 1, g]`` and builds
+from it, by writes to whole contiguous rows, the observed design ``[1, f,
+A, A g]`` in a second buffer, which it factors, and then the arm-0 columns
+``0`` and ``0 * g`` in place; it copies the arm-1 operand once into a
+row-major stack for ``m1 = M @ beta``, and then only the arm-0 columns
+across for ``m0`` (see :func:`_fit_outcome_part`). The Newton steps of
+the logistic fit write their weighted design and every vector of the main
+path into buffers allocated once per stack, the first weighted design as
+the scalar multiple ``0.25 * M``, since every probability is 1/2 before the
+first update, and a problem that leaves the stack is dropped by moving the
+others' model matrices forward in place (see :func:`_irls`).
 None of this changes an element's value or the order of a sum.
 
-The outcome fit's QR is the largest transient of a pass: it holds the model
-matrices, factored in place, their row-major copy and ``q`` at once. So
+The outcome fit's QR is the largest transient of a pass: it holds the arm-1
+operand, the observed design factored in place and ``q`` at once, and the
+row-major operand is made only once the last two are freed. So
 :func:`_fit_outcomes` works through its stack in consecutive parts of
 the fewest replicates that hold at least ``_PART_ROWS`` rows,
 ``max(1, ceil(_PART_ROWS / n))``, ``_PART_ROWS`` being a third of the
@@ -74,9 +79,10 @@ half of 12288 rows, which pair the replicates at n = 5000, raised the
 bootstrap's peak by 1.4 MB (3%) more. The IRLS and the fill, whose fixed
 cost per numpy call is what a larger stack saves, take the whole stack.
 
-At bootstrap sizes the n-by-k blocks of a fit (the stack, its row-major copy
-and ``q``) are freed at the end of every fit. By default glibc hands that
-memory back to the OS and the next fit faults it in again, page by page. On
+At bootstrap sizes the n-by-k blocks of a fit (its column-major buffers,
+the row-major copy and ``q``) are freed at the end of every fit. By default
+glibc hands that memory back to the OS and the next fit faults it in again,
+page by page. On
 glibc, importing this module therefore raises the mmap threshold to 32 MiB
 and the trim threshold to 64 MiB (see :func:`_keep_freed_heap`), so freed
 fit blocks stay in the heap for the next fit; a user who sets either
@@ -283,20 +289,29 @@ def _factored(
 ]:
     """Copy the model matrices ``M``, the (b, n, k) view of a C-contiguous
     (b, k, n) buffer, into a new row-major stack, then factor the buffer in
-    place by ``_qr(..., with_q)``: the row-major stack, ``q`` (``None``
+    place by :func:`_qr_checked`: the row-major stack, then its ``q``, R and
+    errors. The caller frees the factored buffer by dropping ``M``, as the
+    propensity fit does before its IRLS."""
+    row_major = np.empty(M.shape)
+    np.copyto(row_major, M)
+    return (row_major, *_qr_checked(M, errors, what, with_q))
+
+
+def _qr_checked(
+    M: NDArray[np.float64], errors: list[WateError | None], what: str, with_q: bool
+) -> tuple[NDArray[np.float64] | None, NDArray[np.float64] | None, list[WateError | None]]:
+    """Factor the model matrices ``M``, the (b, n, k) view of a C-contiguous
+    (b, k, n) buffer, in place by ``_qr(..., with_q)``: ``q`` (``None``
     without it), R and ``errors``, the evaluation errors, with each
     matrix's rank error added (see :func:`_rank_errors`). A design with more
     columns than rows is refused and nothing is factored; ``q`` and R are
-    then ``None``. The caller frees the factored buffer by dropping ``M``,
-    as the propensity fit does before its IRLS."""
+    then ``None``."""
     b, n, k = M.shape
-    row_major = np.empty((b, n, k))
-    np.copyto(row_major, M)
     if n < k:
         wide = RankDeficiencyError(f"{what}: {k} columns but only {n} rows")
-        return row_major, None, None, [error or wide for error in errors]
+        return None, None, [error or wide for error in errors]
     q, r = _qr(M.transpose(0, 2, 1), with_q=with_q)
-    return row_major, q, r, [error or rank for error, rank in zip(errors, _rank_errors(r, what))]
+    return q, r, [error or rank for error, rank in zip(errors, _rank_errors(r, what))]
 
 
 def _design_matrix(
@@ -315,31 +330,38 @@ def _outcome_matrix(
     main: DesignSpec,
     inter: DesignSpec,
     X: NDArray[np.float64],
-    arm: NDArray[np.float64] | float,
+    arm: float,
     out: NDArray[np.float64] | None = None,
-    g: NDArray[np.float64] | None = None,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+) -> NDArray[np.float64]:
     """``[1, main(X), arm, arm * inter(X)]``, the one layout of the outcome
-    model's columns for fitting and for predicting, and the interaction
-    columns ``inter(X)``, which :func:`_set_arm` needs to switch the arm,
-    each evaluated into ``out`` and ``g`` when given; of each replicate for
-    a (b, n, p) stack and a (b, n) ``arm``. Equal designs are evaluated
-    once: ``g`` is then the main block of the matrix."""
+    model's columns for fitting and for predicting, evaluated into ``out``
+    when given, in either memory order; of each replicate for a (b, n, p)
+    stack. Equal designs are evaluated once, the interaction block written
+    as ``arm`` times the main block; a distinct interaction design is
+    evaluated straight into its block. The fit evaluates its arm-1 operand
+    this way (see :func:`_fit_outcome_part`)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     kb = len(main)
     M = np.empty((*X.shape[:-1], kb + 2 + len(inter))) if out is None else out
     M[..., 0] = 1.0
     main.matrix(X, out=M[..., 1:kb + 1])
-    g = M[..., 1:kb + 1] if inter == main else inter.matrix(X, out=g)
-    _set_arm(M, arm, g)
-    return M, g
+    g = M[..., 1:kb + 1] if inter == main else inter.matrix(X, out=M[..., kb + 2:])
+    if arm == 1.0 and inter != main:
+        # A design is finite, so its block already holds 1 * g to the bit.
+        M[..., kb + 1] = 1.0
+    else:
+        _set_arm(M, arm, g)
+    return M
 
 
 def _set_arm(
     M: NDArray[np.float64], arm: NDArray[np.float64] | float, g: NDArray[np.float64]
 ) -> None:
     """Overwrite the arm column of an outcome model matrix, or of a stack of
-    them, and the interaction block after it with ``arm`` and ``arm * g``."""
+    them, and the interaction block after it with ``arm`` and ``arm * g``;
+    ``g`` may be that block itself. On the outcome fit's column-major
+    stacks, the (b, n, k) views of C-contiguous (b, k, n) buffers, it writes
+    whole contiguous rows of the buffer."""
     j = M.shape[-1] - g.shape[-1] - 1
     M[..., j] = arm
     np.multiply(np.asarray(arm)[..., None], g, out=M[..., j + 1:])
@@ -733,24 +755,30 @@ def _fit_outcome_part(
     """The outcome fits of the replicates ``part`` of ``stack``, as one
     stacked least squares fit.
 
-    The model matrices are evaluated once, into one stack of column-major
-    slices, which :func:`_factored` copies into a row-major stack for the
-    arm means and factors in place, checking each R for rank; then the
-    full-rank systems are solved by one stacked solve. Both arms' means come
-    from the row-major stack, its arm columns switched in place, by one
-    stacked ``M @ beta`` each. LAPACK's QR and a stacked solve or matmul
-    compute each slice as the 2-D call does, so every replicate gets the
-    bits, or the error, it gets alone."""
+    The model matrices are evaluated once, as the arm-1 operand ``[1, f, 1,
+    g]``, into one stack of column-major slices, the (b, n, k) view of a
+    C-contiguous (b, k, n) buffer, and the observed design ``[1, f, A, A
+    g]`` is built from it by contiguous writes into a second such buffer,
+    which :func:`_qr_checked` factors in place, checking each R for rank;
+    the full-rank systems are solved by one stacked solve. The arm-1 operand
+    is then copied once into a row-major stack for ``m1 = M @ beta``; the
+    arm-0 columns ``0`` and ``0 * g``, written into its own rows and copied
+    across, give ``m0``. Every operand holds the values, and has the layout,
+    of the matrix rebuilt for its own arm, and LAPACK's QR and a stacked
+    solve or matmul compute each slice as the 2-D call does, so every
+    replicate gets the bits, or the error, it gets alone."""
     X, A = stack.X[part], stack.A[part]
     b, n = A.shape
-    kb, ki = len(main), len(inter)
-    k = kb + 2 + ki
-    M = np.empty((b, k, n)).transpose(0, 2, 1)
-    G = M[:, :, 1:kb + 1] if inter == main else np.empty((b, ki, n)).transpose(0, 2, 1)
-    errors = _evaluated(lambda i: _outcome_matrix(main, inter, X[i], A[i], M[i], G[i]), b, M, G)
-    M, q, r, errors = _factored(M, errors, "outcome design", with_q=True)
-    if inter == main:
-        G = M[:, :, 1:kb + 1]
+    kb = len(main)
+    k = kb + 2 + len(inter)
+    F = np.empty((b, k, n)).transpose(0, 2, 1)
+    errors = _evaluated(lambda i: _outcome_matrix(main, inter, X[i], 1.0, F[i]), b, F)
+    g = F[:, :, kb + 2:]
+    observed = np.empty((b, k, n)).transpose(0, 2, 1)
+    np.copyto(observed[:, :, :kb + 1], F[:, :, :kb + 1])
+    _set_arm(observed, A, g)
+    q, r, errors = _qr_checked(observed, errors, "outcome design", with_q=True)
+    del observed
     no_df = ModelFitError(
         f"outcome model has {k} coefficients for {n} rows; no residual degrees of freedom"
     ) if n - k < 1 else None
@@ -762,11 +790,19 @@ def _fit_outcome_part(
         Y[:, :, 0] = stack.Y[part]
         qty = q.transpose(0, 2, 1) @ Y
         beta[rows] = np.linalg.solve(r[rows], qty[rows])
-    # Switching the arm in place writes 1*g and 0*g, the bits a matrix
-    # rebuilt for each arm would hold.
-    _set_arm(M, 1.0, G)
+    # The row-major stack is made once the observed design and q are freed,
+    # so a part holds at most three n-by-k blocks at once.
+    del q
+    M = np.empty((b, n, k))
+    np.copyto(M, F)
     m1 = M @ beta
-    _set_arm(M, 0.0, G)
+    # 0 and 0 * g over 1 and g: the bits a matrix rebuilt for arm 0 holds.
+    _set_arm(F, 0.0, g)
+    # Copied across a column at a time up to 3 columns and in one call
+    # above, whichever is faster: 12 against 21-31 us for 2 columns, 30-33
+    # against 58 us for 7 (1 to 5 replicates, 5000 rows, x86-64).
+    for j in range(kb + 1, k) if k - kb <= 4 else [slice(kb + 1, k)]:
+        M[:, :, j] = F[:, :, j]
     m0 = M @ beta
     return _OutcomeFits(errors, beta[:, :, 0], m1[:, :, 0], m0[:, :, 0])
 
@@ -777,7 +813,7 @@ def predict_outcome(
     """Model mean outcome had everyone received arm ``a`` (0 or 1)."""
     if a not in (0, 1):
         raise ValueError(f"arm must be 0 or 1, got {a!r}")
-    M, _ = _outcome_matrix(model.main_design, model.interaction_design, X, float(a))
+    M = _outcome_matrix(model.main_design, model.interaction_design, X, float(a))
     if M.shape[1] != model.beta.shape[0]:
         raise ModelFitError(
             f"design evaluates to {M.shape[1]} columns but the model has "

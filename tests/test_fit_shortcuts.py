@@ -20,6 +20,11 @@
   too, stays within 2k + 10 vectors per row.
 * The fits' QR, LAPACK run in place on a column-major buffer, gives
   ``numpy.linalg.qr``'s q, R and ``q.T @ y``, and no fit calls numpy's.
+* The outcome fit builds its observed design and both arm operands from one
+  column-major arm-1 operand: its coefficients are those of
+  ``numpy.linalg.qr`` of the observed design, each arm's means those of the
+  model matrix rebuilt for that arm, and the traced peak of a part stays
+  within 3k + 2 vectors per row.
 
 Their decisions must not depend on the BLAS kernel or thread count, so CI
 runs this file under two BLAS threads and another OpenBLAS kernel too.
@@ -31,14 +36,16 @@ import numpy as np
 import pytest
 
 import wate
-from wate.design import MonomialTerm
+from wate.design import MonomialTerm, intercept_only
 from wate.data import _Stack, _replicate_rng
 from wate.models import (
     PROB_CLAMP,
     _clamped_sigmoid,
     _factored,
+    _fit_outcome_part,
     _fit_outcomes,
     _fit_propensities,
+    _outcome_matrix,
     _qr,
     _rank_errors,
     _sigmoid,
@@ -49,6 +56,7 @@ from wate.simulation import (
     SimulationDesign,
     _replicate_values,
     generate_dataset,
+    outcome_design,
     propensity_design,
 )
 
@@ -468,3 +476,86 @@ def test_the_qr_gives_numpys_bits(b, n, k, special):
         assert r_only.tobytes() == np.linalg.qr(M, mode="r").tobytes()
         qty = q.transpose(0, 2, 1) @ Y
         assert qty.tobytes() == (q_np.transpose(0, 2, 1) @ Y).tobytes()
+
+
+# --- the outcome fit's arm operands ----------------------------------------
+
+
+def _arm_case(case, b):
+    """A stack of b replicates at n = 60 and an outcome design pair: equal
+    main effects, the study's correct pair with its ``TransformTerm``
+    interaction, an empty interaction, main effects of negative covariates,
+    or the correct pair with an x2 of 1e200 in row 7 of the last replicate,
+    where x2^2 overflows."""
+    data = [generate_dataset(1, 60, np.random.default_rng([b, seed])) for seed in range(b)]
+    stack = _stacked(data)
+    names = data[0].covariate_names
+    if case == "negative":
+        np.negative(np.abs(stack.X), out=stack.X)
+    if case == "raises":
+        stack.X[-1, 6, 1] = 1e200
+    if case in ("transform", "raises"):
+        return stack, *outcome_design(True, 1)
+    main = wate.main_effects(names)
+    return stack, main, intercept_only() if case == "empty" else main
+
+
+@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("case", ["shared", "transform", "empty", "negative", "raises"])
+def test_the_arm_operands_give_the_bits_of_the_matrices_rebuilt_for_each_arm(case, b):
+    # Each fit's coefficients are those of numpy.linalg.qr of its observed
+    # design [1, f, A, A g], built here column by column, and each arm's
+    # means are _outcome_matrix(main, inter, X, a) @ beta, byte for byte,
+    # whose arm and interaction columns are a and a * g: -0.0 for a = 0 where
+    # g is negative. A replicate whose design raises keeps its own error and
+    # gets zeros.
+    stack, main, inter = _arm_case(case, b)
+    fits = _fit_outcomes(stack, main, inter)
+    for i, (X, A, Y) in enumerate(zip(*stack)):
+        if case == "raises" and i == b - 1:
+            error = fits.errors[i]
+            assert (type(error).__name__, str(error)) == (
+                "DesignError", "term 'x2^2' is not finite (rows 7)"
+            )
+            for values in (fits.beta[i], fits.m1[i], fits.m0[i]):
+                assert values.tobytes() == np.zeros_like(values).tobytes()
+            continue
+        assert fits.errors[i] is None
+        f, g = main.matrix(X), inter.matrix(X)
+        ones = np.ones((len(A), 1))
+        observed = np.hstack([ones, f, A[:, None], A[:, None] * g])
+        q, r = np.linalg.qr(observed)
+        beta = np.linalg.solve(r, q.T @ Y[:, None])[:, 0]
+        assert fits.beta[i].tobytes() == beta.tobytes()
+        for a, m in ((1, fits.m1[i]), (0, fits.m0[i])):
+            M = _outcome_matrix(main, inter, X, a)
+            assert M.tobytes() == np.hstack([ones, f, a * ones, a * g]).tobytes()
+            assert m.tobytes() == (M @ beta).tobytes()
+        # The main effects of negative covariates give -0.0 in the arm-0
+        # interaction block; exp(x1 + 0.5 x3 x5) is positive.
+        zeros = _outcome_matrix(main, inter, X, 0)[:, len(main) + 1:]
+        assert np.signbit(zeros).any() == (case in ("shared", "negative"))
+
+
+@pytest.mark.parametrize("b, n, correct", [
+    (1, 5000, False), (5, 1000, False), (5, 1000, True), (13, 200, False),
+])
+def test_an_outcome_part_peaks_within_3k_plus_2_vectors_per_row(b, n, correct):
+    # The boot-fit shape, the study's parts at n = 1000 under either design
+    # (k = 12 and 5) and a part of 13 at n = 200. The traced peak of one
+    # part holds three blocks of k length-(b n) vectors at once: the arm-1
+    # operand, the observed design factored in place and q. The row-major
+    # operand of the arm means is made only once the last two are freed; a
+    # fourth live block goes past the bound.
+    stack = _stacked([generate_dataset(1, n, _replicate_rng(0, rep)) for rep in range(b)])
+    main, inter = outcome_design(correct, 1)
+    k = len(main) + 2 + len(inter)
+    _fit_outcome_part(stack, slice(0, b), main, inter)  # LAPACK's workspace query, cached
+    tracemalloc.start()
+    try:
+        fits = _fit_outcome_part(stack, slice(0, b), main, inter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fits.errors == [None] * b
+    assert peak <= (3 * k + 2) * 8 * b * n, peak / (8 * b * n) - 3 * k
