@@ -338,19 +338,15 @@ def _outcome_matrix(
     when given, in either memory order; of each replicate for a (b, n, p)
     stack. Equal designs are evaluated once, the interaction block written
     as ``arm`` times the main block; a distinct interaction design is
-    evaluated straight into its block. The fit evaluates its arm-1 operand
-    this way (see :func:`_fit_outcome_part`)."""
+    evaluated straight into its block and scaled there. The fit evaluates
+    its arm-1 operand this way (see :func:`_fit_outcome_part`)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     kb = len(main)
     M = np.empty((*X.shape[:-1], kb + 2 + len(inter))) if out is None else out
     M[..., 0] = 1.0
     main.matrix(X, out=M[..., 1:kb + 1])
     g = M[..., 1:kb + 1] if inter == main else inter.matrix(X, out=M[..., kb + 2:])
-    if arm == 1.0 and inter != main:
-        # A design is finite, so its block already holds 1 * g to the bit.
-        M[..., kb + 1] = 1.0
-    else:
-        _set_arm(M, arm, g)
+    _set_arm(M, arm, g)
     return M
 
 
@@ -798,11 +794,7 @@ def _fit_outcome_part(
     m1 = M @ beta
     # 0 and 0 * g over 1 and g: the bits a matrix rebuilt for arm 0 holds.
     _set_arm(F, 0.0, g)
-    # Copied across a column at a time up to 3 columns and in one call
-    # above, whichever is faster: 12 against 21-31 us for 2 columns, 30-33
-    # against 58 us for 7 (1 to 5 replicates, 5000 rows, x86-64).
-    for j in range(kb + 1, k) if k - kb <= 4 else [slice(kb + 1, k)]:
-        M[:, :, j] = F[:, :, j]
+    M[:, :, kb + 1:] = F[:, :, kb + 1:]
     m0 = M @ beta
     return _OutcomeFits(errors, beta[:, :, 0], m1[:, :, 0], m0[:, :, 0])
 
