@@ -57,11 +57,16 @@ class RankDeficiencyError(ModelFitError):
 
 class FitFailure(ModelFitError):
     """A cell could not be estimated because a working model it reads failed
-    to fit; ``error`` is what the fitter raised."""
+    to fit; ``stage`` names the model and ``error`` is what the fitter
+    raised. It pickles, so a result can come back from a worker process."""
 
     def __init__(self, stage: str, error: WateError):
         super().__init__(f"{stage} fit failed: {error}")
+        self.stage = stage
         self.error = error
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.error)
 
 
 class ConvergenceError(ModelFitError):

@@ -27,18 +27,19 @@ into a :class:`CellPlan`. It lists each distinct working model once in
 the cell reports. It gives each propensity fit, and the cells that fit none,
 the targets its cells read ``h`` of, the targets linear in the propensity
 first. The pass then fills every cell on a :class:`~wate.data._Stack` of b
-same-n replicates at once: it fits each listed model on first use, on the
-whole stack (one stacked IRLS per propensity design, one stacked least
-squares fit per outcome design, see :mod:`wate.models`), and estimates every
-cell from the (b, n) vector stacks of the fits' stacked results as they
-come, with no model object, no prediction and no comparison of designs; the
-rows of a failed fit hold placeholders, 0.5 in ``pi`` and 0 in ``m1`` and
-``m0``. ``A`` and ``Y`` are (b, n) stacks too. A fitted and truncated
-``pi`` is not checked again: the fit keeps it strictly inside (0, 1). Per
-propensity fit, the pass evaluates the targets as one C-contiguous
-(b, targets, n) block ``H``, each standard or linear target once on the
-whole stack and a covariate target's function once per replicate, and
-computes each term on the whole block, once:
+same-n replicates at once: it first fits every listed model on the whole
+stack (one stacked IRLS per propensity design, one stacked least squares
+fit per outcome design, see :mod:`wate.models`), keeping ``pi`` of each
+propensity fit and ``m1``, ``m0`` and ``m1 - m0`` of each outcome fit, and
+then estimates every cell from those (b, n) vector stacks, with no model
+object, no prediction and no comparison of designs; the rows of a failed
+fit hold placeholders, 0.5 in ``pi`` and 0 in ``m1`` and ``m0``. ``A``
+and ``Y`` are (b, n) stacks too. A fitted and truncated ``pi`` is not
+checked again: the fit keeps it strictly inside (0, 1). Per propensity fit,
+the pass evaluates the targets as one C-contiguous (b, targets, n) block
+``H``, each standard or linear target once on the whole stack and a
+covariate target's function once per replicate, and computes each term on
+the whole block, once:
 
 * the row sums of ``H``, of the weights ``A*(H/pi)`` and ``(1-A)*(H/(1-pi))``
   and of the weighted outcomes;
@@ -50,8 +51,9 @@ computes each term on the whole block, once:
 Every sum over a block is a sum over its last axis. numpy sums each row of
 a C-contiguous block as it sums that row alone, and an elementwise term
 gets the same bits in any shape, so a replicate gets the bits a pass over
-it alone gives (a test pins this property of numpy). The cells are filled a
-block at a time, and a block is freed after its last cell.
+it alone gives (a test pins this property of numpy). The cells are filled in
+the order of their propensity fits, and one block is alive at a time: the
+pass drops a block before it builds the next.
 
 Each kernel returns its cell's value on every replicate of the stack and
 records, per replicate, the first check the replicate fails, in the order a
@@ -111,48 +113,30 @@ class PointEstimate:
 
 class _Pass:
     """One fill over a stack of b replicates: its (b, n) ``A``, ``1 - A``
-    and ``Y``, the vectors of each fit of ``plan`` on first use, the
-    :class:`_Block` of each propensity fit and ``m1 - m0`` of each outcome
-    fit."""
+    and ``Y``, the fits of every working model of ``plan``, made once up
+    front, and the one live :class:`_Block`.
+
+    ``fits[slot]`` holds the vectors of fit ``slot`` as (b, n) stacks,
+    ``pi`` or ``(m1, m0, m1 - m0)``, and the :class:`FitFailure` of each
+    replicate it failed on, by position; the rows of a failed fit hold
+    placeholders."""
 
     def __init__(self, stack: _Stack, plan: "CellPlan"):
         self.stack = stack
         self.plan = plan
         self.A, self.Y = stack.A, stack.Y
         self.not_A = 1.0 - self.A
-        self._fits: dict[int, tuple[object, dict[int, FitFailure]]] = {}
-        self._blocks: dict[int, _Block] = {}
-        self._m_diff: dict[int, NDArray[np.float64]] = {}
-
-    def fitted(self, slot: int) -> tuple[object, dict[int, FitFailure]]:
-        """The vectors of fit ``slot`` (``pi``, or ``(m1, m0)``) as (b, n)
-        stacks, and the :class:`FitFailure` of each replicate it failed on,
-        by position; the rows of a failed fit hold placeholders."""
-        fit = self._fits.get(slot)
-        if fit is None:
-            fit = self._fits[slot] = _fit(self.stack, self.plan.fits[slot])
-        return fit
-
-    def vectors(self, slot: int):
-        """The vectors of fit ``slot``."""
-        return self.fitted(slot)[0]
+        self.fits = [_fit(stack, fit) for fit in plan.fits]
+        self._block: _Block | None = None
 
     def block(self, p: int) -> "_Block":
-        block = self._blocks.get(p)
-        if block is None:
-            block = self._blocks[p] = _Block(self, p)
-        return block
-
-    def release(self, p: int) -> None:
-        """Free the block of propensity fit ``p``."""
-        self._blocks.pop(p, None)
-
-    def m_diff(self, m: int) -> NDArray[np.float64]:
-        diff = self._m_diff.get(m)
-        if diff is None:
-            m1, m0 = self.vectors(m)
-            diff = self._m_diff[m] = m1 - m0
-        return diff
+        """The block of propensity fit ``p``. A new ``p`` drops the previous
+        block before the next one is built, so one block is alive at a
+        time."""
+        if self._block is None or self._block.p != p:
+            self._block = None
+            self._block = _Block(self, p)
+        return self._block
 
 
 class _Block:
@@ -165,13 +149,15 @@ class _Block:
     on the replicate. The error of a replicate on which ``h`` failed is given
     to every cell that reads its row. The first rows are the targets linear
     in the propensity. Every term is computed on the whole block and every
-    sum is over the last axis. The terms of an outcome fit take the pass,
-    which the block does not keep: a block that kept it would tie the pass
-    into a reference cycle, whose arrays only the cycle collector frees."""
+    sum is over the last axis. The terms of outcome fit ``m`` read its
+    vectors from the pass's list of fits, which the block keeps, not the
+    pass."""
 
     def __init__(self, q: _Pass, p: int):
+        self.p = p
         self.A, self.not_A, self.Y = q.A, q.not_A, q.Y
-        self.pi, failed = (None, {}) if p < 0 else q.fitted(p)
+        self.fits = q.fits
+        self.pi, failed = (None, {}) if p < 0 else q.fits[p]
         targets, self.coefficients = q.plan.blocks[p]
         b, n = q.A.shape
         self.H = np.empty((b, len(targets), n))
@@ -243,17 +229,17 @@ class _Block:
             value = self._per_fit[name, m] = compute()
         return value
 
-    def regression(self, q: _Pass, m: int) -> NDArray[np.float64]:
+    def regression(self, m: int) -> NDArray[np.float64]:
         """Row sums of ``H*(m1 - m0)``."""
         return self._once(
-            "regression", m, lambda: (self.H * q.m_diff(m)[:, None]).sum(axis=2)
+            "regression", m, lambda: (self.H * self.fits[m][0][2][:, None]).sum(axis=2)
         )
 
-    def augmented(self, q: _Pass, m: int) -> NDArray[np.float64]:
+    def augmented(self, m: int) -> NDArray[np.float64]:
         """Row sums of ``H`` times the augmented contrast ``arm1 - arm0``."""
 
         def compute():
-            m1, m0 = q.vectors(m)
+            m1, m0, _ = self.fits[m][0]
             ay_pi, a_pi, ay_not_pi, a_not_pi = self.contrast_terms
             arm1 = ay_pi - a_pi * m1
             arm0 = ay_not_pi + a_not_pi * m0
@@ -261,18 +247,18 @@ class _Block:
 
         return self._once("augmented", m, compute)
 
-    def doubly_robust(self, q: _Pass, m: int) -> NDArray[np.float64]:
+    def doubly_robust(self, m: int) -> NDArray[np.float64]:
         """Row sums of ``(a + b*A)*(m1 - m0) + h*(A/pi*(Y - m1) -
         (1-A)/(1-pi)*(Y - m0))`` over the linear targets."""
 
         def compute():
-            m1, m0 = q.vectors(m)
+            m1, m0, m_diff = self.fits[m][0]
             Y = self.Y
             treated, control = self.residual_terms
             residual = treated * (Y - m1) - control * (Y - m0)
             h_obs, _ = self.observed
             h = self.H[:, :h_obs.shape[1]]
-            return (h_obs * q.m_diff(m)[:, None] + h * residual[:, None]).sum(axis=2)
+            return (h_obs * m_diff[:, None] + h * residual[:, None]).sum(axis=2)
 
         return self._once("doubly_robust", m, compute)
 
@@ -341,7 +327,7 @@ def _unweighted(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.flo
 
 def _regression_on_arm(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
     _needs_outcome(c.m, "regression estimator")
-    m1, m0 = q.vectors(c.m)
+    m1, m0, _ = q.fits[c.m][0]
     treated = c.target.kind is TargetKind.ATT
     arm = q.A if treated else q.not_A
     size = arm.sum(axis=1)
@@ -364,7 +350,7 @@ def _dr_linear(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.floa
     block.h_total(c.row, err)
     denom = block.observed[1][:, c.row]
     _refuse(err, denom <= 0.0, "denominator sum(a + b*A) is not positive")
-    return _finite(block.doubly_robust(q, c.m)[:, c.row] / denom, "doubly robust estimate", err)
+    return _finite(block.doubly_robust(c.m)[:, c.row] / denom, "doubly robust estimate", err)
 
 
 def _no_closed_form(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
@@ -389,7 +375,7 @@ def _regression(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.flo
     block = _block_of(q, c, err)
     _needs_outcome(c.m, "regression estimator")
     total = block.h_checked(c.row, err)
-    return _finite(block.regression(q, c.m)[:, c.row] / total, "regression estimate", err)
+    return _finite(block.regression(c.m)[:, c.row] / total, "regression estimate", err)
 
 
 def _ipw(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
@@ -406,7 +392,7 @@ def _aipw(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
     _needs_propensity(c.p, "augmented estimator")
     _needs_outcome(c.m, "augmented estimator")
     total = block.h_checked(c.row, err)
-    return _finite(block.augmented(q, c.m)[:, c.row] / total, "augmented estimate", err)
+    return _finite(block.augmented(c.m)[:, c.row] / total, "augmented estimate", err)
 
 
 _GENERIC = {
@@ -574,19 +560,20 @@ def _fit(stack: _Stack, fit: tuple[object, ...]) -> tuple[object, dict[int, FitF
     """The vectors of ``fit`` on a stack of replicates, as (b, n) stacks,
     and the :class:`FitFailure` of each replicate it failed on, by position:
     the vectors supplied to a stack of one, ``pi`` of the stacked propensity
-    fit, truncated on the whole stack (0.5 where it failed), or ``(m1, m0)``
-    of the stacked outcome fit (0 where it failed). A fitted ``pi`` needs no
-    check: the IRLS fails a fit that reaches its clamp, so each fit lies
-    strictly inside (``PROB_CLAMP``, 1 - ``PROB_CLAMP``), and a truncation
-    only clips it at its own percentiles."""
+    fit, truncated on the whole stack (0.5 where it failed), or ``(m1, m0,
+    m1 - m0)`` of the stacked outcome fit (0 where it failed). A fitted
+    ``pi`` needs no check: the IRLS fails a fit that reaches its clamp, so
+    each fit lies strictly inside (``PROB_CLAMP``, 1 - ``PROB_CLAMP``), and a
+    truncation only clips it at its own percentiles."""
     stage, design, extra = fit
     if design is None:
         if stage == "outcome":
-            return tuple(v.reshape(1, -1) for v in extra), {}
+            m1, m0 = (v.reshape(1, -1) for v in extra)
+            return (m1, m0, m1 - m0), {}
         return extra.reshape(1, -1), {}
     if stage == "outcome":
         fits = _fit_outcomes(stack, design, design if extra is None else extra)
-        return (fits.m1, fits.m0), _failures(stage, fits.errors)
+        return (fits.m1, fits.m0, fits.m1 - fits.m0), _failures(stage, fits.errors)
     fits = _fit_propensities(stack, design)
     pi, errors = fits.pi, fits.errors
     pi[[i for i, error in enumerate(errors) if error is not None]] = 0.5
@@ -608,25 +595,25 @@ def _fill(
     and per cell the error of each replicate it failed on, by position.
 
     The one pass, over the whole stack: each fit of the plan runs once on
-    it and each kernel once, and each replicate gets the checks in the order
-    a pass over it alone makes them, so its first failure and its bits; an
-    error a kernel raises applies to every replicate. The cells are filled a
-    block at a time, and each block is freed after its last cell."""
-    q = _Pass(stack, plan)
+    it, up front, and each kernel once, and each replicate gets the checks
+    in the order a pass over it alone makes them, so its first failure and
+    its bits; an error a kernel raises applies to every replicate. The
+    cells are filled in the order of their propensity fits, so each block
+    is built once and dropped when the next one is built."""
     b = stack.A.shape[0]
     cells = plan.cells
     values = np.empty((b, len(cells)))
     errors: list[dict[int, WateError]] = [{} for _ in cells]
-    order = sorted(range(len(cells)), key=lambda j: cells[j].p)
     # The divisions of a refused replicate may divide by zero, and the sums
     # of extreme but finite data may overflow; _finite refuses a value that
     # is not finite.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j, after in zip(order, order[1:] + [None]):
+        q = _Pass(stack, plan)
+        for j in sorted(range(len(cells)), key=lambda j: cells[j].p):
             c, err = cells[j], errors[j]
             for slot in (c.p, c.m):
                 if slot >= 0:
-                    for i, failure in q.fitted(slot)[1].items():
+                    for i, failure in q.fits[slot][1].items():
                         err.setdefault(i, failure)
             try:
                 values[:, j] = c.kernel(q, c, err)
@@ -635,8 +622,6 @@ def _fill(
                 exc = exc.with_traceback(None)
                 for i in range(b):
                     err.setdefault(i, exc)
-            if after is None or cells[after].p != c.p:
-                q.release(c.p)
     return values, errors
 
 

@@ -48,8 +48,9 @@ arguments and its bits but without its copies of the input (see
 :func:`_qr`). The BLAS products read row-major model matrices, since a
 column-major operand changes the bits of ``matmul``. The propensity fit
 copies its buffer once into a row-major stack before the buffer is factored
-(see :func:`_factored`); the IRLS reads that copy as it is, or a copy of
-its full-rank slices, and the factored buffer is freed before it starts.
+(see :func:`_fit_propensities`); the IRLS reads that copy as it is, or a
+copy of its full-rank slices, and the factored buffer is freed before it
+starts.
 The outcome fit evaluates the arm-1 operand ``[1, f, 1, g]`` and builds
 from it, by writes to whole contiguous rows, the observed design ``[1, f,
 A, A g]`` in a second buffer, which it factors, and then the arm-0 columns
@@ -70,13 +71,14 @@ row-major operand is made only once the last two are freed. So
 the fewest replicates that hold at least ``_PART_ROWS`` rows,
 ``max(1, ceil(_PART_ROWS / n))``, ``_PART_ROWS`` being a third of the
 stack's ``wate.data._BATCH_ROWS`` (4096 of 12288 rows), each part evaluated,
-factored, checked for rank and solved as one stack. A part holds 4096 to
-8191 rows up to n = 4096 and one replicate above it (5000 rows at n = 1000
-and at n = 5000), which keeps the QR's peak at a part's rows rather than a
-whole stack's: factoring a whole stack of 8192 rows at once was no faster
-and raised a study's peak memory by 1 MB more (n = 1000), and parts of
-half of 12288 rows, which pair the replicates at n = 5000, raised the
-bootstrap's peak by 1.4 MB (3%) more. The IRLS and the fill, whose fixed
+factored, checked for rank and solved as one stack, and written into its
+rows of the one result. A part holds 4096 to 8191 rows up to n = 4096 and
+one replicate above it (5000 rows at n = 1000 and at n = 5000), which keeps
+the QR's peak at a part's rows rather than a whole stack's: factoring a
+whole stack of 8192 rows at once was no faster and raised a study's peak
+memory by 1 MB more (n = 1000), and parts of half of 12288 rows, which pair
+the replicates at n = 5000, raised the bootstrap's peak by 1.4 MB (3%)
+more. The IRLS and the fill, whose fixed
 cost per numpy call is what a larger stack saves, take the whole stack.
 
 At bootstrap sizes the n-by-k blocks of a fit (its column-major buffers,
@@ -281,22 +283,6 @@ def _lapack(routine: str, *args: object) -> None:
         raise np.linalg.LinAlgError(f"{routine} refused argument {-info}")
 
 
-def _factored(
-    M: NDArray[np.float64], errors: list[WateError | None], what: str, with_q: bool
-) -> tuple[
-    NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64] | None,
-    list[WateError | None],
-]:
-    """Copy the model matrices ``M``, the (b, n, k) view of a C-contiguous
-    (b, k, n) buffer, into a new row-major stack, then factor the buffer in
-    place by :func:`_qr_checked`: the row-major stack, then its ``q``, R and
-    errors. The caller frees the factored buffer by dropping ``M``, as the
-    propensity fit does before its IRLS."""
-    row_major = np.empty(M.shape)
-    np.copyto(row_major, M)
-    return (row_major, *_qr_checked(M, errors, what, with_q))
-
-
 def _qr_checked(
     M: NDArray[np.float64], errors: list[WateError | None], what: str, with_q: bool
 ) -> tuple[NDArray[np.float64] | None, NDArray[np.float64] | None, list[WateError | None]]:
@@ -426,16 +412,20 @@ class _PropensityFits(NamedTuple):
 def _fit_propensities(stack: _Stack, design: DesignSpec) -> _PropensityFits:
     """:func:`fit_propensity` of ``design`` on each replicate of ``stack``.
     The design is evaluated once, into one stack of column-major model
-    matrices, which :func:`_factored` copies into the row-major stack the
-    IRLS reads and factors for the rank check; the full-rank designs are
-    fitted by one stacked IRLS, which reads that copy itself when every
-    design is one. The factored buffer is freed before the IRLS starts."""
+    matrices, which is copied once into the row-major stack the IRLS reads
+    and then factored in place by :func:`_qr_checked` for the rank check;
+    the full-rank designs are fitted by one stacked IRLS, which reads that
+    copy itself when every design is one. The factored buffer is freed
+    before the IRLS starts."""
     X, A = stack.X, stack.A
     b, n = A.shape
     k = len(design) + 1
-    M = np.empty((b, k, n)).transpose(0, 2, 1)
-    errors = _evaluated(lambda i: _design_matrix(design, X[i], M[i]), b, M)
-    M, _, _, errors = _factored(M, errors, "propensity design", with_q=False)
+    F = np.empty((b, k, n)).transpose(0, 2, 1)
+    errors = _evaluated(lambda i: _design_matrix(design, X[i], F[i]), b, F)
+    M = np.empty((b, n, k))
+    np.copyto(M, F)
+    _, _, errors = _qr_checked(F, errors, "propensity design", with_q=False)
+    del F
     fits = _PropensityFits(errors, np.zeros((b, k)), np.zeros((b, n)), [0.0] * b, [0] * b)
     rows = [i for i, error in enumerate(fits.errors) if error is None]
     if rows:
@@ -732,24 +722,22 @@ class _OutcomeFits(NamedTuple):
 def _fit_outcomes(stack: _Stack, main: DesignSpec, inter: DesignSpec) -> _OutcomeFits:
     """:func:`fit_outcome` of ``(main, inter)`` on each replicate of
     ``stack``, as stacked least squares fits of its consecutive parts of
-    ``_stack_size(_PART_ROWS, n)`` replicates, joined in replicate order. A
-    part is a slice of the stack."""
+    ``_stack_size(_PART_ROWS, n)`` replicates, each written into its rows
+    of one result. A part is a slice of the stack."""
     b, n = stack.A.shape
+    k = len(main) + 2 + len(inter)
+    fits = _OutcomeFits([None] * b, np.empty((b, k)), np.empty((b, n)), np.empty((b, n)))
     size = _stack_size(_PART_ROWS, n)
-    parts = [_fit_outcome_part(stack, slice(i, i + size), main, inter) for i in range(0, b, size)]
-    if len(parts) == 1:
-        return parts[0]
-    return _OutcomeFits(
-        [error for part in parts for error in part.errors],
-        *(np.concatenate(arrays) for arrays in zip(*(part[1:] for part in parts))),
-    )
+    for i in range(0, b, size):
+        _fit_outcome_part(stack, slice(i, i + size), main, inter, fits)
+    return fits
 
 
 def _fit_outcome_part(
-    stack: _Stack, part: slice, main: DesignSpec, inter: DesignSpec
-) -> _OutcomeFits:
+    stack: _Stack, part: slice, main: DesignSpec, inter: DesignSpec, fits: _OutcomeFits
+) -> None:
     """The outcome fits of the replicates ``part`` of ``stack``, as one
-    stacked least squares fit.
+    stacked least squares fit, written into the rows ``part`` of ``fits``.
 
     The model matrices are evaluated once, as the arm-1 operand ``[1, f, 1,
     g]``, into one stack of column-major slices, the (b, n, k) view of a
@@ -796,7 +784,8 @@ def _fit_outcome_part(
     _set_arm(F, 0.0, g)
     M[:, :, kb + 1:] = F[:, :, kb + 1:]
     m0 = M @ beta
-    return _OutcomeFits(errors, beta[:, :, 0], m1[:, :, 0], m0[:, :, 0])
+    fits.errors[part] = errors
+    fits.beta[part], fits.m1[part], fits.m0[part] = beta[:, :, 0], m1[:, :, 0], m0[:, :, 0]
 
 
 def predict_outcome(

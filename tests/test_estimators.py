@@ -1,11 +1,15 @@
 import gc
 import math
+import pickle
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wate.estimators
 import wate.models
 from wate.data import ObservationalDataset, _Stack
 from wate.design import main_effects
@@ -41,6 +45,8 @@ from wate.targets import (
     linear_in_propensity,
     overlap_effect,
 )
+
+from test_stacking import _stacked, _study_draw
 
 
 def random_instance(seed, n=40, p=2):
@@ -777,6 +783,39 @@ def test_a_fill_leaves_no_cyclic_garbage():
             gc.enable()
 
 
+def test_a_fill_keeps_one_block_alive(monkeypatch):
+    # The study's first stack at n = 1000 (13 replicates) under the study
+    # plan: 4 fits, then the blocks of no propensity fit (1 target) and of
+    # the two propensity fits (4 targets each), in that order. A block is
+    # dropped before the next one is built, so no earlier block is alive at
+    # a build, and the fill's traced peak, its fits' vectors and its one
+    # live block's terms included, stays within 30.5 length-(b n) vectors
+    # (29.7 measured, numpy 2.4, in a block's augmented term). A pass
+    # that kept its blocks to the end peaks near 44.
+    data, _ = _study_draw()
+    stack = _stacked(data)
+    b, n = stack.A.shape
+    plan = _study_plan()
+    _cell_value_rows(stack, plan)  # LAPACK's workspace queries, cached
+    built = []
+    init = wate.estimators._Block.__init__
+
+    def recording_init(self, q, p):
+        assert [block() for block in built] == [None] * len(built)
+        init(self, q, p)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(wate.estimators._Block, "__init__", recording_init)
+    tracemalloc.start()
+    try:
+        rows = _cell_value_rows(stack, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) == 3 and not np.isnan(rows).any()
+    assert peak <= 30.5 * 8 * b * n, peak / (8 * b * n)
+
+
 # --- the unweighted difference, cell applicability, supplied vectors --------
 
 
@@ -855,6 +894,33 @@ def test_supplied_and_fitted_propensities_keep_their_own_terms():
     for p, got in zip(pipelines, fill_cells(ds, pipelines, pi=supplied)):
         pi = supplied if p.pi_design is None else fitted
         assert close(got.value, _ipw_oracle(ds, p.estimand, pi)), (p.estimand.label, pi is fitted)
+
+
+def test_a_fit_failure_survives_pickling():
+    # A fill_cells result must come back from a worker process: each failure
+    # it returns, a rank-deficient outcome design and a propensity fit
+    # pinned at the clamp bounds (treatment separable by x1), pickles to an
+    # error of the same type, message and fit error.
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal(40)
+    A = (x > 0).astype(float)
+    ds = ObservationalDataset(X=np.column_stack([x, 2.0 * x]), A=A, Y=x + A)
+    design = main_effects(ds.covariate_names)
+    results = fill_cells(ds, [
+        EstimationPipeline(average_effect(), EstimatorKind.REGRESSION, m_design=design),
+        EstimationPipeline(
+            average_effect(), EstimatorKind.IPW_NORMALIZED, pi_design=main_effects(("x1",))
+        ),
+    ])
+    assert [type(r.error).__name__ for r in results] == [
+        "RankDeficiencyError", "ConvergenceError"
+    ]
+    for failure in results:
+        assert type(failure) is FitFailure
+        copy = pickle.loads(pickle.dumps(failure))
+        assert type(copy) is FitFailure and str(copy) == str(failure)
+        assert copy.stage == failure.stage
+        assert type(copy.error) is type(failure.error) and str(copy.error) == str(failure.error)
 
 
 def test_supplied_vectors_are_checked():

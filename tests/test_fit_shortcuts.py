@@ -23,8 +23,9 @@
 * The outcome fit builds its observed design and both arm operands from one
   column-major arm-1 operand: its coefficients are those of
   ``numpy.linalg.qr`` of the observed design, each arm's means those of the
-  model matrix rebuilt for that arm, and the traced peak of a part stays
-  within 3k + 2 vectors per row.
+  model matrix rebuilt for that arm, the arm-0 operand holds the signed
+  zeros of the matrix rebuilt for arm 0, and the traced peak of a part
+  stays within 3k + 2 vectors per row.
 
 Their decisions must not depend on the BLAS kernel or thread count, so CI
 runs this file under two BLAS threads and another OpenBLAS kernel too.
@@ -40,13 +41,14 @@ from wate.design import MonomialTerm, intercept_only
 from wate.data import _Stack, _replicate_rng
 from wate.models import (
     PROB_CLAMP,
+    _OutcomeFits,
     _clamped_sigmoid,
-    _factored,
     _fit_outcome_part,
     _fit_outcomes,
     _fit_propensities,
     _outcome_matrix,
     _qr,
+    _qr_checked,
     _rank_errors,
     _sigmoid,
     _truncated,
@@ -100,16 +102,16 @@ def _qr_calls(monkeypatch):
 def test_the_rank_check_agrees_with_numpys_qr_on_every_conditioning():
     # 400 designs at n = 30 with k = 4 columns, each scaled by 10**e for e
     # in [-9, 9], a fifth of them with a column repeated up to 1e-12: from
-    # well conditioned to rank deficient. The fits' path, a row-major copy
-    # and then R alone from the column-major slices factored in place,
-    # decides as numpy.linalg.qr's R of the row-major stack does.
+    # well conditioned to rank deficient. The fits' path, R alone from the
+    # column-major slices factored in place, decides as numpy.linalg.qr's R
+    # of the row-major stack does.
     rng = np.random.default_rng(11)
     M = rng.standard_normal((400, 30, 4))
     M *= 10.0 ** rng.uniform(-9, 9, (400, 1, 4))
     near = rng.random(400) < 0.2
     M[near, :, 3] = M[near, :, 0] * (1 + 1e-12 * rng.standard_normal((near.sum(), 30)))
-    row_major, q, _, errors = _factored(_column_major(*M), [None] * 400, "design", False)
-    assert q is None and row_major.tobytes() == M.tobytes()
+    q, _, errors = _qr_checked(_column_major(*M), [None] * 400, "design", False)
+    assert q is None
     assert _described(errors) == _by_qr(M, "design")
     assert 0 < sum(e is not None for e in errors) < 400
 
@@ -303,36 +305,54 @@ def test_the_irls_fits_the_one_row_major_copy_of_the_designs(monkeypatch):
     # The designs are evaluated into column-major slices, which are copied
     # once into the row-major stack the IRLS reads and then factored in
     # place. When every design has full rank, the IRLS reads that copy
-    # itself, not a second copy of it.
-    evaluated, copies, fitted = [], [], []
-    design_matrix, factored, irls = (
-        wate.models._design_matrix, wate.models._factored, wate.models._irls
+    # itself, not a second copy of it: when it starts, the one live block of
+    # model matrices is a block that was live, beside the buffer, when the
+    # buffer was factored; the factored buffer is freed.
+    evaluated, factored, fitted = [], [], []
+    design_matrix, qr_checked, irls = (
+        wate.models._design_matrix, wate.models._qr_checked, wate.models._irls
     )
 
+    def address(M):
+        return M.__array_interface__["data"][0]
+
+    def live_blocks(M):
+        """Where each traced block of M's size was allocated."""
+        return [str(t.traceback) for t in tracemalloc.take_snapshot().traces if t.size == M.nbytes]
+
     def recording_design_matrix(design, X, out=None):
-        evaluated.append(out)
+        evaluated.append(
+            (address(out), [m.flags.f_contiguous and not m.flags.c_contiguous for m in out])
+        )
         return design_matrix(design, X, out)
 
-    def recording_factored(*args, **kwargs):
-        result = factored(*args, **kwargs)
-        copies.append(result[0])
-        return result
+    def recording_qr_checked(M, *args, **kwargs):
+        factored.append((address(M), live_blocks(M)))
+        return qr_checked(M, *args, **kwargs)
 
     def recording_irls(M, *args):
-        fitted.append(M)
+        live = live_blocks(M)
+        fitted.append((M.copy(), M.flags.c_contiguous, address(M), live))
         return irls(M, *args)
 
     monkeypatch.setattr(wate.models, "_design_matrix", recording_design_matrix)
-    monkeypatch.setattr(wate.models, "_factored", recording_factored)
+    monkeypatch.setattr(wate.models, "_qr_checked", recording_qr_checked)
     monkeypatch.setattr(wate.models, "_irls", recording_irls)
     data = [generate_dataset(1, 200, np.random.default_rng(seed)) for seed in range(3)]
     stack = _Stack(*(np.stack([getattr(ds, a) for ds in data]) for a in "XAY"))
-    fits = _fit_propensities(stack, propensity_design(True))
+    design = propensity_design(True)
+    tracemalloc.start()
+    try:
+        fits = _fit_propensities(stack, design)
+    finally:
+        tracemalloc.stop()
     assert fits.errors == [None] * 3
-    (out,), (copy,), (M,) = evaluated, copies, fitted
-    assert all(m.flags.f_contiguous and not m.flags.c_contiguous for m in out)
-    assert M is copy and M.shape == out.shape and M.flags.c_contiguous
-    assert not np.shares_memory(M, out)
+    ((out, column_major),), ((buffer, at_qr),), ((M, row_major, copy, at_irls),) = (
+        evaluated, factored, fitted
+    )
+    assert all(column_major) and buffer == out != copy
+    assert len(at_qr) == 2 and len(at_irls) == 1 and at_irls[0] in at_qr
+    assert row_major and M.tobytes() == np.stack([design_matrix(design, ds.X) for ds in data]).tobytes()
 
 
 def test_the_irls_buffers_give_the_bits_of_the_calls_that_allocate():
@@ -537,6 +557,34 @@ def test_the_arm_operands_give_the_bits_of_the_matrices_rebuilt_for_each_arm(cas
         assert np.signbit(zeros).any() == (case in ("shared", "negative"))
 
 
+@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("case", ["shared", "transform", "negative"])
+def test_the_arm_0_operand_holds_the_signed_zeros_of_the_matrix_rebuilt_for_arm_0(
+    monkeypatch, case, b
+):
+    # m0 multiplies the arm-0 columns the fit writes over its arm-1 operand
+    # [1, f, 1, g], the buffer the fit's first _set_arm call fills. They
+    # must hold the bytes of _outcome_matrix(main, inter, X, 0.0): 0 and
+    # 0 * g, -0.0 where g is negative. A +-0 term moves m0 only where the
+    # other terms sum to exactly zero, so the means alone cannot show it.
+    stack, main, inter = _arm_case(case, b)
+    operands = []
+    set_arm = wate.models._set_arm
+
+    def recording_set_arm(M, arm, g):
+        operands.append(M)
+        set_arm(M, arm, g)
+
+    monkeypatch.setattr(wate.models, "_set_arm", recording_set_arm)
+    fits = _fit_outcomes(stack, main, inter)
+    assert fits.errors == [None] * b
+    arm0 = operands[0][:, :, len(main) + 1:]
+    for i, X in enumerate(stack.X):
+        expected = _outcome_matrix(main, inter, X, 0.0)[:, len(main) + 1:]
+        assert arm0[i].tobytes() == expected.tobytes()
+    assert np.signbit(arm0).any() == (case != "transform")
+
+
 @pytest.mark.parametrize("b, n, correct", [
     (1, 5000, False), (5, 1000, False), (5, 1000, True), (13, 200, False),
 ])
@@ -546,14 +594,17 @@ def test_an_outcome_part_peaks_within_3k_plus_2_vectors_per_row(b, n, correct):
     # part holds three blocks of k length-(b n) vectors at once: the arm-1
     # operand, the observed design factored in place and q. The row-major
     # operand of the arm means is made only once the last two are freed; a
-    # fourth live block goes past the bound.
+    # fourth live block goes past the bound. The part writes into a result
+    # made outside the trace, as _fit_outcomes makes one for all its parts.
     stack = _stacked([generate_dataset(1, n, _replicate_rng(0, rep)) for rep in range(b)])
     main, inter = outcome_design(correct, 1)
     k = len(main) + 2 + len(inter)
-    _fit_outcome_part(stack, slice(0, b), main, inter)  # LAPACK's workspace query, cached
+    fits = _OutcomeFits([None] * b, np.empty((b, k)), np.empty((b, n)), np.empty((b, n)))
+    _fit_outcome_part(stack, slice(0, b), main, inter, fits)  # LAPACK's workspace query, cached
+    fits.errors[:] = [False] * b
     tracemalloc.start()
     try:
-        fits = _fit_outcome_part(stack, slice(0, b), main, inter)
+        _fit_outcome_part(stack, slice(0, b), main, inter, fits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
