@@ -35,6 +35,7 @@ from .estimators import (
     CellPlan,
     EstimationPipeline,
     EstimatorKind,
+    _ROW_MODELS,
     fill_cells,
     has_formula,
     plan_cells,
@@ -319,6 +320,7 @@ def build_report_task(
     pipelines = []
     for method in methods:
         kind = _METHOD_KINDS[method]
+        fits_pi, fits_m = _ROW_MODELS[kind]
         for token, target in zip(tokens, targets):
             if not has_formula(kind, target):
                 continue
@@ -327,8 +329,8 @@ def build_report_task(
                 EstimationPipeline(
                     estimand=target,
                     kind=kind,
-                    pi_design=pi_design if method in ("ipw", "aipw") else None,
-                    m_design=m_design if method in ("regression", "aipw") else None,
+                    pi_design=pi_design if fits_pi else None,
+                    m_design=m_design if fits_m else None,
                     m_interaction=m_interaction,
                     truncate=truncate,
                 )

@@ -79,9 +79,9 @@ def _refuse_non_finite(named: Sequence[tuple[str, NDArray[np.float64]]]) -> None
 @dataclass(frozen=True, eq=False)
 class ObservationalDataset:
     """Covariates, binary treatment and observed outcome for n >= 1
-    subjects. No rows, a non-finite value anywhere and a treatment value
-    other than 0/1 are refused; :func:`validate` reports the other
-    problems."""
+    subjects. No rows, a non-finite value anywhere, a treatment value other
+    than 0/1 and column names that are not distinct are refused;
+    :func:`validate` reports the other problems."""
 
     X: NDArray[np.float64]
     A: NDArray[np.float64]
@@ -116,6 +116,12 @@ class ObservationalDataset:
         if len(names) != X.shape[1]:
             raise DataError(
                 f"{len(names)} covariate names for {X.shape[1]} columns"
+            )
+        # save_csv writes each name as a header column for load_csv to read.
+        if len({*names, self.treatment_name, self.outcome_name}) != len(names) + 2:
+            raise DataError(
+                f"column names must be distinct: covariates {list(names)}, "
+                f"treatment {self.treatment_name!r}, outcome {self.outcome_name!r}"
             )
         object.__setattr__(self, "X", _freeze(X))
         object.__setattr__(self, "A", _freeze(A))

@@ -12,6 +12,7 @@ model used here and by the command line interface.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -102,7 +103,8 @@ class DesignSpec:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if out is None:
             out = np.empty((*X.shape[:-1], len(self.terms)))
-        rows = X.reshape(-1, X.shape[-1])
+        # The row count is given: -1 cannot be resolved when p = 0.
+        rows = X.reshape(math.prod(X.shape[:-1]), X.shape[-1])
         with np.errstate(over="ignore", invalid="ignore"):
             for j, term in enumerate(self.terms):
                 if X.ndim == 3 and isinstance(term, TransformTerm):

@@ -17,16 +17,19 @@ model residuals; the effects on the treated and on the controls are its
 it. The treated/control targets also admit regression-only forms that need no
 propensity model at all. Any other h, including the generic augmented form
 for the treated, is a :func:`~wate.targets.covariate_target`.
-:func:`has_formula` says which cells a report or study row can fill.
+:func:`has_formula` says which cells a report or study row can fill: those
+with a formula under the models a row of the kind fits (``_ROW_MODELS``).
 
 :func:`fill_cells` is the one fit-then-fill engine, in two steps.
 :func:`plan_cells` resolves a list of :class:`EstimationPipeline` cells once
 into a :class:`CellPlan`. It lists each distinct working model once in
 ``CellPlan.fits``, keyed as ``("propensity", design, truncate)`` or
 ``("outcome", main, interaction)``. It picks each cell's kernel and the kind
-the cell reports. It gives each propensity fit, and the cells that fit none,
-the targets its cells read ``h`` of, the targets linear in the propensity
-first. The pass then fills every cell on a :class:`~wate.data._Stack` of b
+the cell reports, once per plan: the kernel is the cell's formula, or a
+refusal where the cell has no formula or its formula reads a model the cell
+does not fit. It gives each propensity fit, and the cells that fit none, the
+targets its cells read ``h`` of, the targets linear in the propensity first.
+The pass then fills every cell on a :class:`~wate.data._Stack` of b
 same-n replicates at once: it first fits every listed model on the whole
 stack (one stacked IRLS per propensity design, one stacked least squares
 fit per outcome design, see :mod:`wate.models`), keeping ``pi`` of each
@@ -59,9 +62,10 @@ Each kernel returns its cell's value on every replicate of the stack and
 records, per replicate, the first check the replicate fails, in the order a
 pass over that replicate alone makes the checks: a failed fit, an error
 evaluating ``h`` (kept without its traceback), then the kernel's own
-refusals. An error that holds for every replicate, such as a model the cell
-does not fit, is raised. Only the unweighted difference, which takes each
-replicate's arm means, loops over the replicates.
+refusals. No kernel raises. A planned refusal gives every replicate the same
+error, after its failed fits and, where the formula would have evaluated
+``h`` first, after the error of ``h``. Only the unweighted difference, which
+takes each replicate's arm means, loops over the replicates.
 
 Vectors supplied to :func:`fill_cells` (a truncated or external ``pi``, arm
 means predicted from a model fitted on other rows) join the plan as fits of
@@ -111,59 +115,34 @@ class PointEstimate:
 # --- the terms of one pass ----------------------------------------------------
 
 
-class _Pass:
-    """One fill over a stack of b replicates: its (b, n) ``A``, ``1 - A``
-    and ``Y``, the fits of every working model of ``plan``, made once up
-    front, and the one live :class:`_Block`.
-
-    ``fits[slot]`` holds the vectors of fit ``slot`` as (b, n) stacks,
-    ``pi`` or ``(m1, m0, m1 - m0)``, and the :class:`FitFailure` of each
-    replicate it failed on, by position; the rows of a failed fit hold
-    placeholders."""
-
-    def __init__(self, stack: _Stack, plan: "CellPlan"):
-        self.stack = stack
-        self.plan = plan
-        self.A, self.Y = stack.A, stack.Y
-        self.not_A = 1.0 - self.A
-        self.fits = [_fit(stack, fit) for fit in plan.fits]
-        self._block: _Block | None = None
-
-    def block(self, p: int) -> "_Block":
-        """The block of propensity fit ``p``. A new ``p`` drops the previous
-        block before the next one is built, so one block is alive at a
-        time."""
-        if self._block is None or self._block.p != p:
-            self._block = None
-            self._block = _Block(self, p)
-        return self._block
-
-
 class _Block:
-    """The targets the plan lists for propensity fit ``p`` (-1: the cells
-    that fit none), as a C-contiguous (b, targets, n) block ``H``: row
-    ``H[i, t]`` is ``h`` of target t on replicate i from
+    """One fill's terms on a stack of b replicates under propensity fit ``p``
+    (-1: the cells that fit none). It holds the (b, n) ``A``, ``1 - A`` and
+    ``Y``, and ``fits``: per fit of the plan, its vectors as (b, n) stacks,
+    ``pi`` or ``(m1, m0, m1 - m0)``, and the :class:`FitFailure` of each
+    replicate it failed on, by position (a failed row holds placeholders).
+
+    The targets the plan lists for ``p`` form a C-contiguous (b, targets, n)
+    block ``H``: row ``H[i, t]`` is ``h`` of target t on replicate i from
     :func:`~wate.targets._h_values`, which evaluates each target once on the
     stack (a covariate target's function once per replicate) and checks its
     length, finiteness and sign, or zeros when that failed or the fit failed
     on the replicate. The error of a replicate on which ``h`` failed is given
     to every cell that reads its row. The first rows are the targets linear
     in the propensity. Every term is computed on the whole block and every
-    sum is over the last axis. The terms of outcome fit ``m`` read its
-    vectors from the pass's list of fits, which the block keeps, not the
-    pass."""
+    sum is over the last axis."""
 
-    def __init__(self, q: _Pass, p: int):
+    def __init__(self, stack: _Stack, fits: list, plan: "CellPlan", p: int):
         self.p = p
-        self.A, self.not_A, self.Y = q.A, q.not_A, q.Y
-        self.fits = q.fits
-        self.pi, failed = (None, {}) if p < 0 else q.fits[p]
-        targets, self.coefficients = q.plan.blocks[p]
-        b, n = q.A.shape
+        self.A, self.not_A, self.Y = stack.A, 1.0 - stack.A, stack.Y
+        self.fits = fits
+        self.pi, failed = (None, {}) if p < 0 else fits[p]
+        targets, self.coefficients = plan.blocks[p]
+        b, n = stack.A.shape
         self.H = np.empty((b, len(targets), n))
         self.errors: dict[int, dict[int, WateError]] = {}
         for t, target in enumerate(targets):
-            self.H[:, t], errors = _h_values(target, q.stack.X, self.pi, failed)
+            self.H[:, t], errors = _h_values(target, stack.X, self.pi, failed)
             if errors:
                 self.errors[t] = errors
         self.totals = self.H.sum(axis=2)
@@ -279,20 +258,6 @@ def _finite(
     return values
 
 
-def _needs_propensity(p: int, reader: str) -> None:
-    """Raise :class:`MissingModelError` naming ``reader`` for a cell that
-    fits no propensity (``p = -1``)."""
-    if p < 0:
-        raise MissingModelError(f"{reader} needs a propensity model or a supplied pi")
-
-
-def _needs_outcome(m: int, reader: str) -> None:
-    """Raise :class:`MissingModelError` naming ``reader`` for a cell that
-    fits no outcome model (``m = -1``)."""
-    if m < 0:
-        raise MissingModelError(f"{reader} needs an outcome model")
-
-
 # --- kernels over (A, Y, h, pi, m1, m0) ---------------------------------------
 
 
@@ -301,7 +266,7 @@ class _Cell(NamedTuple):
     reports, its target, its propensity and outcome fit slots (-1: none)
     and its target's row in the block of its propensity fit (-1: none)."""
 
-    kernel: Callable[[_Pass, "_Cell", dict[int, WateError]], NDArray[np.float64]]
+    kernel: Callable[[_Block, "_Cell", dict[int, WateError]], NDArray[np.float64]]
     reported: EstimatorKind
     target: TargetFunction
     p: int
@@ -309,13 +274,39 @@ class _Cell(NamedTuple):
     row: int
 
 
-def _unweighted(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
+@dataclass(frozen=True)
+class _Refusal:
+    """The kernel of a cell with no formula under its models: each replicate
+    gets ``error(message)`` unless a fit failed on it or, when ``after_h``
+    (the formula checks ``h`` first), ``h`` failed on it."""
+
+    error: type[WateError]
+    message: str
+    after_h: bool = False
+
+    def __call__(self, block: _Block, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
+        if self.after_h:
+            block.h_total(c.row, err)
+        error = self.error(self.message)
+        for i in range(len(block.A)):
+            err.setdefault(i, error)
+        return np.full(len(block.A), np.nan)
+
+
+def _missing(reader: str, no_pi: bool, no_m: bool, after_h: bool = False) -> _Refusal | None:
+    """The refusal naming ``reader`` of the first model it reads that the
+    cell does not fit, if any."""
+    if no_pi or no_m:
+        model = "a propensity model or a supplied pi" if no_pi else "an outcome model"
+        return _Refusal(MissingModelError, f"{reader} needs {model}", after_h)
+    return None
+
+
+def _unweighted(block: _Block, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
     """``mean(Y[A==1]) - mean(Y[A==0])``: the average effect when h = 1 and
     no model is fitted, each mean summed and divided as ``np.mean`` does."""
-    if c.target.kind is not TargetKind.ATE:
-        raise EstimationError(f"the unweighted difference has no {c.target.label!r} form")
-    values = np.zeros(q.A.shape[0])
-    for i, (A, Y) in enumerate(zip(q.A, q.Y)):
+    values = np.zeros(block.A.shape[0])
+    for i, (A, Y) in enumerate(zip(block.A, block.Y)):
         treated, control = Y[A == 1.0], Y[A == 0.0]
         if treated.size == 0 or control.size == 0:
             err.setdefault(i, EstimationError("an arm is empty"))
@@ -325,26 +316,22 @@ def _unweighted(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.flo
     return _finite(values, "unweighted estimate", err)
 
 
-def _regression_on_arm(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
-    _needs_outcome(c.m, "regression estimator")
-    m1, m0, _ = q.fits[c.m][0]
+def _regression_on_arm(block: _Block, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
+    m1, m0, _ = block.fits[c.m][0]
     treated = c.target.kind is TargetKind.ATT
-    arm = q.A if treated else q.not_A
+    arm = block.A if treated else block.not_A
     size = arm.sum(axis=1)
     who = "treated" if treated else "control"
     _refuse(err, size < 1.0, f"no {who} observations")
-    contrast = q.Y - m0 if treated else m1 - q.Y
+    contrast = block.Y - m0 if treated else m1 - block.Y
     return _finite((arm * contrast).sum(axis=1) / size, f"{who} regression estimate", err)
 
 
-def _dr_linear(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
+def _dr_linear(block: _Block, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
     """sum [ (a + b*A)*(m1 - m0) + (a + b*pi) * (A/pi*(Y - m1) - (1-A)/(1-pi)*(Y - m0)) ]
     / sum (a + b*A). The denominator replaces pi with the observed treatment
     indicator, which is what makes the estimator consistent when only one
     model is right."""
-    _needs_propensity(c.p, "doubly robust estimator")
-    _needs_outcome(c.m, "doubly robust estimator")
-    block = q.block(c.p)
     # The sign of h is checked first, by the same code and with the same
     # message as for every other estimator of this target.
     block.h_total(c.row, err)
@@ -353,52 +340,30 @@ def _dr_linear(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.floa
     return _finite(block.doubly_robust(c.m)[:, c.row] / denom, "doubly robust estimate", err)
 
 
-def _no_closed_form(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
-    raise EstimationError(
-        f"closed-form doubly robust estimator only supports targets linear in "
-        f"the propensity, not {c.target.label!r}"
-    )
-
-
-def _block_of(q: _Pass, c: _Cell, err: dict[int, WateError]) -> _Block:
-    """The block holding the cell's ``h``, after the checks every kernel of
-    a generic ``h`` makes first: a target that reads ``pi`` needs one, and
-    ``h`` must have evaluated."""
-    if c.target.depends_on_propensity:
-        _needs_propensity(c.p, f"target {c.target.label!r}")
-    block = q.block(c.p)
-    block.h_total(c.row, err)
-    return block
-
-
-def _regression(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
-    block = _block_of(q, c, err)
-    _needs_outcome(c.m, "regression estimator")
+def _regression(block: _Block, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
     total = block.h_checked(c.row, err)
     return _finite(block.regression(c.m)[:, c.row] / total, "regression estimate", err)
 
 
-def _ipw(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
-    block = _block_of(q, c, err)
-    _needs_propensity(c.p, "weighting estimator")
+def _ipw(block: _Block, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
+    block.h_total(c.row, err)
     st, sc, ty, cy = block.weights
     st, sc = st[:, c.row], sc[:, c.row]
     _refuse(err, (st <= 0.0) | (sc <= 0.0), "zero weight mass in one arm")
     return _finite(ty[:, c.row] / st - cy[:, c.row] / sc, "ipw estimate", err)
 
 
-def _aipw(q: _Pass, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
-    block = _block_of(q, c, err)
-    _needs_propensity(c.p, "augmented estimator")
-    _needs_outcome(c.m, "augmented estimator")
+def _aipw(block: _Block, c: _Cell, err: dict[int, WateError]) -> NDArray[np.float64]:
     total = block.h_checked(c.row, err)
     return _finite(block.augmented(c.m)[:, c.row] / total, "augmented estimate", err)
 
 
+# The kernel of each generic ``h``, the name its refusals give, and whether
+# it reads the propensity and the outcome model.
 _GENERIC = {
-    EstimatorKind.REGRESSION: _regression,
-    EstimatorKind.IPW_NORMALIZED: _ipw,
-    EstimatorKind.AIPW: _aipw,
+    EstimatorKind.REGRESSION: (_regression, "regression estimator", False, True),
+    EstimatorKind.IPW_NORMALIZED: (_ipw, "weighting estimator", True, False),
+    EstimatorKind.AIPW: (_aipw, "augmented estimator", True, True),
 }
 
 
@@ -413,42 +378,62 @@ def _linear_coefficients(target: TargetFunction) -> tuple[float, float] | None:
     return None
 
 
-def has_formula(kind: EstimatorKind, target: TargetFunction) -> bool:
-    """Whether ``(kind, target)`` has a formula without a model its row does
-    not fit: the unweighted row fits none, the regression row no propensity
-    (the treated and controls have indicator forms). The doubly robust closed
-    form exists only for targets linear in the propensity."""
-    if kind is EstimatorKind.UNWEIGHTED:
-        return target.kind is TargetKind.ATE
-    if kind is EstimatorKind.REGRESSION:
-        return (
-            target.kind in (TargetKind.ATT, TargetKind.ATC)
-            or not target.depends_on_propensity
-        )
-    if kind is EstimatorKind.DR_LINEAR_IN_PI:
-        return _linear_coefficients(target) is not None
-    return True
-
-
 def _route(
-    kind: EstimatorKind, target: TargetFunction
-) -> tuple[EstimatorKind, Callable[[_Pass, _Cell, dict[int, WateError]], NDArray[np.float64]]]:
-    """The kind a ``(kind, target)`` cell reports and the kernel for that
-    pair. The augmented kind on a target linear in the propensity runs, and
+    kind: EstimatorKind, target: TargetFunction, p: int, m: int
+) -> tuple[EstimatorKind, Callable[[_Block, _Cell, dict[int, WateError]], NDArray[np.float64]]]:
+    """The kind a ``(kind, target)`` cell with fit slots ``p`` and ``m``
+    (-1: none) reports, and its kernel: the formula of the pair, or a
+    :class:`_Refusal` where it has none or reads a model the cell does not
+    fit. The augmented kind on a target linear in the propensity runs, and
     reports, the doubly robust closed form."""
     if kind is EstimatorKind.UNWEIGHTED:
+        if target.kind is not TargetKind.ATE:
+            message = f"the unweighted difference has no {target.label!r} form"
+            return kind, _Refusal(EstimationError, message)
         return kind, _unweighted
     if kind is EstimatorKind.REGRESSION and target.kind in (TargetKind.ATT, TargetKind.ATC):
         # A regression over one arm's rows.
-        return kind, _regression_on_arm
+        return kind, _missing("regression estimator", False, m < 0) or _regression_on_arm
     if kind in (EstimatorKind.AIPW, EstimatorKind.DR_LINEAR_IN_PI):
         if _linear_coefficients(target) is not None:
-            return EstimatorKind.DR_LINEAR_IN_PI, _dr_linear
+            missing = _missing("doubly robust estimator", p < 0, m < 0)
+            return EstimatorKind.DR_LINEAR_IN_PI, missing or _dr_linear
         if kind is EstimatorKind.DR_LINEAR_IN_PI:
-            return kind, _no_closed_form
+            message = (
+                f"closed-form doubly robust estimator only supports targets linear in "
+                f"the propensity, not {target.label!r}"
+            )
+            return kind, _Refusal(EstimationError, message)
     if kind not in _GENERIC:
         raise EstimationError(f"unknown estimator kind {kind!r}")
-    return kind, _GENERIC[kind]
+    kernel, reader, reads_pi, reads_m = _GENERIC[kind]
+    # A target that reads pi needs one before its h can be evaluated; the
+    # formula reads its models after h.
+    return kind, (
+        _missing(f"target {target.label!r}", target.depends_on_propensity and p < 0, False)
+        or _missing(reader, reads_pi and p < 0, reads_m and m < 0, after_h=True)
+        or kernel
+    )
+
+
+# Whether a report or study row of each kind fits a propensity and an
+# outcome model.
+_ROW_MODELS = {
+    EstimatorKind.UNWEIGHTED: (False, False),
+    EstimatorKind.REGRESSION: (False, True),
+    EstimatorKind.IPW_NORMALIZED: (True, False),
+    EstimatorKind.AIPW: (True, True),
+    EstimatorKind.DR_LINEAR_IN_PI: (True, True),
+}
+
+
+def has_formula(kind: EstimatorKind, target: TargetFunction) -> bool:
+    """Whether ``(kind, target)`` has a formula under the models a row of
+    ``kind`` fits (:data:`_ROW_MODELS`): whether :func:`_route` gives it a
+    kernel that is no :class:`_Refusal`."""
+    fits_pi, fits_m = _ROW_MODELS[kind]
+    _, kernel = _route(kind, target, 0 if fits_pi else -1, 0 if fits_m else -1)
+    return not isinstance(kernel, _Refusal)
 
 
 # --- the fit-then-fill engine -------------------------------------------------
@@ -460,7 +445,8 @@ class EstimationPipeline:
 
     ``pi_design`` / ``m_design`` of ``None`` mean the corresponding model is
     not fitted: the cell reads the vectors supplied to :func:`fill_cells`,
-    and without them the dispatcher rejects estimators that need it.
+    and without them a cell whose formula reads that model is planned as a
+    refusal, a :class:`MissingModelError` on every dataset.
     ``truncate`` is a percentile pair applied to the fitted propensities
     before any weight is formed; the target function is evaluated on the
     truncated values too. A value that is not a pair of real numbers, or a
@@ -549,7 +535,7 @@ def _plan(
         blocks[p] = _BlockPlan(tuple(rows), (ab[:, :1], ab[:, 1:]))
     cells = []
     for pipe, (p, m) in zip(pipelines, slots):
-        reported, kernel = _route(pipe.kind, pipe.estimand)
+        reported, kernel = _route(pipe.kind, pipe.estimand, p, m)
         rows = blocks[p].targets
         row = rows.index(pipe.estimand) if pipe.estimand in rows else -1
         cells.append(_Cell(kernel, reported, pipe.estimand, p, m, row))
@@ -595,11 +581,12 @@ def _fill(
     and per cell the error of each replicate it failed on, by position.
 
     The one pass, over the whole stack: each fit of the plan runs once on
-    it, up front, and each kernel once, and each replicate gets the checks
-    in the order a pass over it alone makes them, so its first failure and
-    its bits; an error a kernel raises applies to every replicate. The
-    cells are filled in the order of their propensity fits, so each block
-    is built once and dropped when the next one is built."""
+    it, up front, and each kernel once. Each replicate gets the failures of
+    the cell's fits first, then the kernel's checks in the order a pass over
+    it alone makes them, so its first failure and its bits. The cells are
+    filled in the order of their propensity fits, and one :class:`_Block`
+    is alive at a time: the previous block is dropped before the next one
+    is built."""
     b = stack.A.shape[0]
     cells = plan.cells
     values = np.empty((b, len(cells)))
@@ -608,20 +595,18 @@ def _fill(
     # of extreme but finite data may overflow; _finite refuses a value that
     # is not finite.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = _Pass(stack, plan)
+        fits = [_fit(stack, fit) for fit in plan.fits]
+        block = None
         for j in sorted(range(len(cells)), key=lambda j: cells[j].p):
             c, err = cells[j], errors[j]
+            if block is None or block.p != c.p:
+                block = None
+                block = _Block(stack, fits, plan, c.p)
             for slot in (c.p, c.m):
                 if slot >= 0:
-                    for i, failure in q.fits[slot][1].items():
+                    for i, failure in fits[slot][1].items():
                         err.setdefault(i, failure)
-            try:
-                values[:, j] = c.kernel(q, c, err)
-            except WateError as exc:
-                # A raise gives a kept error the traceback of its frames.
-                exc = exc.with_traceback(None)
-                for i in range(b):
-                    err.setdefault(i, exc)
+            values[:, j] = c.kernel(block, c, err)
     return values, errors
 
 

@@ -48,6 +48,7 @@ from .estimators import (
     CellPlan,
     EstimationPipeline,
     EstimatorKind,
+    _ROW_MODELS,
     _cell_value_rows,
     has_formula,
     plan_cells,
@@ -266,14 +267,11 @@ def study_cells(design: SimulationDesign) -> list[Cell]:
     column. Raises ``ValueError`` if no cell remains."""
     rows: list[tuple[str, bool | None, bool | None]] = []
     for est in design.estimators:
-        if est == "regression":
-            rows.extend((est, None, mc) for mc in _SPECS)
-        elif est == "ipw":
-            rows.extend((est, pc, None) for pc in _SPECS)
-        elif est == "dr":
-            rows.extend((est, pc, mc) for pc in _SPECS for mc in _SPECS)
-        else:
+        if est not in _KIND_BY_TOKEN:
             raise ValueError(f"unknown estimator token {est!r}")
+        # A model the row does not fit has no specification to vary.
+        pcs, mcs = ((_SPECS if fits else (None,)) for fits in _ROW_MODELS[_KIND_BY_TOKEN[est]])
+        rows.extend((est, pc, mc) for pc in pcs for mc in mcs)
     cells: list[Cell] = []
     for est, pc, mc in rows:
         for estimand in design.estimands:

@@ -744,23 +744,24 @@ _SCALES = (1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e307)
 
 @st.composite
 def _extreme_datasets(draw):
-    """A valid dataset of 1 to 12 rows and 1 to 3 covariates, each column
+    """A valid dataset of 1 to 12 rows and 0 to 3 covariates, each column
     and the outcome a draw in [-1, 1] times a scale of _SCALES; the last
     column may be constant or a copy of the first, and the arms random,
     separable by the first column or lopsided, with one row in one arm."""
-    n, p = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    n, p = draw(st.integers(1, 12)), draw(st.integers(0, 3))
 
     def column():
         values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
         return np.array(values) * draw(st.sampled_from(_SCALES))
 
-    X = np.column_stack([column() for _ in range(p)])
-    shape = draw(st.sampled_from(["free", "constant", "copy"]))
+    X = np.column_stack([column() for _ in range(p)]) if p else np.empty((n, 0))
+    shape = draw(st.sampled_from(["free", "constant", "copy"])) if p else "free"
     if shape == "constant":
         X[:, -1] = X[0, -1]
     elif shape == "copy":
         X[:, -1] = X[:, 0]
-    arms = draw(st.sampled_from(["random", "separable", "lopsided"]))
+    # With no covariate, no column separates the arms.
+    arms = draw(st.sampled_from(["random", "separable", "lopsided"] if p else ["random", "lopsided"]))
     if arms == "random":
         A = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     elif arms == "separable":
@@ -769,6 +770,25 @@ def _extreme_datasets(draw):
         A = np.arange(n) == draw(st.integers(0, n - 1))
         A ^= draw(st.booleans())
     return ObservationalDataset(X, A.astype(np.float64), column())
+
+
+def test_with_no_covariates_every_default_cell_is_the_unweighted_difference():
+    # Intercept-only models fit the treated share and the arm means, so every
+    # weight is constant within an arm and every formula reduces to the
+    # difference in arm means.
+    rng = np.random.default_rng(4)
+    A = (rng.uniform(size=60) < 0.4).astype(np.float64)
+    ds = ObservationalDataset(np.empty((60, 0)), A, 1.0 + 2.0 * A + rng.standard_normal(60))
+    expected = np.mean(ds.Y[A == 1.0]) - np.mean(ds.Y[A == 0.0])
+    design = main_effects(())
+    task = build_report_task(
+        ["unweighted", "regression", "ipw", "aipw"], list(STANDARD_TARGETS), (),
+        design, design, None, None,
+    )
+    results = fill_cells(ds, task.plan)
+    assert len(results) == 12
+    for cell, result in zip(task.cells, results):
+        assert result.value == pytest.approx(expected, rel=1e-12), cell
 
 
 @given(_extreme_datasets(), st.booleans())

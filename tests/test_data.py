@@ -261,6 +261,27 @@ def test_round_trip_exact(tmp_path, small_dataset):
     assert back.Y.tobytes() == small_dataset.Y.tobytes()
 
 
+@pytest.mark.parametrize(
+    "names, treatment, outcome",
+    [
+        (("u", "u"), "a", "y"),  # a covariate named twice
+        (("u", "a"), "a", "y"),  # a covariate named as the treatment
+        (("u", "y"), "a", "y"),  # a covariate named as the outcome
+        (("u", "v"), "t", "t"),  # the treatment named as the outcome
+    ],
+)
+def test_names_save_csv_could_not_read_back_are_refused(tmp_path, names, treatment, outcome):
+    X = np.arange(8.0).reshape(4, 2)
+    A = np.array([0.0, 1, 0, 1])
+    with pytest.raises(DataError, match="column names must be distinct"):
+        ObservationalDataset(X, A, np.ones(4), names, treatment, outcome)
+    ds = ObservationalDataset(X, A, np.ones(4), ("u", "v"), "t", "out")
+    save_csv(ds, tmp_path / "rt.csv")
+    back = load_csv(tmp_path / "rt.csv", treatment="t", outcome="out")
+    assert (back.covariate_names, back.treatment_name, back.outcome_name) == (("u", "v"), "t", "out")
+    assert back.X.tobytes() == ds.X.tobytes() and back.A.tobytes() == ds.A.tobytes()
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 

@@ -23,6 +23,8 @@ from wate.errors import (
 from wate.estimators import (
     EstimationPipeline,
     EstimatorKind,
+    PointEstimate,
+    _ROW_MODELS,
     _cell_value_rows,
     fill_cells,
     has_formula,
@@ -800,9 +802,9 @@ def test_a_fill_keeps_one_block_alive(monkeypatch):
     built = []
     init = wate.estimators._Block.__init__
 
-    def recording_init(self, q, p):
+    def recording_init(self, *args):
         assert [block() for block in built] == [None] * len(built)
-        init(self, q, p)
+        init(self, *args)
         built.append(weakref.ref(self))
 
     monkeypatch.setattr(wate.estimators._Block, "__init__", recording_init)
@@ -866,6 +868,70 @@ def test_has_formula_names_the_cells_a_row_fills():
     }
     for kind, row in expected.items():
         assert [has_formula(kind, t) for t in targets] == row, kind
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_has_formula_agrees_with_the_fill(kind):
+    # Each target of the test above, filled by the pipeline of a row of
+    # ``kind`` with the models _ROW_MODELS says the row fits, on data where
+    # every formula is well posed: a value where has_formula says so, else
+    # the plan's refusal.
+    ds = generate_dataset(1, 300, np.random.default_rng(3)).observed()
+    design = main_effects(ds.covariate_names)
+    fits_pi, fits_m = _ROW_MODELS[kind]
+    targets = (
+        average_effect(), effect_on_treated(), effect_on_controls(), overlap_effect(),
+        linear_in_propensity(1.0, -1.0), fixed_h(np.ones(ds.n)),
+    )
+    plan = plan_cells([
+        EstimationPipeline(
+            t, kind, pi_design=design if fits_pi else None, m_design=design if fits_m else None
+        )
+        for t in targets
+    ])
+    for target, cell, result in zip(targets, plan.cells, fill_cells(ds, plan)):
+        if has_formula(kind, target):
+            assert isinstance(result, PointEstimate), (target.label, result)
+        else:
+            assert not isinstance(result, (PointEstimate, FitFailure)), target.label
+            refusal = (type(result), str(result))
+            assert refusal == (cell.kernel.error, cell.kernel.message), target.label
+
+
+def test_a_stack_gives_each_refusal_after_the_errors_its_formula_checks_first():
+    # h = x1 is negative on replicate 1 only. A cell whose formula evaluates
+    # h before it reads the model it lacks gives that replicate the error of
+    # h; a cell refused before h gives every replicate its refusal.
+    rng = np.random.default_rng(8)
+    X = np.abs(rng.standard_normal((3, 200, 2)))
+    X[1, 7, 0] = -0.5
+    A = (rng.uniform(size=(3, 200)) < 0.5).astype(np.float64)
+    Y = X.sum(axis=2) + A + rng.standard_normal((3, 200))
+    design = main_effects(("x1", "x2"))
+    x1 = covariate_target(lambda X: X[:, 0], "x1")
+    pipelines = [
+        EstimationPipeline(x1, EstimatorKind.IPW_NORMALIZED),
+        EstimationPipeline(x1, EstimatorKind.REGRESSION),
+        EstimationPipeline(x1, EstimatorKind.AIPW, pi_design=design),
+        EstimationPipeline(overlap_effect(), EstimatorKind.IPW_NORMALIZED),
+        EstimationPipeline(effect_on_treated(), EstimatorKind.DR_LINEAR_IN_PI, pi_design=design),
+    ]
+    refusals = [
+        ("weighting estimator needs a propensity model or a supplied pi", True),
+        ("regression estimator needs an outcome model", True),
+        ("augmented estimator needs an outcome model", True),
+        ("target 'ato' needs a propensity model or a supplied pi", False),
+        ("doubly robust estimator needs an outcome model", False),
+    ]
+    _, errors = wate.estimators._fill(_Stack(X, A, Y), plan_cells(pipelines))
+    for err, (message, after_h) in zip(errors, refusals):
+        assert sorted(err) == [0, 1, 2], message
+        for i in (0, 2):
+            assert type(err[i]) is MissingModelError and str(err[i]) == message
+        if after_h:
+            assert isinstance(err[1], NegativeTargetError), message
+        else:
+            assert type(err[1]) is MissingModelError and str(err[1]) == message
 
 
 def _ipw_oracle(ds, target, pi):
